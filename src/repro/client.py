@@ -5,12 +5,12 @@ service (:class:`repro.server.VSSServer`); :class:`VSSBinaryClient`
 speaks the length-prefixed binary frame protocol
 (:class:`repro.server.VSSBinaryServer`).  Both mirror
 :class:`repro.core.engine.Session` — ``read`` / ``read_stream`` /
-``read_batch`` / ``read_async`` / ``write`` plus the catalog surface
-(``create`` / ``delete`` / ``exists`` / ``list_videos`` /
-``video_stats`` / ``create_view`` / ``get_view`` / ``list_views``) — so
-application code runs unchanged against a local engine, an HTTP server,
-or a binary server (the parity is asserted by introspection in
-``tests/test_views.py``)::
+``read_batch`` / ``read_async`` / ``write`` plus one method per unary
+operation of the service-op table (:data:`repro.core.ops.OPS`: catalog,
+views, search, reindex, metrics), each a thin wrapper over
+``_rpc(op, params)`` — so application code runs unchanged against a
+local engine, an HTTP server, or a binary server (the parity is asserted
+by introspection in ``tests/test_views.py``)::
 
     client = VSSBinaryClient("127.0.0.1", 8721, codec="h264", qp=12)
     client.write("traffic", segment)
@@ -47,9 +47,9 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPResponse
-from urllib.parse import quote
 
 from repro.core.engine import SessionStats
+from repro.core.ops import OPS
 from repro.core.reader import BatchStats, ReadChunk, ReadStats
 from repro.core.specs import (
     READ_SPEC_FIELDS,
@@ -66,8 +66,6 @@ from repro.core.wire import (
     FRAME_REQUEST,
     FRAME_RESULT_GOPS,
     FRAME_RESULT_SEGMENT,
-    FRAME_SEARCH,
-    FRAME_SEARCH_HITS,
     FRAME_SEGMENT,
     check_frame_length,
     encode_frame,
@@ -405,17 +403,13 @@ class _RemoteClientBase:
         query = search_query_to_dict(
             text=text, like=like, limit=limit, min_score=min_score
         )
-        reply = self._retrying(self._search_rpc, query)
+        reply = self._retrying(self._rpc, "search", {"query": query})
         return [search_hit_from_dict(d) for d in reply["hits"]]
 
     def reindex(self, name: str) -> int:
         """Rebuild one video's content index; rows written."""
         reply = self._retrying(self._rpc, "reindex", {"name": name})
         return int(reply["indexed_gops"])
-
-    def _search_rpc(self, query: dict) -> dict:
-        """Ship one search query; transports may override the framing."""
-        return self._rpc("search", {"query": query})
 
     def metrics(self) -> dict:
         """The server's metrics document (engine + admission gauges)."""
@@ -630,52 +624,11 @@ class VSSClient(_RemoteClientBase):
             conn.close()
 
     def _rpc(self, op: str, params: dict) -> dict:
-        """Map one logical operation onto the HTTP endpoint table."""
-        if op == "create":
-            return self._request_json(
-                "POST", "/v1/videos", json.dumps(params).encode("utf-8")
-            )
-        if op == "delete":
-            suffix = "?force=1" if params.get("force") else ""
-            return self._request_json(
-                "DELETE",
-                f"/v1/videos/{quote(params['name'], safe='')}{suffix}",
-            )
-        if op == "exists":
-            return self._request_json(
-                "GET", f"/v1/videos/{quote(params['name'], safe='')}"
-            )
-        if op == "list_videos":
-            return self._request_json(
-                "GET", f"/v1/videos?kind={quote(params['kind'], safe='')}"
-            )
-        if op == "video_stats":
-            return self._request_json(
-                "GET", f"/v1/videos/{quote(params['name'], safe='')}/stats"
-            )
-        if op == "create_view":
-            return self._request_json(
-                "POST", "/v1/views", json.dumps(params).encode("utf-8")
-            )
-        if op == "get_view":
-            return self._request_json(
-                "GET", f"/v1/views/{quote(params['name'], safe='')}"
-            )
-        if op == "list_views":
-            return self._request_json("GET", "/v1/views")
-        if op == "search":
-            return self._request_json(
-                "POST",
-                "/v1/search",
-                json.dumps(params["query"]).encode("utf-8"),
-            )
-        if op == "reindex":
-            return self._request_json(
-                "POST", "/v1/reindex", json.dumps(params).encode("utf-8")
-            )
-        if op == "metrics":
-            return self._request_json("GET", "/metrics")
-        raise VSSError(f"unknown client operation {op!r}")
+        """Render one logical operation as its REST request (op table)."""
+        entry = OPS.get(op)
+        if entry is None:
+            raise VSSError(f"unknown client operation {op!r}")
+        return self._request_json(*entry.render(params))
 
     def _open_read_stream(self, spec: ReadSpec) -> RemoteReadStream:
         return self._open_stream(
@@ -846,7 +799,7 @@ class BinaryReadStream:
             # still at a frame boundary and stays poolable.
             self._finish()
             self._client._note_failure()
-            raise _rebuild_error(header)
+            raise error_from_dict(header)
         if frame_type == FRAME_SEGMENT:
             segment = segment_from_payload(header["meta"], payload)
             chunk = ReadChunk(
@@ -890,15 +843,6 @@ class BinaryReadStream:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def _rebuild_error(envelope: dict) -> VSSError:
-    """The binary twin of :func:`error_from_dict`, honouring busy hints."""
-    if envelope.get("error") == "ServerBusyError":
-        return ServerBusyError(
-            retry_after=float(envelope.get("retry_after", 1.0))
-        )
-    return error_from_dict(envelope)
 
 
 class VSSBinaryClient(_RemoteClientBase):
@@ -977,7 +921,7 @@ class VSSBinaryClient(_RemoteClientBase):
             frame_type, header, _ = conn.read_frame()
             if frame_type == FRAME_ERROR:
                 clean = True  # complete frame: boundary intact
-                raise _rebuild_error(header)
+                raise error_from_dict(header)
             if frame_type != FRAME_REPLY:
                 raise WireError(
                     f"expected a reply frame, got type {frame_type:#04x}"
@@ -993,29 +937,6 @@ class VSSBinaryClient(_RemoteClientBase):
     def ping(self) -> bool:
         """Round-trip a no-op frame (connectivity probe)."""
         return bool(self._rpc("ping", {}).get("pong"))
-
-    def _search_rpc(self, query: dict) -> dict:
-        """Search over the dedicated FRAME_SEARCH/FRAME_SEARCH_HITS pair."""
-        conn = self._acquire()
-        clean = False
-        try:
-            conn.send_frame(encode_frame(FRAME_SEARCH, query))
-            frame_type, header, _ = conn.read_frame()
-            if frame_type == FRAME_ERROR:
-                clean = True  # complete frame: boundary intact
-                raise _rebuild_error(header)
-            if frame_type != FRAME_SEARCH_HITS:
-                raise WireError(
-                    f"expected a search-hits frame, got type "
-                    f"{frame_type:#04x}"
-                )
-            clean = True
-            return header
-        finally:
-            if clean:
-                self._release(conn)
-            else:
-                conn.close()
 
     def _open_read_stream(self, spec: ReadSpec) -> BinaryReadStream:
         conn = self._acquire()
@@ -1056,7 +977,7 @@ class VSSBinaryClient(_RemoteClientBase):
                 if frame_type == FRAME_ERROR:
                     clean = True
                     self._note_failure()
-                    raise _rebuild_error(header)
+                    raise error_from_dict(header)
                 stats = read_stats_from_dict(header["stats"])
                 if frame_type == FRAME_RESULT_SEGMENT:
                     segment = segment_from_payload(header["meta"], payload)

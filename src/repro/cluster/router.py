@@ -309,10 +309,6 @@ class ClusterEngine:
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
-    @property
-    def catalog(self) -> "ClusterEngine":
-        return self
-
     def session(self) -> "ClusterEngine":
         return self
 

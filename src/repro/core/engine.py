@@ -315,10 +315,8 @@ class VSSEngine:
         if calibration is None:
             calibration = load_or_run(self.layout.calibration_path, quick=True)
         self.calibration = calibration
-        self.clock = LogicalClock()
-        for _ in range(self.catalog.max_last_access()):
-            # Resume the logical clock past persisted access stamps.
-            self.clock.tick()
+        # Resume the logical clock past persisted access stamps.
+        self.clock = LogicalClock(start=self.catalog.max_last_access())
         self.quality_model = QualityModel(calibration)
         self.cost_model = CostModel(calibration)
         self.executor = Executor(parallelism)
@@ -725,7 +723,11 @@ class VSSEngine:
         Lets clients probe without a ``CatalogError`` try/except.  Like
         :meth:`list_videos`, the probe is one atomic catalog snapshot.
         """
-        return self.catalog.name_kind(name) is not None
+        return self.name_kind(name) is not None
+
+    def name_kind(self, name: str) -> str | None:
+        """``"video"``, ``"view"``, or ``None`` — one catalog snapshot."""
+        return self.catalog.name_kind(name)
 
     def set_budget(self, name: str, budget_bytes: int) -> None:
         self._require_storage(name, "set_budget")

@@ -459,8 +459,6 @@ FRAME_END = 0x07            #: stream/batch terminator carrying stats
 FRAME_ERROR = 0x08          #: error envelope (in- or out-of-stream)
 FRAME_PING = 0x09           #: liveness probe (answered out-of-band)
 FRAME_PONG = 0x0A           #: liveness answer
-FRAME_SEARCH = 0x0B         #: client -> server: one content-index query
-FRAME_SEARCH_HITS = 0x0C    #: server -> client: ranked hits answer
 
 FRAME_TYPES = frozenset(
     {
@@ -474,8 +472,6 @@ FRAME_TYPES = frozenset(
         FRAME_ERROR,
         FRAME_PING,
         FRAME_PONG,
-        FRAME_SEARCH,
-        FRAME_SEARCH_HITS,
     }
 )
 

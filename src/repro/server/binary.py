@@ -33,6 +33,10 @@ read_batch, write) take a :class:`ServiceGauges` slot or are rejected
 immediately with a ``ServerBusyError`` envelope carrying the same
 ``retry_after`` hint as HTTP 429 + ``Retry-After``; the queue-depth
 gauges are served by the ``metrics`` op (the ``/metrics`` equivalent).
+
+Only the payload-carrying ops (``read``, ``read_batch``, ``write``) have
+handlers here; every other ``"op"`` value is an entry of the service-op
+table in :mod:`repro.core.ops`, run by one generic handler.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from functools import partial
 from pathlib import Path
 
 from repro.core.engine import VSSEngine
+from repro.core.ops import OPS, Op, physical_to_dict
 from repro.core.wire import (
     FRAME_END,
     FRAME_ERROR,
@@ -57,8 +62,6 @@ from repro.core.wire import (
     FRAME_REQUEST,
     FRAME_RESULT_GOPS,
     FRAME_RESULT_SEGMENT,
-    FRAME_SEARCH,
-    FRAME_SEARCH_HITS,
     FRAME_SEGMENT,
     check_frame_length,
     encode_frame,
@@ -66,13 +69,9 @@ from repro.core.wire import (
     parse_frame,
     read_spec_from_dict,
     read_stats_to_dict,
-    search_hit_to_dict,
-    search_query_from_dict,
     segment_from_payload,
     segment_payload_view,
     segment_to_meta,
-    view_spec_from_dict,
-    view_spec_to_dict,
     write_spec_from_dict,
 )
 from repro.errors import WireError
@@ -80,7 +79,6 @@ from repro.server.http import (
     DEFAULT_MAX_INFLIGHT,
     RETRY_AFTER_SECONDS,
     ServiceGauges,
-    as_plain_dict,
 )
 from repro.video.codec.container import encode_container
 
@@ -337,29 +335,6 @@ class VSSBinaryServer:
                     writer, encode_frame(FRAME_PONG, {"pong": True})
                 )
                 continue
-            if frame_type == FRAME_SEARCH:
-                # A dedicated frame pair, like PING/PONG: the query is
-                # pure index work (no decode, no admission slot), and
-                # giving it its own type keeps request multiplexers able
-                # to route search traffic without parsing op names.
-                try:
-                    query = search_query_from_dict(header)
-                    hits = await self._bridge_call(
-                        self.engine.search, **query
-                    )
-                except (ConnectionError, TimeoutError, asyncio.CancelledError):
-                    raise
-                except Exception as exc:  # noqa: BLE001 - envelope
-                    await self._send_error(writer, exc)
-                    continue
-                await self._send(
-                    writer,
-                    encode_frame(
-                        FRAME_SEARCH_HITS,
-                        {"hits": [search_hit_to_dict(h) for h in hits]},
-                    ),
-                )
-                continue
             if frame_type != FRAME_REQUEST:
                 await self._send_error(
                     writer,
@@ -371,15 +346,15 @@ class VSSBinaryServer:
                 )
                 return
             op = header.get("op")
-            handler = self._OPS.get(op)
-            if handler is None:
-                # Frame boundaries are intact: answer and keep serving.
-                await self._send_error(
-                    writer, WireError(f"unknown op {op!r}")
-                )
-                continue
             try:
-                await handler(self, writer, header, payload)
+                handler = self._OPS.get(op)
+                if handler is not None:
+                    await handler(self, writer, header, payload)
+                elif op in OPS:
+                    await self._op_unary(writer, OPS[op], header)
+                else:
+                    # Frame boundaries are intact: answer and keep serving.
+                    raise WireError(f"unknown op {op!r}")
             except (ConnectionError, TimeoutError, asyncio.CancelledError):
                 raise
             except Exception as exc:  # noqa: BLE001 - mapped to an envelope
@@ -439,98 +414,21 @@ class VSSBinaryServer:
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    async def _op_ping(self, writer, header, payload) -> None:
-        await self._send_reply(writer, {"pong": True})
+    async def _op_unary(self, writer, op: Op, header: dict) -> None:
+        """Any op of the service table: one bridge hop, one REPLY frame.
 
-    async def _op_metrics(self, writer, header, payload) -> None:
-        stats = await self._bridge_call(self.engine.stats)
-        await self._send_reply(
-            writer,
-            {
-                "engine": as_plain_dict(stats),
-                "server": self.gauges.snapshot(),
-            },
-        )
-
-    async def _op_create(self, writer, header, payload) -> None:
-        logical = await self._bridge_call(
-            self.engine.create,
-            header["name"],
-            budget_bytes=int(header.get("budget_bytes", 0)),
-        )
-        await self._send_reply(
-            writer,
-            {
-                "name": logical.name,
-                "id": logical.id,
-                "budget_bytes": logical.budget_bytes,
-            },
-        )
-
-    async def _op_delete(self, writer, header, payload) -> None:
-        await self._bridge_call(
-            self.engine.delete,
-            header["name"],
-            force=bool(header.get("force", False)),
-        )
-        await self._send_reply(writer, {"deleted": header["name"]})
-
-    async def _op_exists(self, writer, header, payload) -> None:
-        name = header["name"]
-        kind = await self._bridge_call(self.engine.catalog.name_kind, name)
-        await self._send_reply(
-            writer, {"name": name, "exists": kind is not None, "kind": kind}
-        )
-
-    async def _op_list_videos(self, writer, header, payload) -> None:
-        videos = await self._bridge_call(
-            self.engine.list_videos, header.get("kind", "all")
-        )
-        await self._send_reply(writer, {"videos": videos})
-
-    async def _op_video_stats(self, writer, header, payload) -> None:
-        stats = await self._bridge_call(
-            self.engine.video_stats, header["name"]
-        )
-        await self._send_reply(writer, as_plain_dict(stats))
-
-    @staticmethod
-    def _view_payload(record) -> dict:
-        return {
-            "name": record.name,
-            "id": record.id,
-            "over": record.over,
-            "created_at": record.created_at,
-            "spec": view_spec_to_dict(record.spec),
-        }
-
-    async def _op_create_view(self, writer, header, payload) -> None:
-        record = await self._bridge_call(
-            self.engine.create_view,
-            header["name"],
-            view_spec_from_dict(header["spec"]),
-        )
-        await self._send_reply(writer, self._view_payload(record))
-
-    async def _op_get_view(self, writer, header, payload) -> None:
-        record = await self._bridge_call(
-            self.engine.get_view, header["name"]
-        )
-        await self._send_reply(writer, self._view_payload(record))
-
-    async def _op_list_views(self, writer, header, payload) -> None:
-        views = await self._bridge_call(self.engine.list_views)
-        await self._send_reply(
-            writer, {"views": [self._view_payload(v) for v in views]}
-        )
-
-    async def _op_delete_view(self, writer, header, payload) -> None:
-        await self._bridge_call(
-            self.engine.delete_view,
-            header["name"],
-            force=bool(header.get("force", False)),
-        )
-        await self._send_reply(writer, {"deleted": header["name"]})
+        The request header doubles as the op's params (its ``"op"`` key
+        is just one more name the op does not look at).
+        """
+        if op.admitted and not self.gauges.try_enter():
+            await self._send_busy(writer)
+            return
+        try:
+            reply = await self._bridge_call(op, self, header)
+        finally:
+            if op.admitted:
+                self.gauges.leave()
+        await self._send_reply(writer, reply)
 
     async def _op_write(self, writer, header, payload) -> None:
         spec = write_spec_from_dict(header["spec"])
@@ -546,18 +444,7 @@ class VSSBinaryServer:
             )
         finally:
             self.gauges.leave()
-        await self._send_reply(
-            writer,
-            {
-                "physical_id": physical.id,
-                "codec": physical.codec,
-                "width": physical.width,
-                "height": physical.height,
-                "fps": physical.fps,
-                "start_time": physical.start_time,
-                "end_time": physical.end_time,
-            },
-        )
+        await self._send_reply(writer, physical_to_dict(physical))
 
     async def _op_read(self, writer, header, payload) -> None:
         spec = read_spec_from_dict(header["spec"])
@@ -619,27 +506,6 @@ class VSSBinaryServer:
         finally:
             self.gauges.leave()
 
-    async def _op_search(self, writer, header, payload) -> None:
-        # The generic-op twin of the FRAME_SEARCH fast path, for clients
-        # that only speak FRAME_REQUEST.
-        query = search_query_from_dict(header["query"])
-        hits = await self._bridge_call(self.engine.search, **query)
-        await self._send_reply(
-            writer, {"hits": [search_hit_to_dict(h) for h in hits]}
-        )
-
-    async def _op_reindex(self, writer, header, payload) -> None:
-        name = header["name"]
-        # Admitted: a reindex decodes every GOP of the video.
-        if not self.gauges.try_enter():
-            await self._send_busy(writer)
-            return
-        try:
-            indexed = await self._bridge_call(self.engine.reindex, name)
-        finally:
-            self.gauges.leave()
-        await self._send_reply(writer, {"name": name, "indexed_gops": indexed})
-
     async def _op_read_batch(self, writer, header, payload) -> None:
         specs = [read_spec_from_dict(d) for d in header["specs"]]
         if not self.gauges.try_enter():
@@ -667,21 +533,9 @@ class VSSBinaryServer:
         finally:
             self.gauges.leave()
 
+    #: The payload-carrying ops; everything else lives in ``OPS``.
     _OPS = {
-        "ping": _op_ping,
-        "metrics": _op_metrics,
-        "create": _op_create,
-        "delete": _op_delete,
-        "exists": _op_exists,
-        "list_videos": _op_list_videos,
-        "video_stats": _op_video_stats,
-        "create_view": _op_create_view,
-        "get_view": _op_get_view,
-        "list_views": _op_list_views,
-        "delete_view": _op_delete_view,
         "write": _op_write,
         "read": _op_read,
         "read_batch": _op_read_batch,
-        "search": _op_search,
-        "reindex": _op_reindex,
     }

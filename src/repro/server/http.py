@@ -7,24 +7,15 @@ forwards).  Everything on the wire is JSON (specs, stats, errors — see
 :mod:`repro.core.wire`) plus raw pixel/container payloads framed by a
 JSON header line.
 
-Endpoints::
+Endpoints: the unary routes (catalog, views, search, reindex, metrics)
+are the REST bindings of the service-op table in :mod:`repro.core.ops`
+— the handler matches ``(method, path)`` against that table and has no
+per-op code; ``docs/api.md`` lists them.  Served here directly::
 
     GET    /healthz                   {"ok": true} liveness (no engine work)
-    GET    /metrics                   engine EngineStats + server gauges
-    GET    /v1/videos[?kind=...]      {"videos": [...]} (sorted snapshot)
-    GET    /v1/videos/<name>          {"exists": bool, "kind": ...}
-    GET    /v1/videos/<name>/stats    per-video StoreStats / per-view ViewStats
-    POST   /v1/videos                 create  {"name", "budget_bytes"}
-    DELETE /v1/videos/<name>[?force=1]  delete (cascade views with force)
-    GET    /v1/views                  {"views": [...]} (definitions)
-    GET    /v1/views/<name>           one view definition
-    POST   /v1/views                  create  {"name", "spec": ViewSpec dict}
-    DELETE /v1/views/<name>[?force=1]   delete a view definition
     POST   /v1/write                  JSON header line + raw pixel bytes
     POST   /v1/read                   {"spec": {...}} -> chunked stream
     POST   /v1/read_batch             {"specs": [...]} -> chunked stream
-    POST   /v1/search                 search-query dict -> {"hits": [...]}
-    POST   /v1/reindex                {"name"} -> {"name", "indexed_gops"}
 
 Names in read/stats routes resolve uniformly: a derived view created
 via ``POST /v1/views`` can be read, streamed, batched, listed, and
@@ -52,21 +43,17 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib.parse import parse_qs, unquote, urlsplit
+from urllib.parse import urlsplit
 
 from repro.core.engine import VSSEngine
-from repro.core.records import ViewRecord
+from repro.core.ops import match_route, physical_to_dict
 from repro.core.wire import (
     error_to_dict,
     read_spec_from_dict,
     read_stats_to_dict,
-    search_hit_to_dict,
-    search_query_from_dict,
     segment_from_payload,
     segment_payload,
     segment_to_meta,
-    view_spec_from_dict,
-    view_spec_to_dict,
     write_spec_from_dict,
 )
 from repro.errors import (
@@ -101,15 +88,6 @@ def status_for(exc: BaseException) -> int:
     if isinstance(exc, (VSSError, WireError, ValueError, TypeError, KeyError)):
         return 400
     return 500
-
-
-def as_plain_dict(obj) -> dict:
-    """``dataclasses.asdict`` that passes plain dicts through.
-
-    The servers wrap anything engine-shaped; a cluster facade returns
-    already-plain stats documents where the engine returns dataclasses.
-    """
-    return obj if isinstance(obj, dict) else dataclasses.asdict(obj)
 
 
 class ServiceGauges:
@@ -251,144 +229,44 @@ class VSSRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def _route(self) -> list[str]:
-        """The request path as decoded segments (query string dropped).
-
-        Splitting happens on the *quoted* path, so a video name
-        containing ``/`` (sent percent-encoded) stays one segment and
-        can never collide with a route suffix like ``/stats``.
-        """
-        return [
-            unquote(part)
-            for part in urlsplit(self.path).path.split("/")
-            if part
-        ]
-
-    def _query(self) -> dict[str, str]:
-        """Query parameters (last value wins for repeated keys)."""
-        return {
-            key: values[-1]
-            for key, values in parse_qs(urlsplit(self.path).query).items()
-        }
-
-    @staticmethod
-    def _view_payload(record: ViewRecord) -> dict:
-        return {
-            "name": record.name,
-            "id": record.id,
-            "over": record.over,
-            "created_at": record.created_at,
-            "spec": view_spec_to_dict(record.spec),
-        }
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            parts = self._route()
-            engine = self.server.engine
-            if parts == ["healthz"]:
-                # Liveness only — no engine work, so a wedged store never
-                # makes an external load balancer think the process died.
-                self._send_json({"ok": True, "service": "vss"})
-            elif parts == ["metrics"]:
-                self._send_json(
-                    {
-                        "engine": as_plain_dict(engine.stats()),
-                        "server": self.server.gauges.snapshot(),
-                    }
-                )
-            elif parts == ["v1", "videos"]:
-                kind = self._query().get("kind", "all")
-                self._send_json({"videos": engine.list_videos(kind)})
-            elif parts == ["v1", "views"]:
-                self._send_json(
-                    {
-                        "views": [
-                            self._view_payload(v) for v in engine.list_views()
-                        ]
-                    }
-                )
-            elif len(parts) == 3 and parts[:2] == ["v1", "views"]:
-                self._send_json(self._view_payload(engine.get_view(parts[2])))
-            elif len(parts) == 4 and parts[:2] == ["v1", "videos"] and (
-                parts[3] == "stats"
-            ):
-                self._send_json(
-                    as_plain_dict(engine.video_stats(parts[2]))
-                )
-            elif len(parts) == 3 and parts[:2] == ["v1", "videos"]:
-                name = parts[2]
-                # One name_kind probe: existence and kind from the same
-                # catalog snapshot (see Catalog.name_kind).
-                kind = engine.catalog.name_kind(name)
-                self._send_json(
-                    {"name": name, "exists": kind is not None, "kind": kind}
-                )
-            else:
-                self._send_json(
-                    {
-                        "error": "VSSError",
-                        "message": f"no route {self.path!r}",
-                    },
-                    status=404,
-                )
-        except Exception as exc:  # noqa: BLE001 - mapped to an envelope
-            self._send_exception(exc)
-
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            parts = self._route()
-            if len(parts) != 3 or parts[1] not in ("videos", "views") or (
-                parts[0] != "v1"
-            ):
-                self._send_json(
-                    {
-                        "error": "VSSError",
-                        "message": f"no route {self.path!r}",
-                    },
-                    status=404,
-                )
-                return
-            force = self._query().get("force", "") in ("1", "true")
-            if parts[1] == "views":
-                # The views route manages definitions only; delete_view
-                # can never touch stored video data, even under a
-                # concurrent delete-and-recreate of the name.
-                self.server.engine.delete_view(parts[2], force=force)
-            else:
-                self.server.engine.delete(parts[2], force=force)
-            self._send_json({"deleted": parts[2]})
-        except Exception as exc:  # noqa: BLE001 - mapped to an envelope
-            self._send_exception(exc)
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        path = urlsplit(self.path).path
-        if path == "/v1/videos":
-            self._handle_create()
-        elif path == "/v1/views":
-            self._handle_create_view()
-        elif path == "/v1/write":
-            self._admitted(self._handle_write)
-        elif path == "/v1/read":
-            self._admitted(self._handle_read)
-        elif path == "/v1/read_batch":
-            self._admitted(self._handle_read_batch)
-        elif path == "/v1/search":
-            # Pure index work (no decode), so it skips admission like
-            # the catalog routes do.
-            self._handle_search()
-        elif path == "/v1/reindex":
-            self._admitted(self._handle_reindex)
-        else:
+    def _dispatch(self) -> None:
+        """Route one request: stream routes, liveness, then the op table."""
+        url = urlsplit(self.path)
+        stream = self._STREAM_ROUTES.get((self.command, url.path))
+        if stream is not None:
+            self._serve(lambda: stream(self), admitted=True)
+            return
+        if self.command == "GET" and url.path == "/healthz":
+            # Liveness only — no engine work, so a wedged store never
+            # makes an external load balancer think the process died.
+            self._send_json({"ok": True, "service": "vss"})
+            return
+        match = match_route(self.command, url.path)
+        if match is None:
             self._read_body()
             self._send_json(
-                {"error": "VSSError", "message": f"no route {path!r}"},
+                {"error": "VSSError", "message": f"no route {self.path!r}"},
                 status=404,
             )
+            return
+        op, path_params = match
 
-    def _admitted(self, handler) -> None:
-        """Run a heavy handler under admission control (429 when full)."""
+        def run_op() -> None:
+            params = op.parse(path_params, url.query, self._read_body())
+            self._send_json(op(self.server, params))
+
+        self._serve(run_op, admitted=op.admitted)
+
+    do_GET = do_POST = do_DELETE = _dispatch  # noqa: N815 - stdlib naming
+
+    def _serve(self, handler, admitted: bool) -> None:
+        """Run a handler, mapping failures to an error envelope.
+
+        ``admitted`` handlers run under admission control: 429 when the
+        server already has ``max_inflight`` heavy requests in flight.
+        """
         gauges = self.server.gauges
-        if not gauges.try_enter():
+        if admitted and not gauges.try_enter():
             self._reject_busy()
             return
         try:
@@ -399,55 +277,12 @@ class VSSRequestHandler(BaseHTTPRequestHandler):
         except Exception as exc:  # noqa: BLE001 - mapped to an envelope
             self._send_exception(exc)
         finally:
-            gauges.leave()
+            if admitted:
+                gauges.leave()
 
     # ------------------------------------------------------------------
-    # endpoint bodies
+    # stream endpoint bodies
     # ------------------------------------------------------------------
-    def _handle_create(self) -> None:
-        try:
-            payload = json.loads(self._read_body())
-            name = payload["name"]
-            logical = self.server.engine.create(
-                name, budget_bytes=int(payload.get("budget_bytes", 0))
-            )
-            self._send_json(
-                {
-                    "name": logical.name,
-                    "id": logical.id,
-                    "budget_bytes": logical.budget_bytes,
-                }
-            )
-        except Exception as exc:  # noqa: BLE001 - mapped to an envelope
-            self._send_exception(exc)
-
-    def _handle_create_view(self) -> None:
-        try:
-            payload = json.loads(self._read_body())
-            record = self.server.engine.create_view(
-                payload["name"], view_spec_from_dict(payload["spec"])
-            )
-            self._send_json(self._view_payload(record))
-        except Exception as exc:  # noqa: BLE001 - mapped to an envelope
-            self._send_exception(exc)
-
-    def _handle_search(self) -> None:
-        try:
-            query = search_query_from_dict(json.loads(self._read_body()))
-            hits = self.server.engine.search(**query)
-            self._send_json(
-                {"hits": [search_hit_to_dict(h) for h in hits]}
-            )
-        except Exception as exc:  # noqa: BLE001 - mapped to an envelope
-            self._send_exception(exc)
-
-    def _handle_reindex(self) -> None:
-        # Admitted: a reindex decodes every GOP of the video.
-        payload = json.loads(self._read_body())
-        name = payload["name"]
-        indexed = self.server.engine.reindex(name)
-        self._send_json({"name": name, "indexed_gops": indexed})
-
     def _handle_write(self) -> None:
         body = self._read_body()
         newline = body.find(b"\n")
@@ -457,17 +292,7 @@ class VSSRequestHandler(BaseHTTPRequestHandler):
         spec = write_spec_from_dict(header["spec"])
         segment = segment_from_payload(header["segment"], body[newline + 1:])
         physical = self.server.engine.write(spec, segment=segment)
-        self._send_json(
-            {
-                "physical_id": physical.id,
-                "codec": physical.codec,
-                "width": physical.width,
-                "height": physical.height,
-                "fps": physical.fps,
-                "start_time": physical.start_time,
-                "end_time": physical.end_time,
-            }
-        )
+        self._send_json(physical_to_dict(physical))
 
     def _handle_read(self) -> None:
         payload = json.loads(self._read_body())
@@ -560,6 +385,12 @@ class VSSRequestHandler(BaseHTTPRequestHandler):
         except Exception as exc:  # noqa: BLE001 - in-band error frame
             self._write_meta({"type": "error", **error_to_dict(exc)})
         self._end_stream()
+
+    _STREAM_ROUTES = {
+        ("POST", "/v1/write"): _handle_write,
+        ("POST", "/v1/read"): _handle_read,
+        ("POST", "/v1/read_batch"): _handle_read_batch,
+    }
 
 
 class VSSServer:

@@ -6,6 +6,7 @@ dedicated module.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -88,15 +89,19 @@ class LogicalClock:
 
     Wall-clock time is unsuitable for cache-recency experiments because two
     accesses in the same scheduler quantum would tie; a logical clock gives a
-    strict total order.
+    strict total order — across threads too: ``tick`` is atomic, so
+    concurrent readers never receive the same stamp.  ``start`` resumes
+    past stamps persisted by an earlier run.
     """
 
-    def __init__(self) -> None:
-        self._now = 0
+    def __init__(self, start: int = 0) -> None:
+        self._now = start
+        self._lock = threading.Lock()
 
     def tick(self) -> int:
-        self._now += 1
-        return self._now
+        with self._lock:
+            self._now += 1
+            return self._now
 
     @property
     def now(self) -> int:

@@ -534,6 +534,25 @@ class TestFrameFuzzing:
         finally:
             raw.close()
 
+    def test_missing_required_param_keeps_connection_open(self, server):
+        """The same WireError the HTTP transport answers with a 400."""
+        raw = _RawConnection(server.address)
+        try:
+            for request, message in (
+                ({"op": "create"}, "op 'create' requires 'name'"),
+                ({"op": "create_view", "name": "v"},
+                 "op 'create_view' requires 'spec'"),
+                ({"op": "reindex"}, "op 'reindex' requires 'name'"),
+            ):
+                raw.send(frame_to_bytes(FRAME_REQUEST, request))
+                frame_type, header, _ = raw.read_frame()
+                assert frame_type == FRAME_ERROR
+                assert header == {"error": "WireError", "message": message}
+            raw.send(frame_to_bytes(FRAME_REQUEST, {"op": "ping"}))
+            assert raw.read_frame()[0] == FRAME_REPLY
+        finally:
+            raw.close()
+
     def test_clean_disconnect_between_frames_is_silent(self, server):
         raw = _RawConnection(server.address)
         raw.send(frame_to_bytes(FRAME_REQUEST, {"op": "ping"}))

@@ -26,6 +26,7 @@ from repro.core.api import VSS, LegacyStoreStats
 from repro.core.engine import Session, VSSEngine
 from repro.core.rwlock import RWLock, RWLockStats
 from repro.core.specs import ReadSpec, WriteSpec
+from repro.util import LogicalClock
 from repro.errors import (
     FormatError,
     OutOfRangeError,
@@ -540,6 +541,47 @@ class TestRWLock:
 # ----------------------------------------------------------------------
 # admission worker: coalescing, bounding, deterministic drain
 # ----------------------------------------------------------------------
+class TestLogicalClock:
+    def test_concurrent_ticks_are_distinct(self):
+        """N threads x M ticks yield N*M distinct stamps (strict order)."""
+        import sys
+
+        clock = LogicalClock(start=100)
+        stamps: list[list[int]] = [[] for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force preemption inside tick()
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda out=out: out.extend(
+                        clock.tick() for _ in range(5000)
+                    )
+                )
+                for out in stamps
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        flat = [stamp for out in stamps for stamp in out]
+        assert len(set(flat)) == 8 * 5000
+        assert min(flat) == 101 and clock.now == 100 + 8 * 5000
+
+    def test_engine_resumes_clock_past_persisted_stamps(
+        self, tmp_path, calibration, tiny_clip
+    ):
+        with VSSEngine(tmp_path / "s", calibration=calibration) as eng:
+            eng.session().write("v", tiny_clip, codec="raw")
+            eng.read(ReadSpec("v", 0.0, tiny_clip.duration, codec="raw"))
+            persisted = eng.catalog.max_last_access()
+            assert persisted > 0
+        with VSSEngine(tmp_path / "s", calibration=calibration) as eng:
+            assert eng.clock.now == persisted
+
+
 class TestAdmissionWorker:
     def test_coalesces_and_bounds(self):
         worker = AdmissionWorker(max_pending=2)
@@ -967,6 +1009,8 @@ class TestEngineProbes:
         assert not loaded_engine.exists("missing")
         # probing must not leak per-logical lock registry entries
         assert "missing" not in loaded_engine._logical_locks
+        assert loaded_engine.name_kind("traffic") == "video"
+        assert loaded_engine.name_kind("missing") is None
 
     def test_list_videos_sorted(self, engine, tiny_clip):
         session = engine.session()

@@ -332,6 +332,32 @@ class TestWriteOverHTTP:
             conn.close()
         assert isinstance(error_from_dict(envelope), WireError)
 
+    def test_missing_required_param_rejected(self, client):
+        """An op request without a required param is a 400 WireError
+        naming the op and the param — not a stringified KeyError."""
+        import json
+        from http.client import HTTPConnection
+
+        conn = HTTPConnection(client.host, client.port, timeout=10)
+        try:
+            for path, body, message in (
+                ("/v1/videos", b"{}", "op 'create' requires 'name'"),
+                ("/v1/views", b'{"name": "v"}',
+                 "op 'create_view' requires 'spec'"),
+                ("/v1/reindex", b"", "op 'reindex' requires 'name'"),
+            ):
+                conn.request("POST", path, body=body,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                envelope = json.loads(response.read())
+                assert response.status == 400
+                assert envelope == {"error": "WireError", "message": message}
+        finally:
+            conn.close()
+        with pytest.raises(WireError, match="requires 'name'"):
+            client._rpc("create", {})
+        assert client.list_videos() == []
+
 
 class TestViewsOverHTTP:
     """Derived views through the service layer: full local/remote parity."""

@@ -741,6 +741,24 @@ class TestApiParity:
         assert binary_api - http_api == self.BINARY_ONLY
         assert http_api - binary_api == set()
 
+    #: Table ops with no public client method: the views-only delete
+    #: route is a safety rail beside ``delete`` (which handles views
+    #: too), reachable through ``_rpc`` on either client.
+    RPC_ONLY = {"delete_view"}
+
+    def test_every_table_op_is_reachable_from_both_clients(self):
+        """Each op of the service table has a REST binding and a method
+        on both clients — bar the documented asymmetries above."""
+        from repro.core.ops import OPS
+
+        http_api = _public_methods(VSSClient)
+        binary_api = _public_methods(VSSBinaryClient)
+        assert {n for n, op in OPS.items() if op.rest is None} == (
+            self.BINARY_ONLY
+        )
+        assert set(OPS) - binary_api == self.RPC_ONLY
+        assert set(OPS) - http_api == self.RPC_ONLY | self.BINARY_ONLY
+
     def test_shared_methods_accept_the_same_positional_shape(self):
         """First two non-self parameter names agree for every mirror.
 

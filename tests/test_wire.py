@@ -26,7 +26,6 @@ from repro.core.wire import (
     FRAME_ERROR,
     FRAME_REPLY,
     FRAME_REQUEST,
-    FRAME_SEARCH,
     FRAME_SEGMENT,
     FRAME_TYPES,
     MAX_FRAME_BYTES,
@@ -583,7 +582,7 @@ class TestBinaryFrames:
         assert check_frame_length(MAX_FRAME_BYTES) == MAX_FRAME_BYTES
 
     def test_frame_types_are_distinct(self):
-        assert len(FRAME_TYPES) == 12
+        assert len(FRAME_TYPES) == 10
 
     def test_error_envelope_round_trip(self):
         body = frame_to_bytes(
@@ -708,12 +707,3 @@ class TestSearchWireForms:
         }
         with pytest.raises((WireError, ValueError)):
             search_hit_from_dict(wire)
-
-    def test_search_frame_types_on_the_wire(self):
-        body = frame_to_bytes(
-            FRAME_SEARCH, search_query_to_dict(text="red truck")
-        )[4:]
-        frame_type, header, payload = parse_frame(body)
-        assert frame_type == FRAME_SEARCH
-        assert search_query_from_dict(header)["text"] == "red truck"
-        assert payload.nbytes == 0
