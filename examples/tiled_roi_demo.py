@@ -43,9 +43,7 @@ def main() -> None:
     hot = (0, 0, w // 2, h // 3)
 
     with tempfile.TemporaryDirectory() as root:
-        # admit_sync=True runs periodic maintenance inline with reads,
-        # so the access-driven re-tile below happens deterministically.
-        with VSSEngine(root, admit_sync=True) as engine:
+        with VSSEngine(root) as engine:
             with engine.session(codec="h264", qp=10, gop_size=15) as s:
                 s.write("highway", clip)
 
@@ -75,8 +73,11 @@ def main() -> None:
             engine.retile_policy = RetilePolicy(
                 min_accesses=6, concentration=0.6
             )
-            for _ in range(10):  # maintenance runs every 8th read
+            for _ in range(10):  # maintenance is queued every 8th read
                 engine.read(roi_spec("highway", hot))
+            # Maintenance runs on the background worker; draining makes
+            # the access-driven re-tile below happen deterministically.
+            engine.drain_admissions()
             final = engine.read(roi_spec("highway", hot))
             grids = engine.catalog.tile_groups_of_logical(
                 engine.catalog.get_logical("highway").id

@@ -50,7 +50,12 @@ from http.client import HTTPConnection, HTTPResponse
 
 from repro.core.engine import SessionStats
 from repro.core.ops import OPS
-from repro.core.reader import BatchStats, ReadChunk, ReadStats
+from repro.core.reader import (
+    BatchStats,
+    ReadChunk,
+    ReadStats,
+    collect_chunks,
+)
 from repro.core.specs import (
     READ_SPEC_FIELDS,
     WRITE_SPEC_FIELDS,
@@ -125,22 +130,9 @@ class RemoteReadResult:
 
 def _collect_stream(stream) -> RemoteReadResult:
     """Drain a remote stream's chunks into one :class:`RemoteReadResult`."""
-    segments: list[VideoSegment] = []
-    gops: list = []
-    for chunk in stream:
-        if chunk.segment is not None:
-            segments.append(chunk.segment)
-        if chunk.gops is not None:
-            gops.extend(chunk.gops)
+    segment, gops = collect_chunks(stream)
     stats = stream.stats if stream.stats is not None else ReadStats()
-    if segments:
-        merged = (
-            segments[0]
-            if len(segments) == 1
-            else segments[0].concatenate(segments)
-        )
-        return RemoteReadResult(merged, None, stats)
-    return RemoteReadResult(None, gops, stats)
+    return RemoteReadResult(segment, gops, stats)
 
 
 class RemoteReadStream:

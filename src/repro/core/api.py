@@ -30,8 +30,13 @@ tests) runs unchanged — reads still accept the spatial (``resolution``,
 (``codec``, ``pixel_format``, ``qp``, ``quality_db``) kwargs, results
 are still cached as materialized physical videos under the LRU_VSS
 budget policy, raw reads still trigger deferred compression, and
-compaction still runs periodically.  New code should use the engine API
-directly; see ``docs/api.md`` for the migration guide.
+compaction still runs periodically.  The engine queues all of that
+post-operation work on its background worker; the facade keeps the
+paper's "side effects are visible when the call returns" contract by
+calling ``engine.drain_admissions()`` at the end of its own ``read`` and
+``write`` (methods forwarded to the engine untouched — ``read_batch``,
+``open_write_stream`` — do not drain).  New code should use the engine
+API directly; see ``docs/api.md`` for the migration guide.
 """
 
 from __future__ import annotations
@@ -134,10 +139,6 @@ class VSS:
             cache_reads=cache_reads,
             parallelism=parallelism,
             decode_cache_bytes=decode_cache_bytes,
-            # The paper's facade admits synchronously: every pre-engine
-            # caller (and test) observes cache admission the moment
-            # read() returns, so the shim pins the escape hatch on.
-            admit_sync=True,
         )
         self.default_session = self.engine.session()
 
@@ -180,7 +181,9 @@ class VSS:
     ) -> PhysicalVideo:
         """Write video under ``name`` (raw segment or pre-encoded GOPs)."""
         spec = WriteSpec(name=name, codec=codec, qp=qp, gop_size=gop_size)
-        return self.engine.write(spec, segment=segment, gops=gops)
+        physical = self.engine.write(spec, segment=segment, gops=gops)
+        self.engine.drain_admissions()  # index rows visible on return
+        return physical
 
     def read(
         self,
@@ -212,7 +215,11 @@ class VSS:
             cache=cache,
             mode=mode,
         )
-        return self.default_session.read(spec)
+        result = self.default_session.read(spec)
+        # The paper's facade admits synchronously: every pre-engine
+        # caller observes cache admission the moment read() returns.
+        self.engine.drain_admissions()
+        return result
 
     def stats(self, name: str) -> LegacyStoreStats:
         """Deprecated combined per-video + store-wide stats shape."""

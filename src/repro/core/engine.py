@@ -14,10 +14,14 @@ below), decode, assemble, stamp LRU entries.  Opportunistic cache
 admission and periodic maintenance run *after* the read returns, on a
 bounded background queue (:class:`repro.core.admission.AdmissionWorker`)
 that coalesces duplicate pending admissions per (logical, effective
-spec) and is drained deterministically by ``engine.close()`` /
-``Session.close()``.  ``VSSEngine(admit_sync=True)`` restores the old
-inline admission for callers that need the side effects to be visible
-the moment ``read`` returns.
+spec).  That queue is the *only* post-operation path: ``read``, every
+``read_batch`` member and a drained ``ReadStream`` all finish through
+one completion step (:meth:`VSSEngine._complete_read`), and every
+background task — admission, maintenance, ingest-time extraction — runs
+through one guard (:meth:`VSSEngine._run_if_current`) that skips work
+aimed at a deleted or re-created video.  The side effects become
+observable at ``engine.drain_admissions()`` / ``Session.close()`` /
+``engine.close()``, which drain the queue deterministically.
 
 Read plans are memoized in a versioned cache keyed by ``(logical id,
 mutation version, effective ReadSpec)``: the catalog bumps a per-logical
@@ -54,6 +58,7 @@ The paper's four-operation facade lives on as the deprecated
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import OrderedDict
@@ -84,6 +89,7 @@ from repro.core.reader import (
     Reader,
     ReadResult,
     ReadStats,
+    collect_chunks,
 )
 from repro.core.records import LogicalVideo, PhysicalVideo, ViewRecord
 from repro.core.rwlock import RWLock, RWLockStats
@@ -286,14 +292,10 @@ class VSSEngine:
       Output is bit-identical at every setting.
     * ``decode_cache_bytes`` — budget for the in-memory cache of decoded
       GOP prefixes shared by all sessions.  ``0`` disables the cache.
-    * ``admit_sync`` — run opportunistic cache admission and periodic
-      maintenance *inline* at the end of each read (the pre-queue
-      behaviour) instead of on the background admission worker.  The
-      default (False) keeps the read critical path to plan + decode +
-      assemble; ``admit_sync=True`` is the escape hatch for callers —
-      including the deprecated ``VSS`` facade and paper-exact tests —
-      that must observe admission's side effects the moment ``read``
-      returns.
+
+    Cache admission, periodic maintenance and ingest-time extraction
+    always run on the background admission worker, never inline; call
+    :meth:`drain_admissions` to observe their side effects.
     """
 
     def __init__(
@@ -308,7 +310,6 @@ class VSSEngine:
         cache_reads: bool = True,
         parallelism: int | None = None,
         decode_cache_bytes: int = DEFAULT_DECODE_CACHE_BYTES,
-        admit_sync: bool = False,
     ):
         self.layout = Layout(root)
         self.catalog = Catalog(self.layout.catalog_path)
@@ -360,7 +361,6 @@ class VSSEngine:
         self.planner = planner
         self.cache_reads = cache_reads
         self.background_compression = background_compression
-        self.admit_sync = admit_sync
         # Background admission/maintenance queue (see repro.core.admission).
         self._admissions = AdmissionWorker()
         # Content index & search (repro.search): FTS5 + vector tables in
@@ -444,10 +444,7 @@ class VSSEngine:
         # Drain queued admissions/maintenance deterministically while the
         # catalog and executor are still alive; later submissions drop.
         self._admissions.close()
-        with self._state_lock:
-            stranded = list(self._pending_maintenance.keys())
-        for logical_id in stranded:
-            self._maintenance_task(logical_id)
+        self.drain_admissions()
         self.deferred.stop_background()
         self.executor.shutdown()
         self.decode_cache.clear()
@@ -456,10 +453,11 @@ class VSSEngine:
     def drain_admissions(self) -> None:
         """Block until queued background admissions/maintenance finish.
 
-        Deterministic synchronization point for callers that need the
-        async admission path's side effects (new cached physicals,
-        budget enforcement) to be visible — tests, benchmarks warming a
-        cache, ``Session.close``.  Maintenance flags whose submission
+        The deterministic synchronization point — there is no inline
+        mode — for callers that need the queue's side effects (new
+        cached physicals, budget enforcement, compaction, index rows) to
+        be visible: tests, benchmarks warming a cache, ``Session.close``,
+        the deprecated ``VSS`` facade.  Maintenance flags whose submission
         was shed by a full queue are flushed here as well, so a drained
         engine owes no deferred work at all.
         """
@@ -632,6 +630,7 @@ class VSSEngine:
                 self._logical_locks.pop(name, None)
                 self._refine_cursor.pop(logical.id, None)
                 self._pending_maintenance.pop(logical.id, None)
+                self._roi_accesses.pop(logical.id, None)
 
     def delete_view(self, name: str, force: bool = False) -> None:
         """Delete a derived view's definition — never stored video data.
@@ -872,17 +871,6 @@ class VSSEngine:
                 frontier.append(view.name)
         return out
 
-    def _count_view_reads(self, chain: list[str]) -> None:
-        """Bump the per-view traffic counters (call under no locks)."""
-        if not chain:
-            return
-        with self._state_lock:
-            self._view_reads_total += 1
-            for view_name in chain:
-                self._view_reads[view_name] = (
-                    self._view_reads.get(view_name, 0) + 1
-                )
-
     def _require_storage(self, name: str, operation: str) -> None:
         """Reject storage-management operations aimed at a view."""
         if self._find_view_fast(name) is not None:
@@ -991,28 +979,62 @@ class VSSEngine:
 
         The *shared* per-logical lock is held only for plan + decode +
         assemble + LRU stamping, so reads of one hot video proceed
-        concurrently; cache admission and periodic maintenance happen
-        afterwards (on the background worker, or inline under the
-        exclusive lock with ``admit_sync=True``).
+        concurrently; cache admission and periodic maintenance are
+        queued afterwards by :meth:`_complete_read`.
         """
         spec, view_chain = self._resolve_read_spec(spec)
-        with self._locked(spec.name, shared=True):
-            logical, original = self._read_preamble(
-                spec.name, any_raw=spec.codec == "raw"
-            )
-            plan, plan_cached = self._plan_for(logical, original, spec)
-            result = self.reader.execute(plan)
-            result.stats.plan_cached = plan_cached
-            self.catalog.touch_gops(
-                result.stats.gop_ids_touched, self.clock.tick()
-            )
-        self._after_read(logical, spec, plan, result)
-        result.stats.view_chain = list(view_chain)
-        self._count_view_reads(view_chain)
-        with self._state_lock:
-            self._reads += 1
-            self._note_codec_stats(result.stats)
+        logical, (result,) = self._execute_group(
+            spec.name, [spec], [view_chain]
+        )
+        self._complete_read(logical, result.plan, result.stats, result)
+        self._schedule_maintenance(logical)
         return result
+
+    def _execute_group(
+        self,
+        name: str,
+        specs: list[ReadSpec],
+        chains: list[list[str]],
+        batch: BatchStats | None = None,
+    ) -> tuple[LogicalVideo, list[ReadResult]]:
+        """Answer ``specs`` — all effective reads of logical ``name`` —
+        under one hold of its shared lock.
+
+        Plans against one catalog snapshot (one fragment query serves
+        every plan-cache miss, and none runs when all specs hit),
+        executes, and stamps the touched GOPs' LRU entries once.  With
+        ``batch`` (a ``read_batch`` group) the plans run through
+        :meth:`Reader.execute_batch`, which decodes each shared GOP
+        window once and folds its sharing counters into ``batch``; a
+        lone ``read`` keeps :meth:`Reader.execute`, so its
+        :class:`ReadStats` attribute every decode to the read itself.
+        """
+        with self._locked(name, shared=True):
+            logical, original = self._read_preamble(
+                name, any_raw=any(spec.codec == "raw" for spec in specs)
+            )
+            group_fragments = functools.cache(
+                lambda: self.catalog.fragments_of_logical(logical.id)
+            )
+            planned = [
+                self._plan_for(logical, original, spec, group_fragments)
+                for spec in specs
+            ]
+            if batch is None:
+                results = [self.reader.execute(planned[0][0])]
+            else:
+                results, group_batch = self.reader.execute_batch(
+                    [plan for plan, _ in planned]
+                )
+                batch.merge(group_batch)
+            self.catalog.touch_gops(
+                [gid for r in results for gid in r.stats.gop_ids_touched],
+                self.clock.tick(),
+            )
+            for result, (_, cached), chain in zip(results, planned, chains):
+                result.stats.plan_cached = cached
+                result.stats.view_chain = list(chain)
+        return logical, results
 
     def _plan_for(
         self, logical: LogicalVideo, original: PhysicalVideo, spec: ReadSpec,
@@ -1055,65 +1077,65 @@ class VSSEngine:
                 self._plan_cache.popitem(last=False)
         return plan, False
 
-    def _after_read(
-        self, logical: LogicalVideo, spec: ReadSpec, plan, result: ReadResult
+    def _complete_read(
+        self,
+        logical: LogicalVideo,
+        plan,
+        stats: ReadStats,
+        result: ReadResult | None = None,
     ) -> None:
-        """Post-answer work: opportunistic admission + maintenance.
+        """The one post-answer step of every read, batch member and
+        drained stream.
 
-        Called after the shared lock is released — admission needs the
+        Runs after the shared lock is released — admission needs the
         exclusive side, and upgrading in place would deadlock against
-        concurrent readers.
+        concurrent readers.  One ``_state_lock`` hold covers the traffic
+        counters, the codec roll-up, the tile counters plus the ROI
+        access log the re-tiling policy consumes (genuine sub-frame ROIs
+        only), and the per-view counts; then the materialized ``result``
+        (None for a stream, which never holds its whole answer) is
+        queued for opportunistic admission when cacheable.  Callers
+        follow up with one :meth:`_schedule_maintenance` tick per
+        operation (a batch group ticks once, not once per member).
         """
-        self._note_read_outcome(logical.id, plan)
-        if (
-            self._should_cache(spec)
-            and not result.stats.direct_serve
-            and not self._would_duplicate(plan)
-        ):
-            if self.admit_sync:
-                try:
-                    with self._locked(logical.name):
-                        if self._current_incarnation(logical):
-                            self._admit_guarded(logical, plan, result)
-                except VideoNotFoundError:
-                    pass  # deleted since the read answered
-            else:
-                # The closure pins the result's pixels/bytes until the
-                # worker runs; the queue's byte bound caps that memory.
-                self._admissions.submit(
-                    ("admit", logical.id, plan.request),
-                    lambda: self._admission_task(logical, plan, result),
-                    nbytes=result.nbytes,
-                )
-        self._schedule_maintenance(logical)
-
-    def _note_codec_stats(self, stats) -> None:
-        """Roll one completed read's codec decode counters into the
-        engine-wide totals.  Caller must hold ``_state_lock``."""
-        self._codec_entropy_seconds += stats.codec_entropy_seconds
-        self._codec_transform_seconds += stats.codec_transform_seconds
-        self._codec_compensate_seconds += stats.codec_compensate_seconds
-        self._codec_frames_decoded += stats.frames_decoded
-        self._codec_decoded_bytes += stats.codec_decoded_bytes
-
-    def _note_read_outcome(self, logical_id: int, plan) -> None:
-        """Tile bookkeeping for one answered read.
-
-        Rolls the plan's tile counters into the engine-wide totals and,
-        when the read had a genuine (sub-frame) ROI, records it in the
-        in-memory access log the re-tiling policy consumes.
-        """
-        roi = None
-        full = (0, 0, *plan.original_resolution)
-        if tuple(plan.roi) != full:
-            roi = tuple(int(v) for v in plan.roi)
+        roi = tuple(int(v) for v in plan.roi)
         with self._state_lock:
+            self._reads += 1
+            if result is None:
+                self._streams += 1
+            self._codec_entropy_seconds += stats.codec_entropy_seconds
+            self._codec_transform_seconds += stats.codec_transform_seconds
+            self._codec_compensate_seconds += stats.codec_compensate_seconds
+            self._codec_frames_decoded += stats.frames_decoded
+            self._codec_decoded_bytes += stats.codec_decoded_bytes
             self._tiles_total += plan.tiles_total
             self._tiles_decoded += plan.tiles_decoded
             self._tile_bytes_skipped += plan.tile_bytes_skipped
-            if roi is not None:
-                per = self._roi_accesses.setdefault(logical_id, {})
+            if roi != (0, 0, *plan.original_resolution):
+                per = self._roi_accesses.setdefault(logical.id, {})
                 per[roi] = per.get(roi, 0) + 1
+            if stats.view_chain:
+                self._view_reads_total += 1
+                for view_name in stats.view_chain:
+                    self._view_reads[view_name] = (
+                        self._view_reads.get(view_name, 0) + 1
+                    )
+        if (
+            result is not None
+            and self._should_cache(plan.request)
+            and not stats.direct_serve
+            and not self._would_duplicate(plan)
+        ):
+            # The closure pins the result's pixels/bytes until the
+            # worker runs; the queue's byte bound caps that memory.
+            def admit(live: LogicalVideo) -> None:
+                self._admit_guarded(live, plan, result)
+
+            self._admissions.submit(
+                ("admit", logical.id, plan.request),
+                lambda: self._run_if_current(logical, admit),
+                nbytes=result.nbytes,
+            )
 
     def _current_incarnation(self, logical: LogicalVideo) -> bool:
         """True while ``logical`` is still the live video of its name.
@@ -1134,25 +1156,27 @@ class VSSEngine:
             and fresh.created_at == logical.created_at
         )
 
-    def _admission_task(
-        self, logical: LogicalVideo, plan, result: ReadResult
+    def _run_if_current(
+        self, logical: LogicalVideo, fn, shared: bool = False
     ) -> None:
-        """One queued admission: write the fragment + enforce the budget
-        under the exclusive lock (skipped if the video vanished)."""
+        """The guard every background task runs through.
+
+        Calls ``fn(logical)`` under the video's lock (exclusive unless
+        ``shared``) iff ``logical`` is still the live incarnation of its
+        name.  A video deleted while the task was queued makes this a
+        quiet no-op: :meth:`_current_incarnation` raises inside
+        :meth:`_locked`, which retires the registry entry the
+        acquisition re-created for the dead name.
+        """
         try:
-            with self._locked(logical.name):
-                if not self._current_incarnation(logical):
-                    return
-                self._admit_guarded(logical, plan, result)
-        except VideoNotFoundError:
-            return  # deleted while queued; the lock entry was retired
+            with self._locked(logical.name, shared=shared):
+                if self._current_incarnation(logical):
+                    fn(logical)
+        except CatalogError:
+            pass  # deleted while queued (VideoNotFoundError included)
 
     def _admit_guarded(
-        self,
-        logical: LogicalVideo,
-        plan,
-        result: ReadResult,
-        enforce: bool = True,
+        self, logical: LogicalVideo, plan, result: ReadResult
     ) -> None:
         """Admit unless an equivalent fragment already landed.
 
@@ -1178,21 +1202,25 @@ class VSSEngine:
             fresh_plan = None  # planning hiccup: fall back to the old check
         if fresh_plan is not None and self._would_duplicate(fresh_plan):
             return
-        self._admit(logical, plan, result, enforce=enforce)
+        self._admit(logical, plan, result)
 
-    def read_stream(self, spec: ReadSpec, on_complete=None) -> "ReadStream":
+    def read_stream(
+        self, spec: ReadSpec, on_complete=None, on_failure=None
+    ) -> "ReadStream":
         """Open a pull-based streaming read with bounded memory.
 
         Planning happens now, against one catalog snapshot, under the
         per-logical *shared* lock (memoized like :meth:`read`); each
         subsequent chunk pull reacquires the shared lock only while that
         chunk is produced, so long streams interleave freely with each
-        other and never starve concurrent operations on their video.  Streamed reads stamp GOP LRU
-        entries and populate the decode cache *per chunk*, but do not
-        admit their result as a new cached physical video — that would
-        require materializing the whole answer the stream exists to
-        avoid.  ``on_complete`` (if given) receives the final
-        :class:`ReadStats` when the stream is exhausted.
+        other and never starve concurrent operations on their video.
+        Streamed reads stamp GOP LRU entries and populate the decode
+        cache *per chunk*, but do not admit their result as a new cached
+        physical video — that would require materializing the whole
+        answer the stream exists to avoid.  Exactly one callback fires
+        per stream that is not closed early: ``on_complete`` receives
+        the final :class:`ReadStats` when the stream is exhausted,
+        ``on_failure`` (no arguments) runs when a chunk pull raises.
         """
         if not isinstance(spec, ReadSpec):
             raise TypeError(
@@ -1208,15 +1236,19 @@ class VSSEngine:
             stats.plan_cached = plan_cached
             stats.view_chain = list(view_chain)
             chunks = self.reader.iter_output(plan, stats=stats)
-        return ReadStream(self, spec, plan, stats, chunks, on_complete)
+        return ReadStream(
+            self, logical, plan, stats, chunks, on_complete, on_failure
+        )
 
     def read_batch(self, specs: list[ReadSpec]) -> tuple[list[ReadResult], BatchStats]:
         """Execute several reads with shared planning and decode work.
 
         Specs are grouped by logical video; each group plans against one
-        catalog snapshot, decodes every shared GOP window once, touches
-        LRU stamps once, and enforces the budget once.  Results come back
-        in spec order.
+        catalog snapshot, decodes every shared GOP window once, and
+        touches LRU stamps once (:meth:`_execute_group`); every member
+        then completes exactly like a one-shot read, its admission
+        coalescing with duplicates on the queue.  Results come back in
+        spec order.
         """
         for spec in specs:
             if not isinstance(spec, ReadSpec):
@@ -1245,92 +1277,18 @@ class VSSEngine:
         # locks at once), so batches cannot deadlock against each other.
         for name in sorted(groups):
             indices = groups[name]
-            with self._locked(name, shared=True):
-                logical, original = self._read_preamble(
-                    name,
-                    any_raw=any(specs[i].codec == "raw" for i in indices),
-                )
-                # One fragment query serves every plan-cache miss in the
-                # group (and none runs when all specs hit).
-                frag_box: list = []
-
-                def group_fragments(logical=logical):
-                    if not frag_box:
-                        frag_box.append(
-                            self.catalog.fragments_of_logical(logical.id)
-                        )
-                    return frag_box[0]
-
-                plans = []
-                cached_flags = []
-                for i in indices:
-                    plan, cached = self._plan_for(
-                        logical, original, specs[i],
-                        fragments_fn=group_fragments,
-                    )
-                    plans.append(plan)
-                    cached_flags.append(cached)
-                group_results, batch = self.reader.execute_batch(plans)
-                tick = self.clock.tick()
-                self.catalog.touch_gops(
-                    [
-                        gid
-                        for r in group_results
-                        for gid in r.stats.gop_ids_touched
-                    ],
-                    tick,
-                )
-                for i, result, cached in zip(
-                    indices, group_results, cached_flags
-                ):
-                    result.stats.plan_cached = cached
-                    result.stats.view_chain = list(chains[i])
-                    results[i] = result
-            # Admission runs after the group's shared lock is released
-            # (it needs the exclusive side).  Sync mode admits the whole
-            # group under one exclusive hold with a single budget pass
-            # (the pre-queue behaviour); async mode enqueues per result,
-            # coalescing duplicates.
-            for i in indices:
-                self._note_read_outcome(logical.id, results[i].plan)
-            to_admit = [
-                results[i]
-                for i in indices
-                if self._should_cache(specs[i])
-                and not results[i].stats.direct_serve
-                and not self._would_duplicate(results[i].plan)
-            ]
-            if to_admit:
-                if self.admit_sync:
-                    try:
-                        with self._locked(name):
-                            if self._current_incarnation(logical):
-                                for result in to_admit:
-                                    self._admit_guarded(
-                                        logical, result.plan, result,
-                                        enforce=False,
-                                    )
-                                self.cache.enforce_budget(logical)
-                    except VideoNotFoundError:
-                        pass  # deleted since the group was read
-                else:
-                    for result in to_admit:
-                        self._admissions.submit(
-                            ("admit", logical.id, result.plan.request),
-                            lambda L=logical, r=result: (
-                                self._admission_task(L, r.plan, r)
-                            ),
-                            nbytes=result.nbytes,
-                        )
+            logical, group_results = self._execute_group(
+                name,
+                [specs[i] for i in indices],
+                [chains[i] for i in indices],
+                batch=total,
+            )
+            for i, result in zip(indices, group_results):
+                results[i] = result
+                self._complete_read(logical, result.plan, result.stats, result)
             self._schedule_maintenance(logical)
-            total.merge(batch)
-        for chain in chains:
-            self._count_view_reads(chain)
         with self._state_lock:
-            self._reads += len(specs)
             self._batches += 1
-            for result in results:
-                self._note_codec_stats(result.stats)
         return results, total
 
     def _read_preamble(
@@ -1355,13 +1313,7 @@ class VSSEngine:
     # ------------------------------------------------------------------
     # cache admission (section 4)
     # ------------------------------------------------------------------
-    def _admit(
-        self,
-        logical: LogicalVideo,
-        plan,
-        result: ReadResult,
-        enforce: bool = True,
-    ) -> None:
+    def _admit(self, logical: LogicalVideo, plan, result: ReadResult) -> None:
         if self._would_duplicate(plan):
             return
         source_mse = max(
@@ -1392,10 +1344,8 @@ class VSSEngine:
         # and new pages the policy retains (paper Figure 5: admitting m4
         # evicts part of m1).  No rollback: eviction may already have
         # removed pages the new physical was covering, so deleting the new
-        # pages afterwards could orphan part of the timeline.  Batched
-        # reads defer enforcement to one pass at the end of the batch.
-        if enforce:
-            self.cache.enforce_budget(logical)
+        # pages afterwards could orphan part of the timeline.
+        self.cache.enforce_budget(logical)
 
     def _would_duplicate(self, plan) -> bool:
         """True when the read was served from a single fragment already in
@@ -1438,21 +1388,17 @@ class VSSEngine:
         """Tick the periodic compaction/refinement counters for one read.
 
         Due work runs off the critical path on the admission worker
-        (coalesced per logical) — or inline with ``admit_sync=True``.
-        Due flags accumulate in ``_pending_maintenance`` rather than in
-        the queued closure, so a submission coalesced away can never
-        lose a freshly-due compact/refine: the queued task reads the
-        merged flags when it runs.
+        (coalesced per logical).  Due flags accumulate in
+        ``_pending_maintenance`` rather than in the queued closure, so a
+        submission coalesced away can never lose a freshly-due
+        compact/refine: the queued task reads the merged flags when it
+        runs.
         """
         compact_due, refine_due = self._maintenance_flags()
         if self.background_compression:
             if not self.deferred.background_running:
                 self.deferred.start_background(logical)
             self.deferred.notify_idle()
-        if self.admit_sync:
-            if compact_due or refine_due:
-                self._run_maintenance(logical, compact_due, refine_due)
-            return
         with self._state_lock:
             pending = self._pending_maintenance.get(logical.id)
             if compact_due or refine_due:
@@ -1483,22 +1429,16 @@ class VSSEngine:
             pending = self._pending_maintenance.pop(logical_id, None)
         if pending is None:
             return
-        self._run_maintenance(pending[2], pending[0], pending[1])
+        compact_due, refine_due, logical = pending
 
-    def _run_maintenance(
-        self, logical: LogicalVideo, compact_due: bool, refine_due: bool
-    ) -> None:
-        try:
-            with self._locked(logical.name):
-                if not self._current_incarnation(logical):
-                    return
-                if compact_due:
-                    self.compactor.compact(logical)
-                    self._maybe_retile(logical)
-                if refine_due:
-                    self._refine_one(logical)
-        except VideoNotFoundError:
-            return  # deleted while queued; the lock entry was retired
+        def maintain(live: LogicalVideo) -> None:
+            if compact_due:
+                self.compactor.compact(live)
+                self._maybe_retile(live)
+            if refine_due:
+                self._refine_one(live)
+
+        self._run_if_current(logical, maintain)
 
     def compact(self, name: str) -> int:
         self._require_storage(name, "compact")
@@ -1799,26 +1739,16 @@ class VSSEngine:
         """Queue ingest-time feature extraction for ``logical``.
 
         Rides the admission worker so extraction never blocks the write
-        path; keyed per logical so back-to-back writes coalesce into one
-        pass (the queued task re-reads the catalog and indexes whatever
-        GOPs exist by the time it runs).  ``admit_sync=True`` engines
-        run it inline instead, matching that mode's contract that every
-        side effect is visible the moment the call returns.
+        path; keyed per incarnation so back-to-back writes coalesce into
+        one pass (the queued task re-reads the catalog and indexes
+        whatever GOPs exist by the time it runs) while a video
+        re-created under a reused rowid still gets its own.
         """
-        if self.admit_sync:
-            try:
-                with self._locked(logical.name, shared=True):
-                    self._extract_missing(logical)
-            except (CatalogError, VideoNotFoundError):
-                pass  # deleted out from under us: nothing to index
-            with self._search_lock:
-                self._extraction_completed += 1
-            return
-        key = ("extract", logical.id)
+        key = ("extract", logical.id, logical.created_at)
         if self._admissions.pending(key):
             return  # coalesces with the queued pass; nothing dropped
         submitted = self._admissions.submit(
-            key, lambda: self._extraction_task(logical.id)
+            key, lambda: self._extraction_task(logical)
         )
         with self._search_lock:
             if submitted:
@@ -1826,18 +1756,10 @@ class VSSEngine:
             else:
                 self._extraction_dropped += 1
 
-    def _extraction_task(self, logical_id: int) -> None:
+    def _extraction_task(self, logical: LogicalVideo) -> None:
         """Admission-worker body: index the original's un-indexed GOPs."""
         try:
-            try:
-                logical = self.catalog.get_logical_by_id(logical_id)
-            except CatalogError:
-                return  # deleted while queued
-            try:
-                with self._locked(logical.name, shared=True):
-                    self._extract_missing(logical)
-            except VideoNotFoundError:
-                return
+            self._run_if_current(logical, self._extract_missing, shared=True)
         finally:
             with self._search_lock:
                 self._extraction_pending -= 1
@@ -1925,24 +1847,28 @@ class ReadStream:
     ``stats`` accumulates as chunks are pulled and is final once the
     stream is exhausted, at which point the engine's read counters and
     periodic maintenance run exactly as for a one-shot ``read()``.
-    Closing early abandons the remainder without counting the read.
+    A pull that raises kills the stream and reports one failure instead;
+    closing early abandons the remainder and counts as neither.
     """
 
     def __init__(
         self,
         engine: VSSEngine,
-        spec: ReadSpec,
+        logical: LogicalVideo,
         plan,
         stats: ReadStats,
         chunks,
         on_complete=None,
+        on_failure=None,
     ):
         self._engine = engine
-        self.spec = spec
+        self._logical = logical
+        self.spec = plan.request
         self.plan = plan
         self.stats = stats
         self._chunks = chunks
         self._on_complete = on_complete
+        self._on_failure = on_failure
         self._done = False
         self._wall = 0.0
         self.chunks_pulled = 0
@@ -1955,54 +1881,38 @@ class ReadStream:
             raise StopIteration
         begin = time.perf_counter()
         engine = self._engine
-        finished = False
-        with engine._locked(self.spec.name, shared=True):
-            try:
-                chunk = next(self._chunks)
-            except StopIteration:
-                self._done = True
-                finished = True
-            except BaseException:
-                # A failed stream is dead, not drained: mark it done so
-                # a later pull/collect cannot run _finalize() and count
-                # this read as successful.
-                self._done = True
-                self._chunks.close()
-                raise
-            else:
-                engine.catalog.touch_gops(chunk.gop_ids, engine.clock.tick())
-        if finished:
-            # Finalize outside the shared lock: maintenance needs the
-            # exclusive side, and an in-place upgrade would deadlock.
-            self._finalize()
+        try:
+            with engine._locked(self.spec.name, shared=True):
+                chunk = next(self._chunks, None)
+                if chunk is not None:
+                    engine.catalog.touch_gops(
+                        chunk.gop_ids, engine.clock.tick()
+                    )
+        except BaseException:
+            # A failed stream is dead, not drained: mark it done so a
+            # later pull/collect cannot complete it as a successful read.
+            self._done = True
+            self._chunks.close()
+            if self._on_failure is not None:
+                self._on_failure()
+            raise
+        if chunk is not None:
             self._note_wall(begin)
-            raise StopIteration
+            self.chunks_pulled += 1
+            return chunk
+        # Complete outside the shared lock: maintenance needs the
+        # exclusive side, and an in-place upgrade would deadlock.
+        self._done = True
+        engine._complete_read(self._logical, self.plan, self.stats)
+        engine._schedule_maintenance(self._logical)
         self._note_wall(begin)
-        self.chunks_pulled += 1
-        return chunk
+        if self._on_complete is not None:
+            self._on_complete(self.stats)
+        raise StopIteration
 
     def _note_wall(self, begin: float) -> None:
         self._wall += time.perf_counter() - begin
         self.stats.wall_seconds = self._wall
-
-    def _finalize(self) -> None:
-        """Called (lock-free) once the stream's chunk source drains."""
-        self._done = True
-        engine = self._engine
-        with engine._state_lock:
-            engine._reads += 1
-            engine._streams += 1
-            engine._note_codec_stats(self.stats)
-        engine._count_view_reads(self.stats.view_chain)
-        try:
-            logical = engine.catalog.get_logical(self.spec.name)
-        except VideoNotFoundError:
-            logical = None
-        if logical is not None:
-            engine._note_read_outcome(logical.id, self.plan)
-            engine._schedule_maintenance(logical)
-        if self._on_complete is not None:
-            self._on_complete(self.stats)
 
     @property
     def exhausted(self) -> bool:
@@ -2016,21 +1926,8 @@ class ReadStream:
         runs are flattened), giving the same pixels/bytes a plain
         ``read()`` with this spec would return (minus cache admission).
         """
-        segments: list = []
-        gops: list = []
-        for chunk in self:
-            if chunk.segment is not None:
-                segments.append(chunk.segment)
-            if chunk.gops is not None:
-                gops.extend(chunk.gops)
-        if segments:
-            merged = (
-                segments[0]
-                if len(segments) == 1
-                else segments[0].concatenate(segments)
-            )
-            return ReadResult(self.plan, merged, None, self.stats)
-        return ReadResult(self.plan, None, gops, self.stats)
+        segment, gops = collect_chunks(self)
+        return ReadResult(self.plan, segment, gops, self.stats)
 
     def close(self) -> None:
         """Abandon the stream early (no read is counted)."""
@@ -2206,14 +2103,24 @@ class Session:
         with a name, the spec is built from session defaults.
         """
         self._check_open()
-        spec = self._coerce_read_spec(spec_or_name, start, end, overrides)
+        return self._timed_read(
+            self._coerce_read_spec(spec_or_name, start, end, overrides)
+        )
+
+    def _timed_read(self, spec: ReadSpec) -> ReadResult:
+        """The body ``read`` runs inline and ``read_async`` on the pool.
+
+        A failure propagates (through the Future, for async reads) and
+        is counted, keeping :class:`SessionStats` consistent: ``reads``
+        only ever counts successful reads.
+        """
         begin = time.perf_counter()
         try:
             result = self._engine.read(spec)
         except Exception:
             self._note_failure()
             raise
-        self._note_read(result, time.perf_counter() - begin)
+        self._note_read(result.stats, time.perf_counter() - begin)
         return result
 
     def read_stream(
@@ -2226,22 +2133,19 @@ class Session:
         """Open a streaming read; yields GOP-sized :class:`ReadChunk`\\ s.
 
         Memory stays O(GOP window) for the stream's whole life; session
-        counters update when the stream is exhausted.
+        counters update when the stream is exhausted (one read) or a
+        chunk pull raises (one failure).
         """
         self._check_open()
         spec = self._coerce_read_spec(spec_or_name, start, end, overrides)
-
-        def note(stats: ReadStats) -> None:
-            with self._lock:
-                self.stats.reads += 1
-                self.stats.wall_seconds += stats.wall_seconds
-                self.stats.decode_cache_hits += stats.decode_cache_hits
-                self.stats.decode_cache_misses += stats.decode_cache_misses
-                if stats.plan_cached:
-                    self.stats.plan_cache_hits += 1
-
         try:
-            return self._engine.read_stream(spec, on_complete=note)
+            return self._engine.read_stream(
+                spec,
+                on_complete=lambda stats: self._note_read(
+                    stats, stats.wall_seconds
+                ),
+                on_failure=self._note_failure,
+            )
         except Exception:
             self._note_failure()
             raise
@@ -2263,15 +2167,9 @@ class Session:
         with self._lock:
             self.stats.batches += 1
             self.stats.last_batch = batch
-            self.stats.wall_seconds += elapsed
-            for result in results:
-                self.stats.reads += 1
-                self.stats.decode_cache_hits += result.stats.decode_cache_hits
-                self.stats.decode_cache_misses += (
-                    result.stats.decode_cache_misses
-                )
-                if result.stats.plan_cached:
-                    self.stats.plan_cache_hits += 1
+            self.stats.wall_seconds += elapsed  # once, not per member
+        for result in results:
+            self._note_read(result.stats, 0.0)
         return results
 
     def read_async(
@@ -2288,22 +2186,7 @@ class Session:
         """
         self._check_open()
         spec = self._coerce_read_spec(spec_or_name, start, end, overrides)
-        pool = self._engine._frontend_pool()
-
-        def run() -> ReadResult:
-            begin = time.perf_counter()
-            try:
-                result = self._engine.read(spec)
-            except Exception:
-                # The exception propagates through the Future; the
-                # failure counter keeps SessionStats consistent (reads
-                # only ever counts successful reads).
-                self._note_failure()
-                raise
-            self._note_read(result, time.perf_counter() - begin)
-            return result
-
-        return pool.submit(run)
+        return self._engine._frontend_pool().submit(self._timed_read, spec)
 
     def _coerce_read_spec(
         self, spec_or_name, start, end, overrides
@@ -2319,13 +2202,14 @@ class Session:
             raise TypeError("read(name, ...) requires start and end")
         return self.read_spec(spec_or_name, start, end, **overrides)
 
-    def _note_read(self, result: ReadResult, elapsed: float) -> None:
+    def _note_read(self, stats: ReadStats, elapsed: float) -> None:
+        """Fold one successful read's stats into :attr:`stats`."""
         with self._lock:
             self.stats.reads += 1
             self.stats.wall_seconds += elapsed
-            self.stats.decode_cache_hits += result.stats.decode_cache_hits
-            self.stats.decode_cache_misses += result.stats.decode_cache_misses
-            if result.stats.plan_cached:
+            self.stats.decode_cache_hits += stats.decode_cache_hits
+            self.stats.decode_cache_misses += stats.decode_cache_misses
+            if stats.plan_cached:
                 self.stats.plan_cache_hits += 1
 
     def _note_failure(self) -> None:

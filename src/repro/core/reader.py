@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,6 +213,29 @@ class ReadChunk:
         if self.segment is not None:
             return self.segment.nbytes
         return sum(g.nbytes for g in self.gops)
+
+
+def collect_chunks(
+    chunks: Iterable[ReadChunk],
+) -> tuple[VideoSegment | None, list[EncodedGOP] | None]:
+    """Fold a chunk stream into ``(segment, gops)``, one of them None.
+
+    Decoded chunks concatenate into one segment; otherwise the GOP runs
+    flatten into one list — the shape every ``collect()`` (in-process
+    and both remote streams) wraps in its own result type.
+    """
+    segments: list[VideoSegment] = []
+    gops: list[EncodedGOP] = []
+    for chunk in chunks:
+        if chunk.segment is not None:
+            segments.append(chunk.segment)
+        if chunk.gops is not None:
+            gops.extend(chunk.gops)
+    if not segments:
+        return None, gops
+    if len(segments) == 1:
+        return segments[0], None
+    return segments[0].concatenate(segments), None
 
 
 @dataclass

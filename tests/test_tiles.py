@@ -33,7 +33,6 @@ def engine(tmp_path, calibration):
     eng = VSSEngine(
         tmp_path / "store",
         calibration=calibration,
-        admit_sync=True,
         decode_cache_bytes=0,
     )
     yield eng
@@ -262,6 +261,7 @@ class TestRetilePolicy:
         before = engine.read(spec).as_segment().pixels
         for _ in range(5):
             engine.read(spec)
+        engine.drain_admissions()
         logical = engine.catalog.get_logical("cam")
         # Drive the maintenance hook directly (its periodic trigger is
         # read-count-based); it must flush the access log and retile.
@@ -317,9 +317,7 @@ class TestTransportParity:
     def test_router_serves_tiled_reads_identically(
         self, tmp_path, calibration, tiny_clip, specs
     ):
-        shard_engine = VSSEngine(
-            tmp_path / "shard0", calibration=calibration, admit_sync=True
-        )
+        shard_engine = VSSEngine(tmp_path / "shard0", calibration=calibration)
         try:
             _load(shard_engine, tiny_clip)
             baseline = [
