@@ -37,7 +37,6 @@ import threading
 import time
 
 from repro.bench.harness import Series, print_series
-from repro.bench.record import record_result
 from repro.client import VSSBinaryClient
 from repro.cluster import VSSRouter
 from repro.core.engine import VSSEngine
@@ -164,22 +163,6 @@ def test_cluster_scaling(tmp_path, calibration, vroad_clip):
         f"cluster_scaling: 1 shard {one_shard:.2f} reads/s, "
         f"2 shards {two_shards:.2f} reads/s aggregate "
         f"({speedup:.2f}x)"
-    )
-
-    record_result(
-        "cluster_scaling",
-        config={
-            "quick": QUICK,
-            "clients": len(names),
-            "reads_per_client": READS_PER_CLIENT,
-            "clip_frames": CLIP_FRAMES,
-            "cpus": os.cpu_count() or 1,
-        },
-        metrics={
-            "one_shard_reads_per_s": one_shard,
-            "two_shard_reads_per_s": two_shards,
-            "two_over_one_speedup": speedup,
-        },
     )
 
     # Hardware-independent: adding a shard never costs throughput.

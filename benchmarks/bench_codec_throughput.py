@@ -34,7 +34,6 @@ import time
 import numpy as np
 
 from repro.bench.harness import Table, print_table
-from repro.bench.record import record_result
 from repro.core.executor import Executor
 from repro.synthetic import visualroad
 from repro.video.codec import quant
@@ -198,26 +197,6 @@ def test_codec_throughput(benchmark):
             f"{r['encode_mb_per_s_warm']:.1f} MB/s warm "
             f"({r['encode_mb_per_s_cold']:.1f} cold)"
         )
-
-    metrics = {
-        f"{key}_{name}": value
-        for name in PROFILES
-        for key, value in results[name].items()
-    }
-    record_result(
-        "codec_throughput",
-        config={
-            "quick": QUICK,
-            "frames": FRAMES,
-            "gop_size": GOP_SIZE,
-            "qp": QP,
-            "width": TILE_W,
-            "height": TILE_H,
-            "rounds": ROUNDS,
-            "cpus": os.cpu_count() or 1,
-        },
-        metrics=metrics,
-    )
 
     # Hardware-independent: on the tiled-motion profile at GOP >= 16 the
     # batched residual stage must at least double decode throughput over

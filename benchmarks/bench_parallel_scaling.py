@@ -32,7 +32,6 @@ import time
 
 from benchmarks.conftest import make_store
 from repro.bench.harness import Series, print_series
-from repro.bench.record import record_result
 from repro.bench.workloads import RandomReadWorkload
 from repro.core.specs import ReadSpec
 
@@ -158,20 +157,6 @@ def test_parallel_scaling(tmp_path, calibration, vroad_clip, benchmark):
         f"{shared.window_requests} GOP windows"
     )
     vss.close()
-
-    record_result(
-        "parallel_scaling",
-        config={"quick": QUICK, "cpus": os.cpu_count() or 1},
-        metrics={
-            **{
-                f"read_throughput_p{par}": tp for par, tp in read_tp.items()
-            },
-            "decode_cache_cold_seconds": cold,
-            "decode_cache_warm_seconds": warm,
-            "batch_seconds": batched,
-            "sequential_seconds": sequential,
-        },
-    )
 
     # Shape assertions.  A warm decode cache eliminates the decode work
     # entirely, so the 2x bar holds on any hardware, and a batch shares

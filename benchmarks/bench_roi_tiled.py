@@ -19,7 +19,7 @@ Correctness assertions (always on): tiled and untiled reads are
 decoded one of four tiles, and the decoded-byte reduction
 (``bytes_read`` untiled / tiled) is at least 3x at both <=25%-area
 ROIs.  The headline number is that reduction; wall-clock speedup is
-recorded alongside.
+printed alongside.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import time
 import numpy as np
 
 from repro.bench.harness import Series, print_series
-from repro.bench.record import record_result
 from repro.core.engine import VSSEngine
 from repro.core.specs import ReadSpec
 from repro.synthetic import visualroad
@@ -120,31 +119,6 @@ def test_roi_tiled(tmp_path, calibration, benchmark):
             f"({untiled[frac][2]:.4f} s), tiled {tiled[frac][1].bytes_read} B "
             f"({tiled[frac][2]:.4f} s), {reductions[frac]:.1f}x fewer bytes"
         )
-
-    record_result(
-        "roi_tiled",
-        config={
-            "quick": QUICK,
-            "frames": FRAMES,
-            "width": w,
-            "height": h,
-            "grid": "2x2",
-            "rounds": ROUNDS,
-            "cpus": os.cpu_count() or 1,
-        },
-        metrics={
-            "untiled_bytes_10pct": untiled[0.10][1].bytes_read,
-            "tiled_bytes_10pct": tiled[0.10][1].bytes_read,
-            "reduction_10pct": reductions[0.10],
-            "untiled_bytes_25pct": untiled[0.25][1].bytes_read,
-            "tiled_bytes_25pct": tiled[0.25][1].bytes_read,
-            "reduction_25pct": reductions[0.25],
-            "untiled_seconds_10pct": untiled[0.10][2],
-            "tiled_seconds_10pct": tiled[0.10][2],
-            "untiled_seconds_25pct": untiled[0.25][2],
-            "tiled_seconds_25pct": tiled[0.25][2],
-        },
-    )
 
     # Hardware-independent: at <=25% ROI area the tiled layout must cut
     # decoded bytes at least 3x (it stores the ROI's tile separately).

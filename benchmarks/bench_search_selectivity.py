@@ -33,7 +33,6 @@ import time
 import numpy as np
 
 from repro.bench.harness import Series, print_series
-from repro.bench.record import record_result
 from repro.core.engine import VSSEngine
 from repro.synthetic.scene import RoadScene
 from repro.video.frame import VideoSegment
@@ -148,25 +147,6 @@ def test_search_selectivity(tmp_path, calibration, benchmark):
         f"({selectivity:.0%}); indexed {indexed_seconds:.4f} s, full scan "
         f"{fullscan_seconds:.4f} s ({speedup:.1f}x), extraction "
         f"{extraction_seconds:.3f} s at ingest"
-    )
-
-    record_result(
-        "search_selectivity",
-        config={
-            "quick": QUICK,
-            "cameras": CAMS,
-            "gops_per_camera": GOPS_PER_CAM,
-            "selectivity": selectivity,
-            "cpus": os.cpu_count() or 1,
-        },
-        metrics={
-            "indexed_seconds": indexed_seconds,
-            "fullscan_seconds": fullscan_seconds,
-            "speedup": speedup,
-            "extraction_seconds": extraction_seconds,
-            "matched_gops": len(expected),
-            "total_gops": total_gops,
-        },
     )
 
     # Hardware-independent: at ~5% selectivity the indexed pipeline must

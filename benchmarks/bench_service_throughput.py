@@ -42,7 +42,6 @@ import threading
 import time
 
 from repro.bench.harness import Series, print_series
-from repro.bench.record import record_result
 from repro.client import VSSBinaryClient, VSSClient
 from repro.core.engine import VSSEngine
 from repro.core.specs import ReadSpec
@@ -149,22 +148,6 @@ def test_service_throughput(tmp_path, calibration, vroad_clip, benchmark):
         f"({aggregate / single_remote:.2f}x vs one client, "
         f"{aggregate / inprocess:.2f}x vs in-process), "
         f"rejected={rejected}"
-    )
-
-    record_result(
-        "service_throughput",
-        config={
-            "quick": QUICK,
-            "clients": NUM_CLIENTS,
-            "reads_per_client": READS_PER_CLIENT,
-            "cpus": os.cpu_count() or 1,
-        },
-        metrics={
-            "inprocess_reads_per_s": inprocess,
-            "single_remote_reads_per_s": single_remote,
-            "aggregate_reads_per_s": aggregate,
-            "rejected": rejected,
-        },
     )
 
     # Hardware-independent: admission never rejected this load, and
@@ -289,23 +272,6 @@ def test_binary_vs_http_throughput(
         f"binary {binary_aggregate:.1f} reads/s aggregate over "
         f"{NUM_CLIENTS} concurrent clients ({speedup:.2f}x), "
         f"rejected http={rejected_http} binary={rejected_binary}"
-    )
-
-    record_result(
-        "binary_vs_http_throughput",
-        config={
-            "quick": QUICK,
-            "clients": NUM_CLIENTS,
-            "reads_per_client": DIRECT_READS_PER_CLIENT,
-            "cpus": os.cpu_count() or 1,
-        },
-        metrics={
-            "http_aggregate_reads_per_s": http_aggregate,
-            "binary_aggregate_reads_per_s": binary_aggregate,
-            "binary_over_http_speedup": speedup,
-            "rejected_http": rejected_http,
-            "rejected_binary": rejected_binary,
-        },
     )
 
     assert rejected_http == 0 and rejected_binary == 0

@@ -35,7 +35,6 @@ import os
 import time
 
 from repro.bench.harness import Series, print_series
-from repro.bench.record import record_result
 from repro.core.engine import VSSEngine
 from repro.core.specs import ReadSpec, ViewSpec
 
@@ -127,21 +126,6 @@ def test_view_reuse(tmp_path, calibration, vroad_clip, benchmark):
         f"view_reuse: {NUM_SESSIONS} sessions; ad-hoc {adhoc_seconds:.4f}"
         f" s/read, view cold {cold_seconds:.4f} s, view warm "
         f"{warm_seconds:.4f} s/read ({speedup:.1f}x vs ad-hoc)"
-    )
-
-    record_result(
-        "view_reuse",
-        config={
-            "quick": QUICK,
-            "sessions": NUM_SESSIONS,
-            "cpus": os.cpu_count() or 1,
-        },
-        metrics={
-            "adhoc_seconds_per_read": adhoc_seconds,
-            "view_cold_seconds": cold_seconds,
-            "view_warm_seconds_per_read": warm_seconds,
-            "warm_speedup_vs_adhoc": speedup,
-        },
     )
 
     # Hardware-independent: a direct-served warm read must clearly beat

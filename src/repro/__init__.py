@@ -23,8 +23,8 @@ Public entry points:
 * :mod:`repro.video` — frames, formats, codecs, metrics.
 * :mod:`repro.baselines` — Local-FS and VStore-style comparators.
 
-See README.md for a quickstart and docs/api.md for the engine/session
-migration guide plus the service API and wire protocol.
+See examples/quickstart.py for a quickstart and docs/api.md for the
+engine/session migration guide plus the service API and wire protocol.
 """
 
 from repro.client import (

@@ -7,15 +7,20 @@ operation to the shard that owns the named video, so existing
 :class:`repro.client.VSSClient` / :class:`~repro.client.VSSBinaryClient`
 code points at a router URL and runs unchanged.
 
-The trick is the **engine facade**: :class:`ClusterEngine` implements
-exactly the engine surface the existing :class:`repro.server.VSSServer`
-and :class:`repro.server.VSSBinaryServer` consume (``stats`` /
-``session`` / catalog / ``write`` / ``read_batch`` / ``read_stream``),
+The trick is the **engine facade**: :class:`ClusterEngine` stands where
+a :class:`repro.core.engine.VSSEngine` would behind the existing
+:class:`repro.server.VSSServer` and :class:`repro.server.VSSBinaryServer`,
 backed by one pooled :class:`~repro.client.VSSBinaryClient` per shard
-instead of a local store.  The router therefore *is* the proven server
-code — framing, admission control, error envelopes, zero-copy payload
-paths all come for free, and responses stay bit-identical to a direct
-single-server deployment (asserted in ``tests/test_cluster.py``).
+instead of a local store.  Its whole surface is six methods:
+``session`` and ``stats``; ``run_op``, which serves every unary op of
+the service table (:data:`repro.core.ops.OPS`) from the placement the
+table declares for it, so a new table op needs no router code; and the
+three payload paths ``write`` / ``read_batch`` / ``read_stream``, whose
+routing is bespoke.  The router therefore *is* the proven server code —
+framing, admission control, error envelopes, zero-copy payload paths
+all come for free — and replies are the shards' own dicts, identical
+to a direct single-server deployment (asserted in ``tests/test_ops.py``
+and ``tests/test_cluster.py``).
 
 Placement and replication come from :class:`repro.cluster.ring.ShardRing`
 (consistent hashing — deterministic, minimal movement).  Derived views
@@ -31,14 +36,17 @@ restart (the chunks already delivered cannot be unsent).
 Failure handling: a connection failure on the request path marks the
 shard down immediately; the background
 :class:`~repro.cluster.health.HealthChecker` (binary PING probes with
-timeout/retry/backoff) brings it back when it answers again.  A shard's
-own busy rejection (:class:`~repro.errors.ServerBusyError`) is not a
-failure — it propagates to the client with its ``retry_after`` hint
-intact, exactly as if the client had spoken to the shard directly.
+timeout/retry/backoff) brings it back when it answers again.  An error
+a shard *answers* with is not a failure, whatever its class: a
+``WireError`` for a malformed spec or a busy rejection
+(:class:`~repro.errors.ServerBusyError`, ``retry_after`` hint intact)
+propagates to the client exactly as if it had spoken to the shard
+directly.
 """
 
 from __future__ import annotations
 
+import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -46,8 +54,8 @@ from types import SimpleNamespace
 from repro.client import VSSBinaryClient
 from repro.cluster.health import HealthChecker
 from repro.cluster.ring import DEFAULT_VNODES, ShardRing
+from repro.core.ops import OPS
 from repro.core.reader import BatchStats
-from repro.core.wire import view_spec_from_dict
 from repro.errors import (
     ServerBusyError,
     ShardUnavailableError,
@@ -56,9 +64,21 @@ from repro.errors import (
 from repro.server.binary import VSSBinaryServer
 from repro.server.http import DEFAULT_MAX_INFLIGHT, VSSServer
 
-#: Exceptions that mean "the shard (or the path to it) died", as
-#: opposed to the shard answering with an application error.
-_CONN_ERRORS = (OSError, ConnectionError, WireError)
+_log = logging.getLogger("repro.cluster")
+
+
+def _shard_died(exc: BaseException) -> bool:
+    """Whether ``exc`` means the shard (or the path to it) died.
+
+    A socket error does, and so does a ``WireError`` raised on this
+    side of the connection (a frame cut short by a dying shard).  An
+    error the shard *answered* with — a ``WireError`` for a malformed
+    spec included — is an application error from a live shard
+    (``answered``, see :func:`repro.core.wire.error_from_dict`).
+    """
+    if isinstance(exc, WireError):
+        return not getattr(exc, "answered", False)
+    return isinstance(exc, OSError)
 
 
 def parse_shard(spec) -> tuple[str, int]:
@@ -174,7 +194,9 @@ class _RoutedStream:
                 continue
             try:
                 stream = shard.client.read_stream(self._spec)
-            except _CONN_ERRORS as exc:
+            except Exception as exc:
+                if not _shard_died(exc):
+                    raise
                 self._engine._shard_failed(shard, exc)
                 self._tried.append(shard.name)
                 continue
@@ -219,7 +241,9 @@ class _RoutedStream:
                 ):
                     continue
                 raise
-            except _CONN_ERRORS as exc:
+            except Exception as exc:
+                if not _shard_died(exc):
+                    raise
                 shard = self._shard
                 self._engine._shard_failed(shard, exc)
                 self._tried.append(shard.name)
@@ -249,20 +273,20 @@ class _RoutedStream:
 class ClusterEngine:
     """The engine facade the router's frontends serve (module docs).
 
-    Implements the surface :class:`VSSServer`/:class:`VSSBinaryServer`
-    consume from a :class:`repro.core.engine.VSSEngine`, routing each
-    operation to the owning shard(s):
-
-    * single-name reads (``video_stats``, ``get_view``, ``name_kind``,
-      ``read_stream``) go to the least-loaded live replica and fail
-      over;
-    * mutations (``create``, ``write``, ``delete``, ``create_view``,
-      ``delete_view``) require **every** placement replica live and are
-      applied to all of them, keeping replicas byte-identical;
-    * scatter ops (``list_videos``, ``list_views``, ``read_batch``,
-      ``stats``) fan out and merge — ``read_batch`` groups specs by
-      owning shard so co-sharded reads still share decode work
-      server-side, and results return in request order.
+    * ``session()`` is the facade itself and ``stats()`` the cluster's
+      ``/metrics`` document — the two ``local`` table ops run against
+      these, on the router;
+    * ``run_op(op, params)`` runs any other table op where its
+      placement says: ``any`` goes to the least-loaded live replica and
+      fails over; ``all`` requires **every** placement replica live and
+      applies to each in ring order, keeping replicas byte-identical;
+      ``scatter`` fans out to every live shard and merges;
+    * ``write`` is an ``all`` mutation carrying pixels;
+    * ``read_stream`` goes to the least-loaded live replica and fails
+      over until the first chunk is delivered;
+    * ``read_batch`` groups specs by owning shard so co-sharded reads
+      still share decode work server-side, and returns results in
+      request order.
     """
 
     def __init__(
@@ -287,8 +311,9 @@ class ClusterEngine:
             replication_overrides=replication_overrides,
         )
         #: view name -> parent name, for placing view reads with the
-        #: root of their base chain.  Maintained on create/delete and
-        #: refreshed from the shards by :meth:`sync_views`.
+        #: root of their base chain.  Kept current by
+        #: ``_VIEW_MAP_AFTER`` and learned at startup by
+        #: :meth:`sync_views`.
         self._view_over: dict[str, str] = {}
         self._views_lock = threading.Lock()
         self._counter_lock = threading.Lock()
@@ -299,6 +324,7 @@ class ClusterEngine:
             "catalog_ops": 0,
             "searches_routed": 0,
             "failovers": 0,
+            "partial_mutations": 0,
         }
         self._pool = ThreadPoolExecutor(
             max_workers=max(4, 2 * len(self.shards)),
@@ -348,16 +374,46 @@ class ClusterEngine:
             self.counters[key] += n
 
     # ------------------------------------------------------------------
-    # routed single-name operations
+    # the op table's unary ops
     # ------------------------------------------------------------------
+    def run_op(self, op, params: dict) -> dict:
+        """Run one validated non-``local`` op of the service table.
+
+        ``Op.__call__`` has checked and defaulted ``params``; only the
+        op's declared names are forwarded.  The reply is a shard's own
+        dict (the first replica's for ``all``, ``op.merge`` of every
+        live shard's for ``scatter``), never rebuilt here.
+        """
+        name = op.key(params)
+        what = op.name.replace("_", " ")
+        declared = {k: params[k] for k in (*op.required, *op.optional)}
+
+        def call(shard: _Shard) -> dict:
+            return shard.client._rpc(op.name, declared)
+
+        self._count(
+            "searches_routed" if op.name == "search" else "catalog_ops"
+        )
+        if op.placement == "scatter":
+            reply = op.merge(self._scatter(what, call), params)
+        elif op.placement == "all":
+            reply = self._on_all_replicas(name, what, call)[0]
+        else:
+            reply = self._on_any_replica(name, what, call)
+        after = self._VIEW_MAP_AFTER.get(op.name)
+        if after is not None:
+            after(self, params, reply)
+        return reply
+
     def _on_any_replica(self, name: str, what: str, fn):
         """Run a read-only op on the first live replica that answers."""
-        self._count("catalog_ops")
         tried: list[str] = []
         for shard in self._read_candidates(name):
             try:
                 return fn(shard)
-            except _CONN_ERRORS as exc:
+            except Exception as exc:
+                if not _shard_died(exc):
+                    raise
                 self._shard_failed(shard, exc)
                 tried.append(shard.name)
         raise ShardUnavailableError(
@@ -367,112 +423,79 @@ class ClusterEngine:
         )
 
     def _on_all_replicas(self, name: str, what: str, fn) -> list:
-        """Run a mutation on every placement replica (all must be up)."""
-        self._count("catalog_ops")
+        """Run a mutation on every placement replica (all must be up).
+
+        The one place a mutation can diverge the replicas: when a
+        replica fails — dead or answering with an error — after an
+        earlier one applied, the error still propagates as before, and
+        the divergence is counted and logged with both sides named.
+        """
         shards = self._placement(name)
         self._require_all_up(shards, what)
         replies = []
         for shard in shards:
             try:
                 replies.append(fn(shard))
-            except _CONN_ERRORS as exc:
+            except Exception as exc:
+                applied = ", ".join(s.name for s in shards[: len(replies)])
+                if applied:
+                    self._count("partial_mutations")
+                    _log.warning(
+                        "partial mutation: %s %r applied on %s, "
+                        "failed on %s: %r",
+                        what, name, applied, shard.name, exc,
+                    )
+                if not _shard_died(exc):
+                    raise
                 self._shard_failed(shard, exc)
                 raise ShardUnavailableError(
-                    f"shard {shard.name} died during {what}",
+                    f"shard {shard.name} died during {what}"
+                    + (f" (already applied on {applied})" if applied else ""),
                     shard=shard.name,
                 ) from exc
         return replies
 
-    def name_kind(self, name: str) -> str | None:
-        reply = self._on_any_replica(
-            name,
-            "resolve",
-            lambda s: s.client._rpc("exists", {"name": name}),
-        )
-        return reply["kind"]
+    # -- view placement map --------------------------------------------
+    def _learn_views(self, views: list[dict]) -> None:
+        with self._views_lock:
+            for view in views:
+                self._view_over[view["name"]] = view["over"]
 
-    def video_stats(self, name: str) -> dict:
-        return self._on_any_replica(
-            name, "stat", lambda s: s.client.video_stats(name)
-        )
+    def _forget_view(self, name: str) -> None:
+        """Drop ``name`` and every view over it: a delete that succeeded
+        either cascaded through its dependents or had none."""
+        with self._views_lock:
+            doomed = [name]
+            while doomed:
+                parent = doomed.pop()
+                self._view_over.pop(parent, None)
+                doomed += [
+                    v for v, over in self._view_over.items() if over == parent
+                ]
 
-    def get_view(self, name: str):
-        reply = self._on_any_replica(
-            name, "get view", lambda s: s.client.get_view(name)
-        )
-        return self._view_record(reply)
+    #: After a table op succeeds: how it changes where view reads go.
+    _VIEW_MAP_AFTER = {
+        "create_view": lambda self, p, reply: self._learn_views([reply]),
+        "list_views": lambda self, p, reply: self._learn_views(reply["views"]),
+        "delete": lambda self, p, reply: self._forget_view(p["name"]),
+        "delete_view": lambda self, p, reply: self._forget_view(p["name"]),
+    }
 
-    @staticmethod
-    def _view_record(reply: dict) -> SimpleNamespace:
-        return SimpleNamespace(
-            name=reply["name"],
-            id=reply["id"],
-            over=reply["over"],
-            created_at=reply["created_at"],
-            spec=view_spec_from_dict(reply["spec"]),
-        )
+    def sync_views(self) -> None:
+        """Learn existing view chains from the shards (router startup)."""
+        try:
+            self.run_op(OPS["list_views"], {})
+        except ShardUnavailableError:
+            pass  # nothing reachable yet; health checks will recover
 
     # ------------------------------------------------------------------
-    # mutations
+    # write
     # ------------------------------------------------------------------
-    def create(self, name: str, budget_bytes: int = 0) -> SimpleNamespace:
-        replies = self._on_all_replicas(
-            name,
-            "create",
-            lambda s: s.client.create(name, budget_bytes=budget_bytes),
-        )
-        first = replies[0]
-        return SimpleNamespace(
-            name=first["name"],
-            id=first["id"],
-            budget_bytes=first["budget_bytes"],
-        )
-
-    def delete(self, name: str, force: bool = False) -> None:
-        self._on_all_replicas(
-            name, "delete", lambda s: s.client.delete(name, force=force)
-        )
-        self._forget_view(name, cascade=force)
-
-    def create_view(self, name: str, spec) -> SimpleNamespace:
-        # A view lives wherever its base chain's root lives, so reads
-        # against it are always shard-local.  Placement therefore keys
-        # on the *parent*, not the view's own name.
-        replies = self._on_all_replicas(
-            spec.over,
-            "create view",
-            lambda s: s.client.create_view(name, spec),
-        )
-        with self._views_lock:
-            self._view_over[name] = spec.over
-        return self._view_record(replies[0])
-
-    def delete_view(self, name: str, force: bool = False) -> None:
-        self._on_all_replicas(
-            name,
-            "delete view",
-            lambda s: s.client._rpc(
-                "delete_view", {"name": name, "force": force}
-            ),
-        )
-        self._forget_view(name, cascade=force)
-
-    def _forget_view(self, name: str, cascade: bool) -> None:
-        with self._views_lock:
-            self._view_over.pop(name, None)
-            if not cascade:
-                return
-
-            def prune(parent: str) -> None:
-                for child, over in list(self._view_over.items()):
-                    if over == parent:
-                        del self._view_over[child]
-                        prune(child)
-
-            prune(name)
-
     def write(self, spec, segment=None) -> SimpleNamespace:
         self._count("writes_routed")
+        # A write touches the catalog on every replica, so it counts as
+        # a catalog op too (test_router_counters_for_a_fixed_sequence).
+        self._count("catalog_ops")
         replies = self._on_all_replicas(
             spec.name, "write", lambda s: s.client.write(spec, segment)
         )
@@ -488,7 +511,7 @@ class ClusterEngine:
         )
 
     # ------------------------------------------------------------------
-    # scatter operations
+    # scatter
     # ------------------------------------------------------------------
     def _live_shards(self) -> list[_Shard]:
         live = [s for s in self.shards if s.up]
@@ -509,79 +532,13 @@ class ClusterEngine:
         ]:
             try:
                 replies.append(future.result())
-            except _CONN_ERRORS as exc:
+            except Exception as exc:
+                if not _shard_died(exc):
+                    raise
                 self._shard_failed(shard, exc)
         if not replies:
             raise ShardUnavailableError(f"cannot {what}: every shard died")
         return replies
-
-    def list_videos(self, kind: str = "all") -> list[str]:
-        self._count("catalog_ops")
-        names: set[str] = set()
-        for chunk in self._scatter(
-            "list videos", lambda s: s.client.list_videos(kind)
-        ):
-            names.update(chunk)
-        return sorted(names)
-
-    def list_views(self) -> list[SimpleNamespace]:
-        self._count("catalog_ops")
-        merged: dict[str, dict] = {}
-        for chunk in self._scatter(
-            "list views", lambda s: s.client.list_views()
-        ):
-            for reply in chunk:
-                merged[reply["name"]] = reply
-        with self._views_lock:
-            for reply in merged.values():
-                self._view_over[reply["name"]] = reply["over"]
-        return [
-            self._view_record(merged[name]) for name in sorted(merged)
-        ]
-
-    def sync_views(self) -> None:
-        """Learn existing view chains from the shards (router startup)."""
-        try:
-            self.list_views()
-        except ShardUnavailableError:
-            pass  # nothing reachable yet; health checks will recover
-
-    def search(
-        self,
-        text: str | None = None,
-        like=None,
-        limit: int = 10,
-        min_score: float = 0.0,
-    ) -> list:
-        """Cluster-wide content search: scatter, then merge rankings.
-
-        Every live shard ranks its own index; :func:`merge_ranked`
-        deduplicates replica-duplicated hits on ``(name, gop_seq)`` and
-        re-sorts with the same deterministic ordering the shards used,
-        so the merged list is exactly what one shard holding the whole
-        corpus would have returned.
-        """
-        from repro.search.query import merge_ranked
-
-        self._count("searches_routed")
-        hit_lists = self._scatter(
-            "search",
-            lambda s: s.client.search(
-                text=text, like=like, limit=limit, min_score=min_score
-            ),
-        )
-        return merge_ranked(hit_lists, limit=limit)
-
-    def reindex(self, name: str) -> int:
-        """Rebuild ``name``'s content index on every placement replica.
-
-        Replicas index independently but deterministically, so each
-        reports the same row count; the first reply is returned.
-        """
-        replies = self._on_all_replicas(
-            name, "reindex", lambda s: s.client.reindex(name)
-        )
-        return replies[0]
 
     def stats(self) -> dict:
         """The router's ``/metrics`` document: cluster + per-shard.
@@ -597,53 +554,46 @@ class ClusterEngine:
             if doc["up"]:
                 try:
                     doc.update(shard.client.metrics())
-                except _CONN_ERRORS as exc:
+                except Exception as exc:
+                    if not _shard_died(exc):
+                        raise
                     self._shard_failed(shard, exc)
                     doc.update(shard.snapshot())
             up += 1 if doc["up"] else 0
             per_shard[shard.name] = doc
         with self._counter_lock:
             counters = dict(self.counters)
-        # Tile selectivity rolled up across shards (each shard's engine
-        # document carries its own monotonic counters).
-        tiles = {
-            key: sum(
-                int(doc.get("engine", {}).get(key, 0))
-                for doc in per_shard.values()
-                if doc["up"]
-            )
-            for key in (
-                "tiles_total",
-                "tiles_decoded",
-                "tile_bytes_skipped",
-                "retiles",
-            )
-        }
-        # Codec decode fast-path stages, summed the same way; the
-        # cluster-wide MB/s is derived from the summed totals rather than
-        # averaging per-shard rates (shards with no decode traffic would
-        # otherwise drag the mean to zero).
-        codec = {
-            key: sum(
-                float(doc.get("engine", {}).get(key, 0))
-                for doc in per_shard.values()
-                if doc["up"]
-            )
-            for key in (
-                "codec_entropy_seconds",
-                "codec_transform_seconds",
-                "codec_compensate_seconds",
-                "codec_frames_decoded",
-                "codec_decoded_bytes",
-            )
-        }
-        codec["codec_frames_decoded"] = int(codec["codec_frames_decoded"])
-        codec["codec_decoded_bytes"] = int(codec["codec_decoded_bytes"])
+
+        def summed(cast, *keys: str) -> dict:
+            """Engine counters (each shard's own, monotonic) summed over
+            the shards that are up."""
+            return {
+                key: sum(
+                    cast(doc.get("engine", {}).get(key, 0))
+                    for doc in per_shard.values()
+                    if doc["up"]
+                )
+                for key in keys
+            }
+
+        tiles = summed(
+            int, "tiles_total", "tiles_decoded", "tile_bytes_skipped", "retiles"
+        )
+        codec = summed(
+            float,
+            "codec_entropy_seconds",
+            "codec_transform_seconds",
+            "codec_compensate_seconds",
+        )
+        # The cluster-wide MB/s is derived from the summed totals rather
+        # than averaging per-shard rates (shards with no decode traffic
+        # would otherwise drag the mean to zero).
         stage_seconds = (
             codec["codec_entropy_seconds"]
             + codec["codec_transform_seconds"]
             + codec["codec_compensate_seconds"]
         )
+        codec.update(summed(int, "codec_frames_decoded", "codec_decoded_bytes"))
         codec["codec_decode_mb_per_s"] = (
             codec["codec_decoded_bytes"] / 1e6 / stage_seconds
             if stage_seconds > 0
@@ -747,7 +697,9 @@ class ClusterEngine:
                 finally:
                     shard.leave()
                 return sub_results, sub_batch
-            except _CONN_ERRORS as exc:
+            except Exception as exc:
+                if not _shard_died(exc):
+                    raise
                 self._shard_failed(shard, exc)
                 exclude.add(shard.name)
                 self._count("failovers")

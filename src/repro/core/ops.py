@@ -20,10 +20,25 @@ Both servers and both clients dispatch through :data:`OPS`.  One
   REST binding: HTTP liveness is ``GET /healthz``, answered by the
   transport itself like the binary ``PING`` frame.
 
+* the **placement** — where a cluster router runs the op
+  (:data:`PLACEMENTS`): ``local`` on the router itself, ``any`` live
+  replica of the key's placement, ``all`` of them, or ``scatter`` to
+  every live shard with ``merge(replies, params) -> dict`` folding the
+  shard reply dicts into one.  ``key(params)`` names the video whose
+  ring placement decides the replicas (default ``params["name"]``).
+  Validating params is ``run``'s job, on the shard: the router hands a
+  shard's error reply back as it came.
+
+The one seam is :meth:`Op.__call__`: an engine that defines
+``run_op(op, params)`` (the router's :class:`ClusterEngine`) is handed
+every non-``local`` op after validation; any other engine gets
+``run``.  The router forwards the declared params to the shards'
+``_rpc`` and returns their reply dicts untouched.
+
 The payload-carrying ops (``read``, ``read_batch``, ``write``) stream
 pixels and are framed by each transport itself; they only share the
 reply serializers below.  Adding a unary op costs one entry here plus
-its engine and client methods.
+its engine and client methods — the router serves it unedited.
 """
 
 from __future__ import annotations
@@ -34,6 +49,7 @@ from collections.abc import Callable
 from urllib.parse import parse_qs, quote, unquote, urlencode
 
 from repro.core.wire import (
+    search_hit_from_dict,
     search_hit_to_dict,
     search_query_from_dict,
     view_spec_from_dict,
@@ -93,32 +109,59 @@ def _flag(value) -> bool:
 # ----------------------------------------------------------------------
 # the entry type
 # ----------------------------------------------------------------------
+#: Where a cluster router runs an op (module docs).
+PLACEMENTS = ("local", "any", "all", "scatter")
+
+
+def _key_name(params: dict) -> str | None:
+    return params.get("name")
+
+
 @dataclasses.dataclass
 class Op:
     """One unary operation (see the module docs for each field)."""
 
     name: str
     run: Callable[[object, dict], dict]
+    placement: str
     required: tuple[str, ...] = ()
     optional: dict = dataclasses.field(default_factory=dict)
     admitted: bool = False
     rest: str | None = None
     body: str | None = None
+    key: Callable[[dict], str | None] = _key_name
+    merge: Callable[[list, dict], dict] | None = None
     #: ``rest`` split once: HTTP method and the path's segments.
     method: str | None = dataclasses.field(init=False, default=None)
     segments: tuple[str, ...] = dataclasses.field(init=False, default=())
 
     def __post_init__(self) -> None:
+        if self.placement not in PLACEMENTS:
+            raise ValueError(
+                f"op {self.name!r}: placement {self.placement!r} is not "
+                f"one of {PLACEMENTS}"
+            )
+        if (self.placement == "scatter") != (self.merge is not None):
+            raise ValueError(
+                f"op {self.name!r}: a merge goes with scatter placement, "
+                f"and only with it"
+            )
         if self.rest is not None:
             self.method, path = self.rest.split(" ")
             self.segments = tuple(path.strip("/").split("/"))
 
     def __call__(self, service, params: dict) -> dict:
-        """Validate ``params``, fill defaults, run against ``service``."""
+        """Validate ``params``, fill defaults, then run the op: through
+        the engine's ``run_op`` when it routes ops (a cluster router)
+        and this op is not ``local``, against ``service`` otherwise."""
         for key in self.required:
             if key not in params:
                 raise WireError(f"op {self.name!r} requires {key!r}")
-        return self.run(service, {**self.optional, **params})
+        params = {**self.optional, **params}
+        run_op = getattr(service.engine, "run_op", None)
+        if run_op is None or self.placement == "local":
+            return self.run(service, params)
+        return run_op(self, params)
 
     # -- REST binding, client half -------------------------------------
     def render(self, params: dict) -> tuple[str, str, bytes | None]:
@@ -234,6 +277,40 @@ def _reindex(service, p: dict) -> dict:
     return {"name": p["name"], "indexed_gops": service.engine.reindex(p["name"])}
 
 
+# -- placement keys and scatter merges (router side) -------------------
+def _key_view_parent(p: dict) -> str:
+    # A view lives with the root of its base chain, so reads against it
+    # are always shard-local: placement keys on the parent, not on the
+    # view's own name.  Read off the parsed spec so that one with no
+    # usable ``over`` is a WireError, not a KeyError.
+    return view_spec_from_dict(p["spec"]).over
+
+
+def _merge_videos(replies: list, p: dict) -> dict:
+    return {"videos": sorted({name for r in replies for name in r["videos"]})}
+
+
+def _merge_views(replies: list, p: dict) -> dict:
+    # Replicas hold the same definition under one name: last one wins.
+    views = {view["name"]: view for r in replies for view in r["views"]}
+    return {"views": [views[name] for name in sorted(views)]}
+
+
+def _merge_hits(replies: list, p: dict) -> dict:
+    # merge_ranked drops replica-duplicated hits on (name, gop_seq) and
+    # re-sorts exactly as each shard ranked, so the merged list is what
+    # one shard holding the whole corpus would have returned.
+    # Imported here, like wire.py's SearchHit: nothing else in the table
+    # needs the search package.
+    from repro.search.query import merge_ranked
+
+    hits = merge_ranked(
+        ([search_hit_from_dict(h) for h in r["hits"]] for r in replies),
+        limit=int(p["query"]["limit"]),
+    )
+    return {"hits": [search_hit_to_dict(h) for h in hits]}
+
+
 _NAME = ("name",)
 
 #: Every unary op, by name.  Only ``reindex`` is admitted (it decodes
@@ -242,26 +319,27 @@ _NAME = ("name",)
 OPS: dict[str, Op] = {
     op.name: op
     for op in (
-        Op("ping", _ping),
-        Op("metrics", _metrics, rest="GET /metrics"),
-        Op("create", _create, _NAME, {"budget_bytes": 0},
+        Op("ping", _ping, "local"),
+        Op("metrics", _metrics, "local", rest="GET /metrics"),
+        Op("create", _create, "all", _NAME, {"budget_bytes": 0},
            rest="POST /v1/videos"),
-        Op("delete", _delete, _NAME, {"force": False},
+        Op("delete", _delete, "all", _NAME, {"force": False},
            rest="DELETE /v1/videos/<name>"),
-        Op("exists", _exists, _NAME, rest="GET /v1/videos/<name>"),
-        Op("list_videos", _list_videos, (), {"kind": "all"},
-           rest="GET /v1/videos"),
-        Op("video_stats", _video_stats, _NAME,
+        Op("exists", _exists, "any", _NAME, rest="GET /v1/videos/<name>"),
+        Op("list_videos", _list_videos, "scatter", (), {"kind": "all"},
+           rest="GET /v1/videos", merge=_merge_videos),
+        Op("video_stats", _video_stats, "any", _NAME,
            rest="GET /v1/videos/<name>/stats"),
-        Op("create_view", _create_view, ("name", "spec"),
-           rest="POST /v1/views"),
-        Op("get_view", _get_view, _NAME, rest="GET /v1/views/<name>"),
-        Op("list_views", _list_views, rest="GET /v1/views"),
-        Op("delete_view", _delete_view, _NAME, {"force": False},
+        Op("create_view", _create_view, "all", ("name", "spec"),
+           rest="POST /v1/views", key=_key_view_parent),
+        Op("get_view", _get_view, "any", _NAME, rest="GET /v1/views/<name>"),
+        Op("list_views", _list_views, "scatter", rest="GET /v1/views",
+           merge=_merge_views),
+        Op("delete_view", _delete_view, "all", _NAME, {"force": False},
            rest="DELETE /v1/views/<name>"),
-        Op("search", _search, ("query",), rest="POST /v1/search",
-           body="query"),
-        Op("reindex", _reindex, _NAME, admitted=True,
+        Op("search", _search, "scatter", ("query",), rest="POST /v1/search",
+           body="query", merge=_merge_hits),
+        Op("reindex", _reindex, "all", _NAME, admitted=True,
            rest="POST /v1/reindex"),
     )
 }

@@ -416,7 +416,13 @@ def error_to_dict(exc: BaseException) -> dict:
 
 
 def error_from_dict(data: dict) -> VSSError:
-    """Rebuild the exception an :func:`error_to_dict` envelope describes."""
+    """Rebuild the exception an :func:`error_to_dict` envelope describes.
+
+    The result carries ``answered = True``: the peer framed this error
+    itself, so the connection it came over is healthy.  A cluster router
+    tells a shard *replying* ``WireError`` from a framing failure on a
+    dying shard's connection by it.
+    """
     if not isinstance(data, dict) or "error" not in data:
         raise WireError(f"malformed error envelope {data!r}")
     cls = ERROR_CLASSES.get(data["error"], VSSError)
@@ -442,6 +448,7 @@ def error_from_dict(data: dict) -> VSSError:
     shard = data.get("shard")
     if isinstance(shard, str):
         exc.shard = shard
+    exc.answered = True
     return exc
 
 
