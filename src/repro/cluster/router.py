@@ -584,6 +584,8 @@ class ClusterEngine:
             "codec_entropy_seconds",
             "codec_transform_seconds",
             "codec_compensate_seconds",
+            "codec_encode_recurrence_seconds",
+            "codec_encode_entropy_seconds",
         )
         # The cluster-wide MB/s is derived from the summed totals rather
         # than averaging per-shard rates (shards with no decode traffic
@@ -593,7 +595,14 @@ class ClusterEngine:
             + codec["codec_transform_seconds"]
             + codec["codec_compensate_seconds"]
         )
-        codec.update(summed(int, "codec_frames_decoded", "codec_decoded_bytes"))
+        codec.update(
+            summed(
+                int,
+                "codec_frames_decoded",
+                "codec_decoded_bytes",
+                "codec_frames_encoded",
+            )
+        )
         codec["codec_decode_mb_per_s"] = (
             codec["codec_decoded_bytes"] / 1e6 / stage_seconds
             if stage_seconds > 0

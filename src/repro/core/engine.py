@@ -212,7 +212,11 @@ class EngineStats:
     ``codec_decode_mb_per_s`` is the derived lifetime throughput
     (decoded MB per stage-second; 0.0 before any compressed decode).
     Batch-warmed shared decodes and cache-served windows attribute
-    nothing, matching the per-read stats they roll up from.
+    nothing, matching the per-read stats they roll up from.  The three
+    ``codec_encode_*`` / ``codec_frames_encoded`` counters are the same
+    roll-up of the reads' transcoding encodes (recurrence time on the
+    calling thread, summed deflate-task time, frames); writes and cache
+    admission encode outside any read and are not in them.
     """
 
     num_logical_videos: int
@@ -258,6 +262,9 @@ class EngineStats:
     codec_frames_decoded: int
     codec_decoded_bytes: int
     codec_decode_mb_per_s: float
+    codec_encode_recurrence_seconds: float
+    codec_encode_entropy_seconds: float
+    codec_frames_encoded: int
 
 
 @dataclass
@@ -414,6 +421,9 @@ class VSSEngine:
         self._codec_compensate_seconds = 0.0
         self._codec_frames_decoded = 0
         self._codec_decoded_bytes = 0
+        self._codec_encode_recurrence_seconds = 0.0
+        self._codec_encode_entropy_seconds = 0.0
+        self._codec_frames_encoded = 0
         self._roi_accesses: dict[int, dict[tuple, int]] = {}
         self._num_sessions = 0
         self._view_reads: dict[str, int] = {}
@@ -1108,6 +1118,13 @@ class VSSEngine:
             self._codec_compensate_seconds += stats.codec_compensate_seconds
             self._codec_frames_decoded += stats.frames_decoded
             self._codec_decoded_bytes += stats.codec_decoded_bytes
+            self._codec_encode_recurrence_seconds += (
+                stats.codec_encode_recurrence_seconds
+            )
+            self._codec_encode_entropy_seconds += (
+                stats.codec_encode_entropy_seconds
+            )
+            self._codec_frames_encoded += stats.codec_frames_encoded
             self._tiles_total += plan.tiles_total
             self._tiles_decoded += plan.tiles_decoded
             self._tile_bytes_skipped += plan.tile_bytes_skipped
@@ -1623,6 +1640,9 @@ class VSSEngine:
             codec_compensate = self._codec_compensate_seconds
             codec_frames = self._codec_frames_decoded
             codec_bytes = self._codec_decoded_bytes
+            encode_recurrence = self._codec_encode_recurrence_seconds
+            encode_entropy = self._codec_encode_entropy_seconds
+            frames_encoded = self._codec_frames_encoded
         codec_seconds = codec_entropy + codec_transform + codec_compensate
         codec_mb_per_s = (
             codec_bytes / 1e6 / codec_seconds if codec_seconds > 0 else 0.0
@@ -1681,6 +1701,9 @@ class VSSEngine:
             codec_frames_decoded=codec_frames,
             codec_decoded_bytes=codec_bytes,
             codec_decode_mb_per_s=codec_mb_per_s,
+            codec_encode_recurrence_seconds=encode_recurrence,
+            codec_encode_entropy_seconds=encode_entropy,
+            codec_frames_encoded=frames_encoded,
         )
 
     def video_stats(self, name: str) -> StoreStats | ViewStats:

@@ -1,16 +1,17 @@
 """Shared thread-pool execution for the parallel GOP pipeline.
 
-Every GOP opens with an I frame, so GOPs are independent decode/encode
-units; the heavy kernels underneath (numpy DCTs, zlib entropy coding)
+Every GOP opens with an I frame, so GOPs are independent decode units,
+and inside one GOP the entropy stage (zlib inflate / deflate) is
+independent of the frame-to-frame recurrence; zlib and the numpy DCTs
 release the GIL, so plain threads give genuine core scaling without the
 serialization cost a process pool would pay shipping pixel arrays around.
 
-One :class:`Executor` is shared per store (codec encode, reader decode,
-and GOP file IO all funnel through it).  The underlying
-``ThreadPoolExecutor`` is created lazily on the first parallel ``map`` —
-a store opened only for metadata work never spawns threads — and
-``parallelism=1`` runs every task inline on the calling thread, making
-the serial path byte-identical to pre-parallel behaviour.
+One :class:`Executor` is shared per store (reader chunk decodes, the
+codec's inflate and deflate tasks, and GOP file IO all funnel through
+it).  The underlying ``ThreadPoolExecutor`` is created lazily on the
+first pooled call — a store opened only for metadata work never spawns
+threads — and ``parallelism=1`` runs every task inline on the calling
+thread, making the serial path byte-identical to pre-parallel behaviour.
 """
 
 from __future__ import annotations
@@ -62,14 +63,12 @@ class Executor:
         Exceptions propagate exactly as in the serial loop: the first
         failing item's exception is raised.
 
-        Calls arriving *from* one of this pool's own worker threads also
-        run inline: a task that blocks its worker slot waiting on subtasks
-        queued behind other workers doing the same can deadlock the pool
-        (the GOP decode fast path fans entropy inflates through here from
-        inside pooled chunk-decode tasks).
+        Calls arriving *from* a pool worker thread also run inline (see
+        :meth:`_inline`; the GOP decode fast path fans entropy inflates
+        through here from inside pooled chunk-decode tasks).
         """
         work: Sequence[_T] = items if isinstance(items, list) else list(items)
-        if self.parallelism == 1 or len(work) < 2 or self._in_worker():
+        if len(work) < 2 or self._inline():
             results = [fn(item) for item in work]
         else:
             results = list(self._ensure_pool().map(fn, work))
@@ -81,11 +80,14 @@ class Executor:
         """Run ``fn(*args)`` asynchronously, returning a Future.
 
         The streaming read path uses this to keep a bounded window of
-        chunk decodes in flight.  With ``parallelism=1`` the call runs
-        inline and returns an already-completed Future, preserving the
-        serial path's strict laziness (nothing runs ahead of the pull).
+        chunk decodes in flight, and the GOP encoder to deflate one
+        step's levels while it computes the next.  With ``parallelism=1``
+        the call runs inline and returns an already-completed Future,
+        preserving the serial path's strict laziness (nothing runs ahead
+        of the pull); so does a call from a pool worker thread (see
+        :meth:`_inline`).
         """
-        if self.parallelism == 1:
+        if self._inline():
             future: Future = Future()
             try:
                 future.set_result(fn(*args))
@@ -98,10 +100,17 @@ class Executor:
         future.add_done_callback(self._count_done)
         return future
 
-    @staticmethod
-    def _in_worker() -> bool:
-        """True when the calling thread is one of the pool's workers."""
-        return threading.current_thread().name.startswith("vss-worker")
+    def _inline(self) -> bool:
+        """The one rule for when work runs on the calling thread: there
+        is no second worker, or the caller *is* a pool worker.  A task
+        that blocks its worker slot waiting on subtasks queued behind
+        other workers doing the same would deadlock the pool, so nested
+        ``map`` and ``submit`` calls never queue.
+        """
+        return (
+            self.parallelism == 1
+            or threading.current_thread().name.startswith("vss-worker")
+        )
 
     def _count_done(self, _future: Future) -> None:
         with self._lock:

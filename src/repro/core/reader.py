@@ -103,6 +103,20 @@ class ReadStats:
     codec_transform_seconds: float = 0.0
     codec_compensate_seconds: float = 0.0
     codec_decoded_bytes: int = 0
+    #: Codec encode counters of a transcoding read (compressed output that
+    #: is not a direct serve), from the same :class:`CodecTimings`: the
+    #: calling thread's recurrence time, the deflate tasks' summed run
+    #: time (they overlap it on pool threads, so the two add up to work,
+    #: not wall time), and the frames encoded.
+    codec_encode_recurrence_seconds: float = 0.0
+    codec_encode_entropy_seconds: float = 0.0
+    codec_frames_encoded: int = 0
+
+    def add_encode_timings(self, timings: CodecTimings) -> None:
+        """Fold one ``encode_segment`` call's counters into the read."""
+        self.codec_encode_recurrence_seconds += timings.encode_recurrence_seconds
+        self.codec_encode_entropy_seconds += timings.encode_entropy_seconds
+        self.codec_frames_encoded += timings.frames_encoded
 
     @property
     def codec_decode_seconds(self) -> float:
@@ -372,12 +386,15 @@ class Reader:
         if plan.request.codec != "raw":
             codec = codec_for(plan.request.codec)
             gop_size = max(1, int(round(plan.target_fps)))
+            timings = CodecTimings()
             gops = codec.encode_segment(
                 segment,
                 qp=plan.request.qp,
                 gop_size=gop_size,
                 executor=self.executor,
+                timings=timings,
             )
+            stats.add_encode_timings(timings)
             stats.output_bpp = float(
                 np.mean([g.bits_per_pixel for g in gops])
             )
@@ -835,7 +852,8 @@ class Reader:
         Blocks are cut at multiples of the output GOP size with start
         times computed exactly as ``encode_segment`` would slice the
         full canvas, and each GOP encodes independently, so the streamed
-        bytes are bit-identical to the non-streamed read's GOPs.
+        bytes are bit-identical to the non-streamed read's GOPs.  Each
+        block's deflate fans across the shared executor like theirs.
         """
         request = plan.request
         codec = codec_for(request.codec)
@@ -868,9 +886,15 @@ class Reader:
                 fps=fps_out,
                 start_time=request.start + emitted / fps_out,
             )
+            timings = CodecTimings()
             gops = codec.encode_segment(
-                block, qp=request.qp, gop_size=gop_size
+                block,
+                qp=request.qp,
+                gop_size=gop_size,
+                executor=self.executor,
+                timings=timings,
             )
+            stats.add_encode_timings(timings)
             bpps.extend(g.bits_per_pixel for g in gops)
             chunk = ReadChunk(
                 index, block.start_time, block.end_time,

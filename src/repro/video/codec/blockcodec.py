@@ -34,8 +34,37 @@ are grouped and move through both stages as one array.  The output is
 bit-identical to the per-frame scalar loop, which is retained verbatim as
 :meth:`BlockCodec.decode_gop_frames_scalar` — both the fuzz oracle for
 that guarantee and the baseline the codec throughput benchmark measures
-against.  The encode side mirrors the fusion where the dependency chain
-allows: all of a frame's same-shape planes share one DCT/quantize call.
+against.
+
+Encode fast path
+----------------
+Encoding has the mirror-image dependency.  *On* the chain, inside one GOP:
+estimate motion against the previous reconstruction -> compensate ->
+forward DCT of the residual -> quantise -> reconstruct (dequantise,
+inverse DCT, add, clip) — frame ``k`` cannot start before frame ``k-1``
+has been reconstructed.  *Off* the chain: the zigzag scan and deflate of
+the quantised levels, which nothing downstream reads, and every other GOP
+of the same ``encode_segment`` call, which opens with its own I frame.
+
+``encode_segment`` is one kernel built on exactly that:
+
+1. the calling thread steps up to ``_LOCKSTEP_GOPS`` GOPs in lockstep —
+   frame ``k`` of each, stacked per plane group into one ``(gops,
+   channels, h, w)`` array, goes through one phase-correlation FFT round,
+   one in-place DCT, one quantise and one sparse inverse (the decode
+   path's nonzero-block scatter) per step;
+2. each step's scanned levels are handed to the shared executor, which
+   deflates them (``zlib`` releases the GIL) while the caller computes
+   step ``k+1``; payloads are joined after the last step.
+
+``encode_gop`` is the one-GOP case.  Earlier versions fanned whole GOPs
+across the executor instead; that scaled 1.15-1.5x on two cores because
+the per-frame numpy of two GOPs contends for the GIL, left a one-GOP
+encode (every one-second append) on one thread, and is gone: splitting
+the work by *stage* keeps the GIL-bound part on one thread and gives the
+pool only what runs without it.  Output bytes equal the per-plane loop's,
+retained as :meth:`BlockCodec.encode_gop_scalar` and fuzz-compared in
+``tests/test_codec.py``.
 """
 
 from __future__ import annotations
@@ -48,7 +77,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CodecError
-from repro.util import map_parallel
 from repro.video.codec import dct, entropy, motion, quant
 from repro.video.codec.container import EncodedGOP
 from repro.video.frame import (
@@ -63,18 +91,35 @@ _VECTOR = struct.Struct(">hh")
 _PLANE_HEADER = struct.Struct(">HHHHI")  # nby, nbx, height, width, payload size
 
 
+#: GOPs one lockstep pass steps together.  Wide enough that a step's
+#: array calls amortise their dispatch over several frames; narrow enough
+#: that a step's float32 working set (about ten arrays of ``gops x
+#: frame`` elements) stays near cache size at the frame sizes the store
+#: is run with.  Wider segments run as consecutive passes whose deflate
+#: tasks still overlap the next pass.
+_LOCKSTEP_GOPS = 4
+
+
 @dataclass
 class CodecTimings:
-    """Per-stage decode counters, accumulated across ``decode_gop_frames``
-    calls that share one instance.
+    """Per-stage codec counters, accumulated across the
+    ``decode_gop_frames`` / ``encode_segment`` calls that share one
+    instance.
 
-    Stage attribution: ``entropy_seconds`` covers header parsing, inflate,
-    and the zigzag unscan; ``transform_seconds`` the fused
+    Decode stage attribution: ``entropy_seconds`` covers header parsing,
+    inflate, and the zigzag unscan; ``transform_seconds`` the fused
     dequantize-inverse-DCT (including the sparse scatter);
     ``compensate_seconds`` the sequential recurrence plus output packing
     (rint/uint8 and frame assembly).  ``decoded_bytes`` counts *output*
     pixel bytes, so ``decoded_bytes / sum-of-stages`` is the codec's
     decode MB/s.
+
+    Encode attribution: ``encode_recurrence_seconds`` is the calling
+    thread's time in the lockstep loop (estimate, compensate, DCT,
+    quantise, scan, reconstruct), ``encode_entropy_seconds`` the summed
+    run time of the deflate tasks on whichever threads ran them — the
+    two overlap when an executor is given, so their sum is work, not
+    wall time — and ``frames_encoded`` the frames that went through.
     """
 
     entropy_seconds: float = 0.0
@@ -82,6 +127,9 @@ class CodecTimings:
     compensate_seconds: float = 0.0
     frames_decoded: int = 0
     decoded_bytes: int = 0
+    encode_recurrence_seconds: float = 0.0
+    encode_entropy_seconds: float = 0.0
+    frames_encoded: int = 0
 
 
 @dataclass(frozen=True)
@@ -139,165 +187,211 @@ class BlockCodec:
         qp: int = quant.QP_DEFAULT,
         gop_size: int | None = None,
         executor=None,
+        timings: CodecTimings | None = None,
     ) -> list[EncodedGOP]:
         """Encode a segment as consecutive GOPs of at most ``gop_size``
-        frames each.
+        frames each, through the lockstep kernel (module docstring,
+        "Encode fast path").
 
-        Each GOP opens with an I frame and references no other GOP, so
-        with an :class:`repro.core.executor.Executor` the GOPs encode
-        concurrently; output order and bytes are identical to the serial
-        loop.
+        ``executor`` (an :class:`repro.core.executor.Executor`, optional)
+        takes the deflate tasks; ``timings`` (optional) accumulates the
+        encode counters.  Each GOP's bytes are identical to
+        :meth:`encode_gop_scalar` on its slice, with or without either.
         """
         size = gop_size or self.profile.default_gop_size
         if size < 1:
             raise CodecError(f"gop_size must be >= 1, got {size}")
-        slices = [
-            segment.slice_frames(start, min(start + size, segment.num_frames))
-            for start in range(0, segment.num_frames, size)
-        ]
-        return map_parallel(
-            executor, lambda piece: self.encode_gop(piece, qp), slices
-        )
+        return self._encode_gops(segment, size, qp, executor, timings)
 
     def encode_gop(self, segment: VideoSegment, qp: int = quant.QP_DEFAULT) -> EncodedGOP:
-        """Encode an entire segment as a single GOP (first frame intra)."""
+        """Encode an entire segment as a single GOP (first frame intra):
+        the one-GOP case of :meth:`encode_segment`."""
         if segment.num_frames == 0:
             raise CodecError("cannot encode an empty GOP")
-        block = self.profile.block_size
-        payloads: list[bytes] = []
-        frame_types: list[str] = []
-        previous: list[np.ndarray] | None = None  # reconstructed planes
-        for index in range(segment.num_frames):
-            planes = [
-                p.astype(np.float32)
-                for p in segment.planes(index)
-            ]
-            if previous is None:
-                payload, reconstructed = self._encode_intra(planes, qp, block)
-                frame_types.append("I")
-            else:
-                payload, reconstructed = self._encode_predicted(
-                    planes, previous, qp, block
-                )
-                frame_types.append("P")
-            payloads.append(payload)
-            previous = reconstructed
-        return EncodedGOP(
-            codec=self.name,
-            pixel_format=segment.pixel_format,
-            width=segment.width,
-            height=segment.height,
-            fps=segment.fps,
-            qp=qp,
-            start_time=segment.start_time,
-            frame_types="".join(frame_types),
-            payloads=payloads,
-        )
+        return self._encode_gops(segment, segment.num_frames, qp, None, None)[0]
 
-    def _encode_intra(
-        self, planes: list[np.ndarray], qp: int, block: int
-    ) -> tuple[bytes, list[np.ndarray]]:
-        """Intra-code a frame, batching same-shape planes through one
-        DCT/quantize call.  Output bytes are identical to the per-plane
-        loop (:meth:`_encode_intra_scalar`): the batched transforms apply
-        per trailing ``(B, B)`` slice, and the per-plane entropy coder
-        sees the same level arrays either way.
-        """
-        parts = [_FRAME_HEADER.pack(b"I", 0, len(planes))]
-        encoded: list[bytes | None] = [None] * len(planes)
-        reconstructed: list[np.ndarray | None] = [None] * len(planes)
-        for idxs in _plane_groups([p.shape for p in planes]):
-            stacked = self._stack_planes(planes, idxs)
-            chunks, recon = self._transform_planes(stacked - 128.0, qp, block)
-            recon = np.clip(recon + 128.0, 0, 255)
-            for channel, plane_index in enumerate(idxs):
-                encoded[plane_index] = chunks[channel]
-                reconstructed[plane_index] = recon[channel]
-        parts.extend(encoded)
-        return b"".join(parts), reconstructed
-
-    def _encode_predicted(
+    def _encode_gops(
         self,
-        planes: list[np.ndarray],
-        previous: list[np.ndarray],
+        segment: VideoSegment,
+        size: int,
         qp: int,
-        block: int,
-    ) -> tuple[bytes, list[np.ndarray]]:
-        """P-code a frame against the previous reconstruction, batching
-        same-shape planes through one compensate + DCT/quantize pass."""
-        vectors = self._estimate_motion(previous, planes)
-        parts = [_FRAME_HEADER.pack(b"P", len(vectors), len(planes))]
-        for dy, dx in vectors:
-            parts.append(_VECTOR.pack(dy, dx))
-        encoded: list[bytes | None] = [None] * len(planes)
-        reconstructed: list[np.ndarray | None] = [None] * len(planes)
-        luma_shape = previous[0].shape
-        for idxs in _plane_groups([p.shape for p in planes]):
-            prior = self._stack_planes(previous, idxs)
-            prediction = motion.compensate(prior, vectors, luma_shape)
-            stacked = self._stack_planes(planes, idxs)
-            chunks, recon_residual = self._transform_planes(
-                stacked - prediction, qp, block
-            )
-            recon = np.clip(prediction + recon_residual, 0, 255)
-            for channel, plane_index in enumerate(idxs):
-                encoded[plane_index] = chunks[channel]
-                reconstructed[plane_index] = recon[channel]
-        parts.extend(encoded)
-        return b"".join(parts), reconstructed
+        executor,
+        timings: CodecTimings | None,
+    ) -> list[EncodedGOP]:
+        """The encode kernel: GOP ``g`` covers frames ``[g * size,
+        (g + 1) * size)`` (the last one may be shorter).
 
-    @staticmethod
-    def _stack_planes(planes: list[np.ndarray], idxs: list[int]) -> np.ndarray:
-        """Stack a shape-group of planes into ``(C, H, W)``; a lone plane
-        becomes a no-copy view."""
-        if len(idxs) == 1:
-            return planes[idxs[0]][None]
-        return np.stack([planes[p] for p in idxs])
-
-    def _transform_planes(
-        self, centered: np.ndarray, qp: int, block: int
-    ) -> tuple[list[bytes], np.ndarray]:
-        """Transform/quantize a ``(C, H, W)`` stack of centered planes.
-
-        Returns per-channel encoded chunks (plane header + entropy
-        payload, in channel order) and the reconstructed ``(C, H, W)``
-        stack.  One ``dctn``/``quantize``/``idctn`` serves every channel;
-        only the entropy coder (whose output length varies per channel)
-        stays per-plane.
+        Up to ``_LOCKSTEP_GOPS`` GOPs advance together: at step ``k``
+        frame ``k`` of each is stacked per plane group into one
+        ``(gops, channels, h, w)`` array and moves through estimate ->
+        compensate -> DCT -> quantise -> reconstruct as one array.  The
+        step's scanned levels go to ``executor`` for deflate and are only
+        joined after the last step, so entropy coding overlaps the
+        recurrence.
         """
-        h, w = centered.shape[-2:]
-        coeffs = dct.forward_dct(centered, block)
-        levels = quant.quantize(coeffs, qp, block, self.profile.deadzone)
-        nby, nbx = levels.shape[-4], levels.shape[-3]
-        chunks = []
-        for channel in range(levels.shape[0]):
-            payload = entropy.encode_levels(
-                levels[channel], block, self.profile.entropy_level
+        total = segment.num_frames
+        if total == 0:
+            return []
+        profile = self.profile
+        block = profile.block_size
+        clock = time.perf_counter
+        began = clock()
+        views = frames_plane_views(
+            segment.pixels, segment.pixel_format, segment.height, segment.width
+        )
+        shapes = [view.shape[1:] for view in views]
+        luma_shape = shapes[0]
+        groups = _plane_groups(shapes)
+        num_gops = -(-total // size)
+        vectors: list[list] = [[] for _ in range(num_gops)]  # [gop][step]
+        jobs = []  # (first gop, step, plane indices, deflate result)
+        handoff_seconds = 0.0
+
+        for first in range(0, num_gops, _LOCKSTEP_GOPS):
+            lo = first * size
+            hi = min(total, lo + _LOCKSTEP_GOPS * size)
+            # Reconstructed planes of the previous step: one float32
+            # ``(gops, channels, h, w)`` stack per plane group.
+            previous: list[np.ndarray] = []
+            for step in range(min(size, total - lo)):
+                # Frame ``step`` of every GOP of this pass that has one;
+                # only the segment's last GOP can run out early.
+                rows = slice(lo + step, hi, size)
+                live = len(range(lo + step, hi, size))
+                # Per group, the step's planes in a block-aligned float32
+                # stack: pixels, then residual, then (in place) DCT
+                # coefficients, then the reconstructed residual.
+                stacks = []
+                for idxs in groups:
+                    h, w = shapes[idxs[0]]
+                    stack = np.empty(
+                        (live, len(idxs), h + (-h) % block, w + (-w) % block),
+                        dtype=np.float32,
+                    )
+                    for channel, plane in enumerate(idxs):
+                        stack[:, channel, :h, :w] = views[plane][rows]
+                    stacks.append(stack)
+                if step:
+                    h, w = luma_shape
+                    found = motion.estimate_stack(
+                        profile.motion, previous[0][:live, 0], stacks[0][:, 0, :h, :w]
+                    )
+                else:
+                    found = [[] for _ in range(live)]
+                for offset, frame_vectors in enumerate(found):
+                    vectors[first + offset].append(frame_vectors)
+                for position, (idxs, stack) in enumerate(zip(groups, stacks)):
+                    h, w = shapes[idxs[0]]
+                    pixels = stack[:, :, :h, :w]
+                    if step:
+                        # ``compensate`` returns the reference itself for
+                        # all-zero vectors; either way it is read before
+                        # ``recon`` is overwritten below.
+                        recon = previous[position][:live]
+                        predictions = [
+                            motion.compensate(recon[gop], found[gop], luma_shape)
+                            for gop in range(live)
+                        ]
+                        for gop, prediction in enumerate(predictions):
+                            np.subtract(pixels[gop], prediction, out=pixels[gop])
+                    else:
+                        np.subtract(pixels, 128.0, out=pixels)
+                    dct.replicate_edges(stack, h, w)
+                    levels = quant.quantize(
+                        dct.forward_dct(stack, block, overwrite=True),
+                        qp,
+                        block,
+                        profile.deadzone,
+                    )
+                    scanned = entropy.scan_levels(levels, block)
+                    planes = scanned.reshape(-1, *scanned.shape[-2:])
+                    mark = clock()
+                    if executor is None:
+                        job = entropy.deflate_planes(
+                            planes, profile.entropy_level
+                        )
+                    else:
+                        job = executor.submit(
+                            entropy.deflate_planes, planes, profile.entropy_level
+                        )
+                    handoff_seconds += clock() - mark
+                    jobs.append((first, step, idxs, levels.shape[2:4], job))
+                    # Reconstruct what the decoder will see, through the
+                    # decode path's sparse inverse: only blocks with a
+                    # nonzero level are dequantised and transformed.
+                    flat = levels.reshape(-1, block * block)
+                    nonzero = entropy.nonzero_blocks(flat)
+                    residual = dct.inverse_dct_sparse(
+                        quant.dequantize(
+                            flat[nonzero].reshape(-1, block, block), qp, block
+                        ),
+                        nonzero.reshape(-1, *levels.shape[2:4]),
+                        block,
+                    ).reshape(stack.shape)[:, :, :h, :w]
+                    if step:
+                        for gop, prediction in enumerate(predictions):
+                            np.add(prediction, residual[gop], out=recon[gop])
+                    else:
+                        recon = np.add(residual, 128.0, out=pixels)
+                        previous.append(recon)
+                    np.maximum(recon, 0, out=recon)
+                    np.minimum(recon, 255, out=recon)
+        recurrence_seconds = clock() - began - handoff_seconds
+
+        # -- join the deflate tasks; assemble frame payloads ------------
+        entropy_seconds = 0.0
+        # (gop, step, plane) -> (plane header, entropy payload)
+        chunks: dict[tuple[int, int, int], tuple[bytes, bytes]] = {}
+        for first, step, idxs, (nby, nbx), job in jobs:
+            payloads, seconds = job if executor is None else job.result()
+            entropy_seconds += seconds
+            h, w = shapes[idxs[0]]
+            for position, payload in enumerate(payloads):
+                gop, channel = divmod(position, len(idxs))
+                chunks[first + gop, step, idxs[channel]] = (
+                    _PLANE_HEADER.pack(nby, nbx, h, w, len(payload)),
+                    payload,
+                )
+        encoded = []
+        for gop, gop_vectors in enumerate(vectors):
+            payloads = []
+            for step, frame_vectors in enumerate(gop_vectors):
+                parts = [
+                    _FRAME_HEADER.pack(
+                        b"P" if step else b"I", len(frame_vectors), len(shapes)
+                    )
+                ]
+                parts.extend(_VECTOR.pack(dy, dx) for dy, dx in frame_vectors)
+                for plane in range(len(shapes)):
+                    parts.extend(chunks[gop, step, plane])
+                payloads.append(b"".join(parts))
+            encoded.append(
+                EncodedGOP(
+                    codec=self.name,
+                    pixel_format=segment.pixel_format,
+                    width=segment.width,
+                    height=segment.height,
+                    fps=segment.fps,
+                    qp=qp,
+                    start_time=segment.time_of(gop * size),
+                    frame_types="I" + "P" * (len(payloads) - 1),
+                    payloads=payloads,
+                )
             )
-            header = _PLANE_HEADER.pack(nby, nbx, h, w, len(payload))
-            chunks.append(header + payload)
-        recon = dct.inverse_dct(quant.dequantize(levels, qp, block), h, w)
-        return chunks, recon
+        if timings is not None:
+            timings.encode_recurrence_seconds += recurrence_seconds
+            timings.encode_entropy_seconds += entropy_seconds
+            timings.frames_encoded += total
+        return encoded
 
     def _estimate_motion(
         self, previous: list[np.ndarray], current: list[np.ndarray]
     ) -> list[tuple[int, int]]:
-        mode = self.profile.motion
-        if mode == "none":
-            return []
-        prev_luma = previous[0]
-        cur_luma = current[0]
-        if mode == "global":
-            return [motion.estimate_global(prev_luma, cur_luma)]
-        return motion.estimate_tiled(prev_luma, cur_luma)
-
-    def _compensate(
-        self,
-        prior: np.ndarray,
-        vectors: list[tuple[int, int]],
-        luma_shape: tuple[int, int],
-    ) -> np.ndarray:
-        return motion.compensate(prior, vectors, luma_shape)
+        """One frame's vectors (the scalar reference's estimator): the
+        one-pair case of the stacked estimate, on the luma planes."""
+        return motion.estimate_stack(
+            self.profile.motion, previous[0][None], current[0][None]
+        )[0]
 
     # ------------------------------------------------------------------
     # scalar encode reference
@@ -365,7 +459,7 @@ class BlockCodec:
         reconstructed = []
         luma_shape = previous[0].shape
         for plane, prior in zip(planes, previous):
-            prediction = self._compensate(prior, vectors, luma_shape)
+            prediction = motion.compensate(prior, vectors, luma_shape)
             encoded, recon_residual = self._transform_plane(
                 plane - prediction, qp, block
             )
@@ -633,7 +727,7 @@ class BlockCodec:
             if frame_type == "I":
                 planes.append(np.clip(recon + 128.0, 0, 255))
             else:
-                prediction = self._compensate(
+                prediction = motion.compensate(
                     previous[plane_index], vectors, luma_shape
                 )
                 planes.append(np.clip(prediction + recon, 0, 255))

@@ -45,15 +45,30 @@ def from_blocks(blocks: np.ndarray) -> np.ndarray:
     return untiled.reshape(*blocks.shape[:-4], nby * block, nbx * block)
 
 
-def forward_dct(plane: np.ndarray, block: int) -> np.ndarray:
+def replicate_edges(padded: np.ndarray, height: int, width: int) -> None:
+    """Fill the rows from ``height`` and columns from ``width`` of planes
+    ``(..., H, W)`` with their last real row and column, in place: what
+    :func:`pad_to_blocks` appends, for a caller that keeps its planes in
+    a block-aligned buffer already."""
+    if height < padded.shape[-2]:
+        padded[..., height:, :width] = padded[..., height - 1 : height, :width]
+    if width < padded.shape[-1]:
+        padded[..., width:] = padded[..., width - 1 : width]
+
+
+def forward_dct(
+    plane: np.ndarray, block: int, overwrite: bool = False
+) -> np.ndarray:
     """Blockwise orthonormal DCT-II of float planes ``(..., H, W)``.
 
     Returns coefficient blocks shaped ``(..., nby, nbx, B, B)`` for the
-    padded planes.
+    padded planes.  With ``overwrite`` the coefficients may be written
+    over ``plane`` itself (they are, for block-aligned float32 input,
+    and the result is then a view of it); the values do not change.
     """
-    padded = pad_to_blocks(plane.astype(np.float32), block)
+    padded = pad_to_blocks(plane.astype(np.float32, copy=False), block)
     tiles = to_blocks(padded, block)
-    return sfft.dctn(tiles, axes=(-2, -1), norm="ortho")
+    return sfft.dctn(tiles, axes=(-2, -1), norm="ortho", overwrite_x=overwrite)
 
 
 def inverse_dct(coeffs: np.ndarray, height: int, width: int) -> np.ndarray:

@@ -9,6 +9,7 @@ the codec.
 
 from __future__ import annotations
 
+import time
 import zlib
 from functools import lru_cache
 
@@ -39,6 +40,32 @@ def encode_levels(levels: np.ndarray, block: int, zlevel: int = 6) -> bytes:
     flat = levels.reshape(-1, block * block)
     scanned = flat[:, zigzag_order(block)]
     return zlib.compress(np.ascontiguousarray(scanned, dtype=np.int16).tobytes(), zlevel)
+
+
+def scan_levels(levels: np.ndarray, block: int) -> np.ndarray:
+    """Zigzag-scan quantized levels ``(..., nby, nbx, B, B)`` into
+    C-contiguous int16 rows ``(..., nby * nbx, B * B)``.
+
+    The first half of :func:`encode_levels`, for any number of leading
+    plane dimensions at once; each ``[..., :, :]`` plane of the result is
+    the exact buffer :func:`encode_levels` would deflate.
+    """
+    flat = levels.reshape(*levels.shape[:-4], -1, block * block)
+    return np.take(flat, zigzag_order(block), axis=-1)
+
+
+def deflate_planes(scanned: np.ndarray, zlevel: int) -> tuple[list[bytes], float]:
+    """Deflate each plane of a :func:`scan_levels` stack ``(P, n_blocks,
+    B * B)``; returns the payloads and the seconds spent.
+
+    The second half of :func:`encode_levels`.  ``zlib.compress`` reads
+    each plane through the buffer protocol (no ``tobytes`` copy) and
+    releases the GIL, so the encoder runs this on pool threads beside
+    its own array math.
+    """
+    began = time.perf_counter()
+    payloads = [zlib.compress(plane, zlevel) for plane in scanned]
+    return payloads, time.perf_counter() - began
 
 
 def decode_levels(

@@ -138,62 +138,82 @@ def _refine(
     return candidate if moved_cost < zero_cost else (0, 0)
 
 
-def estimate_global(reference_luma: np.ndarray, target_luma: np.ndarray) -> tuple[int, int]:
-    """Global translation estimate, computed on 2x-downsampled luma for
-    speed then refined to full-pixel units."""
-    ref = reference_luma[::2, ::2]
-    tgt = target_luma[::2, ::2]
-    if min(ref.shape) < 8:
-        ref, tgt = reference_luma, target_luma
-        return _refine(reference_luma, target_luma, phase_correlate(ref, tgt))
-    dy, dx = phase_correlate(ref, tgt)
-    return _refine(reference_luma, target_luma, (dy * 2, dx * 2))
-
-
-def estimate_tiled(
-    reference_luma: np.ndarray, target_luma: np.ndarray
+def correlate_stack(
+    references: np.ndarray, targets: np.ndarray
 ) -> list[tuple[int, int]]:
-    """Per-tile translations for a 2x2 tile grid (row-major order).
+    """:func:`phase_correlate` for every pair of a stack ``(N, h, w)``.
 
-    All four tiles share one shape, so their correlations run as a
-    single batched FFT over a stacked ``(4, hy, hx)`` array instead of
-    four separate :func:`phase_correlate` calls.  The transform is
-    applied independently per slice of the batch, so the estimated
-    vectors are bit-identical to the per-tile loop (fuzz-tested against
-    it in ``tests/test_codec.py``); this runs once per P-frame on the
-    ``hevc`` profile's encode path, and batching cuts its FFT dispatch
-    overhead by 4x.  The SAD mode decision (:func:`_refine`) stays
-    per-tile — its short-circuits depend on each tile's own candidate.
+    One batched FFT round serves all ``N`` pairs.  The transform applies
+    independently per trailing ``(h, w)`` slice, so each vector is
+    bit-identical to the single-pair call (fuzz-tested against it in
+    ``tests/test_codec.py``).
     """
-    h, w = reference_luma.shape
-    hy, hx = h // 2, w // 2
-    if min(hy, hx) < 8:
-        return [(0, 0)] * 4
-    tiles = [
-        (slice(ty * hy, (ty + 1) * hy), slice(tx * hx, (tx + 1) * hx))
-        for ty in (0, 1)
-        for tx in (0, 1)
-    ]
-    refs = np.stack([reference_luma[t] for t in tiles])
-    tgts = np.stack([target_luma[t] for t in tiles])
-    f_ref = np.fft.rfft2(refs)
-    f_tgt = np.fft.rfft2(tgts)
+    h, w = references.shape[-2:]
+    f_ref = np.fft.rfft2(references)
+    f_tgt = np.fft.rfft2(targets)
     cross = f_tgt * np.conj(f_ref)
     denom = np.abs(cross)
     denom[denom == 0.0] = 1.0
-    correlation = np.fft.irfft2(cross / denom, s=(hy, hx))
-    peaks = correlation.reshape(len(tiles), -1).argmax(axis=1)
+    correlation = np.fft.irfft2(cross / denom, s=(h, w))
+    peaks = correlation.reshape(len(references), -1).argmax(axis=1)
     vectors = []
-    for index in range(len(tiles)):
-        dy, dx = int(peaks[index] // hx), int(peaks[index] % hx)
-        if dy > hy // 2:
-            dy -= hy
-        if dx > hx // 2:
-            dx -= hx
+    for peak in peaks:
+        dy, dx = int(peak // w), int(peak % w)
+        if dy > h // 2:
+            dy -= h
+        if dx > w // 2:
+            dx -= w
         dy = int(np.clip(dy, -MAX_SHIFT, MAX_SHIFT))
         dx = int(np.clip(dx, -MAX_SHIFT, MAX_SHIFT))
-        vectors.append(_refine(refs[index], tgts[index], (dy, dx)))
+        vectors.append((dy, dx))
     return vectors
+
+
+def estimate_stack(
+    mode: str, references: np.ndarray, targets: np.ndarray
+) -> list[list[tuple[int, int]]]:
+    """Motion vectors for ``N`` independent (reference, target) luma
+    pairs, stacked ``(N, H, W)``: per pair none (``none``), one
+    (``global``) or four in row-major 2x2 tile order (``tiled``).
+
+    The pairs are frame ``k`` of ``N`` different GOPs (the encoder steps
+    a segment's GOPs in lockstep), or one pair for a lone frame; either
+    way every correlation of the step — ``N`` downsampled lumas, or
+    ``4N`` equal-shape tiles — runs through one :func:`correlate_stack`.
+    The SAD mode decision (:func:`_refine`) stays per vector: its
+    short-circuits depend on each candidate.
+    """
+    count = len(references)
+    if mode == "none":
+        return [[] for _ in range(count)]
+    h, w = references.shape[-2:]
+    if mode == "global":
+        # Estimated on 2x-downsampled luma for speed, then scaled back
+        # to full-pixel units; frames too small for that use full size.
+        refs, tgts, scale = references[:, ::2, ::2], targets[:, ::2, ::2], 2
+        if min(refs.shape[-2:]) < 8:
+            refs, tgts, scale = references, targets, 1
+        return [
+            [_refine(references[i], targets[i], (dy * scale, dx * scale))]
+            for i, (dy, dx) in enumerate(correlate_stack(refs, tgts))
+        ]
+    hy, hx = h // 2, w // 2
+    if min(hy, hx) < 8:
+        return [[(0, 0)] * 4 for _ in range(count)]
+
+    def tiles(lumas: np.ndarray) -> np.ndarray:
+        grid = lumas[:, : 2 * hy, : 2 * hx].reshape(count, 2, hy, 2, hx)
+        return grid.transpose(0, 1, 3, 2, 4).reshape(count * 4, hy, hx)
+
+    refs, tgts = tiles(references), tiles(targets)
+    peaks = correlate_stack(refs, tgts)
+    return [
+        [
+            _refine(refs[i], tgts[i], peaks[i])
+            for i in range(pair * 4, pair * 4 + 4)
+        ]
+        for pair in range(count)
+    ]
 
 
 def compensate_global(plane: np.ndarray, vector: tuple[int, int]) -> np.ndarray:

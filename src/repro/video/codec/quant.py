@@ -89,9 +89,17 @@ def quantize(
     """
     if not 0.0 < deadzone <= 0.5:
         raise ValueError(f"deadzone must be in (0, 0.5], got {deadzone}")
-    magnitudes = np.abs(coeffs) * fused_reciprocal(qp, block)
-    levels = np.sign(coeffs) * np.floor(magnitudes + deadzone)
-    return np.clip(levels, -32767, 32767).astype(np.int16)
+    # One float32 temporary, updated in place.  copysign(m, c) equals
+    # sign(c) * m for every m >= 0 once cast to an integer (where c is
+    # zero, m is floor(deadzone) = 0), and clipping m before the sign
+    # goes on equals clipping the signed level.
+    magnitudes = np.abs(coeffs)
+    magnitudes *= fused_reciprocal(qp, block)
+    magnitudes += deadzone
+    np.floor(magnitudes, out=magnitudes)
+    np.minimum(magnitudes, 32767, out=magnitudes)
+    np.copysign(magnitudes, coeffs, out=magnitudes)
+    return magnitudes.astype(np.int16)
 
 
 def dequantize(levels: np.ndarray, qp: float, block: int) -> np.ndarray:

@@ -260,9 +260,9 @@ def planes_to_frame(
         return planes[0]
     if fmt in ("yuv420", "yuv422"):
         y, u, v = planes
-        chroma = np.concatenate(
-            [u.reshape(-1, width), v.reshape(-1, width)], axis=0
-        )
+        # U then V, packed contiguously and folded into width-W rows: one
+        # plane alone need not fill whole rows (see ``_from_rgb``).
+        chroma = np.concatenate([u.ravel(), v.ravel()]).reshape(-1, width)
         return np.concatenate([y, chroma], axis=0)
     raise FormatError(f"unknown pixel format {fmt!r}")
 
@@ -285,17 +285,18 @@ def frames_plane_views(
         return [frames]
     if fmt in ("yuv420", "yuv422"):
         n = frames.shape[0]
-        chroma = frames[:, height:]
-        # U occupies the first half of each frame's chroma rows at full
-        # width (see planes_to_frame); each half reshapes — per frame,
+        # U then V fill each frame's chroma rows contiguously (see
+        # planes_to_frame).  One plane need not end on a row boundary
+        # (H = 26 in yuv420 gives 6.5 rows each), so split the flattened
+        # chroma bytes, not the rows; each half reshapes — per frame,
         # contiguously — to the subsampled plane geometry.
-        rows = chroma.shape[1] // 2
+        chroma = frames[:, height:].reshape(n, -1)
+        half = chroma.shape[1] // 2
         half_w = width // 2
-        sub_h = rows * width // half_w
         return [
             frames[:, :height],
-            chroma[:, :rows].reshape(n, sub_h, half_w),
-            chroma[:, rows:].reshape(n, sub_h, half_w),
+            chroma[:, :half].reshape(n, -1, half_w),
+            chroma[:, half:].reshape(n, -1, half_w),
         ]
     raise FormatError(f"unknown pixel format {fmt!r}")
 
@@ -385,17 +386,46 @@ def _from_rgb(rgb: np.ndarray, fmt: str, height: int, width: int) -> np.ndarray:
     raise FormatError(f"unknown pixel format {fmt!r}")
 
 
+#: Float32 elements per block of frames the whole-segment transforms
+#: (:func:`convert_segment`, ``resample.resize_segment``) work through at
+#: once.  They run a dozen float32 temporaries the size of their input;
+#: at 2**18 elements each is 1 MiB, so they stay cache-sized and inside
+#: the allocator's free lists, where whole-window temporaries (10 MB each
+#: for a four-second read) are fresh page-faulted memory on every call.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def frame_blocks(
+    num_frames: int, height: int, width: int, channels: int = 1
+) -> list[tuple[int, int]]:
+    """``[lo, hi)`` frame ranges covering ``num_frames`` in blocks whose
+    ``channels``-deep float32 temporaries hold ``_BLOCK_ELEMENTS``
+    elements (at least one frame each)."""
+    step = max(1, _BLOCK_ELEMENTS // (height * width * channels))
+    return [
+        (lo, min(lo + step, num_frames)) for lo in range(0, num_frames, step)
+    ]
+
+
 def convert_segment(segment: VideoSegment, fmt: str) -> VideoSegment:
     """Convert a segment to another pixel format.
 
     Conversions go through RGB; converting to the segment's own format
-    returns the segment unchanged (no copy).
+    returns the segment unchanged (no copy).  The work runs in fixed
+    blocks of frames written into one preallocated output — every step
+    is elementwise or per frame, so the bytes equal a whole-segment
+    conversion's.
     """
-    pixel_format(fmt)  # validate early
+    spec = pixel_format(fmt)  # validate early
     if fmt == segment.pixel_format:
         return segment
-    rgb = _to_rgb(segment)
-    pixels = _from_rgb(rgb, fmt, segment.height, segment.width)
+    height, width = segment.height, segment.width
+    pixels = np.empty(
+        (segment.num_frames, *spec.frame_shape(height, width)), dtype=np.uint8
+    )
+    for lo, hi in frame_blocks(segment.num_frames, height, width):
+        piece = segment.slice_frames(lo, hi)
+        pixels[lo:hi] = _from_rgb(_to_rgb(piece), fmt, height, width)
     return replace(segment, pixels=pixels, pixel_format=fmt)
 
 

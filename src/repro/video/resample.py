@@ -4,8 +4,8 @@ These implement the spatial (``S``) and temporal (``T``) transformations a
 VSS read may request.  All operations are pure functions over
 :class:`~repro.video.frame.VideoSegment` values.
 
-Resizing uses separable bilinear interpolation vectorized across the whole
-segment; chroma-subsampled formats are resized through RGB to avoid
+Resizing uses separable bilinear interpolation vectorized across blocks of
+frames; chroma-subsampled formats are resized through RGB to avoid
 compounding subsampling artifacts.
 """
 
@@ -16,7 +16,13 @@ from dataclasses import replace
 import numpy as np
 
 from repro.errors import FormatError
-from repro.video.frame import VideoSegment, _from_rgb, _to_rgb
+from repro.video.frame import (
+    VideoSegment,
+    _from_rgb,
+    _to_rgb,
+    frame_blocks,
+    pixel_format,
+)
 
 
 def _bilinear_axis(pixels: np.ndarray, new_size: int, axis: int) -> np.ndarray:
@@ -44,11 +50,23 @@ def resize_segment(segment: VideoSegment, width: int, height: int) -> VideoSegme
         raise ValueError(f"target resolution must be positive, got {width}x{height}")
     if (width, height) == segment.resolution:
         return segment
-    rgb = _to_rgb(segment).astype(np.float32)
-    rgb = _bilinear_axis(rgb, height, axis=1)
-    rgb = _bilinear_axis(rgb, width, axis=2)
-    rgb = np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
-    pixels = _from_rgb(rgb, segment.pixel_format, height, width)
+    fmt = segment.pixel_format
+    pixels = np.empty(
+        (segment.num_frames, *pixel_format(fmt).frame_shape(height, width)),
+        dtype=np.uint8,
+    )
+    # Frame by frame the filter is independent, so it runs in bounded
+    # blocks (see ``frame_blocks``): the same bytes as one pass over the
+    # whole window, without its window-sized float32 temporaries.
+    blocks = frame_blocks(
+        segment.num_frames, segment.height, segment.width, channels=3
+    )
+    for lo, hi in blocks:
+        rgb = _to_rgb(segment.slice_frames(lo, hi)).astype(np.float32)
+        rgb = _bilinear_axis(rgb, height, axis=1)
+        rgb = _bilinear_axis(rgb, width, axis=2)
+        rgb = np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
+        pixels[lo:hi] = _from_rgb(rgb, fmt, height, width)
     return replace(segment, pixels=pixels, height=height, width=width)
 
 

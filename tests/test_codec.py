@@ -304,9 +304,47 @@ class TestMotion:
             motion.shift_plane(ref, dy, dx)
             + rng.normal(0, 2, size=(height, width)).astype(np.float32)
         )
-        assert motion.estimate_tiled(ref, tgt) == (
+        assert motion.estimate_stack("tiled", ref[None], tgt[None]) == [
             self._estimate_tiled_scalar_reference(ref, tgt)
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        mode=st.sampled_from(["none", "global", "tiled"]),
+        height=st.integers(4, 60),
+        width=st.integers(4, 60),
+        count=st.integers(1, 5),
+    )
+    def test_estimate_stack_matches_single_pairs(
+        self, seed, mode, height, width, count
+    ):
+        # The encoder estimates frame k of several GOPs in one stacked
+        # call; each pair's vectors must equal a call on that pair alone
+        # (and, for ``global``, the single-pair ``phase_correlate``).
+        rng = np.random.default_rng(seed)
+        refs = rng.integers(0, 255, size=(count, height, width)).astype(
+            np.float32
         )
+        tgts = np.stack(
+            [
+                motion.shift_plane(ref, int(dy), int(dx))
+                for ref, (dy, dx) in zip(refs, rng.integers(-5, 6, (count, 2)))
+            ]
+        ) + rng.normal(0, 2, size=refs.shape).astype(np.float32)
+        stacked = motion.estimate_stack(mode, refs, tgts)
+        assert stacked == [
+            motion.estimate_stack(mode, refs[i : i + 1], tgts[i : i + 1])[0]
+            for i in range(count)
+        ]
+        if mode == "global" and min(height, width) >= 16:
+            for i in range(count):
+                dy, dx = motion.phase_correlate(
+                    refs[i, ::2, ::2], tgts[i, ::2, ::2]
+                )
+                assert stacked[i] == [
+                    motion._refine(refs[i], tgts[i], (2 * dy, 2 * dx))
+                ]
 
     def test_estimate_tiled_recovers_per_tile_shifts(self):
         # Distinct motion per quadrant: each tile's vector must track its
@@ -317,7 +355,7 @@ class TestMotion:
         tgt = base.copy()
         tgt[:48, :48] = motion.shift_plane(base[:48, :48], 3, 0)
         tgt[48:, 48:] = motion.shift_plane(base[48:, 48:], 0, -4)
-        vectors = motion.estimate_tiled(base, tgt)
+        (vectors,) = motion.estimate_stack("tiled", base[None], tgt[None])
         assert vectors[0] == (3, 0)
         assert vectors[3] == (0, -4)
 
@@ -407,6 +445,13 @@ _GEOMETRIES = [
     ("gray", 13, 19),
     ("yuv420", 12, 22),
     ("yuv422", 18, 26),
+    # 50x26: neither side a multiple of either block size, tiles large
+    # enough for the tiled estimator to run, and (yuv420) chroma planes
+    # of 13x25 that do not end on a row of the packed frame.
+    ("rgb", 26, 50),
+    ("gray", 26, 50),
+    ("yuv420", 26, 50),
+    ("yuv422", 26, 50),
 ]
 
 
@@ -449,25 +494,108 @@ class TestBatchedFastPathBitIdentity:
             )
         )
 
-    @settings(max_examples=40, deadline=None)
+    @pytest.fixture(scope="class")
+    def executors(self):
+        """The three executor settings a caller can hand the encoder."""
+        pools = {None: None, 1: Executor(parallelism=1), 2: Executor(parallelism=2)}
+        yield pools
+        pools[2].shutdown()
+
+    @settings(max_examples=120, deadline=None)
     @given(
         seed=st.integers(0, 2**31),
         motion_mode=st.sampled_from(["none", "global", "tiled"]),
         block=st.sampled_from([8, 16]),
         qp=st.sampled_from([0, 14, 40]),
         geometry=st.sampled_from(_GEOMETRIES),
-        n=st.integers(1, 5),
+        num_gops=st.sampled_from([1, 2, 3, 5]),
+        gop_size=st.integers(1, 4),
+        tail=st.integers(1, 4),
+        parallelism=st.sampled_from([None, 1, 2]),
     )
     def test_encode_matches_scalar_reference(
-        self, seed, motion_mode, block, qp, geometry, n
+        self, executors, seed, motion_mode, block, qp, geometry,
+        num_gops, gop_size, tail, parallelism,
     ):
+        # ``num_gops`` GOPs of ``gop_size`` frames, the last one cut to
+        # ``tail``: one to five lockstep chains, more than one pass at
+        # five, and a chain that runs out before the others.
         fmt, height, width = geometry
         codec = self._codec(motion_mode, block)
+        n = (num_gops - 1) * gop_size + min(tail, gop_size)
         seg = _drifting_segment(seed, fmt, height, width, n)
-        batched = codec.encode_gop(seg, qp=qp)
-        scalar = codec.encode_gop_scalar(seg, qp=qp)
-        assert batched.frame_types == scalar.frame_types
-        assert batched.payloads == scalar.payloads
+        seg.start_time = 1.25
+        gops = codec.encode_segment(
+            seg, qp=qp, gop_size=gop_size, executor=executors[parallelism]
+        )
+        assert len(gops) == num_gops
+        for index, gop in enumerate(gops):
+            piece = seg.slice_frames(
+                index * gop_size, min((index + 1) * gop_size, n)
+            )
+            scalar = codec.encode_gop_scalar(piece, qp=qp)
+            assert gop.start_time == scalar.start_time
+            assert gop.frame_types == scalar.frame_types
+            assert gop.payloads == scalar.payloads
+        # ``encode_gop`` is the same kernel's one-GOP case.
+        assert codec.encode_gop(seg, qp=qp).payloads == (
+            codec.encode_gop_scalar(seg, qp=qp).payloads
+        )
+
+    def test_one_gop_encode_uses_the_pool(self, tiny_clip):
+        # A one-GOP encode has no second GOP to overlap with; its deflate
+        # tasks must still leave the calling thread.
+        codec = codec_for("hevc")
+        executor = Executor(parallelism=2)
+        try:
+            (gop,) = codec.encode_segment(
+                tiny_clip, qp=14, gop_size=tiny_clip.num_frames,
+                executor=executor,
+            )
+            assert executor._pool is not None
+        finally:
+            executor.shutdown()
+        # One task per frame (rgb is one plane group), counted by the
+        # pool's done-callbacks, so read after the join.
+        assert executor.tasks_completed == tiny_clip.num_frames
+        assert gop.payloads == codec.encode_gop_scalar(tiny_clip, qp=14).payloads
+
+    def test_encode_from_pool_worker_returns_same_bytes(self, tiny_clip):
+        # ``encode_segment`` joins the deflate tasks it submitted.  Called
+        # from tasks that occupy every worker of the same pool (cache
+        # admission does this), queued subtasks would never start; the
+        # executor's in-worker rule runs them inline instead.  A
+        # regression hangs here, so the wait is bounded.
+        codec = codec_for("h264")
+        expected = [
+            g.payloads for g in codec.encode_segment(tiny_clip, qp=14, gop_size=6)
+        ]
+        assert len(expected) == 4
+        executor = Executor(parallelism=2)
+        try:
+            futures = [
+                executor.submit(
+                    lambda: codec.encode_segment(
+                        tiny_clip, qp=14, gop_size=6, executor=executor
+                    )
+                )
+                for _ in range(2)
+            ]
+            for future in futures:
+                gops = future.result(timeout=60)
+                assert [g.payloads for g in gops] == expected
+        finally:
+            executor.shutdown()
+
+    def test_encode_timings_populated(self, tiny_clip):
+        codec = codec_for("h264")
+        timings = CodecTimings()
+        codec.encode_segment(tiny_clip, qp=14, gop_size=8, timings=timings)
+        codec.encode_segment(tiny_clip, qp=14, gop_size=8, timings=timings)
+        assert timings.frames_encoded == 2 * tiny_clip.num_frames
+        assert timings.encode_recurrence_seconds > 0.0
+        assert timings.encode_entropy_seconds > 0.0
+        assert timings.frames_decoded == 0
 
     @settings(max_examples=40, deadline=None)
     @given(

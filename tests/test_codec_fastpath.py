@@ -1,11 +1,12 @@
-"""Codec decode fast-path observability across every access path.
+"""Codec fast-path observability across every access path.
 
-The stage counters introduced with the GOP-batched decode must be
-visible (a) per read in ``ReadStats``, (b) store-wide in ``EngineStats``
-and both servers' ``/metrics`` documents, and (c) cluster-wide in the
-router's rolled-up ``codec`` section — with the pixels themselves
-byte-identical across local session, HTTP service, binary service, and
-routed reads on a tiled store.
+The stage counters of the GOP-batched decode, and the recurrence /
+entropy / frame counters of the two-stage encode, must be visible (a)
+per read in ``ReadStats``, (b) store-wide in ``EngineStats`` and both
+servers' ``/metrics`` documents, and (c) cluster-wide in the router's
+rolled-up ``codec`` section — with the pixels themselves byte-identical
+across local session, HTTP service, binary service, and routed reads on
+a tiled store.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from repro.server.http import VSSServer
 #: An ROI inside the top-left tile of a 2x2 grid over 64x36 frames.
 _ROI = (4, 2, 28, 16)
 
+#: A window unaligned with the stored GOPs in another codec: answered by
+#: re-encoding 18 frames, never by a direct serve.
+_TRANSCODE = ReadSpec("cam", 0.1, 0.7, codec="hevc", qp=14, cache=False)
+
 _CODEC_METRIC_KEYS = (
     "codec_entropy_seconds",
     "codec_transform_seconds",
@@ -30,6 +35,9 @@ _CODEC_METRIC_KEYS = (
     "codec_frames_decoded",
     "codec_decoded_bytes",
     "codec_decode_mb_per_s",
+    "codec_encode_recurrence_seconds",
+    "codec_encode_entropy_seconds",
+    "codec_frames_encoded",
 )
 
 
@@ -115,6 +123,51 @@ class TestReadStatsCodecCounters:
         )
 
 
+class TestReadStatsEncodeCounters:
+    def test_transcoding_read_populates_encode_counters(
+        self, engine, tiny_clip
+    ):
+        _load(engine, tiny_clip)
+        stats = engine.read(_TRANSCODE).stats
+        assert not stats.direct_serve
+        assert stats.codec_frames_encoded == 18
+        assert stats.codec_encode_recurrence_seconds > 0.0
+        assert stats.codec_encode_entropy_seconds > 0.0
+
+    def test_raw_and_direct_serve_reads_encode_nothing(
+        self, engine, tiny_clip
+    ):
+        _load(engine, tiny_clip)
+        raw = engine.read(ReadSpec("cam", 0.0, 0.8, cache=False))
+        direct = engine.read(
+            ReadSpec("cam", 0.0, 0.8, codec="h264", qp=10, cache=False)
+        )
+        assert direct.stats.direct_serve
+        for stats in (raw.stats, direct.stats):
+            assert stats.codec_frames_encoded == 0
+            assert stats.codec_encode_recurrence_seconds == 0.0
+            assert stats.codec_encode_entropy_seconds == 0.0
+
+    def test_engine_stats_roll_up_reads_and_streams(self, engine, tiny_clip):
+        _load(engine, tiny_clip)
+        spec = ReadSpec("cam", 0.1, 0.7, codec="h264", qp=20, cache=False)
+        read = engine.read(spec)
+        stream = engine.read_stream(spec)
+        for _ in stream:
+            pass
+        stats = engine.stats()
+        assert stream.stats.codec_frames_encoded == 18
+        assert stats.codec_frames_encoded == 36
+        assert stats.codec_encode_recurrence_seconds == pytest.approx(
+            read.stats.codec_encode_recurrence_seconds
+            + stream.stats.codec_encode_recurrence_seconds
+        )
+        assert stats.codec_encode_entropy_seconds == pytest.approx(
+            read.stats.codec_encode_entropy_seconds
+            + stream.stats.codec_encode_entropy_seconds
+        )
+
+
 class TestTransportParityTiledStore:
     """Same bytes, same counters, on every access path to a tiled store."""
 
@@ -139,12 +192,17 @@ class TestTransportParityTiledStore:
                 full = http.read(specs[0])
                 assert full.stats.codec_decode_seconds > 0.0
                 assert full.stats.decode_mb_per_s > 0.0
+                transcoded = http.read(_TRANSCODE)
+                assert transcoded.stats.codec_frames_encoded == 18
+                assert transcoded.stats.codec_encode_entropy_seconds > 0.0
                 metrics = http.metrics()
         engine_doc = metrics["engine"]
         for key in _CODEC_METRIC_KEYS:
             assert key in engine_doc
         assert engine_doc["codec_frames_decoded"] > 0
         assert engine_doc["codec_decode_mb_per_s"] > 0.0
+        assert engine_doc["codec_frames_encoded"] == 18
+        assert engine_doc["codec_encode_recurrence_seconds"] > 0.0
         with VSSBinaryServer(engine=engine) as bin_server:
             with VSSBinaryClient(*bin_server.address) as binary:
                 for spec, expect in zip(specs, baseline):
@@ -152,8 +210,10 @@ class TestTransportParityTiledStore:
                     assert np.array_equal(result.segment.pixels, expect)
                 full = binary.read(specs[0])
                 assert full.stats.codec_decode_seconds > 0.0
+                assert binary.read(_TRANSCODE).stats.codec_frames_encoded == 18
                 bin_metrics = binary.metrics()
         assert bin_metrics["engine"]["codec_frames_decoded"] > 0
+        assert bin_metrics["engine"]["codec_frames_encoded"] == 36
 
     def test_router_parity_and_codec_rollup(
         self, tmp_path, calibration, tiny_clip, specs
@@ -179,9 +239,13 @@ class TestTransportParityTiledStore:
                             assert np.array_equal(
                                 result.segment.pixels, expect
                             )
+                        client.read(_TRANSCODE)
                     rolled = router.engine.stats()["codec"]
                     for key in _CODEC_METRIC_KEYS:
                         assert key in rolled
+                    assert rolled["codec_frames_encoded"] == 18
+                    assert rolled["codec_encode_recurrence_seconds"] > 0.0
+                    assert rolled["codec_encode_entropy_seconds"] > 0.0
                     assert rolled["codec_frames_decoded"] > 0
                     assert rolled["codec_decoded_bytes"] > 0
                     assert rolled["codec_decode_mb_per_s"] > 0.0

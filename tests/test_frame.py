@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FormatError
+from repro.video import frame as frame_module
 from repro.video.frame import (
     PIXEL_FORMATS,
     VideoSegment,
     blank_segment,
     convert_segment,
     frame_planes,
+    frames_plane_views,
     pixel_format,
     planes_to_frame,
 )
@@ -131,6 +133,20 @@ class TestPlanes:
         rebuilt = planes_to_frame(planes, fmt, seg.height, seg.width)
         assert np.array_equal(rebuilt, frame)
 
+    @pytest.mark.parametrize("fmt", ["rgb", "gray", "yuv420", "yuv422"])
+    def test_plane_views_alias_the_stack(self, fmt):
+        # 26 rows: each yuv420 chroma plane is 13x25 = 6.5 rows of the
+        # packed frame, so the U/V split falls inside a row.
+        seg = make_segment(n=3, h=26, w=50, fmt=fmt)
+        views = frames_plane_views(seg.pixels, fmt, 26, 50)
+        for index in range(seg.num_frames):
+            for view, plane in zip(views, seg.planes(index)):
+                assert np.array_equal(view[index], plane)
+        for view in views:
+            assert np.shares_memory(view, seg.pixels)
+        rebuilt = planes_to_frame(seg.planes(0), fmt, 26, 50)
+        assert np.array_equal(rebuilt, seg.frame(0))
+
     def test_plane_counts(self):
         seg = make_segment(fmt="yuv420")
         planes = seg.planes(0)
@@ -151,6 +167,22 @@ class TestConversions:
     def test_identity_conversion_is_noop(self):
         seg = make_segment()
         assert convert_segment(seg, "rgb") is seg
+
+    @pytest.mark.parametrize("fmt", ["gray", "yuv420", "yuv422"])
+    def test_blocked_conversion_equals_whole_segment(self, fmt, monkeypatch):
+        # ``convert_segment`` works through the frames in fixed blocks to
+        # bound its float temporaries; the bytes must equal converting
+        # the whole window at once, in both directions, when the window
+        # is several blocks plus a remainder.
+        seg = make_segment(n=11, h=26, w=50)
+        monkeypatch.setattr(frame_module, "_BLOCK_ELEMENTS", 3 * 26 * 50)
+        out = convert_segment(seg, fmt)
+        whole = frame_module._from_rgb(seg.pixels, fmt, 26, 50)
+        assert out.pixels.dtype == np.uint8
+        assert np.array_equal(out.pixels, whole)
+        back = convert_segment(out, "rgb")
+        assert np.array_equal(back.pixels, frame_module._to_rgb(out))
+        assert back.start_time == seg.start_time and back.fps == seg.fps
 
     def test_yuv420_roundtrip_near_lossless_on_smooth_content(self):
         # Chroma subsampling loses high-frequency colour; smooth gradients

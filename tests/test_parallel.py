@@ -68,6 +68,36 @@ class TestExecutor:
         with pytest.raises(ValueError):
             Executor(parallelism=0)
 
+    def test_submit_and_map_from_a_worker_run_inline(self):
+        # One rule for both entry points: work handed over *from* a pool
+        # worker runs on that worker.  With both workers occupied by
+        # tasks that submit and wait, queued subtasks would never start.
+        executor = Executor(parallelism=2)
+
+        def nested(_):
+            inner = executor.submit(threading.get_ident)
+            mapped = executor.map(lambda _: threading.get_ident(), [0, 1])
+            assert inner.done()
+            return threading.get_ident(), inner.result(), mapped
+
+        try:
+            outer = [executor.submit(nested, k) for k in range(2)]
+            for future in outer:
+                worker, inner, mapped = future.result(timeout=30)
+                assert worker != threading.get_ident()
+                assert inner == worker and set(mapped) == {worker}
+        finally:
+            executor.shutdown()
+        # Nested work is counted like any other (read after the join: a
+        # pooled task is counted by its done-callback).
+        assert executor.tasks_completed == 2 + 2 + 4
+
+    def test_submit_mirrors_exceptions_when_inline(self):
+        executor = Executor(parallelism=1)
+        future = executor.submit(lambda: 1 // 0)
+        with pytest.raises(ZeroDivisionError):
+            future.result()
+
 
 # ----------------------------------------------------------------------
 # bit-exactness of the parallel pipeline

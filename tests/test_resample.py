@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.video import frame as frame_module
 from repro.video.frame import VideoSegment, blank_segment
 from repro.video.resample import crop_roi, resample_fps, resize_segment
 from tests.test_frame import make_segment
@@ -29,6 +30,19 @@ class TestResize:
         seg = blank_segment(2, 12, 16, 30.0, fill=123)
         out = resize_segment(seg, 8, 6)
         assert np.all(out.pixels == 123)
+
+    @pytest.mark.parametrize("fmt", ["rgb", "gray", "yuv420"])
+    @pytest.mark.parametrize("target", [(24, 12), (80, 40), (50, 26)])
+    def test_blocked_resize_equals_whole_segment(self, fmt, target, monkeypatch):
+        # The resize runs in bounded blocks of frames; per frame the
+        # filter is independent, so several blocks plus a remainder must
+        # give the bytes of one block spanning the whole window.
+        seg = make_segment(n=11, h=26, w=50, fmt=fmt)
+        whole = resize_segment(seg, *target)
+        monkeypatch.setattr(frame_module, "_BLOCK_ELEMENTS", 3 * 3 * 26 * 50)
+        blocked = resize_segment(seg, *target)
+        assert blocked.pixels.shape == whole.pixels.shape
+        assert np.array_equal(blocked.pixels, whole.pixels)
 
     def test_invalid_target_rejected(self):
         with pytest.raises(ValueError):

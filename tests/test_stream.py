@@ -291,3 +291,46 @@ class TestParallelStream:
         finally:
             serial.close()
             parallel.close()
+
+    def test_streamed_transcode_fans_out_like_read(
+        self, tmp_path, calibration, three_second_clip, monkeypatch
+    ):
+        # A streamed hevc window re-encodes block by block; every block
+        # must go through the same executor fan-out as the one-shot read
+        # and produce the same three GOPs' bytes.
+        from repro.video.codec.blockcodec import BlockCodec
+
+        engine = VSSEngine(
+            tmp_path / "p2", calibration=calibration, parallelism=2
+        )
+        seen = []
+        encode_segment = BlockCodec.encode_segment
+
+        def recording(self, *args, **kwargs):
+            seen.append(kwargs.get("executor"))
+            return encode_segment(self, *args, **kwargs)
+
+        try:
+            session = engine.session()
+            session.write(
+                "v", three_second_clip, codec="h264", qp=10, gop_size=30
+            )
+            engine.drain_admissions()
+            spec = ReadSpec(
+                "v", 0.15, 2.85, codec="hevc", qp=14, cache=False
+            )
+            monkeypatch.setattr(BlockCodec, "encode_segment", recording)
+            full = session.read(spec)
+            stream = session.read_stream(spec)
+            streamed = [g for chunk in stream for g in chunk.gops]
+        finally:
+            engine.close()
+        assert len(full.gops) == 3
+        assert b"".join(p for g in streamed for p in g.payloads) == (
+            b"".join(p for g in full.gops for p in g.payloads)
+        )
+        assert len(seen) == 1 + 3 and all(e is engine.executor for e in seen)
+        assert stream.stats.codec_frames_encoded == (
+            full.stats.codec_frames_encoded
+        ) == 81
+
