@@ -28,7 +28,6 @@ engine/session migration guide plus the service API and wire protocol.
 """
 
 from repro.client import (
-    BinaryReadStream,
     RemoteReadResult,
     RemoteReadStream,
     VSSBinaryClient,
@@ -53,7 +52,6 @@ from repro.video.frame import VideoSegment
 __version__ = "2.3.0"
 
 __all__ = [
-    "BinaryReadStream",
     "ReadChunk",
     "ReadRequest",
     "ReadResult",

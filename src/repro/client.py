@@ -1,16 +1,12 @@
 """Session-shaped clients for a remote VSS server: HTTP and binary.
 
-Two transports, one surface.  :class:`VSSClient` speaks the HTTP/JSON
-service (:class:`repro.server.VSSServer`); :class:`VSSBinaryClient`
-speaks the length-prefixed binary frame protocol
-(:class:`repro.server.VSSBinaryServer`).  Both mirror
-:class:`repro.core.engine.Session` — ``read`` / ``read_stream`` /
-``read_batch`` / ``read_async`` / ``write`` plus one method per unary
-operation of the service-op table (:data:`repro.core.ops.OPS`: catalog,
-views, search, reindex, metrics), each a thin wrapper over
-``_rpc(op, params)`` — so application code runs unchanged against a
-local engine, an HTTP server, or a binary server (the parity is asserted
-by introspection in ``tests/test_views.py``)::
+One client, two transports.  :class:`_RemoteClientBase` is the whole
+Session-shaped surface — ``read`` / ``read_stream`` / ``read_batch`` /
+``read_async`` / ``write`` plus one method per unary operation of the
+service-op table (:data:`repro.core.ops.OPS`: catalog, views, search,
+reindex, metrics) — so application code runs unchanged against a local
+engine, an HTTP server, or a binary server (the parity is asserted by
+introspection in ``tests/test_views.py``)::
 
     client = VSSBinaryClient("127.0.0.1", 8721, codec="h264", qp=12)
     client.write("traffic", segment)
@@ -18,23 +14,28 @@ by introspection in ``tests/test_views.py``)::
     for chunk in client.read_stream("traffic", 0.0, 120.0, codec="raw"):
         consume(chunk.segment)        # O(GOP window) resident, both sides
 
-Requests are serialized through :mod:`repro.core.wire`, so a spec built
-here is revalidated identically on the server, and server-side errors
+The data plane is the same on both transports: ``read``, ``read_batch``
+and ``write`` send one ``REQUEST`` frame and parse the frames that
+answer it (:mod:`repro.core.wire`; pixel payloads are ``np.frombuffer``
+views of the received frame).  A transport subclass supplies two hooks
+and nothing else:
+
+* ``_rpc(op, params)`` — one unary op: its REST route over HTTP, a
+  ``REQUEST``/``REPLY`` frame pair over binary;
+* ``_send_request(op, request)`` — put the request frame on the wire and
+  hand back the file-like its answer arrives on, plus what to do with
+  the connection afterwards.  :class:`VSSClient` POSTs the frame to
+  ``/v1/<op>`` on a connection of its own (which keeps a single client
+  safe to share across threads) and hangs up after the answer;
+  :class:`VSSBinaryClient` keeps a small pool of persistent
+  connections — the protocol is strictly request/response delimited, so
+  a drained response leaves the connection at a frame boundary and the
+  next call reuses it, skipping the TCP handshake and HTTP parsing.
+
+Specs are revalidated identically on the server, and server-side errors
 re-raise as the same :mod:`repro.errors` classes; a busy rejection (HTTP
-429 / binary ``ServerBusyError`` envelope) raises
-:class:`ServerBusyError` carrying the server's retry hint either way.
-
-Transport differences worth knowing:
-
-* the HTTP client opens one connection per call (which keeps a single
-  client safe to share across threads) and frames metadata as JSON
-  lines inside chunked transfer encoding;
-* the binary client keeps a small pool of persistent connections —
-  the frame protocol is strictly request/response delimited, so a
-  drained response leaves the connection at a clean boundary and the
-  next call reuses it, skipping the TCP handshake and HTTP parsing on
-  the hot read path.  Pixel payloads are parsed zero-copy
-  (``np.frombuffer`` over the received frame's memoryview).
+429 / ``ServerBusyError`` envelope) raises :class:`ServerBusyError`
+carrying the server's retry hint either way.
 """
 
 from __future__ import annotations
@@ -56,13 +57,7 @@ from repro.core.reader import (
     ReadStats,
     collect_chunks,
 )
-from repro.core.specs import (
-    READ_SPEC_FIELDS,
-    WRITE_SPEC_FIELDS,
-    ReadSpec,
-    ViewSpec,
-    WriteSpec,
-)
+from repro.core.specs import ReadSpec, SpecDefaults, ViewSpec, WriteSpec
 from repro.core.wire import (
     FRAME_END,
     FRAME_ERROR,
@@ -72,16 +67,14 @@ from repro.core.wire import (
     FRAME_RESULT_GOPS,
     FRAME_RESULT_SEGMENT,
     FRAME_SEGMENT,
-    check_frame_length,
+    decode_content,
     encode_frame,
     error_from_dict,
-    parse_frame,
+    read_frame,
     read_spec_to_dict,
     read_stats_from_dict,
     search_hit_from_dict,
     search_query_to_dict,
-    segment_from_payload,
-    segment_payload,
     segment_payload_view,
     segment_to_meta,
     view_spec_to_dict,
@@ -95,7 +88,6 @@ from repro.search.query import (
     SearchHit,
     like_to_vector,
 )
-from repro.video.codec.container import decode_container
 from repro.video.codec.registry import codec_for
 from repro.video.frame import VideoSegment
 
@@ -128,27 +120,73 @@ class RemoteReadResult:
         return self.segment.nbytes
 
 
-def _collect_stream(stream) -> RemoteReadResult:
-    """Drain a remote stream's chunks into one :class:`RemoteReadResult`."""
-    segment, gops = collect_chunks(stream)
-    stats = stream.stats if stream.stats is not None else ReadStats()
-    return RemoteReadResult(segment, gops, stats)
+class _FrameReply:
+    """The frames answering one request, read off a blocking file-like.
+
+    Iterating yields ``(frame_type, header, payload)`` for each frame of
+    the ``expect``-ed content types and stops at the ``last`` frame
+    (``END``, or ``REPLY`` for a one-frame answer), whose header lands
+    in :attr:`end`; an ``ERROR`` frame raises the error it envelopes.
+    ``done(clean)`` runs exactly once, when the conversation ends:
+    ``clean`` says the answer was read up to a frame boundary, so its
+    connection may carry another request.
+    """
+
+    def __init__(self, rfile, done, expect: tuple, last: int):
+        self._rfile = rfile
+        self._done = done
+        self._expect = expect
+        self._last = last
+        self.end: dict | None = None
+
+    def __iter__(self) -> "_FrameReply":
+        return self
+
+    def __next__(self) -> tuple[int, dict, memoryview]:
+        if self._done is None:
+            raise StopIteration
+        try:
+            frame_type, header, payload = read_frame(self._rfile)
+        except BaseException:
+            self.close()
+            raise
+        if frame_type in self._expect:
+            return frame_type, header, payload
+        # Anything else ends the conversation.  The last frame and an
+        # error frame are complete: the framing is intact either way.
+        self.close(clean=frame_type in (self._last, FRAME_ERROR))
+        if frame_type == self._last:
+            self.end = header
+            raise StopIteration
+        if frame_type == FRAME_ERROR:
+            raise error_from_dict(header)
+        raise WireError(f"unexpected frame type {frame_type:#04x} in a reply")
+
+    def close(self, clean: bool = False) -> None:
+        done, self._done = self._done, None
+        if done is not None:
+            done(clean)
+
+    def __enter__(self) -> "_FrameReply":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
 
 class RemoteReadStream:
-    """Client half of an HTTP streamed read: lazily parses chunk frames.
+    """Client half of a streamed read, on either transport.
 
     Iterating yields :class:`repro.core.reader.ReadChunk` objects (the
     same type the in-process stream yields); ``stats`` holds the
     server's final :class:`ReadStats` once the stream is exhausted.
-    Closing early drops the connection; the server abandons its side on
-    the broken pipe.
+    Closing early drops the connection (unread frames are in flight);
+    the server abandons its side on the broken pipe.
     """
 
-    def __init__(self, conn: HTTPConnection, response: HTTPResponse):
-        self._conn = conn
-        self._response = response
-        self._done = False
+    def __init__(self, reply: _FrameReply, on_failure=None):
+        self._reply = reply
+        self._on_failure = on_failure
         self.stats: ReadStats | None = None
         self.chunks_pulled = 0
 
@@ -156,47 +194,34 @@ class RemoteReadStream:
         return self
 
     def __next__(self) -> ReadChunk:
-        if self._done:
-            raise StopIteration
-        frame = _read_meta(self._response)
-        kind = frame.get("type")
-        if kind == "end":
-            self.stats = read_stats_from_dict(frame["stats"])
-            # Drain the terminal transfer-encoding chunk so the server's
-            # final write lands on an open socket, then hang up.
-            self._response.read()
-            self.close()
-            raise StopIteration
-        if kind == "error":
-            self.close()
-            raise error_from_dict(frame)
-        if kind == "segment":
-            payload = _read_exact(self._response, frame["nbytes"])
-            segment = segment_from_payload(frame["meta"], payload)
+        try:
+            frame_type, header, payload = next(self._reply)
+            segment, gops = decode_content(frame_type, header, payload)
             chunk = ReadChunk(
-                frame["index"], segment.start_time, segment.end_time,
-                segment, None,
+                header["index"], header["start_time"], header["end_time"],
+                segment, gops,
             )
-        elif kind == "gops":
-            gops = _read_gops(self._response, frame["sizes"])
-            chunk = ReadChunk(
-                frame["index"], frame["start_time"], frame["end_time"],
-                None, gops,
-            )
-        else:
+        except StopIteration:
+            if self._reply.end is not None:
+                self.stats = read_stats_from_dict(self._reply.end["stats"])
+            raise
+        except Exception:
             self.close()
-            raise WireError(f"unexpected stream frame {frame!r}")
+            if self._on_failure is not None:
+                self._on_failure()
+            raise
         self.chunks_pulled += 1
         return chunk
 
     def collect(self) -> RemoteReadResult:
         """Drain the remaining chunks into one :class:`RemoteReadResult`."""
-        return _collect_stream(self)
+        segment, gops = collect_chunks(self)
+        stats = self.stats if self.stats is not None else ReadStats()
+        return RemoteReadResult(segment, gops, stats)
 
     def close(self) -> None:
-        if not self._done:
-            self._done = True
-            self._conn.close()
+        """Abandon the stream early (drops the connection)."""
+        self._reply.close()
 
     def __enter__(self) -> "RemoteReadStream":
         return self
@@ -205,59 +230,15 @@ class RemoteReadStream:
         self.close()
 
 
-def _read_exact(response: HTTPResponse, nbytes: int) -> bytes:
-    pieces = []
-    remaining = nbytes
-    while remaining > 0:
-        piece = response.read(remaining)
-        if not piece:
-            raise WireError(
-                f"stream truncated: expected {nbytes} payload bytes, got "
-                f"{nbytes - remaining}"
-            )
-        pieces.append(piece)
-        remaining -= len(piece)
-    return b"".join(pieces)
+class _RemoteClientBase(SpecDefaults):
+    """A Session-shaped client, all but the socket.
 
-
-def _read_meta(response: HTTPResponse) -> dict:
-    line = response.readline()
-    if not line:
-        raise WireError("stream truncated before its end frame")
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise WireError(f"malformed stream frame {line!r}: {exc}") from exc
-
-
-def _read_gops(response: HTTPResponse, sizes: list[int]) -> list:
-    return [
-        decode_container(_read_exact(response, size)) for size in sizes
-    ]
-
-
-def _slice_gops(payload: memoryview, sizes: list[int]) -> list:
-    """Split one binary frame's payload into decoded GOP containers."""
-    gops, offset = [], 0
-    for size in sizes:
-        gops.append(decode_container(bytes(payload[offset:offset + size])))
-        offset += size
-    if offset != payload.nbytes:
-        raise WireError(
-            f"GOP frame payload is {payload.nbytes} bytes; sizes sum to "
-            f"{offset}"
-        )
-    return gops
-
-
-class _RemoteClientBase:
-    """The transport-independent half of a Session-shaped client.
-
-    Subclasses provide the wire: :meth:`_rpc` for one-shot operations,
-    :meth:`_open_read_stream` for streamed reads, :meth:`_send_write`
-    for raw-segment writes, and :meth:`read_batch`.  Everything else —
-    spec defaults and builders, :class:`SessionStats` accounting, the
-    ``read_async`` pool, the catalog surface — lives here once.
+    Subclasses provide the wire: :meth:`_rpc` for one unary operation
+    and :meth:`_send_request` for a data-plane request frame.
+    Everything else — spec defaults and builders (:class:`SpecDefaults`),
+    the read / batch / write conversations, :class:`SessionStats`
+    accounting, the ``read_async`` pool, the catalog surface — lives
+    here once.
     """
 
     def __init__(
@@ -268,18 +249,12 @@ class _RemoteClientBase:
         busy_retries: int = 0,
         **defaults,
     ):
-        unknown = set(defaults) - (READ_SPEC_FIELDS | WRITE_SPEC_FIELDS)
-        if unknown:
-            raise TypeError(
-                f"unknown client default(s) {sorted(unknown)}; expected "
-                f"fields of ReadSpec/WriteSpec"
-            )
+        super().__init__(defaults)
         if busy_retries < 0:
             raise ValueError(f"busy_retries must be >= 0, got {busy_retries}")
         self.host = host
         self.port = port
         self.timeout = timeout
-        self._defaults = dict(defaults)
         self._busy_retries = busy_retries
         #: Times a busy rejection was absorbed by waiting out the
         #: server's Retry-After hint and retrying (``busy_retries > 0``).
@@ -310,9 +285,15 @@ class _RemoteClientBase:
                     self.busy_retries_used += 1
                 time.sleep(min(max(exc.retry_after, 0.0), 5.0))
 
-    @property
-    def defaults(self) -> dict:
-        return dict(self._defaults)
+    def _attempt(self, fn, *args):
+        """:meth:`_retrying` for a data-plane call: a failure is counted
+        once, when it raises to the caller — a busy rejection absorbed
+        by a retry shows up in ``busy_retries_used`` only."""
+        try:
+            return self._retrying(fn, *args)
+        except Exception:
+            self._note_failure()
+            raise
 
     # ------------------------------------------------------------------
     # transport hooks (subclass responsibility)
@@ -320,14 +301,27 @@ class _RemoteClientBase:
     def _rpc(self, op: str, params: dict) -> dict:
         raise NotImplementedError
 
-    def _open_read_stream(self, spec: ReadSpec):
+    def _send_request(self, op: str, request: list):
+        """Send one request frame (:func:`encode_frame` buffers).
+
+        Returns ``(rfile, done)``: the blocking file-like the answer's
+        frames arrive on, and ``done(clean)`` to call once when the
+        conversation is over (:class:`_FrameReply`).  A failure the
+        server reports before any frame raises here.
+        """
         raise NotImplementedError
 
-    def _send_write(self, spec: WriteSpec, segment: VideoSegment) -> dict:
-        raise NotImplementedError
+    def _converse(
+        self, op: str, params: dict, payload=None, *, expect=(), last=FRAME_END
+    ) -> _FrameReply:
+        request = encode_frame(FRAME_REQUEST, {"op": op, **params}, payload)
+        return _FrameReply(*self._send_request(op, request), expect, last)
 
-    def read_batch(self, specs: list[ReadSpec]) -> list[RemoteReadResult]:
-        raise NotImplementedError
+    def _unary(self, op: str, params: dict, payload=None) -> dict:
+        """One request answered by one ``REPLY`` frame."""
+        reply = self._converse(op, params, payload, last=FRAME_REPLY)
+        next(reply, None)
+        return reply.end
 
     # ------------------------------------------------------------------
     # catalog operations
@@ -408,39 +402,6 @@ class _RemoteClientBase:
         return self._retrying(self._rpc, "metrics", {})
 
     # ------------------------------------------------------------------
-    # spec builders (mirror Session)
-    # ------------------------------------------------------------------
-    def read_spec(
-        self, name: str, start: float, end: float, **overrides
-    ) -> ReadSpec:
-        fields = {
-            k: v for k, v in self._defaults.items() if k in READ_SPEC_FIELDS
-        }
-        fields.update(overrides)
-        return ReadSpec(name=name, start=start, end=end, **fields)
-
-    def write_spec(self, name: str, **overrides) -> WriteSpec:
-        fields = {
-            k: v for k, v in self._defaults.items() if k in WRITE_SPEC_FIELDS
-        }
-        fields.update(overrides)
-        return WriteSpec(name=name, **fields)
-
-    def _coerce_read_spec(
-        self, spec_or_name, start, end, overrides
-    ) -> ReadSpec:
-        if isinstance(spec_or_name, ReadSpec):
-            if start is not None or end is not None:
-                raise TypeError(
-                    "pass either a ReadSpec or (name, start, end), not both"
-                )
-            spec = spec_or_name
-            return spec.replace(**overrides) if overrides else spec
-        if start is None or end is None:
-            raise TypeError("read(name, ...) requires start and end")
-        return self.read_spec(spec_or_name, start, end, **overrides)
-
-    # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
     def read(
@@ -453,9 +414,7 @@ class _RemoteClientBase:
         """Read video; takes a :class:`ReadSpec` or (name, start, end)."""
         spec = self._coerce_read_spec(spec_or_name, start, end, overrides)
         begin = time.perf_counter()
-        result = self._retrying(
-            lambda: self._open_read_stream(spec).collect()
-        )
+        result = self._attempt(lambda: self._open_stream(spec).collect())
         with_stats = result.stats
         with self._stats_lock:
             self.stats.reads += 1
@@ -473,9 +432,24 @@ class _RemoteClientBase:
         end: float | None = None,
         **overrides,
     ):
-        """Open a streamed read; yields GOP-sized chunks lazily."""
+        """Open a streamed read; yields GOP-sized chunks lazily.
+
+        A failure is counted when opening or a chunk pull raises.
+        """
         spec = self._coerce_read_spec(spec_or_name, start, end, overrides)
-        return self._open_read_stream(spec)
+        try:
+            return self._open_stream(spec, on_failure=self._note_failure)
+        except Exception:
+            self._note_failure()
+            raise
+
+    def _open_stream(self, spec: ReadSpec, on_failure=None) -> RemoteReadStream:
+        reply = self._converse(
+            "read",
+            {"spec": read_spec_to_dict(spec)},
+            expect=(FRAME_SEGMENT, FRAME_GOPS),
+        )
+        return RemoteReadStream(reply, on_failure)
 
     def read_async(
         self,
@@ -503,7 +477,10 @@ class _RemoteClientBase:
             # never race into an already-shut-down executor.
             return self._pool.submit(self.read, spec)
 
-    def _account_batch(self, results, batch: BatchStats) -> None:
+    def read_batch(self, specs: list[ReadSpec]) -> list[RemoteReadResult]:
+        """Execute several reads server-side with shared decode work."""
+        params = {"specs": [read_spec_to_dict(s) for s in specs]}
+        results, batch = self._attempt(self._read_batch_once, params)
         with self._stats_lock:
             self.stats.batches += 1
             self.stats.reads += len(results)
@@ -511,6 +488,22 @@ class _RemoteClientBase:
             self.stats.plan_cache_hits += sum(
                 1 for r in results if r.stats.plan_cached
             )
+        return results
+
+    def _read_batch_once(self, params: dict):
+        with self._converse(
+            "read_batch",
+            params,
+            expect=(FRAME_RESULT_SEGMENT, FRAME_RESULT_GOPS),
+        ) as reply:
+            results = [
+                RemoteReadResult(
+                    *decode_content(frame_type, header, payload),
+                    read_stats_from_dict(header["stats"]),
+                )
+                for frame_type, header, payload in reply
+            ]
+        return results, BatchStats(**reply.end["batch"])
 
     # ------------------------------------------------------------------
     # writes
@@ -522,18 +515,19 @@ class _RemoteClientBase:
         **overrides,
     ) -> dict:
         """Write a raw segment under a :class:`WriteSpec` or name."""
-        if isinstance(spec_or_name, WriteSpec):
-            spec = spec_or_name
-            if overrides:
-                spec = spec.replace(**overrides)
-        else:
-            spec = self.write_spec(spec_or_name, **overrides)
+        spec = self._coerce_write_spec(spec_or_name, overrides)
         begin = time.perf_counter()
-        try:
-            reply = self._retrying(self._send_write, spec, segment)
-        except Exception:
-            self._note_failure()
-            raise
+        # The pixels go out as the frame payload, straight from the
+        # segment's buffer.
+        reply = self._attempt(
+            self._unary,
+            "write",
+            {
+                "spec": write_spec_to_dict(spec),
+                "segment": segment_to_meta(segment),
+            },
+            segment_payload_view(segment),
+        )
         with self._stats_lock:
             self.stats.writes += 1
             self.stats.wall_seconds += time.perf_counter() - begin
@@ -622,75 +616,38 @@ class VSSClient(_RemoteClientBase):
             raise VSSError(f"unknown client operation {op!r}")
         return self._request_json(*entry.render(params))
 
-    def _open_read_stream(self, spec: ReadSpec) -> RemoteReadStream:
-        return self._open_stream(
-            "/v1/read", {"spec": read_spec_to_dict(spec)}
-        )
-
-    def _open_stream(self, path: str, payload: dict) -> RemoteReadStream:
+    def _send_request(self, op: str, request: list):
         conn = self._connect()
         try:
+            # A buffer list with an explicit length is sent as it is:
+            # the payload goes from the segment's buffer to the socket.
             conn.request(
                 "POST",
-                path,
-                body=json.dumps(payload).encode("utf-8"),
+                f"/v1/{op}",
+                body=request,
                 headers={
-                    "Content-Type": "application/json",
+                    "Content-Type": "application/x-vss-frames",
+                    "Content-Length": str(
+                        sum(memoryview(part).nbytes for part in request)
+                    ),
                     "Connection": "close",
                 },
             )
             response = conn.getresponse()
             if response.status != 200:
                 self._raise_for_status(response, response.read())
-        except Exception:
+        except BaseException:
             conn.close()
-            self._note_failure()
             raise
-        return RemoteReadStream(conn, response)
 
-    def read_batch(self, specs: list[ReadSpec]) -> list[RemoteReadResult]:
-        """Execute several reads server-side with shared decode work."""
-        payload = {"specs": [read_spec_to_dict(s) for s in specs]}
-        stream = self._open_stream("/v1/read_batch", payload)
-        response = stream._response
-        results: list[RemoteReadResult] = []
-        try:
-            while True:
-                frame = _read_meta(response)
-                kind = frame.get("type")
-                if kind == "end":
-                    batch = BatchStats(**frame["batch"])
-                    response.read()  # drain the terminal chunk
-                    break
-                if kind == "error":
-                    self._note_failure()
-                    raise error_from_dict(frame)
-                stats = read_stats_from_dict(frame["stats"])
-                if kind == "result-segment":
-                    payload_bytes = _read_exact(response, frame["nbytes"])
-                    segment = segment_from_payload(
-                        frame["meta"], payload_bytes
-                    )
-                    results.append(RemoteReadResult(segment, None, stats))
-                elif kind == "result-gops":
-                    gops = _read_gops(response, frame["sizes"])
-                    results.append(RemoteReadResult(None, gops, stats))
-                else:
-                    raise WireError(f"unexpected batch frame {frame!r}")
-        finally:
-            stream.close()
-        self._account_batch(results, batch)
-        return results
+        def done(clean: bool) -> None:
+            if clean:
+                # Drain the terminal transfer-encoding chunk so the
+                # server's final write lands on an open socket.
+                response.read()
+            conn.close()
 
-    def _send_write(self, spec: WriteSpec, segment: VideoSegment) -> dict:
-        header = json.dumps(
-            {
-                "spec": write_spec_to_dict(spec),
-                "segment": segment_to_meta(segment),
-            }
-        ).encode("utf-8")
-        body = header + b"\n" + segment_payload(segment)
-        return self._request_json("POST", "/v1/write", body)
+        return response, done
 
 
 # ----------------------------------------------------------------------
@@ -704,7 +661,7 @@ class _BinaryConnection:
         # Frames are written back-to-back; never wait on Nagle for the
         # small prelude of a large payload.
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._rfile = self._sock.makefile("rb")
+        self.rfile = self._sock.makefile("rb")
         #: Monotonic stamp of the last completed request (pool bookkeeping).
         self.last_used = time.monotonic()
 
@@ -730,23 +687,9 @@ class _BinaryConnection:
         for buffer in buffers:
             self._sock.sendall(buffer)
 
-    def read_frame(self) -> tuple[int, dict, memoryview]:
-        prefix = self._read_exactly(4)
-        length = check_frame_length(int.from_bytes(prefix, "big"))
-        return parse_frame(self._read_exactly(length))
-
-    def _read_exactly(self, nbytes: int) -> bytes:
-        data = self._rfile.read(nbytes)
-        if data is None or len(data) != nbytes:
-            raise WireError(
-                f"connection truncated: wanted {nbytes} bytes, got "
-                f"{len(data or b'')}"
-            )
-        return data
-
     def close(self) -> None:
         try:
-            self._rfile.close()
+            self.rfile.close()
         except OSError:
             pass
         try:
@@ -755,94 +698,12 @@ class _BinaryConnection:
             pass
 
 
-class BinaryReadStream:
-    """Client half of a binary streamed read (yields :class:`ReadChunk`).
-
-    The surface mirrors :class:`RemoteReadStream`: iterate for chunks,
-    ``stats`` after exhaustion, ``collect()`` for the one-shot answer.
-    A cleanly drained stream returns its connection to the client's
-    pool; closing early (unread frames in flight) discards it.
-    """
-
-    def __init__(self, client: "VSSBinaryClient", conn: _BinaryConnection):
-        self._client = client
-        self._conn = conn
-        self._done = False
-        self.stats: ReadStats | None = None
-        self.chunks_pulled = 0
-
-    def __iter__(self) -> "BinaryReadStream":
-        return self
-
-    def __next__(self) -> ReadChunk:
-        if self._done:
-            raise StopIteration
-        try:
-            frame_type, header, payload = self._conn.read_frame()
-        except Exception:
-            self._abort()
-            raise
-        if frame_type == FRAME_END:
-            self.stats = read_stats_from_dict(header["stats"])
-            self._finish()
-            raise StopIteration
-        if frame_type == FRAME_ERROR:
-            # The server framed the failure cleanly: the connection is
-            # still at a frame boundary and stays poolable.
-            self._finish()
-            self._client._note_failure()
-            raise error_from_dict(header)
-        if frame_type == FRAME_SEGMENT:
-            segment = segment_from_payload(header["meta"], payload)
-            chunk = ReadChunk(
-                header["index"], segment.start_time, segment.end_time,
-                segment, None,
-            )
-        elif frame_type == FRAME_GOPS:
-            gops = _slice_gops(payload, header["sizes"])
-            chunk = ReadChunk(
-                header["index"], header["start_time"], header["end_time"],
-                None, gops,
-            )
-        else:
-            self._abort()
-            raise WireError(
-                f"unexpected stream frame type {frame_type:#04x}"
-            )
-        self.chunks_pulled += 1
-        return chunk
-
-    def collect(self) -> RemoteReadResult:
-        """Drain the remaining chunks into one :class:`RemoteReadResult`."""
-        return _collect_stream(self)
-
-    def _finish(self) -> None:
-        if not self._done:
-            self._done = True
-            self._client._release(self._conn)
-
-    def _abort(self) -> None:
-        if not self._done:
-            self._done = True
-            self._conn.close()
-
-    def close(self) -> None:
-        """Abandon the stream early (drops the connection)."""
-        self._abort()
-
-    def __enter__(self) -> "BinaryReadStream":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
 class VSSBinaryClient(_RemoteClientBase):
     """Session-shaped access to a :class:`repro.server.VSSBinaryServer`.
 
     Same surface and semantics as :class:`VSSClient` (see the module
-    docs), different wire: every operation is one binary REQUEST frame,
-    answered by a REPLY frame or a stream of segment/GOP frames.  Up to
+    docs), different wire: the unary ops are REQUEST/REPLY frames too,
+    and every request rides a pooled persistent connection.  Up to
     ``pool_connections`` drained connections are kept open and reused
     across calls — safe because the protocol is strictly
     request/response delimited — so the hot read path pays no TCP
@@ -903,102 +764,24 @@ class VSSBinaryClient(_RemoteClientBase):
     # ------------------------------------------------------------------
     # transport hooks
     # ------------------------------------------------------------------
-    def _rpc(self, op: str, params: dict, payload=None) -> dict:
-        conn = self._acquire()
-        clean = False
-        try:
-            conn.send_frame(
-                encode_frame(FRAME_REQUEST, {"op": op, **params}, payload)
-            )
-            frame_type, header, _ = conn.read_frame()
-            if frame_type == FRAME_ERROR:
-                clean = True  # complete frame: boundary intact
-                raise error_from_dict(header)
-            if frame_type != FRAME_REPLY:
-                raise WireError(
-                    f"expected a reply frame, got type {frame_type:#04x}"
-                )
-            clean = True
-            return header
-        finally:
-            if clean:
-                self._release(conn)
-            else:
-                conn.close()
+    def _rpc(self, op: str, params: dict) -> dict:
+        return self._unary(op, params)
 
     def ping(self) -> bool:
         """Round-trip a no-op frame (connectivity probe)."""
         return bool(self._rpc("ping", {}).get("pong"))
 
-    def _open_read_stream(self, spec: ReadSpec) -> BinaryReadStream:
+    def _send_request(self, op: str, request: list):
         conn = self._acquire()
         try:
-            conn.send_frame(
-                encode_frame(
-                    FRAME_REQUEST,
-                    {"op": "read", "spec": read_spec_to_dict(spec)},
-                )
-            )
-        except Exception:
+            conn.send_frame(request)
+        except BaseException:
             conn.close()
-            self._note_failure()
             raise
-        return BinaryReadStream(self, conn)
-
-    def read_batch(self, specs: list[ReadSpec]) -> list[RemoteReadResult]:
-        """Execute several reads server-side with shared decode work."""
-        conn = self._acquire()
-        clean = False
-        results: list[RemoteReadResult] = []
-        try:
-            conn.send_frame(
-                encode_frame(
-                    FRAME_REQUEST,
-                    {
-                        "op": "read_batch",
-                        "specs": [read_spec_to_dict(s) for s in specs],
-                    },
-                )
-            )
-            while True:
-                frame_type, header, payload = conn.read_frame()
-                if frame_type == FRAME_END:
-                    batch = BatchStats(**header["batch"])
-                    clean = True
-                    break
-                if frame_type == FRAME_ERROR:
-                    clean = True
-                    self._note_failure()
-                    raise error_from_dict(header)
-                stats = read_stats_from_dict(header["stats"])
-                if frame_type == FRAME_RESULT_SEGMENT:
-                    segment = segment_from_payload(header["meta"], payload)
-                    results.append(RemoteReadResult(segment, None, stats))
-                elif frame_type == FRAME_RESULT_GOPS:
-                    gops = _slice_gops(payload, header["sizes"])
-                    results.append(RemoteReadResult(None, gops, stats))
-                else:
-                    raise WireError(
-                        f"unexpected batch frame type {frame_type:#04x}"
-                    )
-        finally:
-            if clean:
-                self._release(conn)
-            else:
-                conn.close()
-        self._account_batch(results, batch)
-        return results
-
-    def _send_write(self, spec: WriteSpec, segment: VideoSegment) -> dict:
-        # The pixels go out as the frame payload, straight from the
-        # segment's buffer — no JSON header line, no body concatenation.
-        return self._rpc(
-            "write",
-            {
-                "spec": write_spec_to_dict(spec),
-                "segment": segment_to_meta(segment),
-            },
-            payload=segment_payload_view(segment),
+        # A cleanly drained answer returns the connection to the pool;
+        # anything else (unread frames in flight) discards it.
+        return conn.rfile, lambda clean: (
+            self._release(conn) if clean else conn.close()
         )
 
     def close(self) -> None:

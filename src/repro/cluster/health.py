@@ -24,13 +24,7 @@ import threading
 import time
 from http.client import HTTPConnection
 
-from repro.core.wire import (
-    FRAME_PING,
-    FRAME_PONG,
-    check_frame_length,
-    encode_frame,
-    parse_frame,
-)
+from repro.core.wire import FRAME_PING, FRAME_PONG, encode_frame, read_frame
 
 #: Per-attempt probe timeout: long enough for a loaded loop to answer,
 #: short enough that a dead shard can't stall a health cycle.
@@ -48,10 +42,8 @@ def binary_ping(host: str, port: int, timeout: float = DEFAULT_PROBE_TIMEOUT) ->
             sock.settimeout(timeout)
             for buffer in encode_frame(FRAME_PING, {}):
                 sock.sendall(buffer)
-            prefix = _recv_exactly(sock, 4)
-            length = check_frame_length(int.from_bytes(prefix, "big"))
-            frame_type, _, _ = parse_frame(_recv_exactly(sock, length))
-            return frame_type == FRAME_PONG
+            with sock.makefile("rb") as rfile:
+                return read_frame(rfile)[0] == FRAME_PONG
     except Exception:  # noqa: BLE001 - any failure means "not alive"
         return False
 
@@ -66,18 +58,6 @@ def http_healthz(host: str, port: int, timeout: float = DEFAULT_PROBE_TIMEOUT) -
         return False
     finally:
         conn.close()
-
-
-def _recv_exactly(sock: socket.socket, nbytes: int) -> bytes:
-    pieces = []
-    remaining = nbytes
-    while remaining > 0:
-        piece = sock.recv(remaining)
-        if not piece:
-            raise ConnectionError("peer closed during probe")
-        pieces.append(piece)
-        remaining -= len(piece)
-    return b"".join(pieces)
 
 
 def probe_with_retry(

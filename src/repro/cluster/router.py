@@ -152,7 +152,7 @@ class _Shard:
 class _RoutedStream:
     """A streamed read proxied through the router, with replica failover.
 
-    Chunks flow through one shard-side :class:`BinaryReadStream` at a
+    Chunks flow through one shard-side :class:`RemoteReadStream` at a
     time — the router never buffers more than the frontend server's own
     bounded pull batch, so a long read stays O(GOP window) resident in
     the router exactly as it does in a shard.

@@ -93,13 +93,7 @@ from repro.core.reader import (
 )
 from repro.core.records import LogicalVideo, PhysicalVideo, ViewRecord
 from repro.core.rwlock import RWLock, RWLockStats
-from repro.core.specs import (
-    READ_SPEC_FIELDS,
-    WRITE_SPEC_FIELDS,
-    ReadSpec,
-    ViewSpec,
-    WriteSpec,
-)
+from repro.core.specs import ReadSpec, SpecDefaults, ViewSpec, WriteSpec
 from repro.core.writer import StreamWriter, Writer
 from repro.errors import (
     CatalogError,
@@ -558,15 +552,10 @@ class VSSEngine:
         ``cache``, ``mode``, ``gop_size``, ...); they fill in whatever a
         call does not specify explicitly.
         """
-        unknown = set(defaults) - (READ_SPEC_FIELDS | WRITE_SPEC_FIELDS)
-        if unknown:
-            raise TypeError(
-                f"unknown session default(s) {sorted(unknown)}; expected "
-                f"fields of ReadSpec/WriteSpec"
-            )
+        session = Session(self, defaults)
         with self._state_lock:
             self._num_sessions += 1
-        return Session(self, defaults)
+        return session
 
     # ------------------------------------------------------------------
     # create / delete
@@ -1965,7 +1954,7 @@ class ReadStream:
         self.close()
 
 
-class Session:
+class Session(SpecDefaults):
     """A cheap, thread-compatible handle onto a :class:`VSSEngine`.
 
     A session carries per-caller spec defaults (e.g. a surveillance
@@ -1978,8 +1967,8 @@ class Session:
     """
 
     def __init__(self, engine: VSSEngine, defaults: dict):
+        super().__init__(defaults)
         self._engine = engine
-        self._defaults = dict(defaults)
         self._lock = threading.Lock()
         self._closed = False
         self.stats = SessionStats()
@@ -1987,10 +1976,6 @@ class Session:
     @property
     def engine(self) -> VSSEngine:
         return self._engine
-
-    @property
-    def defaults(self) -> dict:
-        return dict(self._defaults)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -2090,28 +2075,7 @@ class Session:
         return self._engine.reindex(name)
 
     # ------------------------------------------------------------------
-    # spec builders
-    # ------------------------------------------------------------------
-    def read_spec(
-        self, name: str, start: float, end: float, **overrides
-    ) -> ReadSpec:
-        """A :class:`ReadSpec` from session defaults plus ``overrides``."""
-        fields = {
-            k: v for k, v in self._defaults.items() if k in READ_SPEC_FIELDS
-        }
-        fields.update(overrides)
-        return ReadSpec(name=name, start=start, end=end, **fields)
-
-    def write_spec(self, name: str, **overrides) -> WriteSpec:
-        """A :class:`WriteSpec` from session defaults plus ``overrides``."""
-        fields = {
-            k: v for k, v in self._defaults.items() if k in WRITE_SPEC_FIELDS
-        }
-        fields.update(overrides)
-        return WriteSpec(name=name, **fields)
-
-    # ------------------------------------------------------------------
-    # reads
+    # reads (``read_spec`` / ``write_spec`` come from SpecDefaults)
     # ------------------------------------------------------------------
     def read(
         self,
@@ -2211,20 +2175,6 @@ class Session:
         spec = self._coerce_read_spec(spec_or_name, start, end, overrides)
         return self._engine._frontend_pool().submit(self._timed_read, spec)
 
-    def _coerce_read_spec(
-        self, spec_or_name, start, end, overrides
-    ) -> ReadSpec:
-        if isinstance(spec_or_name, ReadSpec):
-            if start is not None or end is not None:
-                raise TypeError(
-                    "pass either a ReadSpec or (name, start, end), not both"
-                )
-            spec = spec_or_name
-            return spec.replace(**overrides) if overrides else spec
-        if start is None or end is None:
-            raise TypeError("read(name, ...) requires start and end")
-        return self.read_spec(spec_or_name, start, end, **overrides)
-
     def _note_read(self, stats: ReadStats, elapsed: float) -> None:
         """Fold one successful read's stats into :attr:`stats`."""
         with self._lock:
@@ -2251,12 +2201,7 @@ class Session:
     ) -> PhysicalVideo:
         """Write video; takes a :class:`WriteSpec` or a name."""
         self._check_open()
-        if isinstance(spec_or_name, WriteSpec):
-            spec = spec_or_name
-            if overrides:
-                spec = spec.replace(**overrides)
-        else:
-            spec = self.write_spec(spec_or_name, **overrides)
+        spec = self._coerce_write_spec(spec_or_name, overrides)
         begin = time.perf_counter()
         try:
             physical = self._engine.write(spec, segment=segment, gops=gops)

@@ -36,8 +36,9 @@ every non-``local`` op after validation; any other engine gets
 ``_rpc`` and returns their reply dicts untouched.
 
 The payload-carrying ops (``read``, ``read_batch``, ``write``) stream
-pixels and are framed by each transport itself; they only share the
-reply serializers below.  Adding a unary op costs one entry here plus
+pixels as the binary frames of :mod:`repro.core.wire`, the same on both
+transports; of this module they use only ``physical_to_dict``.  Adding
+a unary op costs one entry here plus
 its engine and client methods — the router serves it unedited.
 """
 

@@ -269,3 +269,65 @@ READ_SPEC_FIELDS = frozenset(
 WRITE_SPEC_FIELDS = frozenset(
     f.name for f in dataclasses.fields(WriteSpec)
 ) - {"name"}
+
+
+class SpecDefaults:
+    """Per-caller spec defaults and the builders that apply them.
+
+    The base of :class:`repro.core.engine.Session` and of the remote
+    clients: ``defaults`` may name any non-positional :class:`ReadSpec`
+    or :class:`WriteSpec` field, and fill in whatever a call does not
+    specify, so a call reads the same against a local engine and a
+    remote one.
+    """
+
+    def __init__(self, defaults: dict):
+        unknown = set(defaults) - (READ_SPEC_FIELDS | WRITE_SPEC_FIELDS)
+        if unknown:
+            raise TypeError(
+                f"unknown default(s) {sorted(unknown)}; expected fields "
+                f"of ReadSpec/WriteSpec"
+            )
+        self._defaults = dict(defaults)
+
+    @property
+    def defaults(self) -> dict:
+        return dict(self._defaults)
+
+    def read_spec(
+        self, name: str, start: float, end: float, **overrides
+    ) -> ReadSpec:
+        """A :class:`ReadSpec` from the defaults plus ``overrides``."""
+        fields = {
+            k: v for k, v in self._defaults.items() if k in READ_SPEC_FIELDS
+        }
+        fields.update(overrides)
+        return ReadSpec(name=name, start=start, end=end, **fields)
+
+    def write_spec(self, name: str, **overrides) -> WriteSpec:
+        """A :class:`WriteSpec` from the defaults plus ``overrides``."""
+        fields = {
+            k: v for k, v in self._defaults.items() if k in WRITE_SPEC_FIELDS
+        }
+        fields.update(overrides)
+        return WriteSpec(name=name, **fields)
+
+    def _coerce_read_spec(
+        self, spec_or_name, start, end, overrides
+    ) -> ReadSpec:
+        if isinstance(spec_or_name, ReadSpec):
+            if start is not None or end is not None:
+                raise TypeError(
+                    "pass either a ReadSpec or (name, start, end), not both"
+                )
+            spec = spec_or_name
+            return spec.replace(**overrides) if overrides else spec
+        if start is None or end is None:
+            raise TypeError("read(name, ...) requires start and end")
+        return self.read_spec(spec_or_name, start, end, **overrides)
+
+    def _coerce_write_spec(self, spec_or_name, overrides) -> WriteSpec:
+        if isinstance(spec_or_name, WriteSpec):
+            spec = spec_or_name
+            return spec.replace(**overrides) if overrides else spec
+        return self.write_spec(spec_or_name, **overrides)

@@ -23,11 +23,14 @@ The module also frames the non-spec halves of a service conversation:
 and error envelopes that rebuild the *same* exception class on the
 client that the engine raised on the server.
 
-Two transports share these forms.  The HTTP service ships them as JSON
-bodies and chunked streams; the binary service (:mod:`repro.server.binary`,
-:class:`repro.client.VSSBinaryClient`) ships them as length-prefixed
-**binary frames** — see :func:`encode_frame` / :func:`parse_frame` and the
-byte-for-byte layout in ``docs/api.md``.  A frame is::
+Two transports share these forms.  The unary control-plane ops travel
+as JSON bodies over HTTP and as ``REQUEST``/``REPLY`` frames over the
+binary service; the **data plane** (``read``, ``read_batch``, ``write``)
+is the same length-prefixed **binary frames** on both — an HTTP body is
+exactly the frame sequence a binary connection carries — see
+:func:`encode_frame` / :func:`parse_frame`, the conversation builders at
+the end of this module, and the byte-for-byte layout in ``docs/api.md``.
+A frame is::
 
     u32  length        big-endian; bytes that follow (type + header + payload)
     u8   type          one of the FRAME_* constants
@@ -56,6 +59,7 @@ from repro import errors as _errors
 from repro.core.reader import ReadStats
 from repro.core.specs import ReadSpec, ViewSpec, WriteSpec
 from repro.errors import ServerBusyError, VSSError, WireError
+from repro.video.codec.container import decode_container, encode_container
 from repro.video.frame import VideoSegment, pixel_format
 
 #: Tuple-valued ReadSpec/ViewSpec fields that cross the wire as JSON arrays.
@@ -329,18 +333,13 @@ def segment_to_meta(segment: VideoSegment) -> dict:
     }
 
 
-def segment_payload(segment: VideoSegment) -> bytes:
-    """The segment's pixels as contiguous bytes (C order)."""
-    return np.ascontiguousarray(segment.pixels).tobytes()
-
-
 def segment_payload_view(segment: VideoSegment) -> memoryview:
     """The segment's pixels as a flat byte view — **no copy** when the
     array is already C-contiguous (the common case for decoded chunks).
 
     The view aliases the segment's buffer: it is only valid while the
-    segment is alive, which the binary transport guarantees by writing
-    the frame before releasing the chunk.
+    segment is alive, which both transports guarantee by writing the
+    frame before releasing the chunk.
     """
     pixels = np.ascontiguousarray(segment.pixels)
     return memoryview(pixels).cast("B")
@@ -585,3 +584,121 @@ def parse_frame(body: bytes | memoryview) -> tuple[int, dict, memoryview]:
             f"{type(header).__name__}"
         )
     return frame_type, header, view[header_end:]
+
+
+def read_frame(rfile) -> tuple[int, dict, memoryview]:
+    """Read one complete frame from a blocking file-like.
+
+    ``rfile`` is anything whose ``read(n)`` returns ``n`` bytes unless
+    the peer hung up — a socket's ``makefile("rb")`` or an
+    ``HTTPResponse`` (which de-chunks) — so both clients parse their
+    responses here.  A short read raises :class:`WireError`.
+    """
+    prefix = rfile.read(4)
+    if len(prefix) == 4:
+        length = check_frame_length(int.from_bytes(prefix, "big"))
+        body = rfile.read(length)
+        if len(body) == length:
+            return parse_frame(body)
+        prefix += body
+    raise WireError(
+        f"connection truncated mid-frame ({len(prefix)} of its bytes arrived)"
+    )
+
+
+# ----------------------------------------------------------------------
+# the data plane: read / read_batch / write conversations
+# ----------------------------------------------------------------------
+# A client sends one REQUEST frame whose header is {"op": ..., **params}.
+# ``read`` is answered by SEGMENT/GOPS frames and an END frame carrying
+# the ReadStats; ``read_batch`` by one RESULT_SEGMENT/RESULT_GOPS frame
+# per spec and an END frame carrying the BatchStats; ``write`` by one
+# REPLY frame.  An ERROR frame ends any of them early.  Both servers
+# build their answers, and both clients take them apart, here.
+def _param(header: dict, op: str, key: str):
+    if key not in header:
+        raise WireError(f"op {op!r} requires {key!r}")
+    return header[key]
+
+
+def decode_read(header: dict) -> ReadSpec:
+    """The :class:`ReadSpec` of a ``read`` request header."""
+    return read_spec_from_dict(_param(header, "read", "spec"))
+
+
+def decode_read_batch(header: dict) -> list[ReadSpec]:
+    """The specs of a ``read_batch`` request header, in request order."""
+    specs = _param(header, "read_batch", "specs")
+    if not isinstance(specs, list):
+        raise WireError(f"specs must be an array, got {specs!r}")
+    return [read_spec_from_dict(d) for d in specs]
+
+
+def decode_write(header: dict, payload) -> tuple[WriteSpec, VideoSegment]:
+    """A ``write`` request as its spec plus the segment to store.
+
+    The segment is ``np.frombuffer`` over the received payload: the
+    pixels are never copied between the socket buffer and the engine.
+    """
+    spec = write_spec_from_dict(_param(header, "write", "spec"))
+    return spec, segment_from_payload(
+        _param(header, "write", "segment"), payload
+    )
+
+
+def _content_frame(
+    pixels_type: int, gops_type: int, index: int, segment, gops, extra: dict
+) -> list:
+    if segment is not None:
+        header = {"index": index, "meta": segment_to_meta(segment), **extra}
+        return encode_frame(pixels_type, header, segment_payload_view(segment))
+    blobs = [encode_container(g) for g in gops]
+    header = {"index": index, "sizes": [len(b) for b in blobs], **extra}
+    return encode_frame(gops_type, header, *blobs)
+
+
+def chunk_frame(chunk) -> list:
+    """One :class:`ReadChunk` of a streamed read as frame buffers."""
+    return _content_frame(
+        FRAME_SEGMENT, FRAME_GOPS, chunk.index, chunk.segment, chunk.gops,
+        {"start_time": chunk.start_time, "end_time": chunk.end_time},
+    )
+
+
+def stream_end_frame(stats: ReadStats) -> list:
+    return encode_frame(FRAME_END, {"stats": read_stats_to_dict(stats)})
+
+
+def batch_frames(results: list, batch):
+    """The whole answer to a ``read_batch``, one frame at a time: each
+    result (pixels or GOPs, plus its stats) in request order, then the
+    END frame carrying the :class:`BatchStats`."""
+    for index, result in enumerate(results):
+        yield _content_frame(
+            FRAME_RESULT_SEGMENT, FRAME_RESULT_GOPS, index, result.segment,
+            result.gops, {"stats": read_stats_to_dict(result.stats)},
+        )
+    yield encode_frame(FRAME_END, {"batch": dataclasses.asdict(batch)})
+
+
+def error_frame(exc: BaseException) -> list:
+    return encode_frame(FRAME_ERROR, error_to_dict(exc))
+
+
+def decode_content(frame_type: int, header: dict, payload: memoryview):
+    """``(segment, gops)`` of a content frame — one is ``None``.
+
+    The client half of :func:`chunk_frame` / :func:`batch_frames`.
+    """
+    if frame_type in (FRAME_SEGMENT, FRAME_RESULT_SEGMENT):
+        return segment_from_payload(header["meta"], payload), None
+    gops, offset = [], 0
+    for size in header["sizes"]:
+        gops.append(decode_container(bytes(payload[offset:offset + size])))
+        offset += size
+    if offset != payload.nbytes:
+        raise WireError(
+            f"GOP frame payload is {payload.nbytes} bytes; sizes sum to "
+            f"{offset}"
+        )
+    return None, gops

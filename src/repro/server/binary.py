@@ -2,22 +2,23 @@
 
 :class:`VSSBinaryServer` is the throughput-oriented peer of the HTTP
 :class:`repro.server.http.VSSServer`.  Both front the same
-:class:`repro.core.engine.VSSEngine` and speak the same logical protocol
-(specs, stats, segments, and error envelopes from
-:mod:`repro.core.wire`), so responses are bit-identical across
-transports — but where the HTTP server burns one thread per in-flight
-request and re-frames every chunk through JSON lines plus chunked
-transfer encoding, the binary server:
+:class:`repro.core.engine.VSSEngine` and answer ``read`` /
+``read_batch`` / ``write`` with the same frames — request decoding and
+frame building live in :mod:`repro.core.wire` — so this module is
+transport only.  Where the HTTP server burns one thread and one
+connection per request, the binary server:
 
 * runs **one event loop** that multiplexes every connection — thousands
   of idle streams cost file descriptors, not threads;
-* frames each message **once**, as a length-prefixed binary frame
+* keeps connections **persistent**: a frame is self-delimiting
   (``u32 length | u8 type | u32 header_len | JSON header | raw
-  payload`` — see :func:`repro.core.wire.encode_frame` and the
-  byte-for-byte layout in ``docs/api.md``), handing pixel buffers and
-  stored GOP bytes to the socket without a single intermediate copy;
+  payload``, layout in ``docs/api.md``), so a drained answer leaves the
+  connection ready for the next request, and a batch of frames leaves
+  in one vectored write with pixel buffers and stored GOP bytes
+  uncopied;
 * **bridges** into worker threads only for engine work (planning,
-  decode, catalog IO), so blocking storage code never stalls the loop.
+  decode, catalog IO), prefetching the next batch of chunks while the
+  current one goes out, so blocking storage code never stalls the loop.
 
 A connection carries any number of sequential requests: the client
 sends one ``FRAME_REQUEST`` and reads that request's response frames
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import dataclasses
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -53,26 +53,21 @@ from pathlib import Path
 from repro.core.engine import VSSEngine
 from repro.core.ops import OPS, Op, physical_to_dict
 from repro.core.wire import (
-    FRAME_END,
     FRAME_ERROR,
-    FRAME_GOPS,
     FRAME_PING,
     FRAME_PONG,
     FRAME_REPLY,
     FRAME_REQUEST,
-    FRAME_RESULT_GOPS,
-    FRAME_RESULT_SEGMENT,
-    FRAME_SEGMENT,
+    batch_frames,
     check_frame_length,
+    chunk_frame,
+    decode_read,
+    decode_read_batch,
+    decode_write,
     encode_frame,
-    error_to_dict,
+    error_frame,
     parse_frame,
-    read_spec_from_dict,
-    read_stats_to_dict,
-    segment_from_payload,
-    segment_payload_view,
-    segment_to_meta,
-    write_spec_from_dict,
+    stream_end_frame,
 )
 from repro.errors import WireError
 from repro.server.http import (
@@ -80,7 +75,6 @@ from repro.server.http import (
     RETRY_AFTER_SECONDS,
     ServiceGauges,
 )
-from repro.video.codec.container import encode_container
 
 
 async def read_frame_async(
@@ -108,12 +102,6 @@ _PULL_MAX_CHUNKS = 8
 _PULL_MAX_BYTES = 32 << 20
 
 
-def _chunk_nbytes(chunk) -> int:
-    if chunk.segment is not None:
-        return chunk.segment.nbytes
-    return sum(g.nbytes for g in chunk.gops)
-
-
 def _pull_chunks(stream) -> tuple[list, bool]:
     """Drain up to one bounded batch of chunks on a bridge thread.
 
@@ -127,7 +115,7 @@ def _pull_chunks(stream) -> tuple[list, bool]:
         except StopIteration:
             return chunks, True
         chunks.append(chunk)
-        nbytes += _chunk_nbytes(chunk)
+        nbytes += chunk.nbytes
     return chunks, False
 
 
@@ -373,9 +361,8 @@ class VSSBinaryServer:
     async def _send_error(
         self, writer, exc: BaseException, best_effort: bool = False
     ) -> None:
-        envelope = error_to_dict(exc)
         try:
-            await self._send(writer, encode_frame(FRAME_ERROR, envelope))
+            await self._send(writer, error_frame(exc))
         except (ConnectionError, TimeoutError):
             if not best_effort:
                 raise
@@ -387,29 +374,6 @@ class VSSBinaryServer:
             "retry_after": RETRY_AFTER_SECONDS,
         }
         await self._send(writer, encode_frame(FRAME_ERROR, envelope))
-
-    @staticmethod
-    def _chunk_frame_buffers(
-        frame_type: int, result_type: int, index: int,
-        segment, gops, extra: dict,
-    ) -> list:
-        """One stream chunk or batch result as zero-copy frame buffers."""
-        if segment is not None:
-            header = {
-                "index": index,
-                "meta": segment_to_meta(segment),
-                **extra,
-            }
-            return encode_frame(
-                frame_type, header, segment_payload_view(segment)
-            )
-        blobs = [encode_container(g) for g in gops]
-        header = {
-            "index": index,
-            "sizes": [len(b) for b in blobs],
-            **extra,
-        }
-        return encode_frame(result_type, header, *blobs)
 
     # ------------------------------------------------------------------
     # operations
@@ -431,10 +395,7 @@ class VSSBinaryServer:
         await self._send_reply(writer, reply)
 
     async def _op_write(self, writer, header, payload) -> None:
-        spec = write_spec_from_dict(header["spec"])
-        # np.frombuffer over the received memoryview: the pixels are
-        # never copied between the socket buffer and the engine.
-        segment = segment_from_payload(header["segment"], payload)
+        spec, segment = decode_write(header, payload)
         if not self.gauges.try_enter():
             await self._send_busy(writer)
             return
@@ -447,7 +408,7 @@ class VSSBinaryServer:
         await self._send_reply(writer, physical_to_dict(physical))
 
     async def _op_read(self, writer, header, payload) -> None:
-        spec = read_spec_from_dict(header["spec"])
+        spec = decode_read(header)
         if not self.gauges.try_enter():
             await self._send_busy(writer)
             return
@@ -472,23 +433,9 @@ class VSSBinaryServer:
                 # a single writelines.
                 buffers: list = []
                 for chunk in chunks:
-                    buffers.extend(
-                        self._chunk_frame_buffers(
-                            FRAME_SEGMENT, FRAME_GOPS, chunk.index,
-                            chunk.segment, chunk.gops,
-                            {
-                                "start_time": chunk.start_time,
-                                "end_time": chunk.end_time,
-                            },
-                        )
-                    )
+                    buffers.extend(chunk_frame(chunk))
                 if prefetch is None:
-                    buffers.extend(
-                        encode_frame(
-                            FRAME_END,
-                            {"stats": read_stats_to_dict(stream.stats)},
-                        )
-                    )
+                    buffers.extend(stream_end_frame(stream.stats))
                     await self._send(writer, buffers)
                     break
                 await self._send(writer, buffers)
@@ -507,7 +454,7 @@ class VSSBinaryServer:
             self.gauges.leave()
 
     async def _op_read_batch(self, writer, header, payload) -> None:
-        specs = [read_spec_from_dict(d) for d in header["specs"]]
+        specs = decode_read_batch(header)
         if not self.gauges.try_enter():
             await self._send_busy(writer)
             return
@@ -515,21 +462,8 @@ class VSSBinaryServer:
             results, batch = await self._bridge_call(
                 self.engine.read_batch, specs
             )
-            for index, result in enumerate(results):
-                await self._send(
-                    writer,
-                    self._chunk_frame_buffers(
-                        FRAME_RESULT_SEGMENT, FRAME_RESULT_GOPS,
-                        index, result.segment, result.gops,
-                        {"stats": read_stats_to_dict(result.stats)},
-                    ),
-                )
-            await self._send(
-                writer,
-                encode_frame(
-                    FRAME_END, {"batch": dataclasses.asdict(batch)}
-                ),
-            )
+            for buffers in batch_frames(results, batch):
+                await self._send(writer, buffers)
         finally:
             self.gauges.leave()
 

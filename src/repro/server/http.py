@@ -3,32 +3,32 @@
 One :class:`VSSServer` wraps one :class:`repro.core.engine.VSSEngine`
 behind a ``ThreadingHTTPServer`` (one thread per in-flight request —
 the engine is already safe to share across threads, so the handler just
-forwards).  Everything on the wire is JSON (specs, stats, errors — see
-:mod:`repro.core.wire`) plus raw pixel/container payloads framed by a
-JSON header line.
+forwards).  This module is transport only: routing, admission control,
+status codes, and how bytes reach the socket.
 
-Endpoints: the unary routes (catalog, views, search, reindex, metrics)
-are the REST bindings of the service-op table in :mod:`repro.core.ops`
-— the handler matches ``(method, path)`` against that table and has no
-per-op code; ``docs/api.md`` lists them.  Served here directly::
+* The unary routes (catalog, views, search, reindex, metrics) are the
+  REST bindings of the service-op table in :mod:`repro.core.ops` — the
+  handler matches ``(method, path)`` against that table and has no
+  per-op code; ``docs/api.md`` lists them.  Requests and replies are
+  JSON.
+* The data plane — ``POST /v1/read``, ``/v1/read_batch``, ``/v1/write``
+  — carries the binary frames of :mod:`repro.core.wire`: the request
+  body is one ``REQUEST`` frame, and the ``200`` answer is a chunked
+  body holding exactly the frame sequence the binary server would
+  write (one HTTP chunk per frame; payload buffers go to the socket
+  uncopied).  Request decoding and frame building live in ``wire``, so
+  both servers answer with the same frames.  A failure *before* the
+  first frame (missing video, malformed request, busy) is a plain HTTP
+  error — status code + JSON envelope; once frames flow, a failure
+  travels as an in-band ``ERROR`` frame.
+* ``GET /healthz`` answers ``{"ok": true}`` with no engine work.
 
-    GET    /healthz                   {"ok": true} liveness (no engine work)
-    POST   /v1/write                  JSON header line + raw pixel bytes
-    POST   /v1/read                   {"spec": {...}} -> chunked stream
-    POST   /v1/read_batch             {"specs": [...]} -> chunked stream
-
-Names in read/stats routes resolve uniformly: a derived view created
-via ``POST /v1/views`` can be read, streamed, batched, listed, and
-stat'd exactly like a stored video (the engine folds it into a read
-against its base).
-
-Streamed responses use HTTP chunked transfer encoding and are built on
-:meth:`Session.read_stream`, so the server's resident frame buffer for a
-read stays O(GOP window) no matter how long the request interval is.
-Inside the de-chunked byte stream, each frame is a JSON line —
-``{"type": "segment"|"gops"|"result-segment"|"result-gops"|"end"|"error",
-...}`` — optionally followed by exactly the payload bytes the line
-promises.
+Names resolve uniformly: a derived view created via ``POST /v1/views``
+can be read, streamed, batched, listed, and stat'd exactly like a
+stored video (the engine folds it into a read against its base).
+Streamed reads are built on :meth:`Session.read_stream`, so the
+server's resident frame buffer stays O(GOP window) no matter how long
+the request interval is.
 
 Admission control: at most ``max_inflight`` heavy requests (read, write,
 batch) run concurrently; excess requests are rejected immediately with
@@ -38,7 +38,6 @@ and the rejection/in-flight gauges are visible at ``/metrics``.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -48,13 +47,19 @@ from urllib.parse import urlsplit
 from repro.core.engine import VSSEngine
 from repro.core.ops import match_route, physical_to_dict
 from repro.core.wire import (
+    FRAME_REPLY,
+    FRAME_REQUEST,
+    batch_frames,
+    check_frame_length,
+    chunk_frame,
+    decode_read,
+    decode_read_batch,
+    decode_write,
+    encode_frame,
+    error_frame,
     error_to_dict,
-    read_spec_from_dict,
-    read_stats_to_dict,
-    segment_from_payload,
-    segment_payload,
-    segment_to_meta,
-    write_spec_from_dict,
+    parse_frame,
+    stream_end_frame,
 )
 from repro.errors import (
     ServerBusyError,
@@ -64,7 +69,6 @@ from repro.errors import (
     VSSError,
     WireError,
 )
-from repro.video.codec.container import encode_container
 
 #: Default cap on concurrently executing heavy requests.
 DEFAULT_MAX_INFLIGHT = 8
@@ -209,32 +213,66 @@ class VSSRequestHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         return self.rfile.read(length) if length > 0 else b""
 
-    def _write_frame(self, data: bytes) -> None:
-        """Write one HTTP chunk (chunked transfer encoding framing).
+    def _read_request(self, op: str) -> tuple[dict, memoryview]:
+        """The body of ``POST /v1/<op>``: one ``REQUEST`` frame."""
+        body = memoryview(self._read_body())
+        if body.nbytes < 4 or body.nbytes - 4 != check_frame_length(
+            int.from_bytes(body[:4], "big")
+        ):
+            raise WireError(
+                f"the {body.nbytes}-byte request body is not one whole frame"
+            )
+        frame_type, header, payload = parse_frame(body[4:])
+        if frame_type != FRAME_REQUEST or header.get("op", op) != op:
+            raise WireError(
+                f"/v1/{op} takes a request frame for op {op!r}, got type "
+                f"{frame_type:#04x} for op {header.get('op')!r}"
+            )
+        return header, payload
 
-        Size line, payload, and trailing CRLF go out as **one**
-        ``wfile.write`` — the unbuffered socket file turns each write
-        into a syscall, so the former three-write form cost three
-        syscalls (and up to three packets) per GOP chunk on the hot
-        streaming path.
+    def _write_frame(self, buffers: list) -> None:
+        """Write one frame as one HTTP chunk.
+
+        Only the small prelude is copied (it shares a write with the
+        chunk-size line); payload buffers go to the socket as they are.
         """
-        self.wfile.write(b"%x\r\n%b\r\n" % (len(data), data))
+        size = sum(memoryview(part).nbytes for part in buffers)
+        self.wfile.write(b"%x\r\n%b" % (size, buffers[0]))
+        for payload in buffers[1:]:
+            self.wfile.write(payload)
+        self.wfile.write(b"\r\n")
 
-    def _write_meta(self, frame: dict) -> None:
-        self._write_frame(json.dumps(frame).encode("utf-8") + b"\n")
+    def _send_frames(self, frames, abandon=None) -> None:
+        """Answer ``200`` with ``frames`` (buffer lists) as a chunked body.
 
-    def _end_stream(self) -> None:
+        The status line is committed, so a failure while producing or
+        writing frames travels as an in-band ``ERROR`` frame;
+        ``abandon`` releases whatever the producer holds.
+        """
+        self.send_response(200)
+        self.send_header("Content-Type", "application/x-vss-frames")
+        self.send_header("Transfer-Encoding", "chunked")
+        self.end_headers()
+        try:
+            for buffers in frames:
+                self._write_frame(buffers)
+        except Exception as exc:  # noqa: BLE001 - in-band error frame
+            if abandon is not None:
+                abandon()
+            if isinstance(exc, ConnectionError):
+                raise  # the client hung up: _serve has nothing to tell it
+            self._write_frame(error_frame(exc))
         self.wfile.write(b"0\r\n\r\n")
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
-        """Route one request: stream routes, liveness, then the op table."""
+        """Route one request: data plane, liveness, then the op table."""
         url = urlsplit(self.path)
-        stream = self._STREAM_ROUTES.get((self.command, url.path))
-        if stream is not None:
-            self._serve(lambda: stream(self), admitted=True)
+        data_route = self._DATA_ROUTES.get((self.command, url.path))
+        if data_route is not None:
+            self._serve(lambda: data_route(self), admitted=True)
             return
         if self.command == "GET" and url.path == "/healthz":
             # Liveness only — no engine work, so a wedged store never
@@ -281,112 +319,34 @@ class VSSRequestHandler(BaseHTTPRequestHandler):
                 gauges.leave()
 
     # ------------------------------------------------------------------
-    # stream endpoint bodies
+    # data-plane endpoint bodies
     # ------------------------------------------------------------------
     def _handle_write(self) -> None:
-        body = self._read_body()
-        newline = body.find(b"\n")
-        if newline < 0:
-            raise WireError("write payload is missing its JSON header line")
-        header = json.loads(body[:newline])
-        spec = write_spec_from_dict(header["spec"])
-        segment = segment_from_payload(header["segment"], body[newline + 1:])
+        spec, segment = decode_write(*self._read_request("write"))
         physical = self.server.engine.write(spec, segment=segment)
-        self._send_json(physical_to_dict(physical))
+        self._send_frames(
+            [encode_frame(FRAME_REPLY, physical_to_dict(physical))]
+        )
 
     def _handle_read(self) -> None:
-        payload = json.loads(self._read_body())
-        spec = read_spec_from_dict(payload["spec"])
-        # Errors raised before any chunk exists (missing video, empty
-        # logical) surface as a plain HTTP error; once streaming starts,
-        # failures travel as an in-band error frame.
-        stream = self.server.session.read_stream(spec)
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-vss-stream")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
-        try:
+        header, _ = self._read_request("read")
+        stream = self.server.session.read_stream(decode_read(header))
+
+        def frames():
             for chunk in stream:
-                if chunk.segment is not None:
-                    data = segment_payload(chunk.segment)
-                    self._write_meta(
-                        {
-                            "type": "segment",
-                            "index": chunk.index,
-                            "meta": segment_to_meta(chunk.segment),
-                            "nbytes": len(data),
-                        }
-                    )
-                    self._write_frame(data)
-                else:
-                    blobs = [encode_container(g) for g in chunk.gops]
-                    self._write_meta(
-                        {
-                            "type": "gops",
-                            "index": chunk.index,
-                            "start_time": chunk.start_time,
-                            "end_time": chunk.end_time,
-                            "sizes": [len(b) for b in blobs],
-                        }
-                    )
-                    self._write_frame(b"".join(blobs))
-            self._write_meta(
-                {"type": "end", "stats": read_stats_to_dict(stream.stats)}
-            )
-        except ConnectionError:
-            stream.close()
-            self.close_connection = True
-            return
-        except Exception as exc:  # noqa: BLE001 - in-band error frame
-            stream.close()
-            self._write_meta({"type": "error", **error_to_dict(exc)})
-        self._end_stream()
+                yield chunk_frame(chunk)
+            yield stream_end_frame(stream.stats)
+
+        self._send_frames(frames(), abandon=stream.close)
 
     def _handle_read_batch(self) -> None:
-        payload = json.loads(self._read_body())
-        specs = [read_spec_from_dict(d) for d in payload["specs"]]
-        results, batch = self.server.engine.read_batch(specs)
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-vss-stream")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
-        try:
-            for index, result in enumerate(results):
-                stats = read_stats_to_dict(result.stats)
-                if result.segment is not None:
-                    data = segment_payload(result.segment)
-                    self._write_meta(
-                        {
-                            "type": "result-segment",
-                            "index": index,
-                            "meta": segment_to_meta(result.segment),
-                            "nbytes": len(data),
-                            "stats": stats,
-                        }
-                    )
-                    self._write_frame(data)
-                else:
-                    blobs = [encode_container(g) for g in result.gops]
-                    self._write_meta(
-                        {
-                            "type": "result-gops",
-                            "index": index,
-                            "sizes": [len(b) for b in blobs],
-                            "stats": stats,
-                        }
-                    )
-                    self._write_frame(b"".join(blobs))
-            self._write_meta(
-                {"type": "end", "batch": dataclasses.asdict(batch)}
-            )
-        except ConnectionError:
-            self.close_connection = True
-            return
-        except Exception as exc:  # noqa: BLE001 - in-band error frame
-            self._write_meta({"type": "error", **error_to_dict(exc)})
-        self._end_stream()
+        header, _ = self._read_request("read_batch")
+        results, batch = self.server.engine.read_batch(
+            decode_read_batch(header)
+        )
+        self._send_frames(batch_frames(results, batch))
 
-    _STREAM_ROUTES = {
+    _DATA_ROUTES = {
         ("POST", "/v1/write"): _handle_write,
         ("POST", "/v1/read"): _handle_read,
         ("POST", "/v1/read_batch"): _handle_read_batch,

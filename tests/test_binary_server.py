@@ -1,12 +1,11 @@
-"""Binary service layer: bit-identity, admission control, frame fuzzing.
+"""Binary service layer: what only the binary transport has.
 
 A real ``VSSBinaryServer`` runs its asyncio loop on an ephemeral port
 for each test; a ``VSSBinaryClient`` talks to it over real sockets with
-pooled persistent connections.  The headline contract is the acceptance
-criterion: responses over the binary transport are **bit-identical** to
-an in-process ``session.read`` *and* to the HTTP transport for the same
-spec — raw streams, re-encoded compressed output, and direct-served
-bytes alike.  The fuzzing half feeds the server garbage frames (bad
+pooled persistent connections.  Reads, batches, admission and
+accounting that both transports share are in ``test_transports.py``;
+here are the connection pool, the cross-transport pixel check, and
+frame fuzzing.  The fuzzing half feeds the server garbage frames (bad
 length prefixes, unknown types, truncations, malformed headers) and
 asserts each lands as a :class:`WireError` envelope on that connection
 only — the server keeps serving everyone else.
@@ -29,18 +28,11 @@ from repro.core.wire import (
     FRAME_ERROR,
     FRAME_REPLY,
     FRAME_REQUEST,
-    FRAME_SEGMENT,
     frame_to_bytes,
-    read_spec_to_dict,
     parse_frame,
 )
-from repro.errors import (
-    ServerBusyError,
-    VideoExistsError,
-    VideoNotFoundError,
-)
+from repro.errors import VideoExistsError
 from repro.server import VSSBinaryServer, VSSServer
-from repro.video.codec.container import encode_container
 
 
 @pytest.fixture()
@@ -71,10 +63,6 @@ def loaded_client(client, three_second_clip) -> VSSBinaryClient:
     return client
 
 
-def _gop_bytes(gops) -> bytes:
-    return b"".join(encode_container(g) for g in gops)
-
-
 def _wait_idle(client: VSSBinaryClient, timeout: float = 5.0) -> dict:
     """Poll the metrics op until no handler holds an admission slot."""
     deadline = time.monotonic() + timeout
@@ -86,17 +74,10 @@ def _wait_idle(client: VSSBinaryClient, timeout: float = 5.0) -> dict:
 
 
 class _RawConnection:
-    """A hand-rolled socket for speaking deliberately broken frames.
+    """A hand-rolled socket for speaking deliberately broken frames."""
 
-    ``rcvbuf`` shrinks the receive buffer *before* connecting, which
-    pins the TCP window: a server streaming a response larger than the
-    window must block in its backpressure path until we read.
-    """
-
-    def __init__(self, address: tuple[str, int], rcvbuf: int | None = None):
+    def __init__(self, address: tuple[str, int]):
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        if rcvbuf is not None:
-            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
         self.sock.settimeout(30.0)
         self.sock.connect(address)
         self.rfile = self.sock.makefile("rb")
@@ -134,26 +115,12 @@ class TestCatalogOverBinary:
         client.delete("cam0")
         assert client.list_videos() == []
 
-    def test_delete_missing_raises_not_found(self, client):
-        with pytest.raises(VideoNotFoundError):
-            client.delete("ghost")
-
-    def test_video_stats(self, loaded_client):
-        stats = loaded_client.video_stats("traffic")
-        assert stats["num_gops"] == 3
-        assert stats["total_bytes"] > 0
 
     def test_ping(self, client):
         assert client.ping()
 
 
 class TestReadsOverBinary:
-    def test_raw_read_bit_identical_to_local(self, loaded_client, engine):
-        spec = ReadSpec("traffic", 0.0, 3.0, codec="raw", cache=False)
-        remote = loaded_client.read(spec)  # cold: decodes on the server
-        local = engine.session().read(spec)
-        assert np.array_equal(remote.segment.pixels, local.segment.pixels)
-        assert remote.stats.frames_decoded == 90
 
     def test_raw_read_bit_identical_to_http(self, loaded_client, engine):
         """The acceptance criterion across all three paths at once."""
@@ -174,77 +141,6 @@ class TestReadsOverBinary:
             over_binary.segment.pixels, over_http.segment.pixels
         )
 
-    def test_streamed_read_bit_identical(self, loaded_client, engine):
-        spec = ReadSpec(
-            "traffic", 0.2, 2.8, codec="raw", cache=False,
-            resolution=(32, 18),
-        )
-        stream = loaded_client.read_stream(spec)
-        chunks = list(stream)
-        local = engine.session().read(spec)
-        assert len(chunks) > 1
-        got = np.concatenate([c.segment.pixels for c in chunks], axis=0)
-        assert np.array_equal(got, local.segment.pixels)
-        assert stream.stats is not None  # final server-side stats arrived
-        assert stream.stats.frames_decoded > 0
-
-    def test_encoded_read_same_bytes(self, loaded_client, engine):
-        spec = ReadSpec(
-            "traffic", 0.15, 2.85, codec="h264", qp=14, cache=False
-        )
-        local = engine.session().read(spec)
-        remote = loaded_client.read(spec)
-        assert _gop_bytes(remote.gops) == _gop_bytes(local.gops)
-        assert np.array_equal(
-            remote.as_segment().pixels, local.as_segment().pixels
-        )
-
-    def test_direct_serve_over_binary(self, loaded_client, engine):
-        spec = ReadSpec(
-            "traffic", 0.0, 3.0, codec="h264", qp=10, cache=False
-        )
-        local = engine.session().read(spec)
-        assert local.stats.direct_serve
-        remote = loaded_client.read(spec)
-        assert remote.stats.direct_serve
-        assert _gop_bytes(remote.gops) == _gop_bytes(local.gops)
-
-    def test_read_batch(self, loaded_client, engine):
-        base = ReadSpec("traffic", 0.0, 1.0, codec="raw", cache=False)
-        specs = [
-            base,
-            base.replace(start=1.0, end=2.0),
-            base.replace(start=0.5, end=1.5),
-        ]
-        local = engine.read(specs[0])
-        results = loaded_client.read_batch(specs)
-        assert len(results) == 3
-        assert np.array_equal(
-            results[0].segment.pixels, local.segment.pixels
-        )
-        assert loaded_client.stats.last_batch.num_reads == 3
-
-    def test_session_defaults_mirror(self, server, three_second_clip):
-        host, port = server.address
-        with VSSBinaryClient(
-            host, port, codec="h264", qp=10, gop_size=30
-        ) as cli:
-            cli.write("cam", three_second_clip)  # defaults applied
-            result = cli.read("cam", 0.0, 1.0, codec="raw", cache=False)
-            assert result.segment.num_frames == 30
-
-    def test_missing_video_raises_not_found(self, client):
-        with pytest.raises(VideoNotFoundError):
-            client.read("ghost", 0.0, 1.0)
-        assert client.stats.failures == 1
-
-    def test_invalid_spec_rejected_client_side(self, client):
-        with pytest.raises(ValueError):
-            client.read("v", 0.0, float("nan"))
-
-    def test_unknown_default_rejected(self):
-        with pytest.raises(TypeError):
-            VSSBinaryClient("127.0.0.1", 1, bogus=True)
 
     def test_early_stream_abandonment_leaves_client_usable(
         self, loaded_client
@@ -300,82 +196,6 @@ class TestViewsOverBinary:
 
 
 class TestAdmissionControl:
-    def test_busy_rejection_carries_retry_after(self, loaded_client, server):
-        spec = ReadSpec("traffic", 0.0, 1.0, codec="raw", cache=False)
-        _wait_idle(loaded_client)
-        # Deterministically exhaust the admission slots.
-        saved = server.gauges.max_inflight
-        server.gauges.max_inflight = 1
-        assert server.gauges.try_enter()
-        try:
-            with pytest.raises(ServerBusyError) as info:
-                loaded_client.read(spec)
-            assert info.value.retry_after >= 1.0
-        finally:
-            server.gauges.leave()
-            server.gauges.max_inflight = saved
-        # Slot released: the same request (and connection) now succeeds.
-        assert loaded_client.read(spec).segment is not None
-        assert loaded_client.metrics()["server"]["rejected"] == 1
-
-    def test_gauges_track_inflight(self, loaded_client, server):
-        _wait_idle(loaded_client)
-        spec = ReadSpec("traffic", 0.0, 3.0, codec="raw", cache=False)
-        # A tiny receive window forces the server to block in its
-        # backpressure path mid-stream (the multi-megabyte raw response
-        # cannot fit in the socket buffers), so the admission slot is
-        # observably held while the stream is in flight.
-        raw = _RawConnection(server.address, rcvbuf=4096)
-        try:
-            raw.send(
-                frame_to_bytes(
-                    FRAME_REQUEST,
-                    {"op": "read", "spec": read_spec_to_dict(spec)},
-                )
-            )
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                metrics = loaded_client.metrics()["server"]
-                if metrics["inflight"] == 1:
-                    break
-                time.sleep(0.01)
-            assert metrics["inflight"] == 1
-            assert metrics["max_inflight"] == server.gauges.max_inflight
-            # Drain the stream; the slot is released at the END frame.
-            chunks = 0
-            while True:
-                frame_type, _, _ = raw.read_frame()
-                if frame_type == FRAME_END:
-                    break
-                assert frame_type == FRAME_SEGMENT
-                chunks += 1
-            assert chunks > 1
-        finally:
-            raw.close()
-        assert _wait_idle(loaded_client)["server"]["inflight"] == 0
-
-    def test_concurrent_clients_shared_video(
-        self, loaded_client, server
-    ):
-        host, port = server.address
-        spec = ReadSpec("traffic", 0.0, 1.0, codec="raw", cache=False)
-        errors: list = []
-        frames: list = []
-
-        def worker():
-            try:
-                with VSSBinaryClient(host, port, timeout=60.0) as cli:
-                    frames.append(cli.read(spec).segment.num_frames)
-            except Exception as exc:  # noqa: BLE001 - collected
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert frames == [30, 30, 30, 30]
 
     def test_concurrent_clients_disjoint_videos(
         self, server, tiny_clip
@@ -580,16 +400,6 @@ class TestFrameFuzzing:
         )
         assert result.segment.num_frames == 30
 
-
-class TestMetricsOverBinary:
-    def test_metrics_document(self, loaded_client):
-        loaded_client.read(
-            ReadSpec("traffic", 0.0, 1.0, codec="raw", cache=False)
-        )
-        doc = _wait_idle(loaded_client)
-        assert doc["engine"]["reads"] >= 1
-        assert doc["server"]["inflight"] == 0
-        assert doc["server"]["max_inflight"] >= 1
 
 
 class TestServerLifecycle:

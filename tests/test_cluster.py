@@ -11,6 +11,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -428,10 +429,10 @@ class TestReplicationFailover:
         # server would race bytes already in socket buffers — a tiny
         # stream could finish cleanly — so fail the next frame read the
         # way a died connection does.)
-        def died():
+        def died(nbytes):
             raise WireError("connection truncated (simulated shard death)")
 
-        stream._stream._conn.read_frame = died
+        stream._stream._reply._rfile = SimpleNamespace(read=died)
         with pytest.raises(ShardUnavailableError) as info:
             next(stream)
         assert info.value.shard == stream._tried[-1]

@@ -4,8 +4,10 @@ Every entry of :data:`repro.core.ops.OPS` is driven through both
 clients' ``_rpc`` against **one** engine fronted by a ``VSSServer`` and
 a ``VSSBinaryServer`` at once, and through both ports of a
 ``VSSRouter`` over two shards holding copies of the same store; all
-four replies must be equal.  Another test pins ``docs/api.md`` to the
-table, so neither can drift.
+four replies must be equal.  The data plane gets the same treatment:
+the frames answering a ``read`` or ``read_batch`` are the same on all
+four endpoints.  Another test pins ``docs/api.md`` to the table, so
+neither can drift.
 """
 
 from __future__ import annotations
@@ -22,8 +24,18 @@ from repro.client import VSSBinaryClient, VSSClient
 from repro.cluster import VSSRouter
 from repro.core.engine import VSSEngine
 from repro.core.ops import OPS, Op
-from repro.core.specs import ViewSpec
-from repro.core.wire import search_query_to_dict, view_spec_to_dict
+from repro.core.specs import ReadSpec, ViewSpec
+from repro.core.wire import (
+    FRAME_END,
+    FRAME_ERROR,
+    FRAME_GOPS,
+    FRAME_RESULT_GOPS,
+    FRAME_RESULT_SEGMENT,
+    FRAME_SEGMENT,
+    read_spec_to_dict,
+    search_query_to_dict,
+    view_spec_to_dict,
+)
 from repro.errors import (
     CatalogError,
     ShardUnavailableError,
@@ -162,6 +174,90 @@ def test_both_transports_answer_alike(fronted, name):
         _RESTORE[name](fronted.routed_binary)
     _assert_alike(name, fronted.over_http._rpc(name, params), direct)
     _assert_alike(name, fronted.routed_http._rpc(name, params), routed)
+
+
+_RAW = ReadSpec(
+    "traffic", 0.2, 2.8, codec="raw", cache=False, resolution=(32, 18)
+)
+_STORED = ReadSpec("traffic", 0.0, 3.0, codec="h264", qp=10, cache=False)
+
+#: One data-plane request per case: op, params, and the frame types of
+#: the answer.  ``_STORED`` is served from the stored bytes.
+DATA_PLANE: dict[str, tuple] = {
+    "raw read": (
+        "read", {"spec": read_spec_to_dict(_RAW)},
+        [FRAME_SEGMENT] * 3 + [FRAME_END],
+    ),
+    "direct-serve read": (
+        "read", {"spec": read_spec_to_dict(_STORED)},
+        [FRAME_GOPS] * 3 + [FRAME_END],
+    ),
+    "batch": (
+        "read_batch",
+        {
+            "specs": [
+                read_spec_to_dict(spec)
+                for spec in (_RAW, _STORED, _RAW.replace(start=1.0, end=2.0))
+            ]
+        },
+        [FRAME_RESULT_SEGMENT, FRAME_RESULT_GOPS, FRAME_RESULT_SEGMENT,
+         FRAME_END],
+    ),
+    "missing-video read": (
+        "read", {"spec": read_spec_to_dict(_RAW.replace(name="ghost"))},
+        [FRAME_ERROR],
+    ),
+    "missing-video batch": (
+        "read_batch",
+        {"specs": [read_spec_to_dict(_RAW.replace(name="ghost"))]},
+        [FRAME_ERROR],
+    ),
+}
+
+
+def _untimed(header):
+    """A frame header without its wall-clock fields, at any depth."""
+    if isinstance(header, dict):
+        return {
+            key: _untimed(value)
+            for key, value in header.items()
+            if not key.endswith("_seconds")
+        }
+    return header
+
+
+@pytest.mark.parametrize("case", sorted(DATA_PLANE))
+def test_both_transports_answer_with_the_same_frames(
+    fronted, raw_answer, case
+):
+    """The de-chunked HTTP body and the bytes on a binary connection
+    parse to one frame sequence — types, headers (timings aside) and
+    payload bytes — at a single server and through a router; an HTTP
+    failure before the first frame carries, as its JSON body, the
+    envelope the binary transport frames."""
+    op, params, types = DATA_PLANE[case]
+
+    def answer(transport: str, client) -> list:
+        frames = list(
+            raw_answer(
+                transport, (client.host, client.port), op, params
+            ).frames()
+        )
+        assert [frame[0] for frame in frames] == types
+        return [(t, _untimed(header), data) for t, header, data in frames]
+
+    # Once unrecorded, so every recorded answer comes from warm caches
+    # and reports the same decode-cache and plan-cache counters.
+    answer("binary", fronted.over_binary)
+    answer("binary", fronted.routed_binary)
+    direct = answer("binary", fronted.over_binary)
+    assert answer("http", fronted.over_http) == direct
+    routed = answer("binary", fronted.routed_binary)
+    assert answer("http", fronted.routed_http) == routed
+    # The shards are copies of the direct store: same pixels and bytes.
+    assert [(t, data) for t, _, data in routed] == [
+        (t, data) for t, _, data in direct
+    ]
 
 
 def _fails_alike(fronted, name: str, params: dict) -> None:

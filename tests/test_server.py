@@ -1,16 +1,18 @@
-"""HTTP service layer: end-to-end reads, admission control, metrics.
+"""HTTP service layer: what only the HTTP transport has.
 
-A real ``VSSServer`` runs on an ephemeral port for each test class; a
-``VSSClient`` talks to it over real sockets.  The headline contract is
-the acceptance criterion: frames read over HTTP are bit-identical to an
-in-process ``session.read`` for the same spec — for raw streams,
-re-encoded compressed output, and direct-served bytes.
+A real ``VSSServer`` runs on an ephemeral port for each test; a
+``VSSClient`` talks to it over real sockets.  Reads, batches, admission
+and accounting that both transports share are in
+``test_transports.py``; here are the REST routes, the status codes and
+JSON envelopes of failures before the first frame, and derived views
+end to end.
 """
 
 from __future__ import annotations
 
-import threading
+import json
 import time
+from http.client import HTTPConnection
 
 import numpy as np
 import pytest
@@ -18,10 +20,14 @@ import pytest
 from repro.client import VSSClient
 from repro.core.engine import VSSEngine
 from repro.core.specs import ReadSpec, ViewSpec, WriteSpec
-from repro.core.wire import error_from_dict
+from repro.core.wire import (
+    FRAME_REQUEST,
+    error_from_dict,
+    frame_to_bytes,
+    read_spec_to_dict,
+)
 from repro.errors import (
     CatalogError,
-    ServerBusyError,
     VideoExistsError,
     VideoNotFoundError,
     WireError,
@@ -62,18 +68,15 @@ def _gop_bytes(gops) -> bytes:
     return b"".join(encode_container(g) for g in gops)
 
 
-def _wait_idle(client: VSSClient, timeout: float = 5.0) -> dict:
-    """Poll /metrics until no handler holds an admission slot.
-
-    The slot is released a hair after the client sees the last byte (the
-    handler still writes its terminal chunk), so gauge assertions poll.
-    """
-    deadline = time.monotonic() + timeout
-    while True:
-        doc = client.metrics()
-        if doc["server"]["inflight"] == 0 or time.monotonic() > deadline:
-            return doc
-        time.sleep(0.01)
+def _post(client, path: str, body: bytes):
+    """POST ``body`` by hand: ``(status, headers, response body)``."""
+    conn = HTTPConnection(client.host, client.port, timeout=10)
+    try:
+        conn.request("POST", path, body=body)
+        response = conn.getresponse()
+        return response.status, response.headers, response.read()
+    finally:
+        conn.close()
 
 
 class TestCatalogOverHTTP:
@@ -106,168 +109,9 @@ class TestCatalogOverHTTP:
             client.delete(name)
         assert client.list_videos() == []
 
-    def test_delete_missing_raises_not_found(self, client):
-        with pytest.raises(VideoNotFoundError) as info:
-            client.delete("ghost")
-        assert info.value.name == "ghost"
 
-    def test_video_stats(self, loaded_client):
-        stats = loaded_client.video_stats("traffic")
-        assert stats["num_gops"] == 3
-        assert stats["total_bytes"] > 0
-
-
-class TestReadsOverHTTP:
-    def test_raw_read_bit_identical(self, loaded_client, engine):
-        spec = ReadSpec("traffic", 0.0, 3.0, codec="raw", cache=False)
-        remote = loaded_client.read(spec)  # cold: decodes on the server
-        local = engine.session().read(spec)
-        assert np.array_equal(
-            remote.segment.pixels, local.segment.pixels
-        )
-        assert remote.stats.frames_decoded == 90
-
-    def test_streamed_read_bit_identical(self, loaded_client, engine):
-        spec = ReadSpec(
-            "traffic", 0.2, 2.8, codec="raw", cache=False,
-            resolution=(32, 18),
-        )
-        stream = loaded_client.read_stream(spec)
-        chunks = list(stream)
-        local = engine.session().read(spec)
-        assert len(chunks) > 1
-        got = np.concatenate([c.segment.pixels for c in chunks], axis=0)
-        assert np.array_equal(got, local.segment.pixels)
-        assert stream.stats is not None  # final server-side stats arrived
-        assert stream.stats.frames_decoded > 0
-
-    def test_encoded_read_same_bytes(self, loaded_client, engine):
-        spec = ReadSpec("traffic", 0.15, 2.85, codec="h264", qp=14,
-                        cache=False)
-        local = engine.session().read(spec)
-        remote = loaded_client.read(spec)
-        assert _gop_bytes(remote.gops) == _gop_bytes(local.gops)
-        assert np.array_equal(
-            remote.as_segment().pixels, local.as_segment().pixels
-        )
-
-    def test_direct_serve_over_http(self, loaded_client, engine):
-        spec = ReadSpec("traffic", 0.0, 3.0, codec="h264", qp=10,
-                        cache=False)
-        local = engine.session().read(spec)
-        assert local.stats.direct_serve
-        remote = loaded_client.read(spec)
-        assert remote.stats.direct_serve
-        assert _gop_bytes(remote.gops) == _gop_bytes(local.gops)
-
-    def test_read_batch(self, loaded_client, engine):
-        base = ReadSpec("traffic", 0.0, 1.0, codec="raw", cache=False)
-        specs = [base, base.replace(start=1.0, end=2.0),
-                 base.replace(start=0.5, end=1.5)]
-        local = [engine.read(s) for s in [specs[0]]]
-        results = loaded_client.read_batch(specs)
-        assert len(results) == 3
-        assert np.array_equal(
-            results[0].segment.pixels, local[0].segment.pixels
-        )
-        assert loaded_client.stats.last_batch.num_reads == 3
-        assert loaded_client.stats.last_batch.gops_shared > 0
-
-    def test_session_defaults_mirror(self, server, three_second_clip):
-        host, port = server.address
-        client = VSSClient(host, port, codec="h264", qp=10, gop_size=30)
-        client.write("cam", three_second_clip)  # defaults applied
-        result = client.read("cam", 0.0, 1.0, codec="raw", cache=False)
-        assert result.segment.num_frames == 30
-
-    def test_missing_video_raises_not_found(self, client):
-        with pytest.raises(VideoNotFoundError):
-            client.read("ghost", 0.0, 1.0)
-        assert client.stats.failures == 1
-
-    def test_invalid_spec_rejected_client_side(self, client):
-        with pytest.raises(ValueError):
-            client.read("v", 0.0, float("nan"))
-
-    def test_unknown_default_rejected(self):
-        with pytest.raises(TypeError):
-            VSSClient("127.0.0.1", 1, bogus=True)
-
-
-class TestAdmissionControl:
-    def test_429_when_full(self, loaded_client, server):
-        spec = ReadSpec("traffic", 0.0, 1.0, codec="raw", cache=False)
-        # The write handler releases its slot a hair after the client
-        # sees the response; wait for idle before pinning the window.
-        _wait_idle(loaded_client)
-        # Deterministically exhaust the admission slots.
-        saved = server.gauges.max_inflight
-        server.gauges.max_inflight = 1
-        assert server.gauges.try_enter()
-        try:
-            with pytest.raises(ServerBusyError) as info:
-                loaded_client.read(spec)
-            assert info.value.retry_after >= 1.0
-        finally:
-            server.gauges.leave()
-            server.gauges.max_inflight = saved
-        # Slot released: the same request now succeeds.
-        assert loaded_client.read(spec).segment is not None
-        assert loaded_client.metrics()["server"]["rejected"] == 1
-
-    def test_gauges_track_inflight(self, loaded_client, server):
-        spec = ReadSpec("traffic", 0.0, 3.0, codec="raw", cache=False)
-        stream = loaded_client.read_stream(spec)
-        next(stream)
-        # While the stream is open, its handler holds an admission slot.
-        metrics = loaded_client.metrics()["server"]
-        assert metrics["inflight"] == 1
-        assert metrics["max_inflight"] == server.gauges.max_inflight
-        list(stream)
-        assert _wait_idle(loaded_client)["server"]["inflight"] == 0
-
-    def test_concurrent_clients_all_served_within_limit(
-        self, loaded_client, server, three_second_clip
-    ):
-        host, port = server.address
-        spec = ReadSpec("traffic", 0.0, 1.0, codec="raw", cache=False)
-        errors: list = []
-        frames: list = []
-
-        def worker():
-            try:
-                client = VSSClient(host, port, timeout=60.0)
-                frames.append(client.read(spec).segment.num_frames)
-            except Exception as exc:  # noqa: BLE001 - collected
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert frames == [30, 30, 30, 30]
-
-
-class TestMetrics:
-    def test_metrics_document(self, loaded_client):
-        loaded_client.read(
-            ReadSpec("traffic", 0.0, 1.0, codec="raw", cache=False)
-        )
-        doc = _wait_idle(loaded_client)
-        assert doc["engine"]["reads"] >= 1
-        assert doc["engine"]["streams"] >= 1  # server reads are streams
-        assert doc["engine"]["num_logical_videos"] == 1
-        server = doc["server"]
-        assert server["served"] >= 2  # write + read
-        assert server["inflight"] == 0
-        assert server["rejected"] == 0
-
+class TestRouting:
     def test_unknown_route_404(self, client):
-        import json
-        from http.client import HTTPConnection
-
         conn = HTTPConnection(client.host, client.port, timeout=10)
         try:
             conn.request("GET", "/nope")
@@ -295,49 +139,84 @@ class TestWriteOverHTTP:
 
     def test_wire_error_envelope_keeps_class(self, client):
         """A server-sent WireError envelope re-raises as WireError."""
-        import json
-        from http.client import HTTPConnection
-
-        conn = HTTPConnection(client.host, client.port, timeout=10)
-        try:
-            body = json.dumps(
-                {"spec": {"name": "v", "start": 0.0, "end": 1.0,
-                          "surprise": 1}}
-            ).encode()
-            conn.request("POST", "/v1/read", body=body,
-                         headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            data = response.read()
-            assert response.status == 400
-        finally:
-            conn.close()
+        spec = read_spec_to_dict(ReadSpec("v", 0.0, 1.0))
+        status, _, data = _post(
+            client, "/v1/read",
+            frame_to_bytes(
+                FRAME_REQUEST, {"op": "read", "spec": {**spec, "surprise": 1}}
+            ),
+        )
+        assert status == 400
         with pytest.raises(WireError, match="surprise"):
-            client._raise_for_status(response, data)
+            raise error_from_dict(json.loads(data))
 
-    def test_corrupt_write_header_rejected(self, client):
-        import json
-        from http.client import HTTPConnection
-
-        conn = HTTPConnection(client.host, client.port, timeout=10)
-        try:
-            conn.request(
-                "POST", "/v1/write", body=b"no-newline-header",
-                headers={"Content-Type": "application/octet-stream"},
-            )
-            response = conn.getresponse()
-            assert response.status == 400
-            envelope = json.loads(response.read())
-            assert envelope["error"] == "WireError"
-        finally:
-            conn.close()
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"no-frame-here", "bad frame length prefix"),
+            (frame_to_bytes(FRAME_REQUEST, {"op": "write"})[:-2],
+             "not one whole frame"),
+            (frame_to_bytes(FRAME_REQUEST, {"op": "write"}) + b"junk",
+             "not one whole frame"),
+            (frame_to_bytes(FRAME_REQUEST, {"op": "write"}),
+             "op 'write' requires 'spec'"),
+            (frame_to_bytes(FRAME_REQUEST, {"op": "read"}),
+             "takes a request frame for op 'write'"),
+            (b'{"spec": {}}\n', "bad frame length prefix"),  # the old framing
+        ],
+    )
+    def test_corrupt_write_frame_rejected(self, client, body, message):
+        status, _, data = _post(client, "/v1/write", body)
+        assert status == 400
+        envelope = json.loads(data)
+        assert envelope["error"] == "WireError"
+        assert message in envelope["message"]
         assert isinstance(error_from_dict(envelope), WireError)
+
+    def test_failures_before_the_first_frame_are_http_errors(
+        self, loaded_client, server
+    ):
+        """404 / 400 / 429 + ``Retry-After`` with the JSON envelope — for
+        reads and batches alike; only a started answer carries frames."""
+        def request(op, name):
+            spec = read_spec_to_dict(ReadSpec(name, 0.0, 1.0))
+            params = {"spec": spec} if op == "read" else {"specs": [spec]}
+            return frame_to_bytes(FRAME_REQUEST, {"op": op, **params})
+
+        for op in ("read", "read_batch"):
+            status, _, data = _post(
+                loaded_client, f"/v1/{op}", request(op, "ghost")
+            )
+            assert status == 404
+            assert json.loads(data) == {
+                "error": "VideoNotFoundError",
+                "message": "logical video 'ghost' does not exist",
+                "name": "ghost",
+            }
+            status, _, data = _post(loaded_client, f"/v1/{op}", b"\x00" * 9)
+            assert status == 400
+            assert json.loads(data)["error"] == "WireError"
+        # A handler releases its slot a hair after its client saw the
+        # response; wait for idle before pinning the window.
+        deadline = time.monotonic() + 5.0
+        while server.gauges.inflight and time.monotonic() < deadline:
+            time.sleep(0.01)
+        server.gauges.max_inflight = 1
+        assert server.gauges.try_enter()
+        try:
+            for op in ("read", "read_batch", "write"):
+                status, headers, data = _post(
+                    loaded_client, f"/v1/{op}", request(op, "traffic")
+                )
+                assert status == 429
+                assert float(headers["Retry-After"]) >= 1.0
+                assert json.loads(data)["error"] == "ServerBusyError"
+        finally:
+            server.gauges.leave()
 
     def test_missing_required_param_rejected(self, client):
         """An op request without a required param is a 400 WireError
         naming the op and the param — not a stringified KeyError."""
-        import json
-        from http.client import HTTPConnection
-
         conn = HTTPConnection(client.host, client.port, timeout=10)
         try:
             for path, body, message in (
@@ -448,8 +327,6 @@ class TestViewsOverHTTP:
     def test_views_delete_route_rejects_videos(self, loaded_client):
         """DELETE /v1/views/<name> manages definitions only: a stored
         video must not be deletable (or force-cascaded) through it."""
-        from http.client import HTTPConnection
-
         conn = HTTPConnection(
             loaded_client.host, loaded_client.port, timeout=10
         )

@@ -44,7 +44,6 @@ from repro.core.wire import (
     search_query_from_dict,
     search_query_to_dict,
     segment_from_payload,
-    segment_payload,
     segment_payload_view,
     segment_to_meta,
     tile_grid_from_dict,
@@ -423,7 +422,7 @@ class TestStatsAndSegments:
             0, 256, segment.pixels.shape, dtype="uint8"
         )
         meta = json.loads(json.dumps(segment_to_meta(segment)))
-        rebuilt = segment_from_payload(meta, segment_payload(segment))
+        rebuilt = segment_from_payload(meta, segment_payload_view(segment))
         assert rebuilt.pixel_format == fmt
         assert rebuilt.fps == segment.fps
         assert (rebuilt.pixels == segment.pixels).all()
@@ -432,7 +431,7 @@ class TestStatsAndSegments:
         segment = blank_segment(4, 36, 64, fps=30.0)
         meta = segment_to_meta(segment)
         with pytest.raises(WireError, match="bytes"):
-            segment_from_payload(meta, segment_payload(segment)[:-1])
+            segment_from_payload(meta, segment_payload_view(segment)[:-1])
 
 
 class TestErrorEnvelopes:
