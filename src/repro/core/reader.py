@@ -56,7 +56,7 @@ from repro.video.codec.container import EncodedGOP
 from repro.video.codec.registry import codec_for
 from repro.video.frame import VideoSegment, convert_segment
 from repro.video.metrics import mse
-from repro.video.resample import resize_segment
+from repro.video.resample import index_run, resize_segment
 
 _EPS = 1e-9
 
@@ -696,9 +696,6 @@ class Reader:
         target = plan.target
         fps_out = plan.target_fps
         request = plan.request
-        roi = plan.roi
-        roi_w = roi[2] - roi[0]
-        roi_h = roi[3] - roi[1]
 
         def build(chunk):
             return chunk, self._build_windows(chunk[2], decode_cache)
@@ -748,9 +745,6 @@ class Reader:
                     ctx.src_full[op.p0:op.p1] - int(ctx.offsets[op.j_lo]),
                     ctx.choice,
                     plan,
-                    roi,
-                    roi_w,
-                    roi_h,
                     stats,
                 )
                 for j in [j for j in ctx.windows if j < op.keep_from]:
@@ -1013,65 +1007,101 @@ class Reader:
             return self.layout.read_gop(fresh.path, fresh.zstd_level)
 
     # ------------------------------------------------------------------
+    @staticmethod
     def _paste(
-        self,
         canvas: np.ndarray,
         out_indices: np.ndarray,
         source: VideoSegment,
         src_indices: np.ndarray,
         choice: IntervalChoice,
         plan: ReadPlan,
-        roi: ROI,
-        roi_w: int,
-        roi_h: int,
         stats: ReadStats,
     ) -> None:
-        fragment = choice.fragment
-        physical = fragment.physical
-        if physical.roi is None:
+        """Write ``choice``'s cells of ``source`` frames ``src_indices``
+        into ``canvas`` frames ``out_indices``, resizing where the two
+        differ in scale.
+
+        Each cell is read once, through a view of ``source`` (a decode-
+        cache entry is never copied whole), and written once: straight
+        into the canvas when the scales agree, through
+        :func:`resize_segment` otherwise.
+        """
+        physical = choice.fragment.physical
+        frag_roi = physical.roi
+        if frag_roi is None:
             # Full-frame fragment: its pixels span the original frame.
-            orig_w, orig_h = plan.original_resolution
-            frag_roi = (0, 0, orig_w, orig_h)
-        else:
-            frag_roi = physical.roi
-        scale_x = physical.width / (frag_roi[2] - frag_roi[0])
-        scale_y = physical.height / (frag_roi[3] - frag_roi[1])
-        target = plan.target
-        out_scale_x = target.width / roi_w
-        out_scale_y = target.height / roi_h
-
+            frag_roi = (0, 0, *plan.original_resolution)
+        frames, dest = index_run(src_indices), index_run(out_indices)
         for cell in choice.cells:
-            # Cell in fragment pixel coordinates.
-            fx0 = int(round((cell[0] - frag_roi[0]) * scale_x))
-            fy0 = int(round((cell[1] - frag_roi[1]) * scale_y))
-            fx1 = int(round((cell[2] - frag_roi[0]) * scale_x))
-            fy1 = int(round((cell[3] - frag_roi[1]) * scale_y))
-            fx1 = min(max(fx1, fx0 + 1), physical.width)
-            fy1 = min(max(fy1, fy0 + 1), physical.height)
-            # Cell in output canvas coordinates.
-            ox0 = int(round((cell[0] - roi[0]) * out_scale_x))
-            oy0 = int(round((cell[1] - roi[1]) * out_scale_y))
-            ox1 = int(round((cell[2] - roi[0]) * out_scale_x))
-            oy1 = int(round((cell[3] - roi[1]) * out_scale_y))
-            ox1 = min(max(ox1, ox0 + 1), canvas.shape[2])
-            oy1 = min(max(oy1, oy0 + 1), canvas.shape[1])
-
-            used = source.pixels[src_indices][:, fy0:fy1, fx0:fx1]
-            piece = VideoSegment(
-                pixels=np.ascontiguousarray(used),
-                pixel_format=source.pixel_format,
-                height=fy1 - fy0,
-                width=fx1 - fx0,
-                fps=plan.target_fps,
-                start_time=choice.start,
+            rects = cell_rects(
+                cell,
+                frag_roi,
+                (physical.width, physical.height),
+                plan.roi,
+                (canvas.shape[2], canvas.shape[1]),
             )
-            if (piece.width, piece.height) != (ox1 - ox0, oy1 - oy0):
+            if rects is None:
+                continue
+            (fx0, fy0, fx1, fy1), (ox0, oy0, ox1, oy1) = rects
+            window = source.pixels[frames, fy0:fy1, fx0:fx1]
+            if (fx1 - fx0, fy1 - fy0) != (ox1 - ox0, oy1 - oy0):
+                piece = VideoSegment(
+                    pixels=window,
+                    pixel_format=source.pixel_format,
+                    height=fy1 - fy0,
+                    width=fx1 - fx0,
+                    fps=plan.target_fps,
+                    start_time=choice.start,
+                )
                 resized = resize_segment(piece, ox1 - ox0, oy1 - oy0)
-                if stats.resample_mse == 0.0 and piece.num_frames:
+                if stats.resample_mse == 0.0:
                     stats.resample_mse = _resample_error_sample(piece, resized)
-            else:
-                resized = piece
-            canvas[out_indices, oy0:oy1, ox0:ox1] = resized.pixels
+                window = resized.pixels
+            canvas[dest, oy0:oy1, ox0:ox1] = window
+
+
+def _pixel_rect(cell: ROI, region: ROI, size: tuple[int, int]) -> ROI:
+    """``cell`` in the pixels of a ``size`` raster that depicts ``region``.
+
+    Each axis rounds to at least one pixel, except that a cell starting
+    within half a pixel of the raster's far edge rounds to none.
+    """
+    rect = []
+    for axis in (0, 1):
+        scale = size[axis] / (region[axis + 2] - region[axis])
+        p0 = int(round((cell[axis] - region[axis]) * scale))
+        p1 = int(round((cell[axis + 2] - region[axis]) * scale))
+        rect.append((p0, min(max(p1, p0 + 1), size[axis])))
+    (x0, x1), (y0, y1) = rect
+    return (x0, y0, x1, y1)
+
+
+def cell_rects(
+    cell: ROI,
+    frag_roi: ROI,
+    frag_size: tuple[int, int],
+    roi: ROI,
+    canvas_size: tuple[int, int],
+) -> tuple[ROI, ROI] | None:
+    """Where one plan cell lies in a fragment's pixels and on the canvas.
+
+    ``cell``, ``frag_roi`` (the region the fragment depicts) and ``roi``
+    (the region the canvas depicts) are in original-frame coordinates;
+    the sizes are ``(width, height)`` in pixels.  Returns ``(source
+    rect, canvas rect)`` as ``(x0, y0, x1, y1)`` pixel rectangles, or
+    None for a sliver that rounds onto the canvas's far edge and so
+    covers no output pixel.  A sliver that rounds onto the fragment's far
+    edge reads the fragment's last row or column instead: a canvas
+    rectangle is never left unpainted for want of a source.
+    """
+    ox0, oy0, ox1, oy1 = _pixel_rect(cell, roi, canvas_size)
+    if ox0 == ox1 or oy0 == oy1:
+        return None
+    fx0, fy0, fx1, fy1 = _pixel_rect(cell, frag_roi, frag_size)
+    fx0 = min(fx0, frag_size[0] - 1)
+    fy0 = min(fy0, frag_size[1] - 1)
+    return (fx0, fy0, fx1, fy1), (ox0, oy0, ox1, oy1)
+
 
 def _resample_error_sample(
     source: VideoSegment, resized: VideoSegment

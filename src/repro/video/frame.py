@@ -314,22 +314,44 @@ def _rgb_to_yuv_channels(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return y, u, v
 
 
+def _round_into(out: np.ndarray, values: np.ndarray) -> None:
+    """``out[...] = values`` rounded to nearest and clamped to uint8.
+
+    Rounds ``values`` (a float32 temporary the caller is done with) in
+    place, so the only pass that is not in cache is the store.
+    """
+    np.rint(values, out=values)
+    np.clip(values, 0, 255, out=values)
+    np.copyto(out, values, casting="unsafe")
+
+
 def _yuv_to_rgb(y: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    y = y.astype(np.float32)
-    du = u.astype(np.float32) - 128.0
-    dv = v.astype(np.float32) - 128.0
-    r = y + 1.403 * dv
-    g = y - 0.344 * du - 0.714 * dv
-    b = y + 1.773 * du
-    rgb = np.stack([r, g, b], axis=-1)
-    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
+    y = y.astype(np.float32, copy=False)
+    du = u.astype(np.float32, copy=False) - 128.0
+    dv = v.astype(np.float32, copy=False) - 128.0
+    rgb = np.empty((*y.shape, 3), dtype=np.uint8)
+    _round_into(rgb[..., 0], y + 1.403 * dv)
+    _round_into(rgb[..., 1], y - 0.344 * du - 0.714 * dv)
+    _round_into(rgb[..., 2], y + 1.773 * du)
+    return rgb
 
 
 def _pool2(plane: np.ndarray, pool_h: int, pool_w: int) -> np.ndarray:
-    """Mean-pool a stack of planes ``(N, H, W)`` by the given factors."""
-    n, h, w = plane.shape
-    pooled = plane.reshape(n, h // pool_h, pool_h, w // pool_w, pool_w)
-    return pooled.mean(axis=(2, 4))
+    """Mean-pool a stack of planes ``(N, H, W)`` by 1 or 2 rows and 2
+    columns, as the chroma of yuv422 / yuv420 is.
+
+    The taps are summed pairwise along a row, then across rows: the order
+    ``mean`` over the reshaped window uses, a tenth of its time.
+    """
+    if pool_w != 2 or pool_h not in (1, 2):
+        raise ValueError(f"unsupported chroma pooling {pool_h}x{pool_w}")
+    top = plane[:, ::pool_h]
+    pooled = top[:, :, 0::2] + top[:, :, 1::2]
+    if pool_h == 2:
+        bottom = plane[:, 1::2]
+        pooled += bottom[:, :, 0::2] + bottom[:, :, 1::2]
+    pooled /= pool_h * pool_w
+    return pooled
 
 
 def _unpool2(plane: np.ndarray, pool_h: int, pool_w: int) -> np.ndarray:
@@ -345,17 +367,12 @@ def _to_rgb(segment: VideoSegment) -> np.ndarray:
         return px
     if fmt == "gray":
         return np.repeat(px[..., None], 3, axis=-1)
-    if fmt == "yuv420":
+    if fmt in ("yuv420", "yuv422"):
+        sub_h = 2 if fmt == "yuv420" else 1
         y = px[:, :h].astype(np.float32)
-        chroma = px[:, h:].reshape(px.shape[0], 2, h // 2, w // 2)
-        u = _unpool2(chroma[:, 0].astype(np.float32), 2, 2)
-        v = _unpool2(chroma[:, 1].astype(np.float32), 2, 2)
-        return _yuv_to_rgb(y, u, v)
-    if fmt == "yuv422":
-        y = px[:, :h].astype(np.float32)
-        chroma = px[:, h:].reshape(px.shape[0], 2, h, w // 2)
-        u = _unpool2(chroma[:, 0].astype(np.float32), 1, 2)
-        v = _unpool2(chroma[:, 1].astype(np.float32), 1, 2)
+        chroma = px[:, h:].reshape(px.shape[0], 2, h // sub_h, w // 2)
+        u = _unpool2(chroma[:, 0].astype(np.float32), sub_h, 2)
+        v = _unpool2(chroma[:, 1].astype(np.float32), sub_h, 2)
         return _yuv_to_rgb(y, u, v)
     raise FormatError(f"unknown pixel format {fmt!r}")
 
@@ -363,35 +380,30 @@ def _to_rgb(segment: VideoSegment) -> np.ndarray:
 def _from_rgb(rgb: np.ndarray, fmt: str, height: int, width: int) -> np.ndarray:
     if fmt == "rgb":
         return rgb
-    if fmt == "gray":
-        y, _, _ = _rgb_to_yuv_channels(rgb)
-        return np.clip(np.rint(y), 0, 255).astype(np.uint8)
-    if fmt in ("yuv420", "yuv422"):
-        _require_even(height, width, fmt)
-        y, u, v = _rgb_to_yuv_channels(rgb)
+    out = np.empty(
+        (rgb.shape[0], *pixel_format(fmt).frame_shape(height, width)),
+        dtype=np.uint8,
+    )
+    y, u, v = _rgb_to_yuv_channels(rgb)
+    # The planes are written where they belong in each frame: U then V
+    # fill the chroma rows contiguously (see ``frames_plane_views``).
+    views = frames_plane_views(out, fmt, height, width)
+    _round_into(views[0], y)
+    if fmt != "gray":
         pool_h = 2 if fmt == "yuv420" else 1
-        u = _pool2(u, pool_h, 2)
-        v = _pool2(v, pool_h, 2)
-        n = rgb.shape[0]
-        y8 = np.clip(np.rint(y), 0, 255).astype(np.uint8)
-        u8 = np.clip(np.rint(u), 0, 255).astype(np.uint8)
-        v8 = np.clip(np.rint(v), 0, 255).astype(np.uint8)
-        # Pack U then V contiguously, then fold into width-W rows.  A
-        # single plane need not flatten into whole rows (e.g. H = 26), but
-        # the U+V pair always totals H/2 (or H) rows exactly.
-        chroma = np.concatenate(
-            [u8.reshape(n, -1), v8.reshape(n, -1)], axis=1
-        ).reshape(n, -1, width)
-        return np.concatenate([y8, chroma], axis=1)
-    raise FormatError(f"unknown pixel format {fmt!r}")
+        _round_into(views[1], _pool2(u, pool_h, 2))
+        _round_into(views[2], _pool2(v, pool_h, 2))
+    return out
 
 
 #: Float32 elements per block of frames the whole-segment transforms
 #: (:func:`convert_segment`, ``resample.resize_segment``) work through at
-#: once.  They run a dozen float32 temporaries the size of their input;
-#: at 2**18 elements each is 1 MiB, so they stay cache-sized and inside
-#: the allocator's free lists, where whole-window temporaries (10 MB each
-#: for a four-second read) are fresh page-faulted memory on every call.
+#: once.  The conversion runs a dozen float32 temporaries the size of its
+#: input; at 2**18 elements each is 1 MiB, so they stay cache-sized and
+#: inside the allocator's free lists, where whole-window temporaries
+#: (10 MB each for a four-second read) are fresh page-faulted memory on
+#: every call.  The resize holds its three scratch stacks for the whole
+#: call and sizes its blocks so that together they are this large.
 _BLOCK_ELEMENTS = 1 << 18
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.video import frame as frame_module
+from repro.video import resample as resample_module
 from repro.video.frame import VideoSegment, blank_segment
 from repro.video.resample import crop_roi, resample_fps, resize_segment
 from tests.test_frame import make_segment
@@ -31,18 +32,61 @@ class TestResize:
         out = resize_segment(seg, 8, 6)
         assert np.all(out.pixels == 123)
 
+    @staticmethod
+    def _frame_elements(seg, target) -> int:
+        """Float32 elements of scratch one frame of ``seg`` -> ``target``
+        needs: three RGB stacks of the gathered rows (the source's own
+        when it must become RGB first) at the wider width."""
+        width, height = target
+        rows = height if seg.pixel_format == "rgb" else max(height, seg.height)
+        return 3 * 3 * rows * max(width, seg.width)
+
+    @staticmethod
+    def _scratch_sizes(monkeypatch) -> list[int]:
+        """Record, per ``_lerp_axis`` call, the float32 elements of the
+        block's scratch (three rows of ``out.size``)."""
+        sizes: list[int] = []
+        lerp_axis = resample_module._lerp_axis
+
+        def recording(pixels, new_size, axis, out, tap):
+            sizes.append(3 * out.size)
+            return lerp_axis(pixels, new_size, axis, out, tap)
+
+        monkeypatch.setattr(resample_module, "_lerp_axis", recording)
+        return sizes
+
     @pytest.mark.parametrize("fmt", ["rgb", "gray", "yuv420"])
-    @pytest.mark.parametrize("target", [(24, 12), (80, 40), (50, 26)])
+    @pytest.mark.parametrize("target", [(24, 12), (80, 40), (50, 12)])
     def test_blocked_resize_equals_whole_segment(self, fmt, target, monkeypatch):
         # The resize runs in bounded blocks of frames; per frame the
         # filter is independent, so several blocks plus a remainder must
         # give the bytes of one block spanning the whole window.
         seg = make_segment(n=11, h=26, w=50, fmt=fmt)
         whole = resize_segment(seg, *target)
-        monkeypatch.setattr(frame_module, "_BLOCK_ELEMENTS", 3 * 3 * 26 * 50)
+        monkeypatch.setattr(
+            frame_module, "_BLOCK_ELEMENTS", 3 * self._frame_elements(seg, target)
+        )
+        passes = self._scratch_sizes(monkeypatch)
         blocked = resize_segment(seg, *target)
+        assert len(passes) == 2 * 4  # both axes of 3 + 3 + 3 + 2 frames
         assert blocked.pixels.shape == whole.pixels.shape
         assert np.array_equal(blocked.pixels, whole.pixels)
+
+    @pytest.mark.parametrize("fmt", ["rgb", "yuv420"])
+    @pytest.mark.parametrize("target", [(24, 12), (100, 52), (200, 26), (50, 104)])
+    def test_block_temporaries_stay_inside_the_bound(self, fmt, target, monkeypatch):
+        # Blocks used to be sized by the source alone, so a 2x upscale ran
+        # float32 temporaries four times the bound.  All of a block's
+        # scratch together now fits ``_BLOCK_ELEMENTS`` whichever way the
+        # resize goes -- and is no smaller than it has to be.
+        seg = make_segment(n=11, h=26, w=50, fmt=fmt)
+        bound = 4 * self._frame_elements(seg, target) + 17
+        monkeypatch.setattr(frame_module, "_BLOCK_ELEMENTS", bound)
+        sizes = self._scratch_sizes(monkeypatch)
+        resize_segment(seg, *target)
+        width, height = target
+        assert max(sizes) <= bound
+        assert max(sizes) == 4 * 9 * height * max(width, seg.width)
 
     def test_invalid_target_rejected(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,8 @@ The contracts under test:
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -334,3 +336,47 @@ class TestParallelStream:
             full.stats.codec_frames_encoded
         ) == 81
 
+
+class TestNoAliasingOfCachedPixels:
+    """The reader pastes from *views* of decode-cache entries; what a
+    caller gets back must share no memory with them, or scribbling on an
+    answer would corrupt every later read of that GOP."""
+
+    SPECS = {
+        "full": ReadSpec("traffic", 0.0, 2.0, codec="raw", cache=False),
+        "half": ReadSpec(
+            "traffic", 0.0, 2.0, codec="raw", resolution=(32, 18), cache=False
+        ),
+    }
+
+    @staticmethod
+    def _answers(session, how: str, spec: ReadSpec) -> list[np.ndarray]:
+        if how == "read":
+            return [session.read(spec).segment.pixels]
+        if how == "read_stream":
+            return [chunk.segment.pixels for chunk in session.read_stream(spec)]
+        return [r.segment.pixels for r in session.read_batch([spec, spec])]
+
+    @pytest.mark.parametrize("how", ["read", "read_stream", "read_batch"])
+    @pytest.mark.parametrize("size", ["full", "half"])
+    def test_answers_share_no_memory_with_the_decode_cache(
+        self, loaded, how, size
+    ):
+        session = loaded.session()
+        spec = self.SPECS[size]
+        self._answers(session, how, spec)  # warm: decodes into the cache
+        cache = loaded.decode_cache
+        assert len(cache) > 0
+        misses = cache.stats.misses
+        answers = self._answers(session, how, spec)
+        assert cache.stats.misses == misses  # served from cached pixels
+        cached = [segment.pixels for _, segment in cache._entries.values()]
+        for pixels in answers:
+            assert not any(np.shares_memory(pixels, entry) for entry in cached)
+        digest = hashlib.sha256(b"".join(p.tobytes() for p in answers))
+        for pixels in answers:
+            pixels[...] = 255 - pixels
+        again = self._answers(session, how, spec)
+        assert hashlib.sha256(
+            b"".join(p.tobytes() for p in again)
+        ).hexdigest() == digest.hexdigest()
