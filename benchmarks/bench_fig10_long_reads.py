@@ -17,22 +17,23 @@ import time
 
 from benchmarks.conftest import make_store
 from repro.bench.harness import Series, print_series
-from repro.bench.workloads import RandomReadWorkload
+from repro.bench.workloads import RandomReadWorkload, populate_cache
 from repro.core.cost import CostModel
 
 DURATION = 5.0
 CACHE_STEPS = (0, 3, 6, 12)
 
 
-def _timed_read(vss, mode):
+def _timed_read(session, mode):
     start = time.perf_counter()
-    vss.read("video", 0.0, DURATION, codec="hevc", cache=False, mode=mode)
+    session.read("video", 0.0, DURATION, codec="hevc", cache=False, mode=mode)
     return time.perf_counter() - start
 
 
 def test_fig10_long_read_performance(tmp_path, calibration, vroad_clip, benchmark):
-    vss = make_store(tmp_path, calibration, budget_multiple=10_000.0)
-    vss.write("video", vroad_clip, codec="h264", qp=10, gop_size=30)
+    engine = make_store(tmp_path, calibration, budget_multiple=10_000.0)
+    session = engine.session()
+    session.write("video", vroad_clip, codec="h264", qp=10, gop_size=30)
     workload = RandomReadWorkload(DURATION, vroad_clip.resolution, seed=4)
 
     series = {
@@ -45,24 +46,20 @@ def test_fig10_long_read_performance(tmp_path, calibration, vroad_clip, benchmar
     }
     eta_series = Series("Fig10 ablation: eta=1 solver", "# fragments", "read seconds")
 
-    logical = vss.catalog.get_logical("video")
-    reads_done = 0
+    fragments = reads_done = 0  # materialized fragments beside the original
     for target in CACHE_STEPS:
-        while len(vss.catalog.fragments_of_logical(logical.id)) - 1 < target:
-            vss.read("video", **workload.next_read())
+        while fragments < target and reads_done <= 60:
+            fragments = populate_cache(session, "video", workload, 1) - 1
             reads_done += 1
-            if reads_done > 60:
-                break
-        fragments = len(vss.catalog.fragments_of_logical(logical.id)) - 1
         for mode in ("solver", "greedy", "original"):
-            series[mode].add(fragments, _timed_read(vss, mode))
+            series[mode].add(fragments, _timed_read(session, mode))
         # eta ablation: same store, dependency penalty neutralized.
-        default_cost = vss.cost_model
-        vss.cost_model = CostModel(calibration, eta=1.0)
+        default_cost = engine.cost_model
+        engine.cost_model = CostModel(calibration, eta=1.0)
         try:
-            eta_series.add(fragments, _timed_read(vss, "solver"))
+            eta_series.add(fragments, _timed_read(session, "solver"))
         finally:
-            vss.cost_model = default_cost
+            engine.cost_model = default_cost
 
     print_series(*series.values(), eta_series)
 
@@ -73,7 +70,9 @@ def test_fig10_long_read_performance(tmp_path, calibration, vroad_clip, benchmar
         f"{100 * (1 - final_solver / final_original):.1f}% "
         f"(paper reports up to 54%)"
     )
-    benchmark.pedantic(_timed_read, args=(vss, "solver"), rounds=1, iterations=1)
+    benchmark.pedantic(
+        _timed_read, args=(session, "solver"), rounds=1, iterations=1
+    )
     # Shape: with a populated cache the solver must beat reading the original.
     assert final_solver <= final_original
-    vss.close()
+    engine.close()

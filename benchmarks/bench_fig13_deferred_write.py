@@ -20,10 +20,10 @@ FRAMES_PER_CHUNK = 15
 
 
 def test_fig13_deferred_compression_write(tmp_path, calibration, vroad_clip, benchmark):
-    vss = make_store(tmp_path, calibration, budget_multiple=1.0)
+    engine = make_store(tmp_path, calibration, budget_multiple=1.0)
     # Pre-set an explicit budget so the raw stream has a fixed ceiling:
     # half the clip's raw size, forcing mid-write activation.
-    vss.create("video", budget_bytes=vroad_clip.nbytes // 2)
+    engine.create("video", budget_bytes=vroad_clip.nbytes // 2)
 
     budget_series = Series("Fig13 budget consumed", "write progress %", "% of budget")
     level_series = Series("Fig13 compression level", "write progress %", "level")
@@ -31,11 +31,11 @@ def test_fig13_deferred_compression_write(tmp_path, calibration, vroad_clip, ben
         "Fig13 relative throughput", "write progress %", "relative"
     )
 
-    stream = vss.open_write_stream(
+    stream = engine.open_write_stream(
         "video", codec="raw", pixel_format="rgb",
         width=vroad_clip.width, height=vroad_clip.height, fps=30.0,
     )
-    logical = vss.catalog.get_logical("video")
+    logical = engine.catalog.get_logical("video")
     first_chunk_time = None
     for chunk in range(CHUNKS):
         lo = chunk * FRAMES_PER_CHUNK
@@ -46,16 +46,16 @@ def test_fig13_deferred_compression_write(tmp_path, calibration, vroad_clip, ben
         if first_chunk_time is None:
             first_chunk_time = elapsed
         progress = 100.0 * (chunk + 1) / CHUNKS
-        usage = 100.0 * vss.cache.usage_fraction(logical)
+        usage = 100.0 * engine.cache.usage_fraction(logical)
         budget_series.add(progress, usage)
-        level_series.add(progress, vss.deferred.level(logical))
+        level_series.add(progress, engine.deferred.level(logical))
         throughput_series.add(progress, first_chunk_time / max(elapsed, 1e-9))
     stream.close()
 
     print_series(budget_series, level_series, throughput_series)
-    activated = vss.deferred.active(logical)
+    activated = engine.deferred.active(logical)
     compressed = sum(
-        1 for g in vss.catalog.gops_of_logical(logical.id) if g.zstd_level > 0
+        1 for g in engine.catalog.gops_of_logical(logical.id) if g.zstd_level > 0
     )
     print(
         f"fig13: deferred compression active={activated}, "
@@ -67,4 +67,4 @@ def test_fig13_deferred_compression_write(tmp_path, calibration, vroad_clip, ben
     # Levels never decrease as the budget fills.
     levels = [y for _x, y in level_series.points]
     assert levels == sorted(levels)
-    vss.close()
+    engine.close()

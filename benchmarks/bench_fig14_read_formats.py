@@ -40,10 +40,11 @@ def _fps(fn) -> float:
 def test_fig14_read_format_flexibility(tmp_path, calibration, vroad_clip, benchmark):
     clip = vroad_clip.slice_frames(0, FRAMES)
 
-    vss = make_store(tmp_path, calibration, budget_multiple=100.0,
-                     cache_reads=False)
-    vss.write("compressed", clip, codec="h264", qp=10, gop_size=30)
-    vss.write("raw", clip, codec="raw")
+    engine = make_store(tmp_path, calibration, budget_multiple=100.0,
+                        cache_reads=False)
+    session = engine.session()
+    session.write("compressed", clip, codec="h264", qp=10, gop_size=30)
+    session.write("raw", clip, codec="raw")
 
     fs = LocalFSStore(tmp_path / "fs")
     fs.write("compressed", clip, codec="h264", qp=10, gop_size=30)
@@ -63,7 +64,9 @@ def test_fig14_read_format_flexibility(tmp_path, calibration, vroad_clip, benchm
     for label, src, dst in CASES:
         vss_name = "compressed" if src == "h264" else "raw"
         vss_fps = _fps(
-            lambda: vss.read(vss_name, 0.0, DURATION, codec=dst, cache=False)
+            lambda: session.read(
+                vss_name, 0.0, DURATION, codec=dst, cache=False
+            )
         )
         vss_results[label] = vss_fps
         if src == dst:
@@ -81,9 +84,11 @@ def test_fig14_read_format_flexibility(tmp_path, calibration, vroad_clip, benchm
     print_table(table)
 
     benchmark.pedantic(
-        lambda: vss.read("compressed", 0.0, 1.0, codec="h264", cache=False),
+        lambda: session.read(
+            "compressed", 0.0, 1.0, codec="h264", cache=False
+        ),
         rounds=1, iterations=1,
     )
     # Shape: same-format reads are far faster than transcoding reads.
     assert vss_results["h264->h264"] > vss_results["h264->hevc"]
-    vss.close()
+    engine.close()

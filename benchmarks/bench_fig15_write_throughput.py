@@ -43,7 +43,15 @@ def test_fig15_write_throughput(tmp_path, calibration, benchmark):
     for name in DATASETS:
         clip = build_dataset(name, num_frames=FRAMES).video(0, 0, FRAMES)
         base = tmp_path / name
-        vss = make_store(base, calibration, budget_multiple=100.0)
+        engine = make_store(base, calibration, budget_multiple=100.0)
+        session = engine.session()
+
+        def vss_write(video, **how):
+            session.write(video, clip, **how)
+            # The index extraction a write queues is part of its cost,
+            # and must not run into the next system's timing.
+            engine.drain_admissions()
+
         fs = LocalFSStore(base / "fs")
         vstore = VStoreBaseline(
             base / "vstore",
@@ -51,8 +59,7 @@ def test_fig15_write_throughput(tmp_path, calibration, benchmark):
         )
         from repro.video.codec.registry import encode_gop
 
-        raw_vss = _fps(lambda: vss.write(f"{name}-raw", clip, codec="raw"),
-                       FRAMES)
+        raw_vss = _fps(lambda: vss_write(f"{name}-raw", codec="raw"), FRAMES)
         raw_fs = _fps(lambda: fs.write_gops("raw", encode_gop("raw", clip)),
                       FRAMES)
         vss_raw_fps[name] = raw_vss
@@ -66,15 +73,14 @@ def test_fig15_write_throughput(tmp_path, calibration, benchmark):
         )
 
         comp_vss = _fps(
-            lambda: vss.write(f"{name}-h264", clip, codec="h264", qp=14),
-            FRAMES,
+            lambda: vss_write(f"{name}-h264", codec="h264", qp=14), FRAMES
         )
         comp_fs = _fps(lambda: fs.write("h264", clip, codec="h264", qp=14),
                        FRAMES)
         compressed_table.add_row(
             name, f"{comp_vss:,.1f}", f"{comp_fs:,.1f}", f"{comp_fs:,.1f}*"
         )
-        vss.close()
+        engine.close()
 
     print_table(raw_table)
     print_table(compressed_table)

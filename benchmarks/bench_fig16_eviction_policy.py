@@ -15,7 +15,7 @@ import time
 
 from benchmarks.conftest import make_store
 from repro.bench.harness import Series, print_series
-from repro.bench.workloads import RandomReadWorkload
+from repro.bench.workloads import RandomReadWorkload, populate_cache
 
 DURATION = 5.0
 BUDGETS = (2.0, 4.0, 8.0)
@@ -23,22 +23,25 @@ POPULATE_READS = 12
 
 
 def _run(tmp_path, calibration, clip, policy, budget, gamma=None, zeta=None):
-    vss = make_store(
+    engine = make_store(
         tmp_path / f"{policy}-{budget}-{gamma}", calibration,
         cache_policy=policy, budget_multiple=budget,
     )
     if gamma is not None:
-        vss.cache.gamma = gamma
+        engine.cache.gamma = gamma
     if zeta is not None:
-        vss.cache.zeta = zeta
-    vss.write("video", clip, codec="h264", qp=10, gop_size=30)
+        engine.cache.zeta = zeta
+    session = engine.session()
+    session.write("video", clip, codec="h264", qp=10, gop_size=30)
     workload = RandomReadWorkload(DURATION, clip.resolution, seed=17)
-    for _ in range(POPULATE_READS):
-        vss.read("video", **workload.short_read())
+    fragments = populate_cache(
+        session, "video", workload, POPULATE_READS, short=True
+    )
+    print(f"fig16: {policy} budget x{budget}: {fragments} fragments cached")
     start = time.perf_counter()
-    result = vss.read("video", 0.0, DURATION, codec="raw", cache=False)
+    result = session.read("video", 0.0, DURATION, codec="raw", cache=False)
     elapsed = time.perf_counter() - start
-    vss.close()
+    engine.close()
     return elapsed, result.plan.estimated_cost
 
 

@@ -51,13 +51,15 @@ def test_fig21_end_to_end_application(tmp_path, calibration, benchmark):
     )
     results = {}
     for clients in (1, 2):
-        vss = make_store(tmp_path / f"vss{clients}", calibration,
-                         budget_multiple=50.0)
-        vss.write("cam", clip, codec="h264", qp=10, gop_size=30)
-        idx, search, stream, _hits = _run_clients(vss, clients)
+        engine = make_store(tmp_path / f"vss{clients}", calibration,
+                            budget_multiple=50.0)
+        session = engine.session()
+        session.write("cam", clip, codec="h264", qp=10, gop_size=30)
+        engine.drain_admissions()  # ingest indexing is not a phase
+        idx, search, stream, _hits = _run_clients(session, clients)
         results[("vss", clients)] = (idx, search, stream)
         table.add_row("VSS", clients, idx, search, stream, idx + search + stream)
-        vss.close()
+        engine.close()
 
         fs = LocalFSStore(tmp_path / f"fs{clients}")
         fs.write("cam", clip, codec="h264", qp=10, gop_size=30)

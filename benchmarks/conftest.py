@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.api import VSS
+from repro.core.engine import VSSEngine
 from repro.synthetic import visualroad
 from repro.vbench.calibrate import Calibration
 
@@ -33,5 +33,5 @@ def vroad_clip(vroad_1k_30):
     return vroad_1k_30.video(0, 0, 150)
 
 
-def make_store(tmp_path, calibration, **kwargs) -> VSS:
-    return VSS(tmp_path / "vss", calibration=calibration, **kwargs)
+def make_store(tmp_path, calibration, **knobs) -> VSSEngine:
+    return VSSEngine(tmp_path / "vss", calibration=calibration, **knobs)

@@ -1,7 +1,6 @@
 """Concurrent sessions: the engine/session/spec API end to end.
 
-Demonstrates the concurrency-first API that replaced the `VSS(root)`
-facade (see docs/api.md):
+Demonstrates the concurrency-first API (see docs/api.md):
 
 * one thread-safe ``VSSEngine`` shared by several threads, each with its
   own cheap ``Session`` carrying per-caller defaults;

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import tempfile
 
-from repro import VSS
+from repro import VSSEngine
 from repro.jointcomp import JointCompressionManager
 from repro.synthetic import visualroad
 from repro.video.metrics import segment_psnr
@@ -29,23 +29,27 @@ def main() -> None:
     )
 
     with tempfile.TemporaryDirectory() as root:
-        with VSS(root, cache_reads=False) as store:
+        with VSSEngine(root, cache_reads=False) as engine:
+            store = engine.session()
             store.write("cam-left", left, codec="h264", qp=10, gop_size=5)
             store.write("cam-right", right, codec="h264", qp=10, gop_size=5)
+            # Ingest-time indexing reads the GOPs joint compression is
+            # about to rewrite: let it finish first.
+            engine.drain_admissions()
             before = (
-                store.stats("cam-left").total_bytes
-                + store.stats("cam-right").total_bytes
+                store.video_stats("cam-left").total_bytes
+                + store.video_stats("cam-right").total_bytes
             )
             print(f"stored separately: {before / 1024:.0f} KB")
 
             # Find and compress overlapping GOP pairs.  'mean' merge
             # balances recovered quality across both cameras; use
             # 'unprojected' to keep the left camera bit-exact.
-            manager = JointCompressionManager(store, merge="mean")
+            manager = JointCompressionManager(engine, merge="mean")
             report = manager.optimize()
             after = (
-                store.stats("cam-left").total_bytes
-                + store.stats("cam-right").total_bytes
+                store.video_stats("cam-left").total_bytes
+                + store.video_stats("cam-right").total_bytes
             )
             print(
                 f"jointly compressed {report.pairs_compressed} GOP pairs "

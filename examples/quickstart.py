@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import tempfile
 
-from repro import VSS
+from repro import VSSEngine
 from repro.synthetic import visualroad
 from repro.video.metrics import segment_psnr
 
@@ -21,13 +21,15 @@ def main() -> None:
     print(f"rendered {clip.num_frames} frames at {clip.resolution}")
 
     with tempfile.TemporaryDirectory() as root:
-        # 2. Open a store and write the clip as h264.  The first write
-        #    becomes the video's lossless reference; the storage budget
-        #    defaults to 10x its size.
-        with VSS(root) as store:
+        # 2. Open a store, take a session (a cheap per-caller handle)
+        #    and write the clip as h264.  The first write becomes the
+        #    video's lossless reference; the storage budget defaults to
+        #    10x its size.
+        with VSSEngine(root) as engine:
+            store = engine.session()
             store.create("traffic")
             store.write("traffic", clip, codec="h264", qp=10, gop_size=30)
-            print("after write:", store.stats("traffic"))
+            print("after write:", store.video_stats("traffic"))
 
             # 3. Read one second as decoded RGB (e.g. for ML inference).
             #    VSS transparently decodes and caches the result.
@@ -39,7 +41,10 @@ def main() -> None:
             )
 
             # 4. Read the same second again: the cached raw fragment now
-            #    serves it at a fraction of the planned cost.
+            #    serves it at a fraction of the planned cost.  Caching
+            #    happens after a read returns, on the engine's background
+            #    worker; drain it so the effect is there to see.
+            engine.drain_admissions()
             again = store.read("traffic", start=0.0, end=1.0, codec="raw")
             print(
                 f"repeat read planned cost: {again.plan.estimated_cost:.5f}s "
@@ -63,7 +68,8 @@ def main() -> None:
             )
             print(f"ROI read: {roi.segment.resolution} @ {roi.segment.fps} fps")
 
-            print("final state:", store.stats("traffic"))
+            engine.drain_admissions()
+            print("final state:", store.video_stats("traffic"))
 
 
 if __name__ == "__main__":

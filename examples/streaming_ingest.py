@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import tempfile
 
-from repro import VSS
+from repro import VSSEngine
 from repro.synthetic import visualroad
 
 CHUNKS = 6
@@ -24,14 +24,15 @@ def main() -> None:
     clip = dataset.video(0, 0, CHUNKS * FRAMES_PER_CHUNK)
 
     with tempfile.TemporaryDirectory() as root:
-        with VSS(root) as store:
+        with VSSEngine(root) as engine:
+            session = engine.session()
             # Bound the budget so deferred compression has to engage.
-            store.create("live", budget_bytes=clip.nbytes // 2)
-            stream = store.open_write_stream(
+            session.create("live", budget_bytes=clip.nbytes // 2)
+            stream = engine.open_write_stream(
                 "live", codec="raw", pixel_format="rgb",
                 width=clip.width, height=clip.height, fps=30.0,
             )
-            logical = store.catalog.get_logical("live")
+            logical = engine.catalog.get_logical("live")
             for chunk in range(CHUNKS):
                 lo = chunk * FRAMES_PER_CHUNK
                 stream.append(clip.slice_frames(lo, lo + FRAMES_PER_CHUNK))
@@ -39,24 +40,24 @@ def main() -> None:
                 # The just-written prefix is immediately readable, while
                 # the stream stays open for more appends.
                 end = (lo + FRAMES_PER_CHUNK) / 30.0
-                readable = store.read(
+                readable = session.read(
                     "live", 0.0, end, codec="raw", cache=False
                 )
                 compressed_pages = sum(
                     1
-                    for g in store.catalog.gops_of_logical(logical.id)
+                    for g in engine.catalog.gops_of_logical(logical.id)
                     if g.zstd_level > 0
                 )
                 print(
                     f"chunk {chunk + 1}/{CHUNKS}: prefix of "
                     f"{readable.segment.num_frames} frames readable | "
-                    f"budget {100 * store.cache.usage_fraction(logical):.0f}% "
+                    f"budget {100 * engine.cache.usage_fraction(logical):.0f}% "
                     f"used | deferred level "
-                    f"{store.deferred.level(logical)} | "
+                    f"{engine.deferred.level(logical)} | "
                     f"{compressed_pages} pages compressed"
                 )
             stream.close()
-            print("stream sealed:", store.stats("live"))
+            print("stream sealed:", session.video_stats("live"))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import tempfile
 
-from repro import VSS
+from repro import VSSEngine
 from repro.apps import MonitoringApp
 from repro.baselines import LocalFSStore
 from repro.synthetic import visualroad
@@ -46,9 +46,12 @@ def main() -> None:
     print(f"monitoring {DURATION:.0f}s of traffic at {clip.resolution}")
 
     with tempfile.TemporaryDirectory() as root:
-        with VSS(f"{root}/vss") as vss:
-            vss.write("intersection", clip, codec="h264", qp=10, gop_size=30)
-            run(vss, "VSS")
+        with VSSEngine(f"{root}/vss") as engine:
+            session = engine.session()
+            session.write(
+                "intersection", clip, codec="h264", qp=10, gop_size=30
+            )
+            run(session, "VSS")
 
         fs = LocalFSStore(f"{root}/fs")
         fs.write("intersection", clip, codec="h264", qp=10, gop_size=30)

@@ -17,14 +17,12 @@ Public entry points:
   same surface over the length-prefixed binary frame protocol: one
   asyncio loop multiplexing persistent connections, zero-copy ndarray
   payloads, bit-identical responses to the HTTP and local paths.
-* :class:`repro.VSS` — the deprecated four-operation facade
-  (create/write/read/delete with kwargs), kept as a shim.
 * :mod:`repro.synthetic` — Table 1 dataset equivalents.
 * :mod:`repro.video` — frames, formats, codecs, metrics.
 * :mod:`repro.baselines` — Local-FS and VStore-style comparators.
 
 See examples/quickstart.py for a quickstart and docs/api.md for the
-engine/session migration guide plus the service API and wire protocol.
+engine/session API guide plus the service API and wire protocol.
 """
 
 from repro.client import (
@@ -34,7 +32,6 @@ from repro.client import (
     VSSClient,
 )
 from repro.core import (
-    VSS,
     ReadChunk,
     ReadResult,
     ReadSpec,
@@ -45,22 +42,19 @@ from repro.core import (
     VSSEngine,
     WriteSpec,
 )
-from repro.core.read_planner import ReadRequest
 from repro.server import VSSBinaryServer, VSSServer
 from repro.video.frame import VideoSegment
 
-__version__ = "2.3.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "ReadChunk",
-    "ReadRequest",
     "ReadResult",
     "ReadSpec",
     "ReadStream",
     "RemoteReadResult",
     "RemoteReadStream",
     "Session",
-    "VSS",
     "VSSBinaryClient",
     "VSSBinaryServer",
     "VSSClient",

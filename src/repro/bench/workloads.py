@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.api import VSS
+from repro.core.engine import Session
 
 #: Output formats the random workloads draw from (codec, pixel format).
 FORMAT_CHOICES = (
@@ -48,7 +48,7 @@ class RandomReadWorkload:
         ]
 
     def next_read(self) -> dict:
-        """Parameters for one random read (kwargs for ``VSS.read``)."""
+        """Parameters for one random read (kwargs for ``Session.read``)."""
         length = float(
             self._rng.uniform(self.min_read_seconds, self.max_read_seconds)
         )
@@ -82,7 +82,7 @@ class RandomReadWorkload:
 
 
 def populate_cache(
-    vss: VSS,
+    session: Session,
     name: str,
     workload: RandomReadWorkload,
     num_reads: int,
@@ -90,8 +90,12 @@ def populate_cache(
 ) -> int:
     """Issue random reads to fill the cache; returns materialized fragment
     count afterwards."""
+    engine = session.engine
     for _ in range(num_reads):
         params = workload.short_read() if short else workload.next_read()
-        vss.read(name, **params)
-    logical = vss.catalog.get_logical(name)
-    return len(vss.catalog.fragments_of_logical(logical.id))
+        session.read(name, **params)
+        # Each warm-up read plans against what the ones before it
+        # admitted, so the cache a figure measures is deterministic.
+        engine.drain_admissions()
+    logical = engine.catalog.get_logical(name)
+    return len(engine.catalog.fragments_of_logical(logical.id))

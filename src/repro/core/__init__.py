@@ -3,12 +3,11 @@
 The public entry point is :class:`repro.core.engine.VSSEngine` — a
 thread-safe store handing out cheap :class:`repro.core.engine.Session`
 objects whose ``read`` / ``write`` / ``read_batch`` / ``read_async``
-take typed :class:`ReadSpec` / :class:`WriteSpec` requests.  The paper's
-four-operation facade (Figure 1) survives as the deprecated
-:class:`repro.core.api.VSS` shim.
+take typed :class:`ReadSpec` / :class:`WriteSpec` requests — the paper's
+four operations (Figure 1: create / write / read / delete) plus batch,
+async and streaming reads.
 """
 
-from repro.core.api import VSS
 from repro.core.decode_cache import DecodeCache
 from repro.core.engine import (
     EngineStats,
@@ -27,7 +26,7 @@ from repro.core.records import (
     PhysicalVideo,
     ViewRecord,
 )
-from repro.core.read_planner import ReadRequest, fold_view
+from repro.core.read_planner import fold_view
 from repro.core.specs import ReadSpec, ViewSpec, WriteSpec
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "LogicalVideo",
     "PhysicalVideo",
     "ReadChunk",
-    "ReadRequest",
     "ReadResult",
     "ReadSpec",
     "ReadStats",
@@ -47,7 +45,6 @@ __all__ = [
     "Session",
     "SessionStats",
     "StoreStats",
-    "VSS",
     "VSSEngine",
     "ViewRecord",
     "ViewSpec",

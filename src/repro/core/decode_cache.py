@@ -34,7 +34,7 @@ DEFAULT_DECODE_CACHE_BYTES = 64 * 1024 * 1024
 
 @dataclass
 class DecodeCacheStats:
-    """Counters exposed through ``VSS.stats``."""
+    """Counters exposed through ``engine.stats()``."""
 
     hits: int = 0
     misses: int = 0

@@ -51,9 +51,6 @@ single effective :class:`ReadSpec` against the base logical video, so
 planning, decoding, and caching are reused unchanged and cached
 fragments produced through a view belong to the base (shared across all
 views over it).  Views are read-only and own no storage.
-
-The paper's four-operation facade lives on as the deprecated
-:class:`repro.core.api.VSS` shim over an engine plus a default session.
 """
 
 from __future__ import annotations
@@ -93,7 +90,13 @@ from repro.core.reader import (
 )
 from repro.core.records import LogicalVideo, PhysicalVideo, ViewRecord
 from repro.core.rwlock import RWLock, RWLockStats
-from repro.core.specs import ReadSpec, SpecDefaults, ViewSpec, WriteSpec
+from repro.core.specs import (
+    ReadSpec,
+    SpecDefaults,
+    ViewSpec,
+    WriteSpec,
+    check_planner_mode,
+)
 from repro.core.writer import StreamWriter, Writer
 from repro.errors import (
     CatalogError,
@@ -133,8 +136,7 @@ class StoreStats:
     """Per-video summary statistics (``engine.video_stats(name)``).
 
     Store-wide counters (decode cache, executor) live on
-    :class:`EngineStats`; the deprecated combined shape is
-    :class:`repro.core.api.LegacyStoreStats`.
+    :class:`EngineStats` (``engine.stats()``).
     """
 
     name: str
@@ -312,6 +314,7 @@ class VSSEngine:
         parallelism: int | None = None,
         decode_cache_bytes: int = DEFAULT_DECODE_CACHE_BYTES,
     ):
+        check_planner_mode(planner)
         self.layout = Layout(root)
         self.catalog = Catalog(self.layout.catalog_path)
         if calibration is None:
@@ -460,10 +463,10 @@ class VSSEngine:
         The deterministic synchronization point — there is no inline
         mode — for callers that need the queue's side effects (new
         cached physicals, budget enforcement, compaction, index rows) to
-        be visible: tests, benchmarks warming a cache, ``Session.close``,
-        the deprecated ``VSS`` facade.  Maintenance flags whose submission
-        was shed by a full queue are flushed here as well, so a drained
-        engine owes no deferred work at all.
+        be visible: tests, benchmarks warming a cache, ``Session.close``.
+        Maintenance flags whose submission was shed by a full queue are
+        flushed here as well, so a drained engine owes no deferred work
+        at all.
         """
         self._admissions.drain()
         with self._state_lock:

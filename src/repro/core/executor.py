@@ -30,7 +30,7 @@ MAX_DEFAULT_PARALLELISM = 8
 
 
 def default_parallelism() -> int:
-    """The worker count used when ``VSS(parallelism=None)``."""
+    """The worker count used when ``VSSEngine(parallelism=None)``."""
     return max(1, min(MAX_DEFAULT_PARALLELISM, os.cpu_count() or 1))
 
 

@@ -34,10 +34,6 @@ from repro.solver import Optimizer
 
 _EPS = 1e-9
 
-#: Deprecated alias: the planner's request type is now the immutable
-#: :class:`repro.core.specs.ReadSpec` (validated at construction).
-ReadRequest = ReadSpec
-
 #: Maximum length of a view-over-view chain (cycle/runaway guard).
 MAX_VIEW_DEPTH = 16
 

@@ -1,10 +1,9 @@
 """Typed request specifications: :class:`ReadSpec` and :class:`WriteSpec`.
 
-These frozen dataclasses replace the kwargs sprawl that used to be
-duplicated across the ``VSS`` facade, ``ReadRequest``, the planner, and
-the cache-admission path.  A spec is validated *at construction* — an
-invalid interval, ROI, codec, or qp fails immediately with the same error
-type the deep layers used to raise much later — and is immutable, so it
+One request type is shared by sessions, clients, the planner, the
+reader, the writer and the cache-admission path.  A spec is validated
+*at construction* — an invalid interval, ROI, codec, or qp fails
+immediately, not deep inside a read — and is immutable, so it
 can be shared freely across sessions and threads, stored in plans, and
 replayed.
 
@@ -49,6 +48,13 @@ def _check_codec(codec: str) -> None:
 def _check_qp(qp: int) -> None:
     if not QP_MIN <= qp <= QP_MAX:
         raise ValueError(f"qp must be in [{QP_MIN}, {QP_MAX}], got {qp}")
+
+
+def check_planner_mode(mode: str) -> None:
+    if mode not in PLANNER_MODES:
+        raise ValueError(
+            f"unknown planning mode {mode!r}; expected one of {PLANNER_MODES}"
+        )
 
 
 def _check_finite(field_name: str, value: float) -> None:
@@ -111,11 +117,8 @@ class ReadSpec:
         if self.fps is not None and self.fps <= 0:
             raise ValueError(f"fps must be positive, got {self.fps}")
         _check_qp(self.qp)
-        if self.mode is not None and self.mode not in PLANNER_MODES:
-            raise ValueError(
-                f"unknown planning mode {self.mode!r}; expected one of "
-                f"{PLANNER_MODES}"
-            )
+        if self.mode is not None:
+            check_planner_mode(self.mode)
 
     def replace(self, **changes) -> "ReadSpec":
         """A copy of this spec with ``changes`` applied (re-validated)."""
@@ -289,6 +292,10 @@ class SpecDefaults:
                 f"of ReadSpec/WriteSpec"
             )
         self._defaults = dict(defaults)
+        # Build each spec once so a bad default value fails here, on the
+        # line that gave it, not on the first read or write.
+        self.read_spec("_", 0.0, 1.0)
+        self.write_spec("_")
 
     @property
     def defaults(self) -> dict:

@@ -15,7 +15,7 @@ from http.client import HTTPResponse
 import numpy as np
 import pytest
 
-from repro.core.api import VSS
+from repro.core.engine import Session, VSSEngine
 from repro.core.wire import (
     FRAME_END,
     FRAME_ERROR,
@@ -57,14 +57,15 @@ def three_second_clip() -> VideoSegment:
 
 
 @pytest.fixture()
-def store(tmp_path, calibration) -> VSS:
-    vss = VSS(tmp_path / "store", calibration=calibration)
-    yield vss
-    vss.close()
+def store(tmp_path, calibration) -> Session:
+    """A default session on a fresh engine (``store.engine``)."""
+    with VSSEngine(tmp_path / "store", calibration=calibration) as engine:
+        with engine.session() as session:
+            yield session
 
 
 @pytest.fixture()
-def loaded_store(store, three_second_clip) -> VSS:
+def loaded_store(store, three_second_clip) -> Session:
     """A store with one 3-second h264 original named 'traffic'."""
     store.create("traffic")
     store.write("traffic", three_second_clip, codec="h264", qp=10, gop_size=30)

@@ -5,7 +5,7 @@ import pytest
 from repro.apps import MonitoringApp
 from repro.baselines import LocalFSStore, VStoreBaseline
 from repro.baselines.vstore import FRAME_LIMIT, StagedFormat
-from repro.core.api import VSS
+from repro.core.engine import VSSEngine
 from repro.errors import FormatError, VideoNotFoundError, WriteError
 from repro.synthetic import visualroad
 from repro.video.metrics import segment_psnr
@@ -105,21 +105,22 @@ class TestMonitoringApp:
         return ds.video(0, 0, 60)
 
     def test_pipeline_on_vss(self, tmp_path, calibration, traffic_video):
-        vss = VSS(tmp_path / "vss", calibration=calibration)
-        vss.write("cam", traffic_video, codec="h264", qp=10, gop_size=30)
+        engine = VSSEngine(tmp_path / "vss", calibration=calibration)
+        session = engine.session()
+        session.write("cam", traffic_video, codec="h264", qp=10, gop_size=30)
         app = MonitoringApp("cam")
-        detections = app.run_indexing(vss, duration=2.0)
+        detections = app.run_indexing(session, duration=2.0)
         assert detections > 0
         colors = {e.color for e in app.index}
         color = sorted(colors)[0]
-        hits = app.run_search(vss, color, duration=2.0)
+        hits = app.run_search(session, color, duration=2.0)
         assert hits  # the indexed colour must be confirmable
-        clips = app.run_streaming(vss, hits, duration=2.0)
+        clips = app.run_streaming(session, hits, duration=2.0)
         assert clips >= 1
         assert app.timings.indexing > 0
         assert app.timings.search > 0
         assert app.timings.streaming > 0
-        vss.close()
+        engine.close()
 
     def test_pipeline_on_localfs(self, tmp_path, traffic_video):
         fs = LocalFSStore(tmp_path / "fs")
@@ -130,18 +131,19 @@ class TestMonitoringApp:
 
     def test_vss_and_fs_agree_on_detections(self, tmp_path, calibration,
                                             traffic_video):
-        vss = VSS(tmp_path / "vss2", calibration=calibration)
-        vss.write("cam", traffic_video, codec="h264", qp=10, gop_size=30)
+        engine = VSSEngine(tmp_path / "vss2", calibration=calibration)
+        session = engine.session()
+        session.write("cam", traffic_video, codec="h264", qp=10, gop_size=30)
         fs = LocalFSStore(tmp_path / "fs2")
         fs.write("cam", traffic_video, codec="h264", qp=10, gop_size=30)
         app_vss = MonitoringApp("cam")
         app_fs = MonitoringApp("cam")
-        n_vss = app_vss.run_indexing(vss, duration=2.0)
+        n_vss = app_vss.run_indexing(session, duration=2.0)
         n_fs = app_fs.run_indexing(fs, duration=2.0)
         # Same decoder, same detector: counts should be close (resize
         # paths differ slightly).
         assert abs(n_vss - n_fs) <= max(3, 0.2 * max(n_vss, n_fs))
-        vss.close()
+        engine.close()
 
     def test_unsupported_store_rejected(self, traffic_video):
         app = MonitoringApp("cam")

@@ -9,7 +9,6 @@ The contracts under test:
 * ``session.read_batch`` decodes each GOP window shared by overlapping
   reads exactly once (decode-cache/batch counters prove it) and beats
   the same reads issued sequentially.
-* The legacy ``VSS`` facade still works, with a DeprecationWarning.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from concurrent.futures import wait
 import numpy as np
 import pytest
 
+from repro.client import VSSClient
 from repro.core.admission import AdmissionWorker
-from repro.core.api import VSS, LegacyStoreStats
 from repro.core.engine import Session, VSSEngine
 from repro.core.rwlock import RWLock, RWLockStats
 from repro.core.specs import ReadSpec, WriteSpec
@@ -113,6 +112,24 @@ class TestEngineSessions:
         with pytest.raises(TypeError):
             engine.session(kodec="h264")
 
+    def test_bad_default_value_rejected_when_given(self, engine):
+        """A typo in a default fails on the line that gave it, through
+        the specs' own checks, not at the first read."""
+        with pytest.raises(FormatError):
+            engine.session(codec="nonsense")
+        with pytest.raises(ValueError):
+            engine.session(gop_size=0)
+        # The clients share the base; constructing one opens no socket.
+        with pytest.raises(FormatError):
+            VSSClient("127.0.0.1", 1, codec="nonsense")
+
+    def test_unknown_planner_rejected_at_construction(
+        self, tmp_path, calibration
+    ):
+        with pytest.raises(ValueError, match="planning mode"):
+            VSSEngine(tmp_path / "typo", calibration=calibration,
+                      planner="sovler")
+
     def test_session_read_write_and_stats(self, loaded_engine, three_second_clip):
         session = loaded_engine.session()
         result = session.read("traffic", 0.0, 1.0)
@@ -144,21 +161,6 @@ class TestEngineSessions:
         assert store.num_sessions >= 1
         assert store.decode_cache_misses > 0
         assert store.executor_tasks > 0
-
-    def test_legacy_facade_deprecated_but_working(
-        self, tmp_path, calibration, tiny_clip
-    ):
-        with pytest.warns(DeprecationWarning):
-            vss = VSS(tmp_path / "legacy", calibration=calibration)
-        with vss:
-            vss.create("v")
-            vss.write("v", tiny_clip, codec="h264", qp=10, gop_size=8)
-            result = vss.read("v", 0.0, 0.5, cache=False)
-            assert result.segment.num_frames > 0
-            legacy = vss.stats("v")
-            assert isinstance(legacy, LegacyStoreStats)
-            assert legacy.num_gops > 0
-            assert legacy.decode_cache_misses > 0  # old combined shape
 
     def test_sessions_are_cheap_handles(self, loaded_engine):
         before = loaded_engine.stats().num_sessions
@@ -834,22 +836,13 @@ class TestHotVideoConcurrency:
         with pytest.raises(TypeError):
             VSSEngine(tmp_path / "sync", calibration=calibration, **removed)
 
-    def test_facade_read_returns_with_admission_applied(self, loaded_store):
-        """The deprecated facade drains after each read, so the admitted
-        physical is visible with no explicit drain."""
-        before = loaded_store.video_stats("traffic").num_physicals
-        loaded_store.read(
-            "traffic", 0.0, 1.0, codec="h264", resolution=(32, 18)
-        )
-        assert loaded_store.video_stats("traffic").num_physicals == before + 1
-        assert loaded_store.engine.stats().admission_queue_depth == 0
-
-    def test_facade_matches_session_plus_drain(
+    def test_drained_sequence_is_reproducible(
         self, tmp_path, calibration, three_second_clip
     ):
-        """Draining after each call applies the same admissions in the
-        same order the facade does: identical physical listings and
-        traffic counters after a mixed read sequence."""
+        """Draining after each call applies the admissions in call
+        order: two fresh engines given the same mixed read + batch
+        sequence end with identical physical listings and traffic
+        counters."""
         # Disjoint windows: compaction ticks but has nothing to merge.
         small, mid = (32, 18), (48, 28)
         reads = [
@@ -892,35 +885,27 @@ class TestHotVideoConcurrency:
             stats = engine.stats()
             return listing(engine), stats.reads, stats.batches
 
-        def write(target):
-            target.write(
-                "traffic", three_second_clip, codec="h264", qp=10, gop_size=15
-            )
-
-        with pytest.warns(DeprecationWarning):
-            vss = VSS(tmp_path / "facade", calibration=calibration)
-        with vss:
-            write(vss)
-            for name, start, end, overrides in reads:
-                vss.read(name, start, end, **overrides)
-            vss.default_session.read_batch(batch)
-            vss.engine.drain_admissions()
-            via_facade = outcome(vss.engine)
-
-        with VSSEngine(tmp_path / "queued", calibration=calibration) as eng:
-            session = eng.session()
-            write(session)
-            eng.drain_admissions()
-            for name, start, end, overrides in reads:
-                session.read(name, start, end, **overrides)
+        def run(root):
+            with VSSEngine(root, calibration=calibration) as eng:
+                session = eng.session()
+                session.write(
+                    "traffic", three_second_clip, codec="h264", qp=10,
+                    gop_size=15,
+                )
                 eng.drain_admissions()
-            session.read_batch(batch)
-            eng.drain_admissions()
-            via_session = outcome(eng)
+                for name, start, end, overrides in reads:
+                    session.read(name, start, end, **overrides)
+                    eng.drain_admissions()
+                session.read_batch(batch)
+                eng.drain_admissions()
+                return outcome(eng)
 
-        assert via_facade == via_session
-        assert len(via_facade[0]) > 1  # the sequence did admit fragments
-        assert via_facade[1:] == (len(reads) + len(batch), 1)
+        first = run(tmp_path / "first")
+        second = run(tmp_path / "second")
+
+        assert first == second
+        assert len(first[0]) > 1  # the sequence did admit fragments
+        assert first[1:] == (len(reads) + len(batch), 1)
 
 
 # ----------------------------------------------------------------------

@@ -16,15 +16,15 @@ class TestWrite:
     def test_default_budget_from_multiple(self, store, tiny_clip):
         store.create("v")
         store.write("v", tiny_clip, codec="h264", qp=10)
-        stats = store.stats("v")
+        stats = store.video_stats("v")
         assert stats.budget_bytes == pytest.approx(
-            stats.total_bytes * store.budget_multiple, rel=0.01
+            stats.total_bytes * store.engine.budget_multiple, rel=0.01
         )
 
     def test_explicit_budget_kept(self, store, tiny_clip):
         store.create("v", budget_bytes=10**9)
         store.write("v", tiny_clip, codec="h264", qp=10)
-        assert store.stats("v").budget_bytes == 10**9
+        assert store.video_stats("v").budget_bytes == 10**9
 
     def test_write_without_create_autocreates(self, store, tiny_clip):
         store.write("auto", tiny_clip, codec="h264")
@@ -42,11 +42,11 @@ class TestWrite:
         store.create("v")
         physical = store.write("v", gops=gops)
         assert physical.codec == "hevc"
-        assert store.stats("v").num_gops == len(gops)
+        assert store.video_stats("v").num_gops == len(gops)
 
     def test_streaming_prefix_read(self, store, tiny_clip):
         """Non-blocking writes: a prefix is readable before close."""
-        stream = store.open_write_stream(
+        stream = store.engine.open_write_stream(
             "live", codec="h264", pixel_format="rgb",
             width=tiny_clip.width, height=tiny_clip.height, fps=30.0, qp=10,
         )
@@ -59,7 +59,7 @@ class TestWrite:
         assert result.segment.num_frames == 24
 
     def test_stream_close_empty_rejected(self, store, tiny_clip):
-        stream = store.open_write_stream(
+        stream = store.engine.open_write_stream(
             "live", codec="h264", pixel_format="rgb",
             width=64, height=36, fps=30.0,
         )
@@ -135,6 +135,7 @@ class TestRead:
         # Cache a very low quality variant, then demand high quality: the
         # planner must not use the bad fragment.
         loaded_store.read("traffic", 0.0, 3.0, codec="h264", qp=44)
+        loaded_store.engine.drain_admissions()
         result = loaded_store.read(
             "traffic", 0.0, 3.0, codec="raw", quality_db=40.0
         )
@@ -143,6 +144,7 @@ class TestRead:
 
     def test_quality_cutoff_accepts_when_lowered(self, loaded_store):
         loaded_store.read("traffic", 0.0, 3.0, codec="h264", qp=44)
+        loaded_store.engine.drain_admissions()
         result = loaded_store.read(
             "traffic", 0.0, 3.0, codec="h264", qp=44, quality_db=15.0
         )
@@ -151,30 +153,36 @@ class TestRead:
 
 class TestCachingBehaviour:
     def test_read_result_cached_as_physical(self, loaded_store):
-        before = loaded_store.stats("traffic").num_physicals
+        before = loaded_store.video_stats("traffic").num_physicals
         loaded_store.read("traffic", 0.0, 1.0, codec="raw")
-        assert loaded_store.stats("traffic").num_physicals == before + 1
+        loaded_store.engine.drain_admissions()
+        assert loaded_store.video_stats("traffic").num_physicals == before + 1
 
     def test_cache_false_skips_admission(self, loaded_store):
-        before = loaded_store.stats("traffic").num_physicals
+        before = loaded_store.video_stats("traffic").num_physicals
         loaded_store.read("traffic", 0.0, 1.0, codec="raw", cache=False)
-        assert loaded_store.stats("traffic").num_physicals == before
+        loaded_store.engine.drain_admissions()
+        assert loaded_store.video_stats("traffic").num_physicals == before
 
     def test_cached_fragment_reused_by_plan(self, loaded_store):
         first = loaded_store.read("traffic", 0.0, 2.0, codec="raw")
+        loaded_store.engine.drain_admissions()
         second = loaded_store.read("traffic", 0.0, 2.0, codec="raw")
         assert second.plan.estimated_cost < first.plan.estimated_cost
 
     def test_duplicate_not_readmitted(self, loaded_store):
         loaded_store.read("traffic", 0.0, 2.0, codec="raw")
-        count = loaded_store.stats("traffic").num_physicals
+        loaded_store.engine.drain_admissions()
+        count = loaded_store.video_stats("traffic").num_physicals
         loaded_store.read("traffic", 0.0, 2.0, codec="raw")
-        assert loaded_store.stats("traffic").num_physicals == count
+        loaded_store.engine.drain_admissions()
+        assert loaded_store.video_stats("traffic").num_physicals == count
 
     def test_solver_beats_or_ties_greedy(self, loaded_store):
         # Build a mixed cache, then compare plan costs on a spanning read.
         loaded_store.read("traffic", 1.0, 2.0, codec="h264", cache=True)
         loaded_store.read("traffic", 0.0, 1.0, codec="raw", cache=True)
+        loaded_store.engine.drain_admissions()
         solver = loaded_store.read(
             "traffic", 0.0, 3.0, codec="hevc", cache=False, mode="solver"
         )
@@ -188,13 +196,13 @@ class TestCachingBehaviour:
         assert solver.plan.estimated_cost <= original.plan.estimated_cost + 1e-12
 
     def test_reads_touch_lru(self, loaded_store):
-        logical = loaded_store.catalog.get_logical("traffic")
+        logical = loaded_store.engine.catalog.get_logical("traffic")
         before = max(
-            g.last_access for g in loaded_store.catalog.gops_of_logical(logical.id)
+            g.last_access for g in loaded_store.engine.catalog.gops_of_logical(logical.id)
         )
         loaded_store.read("traffic", 0.0, 1.0, codec="raw", cache=False)
         after = max(
-            g.last_access for g in loaded_store.catalog.gops_of_logical(logical.id)
+            g.last_access for g in loaded_store.engine.catalog.gops_of_logical(logical.id)
         )
         assert after > before
 
@@ -202,6 +210,7 @@ class TestCachingBehaviour:
 class TestDelete:
     def test_delete_removes_everything(self, loaded_store):
         loaded_store.read("traffic", 0.0, 1.0, codec="raw")
+        loaded_store.engine.drain_admissions()  # a cached physical to delete
         loaded_store.delete("traffic")
         assert "traffic" not in loaded_store.list_videos()
-        assert not (loaded_store.layout.root / "videos" / "traffic").exists()
+        assert not (loaded_store.engine.layout.root / "videos" / "traffic").exists()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.api import VSS
+from repro.core.engine import VSSEngine
 from repro.jointcomp import (
     JointCandidateSelector,
     JointCompressionManager,
@@ -141,40 +141,47 @@ class TestManagerEndToEnd:
     def joint_store(self, tmp_path, calibration):
         ds = visualroad("1K", overlap=0.5, num_frames=10)
         left, right = ds.videos(0, 10)
-        vss = VSS(tmp_path / "store", calibration=calibration,
-                  cache_reads=False)
-        vss.write("left", left, codec="h264", qp=10, gop_size=5)
-        vss.write("right", right, codec="h264", qp=10, gop_size=5)
-        yield vss, left, right
-        vss.close()
+        with VSSEngine(tmp_path / "store", calibration=calibration,
+                       cache_reads=False) as engine:
+            session = engine.session()
+            session.write("left", left, codec="h264", qp=10, gop_size=5)
+            session.write("right", right, codec="h264", qp=10, gop_size=5)
+            yield engine, left, right
 
     def test_optimize_reduces_storage(self, joint_store):
-        vss, left, right = joint_store
-        before = vss.stats("left").total_bytes + vss.stats("right").total_bytes
-        report = JointCompressionManager(vss, merge="mean").optimize()
+        engine, left, right = joint_store
+        before = (
+            engine.video_stats("left").total_bytes
+            + engine.video_stats("right").total_bytes
+        )
+        report = JointCompressionManager(engine, merge="mean").optimize()
         assert report.pairs_compressed >= 1
-        after = vss.stats("left").total_bytes + vss.stats("right").total_bytes
+        after = (
+            engine.video_stats("left").total_bytes
+            + engine.video_stats("right").total_bytes
+        )
         assert after < before
         assert report.savings_fraction > 0.0
 
     def test_reads_transparent_after_joint_compression(self, joint_store):
-        vss, left, right = joint_store
-        JointCompressionManager(vss, merge="mean").optimize()
+        engine, left, right = joint_store
+        JointCompressionManager(engine, merge="mean").optimize()
         duration = 10 / 30
-        got_left = vss.read("left", 0.0, duration, codec="raw").segment
-        got_right = vss.read("right", 0.0, duration, codec="raw").segment
+        session = engine.session()
+        got_left = session.read("left", 0.0, duration, codec="raw").segment
+        got_right = session.read("right", 0.0, duration, codec="raw").segment
         assert segment_psnr(left, got_left) >= 26.0
         assert segment_psnr(right, got_right) >= 26.0
 
     def test_same_video_pairs_skipped(self, joint_store):
-        vss, _, _ = joint_store
-        report = JointCompressionManager(vss, merge="mean").optimize(
+        engine, _, _ = joint_store
+        report = JointCompressionManager(engine, merge="mean").optimize(
             names=["left"]
         )
         assert report.pairs_compressed == 0
 
     def test_report_quality_recorded(self, joint_store):
-        vss, _, _ = joint_store
-        report = JointCompressionManager(vss, merge="unprojected").optimize()
+        engine, _, _ = joint_store
+        report = JointCompressionManager(engine, merge="unprojected").optimize()
         if report.pairs_compressed:
             assert all(q >= 250.0 for q in report.quality_left_db)

