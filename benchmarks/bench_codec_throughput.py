@@ -15,11 +15,19 @@ lockstep on the calling thread and hands each step's deflate to the
 executor; it is timed at 1 and 4 GOPs, with and without an executor,
 against a loop of the retained ``encode_gop_scalar``.
 
+Deflate: the entropy stage compresses each frame's zigzag-scanned
+levels with ``entropy.deflate`` (zlib's run-length strategy).  The
+scanned planes of the encoded clip are deflated with it and with the
+default strategy at levels 6 and 9 (what the ``h264`` and ``hevc``
+profiles ran before); seconds and bytes are printed per codec, and all
+three must inflate to the same levels.
+
 Frames are tile-sized (half of the scaled VisualRoad camera in each
 axis): on a tiled store the 2x2 tile physical is the system's actual
 codec granularity.  Times are best-of-``ROUNDS`` and printed for the
 record only: what this file *asserts* is that both fast paths are
-**bit-identical** to their scalar references.  Speed is judged by
+**bit-identical** to their scalar references and that every deflate
+inflates back to the levels it was given.  Speed is judged by
 ``benchmarks/vssbench``, on paired runs.
 """
 
@@ -27,12 +35,15 @@ from __future__ import annotations
 
 import os
 import time
+import zlib
 
 import numpy as np
 
 from repro.bench.harness import Table, print_table
 from repro.core.executor import Executor
 from repro.synthetic import visualroad
+from repro.video.codec import entropy
+from repro.video.codec.blockcodec import _FRAME_HEADER, _PLANE_HEADER, _VECTOR
 from repro.video.codec.registry import codec_for
 from repro.video.frame import VideoSegment
 
@@ -65,6 +76,21 @@ def _best_seconds(fn, rounds: int) -> float:
     return best
 
 
+def _scanned_planes(gops) -> list[bytes]:
+    """The zigzag-scanned level planes the encoder deflated, in order."""
+    planes = []
+    for gop in gops:
+        for payload in gop.payloads:
+            _, n_vectors, n_planes = _FRAME_HEADER.unpack_from(payload)
+            offset = _FRAME_HEADER.size + n_vectors * _VECTOR.size
+            for _ in range(n_planes):
+                size = _PLANE_HEADER.unpack_from(payload, offset)[-1]
+                offset += _PLANE_HEADER.size
+                planes.append(zlib.decompress(payload[offset : offset + size]))
+                offset += size
+    return planes
+
+
 def _scalar_encode(codec, clip: VideoSegment):
     """``encode_segment``'s GOP slicing over the scalar reference."""
     return [
@@ -87,6 +113,10 @@ def test_codec_throughput(benchmark):
     decode = Table(
         "GOP decode: batched fast path vs scalar loop (MB/s)",
         ["profile", "batched", "scalar"],
+    )
+    deflate = Table(
+        "deflate of the scanned levels: default strategy vs Z_RLE",
+        ["profile", "planes", "MB in", "strategy", "seconds", "bytes out"],
     )
     for name in PROFILES:
         codec = codec_for(name)
@@ -121,6 +151,24 @@ def test_codec_throughput(benchmark):
                 ),
             )
 
+        planes = _scanned_planes(reference)
+        mb = sum(map(len, planes)) / 1e6
+        for label, fn in (
+            ("default, level 6", lambda plane: zlib.compress(plane, 6)),
+            ("default, level 9", lambda plane: zlib.compress(plane, 9)),
+            ("entropy.deflate", entropy.deflate),
+        ):
+            out = [fn(plane) for plane in planes]
+            assert [zlib.decompress(chunk) for chunk in out] == planes
+            deflate.add_row(
+                name,
+                len(planes),
+                mb,
+                label,
+                _best_seconds(lambda: [fn(plane) for plane in planes], ROUNDS),
+                sum(map(len, out)),
+            )
+
         gop = reference[0]
         mb = GOP_SIZE * clip.pixels[0].nbytes / 1e6
         np.testing.assert_array_equal(
@@ -152,3 +200,4 @@ def test_codec_throughput(benchmark):
     executor.shutdown()
     print_table(encode)
     print_table(decode)
+    print_table(deflate)

@@ -19,7 +19,9 @@ order until the logical video fits its storage budget.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.core.catalog import Catalog
 from repro.core.layout import Layout
@@ -32,6 +34,8 @@ GAMMA = 2.0
 ZETA = 1.0
 
 _PROTECTED = float("inf")
+
+_end_time = attrgetter("end_time")
 
 
 @dataclass
@@ -81,18 +85,23 @@ class CacheManager:
             physical = physicals[pid]
             n = len(gops)
             for i, gop in enumerate(gops):
-                base = float(gop.last_access)
-                if self.policy == "lru":
-                    result[gop.id] = base + self._baseline_offset(
-                        physical, gop, physicals, gops_by_physical
-                    )
-                    continue
-                position = float(min(i, n - i))
-                redundancy = self._redundancy_rank(
+                alternatives = self._covering_alternatives(
                     physical, gop, physicals, gops_by_physical
                 )
-                baseline = self._baseline_offset(
-                    physical, gop, physicals, gops_by_physical
+                base = float(gop.last_access)
+                baseline = self._baseline_offset(physical, alternatives)
+                if self.policy == "lru":
+                    result[gop.id] = base + baseline
+                    continue
+                position = float(min(i, n - i))
+                # Rank in the u-ordering: the number of higher-quality
+                # covering variants of this page.
+                redundancy = float(
+                    sum(
+                        1
+                        for other in alternatives
+                        if other.mse_estimate < physical.mse_estimate
+                    )
                 )
                 result[gop.id] = (
                     base
@@ -110,18 +119,29 @@ class CacheManager:
         gops_by_physical: dict[int, list[GopRecord]],
     ) -> list[PhysicalVideo]:
         """Other physical videos whose pages spatiotemporally cover this
-        page's extent."""
+        page's extent.
+
+        Each list in ``gops_by_physical`` is in ``seq`` order, in which a
+        physical's start and end times both rise (its GOPs are laid end
+        to end; compaction appends a continuation).  So the pages that
+        overlap ``gop`` are one run, found by bisecting the end times;
+        every page outside it would add ``max(0.0, negative) == 0.0``,
+        and skipping those leaves ``covered`` the same float.
+        """
         alternatives = []
         for pid, other in physicals.items():
             if pid == physical.id:
                 continue
             if not self._roi_covers(other, physical):
                 continue
+            others = gops_by_physical[pid]
             covered = 0.0
-            for other_gop in gops_by_physical[pid]:
-                lo = max(other_gop.start_time, gop.start_time)
-                hi = min(other_gop.end_time, gop.end_time)
+            k = bisect_right(others, gop.start_time, key=_end_time)
+            while k < len(others) and others[k].start_time < gop.end_time:
+                lo = max(others[k].start_time, gop.start_time)
+                hi = min(others[k].end_time, gop.end_time)
                 covered += max(0.0, hi - lo)
+                k += 1
             if covered >= gop.duration - 1e-6:
                 alternatives.append(other)
         return alternatives
@@ -135,34 +155,11 @@ class CacheManager:
         a, b = covering.roi, covered.roi
         return a[0] <= b[0] and a[1] <= b[1] and a[2] >= b[2] and a[3] >= b[3]
 
-    def _redundancy_rank(
-        self,
-        physical: PhysicalVideo,
-        gop: GopRecord,
-        physicals: dict[int, PhysicalVideo],
-        gops_by_physical: dict[int, list[GopRecord]],
-    ) -> float:
-        """Rank in the u-ordering: the number of higher-quality covering
-        variants of this page."""
-        alternatives = self._covering_alternatives(
-            physical, gop, physicals, gops_by_physical
-        )
-        return float(
-            sum(
-                1
-                for other in alternatives
-                if other.mse_estimate < physical.mse_estimate
-            )
-        )
-
     def _baseline_offset(
-        self,
-        physical: PhysicalVideo,
-        gop: GopRecord,
-        physicals: dict[int, PhysicalVideo],
-        gops_by_physical: dict[int, list[GopRecord]],
+        self, physical: PhysicalVideo, alternatives: list[PhysicalVideo]
     ) -> float:
-        """+inf when this page is the only >= tau cover of its extent.
+        """+inf when this page is the only >= tau cover of its extent;
+        ``alternatives`` are its :meth:`_covering_alternatives`.
 
         Pages of the originally written physical video are always part of
         the baseline cover (the prototype is no-overwrite, and keeping the
@@ -173,9 +170,6 @@ class CacheManager:
             return _PROTECTED
         if not self.quality_model.meets_tau(physical):
             return 0.0
-        alternatives = self._covering_alternatives(
-            physical, gop, physicals, gops_by_physical
-        )
         for other in alternatives:
             if self.quality_model.meets_tau(other):
                 return 0.0
@@ -216,7 +210,10 @@ class CacheManager:
                 # handled by the joint-compression manager.
                 continue
             physical = physicals[record.physical_id]
-            if self._baseline_offset(physical, record, physicals, live) == _PROTECTED:
+            alternatives = self._covering_alternatives(
+                physical, record, physicals, live
+            )
+            if self._baseline_offset(physical, alternatives) == _PROTECTED:
                 continue
             freed += self._evict_gop(record)
             live[record.physical_id] = [

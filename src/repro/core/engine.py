@@ -378,9 +378,9 @@ class VSSEngine:
         self._searches_served = 0
         self._search_seconds = 0.0
         # Versioned plan cache: (logical id, data version, effective
-        # ReadSpec) -> ReadPlan.  Bounded LRU; entries for superseded
-        # versions become unreachable the moment the catalog bumps the
-        # logical's version and age out here.
+        # ReadSpec, cost model, planner mode) -> ReadPlan.  Bounded LRU;
+        # entries for superseded versions (or a replaced cost model)
+        # become unreachable the moment the key moves and age out here.
         self._plan_lock = threading.Lock()
         self._plan_cache: OrderedDict[tuple, object] = OrderedDict()
         self._plan_hits = 0
@@ -1042,16 +1042,20 @@ class VSSEngine:
         self, logical: LogicalVideo, original: PhysicalVideo, spec: ReadSpec,
         fragments_fn=None,
     ):
-        """The read plan for ``spec``, memoized by (logical, version, spec).
+        """The read plan for ``spec``, memoized by (logical, version, spec,
+        cost model, planner mode).
 
         Returns ``(plan, cached)``.  Must run under the logical's lock
         (shared suffices: mutations — which bump the version — hold the
         exclusive side, so the version/fragment snapshot cannot move
         mid-plan).  ``fragments_fn`` lets batch groups share one
-        fragment query across several cache misses.
+        fragment query across several cache misses.  Reassigning
+        ``cost_model`` or ``planner`` (the Figure 10 ablations do) makes
+        every later read plan afresh.
         """
         version = self.catalog.data_version(logical.id)
-        key = (logical.id, version, spec)
+        mode = spec.mode or self.planner
+        key = (logical.id, version, spec, self.cost_model, mode)
         with self._plan_lock:
             plan = self._plan_cache.get(key)
             if plan is not None:
@@ -1070,7 +1074,7 @@ class VSSEngine:
             original,
             self.cost_model,
             self.quality_model,
-            mode=spec.mode or self.planner,
+            mode=mode,
         )
         with self._plan_lock:
             self._plan_cache[key] = plan

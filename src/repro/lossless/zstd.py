@@ -57,9 +57,9 @@ def compress(data: bytes, level: int = 3) -> bytes:
     use_delta = level > 9
     # Levels 10..19 restart the zlib ladder at 1..9 with the delta filter
     # stacked on top (slower, better ratio — the higher-zstd-levels trade).
-    zlevel = level if level <= 9 else max(1, min(9, level - 10))
+    zlib_level = level if level <= 9 else max(1, min(9, level - 10))
     payload = _delta_encode(data) if use_delta else data
-    packed = zlib.compress(payload, zlevel)
+    packed = zlib.compress(payload, zlib_level)
     return _HEADER.pack(_MAGIC, level, 1 if use_delta else 0) + packed
 
 

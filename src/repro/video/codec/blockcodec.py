@@ -57,6 +57,16 @@ of the same ``encode_segment`` call, which opens with its own I frame.
    deflates them (``zlib`` releases the GIL) while the caller computes
    step ``k+1``; payloads are joined after the last step.
 
+Deflate is :func:`entropy.deflate`, zlib's run-length (``Z_RLE``)
+strategy.  The scanned int16 levels are runs of zero bytes broken by a
+few small coefficients, so the run is nearly the only match worth
+finding: on a cold read mix the default strategy's search (levels 6 and
+9 before) took 2.6x and 18x the time for payloads 5% larger.  ``Z_RLE``
+has no level to tune, so the ``h264`` and ``hevc`` profiles now differ
+only in motion mode and deadzone.  The stream is still plain zlib: the
+decoder inflates payloads written with the old strategy and the new one
+alike, to the same levels and the same pixels.
+
 ``encode_gop`` is the one-GOP case.  Earlier versions fanned whole GOPs
 across the executor instead; that scaled 1.15-1.5x on two cores because
 the per-frame numpy of two GOPs contends for the GIL, left a one-GOP
@@ -140,12 +150,12 @@ class CodecProfile:
     ``global`` (one translation), or ``tiled`` (2x2 grid of translations).
     Better prediction costs more compute and yields smaller output — the
     h264-vs-hevc asymmetry the paper's cost model captures via vbench.
+    Every profile shares the one entropy stage (:func:`entropy.deflate`).
     """
 
     name: str
     block_size: int
     motion: str
-    entropy_level: int
     default_gop_size: int
     #: Quantizer rounding offset; < 0.5 enables a deadzone (see quant.py).
     deadzone: float = 0.5
@@ -307,13 +317,9 @@ class BlockCodec:
                     planes = scanned.reshape(-1, *scanned.shape[-2:])
                     mark = clock()
                     if executor is None:
-                        job = entropy.deflate_planes(
-                            planes, profile.entropy_level
-                        )
+                        job = entropy.deflate_planes(planes)
                     else:
-                        job = executor.submit(
-                            entropy.deflate_planes, planes, profile.entropy_level
-                        )
+                        job = executor.submit(entropy.deflate_planes, planes)
                     handoff_seconds += clock() - mark
                     jobs.append((first, step, idxs, levels.shape[2:4], job))
                     # Reconstruct what the decoder will see, through the
@@ -474,9 +480,7 @@ class BlockCodec:
         h, w = centered.shape
         coeffs = dct.forward_dct(centered, block)
         levels = quant.quantize(coeffs, qp, block, self.profile.deadzone)
-        payload = entropy.encode_levels(
-            levels, block, self.profile.entropy_level
-        )
+        payload = entropy.encode_levels(levels, block)
         nby, nbx = levels.shape[0], levels.shape[1]
         header = _PLANE_HEADER.pack(nby, nbx, h, w, len(payload))
         recon = dct.inverse_dct(quant.dequantize(levels, qp, block), h, w)

@@ -3,8 +3,8 @@
 ``h264`` and ``hevc`` are :class:`BlockCodec` profiles; ``raw`` stores
 uncompressed frames.  The profiles are tuned so the classic trade-off
 holds on this substrate: at the same qp, ``hevc`` output is meaningfully
-smaller than ``h264`` and costs meaningfully more CPU to produce, because
-it uses larger transforms and tiled motion estimation.
+smaller than ``h264`` and costs more CPU to produce, because it uses
+deadzone quantization and tiled motion estimation.
 """
 
 from __future__ import annotations
@@ -19,20 +19,19 @@ H264_PROFILE = CodecProfile(
     name="h264",
     block_size=8,
     motion="global",
-    entropy_level=6,
     default_gop_size=30,
     deadzone=0.5,
 )
 
-# hevc: tiled motion estimation (4x the estimation work of global), deadzone
-# quantization, and the most aggressive entropy setting.  Measured on the
-# synthetic datasets this lands ~15-25% smaller than h264 at equal PSNR and
-# ~2-4x the encode cost — the same qualitative trade the real codecs make.
+# hevc: tiled motion estimation (4x the estimation work of global) and
+# deadzone quantization; both profiles share one entropy stage.  Measured
+# on the synthetic datasets this lands ~15-25% smaller than h264 at equal
+# PSNR and costs more to encode — the same qualitative trade the real
+# codecs make.
 HEVC_PROFILE = CodecProfile(
     name="hevc",
     block_size=8,
     motion="tiled",
-    entropy_level=9,
     default_gop_size=30,
     deadzone=0.33,
 )

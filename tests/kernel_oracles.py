@@ -1,20 +1,28 @@
-"""Reference pixel kernels: the whole-array formulations the read path ran
-before its kernels became gather-first.
+"""Reference kernels: the plain formulations production code ran before
+it was made faster.
 
-Each is the plain statement of the arithmetic — convert everything to
-float32, ``take`` both taps, ``mean`` over a reshape, ``stack`` /
-``concatenate`` the planes, copy every window through fancy indexing — and
-the production kernels in ``video/resample.py``, ``video/frame.py`` and
-``Reader._paste`` must reproduce their bytes exactly (``test_kernels.py``).
-Nothing under ``src/`` imports this module.
+The pixel kernels are the whole-array statement of the arithmetic —
+convert everything to float32, ``take`` both taps, ``mean`` over a
+reshape, ``stack`` / ``concatenate`` the planes, copy every window through
+fancy indexing — and the production kernels in ``video/resample.py``,
+``video/frame.py`` and ``Reader._paste`` must reproduce their bytes
+exactly (``test_kernels.py``).  :func:`deflate_default` is the entropy
+stage's former default-strategy deflate, whose payloads must still decode
+to the same pixels (``test_codec.py``), and :class:`FullScanCacheManager`
+the eviction scoring that walked every GOP of every other physical per
+page, whose scores and evictions the bisecting scorer must equal
+(``test_eviction_scores.py``).  Nothing under ``src/`` imports this
+module.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import replace
 
 import numpy as np
 
+from repro.core.cache import CacheManager
 from repro.video.frame import VideoSegment, _rgb_to_yuv_channels, _unpool2
 from repro.video.metrics import mse
 
@@ -154,3 +162,82 @@ def paste(canvas, out_indices, source, src_indices, choice, plan, stats) -> None
         else:
             resized = piece
         canvas[out_indices, oy0:oy1, ox0:ox1] = resized.pixels
+
+
+def deflate_default(plane, level: int) -> bytes:
+    """The entropy stage's former deflate: zlib's default strategy at the
+    profile's level (6 for ``h264``, 9 for ``hevc``)."""
+    return zlib.compress(plane, level)
+
+
+class FullScanCacheManager(CacheManager):
+    """:class:`CacheManager` with the eviction scoring it had before
+    covering alternatives were found by bisection: every page walks every
+    GOP of every other physical, once for its redundancy rank and once more
+    for its baseline offset.  ``enforce_budget`` is inherited, so its
+    re-checks run the full scan too."""
+
+    def scores(self, logical):
+        physicals = {p.id: p for p in self.catalog.list_physicals(logical.id)}
+        gops_by_physical = {
+            pid: self.catalog.gops_of_physical(pid) for pid in physicals
+        }
+        result = {}
+        for pid, gops in gops_by_physical.items():
+            physical = physicals[pid]
+            n = len(gops)
+            for i, gop in enumerate(gops):
+                base = float(gop.last_access)
+                if self.policy == "lru":
+                    result[gop.id] = base + self._full_scan_baseline(
+                        physical, gop, physicals, gops_by_physical
+                    )
+                    continue
+                position = float(min(i, n - i))
+                redundancy = float(
+                    sum(
+                        1
+                        for other in self._covering_alternatives(
+                            physical, gop, physicals, gops_by_physical
+                        )
+                        if other.mse_estimate < physical.mse_estimate
+                    )
+                )
+                baseline = self._full_scan_baseline(
+                    physical, gop, physicals, gops_by_physical
+                )
+                result[gop.id] = (
+                    base
+                    + self.gamma * position
+                    - self.zeta * redundancy
+                    + baseline
+                )
+        return result
+
+    def _full_scan_baseline(self, physical, gop, physicals, gops_by_physical):
+        if physical.is_original:
+            return float("inf")
+        if not self.quality_model.meets_tau(physical):
+            return 0.0
+        for other in self._covering_alternatives(
+            physical, gop, physicals, gops_by_physical
+        ):
+            if self.quality_model.meets_tau(other):
+                return 0.0
+        return float("inf")
+
+    def _covering_alternatives(self, physical, gop, physicals, gops_by_physical):
+        alternatives = []
+        for pid, other in physicals.items():
+            if pid == physical.id:
+                continue
+            if not self._roi_covers(other, physical):
+                continue
+            covered = 0.0
+            for other_gop in gops_by_physical[pid]:
+                lo = max(other_gop.start_time, gop.start_time)
+                hi = min(other_gop.end_time, gop.end_time)
+                covered += max(0.0, hi - lo)
+            if covered >= gop.duration - 1e-6:
+                alternatives.append(other)
+        return alternatives

@@ -1,5 +1,8 @@
 """Tests for the codec stack: DCT, quantization, entropy, motion, GOPs."""
 
+import dataclasses
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,14 @@ from hypothesis import strategies as st
 from repro.core.executor import Executor
 from repro.errors import CodecError, ContainerError
 from repro.video.codec import dct, entropy, motion, quant
-from repro.video.codec.blockcodec import BlockCodec, CodecProfile, CodecTimings
+from repro.video.codec.blockcodec import (
+    _FRAME_HEADER,
+    _PLANE_HEADER,
+    _VECTOR,
+    BlockCodec,
+    CodecProfile,
+    CodecTimings,
+)
 from repro.video.codec.container import (
     EncodedGOP,
     decode_container,
@@ -23,6 +33,7 @@ from repro.video.codec.registry import (
     is_compressed_codec,
 )
 from repro.video.metrics import segment_psnr
+from tests.kernel_oracles import deflate_default
 from tests.test_frame import make_segment
 
 
@@ -134,6 +145,31 @@ class TestEntropy:
         payload = entropy.encode_levels(levels, 8)
         with pytest.raises(ValueError, match="blocks"):
             entropy.decode_levels(payload, 3, 3, 8)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["zero", "sparse", "dense"]),
+        n_blocks=st.sampled_from([1, 2, 7, 96, 500]),
+        block=st.sampled_from([8, 16]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_deflate_round_trips_scanned_planes(
+        self, seed, kind, n_blocks, block
+    ):
+        rng = np.random.default_rng(seed)
+        plane = np.zeros((n_blocks, block * block), dtype=np.int16)
+        if kind == "sparse":
+            # DC plus a few low-frequency levels per block, as quantised
+            # residuals look in zigzag order.
+            hits = rng.random(plane.shape) < np.linspace(0.6, 0.0, block * block)
+            plane[hits] = rng.integers(-40, 41, int(hits.sum()))
+        elif kind == "dense":
+            plane[:] = rng.integers(-32768, 32768, plane.shape)
+        payload = entropy.deflate(plane)
+        assert zlib.decompress(payload) == bytes(plane)
+        # No level to choose: every level writes the same stream.
+        packer = zlib.compressobj(9, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
+        assert packer.compress(plane) + packer.flush() == payload
 
 
 class TestMotion:
@@ -488,7 +524,6 @@ class TestBatchedFastPathBitIdentity:
                 name="fuzz",
                 block_size=block,
                 motion=motion_mode,
-                entropy_level=6,
                 default_gop_size=30,
                 deadzone=0.5 if motion_mode != "tiled" else 0.33,
             )
@@ -619,6 +654,47 @@ class TestBatchedFastPathBitIdentity:
         reference = codec.decode_gop_frames_scalar(gop, stop)
         assert fast.pixels.dtype == reference.pixels.dtype == np.uint8
         assert np.array_equal(fast.pixels, reference.pixels)
+
+    @staticmethod
+    def _redeflated(gop, level):
+        """``gop`` with every plane payload re-deflated by the former
+        default-strategy entropy stage; headers and vectors unchanged."""
+        payloads = []
+        for payload in gop.payloads:
+            _, n_vectors, n_planes = _FRAME_HEADER.unpack_from(payload)
+            offset = _FRAME_HEADER.size + n_vectors * _VECTOR.size
+            parts = [payload[:offset]]
+            for _ in range(n_planes):
+                nby, nbx, h, w, size = _PLANE_HEADER.unpack_from(payload, offset)
+                offset += _PLANE_HEADER.size
+                old = deflate_default(
+                    zlib.decompress(payload[offset : offset + size]), level
+                )
+                offset += size
+                parts += [_PLANE_HEADER.pack(nby, nbx, h, w, len(old)), old]
+            payloads.append(b"".join(parts))
+        return dataclasses.replace(gop, payloads=payloads)
+
+    @pytest.mark.parametrize("qp", [0, 14, 40])
+    @pytest.mark.parametrize("fmt", ["rgb", "gray", "yuv420", "yuv422"])
+    @pytest.mark.parametrize("motion_mode", ["none", "global", "tiled"])
+    def test_payloads_deflated_the_old_way_decode_to_the_same_pixels(
+        self, motion_mode, fmt, qp
+    ):
+        # A store written before the entropy stage moved to Z_RLE holds
+        # default-strategy payloads at the profiles' former levels; they
+        # must read back exactly as the same GOP encoded today.
+        codec = self._codec(motion_mode, 8)
+        gop = codec.encode_gop(_drifting_segment(qp, fmt, 26, 50, 4), qp=qp)
+        expected = codec.decode_gop_frames(gop, gop.num_frames).pixels
+        assert np.array_equal(
+            expected, codec.decode_gop_frames_scalar(gop, gop.num_frames).pixels
+        )
+        for level in (6, 9):
+            old = self._redeflated(gop, level)
+            assert len(old.payloads) == len(gop.payloads)
+            for decode in (codec.decode_gop_frames, codec.decode_gop_frames_scalar):
+                assert np.array_equal(decode(old, old.num_frames).pixels, expected)
 
     @pytest.mark.parametrize("name", ["h264", "hevc"])
     def test_registry_profiles_match_scalar_on_real_content(

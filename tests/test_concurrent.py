@@ -22,7 +22,9 @@ import pytest
 
 from repro.client import VSSClient
 from repro.core.admission import AdmissionWorker
+from repro.core.cost import CostModel
 from repro.core.engine import Session, VSSEngine
+from repro.core.read_planner import plan_read
 from repro.core.rwlock import RWLock, RWLockStats
 from repro.core.specs import ReadSpec, WriteSpec
 from repro.util import LogicalClock
@@ -960,6 +962,35 @@ class TestPlanCache:
         loaded_engine.drain_admissions()
         refreshed = session.read(spec)
         assert not refreshed.stats.plan_cached
+
+    def test_cost_model_and_planner_are_part_of_the_key(self, loaded_engine):
+        """Figure 10's ablations swap ``engine.cost_model`` (eta = 1) and
+        the planner on an unchanged store: each swap must re-plan."""
+        session = loaded_engine.session()
+        spec = ReadSpec("traffic", 0.4, 1.6, codec="raw", cache=False)
+        first = session.read(spec)
+        assert session.read(spec).stats.plan_cached
+        loaded_engine.cost_model = CostModel(loaded_engine.calibration, eta=1.0)
+        ablated = session.read(spec)
+        assert ablated.stats.plan_cached is False
+        logical = loaded_engine.catalog.get_logical("traffic")
+        expected = plan_read(
+            spec,
+            loaded_engine.catalog.fragments_of_logical(logical.id),
+            loaded_engine.catalog.original_physical(logical.id),
+            loaded_engine.cost_model,
+            loaded_engine.quality_model,
+        )
+        assert ablated.plan.estimated_cost == expected.estimated_cost
+        # The window starts mid-GOP, so its look-back decodes dependent
+        # frames and eta changes the cost.
+        assert ablated.plan.estimated_cost != first.plan.estimated_cost
+        assert session.read(spec).stats.plan_cached
+        loaded_engine.planner = "greedy"
+        greedy = session.read(spec)
+        assert greedy.stats.plan_cached is False
+        assert greedy.plan.mode == "greedy"
+        assert session.read(spec).stats.plan_cached
 
     def test_recreate_never_serves_stale_plans(self, engine):
         """Delete + same-name re-create must re-plan (mutation versions

@@ -335,6 +335,7 @@ class TestClientAccounting:
         with pytest.raises(VideoNotFoundError):
             client.read_batch([self.SPEC.replace(name="ghost")])
         assert client.stats.failures == 2
+        _wait_idle(client)  # the ghost batch's handler may still hold its slot
 
         # A read, then a batch, each rejected once and retried.
         result = self._while_full(server, lambda: client.read(self.SPEC))
