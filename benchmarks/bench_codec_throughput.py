@@ -7,28 +7,32 @@ Decode (ISSUE 10): every compressed read funnels through GOP decode, and
 the recurrence that forces frame-by-frame work is only the cheap
 compensate-add-clip chain.  ``decode_gop_frames`` batches the residual
 reconstruction of a whole GOP ahead of it and is timed against the
-retained ``decode_gop_frames_scalar``.
+scalar loop in ``tests/kernel_oracles.py``, on the sparse plane payloads
+the encoder writes and on the same GOP in the dense layout older stores
+hold (every block's scanned row, run-length deflated).
 
 Encode (ISSUE 17): every transcoding read and every append funnels
 through ``encode_segment``.  Its kernel steps the segment's GOPs in
 lockstep on the calling thread and hands each step's deflate to the
 executor; it is timed at 1 and 4 GOPs, with and without an executor,
-against a loop of the retained ``encode_gop_scalar``.
+against a loop of the oracle's ``encode_gop_scalar``.
 
-Deflate: the entropy stage compresses each frame's zigzag-scanned
-levels with ``entropy.deflate`` (zlib's run-length strategy).  The
-scanned planes of the encoded clip are deflated with it and with the
-default strategy at levels 6 and 9 (what the ``h264`` and ``hevc``
-profiles ran before); seconds and bytes are printed per codec, and all
-three must inflate to the same levels.
+Deflate: the entropy stage compresses each plane's stream (coded-block
+mask, then the coded blocks' zigzag-scanned levels) with
+``entropy.deflate`` (zlib's run-length strategy).  The streams of the
+encoded clip are deflated with it and with the default strategy at levels
+6 and 9 (what the ``h264`` and ``hevc`` profiles ran before); seconds and
+bytes are printed per codec, and all three must inflate to the same
+streams.
 
 Frames are tile-sized (half of the scaled VisualRoad camera in each
 axis): on a tiled store the 2x2 tile physical is the system's actual
 codec granularity.  Times are best-of-``ROUNDS`` and printed for the
 record only: what this file *asserts* is that both fast paths are
-**bit-identical** to their scalar references and that every deflate
-inflates back to the levels it was given.  Speed is judged by
-``benchmarks/vssbench``, on paired runs.
+**bit-identical** to their scalar references, that both plane layouts
+decode to the same pixels, and that every deflate inflates back to the
+stream it was given.  Speed is judged by ``benchmarks/vssbench``, on
+paired runs.
 """
 
 from __future__ import annotations
@@ -46,6 +50,11 @@ from repro.video.codec import entropy
 from repro.video.codec.blockcodec import _FRAME_HEADER, _PLANE_HEADER, _VECTOR
 from repro.video.codec.registry import codec_for
 from repro.video.frame import VideoSegment
+from tests.kernel_oracles import (
+    decode_gop_frames_scalar,
+    dense_gop,
+    encode_gop_scalar,
+)
 
 QUICK = os.environ.get("VSS_BENCH_QUICK", "") not in ("", "0")
 GOP_SIZE = 24
@@ -76,8 +85,8 @@ def _best_seconds(fn, rounds: int) -> float:
     return best
 
 
-def _scanned_planes(gops) -> list[bytes]:
-    """The zigzag-scanned level planes the encoder deflated, in order."""
+def _plane_streams(gops) -> list[bytes]:
+    """The plane streams the encoder deflated, in order."""
     planes = []
     for gop in gops:
         for payload in gop.payloads:
@@ -94,8 +103,10 @@ def _scanned_planes(gops) -> list[bytes]:
 def _scalar_encode(codec, clip: VideoSegment):
     """``encode_segment``'s GOP slicing over the scalar reference."""
     return [
-        codec.encode_gop_scalar(
-            clip.slice_frames(lo, min(lo + GOP_SIZE, clip.num_frames)), qp=QP
+        encode_gop_scalar(
+            codec,
+            clip.slice_frames(lo, min(lo + GOP_SIZE, clip.num_frames)),
+            qp=QP,
         )
         for lo in range(0, clip.num_frames, GOP_SIZE)
     ]
@@ -112,10 +123,10 @@ def test_codec_throughput(benchmark):
     )
     decode = Table(
         "GOP decode: batched fast path vs scalar loop (MB/s)",
-        ["profile", "batched", "scalar"],
+        ["profile", "batched", "batched, dense layout", "scalar"],
     )
     deflate = Table(
-        "deflate of the scanned levels: default strategy vs Z_RLE",
+        "deflate of the plane streams: default strategy vs Z_RLE",
         ["profile", "planes", "MB in", "strategy", "seconds", "bytes out"],
     )
     for name in PROFILES:
@@ -151,7 +162,7 @@ def test_codec_throughput(benchmark):
                 ),
             )
 
-        planes = _scanned_planes(reference)
+        planes = _plane_streams(reference)
         mb = sum(map(len, planes)) / 1e6
         for label, fn in (
             ("default, level 6", lambda plane: zlib.compress(plane, 6)),
@@ -170,23 +181,29 @@ def test_codec_throughput(benchmark):
             )
 
         gop = reference[0]
+        dense = dense_gop(gop, codec.profile.block_size)
         mb = GOP_SIZE * clip.pixels[0].nbytes / 1e6
-        np.testing.assert_array_equal(
-            codec.decode_gop_frames(gop, GOP_SIZE, executor=executor).pixels,
-            codec.decode_gop_frames_scalar(gop, GOP_SIZE).pixels,
-        )
+        expected = decode_gop_frames_scalar(codec, gop, GOP_SIZE).pixels
+        for encoded in (gop, dense):
+            np.testing.assert_array_equal(
+                codec.decode_gop_frames(
+                    encoded, GOP_SIZE, executor=executor
+                ).pixels,
+                expected,
+            )
         decode.add_row(
             name,
-            mb
-            / _best_seconds(
-                lambda: codec.decode_gop_frames(
-                    gop, GOP_SIZE, executor=executor
-                ),
-                ROUNDS,
-            ),
-            mb
-            / _best_seconds(
-                lambda: codec.decode_gop_frames_scalar(gop, GOP_SIZE), ROUNDS
+            *(
+                mb / _best_seconds(fn, ROUNDS)
+                for fn in (
+                    lambda: codec.decode_gop_frames(
+                        gop, GOP_SIZE, executor=executor
+                    ),
+                    lambda: codec.decode_gop_frames(
+                        dense, GOP_SIZE, executor=executor
+                    ),
+                    lambda: decode_gop_frames_scalar(codec, gop, GOP_SIZE),
+                )
             ),
         )
 

@@ -64,7 +64,8 @@ CREATE TABLE IF NOT EXISTS physical_videos (
     is_original INTEGER NOT NULL,
     sealed INTEGER NOT NULL,
     tile_group_id INTEGER,
-    tile_index INTEGER
+    tile_index INTEGER,
+    format_mse REAL NOT NULL DEFAULT 0.0
 );
 CREATE INDEX IF NOT EXISTS physical_by_logical
     ON physical_videos(logical_id);
@@ -196,16 +197,21 @@ class Catalog:
 
         ``CREATE TABLE IF NOT EXISTS`` never alters an existing table,
         so columns added after a store was created must be grafted on
-        here (nullable, so old rows read back with the field's default).
+        here (nullable or defaulted, so old rows read back with the
+        field's default).
         """
         columns = {
             row[1]
             for row in conn.execute("PRAGMA table_info(physical_videos)")
         }
-        for column in ("tile_group_id", "tile_index"):
+        for column, kind in (
+            ("tile_group_id", "INTEGER"),
+            ("tile_index", "INTEGER"),
+            ("format_mse", "REAL NOT NULL DEFAULT 0.0"),
+        ):
             if column not in columns:
                 conn.execute(
-                    f"ALTER TABLE physical_videos ADD COLUMN {column} INTEGER"
+                    f"ALTER TABLE physical_videos ADD COLUMN {column} {kind}"
                 )
 
     def _connect(self) -> tuple[sqlite3.Connection, bool]:
@@ -572,14 +578,15 @@ class Catalog:
         sealed: bool = True,
         tile_group_id: int | None = None,
         tile_index: int | None = None,
+        format_mse: float = 0.0,
     ) -> PhysicalVideo:
         with self._write() as conn:
             cursor = conn.execute(
                 "INSERT INTO physical_videos (logical_id, codec, pixel_format,"
                 " width, height, fps, qp, roi, start_time, end_time,"
                 " mse_estimate, is_original, sealed, tile_group_id,"
-                " tile_index)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                " tile_index, format_mse)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     logical_id,
                     codec,
@@ -596,6 +603,7 @@ class Catalog:
                     int(sealed),
                     tile_group_id,
                     tile_index,
+                    format_mse,
                 ),
             )
             conn.commit()
@@ -647,11 +655,14 @@ class Catalog:
             )
             conn.commit()
 
-    def update_mse_estimate(self, physical_id: int, mse_estimate: float) -> None:
+    def update_mse_estimate(
+        self, physical_id: int, mse_estimate: float, format_mse: float
+    ) -> None:
         with self._write() as conn:
             conn.execute(
-                "UPDATE physical_videos SET mse_estimate = ? WHERE id = ?",
-                (mse_estimate, physical_id),
+                "UPDATE physical_videos SET mse_estimate = ?, format_mse = ?"
+                " WHERE id = ?",
+                (mse_estimate, format_mse, physical_id),
             )
             conn.commit()
 
@@ -684,6 +695,7 @@ class Catalog:
             sealed=bool(row["sealed"]),
             tile_group_id=row["tile_group_id"],
             tile_index=row["tile_index"],
+            format_mse=row["format_mse"],
         )
 
     # ------------------------------------------------------------------

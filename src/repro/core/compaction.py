@@ -83,8 +83,10 @@ class Compactor:
         self.catalog.update_physical_times(
             first.id, first.start_time, second.end_time
         )
-        # The merged video's quality bound is the weaker of the two.
+        # The merged video's quality bounds are the weaker of the two, both
+        # against the original and as a read in their own format sees them.
         worst = max(first.mse_estimate, second.mse_estimate)
-        if worst != first.mse_estimate:
-            self.catalog.update_mse_estimate(first.id, worst)
+        format_mse = worst - max(first.own_format_mse, second.own_format_mse)
+        if (worst, format_mse) != (first.mse_estimate, first.format_mse):
+            self.catalog.update_mse_estimate(first.id, worst, format_mse)
         self.catalog.delete_physical(second.id)

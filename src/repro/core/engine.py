@@ -1329,21 +1329,37 @@ class VSSEngine:
     def _admit(self, logical: LogicalVideo, plan, result: ReadResult) -> None:
         if self._would_duplicate(plan):
             return
-        source_mse = max(
-            (c.fragment.physical.mse_estimate for c in plan.choices),
-            default=0.0,
+        quality, request, stats = self.quality_model, plan.request, result.stats
+        sources = [c.fragment.physical for c in plan.choices]
+        # Two bounds: against the original, with the format conversion's
+        # measured loss; and as a later read in this same format sees it
+        # (sources judged the same way, no conversion step).  Their
+        # difference is the new physical's ``format_mse``.
+        mse_estimate = quality.estimate_after_transcode(
+            source_mse=max((p.mse_estimate for p in sources), default=0.0),
+            resample_mse=stats.resample_mse + stats.format_mse,
+            target_codec=request.codec,
+            achieved_bpp=stats.output_bpp,
         )
-        mse_estimate = self.quality_model.estimate_after_transcode(
-            source_mse=source_mse,
-            resample_mse=result.stats.resample_mse,
-            target_codec=plan.request.codec,
-            achieved_bpp=result.stats.output_bpp,
+        own_format_mse = quality.estimate_after_transcode(
+            source_mse=max(
+                (quality.mse_for(p, request.pixel_format) for p in sources),
+                default=0.0,
+            ),
+            resample_mse=stats.resample_mse,
+            target_codec=request.codec,
+            achieved_bpp=stats.output_bpp,
         )
+        format_mse = mse_estimate - own_format_mse
         full = (0, 0, *plan.original_resolution)
         roi = None if tuple(plan.roi) == full else tuple(plan.roi)
         if result.gops is not None:
             self.writer.write_gops(
-                logical, result.gops, mse_estimate=mse_estimate, roi=roi
+                logical,
+                result.gops,
+                mse_estimate=mse_estimate,
+                roi=roi,
+                format_mse=format_mse,
             )
         else:
             self.writer.write_segment(
@@ -1352,6 +1368,7 @@ class VSSEngine:
                 spec=WriteSpec(name=logical.name, codec="raw"),
                 mse_estimate=mse_estimate,
                 roi=roi,
+                format_mse=format_mse,
             )
         # Enforce the budget and accept the outcome, whatever mix of old
         # and new pages the policy retains (paper Figure 5: admitting m4
@@ -1560,14 +1577,25 @@ class VSSEngine:
             )
         except Exception:
             return  # sampling is best-effort
-        reference = self._match_geometry(reference, physical, original)
+        reference = self._match_geometry(reference, physical)
         frames = min(cached.num_frames, reference.num_frames)
         if frames == 0:
             return
-        measured = segment_mse(
-            reference.slice_frames(0, frames), cached.slice_frames(0, frames)
-        )
-        self.catalog.update_mse_estimate(physical.id, measured)
+        reference = reference.slice_frames(0, frames)
+        cached = cached.slice_frames(0, frames)
+        # In the original's pixel format: ``segment_mse`` converts
+        # ``cached`` to it, so a subsampled fragment's chroma loss counts.
+        measured = segment_mse(reference, cached)
+        format_mse = 0.0
+        if physical.pixel_format != reference.pixel_format:
+            # As a read in the fragment's own format sees it: against the
+            # reference put through the same conversion.
+            converted = convert_segment(
+                convert_segment(reference, physical.pixel_format),
+                reference.pixel_format,
+            )
+            format_mse = max(measured - segment_mse(converted, cached), 0.0)
+        self.catalog.update_mse_estimate(physical.id, measured, format_mse)
         # Quality estimates feed fragment selection; re-plan from here on.
         self.catalog.bump_data_version(logical.id)
 
@@ -1593,10 +1621,10 @@ class VSSEngine:
 
     @staticmethod
     def _match_geometry(
-        reference: VideoSegment,
-        physical: PhysicalVideo,
-        original: PhysicalVideo,
+        reference: VideoSegment, physical: PhysicalVideo
     ) -> VideoSegment:
+        """``reference`` cropped and resized to ``physical``'s region and
+        resolution, left in its own pixel format."""
         if physical.roi is not None:
             x0, y0, x1, y1 = physical.roi
             reference = crop_roi(reference, x0, x1, y0, y1)
@@ -1604,7 +1632,7 @@ class VSSEngine:
             reference = resize_segment(
                 reference, physical.width, physical.height
             )
-        return convert_segment(reference, physical.pixel_format)
+        return reference
 
     # ------------------------------------------------------------------
     # stats

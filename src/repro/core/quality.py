@@ -3,10 +3,12 @@
 A fragment's quality relative to the originally written video accumulates
 error through two mechanisms:
 
-* **Resampling error** (resolution / frame-rate changes) — measured
-  directly on a sample of frames at transcode time (the frames are already
-  decoded in memory, so this is nearly free), then *chained* with any error
-  the source fragment already carried using the paper's bound
+* **Resampling error** (resolution / frame-rate changes, and pixel-format
+  conversion: subsampling chroma to ``yuv420`` or ``yuv422`` resamples two
+  planes, and ``gray`` drops them) — measured directly on a sample of
+  frames at transcode time (the frames are already decoded in memory, so
+  this is nearly free), then *chained* with any error the source fragment
+  already carried using the paper's bound
 
       MSE(f0, f2) <= 2 * (MSE(f0, f1) + MSE(f1, f2)),
 
@@ -17,6 +19,15 @@ error through two mechanisms:
   vbench-calibrated bpp -> PSNR curve.  :meth:`QualityModel.refine`
   implements the paper's periodic exact sampling that replaces the
   estimate with a measured value.
+
+Raw output in another pixel format is therefore not lossless:
+:meth:`QualityModel.compression_mse` of ``raw`` is zero, but the rgb ->
+format -> rgb round trip of a sample frame is measured like any other
+resample, and refinement compares in the original's pixel format.  The
+measured conversion loss is also kept apart as the physical's
+``format_mse``: a read that asks for the fragment's own format would pay
+it from the original too, so :meth:`QualityModel.acceptable` charges it
+only to reads in another format.
 """
 
 from __future__ import annotations
@@ -80,10 +91,25 @@ class QualityModel:
         """``u(m0, f)`` in dB for a physical video."""
         return psnr_from_mse(physical.mse_estimate)
 
-    def acceptable(self, physical: PhysicalVideo, epsilon_db: float) -> bool:
-        """The paper's rejection test: fragments whose expected quality is
-        below the cutoff are not used to answer a read."""
-        return self.quality_db(physical) >= epsilon_db
+    @staticmethod
+    def mse_for(physical: PhysicalVideo, pixel_format: str) -> float:
+        """``physical``'s MSE bound as a read in ``pixel_format`` sees it.
+
+        A read in the physical's own format pays the conversion to it
+        whatever serves it, so it is not charged the physical's
+        ``format_mse``; a read in any other format is.
+        """
+        if pixel_format == physical.pixel_format:
+            return physical.own_format_mse
+        return physical.mse_estimate
+
+    def acceptable(
+        self, physical: PhysicalVideo, epsilon_db: float, pixel_format: str
+    ) -> bool:
+        """The paper's rejection test: fragments whose expected quality,
+        for a read in ``pixel_format``, is below the cutoff are not used
+        to answer it."""
+        return psnr_from_mse(self.mse_for(physical, pixel_format)) >= epsilon_db
 
     def meets_tau(self, physical: PhysicalVideo) -> bool:
         """Does this fragment qualify for the lossless baseline cover?"""

@@ -404,7 +404,9 @@ def _filter_candidates(
         # serving) byte-identically on tiled and untiled stores.
         if physical.tile_group_id is not None and full_frame:
             continue
-        if not quality_model.acceptable(physical, request.quality_db):
+        if not quality_model.acceptable(
+            physical, request.quality_db, request.pixel_format
+        ):
             continue
         if fragment.end_time <= request.start + _EPS:
             continue

@@ -40,7 +40,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from repro.video.codec.blockcodec import CodecTimings
 from repro.video.codec.container import EncodedGOP
 from repro.video.codec.registry import codec_for
 from repro.video.frame import VideoSegment, convert_segment
-from repro.video.metrics import mse
+from repro.video.metrics import mse, segment_mse
 from repro.video.resample import index_run, resize_segment
 
 _EPS = 1e-9
@@ -76,6 +76,9 @@ class ReadStats:
     fragments_used: int = 0
     direct_serve: bool = False
     resample_mse: float = 0.0
+    #: Measured loss of converting the RGB canvas to the request's pixel
+    #: format (rgb -> format -> rgb on the first frame); 0.0 for rgb.
+    format_mse: float = 0.0
     output_bpp: float = 0.0
     gop_ids_touched: list[int] = field(default_factory=list)
     decode_cache_hits: int = 0
@@ -381,7 +384,8 @@ class Reader:
             stats.wall_seconds = time.perf_counter() - start_wall
             return ReadResult(plan, None, direct, stats)
 
-        segment = self._collect(plan, stats, decode_cache)
+        canvas = self._collect(plan, stats, decode_cache)
+        segment = _to_request_format(plan, stats, canvas)
         gops: list[EncodedGOP] | None = None
         if plan.request.codec != "raw":
             codec = codec_for(plan.request.codec)
@@ -398,11 +402,9 @@ class Reader:
             stats.output_bpp = float(
                 np.mean([g.bits_per_pixel for g in gops])
             )
-            segment_out = None
-        else:
-            segment_out = convert_segment(segment, plan.request.pixel_format)
+            segment = None
         stats.wall_seconds = time.perf_counter() - start_wall
-        return ReadResult(plan, segment_out, gops, stats)
+        return ReadResult(plan, segment, gops, stats)
 
     # ------------------------------------------------------------------
     # direct byte serving (no transcode)
@@ -826,21 +828,34 @@ class Reader:
                     None, [encoded], [record.id],
                 )
             return
-        if plan.request.codec != "raw":
-            yield from self._iter_encoded(plan, stats, decode_cache)
-            return
-        for index, chunk in enumerate(
-            self._iter_decoded(plan, stats, decode_cache)
-        ):
-            segment = convert_segment(
-                chunk.segment, plan.request.pixel_format
+        # Raw and compressed output alike leave the canvas in the
+        # request's pixel format (conversion is per frame, so chunk by
+        # chunk gives the bytes of the whole canvas converted at once,
+        # and the first chunk's first frame is ``execute``'s sample).
+        chunks = (
+            replace(
+                chunk,
+                segment=_to_request_format(
+                    plan, stats, chunk.segment, sample=index == 0
+                ),
             )
+            for index, chunk in enumerate(
+                self._iter_decoded(plan, stats, decode_cache)
+            )
+        )
+        if plan.request.codec != "raw":
+            yield from self._iter_encoded(plan, stats, chunks)
+            return
+        for index, chunk in enumerate(chunks):
+            segment = chunk.segment
             yield ReadChunk(
                 index, segment.start_time, segment.end_time,
                 segment, None, chunk.gop_ids,
             )
 
-    def _iter_encoded(self, plan: ReadPlan, stats: ReadStats, decode_cache):
+    def _iter_encoded(
+        self, plan: ReadPlan, stats: ReadStats, chunks: Iterable[_DecodedChunk]
+    ):
         """Re-encode the decoded stream on output-GOP-size boundaries.
 
         Blocks are cut at multiples of the output GOP size with start
@@ -874,7 +889,7 @@ class Reader:
             buffered_frames -= frames
             block = VideoSegment(
                 pixels=block_pixels,
-                pixel_format="rgb",
+                pixel_format=request.pixel_format,
                 height=target.height,
                 width=target.width,
                 fps=fps_out,
@@ -899,7 +914,7 @@ class Reader:
             index += 1
             return chunk
 
-        for chunk in self._iter_decoded(plan, stats, decode_cache):
+        for chunk in chunks:
             buffered.append(chunk.segment.pixels)
             buffered_frames += chunk.segment.num_frames
             pending_gop_ids.extend(chunk.gop_ids)
@@ -1113,3 +1128,21 @@ def _resample_error_sample(
         resized.slice_frames(0, 1), source.width, source.height
     )
     return mse(source.frame(0), restored.frame(0))
+
+
+def _to_request_format(
+    plan: ReadPlan, stats: ReadStats, segment: VideoSegment, sample=True
+) -> VideoSegment:
+    """``segment`` (canvas pixels) converted to the request's pixel format.
+
+    Chroma subsampling (or dropping colour) resamples planes, so with
+    ``sample`` the conversion's loss is measured into
+    ``stats.format_mse`` on the first frame mapped back to the canvas's
+    format (the rule of :func:`_resample_error_sample`).
+    """
+    converted = convert_segment(segment, plan.request.pixel_format)
+    if sample and converted is not segment:
+        stats.format_mse = segment_mse(
+            segment.slice_frames(0, 1), converted.slice_frames(0, 1)
+        )
+    return converted

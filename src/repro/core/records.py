@@ -57,8 +57,8 @@ class PhysicalVideo:
     depicts, in original pixel coordinates (``None`` means the full frame);
     ``width``/``height`` are this video's own pixel dimensions, which may
     rescale that region.  ``mse_estimate`` is the quality model's bound on
-    MSE relative to the originally written video (0 for the original
-    itself); ``sealed`` is False while a streaming write is in progress.
+    MSE relative to the originally written video, compared in the
+    original's pixel format (0 for the original itself); ``sealed`` is False while a streaming write is in progress.
     """
 
     id: int
@@ -81,6 +81,18 @@ class PhysicalVideo:
     #: are None for ordinary (untiled) physicals.
     tile_group_id: int | None = None
     tile_index: int | None = None
+    #: The part of ``mse_estimate`` that is the loss of converting to
+    #: ``pixel_format`` (chroma subsampling, or dropping colour for
+    #: ``gray``); 0 for a physical in the original's format.  A read that
+    #: asks for this same format pays that loss whatever serves it, so
+    #: it sees only :attr:`own_format_mse`.
+    format_mse: float = 0.0
+
+    @property
+    def own_format_mse(self) -> float:
+        """The MSE bound as a read in this physical's own pixel format
+        sees it: against the original put through the same conversion."""
+        return self.mse_estimate - self.format_mse
 
     @property
     def resolution(self) -> tuple[int, int]:

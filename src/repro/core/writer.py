@@ -64,6 +64,7 @@ class Writer:
         mse_estimate: float = 0.0,
         roi: ROI | None = None,
         spec: WriteSpec | None = None,
+        format_mse: float = 0.0,
     ) -> WriteOutcome:
         """Encode and store a segment as a new physical video.
 
@@ -82,6 +83,7 @@ class Writer:
             is_original=is_original,
             mse_estimate=mse_estimate,
             roi=roi,
+            format_mse=format_mse,
         )
 
     def write_gops(
@@ -93,6 +95,7 @@ class Writer:
         roi: ROI | None = None,
         tile_group_id: int | None = None,
         tile_index: int | None = None,
+        format_mse: float = 0.0,
     ) -> WriteOutcome:
         """Store already-encoded GOPs (the API accepts compressed writes
         as-is, preserving ingested GOP structure)."""
@@ -122,6 +125,7 @@ class Writer:
             roi=roi,
             tile_group_id=tile_group_id,
             tile_index=tile_index,
+            format_mse=format_mse,
         )
         stream.append_gops(gops)
         return stream.close()
@@ -143,6 +147,7 @@ class Writer:
         gop_size: int | None = None,
         tile_group_id: int | None = None,
         tile_index: int | None = None,
+        format_mse: float = 0.0,
     ) -> "StreamWriter":
         """Begin a non-blocking streaming write."""
         physical = self.catalog.add_physical(
@@ -161,6 +166,7 @@ class Writer:
             sealed=False,
             tile_group_id=tile_group_id,
             tile_index=tile_index,
+            format_mse=format_mse,
         )
         return StreamWriter(self, logical, physical, qp, gop_size)
 

@@ -134,6 +134,14 @@ class Calibration:
         lowest points carry that shift as measured at their PSNR (x1.22
         at 27 dB, x1.10 at 34 dB), so the estimate there is not
         optimistic; every other point's shift is inside its rounding.
+
+        The sparse plane payloads (a coded-block mask, then only the
+        coded blocks) cost the sweep's same pixels 1.8-11.3% fewer bits
+        again, at qp 0-44 and for both codecs, with PSNR unchanged.
+        Those points are left as they are: a curve that asks for more
+        bits than the codec spends reads a payload's bits per pixel as
+        lower quality than it has, so the compression-error estimate
+        only grows more conservative.
         """
         resolutions = [96 * 54, 192 * 108, 384 * 216]
         make = lambda vals: [  # noqa: E731

@@ -13,6 +13,21 @@ from.  Frames within a GOP therefore form a genuine dependency chain: to
 decode frame ``k`` every frame ``0..k-1`` must be decoded first, which is
 precisely the look-back cost the paper's read planner optimizes around.
 
+Plane payloads
+--------------
+Each plane of a frame is one entropy payload in the sparse layout of
+:mod:`~repro.video.codec.entropy`: a coded-block mask and the zigzag-
+scanned levels of only the blocks it marks.  About 85% of the blocks of
+a quantised residual on the rendered scenes hold no level, so a plane
+inflates to about a seventh of the bytes a full plane of levels takes.  The
+frame's type byte carries the layout: ``b"i"`` / ``b"p"`` for sparse
+frames, which is all the encoder writes; ``b"I"`` / ``b"P"`` for the
+dense layout (every block's scanned row) of stores written before the
+mask existed.  Both parse to the same ``(mask, rows)`` pair, so both
+decode to the same pixels.  ``EncodedGOP.frame_types``, the container,
+the wire and the catalog spell frame types ``"I"`` / ``"P"`` whatever
+the layout.
+
 Decode fast path
 ----------------
 Only the compensate-add-clip recurrence actually chains frame ``k`` to
@@ -21,20 +36,19 @@ unscan -> dequantize -> inverse DCT) is independent.  ``decode_gop_frames``
 exploits this with a two-stage split:
 
 1. a batched residual stage that parses every frame/plane header up front,
-   inflates all entropy payloads (optionally fanned across the shared
-   :class:`~repro.core.executor.Executor`), stacks each plane shape's
-   levels into one int16 tensor, and runs a single fused
-   dequantize-inverse-DCT over only the nonzero blocks;
+   inflates every plane payload into its ``(mask, rows)`` (optionally
+   fanned across the shared :class:`~repro.core.executor.Executor`),
+   stacks each plane shape's masks and coded rows, and runs a single
+   fused dequantize-inverse-DCT over only the coded blocks;
 2. a cheap sequential pass that just compensates, adds the precomputed
    residual, and clips, followed by one vectorized rint/uint8 conversion
    over the whole GOP.
 
 Same-shape planes (a GOP's RGB channels, or a YUV pair of chroma planes)
 are grouped and move through both stages as one array.  The output is
-bit-identical to the per-frame scalar loop, which is retained verbatim as
-:meth:`BlockCodec.decode_gop_frames_scalar` — both the fuzz oracle for
-that guarantee and the baseline the codec throughput benchmark measures
-against.
+bit-identical to the per-frame scalar loop kept in
+``tests/kernel_oracles.py`` — both the fuzz oracle for that guarantee and
+the baseline the codec throughput benchmark measures against.
 
 Encode fast path
 ----------------
@@ -42,9 +56,9 @@ Encoding has the mirror-image dependency.  *On* the chain, inside one GOP:
 estimate motion against the previous reconstruction -> compensate ->
 forward DCT of the residual -> quantise -> reconstruct (dequantise,
 inverse DCT, add, clip) — frame ``k`` cannot start before frame ``k-1``
-has been reconstructed.  *Off* the chain: the zigzag scan and deflate of
-the quantised levels, which nothing downstream reads, and every other GOP
-of the same ``encode_segment`` call, which opens with its own I frame.
+has been reconstructed.  *Off* the chain: the mask packing and deflate of
+the coded blocks, which nothing downstream reads, and every other GOP of
+the same ``encode_segment`` call, which opens with its own I frame.
 
 ``encode_segment`` is one kernel built on exactly that:
 
@@ -52,36 +66,34 @@ of the same ``encode_segment`` call, which opens with its own I frame.
    frame ``k`` of each, stacked per plane group into one ``(gops,
    channels, h, w)`` array, goes through one phase-correlation FFT round,
    one in-place DCT, one quantise and one sparse inverse (the decode
-   path's nonzero-block scatter) per step;
-2. each step's scanned levels are handed to the shared executor, which
-   deflates them (``zlib`` releases the GIL) while the caller computes
-   step ``k+1``; payloads are joined after the last step.
+   path's coded-block scatter) per step; the coded-block mask that
+   inverse needs is the payload's mask, and only the blocks it marks are
+   zigzag-scanned;
+2. each step's masks and scanned rows are handed to the shared executor,
+   which packs and deflates them (``zlib`` releases the GIL) while the
+   caller computes step ``k+1``; payloads are joined after the last step.
 
 Deflate is :func:`entropy.deflate`, zlib's run-length (``Z_RLE``)
 strategy.  The scanned int16 levels are runs of zero bytes broken by a
 few small coefficients, so the run is nearly the only match worth
 finding: on a cold read mix the default strategy's search (levels 6 and
 9 before) took 2.6x and 18x the time for payloads 5% larger.  ``Z_RLE``
-has no level to tune, so the ``h264`` and ``hevc`` profiles now differ
-only in motion mode and deadzone.  The stream is still plain zlib: the
-decoder inflates payloads written with the old strategy and the new one
-alike, to the same levels and the same pixels.
+has no level to tune, so the ``h264`` and ``hevc`` profiles differ only
+in motion mode and deadzone.
 
 ``encode_gop`` is the one-GOP case.  Earlier versions fanned whole GOPs
 across the executor instead; that scaled 1.15-1.5x on two cores because
 the per-frame numpy of two GOPs contends for the GIL, left a one-GOP
 encode (every one-second append) on one thread, and is gone: splitting
 the work by *stage* keeps the GIL-bound part on one thread and gives the
-pool only what runs without it.  Output bytes equal the per-plane loop's,
-retained as :meth:`BlockCodec.encode_gop_scalar` and fuzz-compared in
-``tests/test_codec.py``.
+pool only what runs without it.  Output bytes equal the per-plane loop's
+in ``tests/kernel_oracles.py``, fuzz-compared in ``tests/test_codec.py``.
 """
 
 from __future__ import annotations
 
 import struct
 import time
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +105,6 @@ from repro.video.frame import (
     VideoSegment,
     frames_plane_views,
     pixel_format,
-    planes_to_frame,
 )
 
 _FRAME_HEADER = struct.Struct(">cBB")  # frame type, n motion vectors, n planes
@@ -205,8 +216,8 @@ class BlockCodec:
 
         ``executor`` (an :class:`repro.core.executor.Executor`, optional)
         takes the deflate tasks; ``timings`` (optional) accumulates the
-        encode counters.  Each GOP's bytes are identical to
-        :meth:`encode_gop_scalar` on its slice, with or without either.
+        encode counters.  Each GOP's bytes are identical to the scalar
+        oracle's on its slice, with or without either.
         """
         size = gop_size or self.profile.default_gop_size
         if size < 1:
@@ -235,9 +246,9 @@ class BlockCodec:
         frame ``k`` of each is stacked per plane group into one
         ``(gops, channels, h, w)`` array and moves through estimate ->
         compensate -> DCT -> quantise -> reconstruct as one array.  The
-        step's scanned levels go to ``executor`` for deflate and are only
-        joined after the last step, so entropy coding overlaps the
-        recurrence.
+        step's coded-block masks and scanned rows go to ``executor`` for
+        deflate and are only joined after the last step, so entropy
+        coding overlaps the recurrence.
         """
         total = segment.num_frames
         if total == 0:
@@ -313,25 +324,28 @@ class BlockCodec:
                         block,
                         profile.deadzone,
                     )
-                    scanned = entropy.scan_levels(levels, block)
-                    planes = scanned.reshape(-1, *scanned.shape[-2:])
-                    mark = clock()
-                    if executor is None:
-                        job = entropy.deflate_planes(planes)
-                    else:
-                        job = executor.submit(entropy.deflate_planes, planes)
-                    handoff_seconds += clock() - mark
-                    jobs.append((first, step, idxs, levels.shape[2:4], job))
-                    # Reconstruct what the decoder will see, through the
-                    # decode path's sparse inverse: only blocks with a
-                    # nonzero level are dequantised and transformed.
+                    # The coded blocks: those with a nonzero level.  Only
+                    # they are scanned for the payload (with the mask that
+                    # marks them) and dequantised and transformed to
+                    # reconstruct what the decoder will see.
+                    nby, nbx = levels.shape[2:4]
                     flat = levels.reshape(-1, block * block)
                     nonzero = entropy.nonzero_blocks(flat)
+                    coded = flat[nonzero]
+                    masks = nonzero.reshape(-1, nby * nbx)
+                    scanned = entropy.scan_rows(coded, block)
+                    mark = clock()
+                    if executor is None:
+                        job = entropy.pack_planes(masks, scanned)
+                    else:
+                        job = executor.submit(entropy.pack_planes, masks, scanned)
+                    handoff_seconds += clock() - mark
+                    jobs.append((first, step, idxs, (nby, nbx), job))
                     residual = dct.inverse_dct_sparse(
                         quant.dequantize(
-                            flat[nonzero].reshape(-1, block, block), qp, block
+                            coded.reshape(-1, block, block), qp, block
                         ),
-                        nonzero.reshape(-1, *levels.shape[2:4]),
+                        nonzero.reshape(-1, nby, nbx),
                         block,
                     ).reshape(stack.shape)[:, :, :h, :w]
                     if step:
@@ -364,7 +378,7 @@ class BlockCodec:
             for step, frame_vectors in enumerate(gop_vectors):
                 parts = [
                     _FRAME_HEADER.pack(
-                        b"P" if step else b"I", len(frame_vectors), len(shapes)
+                        b"p" if step else b"i", len(frame_vectors), len(shapes)
                     )
                 ]
                 parts.extend(_VECTOR.pack(dy, dx) for dy, dx in frame_vectors)
@@ -389,102 +403,6 @@ class BlockCodec:
             timings.encode_entropy_seconds += entropy_seconds
             timings.frames_encoded += total
         return encoded
-
-    def _estimate_motion(
-        self, previous: list[np.ndarray], current: list[np.ndarray]
-    ) -> list[tuple[int, int]]:
-        """One frame's vectors (the scalar reference's estimator): the
-        one-pair case of the stacked estimate, on the luma planes."""
-        return motion.estimate_stack(
-            self.profile.motion, previous[0][None], current[0][None]
-        )[0]
-
-    # ------------------------------------------------------------------
-    # scalar encode reference
-    # ------------------------------------------------------------------
-    def encode_gop_scalar(
-        self, segment: VideoSegment, qp: int = quant.QP_DEFAULT
-    ) -> EncodedGOP:
-        """The per-plane encode loop, kept verbatim as the bit-identity
-        oracle for the batched :meth:`encode_gop` (fuzz-tested in
-        ``tests/test_codec.py``) and as the benchmark baseline."""
-        if segment.num_frames == 0:
-            raise CodecError("cannot encode an empty GOP")
-        block = self.profile.block_size
-        payloads: list[bytes] = []
-        frame_types: list[str] = []
-        previous: list[np.ndarray] | None = None
-        for index in range(segment.num_frames):
-            planes = [p.astype(np.float32) for p in segment.planes(index)]
-            if previous is None:
-                payload, reconstructed = self._encode_intra_scalar(
-                    planes, qp, block
-                )
-                frame_types.append("I")
-            else:
-                payload, reconstructed = self._encode_predicted_scalar(
-                    planes, previous, qp, block
-                )
-                frame_types.append("P")
-            payloads.append(payload)
-            previous = reconstructed
-        return EncodedGOP(
-            codec=self.name,
-            pixel_format=segment.pixel_format,
-            width=segment.width,
-            height=segment.height,
-            fps=segment.fps,
-            qp=qp,
-            start_time=segment.start_time,
-            frame_types="".join(frame_types),
-            payloads=payloads,
-        )
-
-    def _encode_intra_scalar(
-        self, planes: list[np.ndarray], qp: int, block: int
-    ) -> tuple[bytes, list[np.ndarray]]:
-        parts = [_FRAME_HEADER.pack(b"I", 0, len(planes))]
-        reconstructed = []
-        for plane in planes:
-            encoded, recon = self._transform_plane(plane - 128.0, qp, block)
-            parts.append(encoded)
-            reconstructed.append(np.clip(recon + 128.0, 0, 255))
-        return b"".join(parts), reconstructed
-
-    def _encode_predicted_scalar(
-        self,
-        planes: list[np.ndarray],
-        previous: list[np.ndarray],
-        qp: int,
-        block: int,
-    ) -> tuple[bytes, list[np.ndarray]]:
-        vectors = self._estimate_motion(previous, planes)
-        parts = [_FRAME_HEADER.pack(b"P", len(vectors), len(planes))]
-        for dy, dx in vectors:
-            parts.append(_VECTOR.pack(dy, dx))
-        reconstructed = []
-        luma_shape = previous[0].shape
-        for plane, prior in zip(planes, previous):
-            prediction = motion.compensate(prior, vectors, luma_shape)
-            encoded, recon_residual = self._transform_plane(
-                plane - prediction, qp, block
-            )
-            parts.append(encoded)
-            reconstructed.append(np.clip(prediction + recon_residual, 0, 255))
-        return b"".join(parts), reconstructed
-
-    def _transform_plane(
-        self, centered: np.ndarray, qp: int, block: int
-    ) -> tuple[bytes, np.ndarray]:
-        """Transform/quantize one plane; return (encoded bytes, recon)."""
-        h, w = centered.shape
-        coeffs = dct.forward_dct(centered, block)
-        levels = quant.quantize(coeffs, qp, block, self.profile.deadzone)
-        payload = entropy.encode_levels(levels, block)
-        nby, nbx = levels.shape[0], levels.shape[1]
-        header = _PLANE_HEADER.pack(nby, nbx, h, w, len(payload))
-        recon = dct.inverse_dct(quant.dequantize(levels, qp, block), h, w)
-        return header + payload, recon
 
     # ------------------------------------------------------------------
     # decoding
@@ -513,10 +431,11 @@ class BlockCodec:
         The residual work for all ``stop`` frames runs first as batched
         array ops (see the module docstring); the frame-to-frame recurrence
         then only compensates, adds, and clips.  ``executor`` (an
-        :class:`repro.core.executor.Executor`, optional) fans the zlib
+        :class:`repro.core.executor.Executor`, optional) fans the plane
         inflates across worker threads; ``timings`` (optional) accumulates
-        per-stage wall time.  Output pixels are bit-identical to
-        :meth:`decode_gop_frames_scalar`.
+        per-stage wall time.  Either plane layout decodes, frame by frame
+        as its type byte says; output pixels are bit-identical to the
+        scalar oracle's.
         """
         if gop.codec != self.name:
             raise CodecError(f"GOP was encoded with {gop.codec!r}, not {self.name!r}")
@@ -530,15 +449,17 @@ class BlockCodec:
         # -- parse every frame and plane header up front ----------------
         frame_vectors: list[list[tuple[int, int]]] = []
         plane_payloads: list[list[bytes]] = []  # [frame][plane]
+        sparse: list[bool] = []  # [frame]: the layout of its planes
         shapes: list[tuple[int, int, int, int]] | None = None
         for index in range(stop):
             payload = gop.payloads[index]
             ftype, n_vectors, n_planes = _FRAME_HEADER.unpack_from(payload)
             frame_type = gop.frame_types[index]
-            if ftype.decode() != frame_type:
+            if ftype.upper().decode() != frame_type:
                 raise CodecError(
                     f"payload frame type {ftype!r} disagrees with index ({frame_type})"
                 )
+            sparse.append(ftype.islower())
             if frame_type == "P" and index == 0:
                 raise CodecError("P frame encountered without a reference")
             offset = _FRAME_HEADER.size
@@ -560,18 +481,23 @@ class BlockCodec:
         groups = _plane_groups(shapes)
         luma_shape = shapes[0][2:4]
 
-        # -- inflate all entropy payloads (the only C-released stage
-        #    worth fanning out: the array math below is already batched) --
-        flat = [
-            plane_payloads[index][p]
+        # -- inflate every plane payload into its (mask, rows): the only
+        #    C-released stage worth fanning out, the array math below
+        #    is already batched --
+        def unpack(task):
+            chunk, is_sparse, (nby, nbx, _, _) = task
+            return entropy.unpack_plane(chunk, nby * nbx, block, is_sparse)
+
+        tasks = [
+            (plane_payloads[index][p], sparse[index], shapes[p])
             for idxs in groups
             for index in range(stop)
             for p in idxs
         ]
-        if executor is not None and len(flat) > 1:
-            raws = executor.map(zlib.decompress, flat)
+        if executor is not None and len(tasks) > 1:
+            planes = executor.map(unpack, tasks)
         else:
-            raws = [zlib.decompress(chunk) for chunk in flat]
+            planes = [unpack(task) for task in tasks]
         entropy_seconds = clock() - mark
 
         # -- batched residual reconstruction per plane shape ------------
@@ -582,12 +508,12 @@ class BlockCodec:
             mark = clock()
             count = stop * len(idxs)
             nby, nbx, h, w = shapes[idxs[0]]
-            scanned = entropy.stack_scanned(
-                raws[position : position + count], nby * nbx, block
-            )
+            parsed = planes[position : position + count]
             position += count
-            nonzero = entropy.nonzero_blocks(scanned)
-            blocks_nz = entropy.unscan_rows(scanned[nonzero], block)
+            nonzero = np.stack([mask for mask, _ in parsed])
+            blocks_nz = entropy.unscan_rows(
+                np.concatenate([rows for _, rows in parsed]), block
+            )
             entropy_seconds += clock() - mark
             mark = clock()
             coeffs = quant.dequantize(blocks_nz, qp, block)
@@ -662,77 +588,3 @@ class BlockCodec:
             fps=gop.fps,
             start_time=gop.start_time,
         )
-
-    # ------------------------------------------------------------------
-    # scalar decode reference
-    # ------------------------------------------------------------------
-    def decode_gop_frames_scalar(self, gop: EncodedGOP, stop: int) -> VideoSegment:
-        """The per-frame decode loop, kept verbatim as the bit-identity
-        oracle for :meth:`decode_gop_frames` (fuzz-tested in
-        ``tests/test_codec.py``) and as the throughput-benchmark baseline."""
-        if gop.codec != self.name:
-            raise CodecError(f"GOP was encoded with {gop.codec!r}, not {self.name!r}")
-        if not 0 < stop <= gop.num_frames:
-            raise CodecError(f"stop={stop} out of range (1..{gop.num_frames})")
-        spec = pixel_format(gop.pixel_format)
-        frames = np.empty(
-            (stop, *spec.frame_shape(gop.height, gop.width)), dtype=np.uint8
-        )
-        previous: list[np.ndarray] | None = None
-        for index in range(stop):
-            planes, previous = self._decode_frame(
-                gop.payloads[index], gop.frame_types[index], previous, gop.qp
-            )
-            frames[index] = planes_to_frame(
-                [np.clip(np.rint(p), 0, 255).astype(np.uint8) for p in planes],
-                gop.pixel_format,
-                gop.height,
-                gop.width,
-            )
-        return VideoSegment(
-            pixels=frames,
-            pixel_format=gop.pixel_format,
-            height=gop.height,
-            width=gop.width,
-            fps=gop.fps,
-            start_time=gop.start_time,
-        )
-
-    def _decode_frame(
-        self,
-        payload: bytes,
-        frame_type: str,
-        previous: list[np.ndarray] | None,
-        qp: int,
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        block = self.profile.block_size
-        ftype, n_vectors, n_planes = _FRAME_HEADER.unpack_from(payload)
-        if ftype.decode() != frame_type:
-            raise CodecError(
-                f"payload frame type {ftype!r} disagrees with index ({frame_type})"
-            )
-        offset = _FRAME_HEADER.size
-        vectors = []
-        for _ in range(n_vectors):
-            vectors.append(_VECTOR.unpack_from(payload, offset))
-            offset += _VECTOR.size
-        planes = []
-        if frame_type == "P" and previous is None:
-            raise CodecError("P frame encountered without a reference")
-        luma_shape = previous[0].shape if previous is not None else None
-        for plane_index in range(n_planes):
-            nby, nbx, h, w, size = _PLANE_HEADER.unpack_from(payload, offset)
-            offset += _PLANE_HEADER.size
-            levels = entropy.decode_levels(
-                payload[offset : offset + size], nby, nbx, block
-            )
-            offset += size
-            recon = dct.inverse_dct(quant.dequantize(levels, qp, block), h, w)
-            if frame_type == "I":
-                planes.append(np.clip(recon + 128.0, 0, 255))
-            else:
-                prediction = motion.compensate(
-                    previous[plane_index], vectors, luma_shape
-                )
-                planes.append(np.clip(prediction + recon, 0, 255))
-        return planes, planes

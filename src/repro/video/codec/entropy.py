@@ -1,27 +1,38 @@
-"""Entropy coding stage: zigzag scan + run-length deflate.
+"""Entropy coding stage: coded-block mask + zigzag scan + run-length deflate.
 
-Quantized coefficient blocks are mostly zero in their high-frequency tail.
-Scanning each block in zigzag order groups those zeros into long runs.
-This combination plays the role H.264's CAVLC/CABAC plays: it is the
-lossless back half of the codec.
+Quantized coefficient blocks are mostly zero in their high-frequency tail,
+and most blocks are zero outright: on the rendered traffic scenes the
+store is run with, about 85% of a plane's 8x8 blocks carry no level at
+all.  A plane's payload therefore codes only the blocks that do.  It is
+one zlib stream holding, in order,
 
-:func:`deflate` compresses a scanned plane with zlib's ``Z_RLE`` strategy:
-every match it looks for is a repeat of the previous byte (distance one),
-then Huffman codes the literals and run lengths.  That is the structure
-of the scanned int16 levels — runs of zero bytes broken by a few small
-coefficients, with little worth matching at a long distance.  Over the
-planes a vssbench ``cold_mixed_reads`` run deflates, the default
-strategy's match search (level 6 for ``h264``, 9 for ``hevc`` before)
-took 2.6x and 18x the time and wrote payloads 5% larger; only where
-coarse quantisation leaves whole blocks that repeat exactly (qp 24 and
-up on flat content) do its long-distance matches win.  Under ``Z_RLE``
-the level selects nothing, so there is no level to choose: the ``h264``
-and ``hevc`` profiles differ only in motion mode and deadzone.
+* ``np.packbits(mask)``: one bit per block, row-major block order, set
+  where the block holds a nonzero level (padded with zero bits to a whole
+  byte); and
+* the zigzag-scanned int16 rows of exactly the blocks whose bit is set,
+  in mask order.
 
-The output is an ordinary zlib stream.  :func:`decode_levels` and the
-batched decoder inflate it with ``zlib.decompress``, which reads payloads
-written with any strategy or level alike, so stores written by older
-versions decode to the same pixels.
+The mask plays the role of H.264's ``coded_block_pattern``; the zigzag
+scan groups each coded block's zeros into one run at its tail.  Coding
+only the set blocks cuts the bytes inflated per plane about sevenfold, and
+the decoder reads ``(mask, rows)`` straight out of the stream: the sparse
+inverse transform wants exactly that pair, so no full plane of levels is
+ever built, scanned for nonzero blocks or gathered from.
+
+:func:`deflate` compresses with zlib's ``Z_RLE`` strategy: every match it
+looks for is a repeat of the previous byte (distance one), then Huffman
+codes the literals and run lengths.  That is the structure of the scanned
+levels — runs of zero bytes broken by a few small coefficients, with
+little worth matching at a long distance.  Under ``Z_RLE`` the level
+selects nothing, so there is no level to choose: the ``h264`` and
+``hevc`` profiles differ only in motion mode and deadzone.
+
+Stores written before the mask existed hold the *dense* layout: every
+block's scanned row, coded or not, deflated with any strategy or level.
+A frame's type byte says which layout its planes use — lowercase
+(``b"i"``, ``b"p"``) for sparse, uppercase for dense — and
+:func:`unpack_plane` turns either into the same ``(mask, rows)``, so old
+stores decode to the same pixels.
 """
 
 from __future__ import annotations
@@ -31,6 +42,8 @@ import zlib
 from functools import lru_cache
 
 import numpy as np
+
+from repro.errors import CodecError
 
 
 @lru_cache(maxsize=None)
@@ -52,99 +65,110 @@ def inverse_zigzag_order(block: int) -> np.ndarray:
     return inverse
 
 
-def deflate(buffer) -> bytes:
-    """Run-length deflate one C-contiguous buffer (see the module
-    docstring) into a zlib stream.
+def deflate(*buffers) -> bytes:
+    """Run-length deflate C-contiguous buffers, one after another, into
+    one zlib stream (see the module docstring).
 
-    Reads ``buffer`` through the buffer protocol (no ``tobytes`` copy)
-    and releases the GIL while it compresses.  The level passed is
-    immaterial: ``Z_RLE`` never reads the match-search parameters a level
-    selects, and zlib writes the same header bits for every level under
-    this strategy, so any nonzero level gives these exact bytes.
+    Reads each buffer through the buffer protocol (no ``tobytes`` copy)
+    and releases the GIL while it compresses; the stream equals the one
+    deflating the buffers' concatenation would write.  The level passed
+    is immaterial: ``Z_RLE`` never reads the match-search parameters a
+    level selects, and zlib writes the same header bits for every level
+    under this strategy, so any nonzero level gives these exact bytes.
     """
     packer = zlib.compressobj(1, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
-    return packer.compress(buffer) + packer.flush()
+    parts = [packer.compress(buffer) for buffer in buffers]
+    parts.append(packer.flush())
+    return b"".join(parts)
 
 
-def encode_levels(levels: np.ndarray, block: int) -> bytes:
-    """Entropy-encode quantized levels ``(nby, nbx, B, B)`` to bytes."""
-    flat = levels.reshape(-1, block * block)
-    scanned = flat[:, zigzag_order(block)]
-    return deflate(np.ascontiguousarray(scanned, dtype=np.int16))
+def nonzero_blocks(flat: np.ndarray) -> np.ndarray:
+    """Boolean mask of block rows ``(..., n_blocks, B*B)`` int16 with any
+    nonzero level.
 
-
-def scan_levels(levels: np.ndarray, block: int) -> np.ndarray:
-    """Zigzag-scan quantized levels ``(..., nby, nbx, B, B)`` into
-    C-contiguous int16 rows ``(..., nby * nbx, B * B)``.
-
-    The first half of :func:`encode_levels`, for any number of leading
-    plane dimensions at once; each ``[..., :, :]`` plane of the result is
-    the exact buffer :func:`encode_levels` would deflate.
+    The reduction runs over an int64 view (eight int16 lanes per
+    comparison) when the row width allows, which is bit-equivalent
+    because an int64 word is zero exactly when all of its int16 lanes
+    are.
     """
-    flat = levels.reshape(*levels.shape[:-4], -1, block * block)
-    return np.take(flat, zigzag_order(block), axis=-1)
+    if flat.flags.c_contiguous and (flat.shape[-1] * 2) % 8 == 0:
+        return flat.view(np.int64).any(axis=-1)
+    return flat.any(axis=-1)
 
 
-def deflate_planes(scanned: np.ndarray) -> tuple[list[bytes], float]:
-    """:func:`deflate` each plane of a :func:`scan_levels` stack ``(P,
-    n_blocks, B * B)``; returns the payloads and the seconds spent.
-
-    The second half of :func:`encode_levels`.  The encoder runs this on
-    pool threads beside its own array math.
-    """
-    began = time.perf_counter()
-    payloads = [deflate(plane) for plane in scanned]
-    return payloads, time.perf_counter() - began
-
-
-def decode_levels(
-    payload: bytes, nby: int, nbx: int, block: int
-) -> np.ndarray:
-    """Inverse of :func:`encode_levels`."""
-    raw = zlib.decompress(payload)
-    scanned = np.frombuffer(raw, dtype=np.int16).reshape(-1, block * block)
-    if scanned.shape[0] != nby * nbx:
-        raise ValueError(
-            f"payload holds {scanned.shape[0]} blocks, expected {nby * nbx}"
-        )
-    flat = scanned[:, inverse_zigzag_order(block)]
-    return flat.reshape(nby, nbx, block, block)
-
-
-def stack_scanned(
-    raws: list[bytes], n_blocks: int, block: int
-) -> np.ndarray:
-    """Stack decompressed payloads into ``(len(raws), n_blocks, B*B)`` rows.
-
-    ``raws`` are the *already inflated* bytes of same-shape planes (the
-    batched decode path inflates them up front, optionally in parallel).
-    The single ``join`` + ``frombuffer`` replaces a per-plane
-    ``frombuffer``/``np.stack`` round and is the zero-copy way to get one
-    contiguous int16 tensor of still-zigzag-scanned block rows.
-    """
-    scanned = np.frombuffer(b"".join(raws), dtype=np.int16)
-    expected = len(raws) * n_blocks * block * block
-    if scanned.size != expected:
-        raise ValueError(
-            f"payloads hold {scanned.size // (block * block)} blocks, "
-            f"expected {len(raws) * n_blocks}"
-        )
-    return scanned.reshape(len(raws), n_blocks, block * block)
-
-
-def nonzero_blocks(scanned: np.ndarray) -> np.ndarray:
-    """Boolean mask of block rows with any nonzero level.
-
-    ``scanned`` is ``(..., n_blocks, B*B)`` int16; the reduction runs over
-    an int64 view (eight int16 lanes per comparison) when the row width
-    allows, which is bit-equivalent because an int64 word is zero exactly
-    when all of its int16 lanes are.
-    """
-    if scanned.flags.c_contiguous and (scanned.shape[-1] * 2) % 8 == 0:
-        return scanned.view(np.int64).any(axis=-1)
-    return scanned.any(axis=-1)
+def scan_rows(rows: np.ndarray, block: int) -> np.ndarray:
+    """Spatial block rows ``(N, B*B)`` -> C-contiguous zigzag-scanned rows."""
+    return np.take(rows, zigzag_order(block), axis=-1)
 
 
 def unscan_rows(rows: np.ndarray, block: int) -> np.ndarray:
     """Zigzag-scanned rows ``(N, B*B)`` -> spatial blocks ``(N, B, B)``."""
     return rows[:, inverse_zigzag_order(block)].reshape(-1, block, block)
+
+
+def pack_planes(
+    masks: np.ndarray, rows: np.ndarray
+) -> tuple[list[bytes], float]:
+    """Sparse payloads of a stack of planes; returns them and the seconds
+    spent.
+
+    ``masks`` is ``(P, n_blocks)`` bool, one coded-block mask per plane;
+    ``rows`` the C-contiguous scanned int16 rows ``(K, B*B)`` of every
+    set block, plane after plane (``K = masks.sum()``).  The encoder
+    runs this on pool threads beside its own array math.
+    """
+    began = time.perf_counter()
+    payloads = []
+    start = 0
+    for mask in masks:
+        stop = start + int(np.count_nonzero(mask))
+        payloads.append(deflate(np.packbits(mask), rows[start:stop]))
+        start = stop
+    return payloads, time.perf_counter() - began
+
+
+def unpack_plane(
+    payload: bytes, n_blocks: int, block: int, sparse: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(mask, rows)`` of one plane payload, in either layout: the
+    ``(n_blocks,)`` coded-block mask and the ``(K, B*B)`` int16 scanned
+    rows of its set blocks.
+
+    ``sparse`` selects the layout (the case of the frame's type byte).  A
+    payload that does not inflate, or whose stream is shorter or longer
+    than its block count implies, raises :class:`CodecError`.
+    """
+    try:
+        raw = zlib.decompress(payload)
+    except zlib.error as exc:
+        raise CodecError(f"plane payload does not inflate: {exc}") from None
+    row_bytes = block * block * 2
+    if not sparse:
+        # The dense layout every store written before the mask holds.
+        if len(raw) != n_blocks * row_bytes:
+            raise CodecError(
+                f"dense plane holds {len(raw)} bytes, expected "
+                f"{n_blocks} blocks of {row_bytes}"
+            )
+        scanned = np.frombuffer(raw, dtype=np.int16).reshape(n_blocks, -1)
+        mask = nonzero_blocks(scanned)
+        return mask, scanned[mask]
+    head = (n_blocks + 7) // 8
+    if len(raw) < head:
+        raise CodecError(
+            f"sparse plane holds {len(raw)} bytes, shorter than its "
+            f"{head}-byte block mask"
+        )
+    mask = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8, count=head), count=n_blocks
+    ).view(np.bool_)
+    count = int(np.count_nonzero(mask))
+    if len(raw) != head + count * row_bytes:
+        raise CodecError(
+            f"sparse plane holds {len(raw)} bytes, expected a {head}-byte "
+            f"mask and {count} blocks of {row_bytes}"
+        )
+    rows = np.frombuffer(
+        raw, dtype=np.int16, count=count * block * block, offset=head
+    )
+    return mask, rows.reshape(count, block * block)

@@ -6,13 +6,20 @@ convert everything to float32, ``take`` both taps, ``mean`` over a
 reshape, ``stack`` / ``concatenate`` the planes, copy every window through
 fancy indexing — and the production kernels in ``video/resample.py``,
 ``video/frame.py`` and ``Reader._paste`` must reproduce their bytes
-exactly (``test_kernels.py``).  :func:`deflate_default` is the entropy
-stage's former default-strategy deflate, whose payloads must still decode
-to the same pixels (``test_codec.py``), and :class:`FullScanCacheManager`
-the eviction scoring that walked every GOP of every other physical per
-page, whose scores and evictions the bisecting scorer must equal
-(``test_eviction_scores.py``).  Nothing under ``src/`` imports this
-module.
+exactly (``test_kernels.py``).
+
+:func:`encode_gop_scalar` and :func:`decode_gop_frames_scalar` are the
+codec run one frame and one plane at a time; the lockstep encoder and the
+batched decoder must equal their bytes and pixels.  :func:`dense_gop`
+rewrites a GOP in the dense plane layout older stores hold (with
+:func:`deflate_default`, the entropy stage's former default-strategy
+deflate, for the oldest), which must still decode to the same pixels
+(``test_codec.py``).
+
+:class:`FullScanCacheManager` is the eviction scoring that walked every
+GOP of every other physical per page, whose scores and evictions the
+bisecting scorer must equal (``test_eviction_scores.py``).  Nothing under
+``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -23,7 +30,22 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.cache import CacheManager
-from repro.video.frame import VideoSegment, _rgb_to_yuv_channels, _unpool2
+from repro.errors import CodecError
+from repro.video.codec import dct, entropy, motion, quant
+from repro.video.codec.blockcodec import (
+    _FRAME_HEADER,
+    _PLANE_HEADER,
+    _VECTOR,
+    BlockCodec,
+)
+from repro.video.codec.container import EncodedGOP
+from repro.video.frame import (
+    VideoSegment,
+    _rgb_to_yuv_channels,
+    _unpool2,
+    pixel_format,
+    planes_to_frame,
+)
 from repro.video.metrics import mse
 
 
@@ -168,6 +190,209 @@ def deflate_default(plane, level: int) -> bytes:
     """The entropy stage's former deflate: zlib's default strategy at the
     profile's level (6 for ``h264``, 9 for ``hevc``)."""
     return zlib.compress(plane, level)
+
+
+# ----------------------------------------------------------------------
+# the codec, one plane at a time
+# ----------------------------------------------------------------------
+def encode_levels(levels: np.ndarray, block: int) -> bytes:
+    """Sparse payload of one plane's quantized levels ``(nby, nbx, B,
+    B)``: the packed coded-block mask, then the zigzag-scanned rows of
+    the coded blocks, as one buffer through :func:`entropy.deflate`."""
+    flat = levels.reshape(-1, block * block)
+    mask = (flat != 0).any(axis=1)
+    scanned = flat[:, entropy.zigzag_order(block)].astype(np.int16)
+    return entropy.deflate(np.packbits(mask).tobytes() + scanned[mask].tobytes())
+
+
+def decode_levels(payload: bytes, nby: int, nbx: int, block: int) -> np.ndarray:
+    """Inverse of :func:`encode_levels`."""
+    raw = zlib.decompress(payload)
+    head = (nby * nbx + 7) // 8
+    mask = np.unpackbits(np.frombuffer(raw[:head], np.uint8))[: nby * nbx]
+    scanned = np.zeros((nby * nbx, block * block), dtype=np.int16)
+    rows = np.frombuffer(raw[head:], np.int16).reshape(-1, block * block)
+    if rows.shape[0] != mask.sum():
+        raise ValueError(
+            f"payload holds {rows.shape[0]} blocks, its mask marks {mask.sum()}"
+        )
+    scanned[mask.astype(bool)] = rows
+    flat = scanned[:, entropy.inverse_zigzag_order(block)]
+    return flat.reshape(nby, nbx, block, block)
+
+
+def _transform_plane(codec: BlockCodec, centered, qp: int, block: int):
+    """Transform/quantize one plane; return (encoded bytes, recon)."""
+    h, w = centered.shape
+    coeffs = dct.forward_dct(centered, block)
+    levels = quant.quantize(coeffs, qp, block, codec.profile.deadzone)
+    payload = encode_levels(levels, block)
+    nby, nbx = levels.shape[0], levels.shape[1]
+    header = _PLANE_HEADER.pack(nby, nbx, h, w, len(payload))
+    recon = dct.inverse_dct(quant.dequantize(levels, qp, block), h, w)
+    return header + payload, recon
+
+
+def _encode_intra_scalar(codec: BlockCodec, planes, qp: int, block: int):
+    parts = [_FRAME_HEADER.pack(b"i", 0, len(planes))]
+    reconstructed = []
+    for plane in planes:
+        encoded, recon = _transform_plane(codec, plane - 128.0, qp, block)
+        parts.append(encoded)
+        reconstructed.append(np.clip(recon + 128.0, 0, 255))
+    return b"".join(parts), reconstructed
+
+
+def _encode_predicted_scalar(
+    codec: BlockCodec, planes, previous, qp: int, block: int
+):
+    vectors = motion.estimate_stack(
+        codec.profile.motion, previous[0][None], planes[0][None]
+    )[0]
+    parts = [_FRAME_HEADER.pack(b"p", len(vectors), len(planes))]
+    for dy, dx in vectors:
+        parts.append(_VECTOR.pack(dy, dx))
+    reconstructed = []
+    luma_shape = previous[0].shape
+    for plane, prior in zip(planes, previous):
+        prediction = motion.compensate(prior, vectors, luma_shape)
+        encoded, recon_residual = _transform_plane(
+            codec, plane - prediction, qp, block
+        )
+        parts.append(encoded)
+        reconstructed.append(np.clip(prediction + recon_residual, 0, 255))
+    return b"".join(parts), reconstructed
+
+
+def encode_gop_scalar(
+    codec: BlockCodec, segment: VideoSegment, qp: int = quant.QP_DEFAULT
+) -> EncodedGOP:
+    """The per-plane encode loop: the bit-identity oracle for the
+    lockstep ``encode_segment`` / ``encode_gop`` and the benchmark
+    baseline."""
+    if segment.num_frames == 0:
+        raise CodecError("cannot encode an empty GOP")
+    block = codec.profile.block_size
+    payloads: list[bytes] = []
+    frame_types: list[str] = []
+    previous = None
+    for index in range(segment.num_frames):
+        planes = [p.astype(np.float32) for p in segment.planes(index)]
+        if previous is None:
+            payload, reconstructed = _encode_intra_scalar(codec, planes, qp, block)
+            frame_types.append("I")
+        else:
+            payload, reconstructed = _encode_predicted_scalar(
+                codec, planes, previous, qp, block
+            )
+            frame_types.append("P")
+        payloads.append(payload)
+        previous = reconstructed
+    return EncodedGOP(
+        codec=codec.name,
+        pixel_format=segment.pixel_format,
+        width=segment.width,
+        height=segment.height,
+        fps=segment.fps,
+        qp=qp,
+        start_time=segment.start_time,
+        frame_types="".join(frame_types),
+        payloads=payloads,
+    )
+
+
+def _decode_frame(codec: BlockCodec, payload: bytes, frame_type: str, previous, qp):
+    block = codec.profile.block_size
+    ftype, n_vectors, n_planes = _FRAME_HEADER.unpack_from(payload)
+    if ftype != frame_type.lower().encode():
+        raise CodecError(
+            f"payload frame type {ftype!r} is not a sparse {frame_type} frame"
+        )
+    offset = _FRAME_HEADER.size
+    vectors = []
+    for _ in range(n_vectors):
+        vectors.append(_VECTOR.unpack_from(payload, offset))
+        offset += _VECTOR.size
+    planes = []
+    if frame_type == "P" and previous is None:
+        raise CodecError("P frame encountered without a reference")
+    luma_shape = previous[0].shape if previous is not None else None
+    for plane_index in range(n_planes):
+        nby, nbx, h, w, size = _PLANE_HEADER.unpack_from(payload, offset)
+        offset += _PLANE_HEADER.size
+        levels = decode_levels(payload[offset : offset + size], nby, nbx, block)
+        offset += size
+        recon = dct.inverse_dct(quant.dequantize(levels, qp, block), h, w)
+        if frame_type == "I":
+            planes.append(np.clip(recon + 128.0, 0, 255))
+        else:
+            prediction = motion.compensate(
+                previous[plane_index], vectors, luma_shape
+            )
+            planes.append(np.clip(prediction + recon, 0, 255))
+    return planes
+
+
+def decode_gop_frames_scalar(
+    codec: BlockCodec, gop: EncodedGOP, stop: int
+) -> VideoSegment:
+    """The per-frame decode loop over sparse payloads: the bit-identity
+    oracle for ``decode_gop_frames`` and the throughput-benchmark
+    baseline."""
+    if gop.codec != codec.name:
+        raise CodecError(f"GOP was encoded with {gop.codec!r}, not {codec.name!r}")
+    if not 0 < stop <= gop.num_frames:
+        raise CodecError(f"stop={stop} out of range (1..{gop.num_frames})")
+    spec = pixel_format(gop.pixel_format)
+    frames = np.empty(
+        (stop, *spec.frame_shape(gop.height, gop.width)), dtype=np.uint8
+    )
+    previous = None
+    for index in range(stop):
+        previous = _decode_frame(
+            codec, gop.payloads[index], gop.frame_types[index], previous, gop.qp
+        )
+        frames[index] = planes_to_frame(
+            [np.clip(np.rint(p), 0, 255).astype(np.uint8) for p in previous],
+            gop.pixel_format,
+            gop.height,
+            gop.width,
+        )
+    return VideoSegment(
+        pixels=frames,
+        pixel_format=gop.pixel_format,
+        height=gop.height,
+        width=gop.width,
+        fps=gop.fps,
+        start_time=gop.start_time,
+    )
+
+
+def dense_gop(gop: EncodedGOP, block: int, deflate=entropy.deflate) -> EncodedGOP:
+    """``gop`` in the dense plane layout that stores written before the
+    coded-block mask hold: uppercase type bytes, and every block's
+    scanned row of each plane compressed by ``deflate`` (the run-length
+    :func:`entropy.deflate` the layout last shipped with, or
+    :func:`deflate_default` at a level for older stores).  Vectors and
+    plane headers other than the payload size are unchanged."""
+    payloads = []
+    for payload in gop.payloads:
+        ftype, n_vectors, n_planes = _FRAME_HEADER.unpack_from(payload)
+        offset = _FRAME_HEADER.size + n_vectors * _VECTOR.size
+        parts = [_FRAME_HEADER.pack(ftype.upper(), n_vectors, n_planes)]
+        parts.append(payload[_FRAME_HEADER.size : offset])
+        for _ in range(n_planes):
+            nby, nbx, h, w, size = _PLANE_HEADER.unpack_from(payload, offset)
+            offset += _PLANE_HEADER.size
+            levels = decode_levels(payload[offset : offset + size], nby, nbx, block)
+            offset += size
+            scanned = levels.reshape(-1, block * block)[
+                :, entropy.zigzag_order(block)
+            ]
+            dense = deflate(np.ascontiguousarray(scanned, dtype=np.int16))
+            parts += [_PLANE_HEADER.pack(nby, nbx, h, w, len(dense)), dense]
+        payloads.append(b"".join(parts))
+    return replace(gop, payloads=payloads)
 
 
 class FullScanCacheManager(CacheManager):

@@ -1,8 +1,10 @@
 """Tests for the SQLite catalog and on-disk layout."""
 
+import sqlite3
+
 import pytest
 
-from repro.core.catalog import Catalog
+from repro.core.catalog import _SCHEMA, Catalog
 from repro.core.layout import Layout
 from repro.errors import CatalogError, VideoExistsError, VideoNotFoundError
 from repro.video.codec.registry import encode_gop
@@ -105,8 +107,33 @@ class TestPhysicalVideos:
     def test_mse_update(self, catalog):
         video = catalog.create_logical("v", 0)
         physical = add_physical(catalog, video)
-        catalog.update_mse_estimate(physical.id, 12.5)
-        assert catalog.get_physical(physical.id).mse_estimate == 12.5
+        catalog.update_mse_estimate(physical.id, 12.5, 10.0)
+        fetched = catalog.get_physical(physical.id)
+        assert (fetched.mse_estimate, fetched.format_mse) == (12.5, 10.0)
+        assert fetched.own_format_mse == 2.5
+
+    def test_format_mse_column_grafted_onto_an_older_catalog(self, tmp_path):
+        # A catalog created before physicals recorded their format loss:
+        # its rows read back as in the original's format (0.0).
+        path = tmp_path / "old.db"
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            _SCHEMA.replace(",\n    format_mse REAL NOT NULL DEFAULT 0.0", "")
+        )
+        conn.execute(
+            "INSERT INTO physical_videos (logical_id, codec, pixel_format,"
+            " width, height, fps, qp, start_time, end_time, mse_estimate,"
+            " is_original, sealed) VALUES (1, 'raw', 'yuv420', 64, 36, 30.0,"
+            " 0, 0.0, 1.0, 7.5, 0, 1)"
+        )
+        conn.commit()
+        conn.close()
+        catalog = Catalog(path)
+        try:
+            (physical,) = catalog.list_physicals(1)
+            assert (physical.mse_estimate, physical.format_mse) == (7.5, 0.0)
+        finally:
+            catalog.close()
 
 
 class TestGops:

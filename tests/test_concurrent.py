@@ -1037,7 +1037,8 @@ class TestRefineRotation:
         refined: list[int] = []
         original_update = loaded_engine.catalog.update_mse_estimate
         loaded_engine.catalog.update_mse_estimate = (
-            lambda pid, mse: refined.append(pid) or original_update(pid, mse)
+            lambda pid, *bounds: refined.append(pid)
+            or original_update(pid, *bounds)
         )
         try:
             for _ in range(len(candidates)):

@@ -1,5 +1,7 @@
 """Tests for the quality model (section 3.2) and cost model (section 3.1)."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,9 +88,21 @@ class TestQualityModel:
     def test_acceptance_threshold(self, quality):
         good = make_physical(mse=mse_from_psnr(45.0))
         bad = make_physical(mse=mse_from_psnr(30.0))
-        assert quality.acceptable(good, 40.0)
-        assert not quality.acceptable(bad, 40.0)
-        assert quality.acceptable(bad, 25.0)
+        assert quality.acceptable(good, 40.0, "rgb")
+        assert not quality.acceptable(bad, 40.0, "rgb")
+        assert quality.acceptable(bad, 25.0, "rgb")
+
+    def test_format_loss_charged_only_to_other_formats(self, quality):
+        # 30 dB against the original, all of it chroma subsampling.
+        subsampled = dataclasses.replace(
+            make_physical(mse=mse_from_psnr(30.0)),
+            pixel_format="yuv420",
+            format_mse=mse_from_psnr(30.0),
+        )
+        assert quality.acceptable(subsampled, 40.0, "yuv420")
+        for other in ("rgb", "yuv422", "gray"):
+            assert not quality.acceptable(subsampled, 40.0, other)
+        assert not quality.meets_tau(subsampled)
 
     def test_tau_membership(self, quality):
         assert quality.meets_tau(make_physical(mse=mse_from_psnr(TAU_DB + 1)))
