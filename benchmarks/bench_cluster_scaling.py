@@ -23,14 +23,15 @@ Setup keeps the comparison honest:
 * reads are ``codec="raw"`` streams, so shard-side decode dominates and
   the router only relays pixels.
 
-With two decode cores against one, the 2-shard aggregate must reach at
-least 1.5x the 1-shard aggregate on a multi-core machine (the PR 7
-acceptance criterion); on any machine adding a shard must never *lose*
-throughput.
+The throughput ratio is printed, not asserted (timing belongs to
+vssbench).  The assertions are counts and bytes: each shard of the
+2-shard cluster answers exactly its own video's reads, the single shard
+answers all of them, and both configurations return identical pixels.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 import threading
@@ -83,9 +84,11 @@ def _ingest(router, names, clip) -> None:
             client.write(name, clip, codec="h264", qp=10, gop_size=30)
 
 
-def _measure(router, names, windows) -> float:
-    """Aggregate reads/s: one streaming client thread per video."""
+def _measure(router, names, windows) -> tuple[float, dict]:
+    """Aggregate reads/s (one streaming client thread per video) and a
+    sha256 of each read's pixels keyed by (video, window)."""
     errors: list[BaseException] = []
+    digests: dict[tuple, str] = {}
 
     def worker(name: str) -> None:
         try:
@@ -97,7 +100,9 @@ def _measure(router, names, windows) -> float:
                             name, start_t, end_t, codec="raw", cache=False
                         )
                     )
-                    assert result.segment is not None
+                    digests[name, start_t, end_t] = hashlib.sha256(
+                        result.segment.pixels.tobytes()
+                    ).hexdigest()
             finally:
                 client.close()
         except BaseException as exc:  # noqa: BLE001 - surfaced below
@@ -113,7 +118,7 @@ def _measure(router, names, windows) -> float:
         thread.join()
     elapsed = time.perf_counter() - begin
     assert not errors, f"cluster clients failed: {errors!r}"
-    return len(names) * len(windows) / elapsed
+    return len(names) * len(windows) / elapsed, digests
 
 
 def test_cluster_scaling(tmp_path, calibration, vroad_clip):
@@ -132,11 +137,12 @@ def test_cluster_scaling(tmp_path, calibration, vroad_clip):
         _ingest(router2, names, clip)
         placed = [len(e.list_videos()) for e in engines2]
         assert placed == [1, 1], f"expected disjoint placement, got {placed}"
-        two_shards = _measure(router2, names, windows)
+        two_shards, two_digests = _measure(router2, names, windows)
     finally:
         router2.close()
         for server in servers2:
             server.close()
+        reads2 = [e.stats().reads for e in engines2]
         for engine in engines2:
             engine.close()
 
@@ -148,10 +154,11 @@ def test_cluster_scaling(tmp_path, calibration, vroad_clip):
     ).start()
     try:
         _ingest(router1, names, clip)
-        one_shard = _measure(router1, names, windows)
+        one_shard, one_digests = _measure(router1, names, windows)
     finally:
         router1.close()
         server1.close()
+        reads1 = engine1.stats().reads
         engine1.close()
 
     speedup = two_shards / one_shard
@@ -165,9 +172,8 @@ def test_cluster_scaling(tmp_path, calibration, vroad_clip):
         f"({speedup:.2f}x)"
     )
 
-    # Hardware-independent: adding a shard never costs throughput.
-    assert two_shards >= 0.8 * one_shard
-    if (os.cpu_count() or 1) >= 2:
-        # Two decode cores against one: the scatter must actually pay
-        # (the PR 7 acceptance criterion).
-        assert speedup >= 1.5
+    # Disjoint placement: each shard answered only its own video's reads.
+    assert reads2 == [len(windows)] * 2
+    assert reads1 == len(names) * len(windows)
+    assert len(two_digests) == len(names) * len(windows)
+    assert two_digests == one_digests

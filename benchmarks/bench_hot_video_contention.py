@@ -17,16 +17,17 @@ per-read work is small and locking/planning overhead dominates):
 * **serial** — one thread issuing R warm reads back to back.
 * **4 readers** — four threads, R warm reads each, aggregate reads/s.
 
-Correctness assertions (always on):
+Assertions are counts, never wall-clock ratios (the throughput ratio is
+printed; timing belongs to vssbench):
 
 * warm reads report ``plan_cached=True`` and invoke the planner zero
   times (the planner entry point is instrumented during the measured
   phases);
+* every measured read takes the shared lock exactly once, and none
+  takes the exclusive side — only the queued maintenance ticks do, one
+  acquisition per task the background worker ran;
 * every byte served concurrently is identical to the serialized
   reference read.
-
-In-repo we assert the hardware-independent floor (concurrency never
-*loses* throughput, and clearly wins when >= 4 cores are available).
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ def test_hot_video_contention(
     )
 
     # -- serial baseline: one thread, R warm reads ----------------------
+    before = engine.stats()
     session = engine.session()
     start = time.perf_counter()
     for _ in range(READS_PER_THREAD):
@@ -127,8 +129,21 @@ def test_hot_video_contention(
     assert planner_calls == []  # zero planner invocations while warm
     for payload in outputs.values():
         assert payload == reference_bytes  # bit-identical to serialized
+    engine.drain_admissions()
     stats = engine.stats()
     engine.close()
+    measured = (NUM_READERS + 1) * READS_PER_THREAD + 1  # + pedantic read
+    assert stats.reads - before.reads == measured
+    assert (
+        stats.lock_shared_acquisitions - before.lock_shared_acquisitions
+        == measured
+    )
+    # Direct-served reads queue no admission: the exclusive side is
+    # taken once per maintenance task (compaction ticks), by no read.
+    assert (
+        stats.lock_exclusive_acquisitions - before.lock_exclusive_acquisitions
+        == stats.admissions_completed - before.admissions_completed
+    )
 
     series = Series(
         "Hot-video warm-read throughput", "reader threads", "reads/s"
@@ -146,12 +161,3 @@ def test_hot_video_contention(
         f"{stats.lock_exclusive_acquisitions} exclusive"
     )
 
-    # Hardware-independent floors.  Warm direct-served reads are sub-ms,
-    # so on a single core four threads pay pure context-switch overhead
-    # with nothing to overlap — only a loose collapse guard applies
-    # there; with real cores concurrency must hold serial throughput and
-    # clearly beat it once four are available.
-    cpus = os.cpu_count() or 1
-    assert aggregate >= (0.8 if cpus >= 2 else 0.4) * serial
-    if cpus >= 4:
-        assert aggregate >= 1.5 * serial

@@ -25,7 +25,6 @@ from operator import attrgetter
 
 from repro.core.catalog import Catalog
 from repro.core.layout import Layout
-from repro.errors import CatalogError
 from repro.core.quality import QualityModel
 from repro.core.records import GopRecord, LogicalVideo, PhysicalVideo
 
@@ -229,22 +228,8 @@ class CacheManager:
         )
 
     def _evict_gop(self, record: GopRecord) -> int:
-        """Delete a page's file and row; returns the bytes freed.
-
-        The record is refetched first: deferred compression may have
-        rewritten the page (``x.gop`` -> ``x.gop.z``) since the eviction
-        scan snapshotted it, and evicting by the stale path would leak
-        the rewritten file.
-        """
-        try:
-            record = self.catalog.get_gop(record.id)
-        except CatalogError:
-            return 0  # row already gone
+        """Delete a page's file and row; returns the bytes freed."""
         self.layout.delete_gop_file(record.path)
-        if not record.path.endswith(".z"):
-            # A rewrite racing this eviction may have just produced the
-            # compressed twin; remove it too.
-            self.layout.delete_gop_file(record.path + ".z")
         self.catalog.delete_gop(record.id)
         if self.decode_cache is not None:
             self.decode_cache.invalidate(record.id)

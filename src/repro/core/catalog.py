@@ -927,18 +927,15 @@ class Catalog:
             conn.commit()
 
     def set_gop_compression(
-        self, gop_id: int, zstd_level: int, nbytes: int, path: str
-    ) -> bool:
-        """Record a page rewrite; False when the row no longer exists
-        (the page was evicted while its file was being rewritten)."""
+        self, gop_id: int, zstd_level: int, nbytes: int
+    ) -> None:
+        """Record an in-place page rewrite (its path is unchanged)."""
         with self._write() as conn:
-            cursor = conn.execute(
-                "UPDATE gops SET zstd_level = ?, nbytes = ?, path = ?"
-                " WHERE id = ?",
-                (zstd_level, nbytes, path, gop_id),
+            conn.execute(
+                "UPDATE gops SET zstd_level = ?, nbytes = ? WHERE id = ?",
+                (zstd_level, nbytes, gop_id),
             )
             conn.commit()
-            return cursor.rowcount > 0
 
     def reassign_gop(self, gop_id: int, physical_id: int, seq: int) -> None:
         """Move a GOP to another physical video (compaction)."""

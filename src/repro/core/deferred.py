@@ -4,23 +4,25 @@ Raw (decoded) video is cached because inference workloads re-read it, but
 it is enormous.  When a video's cache usage crosses a threshold (25% of
 budget in the prototype), VSS starts losslessly compressing raw pages:
 
-* on every uncompressed read, the raw page *least likely to be evicted*
-  (the last entry in eviction order — it will live longest, so compressing
-  it pays off most) is compressed before the read executes;
-* a background thread compresses further pages while the store is idle;
+* each uncompressed read of such a video compresses the raw page *least
+  likely to be evicted* (the last entry in eviction order — it will live
+  longest, so compressing it pays off most), queued after the read, on
+  the maintenance step;
+* a streaming raw write compresses one page after each appended chunk;
 * the compression level scales linearly with consumed budget, trading
   write throughput for space as pressure rises (Figure 13).
+
+Both triggers run under the video's exclusive lock, and a page is
+rewritten in place (:meth:`repro.core.layout.Layout.compress_gop_file`),
+so no reader ever finds a page's path gone or changed.
 """
 
 from __future__ import annotations
-
-import threading
 
 from repro.core.cache import CacheManager
 from repro.core.catalog import Catalog
 from repro.core.layout import Layout
 from repro.core.records import LogicalVideo
-from repro.errors import CatalogError
 from repro.lossless.zstd import level_for_budget
 
 #: Budget fraction above which deferred compression activates.
@@ -28,7 +30,7 @@ DEFAULT_THRESHOLD = 0.25
 
 
 class DeferredCompressionManager:
-    """Coordinates lazy and background lossless compression."""
+    """Chooses and losslessly compresses one video's raw pages."""
 
     def __init__(
         self,
@@ -45,103 +47,42 @@ class DeferredCompressionManager:
         self.threshold = threshold
         self.enabled = enabled
         self.decode_cache = decode_cache
-        self._thread: threading.Thread | None = None
-        self._bg_logical_id: int | None = None
-        # Serializes background-thread lifecycle: concurrent maintenance
-        # ticks must not both pass the alive-check and spawn two loops.
-        self._bg_lock = threading.RLock()
-        self._stop = threading.Event()
-        self._wake = threading.Event()
-        # Serializes page compression: the foreground read hook and the
-        # background thread must not race to compress (and unlink) the
-        # same raw page.
-        self._compress_lock = threading.Lock()
-
-    @property
-    def background_running(self) -> bool:
-        """True while the background compression thread is alive."""
-        return self._thread is not None and self._thread.is_alive()
 
     # ------------------------------------------------------------------
     def active(self, logical: LogicalVideo) -> bool:
-        """Deferred compression engages above the usage threshold.
-
-        A logical video deleted out from under a background thread is
-        simply inactive — the thread must not crash on the missing row.
-        """
-        if not self.enabled:
-            return False
-        try:
-            return self.cache.usage_fraction(logical) > self.threshold
-        except CatalogError:
-            return False
+        """Deferred compression engages above the usage threshold."""
+        return (
+            self.enabled
+            and self.cache.usage_fraction(logical) > self.threshold
+        )
 
     def level(self, logical: LogicalVideo) -> int:
         """Compression level scaled with remaining budget."""
-        try:
-            usage = self.cache.usage_fraction(logical)
-        except CatalogError:
-            usage = 0.0  # logical deleted mid-flight; level is moot
+        usage = self.cache.usage_fraction(logical)
         return level_for_budget(remaining_fraction=1.0 - usage)
-
-    def on_uncompressed_read(self, logical: LogicalVideo) -> int | None:
-        """Hook called before executing a raw read; compresses one page.
-
-        Returns the compressed GOP id, or None when inactive or nothing
-        remains to compress.
-        """
-        if not self.active(logical):
-            return None
-        return self.compress_one(logical)
 
     def compress_one(self, logical: LogicalVideo) -> int | None:
         """Compress the raw page least likely to be evicted.
 
-        Opportunistic: when another thread is already compressing, return
-        immediately rather than stalling the read hot path behind a
-        multi-megabyte rewrite.
+        Returns the compressed GOP id, or None when no raw page is left.
+        The caller holds the video's exclusive lock.
         """
-        if not self._compress_lock.acquire(blocking=False):
+        candidates = self._raw_pages(logical)
+        if not candidates:
             return None
-        try:
-            try:
-                self.catalog.get_logical_by_id(logical.id)
-            except CatalogError:
-                return None  # logical deleted; nothing to compress
-            candidates = self._raw_pages(logical)
-            if not candidates:
-                return None
-            scores = self.cache.scores(logical)
-            # "Last entry in eviction order" = highest finite score;
-            # protected pages (inf) are also fine to compress — they will
-            # never leave.
-            target = max(candidates, key=lambda g: scores.get(g.id, 0.0))
-            level = self.level(logical)
-            try:
-                new_path, new_bytes = self.layout.compress_gop_file(
-                    target.path, level
-                )
-            except FileNotFoundError:
-                # The page was evicted between the candidate scan and the
-                # rewrite; drop any half-written compressed file.
-                self.layout.delete_gop_file(target.path + ".z")
-                return None
-            if not self.catalog.set_gop_compression(
-                target.id, level, new_bytes, new_path
-            ):
-                # The row vanished (eviction won the race after the
-                # rewrite); remove the now-orphaned compressed file.
-                self.layout.delete_gop_file(new_path)
-                return None
-            if self.decode_cache is not None:
-                self.decode_cache.invalidate(target.id)
-            # The page's path/size changed; memoized plans referencing
-            # the old record must re-plan (stale ones still read via the
-            # reader's refetch-on-miss, but costs would drift).
-            self.catalog.bump_data_version(logical.id)
-            return target.id
-        finally:
-            self._compress_lock.release()
+        scores = self.cache.scores(logical)
+        # "Last entry in eviction order" = highest finite score; protected
+        # pages (inf) are also fine to compress — they will never leave.
+        target = max(candidates, key=lambda g: scores.get(g.id, 0.0))
+        level = self.level(logical)
+        _, nbytes = self.layout.compress_gop_file(target.path, level)
+        self.catalog.set_gop_compression(target.id, level, nbytes)
+        if self.decode_cache is not None:
+            self.decode_cache.invalidate(target.id)
+        # The page's size and level changed; memoized plans costed with
+        # the old record must re-plan.
+        self.catalog.bump_data_version(logical.id)
+        return target.id
 
     def _raw_pages(self, logical: LogicalVideo):
         pages = []
@@ -152,79 +93,3 @@ class DeferredCompressionManager:
                 if gop.zstd_level == 0 and gop.joint_pair_id is None:
                     pages.append(gop)
         return pages
-
-    # ------------------------------------------------------------------
-    # background compression
-    # ------------------------------------------------------------------
-    def start_background(self, logical: LogicalVideo, idle_wait: float = 0.05) -> None:
-        """Start the background compression thread for one logical video.
-
-        The thread compresses one page per wakeup while the store is idle;
-        ``notify_idle`` wakes it.  Call :meth:`stop_background` to join.
-        """
-        with self._bg_lock:
-            self._start_background_locked(logical, idle_wait)
-
-    def _start_background_locked(
-        self, logical: LogicalVideo, idle_wait: float
-    ) -> None:
-        if self._thread is not None:
-            if self._thread.is_alive():
-                return
-            self._thread = None  # a crashed thread may be restarted
-        self._bg_logical_id = logical.id
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.is_set():
-                woke = self._wake.wait(timeout=idle_wait)
-                if self._stop.is_set():
-                    return
-                if woke:
-                    self._wake.clear()
-                if self.active(logical):
-                    try:
-                        if self.compress_one(logical) is None:
-                            self._stop.wait(timeout=idle_wait)
-                    except Exception:
-                        # Background compression is best-effort; a failure
-                        # (e.g. page evicted concurrently) must not kill
-                        # the thread.
-                        self._stop.wait(timeout=idle_wait)
-                else:
-                    self._stop.wait(timeout=idle_wait)
-
-        self._thread = threading.Thread(
-            target=loop, name="vss-deferred-compression", daemon=True
-        )
-        self._thread.start()
-
-    def notify_idle(self) -> None:
-        self._wake.set()
-
-    def stop_background(self) -> None:
-        with self._bg_lock:
-            if self._thread is None:
-                return
-            self._stop.set()
-            self._wake.set()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-            self._bg_logical_id = None
-
-    def cancel_logical(self, logical_id: int) -> None:
-        """Stop the background thread if it targets ``logical_id``.
-
-        Called by ``engine.delete()`` before the logical's rows and pages
-        vanish, so a still-running compression loop neither crashes on
-        missing metadata nor rewrites (resurrects) freshly deleted page
-        files.  Any in-flight ``compress_one`` is waited out via the
-        compression lock before this returns.
-        """
-        with self._bg_lock:
-            if self._bg_logical_id == logical_id:
-                self.stop_background()
-        # Barrier: an in-flight foreground/background compression step
-        # finishes (or bails) before the caller starts deleting files.
-        with self._compress_lock:
-            pass

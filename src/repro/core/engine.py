@@ -6,8 +6,8 @@ share across threads: every logical video has its own *reader-writer*
 lock (:class:`repro.core.rwlock.RWLock`), so concurrent reads of the
 **same** video proceed in parallel (reads only consume immutable,
 no-overwrite pages) while mutations — writes, cache admission, eviction,
-compaction, refinement, delete — hold the exclusive side and linearize
-against everything else on that video.
+deferred compression, compaction, refinement, delete — hold the
+exclusive side and linearize against everything else on that video.
 
 The read hot path does only what the answer needs: plan (memoized — see
 below), decode, assemble, stamp LRU entries.  Opportunistic cache
@@ -17,7 +17,8 @@ that coalesces duplicate pending admissions per (logical, effective
 spec).  That queue is the *only* post-operation path: ``read``, every
 ``read_batch`` member and a drained ``ReadStream`` all finish through
 one completion step (:meth:`VSSEngine._complete_read`), and every
-background task — admission, maintenance, ingest-time extraction — runs
+background task — admission, maintenance (deferred compression,
+compaction, refinement), ingest-time extraction — runs
 through one guard (:meth:`VSSEngine._run_if_current`) that skips work
 aimed at a deleted or re-created video.  The side effects become
 observable at ``engine.drain_admissions()`` / ``Session.close()`` /
@@ -112,7 +113,7 @@ from repro.search.index import SearchIndex
 from repro.search.query import DEFAULT_LIMIT as DEFAULT_SEARCH_LIMIT
 from repro.search.query import SearchHit, rows_to_hits, run_search
 from repro.util import LogicalClock
-from repro.vbench.calibrate import Calibration, load_or_run
+from repro.vbench.calibrate import Calibration
 from repro.video.codec.container import EncodedGOP
 from repro.video.codec.quant import QP_DEFAULT
 from repro.video.codec.registry import codec_for
@@ -295,6 +296,9 @@ class VSSEngine:
       Output is bit-identical at every setting.
     * ``decode_cache_bytes`` — budget for the in-memory cache of decoded
       GOP prefixes shared by all sessions.  ``0`` disables the cache.
+    * ``calibration`` — the cost and quality tables.  ``None`` loads the
+      store's saved ``calibration.json``, else :meth:`Calibration.default`;
+      opening a store never times the host.
 
     Cache admission, periodic maintenance and ingest-time extraction
     always run on the background admission worker, never inline; call
@@ -308,7 +312,6 @@ class VSSEngine:
         cache_policy: str = "vss",
         planner: str = "solver",
         deferred_compression: bool = True,
-        background_compression: bool = False,
         calibration: Calibration | None = None,
         cache_reads: bool = True,
         parallelism: int | None = None,
@@ -318,7 +321,11 @@ class VSSEngine:
         self.layout = Layout(root)
         self.catalog = Catalog(self.layout.catalog_path)
         if calibration is None:
-            calibration = load_or_run(self.layout.calibration_path, quick=True)
+            calibration = (
+                Calibration.load(self.layout.calibration_path)
+                if self.layout.calibration_path.exists()
+                else Calibration.default()
+            )
         self.calibration = calibration
         # Resume the logical clock past persisted access stamps.
         self.clock = LogicalClock(start=self.catalog.max_last_access())
@@ -364,7 +371,6 @@ class VSSEngine:
         self.budget_multiple = budget_multiple
         self.planner = planner
         self.cache_reads = cache_reads
-        self.background_compression = background_compression
         # Background admission/maintenance queue (see repro.core.admission).
         self._admissions = AdmissionWorker()
         # Content index & search (repro.search): FTS5 + vector tables in
@@ -393,9 +399,9 @@ class VSSEngine:
         self._lock_stats = RWLockStats()
         self._state_lock = threading.Lock()
         self._logical_locks: dict[str, RWLock] = {}
-        # logical id -> [compact due, refine due, LogicalVideo], merged
-        # across reads so coalesced (or shed-and-retried) maintenance
-        # submissions never drop a due flag.
+        # logical id -> [compress due, compact due, refine due,
+        # LogicalVideo], merged across reads so coalesced (or
+        # shed-and-retried) maintenance submissions never drop a due flag.
         self._pending_maintenance: dict[int, list] = {}
         self._reads_since_refine = 0
         self._reads_since_compact = 0
@@ -452,7 +458,6 @@ class VSSEngine:
         # catalog and executor are still alive; later submissions drop.
         self._admissions.close()
         self.drain_admissions()
-        self.deferred.stop_background()
         self.executor.shutdown()
         self.decode_cache.clear()
         self.catalog.close()
@@ -602,10 +607,6 @@ class VSSEngine:
             return
         with self._locked(name):
             logical = self.catalog.get_logical(name)
-            # A background deferred-compression thread still targeting
-            # this logical must stop before its pages vanish, or it would
-            # crash or resurrect freshly deleted page files.
-            self.deferred.cancel_logical(logical.id)
             # Drop decoded prefixes first: SQLite reuses GOP rowids, so
             # stale entries could otherwise serve this video's pixels
             # under a later video's GOP ids.
@@ -1307,17 +1308,20 @@ class VSSEngine:
     def _read_preamble(
         self, name: str, any_raw: bool
     ) -> tuple[LogicalVideo, PhysicalVideo]:
-        """Resolve the logical/original pair and fire the raw-read hook.
+        """Resolve the logical/original pair; flag deferred compression.
 
         ``any_raw`` is True when at least one read in the operation wants
         uncompressed output (section 5.2's deferred-compression trigger).
+        On an active video that marks one page compression due; the
+        operation's :meth:`_schedule_maintenance` tick queues it.
         """
         logical = self.catalog.get_logical(name)
         original = self.catalog.original_physical(logical.id)
         if original is None:
             raise ReadError(f"logical video {name!r} has no data")
-        if any_raw:
-            self.deferred.on_uncompressed_read(logical)
+        if any_raw and self.deferred.active(logical):
+            with self._state_lock:
+                self._due_flags(logical)[0] = True
         return logical, original
 
     def _should_cache(self, spec: ReadSpec) -> bool:
@@ -1414,30 +1418,33 @@ class VSSEngine:
                 self._reads_since_refine = 0
         return compact_due, refine_due
 
+    def _due_flags(self, logical: LogicalVideo) -> list:
+        """``logical``'s pending maintenance entry, created on demand.
+        The caller holds ``_state_lock``."""
+        pending = self._pending_maintenance.get(logical.id)
+        if pending is None:
+            pending = self._pending_maintenance[logical.id] = [
+                False, False, False, logical,
+            ]
+        return pending
+
     def _schedule_maintenance(self, logical: LogicalVideo) -> None:
         """Tick the periodic compaction/refinement counters for one read.
 
         Due work runs off the critical path on the admission worker
-        (coalesced per logical).  Due flags accumulate in
+        (coalesced per logical).  Due flags — these two and the
+        compression flag :meth:`_read_preamble` sets — accumulate in
         ``_pending_maintenance`` rather than in the queued closure, so a
-        submission coalesced away can never lose a freshly-due
-        compact/refine: the queued task reads the merged flags when it
-        runs.
+        submission coalesced away can never lose a freshly-due task: the
+        queued task reads the merged flags when it runs.
         """
         compact_due, refine_due = self._maintenance_flags()
-        if self.background_compression:
-            if not self.deferred.background_running:
-                self.deferred.start_background(logical)
-            self.deferred.notify_idle()
         with self._state_lock:
             pending = self._pending_maintenance.get(logical.id)
             if compact_due or refine_due:
-                if pending is None:
-                    pending = self._pending_maintenance[logical.id] = [
-                        False, False, logical,
-                    ]
-                pending[0] |= compact_due
-                pending[1] |= refine_due
+                pending = self._due_flags(logical)
+                pending[1] |= compact_due
+                pending[2] |= refine_due
             if pending is None:
                 return
         # Submit whenever flags are pending, not just when one became
@@ -1459,9 +1466,11 @@ class VSSEngine:
             pending = self._pending_maintenance.pop(logical_id, None)
         if pending is None:
             return
-        compact_due, refine_due, logical = pending
+        compress_due, compact_due, refine_due, logical = pending
 
         def maintain(live: LogicalVideo) -> None:
+            if compress_due:
+                self.deferred.compress_one(live)
             if compact_due:
                 self.compactor.compact(live)
                 self._maybe_retile(live)
@@ -1570,7 +1579,7 @@ class VSSEngine:
         sample = gops[0]
         try:
             cached = codec_for(physical.codec).decode_gop(
-                self.layout.read_gop(sample.path, sample.zstd_level)
+                self.layout.read_gop(sample.path)
             )
             reference = self._decode_original_window(
                 logical, original, sample.start_time, sample.end_time
@@ -1608,7 +1617,7 @@ class VSSEngine:
     ) -> VideoSegment:
         pieces = []
         for gop in self.catalog.gops_of_physical(original.id, start, end):
-            encoded = self.layout.read_gop(gop.path, gop.zstd_level)
+            encoded = self.layout.read_gop(gop.path)
             pieces.append(
                 codec_for(encoded.codec).decode_gop(
                     encoded.with_start_time(gop.start_time)

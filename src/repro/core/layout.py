@@ -8,17 +8,22 @@ Layout::
       videos/
         <logical name>/
           <physical id>/
-            <seq>.gop        encoded-GOP container
-            <seq>.gop.z      deferred-compressed container
+            <seq>.gop        encoded-GOP container, or one VZST-wrapped
+                             by deferred compression
       joint/
         <pair id>.{left,overlap,right}.gop
 
 Paths stored in the catalog are relative to the root so a store directory
-can be moved wholesale.
+can be moved wholesale.  A page's path never changes: deferred
+compression rewrites the file in place, and :meth:`Layout.read_gop`
+recognises the ``VZST`` header whatever the catalog row says.  Only
+stores written by older versions hold ``<seq>.gop.z`` files (their rows
+point at them, so they read the same way).
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from repro.errors import ContainerError
@@ -60,11 +65,15 @@ class Layout:
         target.write_bytes(data)
         return relpath, len(data)
 
-    def read_gop(self, relpath: str, zstd_level: int = 0) -> EncodedGOP:
+    def read_gop(self, relpath: str) -> EncodedGOP:
         """Read a GOP container, transparently undoing deferred
-        compression."""
+        compression (recognised by its header, not by the catalog).
+
+        A page packed again after a crash left its row unpacked carries
+        two headers; both come off.
+        """
         data = (self.root / relpath).read_bytes()
-        if zstd_level:
+        while zstd.is_packed(data):
             data = zstd.decompress(data)
         try:
             return decode_container(data)
@@ -72,19 +81,18 @@ class Layout:
             raise ContainerError(f"{relpath}: {exc}") from exc
 
     def compress_gop_file(self, relpath: str, level: int) -> tuple[str, int]:
-        """Apply deferred compression to a stored GOP file.
+        """Apply deferred compression to a stored GOP file, in place.
 
-        Returns the new relative path (``*.z``) and its size.  The plain
-        file is removed after the compressed one is durably written.
+        Returns the (unchanged) relative path and the new size.  The
+        packed bytes go to a temporary file that atomically replaces the
+        page, so a concurrent or later reader sees either version whole.
         """
-        source = self.root / relpath
-        data = source.read_bytes()
-        packed = zstd.compress(data, level)
-        new_rel = relpath + ".z"
-        target = self.root / new_rel
-        target.write_bytes(packed)
-        source.unlink()
-        return new_rel, len(packed)
+        target = self.root / relpath
+        packed = zstd.compress(target.read_bytes(), level)
+        staging = target.with_name(target.name + ".tmp")
+        staging.write_bytes(packed)
+        os.replace(staging, target)
+        return relpath, len(packed)
 
     def delete_gop_file(self, relpath: str) -> None:
         path = self.root / relpath

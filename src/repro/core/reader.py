@@ -1013,13 +1013,15 @@ class Reader:
 
     def _read_gop_file(self, record: GopRecord) -> EncodedGOP:
         try:
-            return self.layout.read_gop(record.path, record.zstd_level)
+            return self.layout.read_gop(record.path)
         except FileNotFoundError:
-            # Deferred compression may rewrite a raw page (x.gop -> x.gop.z)
-            # between planning and this load; the catalog row already
-            # points at the new file, so refetch and retry once.
-            fresh = self.catalog.get_gop(record.id)
-            return self.layout.read_gop(fresh.path, fresh.zstd_level)
+            # A page's path never changes, so a missing file means the page
+            # was evicted or deleted after this read was planned (a stream
+            # pulls its chunks across separate lock holds).
+            raise ReadError(
+                f"GOP {record.id} ({record.path}) was evicted or deleted"
+                " after the read was planned"
+            ) from None
 
     # ------------------------------------------------------------------
     @staticmethod

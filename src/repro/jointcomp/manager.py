@@ -116,7 +116,7 @@ class JointCompressionManager:
 
     # ------------------------------------------------------------------
     def _representative_frame(self, gop: GopRecord) -> np.ndarray:
-        encoded = self.vss.layout.read_gop(gop.path, gop.zstd_level)
+        encoded = self.vss.layout.read_gop(gop.path)
         codec = codec_for(encoded.codec)
         first = codec.decode_gop_frames(encoded, 1)
         from repro.video.frame import convert_segment
@@ -124,7 +124,7 @@ class JointCompressionManager:
         return convert_segment(first, "rgb").frame(0)
 
     def _decode_full(self, gop: GopRecord) -> VideoSegment:
-        encoded = self.vss.layout.read_gop(gop.path, gop.zstd_level)
+        encoded = self.vss.layout.read_gop(gop.path)
         from repro.video.frame import convert_segment
 
         return convert_segment(decode_gop(encoded), "rgb")

@@ -63,6 +63,11 @@ def compress(data: bytes, level: int = 3) -> bytes:
     return _HEADER.pack(_MAGIC, level, 1 if use_delta else 0) + packed
 
 
+def is_packed(blob: bytes) -> bool:
+    """True when ``blob`` starts with :func:`compress`'s header."""
+    return blob[: len(_MAGIC)] == _MAGIC
+
+
 def decompress(blob: bytes) -> bytes:
     """Inverse of :func:`compress`."""
     if len(blob) < _HEADER.size:

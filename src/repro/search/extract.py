@@ -122,7 +122,7 @@ def extract_physical(
         if record.seq in skip_seqs or record.joint_pair_id is not None:
             continue
         try:
-            encoded = layout.read_gop(record.path, record.zstd_level)
+            encoded = layout.read_gop(record.path)
             segment = codec_for(encoded.codec).decode_gop(encoded)
             features = extract_gop(segment)
         except Exception:  # noqa: BLE001 - opportunistic, like admission

@@ -108,7 +108,7 @@ class Tiler:
             for index, (x0, y0, x1, y1) in enumerate(rects)
         ]
         for record in gops:
-            encoded = self.layout.read_gop(record.path, record.zstd_level)
+            encoded = self.layout.read_gop(record.path)
             rgb = convert_segment(decode_gop(encoded), "rgb")
             for index, (x0, y0, x1, y1) in enumerate(rects):
                 piece = VideoSegment(
@@ -186,9 +186,7 @@ class Tiler:
         if self.zstd_level <= 0:
             return
         for gop in self.catalog.gops_of_physical(physical_id):
-            new_path, nbytes = self.layout.compress_gop_file(
+            _, nbytes = self.layout.compress_gop_file(
                 gop.path, self.zstd_level
             )
-            self.catalog.set_gop_compression(
-                gop.id, self.zstd_level, nbytes, new_path
-            )
+            self.catalog.set_gop_compression(gop.id, self.zstd_level, nbytes)

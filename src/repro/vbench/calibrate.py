@@ -5,9 +5,13 @@ The paper computes the domain of its per-pixel transcode cost function
 bits-per-pixel to PSNR using vbench's published measurements.  This module
 does the same locally: it times encode/decode on synthetic clips at several
 resolutions and sweeps the quantizer to build a bits-per-pixel -> PSNR
-curve per codec.  Results persist as JSON next to the VSS database, and
-resolutions that were not benchmarked are served by piecewise-linear
-interpolation (as in the paper).
+curve per codec.  Resolutions that were not benchmarked are served by
+piecewise-linear interpolation (as in the paper).
+
+Timing the host is an explicit step: a store opened without a
+calibration loads the one saved as ``calibration.json`` next to its
+database (``run_calibration().save(path)`` writes it) and otherwise uses
+:meth:`Calibration.default`, so two fresh stores plan alike.
 """
 
 from __future__ import annotations
@@ -226,27 +230,4 @@ def run_calibration(
             curve.append((bpp, quality))
         curve.sort()
         calibration.quality_curve[codec_name] = curve
-    return calibration
-
-
-def load_or_run(path: str | Path, quick: bool = False) -> Calibration:
-    """Load a cached calibration, or run and cache one.
-
-    ``quick`` restricts the run to a single resolution and a short qp sweep
-    (used by tests and first-run examples).
-    """
-    path = Path(path)
-    if path.exists():
-        return Calibration.load(path)
-    if quick:
-        calibration = run_calibration(
-            resolutions=((96, 54), (192, 108)),
-            frames=4,
-            qp_sweep=(0, 16, 32, 44),
-            repeats=1,
-        )
-    else:
-        calibration = run_calibration()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    calibration.save(path)
     return calibration

@@ -1,11 +1,12 @@
 """Tests for the LRU_VSS eviction policy, deferred compression, and
 compaction (paper sections 4, 5.2, 5.3)."""
 
-import time
-
+import numpy as np
 import pytest
 
 from repro.core.engine import VSSEngine
+from repro.core.specs import ReadSpec
+from repro.lossless import zstd
 
 
 @pytest.fixture()
@@ -139,7 +140,13 @@ class TestDeferredCompression:
         session.write("v", three_second_clip, codec="h264", qp=10)
         logical = engine.catalog.get_logical("v")
         assert not engine.deferred.active(logical)
-        assert engine.deferred.on_uncompressed_read(logical) is None
+        engine.drain_admissions()
+        # A raw read of an inactive video queues nothing: the hot
+        # workloads' raw streams never pay for a maintenance task.
+        enqueued = engine.stats().admissions_enqueued
+        session.read("v", 0.0, 1.0, codec="raw", cache=False)
+        assert engine.stats().admissions_enqueued == enqueued
+        assert engine._pending_maintenance == {}
         engine.close()
 
     def test_activates_above_threshold(self, small_budget_store):
@@ -151,17 +158,50 @@ class TestDeferredCompression:
         assert engine.cache.usage_fraction(logical) > engine.deferred.threshold
         assert engine.deferred.active(logical)
 
-    def test_raw_read_triggers_compression(self, small_budget_store):
-        session = small_budget_store
+    @staticmethod
+    def _compressed(engine, logical) -> int:
+        return sum(
+            g.zstd_level > 0 for g in engine.catalog.gops_of_logical(logical.id)
+        )
+
+    @staticmethod
+    def _active_with_raw_pages(session):
+        """Cache 2 s of raw pages under a budget that keeps them all but
+        leaves the video above the activation threshold."""
         engine = session.engine
+        engine.set_budget("traffic", 1_200_000)
         session.read("traffic", 0.0, 2.0, codec="raw")
         engine.drain_admissions()
         logical = engine.catalog.get_logical("traffic")
-        # The hook fires before each raw read; with raw pages cached and
-        # the threshold crossed it must compress one page.
-        gop_id = engine.deferred.on_uncompressed_read(logical)
-        assert gop_id is not None
-        assert engine.catalog.get_gop(gop_id).zstd_level > 0
+        assert engine.deferred.active(logical)
+        assert len(engine.deferred._raw_pages(logical)) > 1
+        return logical
+
+    def test_raw_read_triggers_compression(self, small_budget_store):
+        """A raw read on an active video queues one page compression on
+        the maintenance step; once drained, one more page is packed."""
+        session = small_budget_store
+        engine = session.engine
+        logical = self._active_with_raw_pages(session)
+        before = self._compressed(engine, logical)
+        session.read("traffic", 0.0, 1.0, codec="raw", cache=False)
+        engine.drain_admissions()
+        assert self._compressed(engine, logical) == before + 1
+
+    def test_raw_batch_group_queues_one_compression(self, small_budget_store):
+        session = small_budget_store
+        engine = session.engine
+        logical = self._active_with_raw_pages(session)
+        before = self._compressed(engine, logical)
+        enqueued = engine.stats().admissions_enqueued
+        specs = [
+            ReadSpec("traffic", t, t + 0.5, codec="raw", cache=False)
+            for t in (0.0, 0.5, 1.0)
+        ]
+        session.read_batch(specs)
+        engine.drain_admissions()
+        assert engine.stats().admissions_enqueued == enqueued + 1
+        assert self._compressed(engine, logical) == before + 1
 
     def test_compressed_pages_read_transparently(self, small_budget_store):
         session = small_budget_store
@@ -200,27 +240,88 @@ class TestDeferredCompression:
         )
         engine.close()
 
-    def test_background_thread_compresses(self, small_budget_store):
-        session = small_budget_store
-        engine = session.engine
-        session.read("traffic", 0.0, 2.0, codec="raw")
+
+class TestPageRewrites:
+    """A page keeps its path for life; old ``.gop.z`` stores and a crash
+    between the file rewrite and the row update still read the same."""
+
+    @pytest.fixture()
+    def raw_store(self, tmp_path, calibration, three_second_clip):
+        engine = VSSEngine(tmp_path / "store", calibration=calibration)
+        session = engine.session()
+        session.write("v", three_second_clip, codec="raw", gop_size=30)
         engine.drain_admissions()
-        logical = engine.catalog.get_logical("traffic")
-        engine.deferred.start_background(logical, idle_wait=0.01)
-        engine.deferred.notify_idle()
-        deadline = time.time() + 3.0
-        compressed = 0
-        while time.time() < deadline:
-            compressed = sum(
-                1
-                for g in engine.catalog.gops_of_logical(logical.id)
-                if g.zstd_level > 0
+        yield engine
+        engine.close()
+
+    @staticmethod
+    def _pixels(engine):
+        engine.decode_cache.clear()
+        return engine.session().read("v", 0.0, 3.0, cache=False).segment.pixels
+
+    def test_compress_one_keeps_path_and_counts_file_bytes(self, raw_store):
+        logical = raw_store.catalog.get_logical("v")
+        before = {g.id: g for g in raw_store.catalog.gops_of_logical(logical.id)}
+        expected = self._pixels(raw_store)
+        with raw_store._locked("v"):
+            gop_id = raw_store.deferred.compress_one(logical)
+        after = raw_store.catalog.get_gop(gop_id)
+        assert after.path == before[gop_id].path
+        assert after.zstd_level > 0
+        assert after.nbytes == raw_store.layout.file_size(after.path)
+        assert after.nbytes < before[gop_id].nbytes
+        assert np.array_equal(self._pixels(raw_store), expected)
+
+    def test_store_with_z_twins_reads_the_same(
+        self, tmp_path, calibration, three_second_clip
+    ):
+        """Rows pointing at ``<seq>.gop.z``, written as older versions
+        did: the packed container beside the unlinked plain file."""
+        root = tmp_path / "old"
+        with VSSEngine(root, calibration=calibration) as engine:
+            engine.session().write(
+                "v", three_second_clip, codec="raw", gop_size=30
             )
-            if compressed:
-                break
-            time.sleep(0.02)
-        engine.deferred.stop_background()
-        assert compressed > 0
+            engine.drain_admissions()
+            expected = self._pixels(engine)
+            gops = engine.catalog.gops_of_logical(
+                engine.catalog.get_logical("v").id
+            )
+            with engine.catalog._write() as conn:
+                for gop in gops:
+                    source = root / gop.path
+                    packed = zstd.compress(source.read_bytes(), 5)
+                    (root / (gop.path + ".z")).write_bytes(packed)
+                    source.unlink()
+                    conn.execute(
+                        "UPDATE gops SET zstd_level = ?, nbytes = ?, path = ?"
+                        " WHERE id = ?",
+                        (5, len(packed), gop.path + ".z", gop.id),
+                    )
+                conn.commit()
+        with VSSEngine(root, calibration=calibration) as engine:
+            assert all(
+                g.path.endswith(".gop.z")
+                for g in engine.catalog.gops_of_logical(
+                    engine.catalog.get_logical("v").id
+                )
+            )
+            assert np.array_equal(self._pixels(engine), expected)
+
+    def test_rewrite_without_row_update_reads_the_same(self, raw_store):
+        """A crash after the in-place rewrite but before the row update
+        leaves a packed file under an unpacked row."""
+        logical = raw_store.catalog.get_logical("v")
+        expected = self._pixels(raw_store)
+        page = raw_store.catalog.gops_of_logical(logical.id)[1]
+        raw_store.layout.compress_gop_file(page.path, 7)
+        assert raw_store.catalog.get_gop(page.id).zstd_level == 0
+        assert np.array_equal(self._pixels(raw_store), expected)
+        # Deferred compression may later pack that page again.
+        with raw_store._locked("v"):
+            while raw_store.deferred.compress_one(logical) is not None:
+                pass
+        assert np.array_equal(self._pixels(raw_store), expected)
 
 
 class TestCompaction:

@@ -7,6 +7,7 @@ import pytest
 from repro.core.catalog import _SCHEMA, Catalog
 from repro.core.layout import Layout
 from repro.errors import CatalogError, VideoExistsError, VideoNotFoundError
+from repro.lossless import zstd
 from repro.video.codec.registry import encode_gop
 from tests.test_frame import make_segment
 
@@ -160,9 +161,9 @@ class TestGops:
         video = catalog.create_logical("v", 0)
         physical = add_physical(catalog, video)
         gop = catalog.add_gop(physical.id, 0, 0.0, 1.0, 30, "I", 100, "p")
-        catalog.set_gop_compression(gop.id, 7, 40, "p.z")
+        catalog.set_gop_compression(gop.id, 7, 40)
         fetched = catalog.get_gop(gop.id)
-        assert (fetched.zstd_level, fetched.nbytes, fetched.path) == (7, 40, "p.z")
+        assert (fetched.zstd_level, fetched.nbytes, fetched.path) == (7, 40, "p")
 
     def test_total_bytes(self, catalog):
         video = catalog.create_logical("v", 0)
@@ -233,10 +234,27 @@ class TestLayout:
         gop = encode_gop("raw", seg, gop_size=4)[0]
         relpath, nbytes = layout.write_gop("v", 1, 0, gop)
         new_rel, new_bytes = layout.compress_gop_file(relpath, 5)
-        assert new_rel.endswith(".z")
-        assert not (layout.root / relpath).exists()
-        back = layout.read_gop(new_rel, zstd_level=5)
+        # Rewritten in place: same path, no staging file left behind.
+        assert new_rel == relpath
+        assert new_bytes == layout.file_size(relpath)
+        assert [p.name for p in (layout.root / relpath).parent.iterdir()] == [
+            "0.gop"
+        ]
+        back = layout.read_gop(relpath)
         assert back.payloads == gop.payloads
+
+    def test_old_z_twin_reads_by_its_header(self, layout):
+        """Older stores moved a compressed page to ``<seq>.gop.z``; the
+        header, not the name or the catalog's level, says how to read."""
+        seg = make_segment(n=4, h=16, w=24)
+        gop = encode_gop("raw", seg, gop_size=4)[0]
+        relpath, _ = layout.write_gop("v", 1, 0, gop)
+        source = layout.root / relpath
+        (layout.root / (relpath + ".z")).write_bytes(
+            zstd.compress(source.read_bytes(), 5)
+        )
+        source.unlink()
+        assert layout.read_gop(relpath + ".z").payloads == gop.payloads
 
     def test_delete_prunes_empty_dirs(self, layout):
         seg = make_segment(n=2, h=16, w=24)

@@ -347,30 +347,41 @@ class TestConcurrency:
         engine.drain_admissions()
         assert len(engine._logical_locks) == 0
 
-    def test_delete_stops_background_compression(self, tmp_path, calibration):
-        """engine.delete() must stop/skip a background deferred-compression
-        thread targeting the deleted logical instead of crashing it or
-        resurrecting deleted pages."""
+    def test_delete_with_compression_queued_is_quiet(
+        self, tmp_path, calibration
+    ):
+        """A raw read of an active video queues one page compression on
+        the maintenance step; a delete landing while that task waits for
+        the video's lock turns it into a quiet no-op that rewrites
+        (resurrects) no page file under the deleted name."""
         with VSSEngine(tmp_path / "store", calibration=calibration) as engine:
             session = engine.session()
             clip = blank_segment(32, 36, 64, fps=30.0, fill=77)
             session.write("doomed", clip, codec="raw", gop_size=4)
-            logical = engine.catalog.get_logical("doomed")
+            engine.drain_admissions()
             # A tiny budget makes deferred compression active immediately.
             engine.set_budget("doomed", 1)
-            assert engine.deferred.active(logical)
-            engine.deferred.start_background(logical)
-            assert engine.deferred.background_running
-            time.sleep(0.1)  # let the thread take a few compression ticks
-            engine.delete("doomed")
-            assert not engine.deferred.background_running
+            # The exclusive lock is reentrant: holding it across the read
+            # and the delete parks the queued task on the lock meanwhile.
+            with engine._locked("doomed"):
+                session.read(ReadSpec("doomed", 0.0, 0.5, codec="raw", cache=False))
+                deadline = time.monotonic() + 1.0
+                while (
+                    engine._admissions._running_key is None
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.0005)
+                assert engine._admissions._running_key == (
+                    "maintain",
+                    engine.catalog.get_logical("doomed").id,
+                )
+                engine.delete("doomed")
+            engine.drain_admissions()
+            assert engine._admissions.stats.failures == 0
             assert "doomed" not in engine.list_videos()
-            # No resurrected page files survive under the deleted name.
-            leftovers = list((tmp_path / "store").rglob("doomed/*"))
-            assert leftovers == []
-            # Post-delete hooks are inert, not crashing.
-            assert engine.deferred.compress_one(logical) is None
-            assert not engine.deferred.active(logical)
+            assert list((tmp_path / "store").rglob("doomed*")) == []
+            assert engine._pending_maintenance == {}
+            assert engine._logical_locks == {}
             # The store remains fully usable.
             session.write("next", clip, codec="raw", gop_size=8)
             result = session.read("next", 0.0, 0.5, cache=False)

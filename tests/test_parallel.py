@@ -162,7 +162,7 @@ class TestParallelBitExact:
                 original = engine.catalog.original_physical(logical.id)
                 gops = engine.catalog.gops_of_physical(original.id)
                 payloads[par] = [
-                    engine.layout.read_gop(g.path, g.zstd_level).payloads
+                    engine.layout.read_gop(g.path).payloads
                     for g in gops
                 ]
         assert payloads[1] == payloads[4]
@@ -365,30 +365,3 @@ class TestPublicSurfaces:
                 "cam", "h264", "rgb", 64, 36, 30.0, qp=12
             ):
                 pass  # no data appended: __exit__ must not try to seal
-
-    def test_background_running_property(self, tmp_path, calibration, tiny_clip):
-        with VSSEngine(tmp_path / "s", calibration=calibration) as engine:
-            session = engine.session()
-            session.write("v", tiny_clip, codec="h264", qp=10, gop_size=8)
-            logical = engine.catalog.get_logical("v")
-            assert not engine.deferred.background_running
-            engine.deferred.start_background(logical)
-            assert engine.deferred.background_running
-            engine.deferred.stop_background()
-            assert not engine.deferred.background_running
-
-    def test_dead_background_thread_restarts(
-        self, tmp_path, calibration, tiny_clip
-    ):
-        with VSSEngine(tmp_path / "s", calibration=calibration) as engine:
-            session = engine.session()
-            session.write("v", tiny_clip, codec="h264", qp=10, gop_size=8)
-            logical = engine.catalog.get_logical("v")
-            dead = threading.Thread(target=lambda: None)
-            dead.start()
-            dead.join()
-            engine.deferred._thread = dead  # simulate a crashed loop
-            assert not engine.deferred.background_running
-            engine.deferred.start_background(logical)
-            assert engine.deferred.background_running
-            engine.deferred.stop_background()

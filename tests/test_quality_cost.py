@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost import ETA, CostModel, TargetFormat
+from repro.core.engine import VSSEngine
+from repro.core.layout import Layout
 from repro.core.quality import QualityModel, TAU_DB
 from repro.core.records import Fragment, GopRecord, PhysicalVideo
+from repro.vbench import calibrate
 from repro.vbench.calibrate import Calibration
 from repro.video.metrics import mse_from_psnr
 
@@ -201,3 +204,28 @@ def test_property_chain_bound_monotone(source, step):
     chained = quality.chain(source, step)
     assert chained >= source
     assert chained >= step
+
+
+class TestStoreCalibration:
+    """Opening a store never times the host: it loads the saved
+    calibration or falls back to the canned default."""
+
+    @pytest.fixture(autouse=True)
+    def _no_timing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("opening a store must not time the host")
+
+        monkeypatch.setattr(calibrate, "run_calibration", refuse)
+
+    def test_fresh_store_uses_the_default(self, tmp_path):
+        with VSSEngine(tmp_path / "store") as engine:
+            assert engine.calibration == Calibration.default()
+            assert not engine.layout.calibration_path.exists()
+
+    def test_saved_calibration_is_loaded(self, tmp_path):
+        saved = Calibration.default()
+        saved.encode_cost["h264"] = [(1.0, 5e-7), (2.0, 4e-7)]
+        root = tmp_path / "store"
+        saved.save(Layout(root).calibration_path)
+        with VSSEngine(root) as engine:
+            assert engine.calibration == saved

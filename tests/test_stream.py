@@ -25,7 +25,7 @@ import pytest
 
 from repro.core.engine import VSSEngine
 from repro.core.specs import ReadSpec
-from repro.errors import VSSError
+from repro.errors import ReadError, VSSError
 from repro.video.codec.container import encode_container
 
 
@@ -227,9 +227,54 @@ class TestLifecycle:
         stream = session.read_stream(spec)
         next(stream)
         loaded.delete("traffic")
-        with pytest.raises((VSSError, FileNotFoundError)):
+        with pytest.raises(VSSError):
             for _ in stream:
                 pass
+
+    def test_eviction_between_pulls_raises_read_error(self, loaded):
+        """A page evicted between two pulls is a typed error naming the
+        GOP, not a bare missing file."""
+        session = loaded.session()
+        session.read("traffic", 0.0, 3.0, codec="raw")  # admits raw pages
+        loaded.drain_admissions()
+        spec = ReadSpec("traffic", 0.0, 3.0, codec="raw", cache=False)
+        stream = session.read_stream(spec)
+        raw_ids = {
+            g.id
+            for c in stream.plan.choices
+            if c.fragment.physical.codec == "raw"
+            for g in c.fragment.gops
+        }
+        assert raw_ids  # planned from the cached raw fragment
+        next(stream)
+        loaded.set_budget("traffic", 1)
+        loaded.enforce_budget("traffic")  # evicts every unprotected page
+        with pytest.raises(ReadError, match=r"GOP \d+ \(videos/"):
+            for _ in stream:
+                pass
+
+    def test_pages_compressed_between_pulls_read_the_same(
+        self, serial_engine, three_second_clip
+    ):
+        """Deferred compression rewrites a page under its own path, so a
+        stream planned before the rewrite still reads every page."""
+        session = serial_engine.session()
+        session.write("traffic", three_second_clip, codec="raw", gop_size=30)
+        spec = ReadSpec("traffic", 0.0, 3.0, codec="raw", cache=False)
+        expected = session.read(spec).segment.pixels
+        serial_engine.decode_cache.clear()
+        stream = session.read_stream(spec)
+        pixels = [next(stream).segment.pixels]
+        logical = serial_engine.catalog.get_logical("traffic")
+        with serial_engine._locked("traffic"):
+            while serial_engine.deferred.compress_one(logical) is not None:
+                pass
+        assert all(
+            g.zstd_level > 0
+            for g in serial_engine.catalog.gops_of_logical(logical.id)
+        )
+        pixels += [chunk.segment.pixels for chunk in stream]
+        assert np.array_equal(np.concatenate(pixels), expected)
 
     def test_failed_stream_counts_one_failure_never_a_read(self, loaded):
         """A stream that dies after its first chunk is counted as exactly
@@ -243,7 +288,7 @@ class TestLifecycle:
         stream = session.read_stream(spec)
         next(stream)
         loaded.delete("traffic")
-        with pytest.raises((VSSError, FileNotFoundError)):
+        with pytest.raises(VSSError):
             for _ in stream:
                 pass
         # retrying the dead stream raises StopIteration, not success
