@@ -3,27 +3,24 @@ decoded-GOP cache's effect on repeated look-back-heavy reads, and the
 batched session read path's decode sharing.
 
 Set ``VSS_BENCH_QUICK=1`` for the CI smoke configuration (fewer
-parallelism points and reads; the hardware-independent assertions keep
-running, so perf regressions surface on PRs).
+parallelism points and reads).  Timings and their ratios are printed,
+never asserted; what is asserted is the decode work each experiment
+claims to save, counted in frames and GOPs, which holds on any host.
 
 Three experiments:
 
 * **Core scaling** — write the workhorse clip and replay the Figure 12
   short-read workload at ``parallelism`` 1/2/4 with the decode cache off,
   so every configuration performs identical decode work and the only
-  variable is thread fan-out across GOPs.  On a multi-core machine the
-  parallel configurations must reach >= 1.5x the serial read throughput;
-  on fewer cores the numbers are reported without the scaling assertion
-  (threads cannot beat physics).
+  variable is thread fan-out across GOPs.
 * **Decode cache** — repeat identical mid-GOP (look-back-heavy) reads and
   compare a cold pass against a warm pass served from the cache.  The
-  warm pass skips both disk and the codec, so it must be >= 2x faster
-  regardless of core count, with the hit rate reported via
-  ``engine.stats()``.
+  warm pass skips both disk and the codec: it decodes no frame.
 * **Batched reads** — ``session.read_batch`` of overlapping look-back
   reads on a cache-disabled store vs the same reads issued sequentially.
-  The batch decodes each shared GOP once, so it must beat sequential on
-  any hardware.
+  The batch decodes each shared GOP window once (``gops_decoded ==
+  unique_gops < window_requests``), fewer frames than the sequential
+  reads decode between them.
 """
 
 from __future__ import annotations
@@ -46,6 +43,8 @@ PARALLELISMS = (1, 2) if QUICK else (1, 2, 4)
 MEASURE_READS = 3 if QUICK else 6
 LOOKBACK_READS = 4 if QUICK else 6
 SEED = 17
+#: Frames per stored GOP (the clip is written with ``gop_size=30``).
+GOP_FRAMES = 30
 
 
 def _read_throughput(session, seed: int) -> float:
@@ -58,18 +57,21 @@ def _read_throughput(session, seed: int) -> float:
     return MEASURE_READS / elapsed
 
 
-def _lookback_reads(session) -> float:
-    """Seconds for a pass of identical mid-GOP 0.4 s reads.
+def _lookback_reads(session) -> tuple[float, int]:
+    """(seconds, frames decoded) for a pass of identical mid-GOP 0.4 s
+    reads.
 
     Each read starts mid-GOP (GOPs are 1 s), so the serial path decodes
     the look-back prefix every time; a warm decode cache serves the whole
     prefix from memory.
     """
     start = time.perf_counter()
+    decoded = 0
     for i in range(LOOKBACK_READS):
         offset = 0.5 + (i % 3)  # three distinct windows, repeated
-        session.read("video", offset, offset + 0.4, cache=False)
-    return time.perf_counter() - start
+        result = session.read("video", offset, offset + 0.4, cache=False)
+        decoded += result.stats.frames_decoded
+    return time.perf_counter() - start, decoded
 
 
 def test_parallel_scaling(tmp_path, calibration, vroad_clip, benchmark):
@@ -108,6 +110,11 @@ def test_parallel_scaling(tmp_path, calibration, vroad_clip, benchmark):
         engine.close()
     print_series(write_series)
     print_series(read_series)
+    top = PARALLELISMS[-1]
+    print(
+        f"parallel_scaling: reads at parallelism={top} "
+        f"{read_tp[top] / read_tp[1]:.2f}x parallelism=1"
+    )
 
     # ------------------------------------------------------------------
     # decode cache: cold vs warm pass of look-back-heavy reads
@@ -116,8 +123,8 @@ def test_parallel_scaling(tmp_path, calibration, vroad_clip, benchmark):
     session = engine.session()
     session.write("video", vroad_clip, codec="h264", qp=10, gop_size=30)
     engine.drain_admissions()
-    cold = _lookback_reads(session)
-    warm = _lookback_reads(session)
+    cold, cold_decoded = _lookback_reads(session)
+    warm, warm_decoded = _lookback_reads(session)
     stats = engine.stats()
     cache_series = Series(
         "Lookback-heavy read pass", "pass (0=cold, 1=warm)", "seconds"
@@ -128,7 +135,8 @@ def test_parallel_scaling(tmp_path, calibration, vroad_clip, benchmark):
     print(
         f"parallel_scaling: decode cache cold {cold:.3f}s, warm {warm:.3f}s "
         f"({cold / warm:.1f}x), hit rate {stats.decode_cache_hit_rate:.2f} "
-        f"({stats.decode_cache_hits} hits / {stats.decode_cache_misses} misses)"
+        f"({stats.decode_cache_hits} hits / {stats.decode_cache_misses} misses); "
+        f"decoded {cold_decoded} frames cold, {warm_decoded} warm"
     )
 
     benchmark.pedantic(_lookback_reads, args=(session,), rounds=1, iterations=1)
@@ -151,8 +159,9 @@ def test_parallel_scaling(tmp_path, calibration, vroad_clip, benchmark):
     session.read(specs[0])  # warm both code paths once
     session.read_batch(specs[:1])
     start = time.perf_counter()
-    for spec in specs:
-        session.read(spec)
+    sequential_decoded = sum(
+        session.read(spec).stats.frames_decoded for spec in specs
+    )
     sequential = time.perf_counter() - start
     start = time.perf_counter()
     session.read_batch(specs)
@@ -162,22 +171,16 @@ def test_parallel_scaling(tmp_path, calibration, vroad_clip, benchmark):
         f"parallel_scaling: read_batch of {len(specs)} overlapping reads "
         f"{batched:.3f}s vs sequential {sequential:.3f}s "
         f"({sequential / batched:.1f}x); decoded {shared.gops_decoded} of "
-        f"{shared.window_requests} GOP windows"
+        f"{shared.window_requests} GOP windows ({shared.unique_gops} unique); "
+        f"sequential reads decoded {sequential_decoded} frames"
     )
     engine.close()
 
-    # Shape assertions.  A warm decode cache eliminates the decode work
-    # entirely, so the 2x bar holds on any hardware, and a batch shares
-    # decode work regardless of core count; the thread-scaling bar needs
-    # the cores to exist.
+    # Count assertions, true on any host: a warm decode cache serves the
+    # whole pass without decoding, and a batch decodes each shared GOP
+    # window once, so it decodes at most ``gops_decoded`` whole GOPs —
+    # fewer frames than the same reads decode one by one.
     assert stats.decode_cache_hits > 0
-    assert warm * 2.0 <= cold
-    assert shared.gops_decoded < shared.window_requests
-    assert batched < sequential
-    if not QUICK and (os.cpu_count() or 1) >= 4:
-        assert read_tp[4] >= 1.5 * read_tp[1]
-    elif not QUICK:
-        print(
-            "parallel_scaling: <4 cores available; skipping the 1.5x "
-            "thread-scaling assertion"
-        )
+    assert cold_decoded > 0 and warm_decoded == 0
+    assert shared.gops_decoded == shared.unique_gops < shared.window_requests
+    assert sequential_decoded > shared.gops_decoded * GOP_FRAMES

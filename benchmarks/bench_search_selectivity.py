@@ -1,7 +1,7 @@
 """Indexed search-then-read vs full-scan decode-and-filter.
 
 Set ``VSS_BENCH_QUICK=1`` for the CI smoke configuration (fewer
-cameras; the hardware-independent assertions keep running).
+cameras; the assertions, all counts and bytes, keep running).
 
 The motivating workload for the content index (ISSUE 8): find the few
 GOPs of a camera fleet where a red truck appears, then retrieve them.
@@ -21,8 +21,8 @@ the GOPs.  Two pipelines produce the same answer:
 Correctness assertions (always on): both pipelines select exactly the
 painted GOPs, their frames are **bit-identical**, and ``ReadStats``
 proves the indexed path decoded only the matched GOPs while the full
-scan decoded everything.  The headline number is the speedup at ~5%
-selectivity.
+scan decoded everything, at least 5x the frames.  The headline number,
+the speedup at ~5% selectivity, is printed, not asserted.
 """
 
 from __future__ import annotations
@@ -149,6 +149,6 @@ def test_search_selectivity(tmp_path, calibration, benchmark):
         f"{extraction_seconds:.3f} s at ingest"
     )
 
-    # Hardware-independent: at ~5% selectivity the indexed pipeline must
-    # clearly beat decoding the fleet (it decodes 20x fewer frames).
-    assert speedup >= 5.0
+    # At ~5% selectivity the indexed pipeline decodes a small fraction of
+    # what the full scan decodes (20x fewer frames in either mode).
+    assert scan_decoded >= 5 * indexed_decoded

@@ -245,17 +245,6 @@ class CacheManager:
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-    def over_budget_after(
-        self, logical: LogicalVideo, additional_bytes: int
-    ) -> bool:
-        logical = self.catalog.get_logical_by_id(logical.id)
-        if logical.budget_bytes <= 0:
-            return False
-        return (
-            self.catalog.total_bytes(logical.id) + additional_bytes
-            > logical.budget_bytes
-        )
-
     def usage_fraction(self, logical: LogicalVideo) -> float:
         """Consumed fraction of the storage budget (0 when unbounded)."""
         logical = self.catalog.get_logical_by_id(logical.id)

@@ -2293,14 +2293,17 @@ class HookedStream:
         return self._stream.nbytes
 
     def _check_alive(self) -> None:
-        """Raise when the logical video vanished under this stream."""
+        """Raise when the logical video this stream opened was deleted,
+        even if a video of the same name (and reused id) replaced it."""
         try:
-            self._engine.catalog.get_logical_by_id(self._logical.id)
+            alive = self._engine._current_incarnation(self._logical)
         except CatalogError:
+            alive = False
+        if not alive:
             raise WriteError(
                 f"logical video {self._logical.name!r} was deleted during "
                 f"the streaming write"
-            ) from None
+            )
 
     def append(self, segment: VideoSegment) -> None:
         with self._engine._locked(self._logical.name):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from repro.core.records import PhysicalVideo
 from repro.vbench.calibrate import Calibration
-from repro.video.metrics import PSNR_CAP, mse_from_psnr, psnr_from_mse
+from repro.video.metrics import mse_from_psnr, psnr_from_mse
 
 #: Default quality threshold for reads (dB).  >= 40 dB is considered
 #: lossless by the paper.
@@ -129,11 +129,3 @@ class QualityModel:
             compression_mse=self.compression_mse(target_codec, achieved_bpp),
         )
         return self.chain(source_mse, step.total)
-
-    @staticmethod
-    def db_of_mse(mse: float) -> float:
-        return psnr_from_mse(mse)
-
-    @staticmethod
-    def lossless_db() -> float:
-        return PSNR_CAP

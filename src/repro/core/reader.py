@@ -13,10 +13,11 @@ use; this module turns that plan into pixels:
   stored format already matches — no transcode, as in Figure 14's
   same-format reads).
 
-GOPs are independent decode units (each opens with an I frame), so both
-the decode-and-assemble path and the direct-serve path fan their GOP
-loads/decodes across the store's shared :class:`Executor`; results are
-reassembled in plan order, keeping output pixels and stats deterministic.
+GOPs are independent decode units (each opens with an I frame), so the
+decode-and-assemble path fans its GOP loads/decodes across the store's
+shared :class:`Executor`; results are reassembled in plan order, keeping
+output pixels and stats deterministic.  A direct serve reads one stored
+GOP per chunk, on the pulling thread.
 A :class:`DecodeCache` short-circuits the decode entirely when a
 sufficiently long prefix of the GOP was decoded by an earlier read.
 
@@ -28,11 +29,14 @@ decode of each shared GOP instead of N.
 Assembly is *chunked*: :meth:`Reader.iter_output` streams a plan's answer
 as :class:`ReadChunk` increments whose peak resident pixels stay
 O(GOP window × prefetch depth) regardless of the read's duration, and
-:meth:`Reader.execute` is a thin collect-all over the same machinery
-(chunks paste into one preallocated canvas).  The chunk schedule is
-computed statically from the catalog (no decoding), using exactly the
-arithmetic the monolithic assembler used, so chunked output is
-bit-identical to the pre-streaming reader.
+:meth:`Reader.execute` is that stream drained (:func:`collect_chunks`).
+Every read — in-process, batch member, stream, remote — therefore runs
+one direct-serve loop, one pixel-format conversion and one encode
+schedule: compressed output is re-encoded in blocks of up to
+:data:`~repro.video.codec.blockcodec.LOCKSTEP_GOPS` output GOPs, the
+width the encoder steps in lockstep anyway.  The chunk schedule is
+computed statically from the catalog (no decoding), so concatenated
+chunks equal the whole answer assembled at once.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from repro.core.read_planner import IntervalChoice, ReadPlan
 from repro.core.records import ROI, Fragment, GopRecord
 from repro.errors import ReadError
 from repro.util import map_parallel
-from repro.video.codec.blockcodec import CodecTimings
+from repro.video.codec.blockcodec import LOCKSTEP_GOPS, CodecTimings
 from repro.video.codec.container import EncodedGOP
 from repro.video.codec.registry import codec_for
 from repro.video.frame import VideoSegment, convert_segment
@@ -207,7 +211,8 @@ class ReadChunk:
 
     Exactly one of ``segment``/``gops`` is set: decoded chunks carry a
     segment in the request's pixel format; encoded chunks carry GOPs
-    (direct-served stored bytes, or output re-encoded on GOP boundaries).
+    (one direct-served stored GOP, or one re-encoded block of output
+    GOPs).
     ``gop_ids`` are the catalog GOPs whose pages this chunk consumed —
     the engine stamps their LRU entries as the chunk is pulled.
     """
@@ -318,16 +323,6 @@ class _ChunkOp:
     keep_from: int
 
 
-@dataclass
-class _DecodedChunk:
-    """Internal chunk: a pasted RGB canvas piece plus provenance."""
-
-    lo: int
-    hi: int
-    segment: VideoSegment
-    gop_ids: list[int]
-
-
 #: Sentinel marking iterator exhaustion inside the prefetch pipeline.
 _DONE = object()
 
@@ -353,9 +348,6 @@ class Reader:
         self.executor = executor
         self.decode_cache = decode_cache
 
-    def _map(self, fn, items):
-        return map_parallel(self.executor, fn, items)
-
     # ------------------------------------------------------------------
     def execute(
         self,
@@ -363,7 +355,7 @@ class Reader:
         decode_cache=_DEFAULT_CACHE,
         direct_records=_DEFAULT_CACHE,
     ) -> ReadResult:
-        """Execute one plan.
+        """Execute one plan: :meth:`iter_output` drained into one result.
 
         ``decode_cache`` overrides the reader's store-wide cache for this
         call (``Reader.execute_batch`` passes a batch-local overlay);
@@ -372,37 +364,11 @@ class Reader:
         already evaluated eligibility (the batch pre-pass does); leave it
         unset to evaluate here.
         """
-        if decode_cache is _DEFAULT_CACHE:
-            decode_cache = self.decode_cache
-        if direct_records is _DEFAULT_CACHE:
-            direct_records = self._direct_serve_records(plan)
         start_wall = time.perf_counter()
         stats = ReadStats.for_plan(plan)
-
-        direct = self._serve_direct(plan, direct_records, stats)
-        if direct is not None:
-            stats.wall_seconds = time.perf_counter() - start_wall
-            return ReadResult(plan, None, direct, stats)
-
-        canvas = self._collect(plan, stats, decode_cache)
-        segment = _to_request_format(plan, stats, canvas)
-        gops: list[EncodedGOP] | None = None
-        if plan.request.codec != "raw":
-            codec = codec_for(plan.request.codec)
-            gop_size = max(1, int(round(plan.target_fps)))
-            timings = CodecTimings()
-            gops = codec.encode_segment(
-                segment,
-                qp=plan.request.qp,
-                gop_size=gop_size,
-                executor=self.executor,
-                timings=timings,
-            )
-            stats.add_encode_timings(timings)
-            stats.output_bpp = float(
-                np.mean([g.bits_per_pixel for g in gops])
-            )
-            segment = None
+        segment, gops = collect_chunks(
+            self.iter_output(plan, stats, decode_cache, direct_records)
+        )
         stats.wall_seconds = time.perf_counter() - start_wall
         return ReadResult(plan, segment, gops, stats)
 
@@ -440,28 +406,6 @@ class Reader:
         if any(record.joint_pair_id is not None for record in gops):
             return None  # joint GOPs need reconstruction
         return gops
-
-    def _serve_direct(
-        self,
-        plan: ReadPlan,
-        gops: list[GopRecord] | None,
-        stats: ReadStats,
-    ) -> list[EncodedGOP] | None:
-        """Serve stored GOP bytes untouched when formats match exactly and
-        the request aligns with GOP boundaries (``gops`` is the
-        :meth:`_direct_serve_records` outcome)."""
-        if gops is None:
-            return None
-        served = self._map(
-            lambda record: self._read_gop_file(record).with_start_time(
-                record.start_time
-            ),
-            gops,
-        )
-        stats.bytes_read += sum(record.nbytes for record in gops)
-        stats.gop_ids_touched = [g.id for g in gops]
-        stats.direct_serve = True
-        return served
 
     # ------------------------------------------------------------------
     # batched execution (shared decode work)
@@ -523,7 +467,9 @@ class Reader:
                 overlay.put(record.id, record.num_frames, codec.decode_gop(encoded))
             return 1
 
-        batch.gops_decoded = sum(self._map(warm, list(needed.values())))
+        batch.gops_decoded = sum(
+            map_parallel(self.executor, warm, list(needed.values()))
+        )
         results = [
             self.execute(plan, decode_cache=overlay, direct_records=direct)
             for plan, direct in zip(plans, direct_by_plan)
@@ -684,31 +630,22 @@ class Reader:
             while pending:
                 pending.popleft().cancel()
 
-    def _iter_decoded(
-        self, plan: ReadPlan, stats: ReadStats, decode_cache, canvas=None
-    ):
-        """Generate :class:`_DecodedChunk` pieces of the RGB answer.
-
-        When ``canvas`` (the full preallocated frame stack) is given,
-        chunks paste into views of it — the collect-all path; otherwise
-        each chunk allocates only its own frames — the streaming path.
-        """
-        total, frame_times = self._grid(plan)
+    def _iter_decoded(self, plan: ReadPlan, stats: ReadStats, decode_cache):
+        """Generate the RGB answer as :class:`ReadChunk` pieces, each
+        allocating only its own frames."""
         schedule = self._decode_schedule(plan)
         target = plan.target
         fps_out = plan.target_fps
-        request = plan.request
 
         def build(chunk):
             return chunk, self._build_windows(chunk[2], decode_cache)
 
-        for (lo, hi, ops), built in self._prefetched(schedule, build):
-            if canvas is not None:
-                chunk_pixels = canvas[lo:hi]
-            else:
-                chunk_pixels = np.zeros(
-                    (hi - lo, target.height, target.width, 3), dtype=np.uint8
-                )
+        for index, ((lo, hi, ops), built) in enumerate(
+            self._prefetched(schedule, build)
+        ):
+            chunk_pixels = np.zeros(
+                (hi - lo, target.height, target.width, 3), dtype=np.uint8
+            )
             gop_ids: list[int] = []
             for op, decoded in zip(ops, built):
                 ctx = op.ctx
@@ -751,42 +688,18 @@ class Reader:
                 )
                 for j in [j for j in ctx.windows if j < op.keep_from]:
                     del ctx.windows[j]
-            yield _DecodedChunk(
-                lo,
-                hi,
-                VideoSegment(
-                    pixels=chunk_pixels,
-                    pixel_format="rgb",
-                    height=target.height,
-                    width=target.width,
-                    fps=fps_out,
-                    start_time=request.start + lo / fps_out,
-                ),
-                gop_ids,
+            segment = VideoSegment(
+                pixels=chunk_pixels,
+                pixel_format="rgb",
+                height=target.height,
+                width=target.width,
+                fps=fps_out,
+                start_time=plan.request.start + lo / fps_out,
             )
-
-    def _collect(
-        self, plan: ReadPlan, stats: ReadStats, decode_cache
-    ) -> VideoSegment:
-        """The full decoded answer: a thin collect-all over the chunked
-        stream, pasting every chunk into one preallocated canvas."""
-        total, _ = self._grid(plan)
-        target = plan.target
-        canvas = np.zeros(
-            (total, target.height, target.width, 3), dtype=np.uint8
-        )
-        for _chunk in self._iter_decoded(
-            plan, stats, decode_cache, canvas=canvas
-        ):
-            pass
-        return VideoSegment(
-            pixels=canvas,
-            pixel_format="rgb",
-            height=target.height,
-            width=target.width,
-            fps=plan.target_fps,
-            start_time=plan.request.start,
-        )
+            yield ReadChunk(
+                index, segment.start_time, segment.end_time,
+                segment, None, gop_ids,
+            )
 
     # ------------------------------------------------------------------
     # streamed output
@@ -804,10 +717,11 @@ class Reader:
         regardless of the read's duration: direct-served plans ship one
         stored GOP per chunk without decoding; raw requests yield one
         converted canvas piece per source-GOP activation; compressed
-        requests re-encode on GOP-size boundaries, producing bytes
-        identical to the non-streamed read's GOPs.  ``stats`` (optional,
-        caller-owned) accumulates as chunks are pulled and is complete
-        once the generator is exhausted.
+        requests re-encode in blocks of up to ``LOCKSTEP_GOPS`` output
+        GOPs (:meth:`_iter_encoded`).  ``stats`` (optional, caller-owned)
+        accumulates as chunks are pulled and is complete once the
+        generator is exhausted.  :meth:`execute` is this generator
+        drained.
         """
         if stats is None:
             stats = ReadStats.for_plan(plan)
@@ -829,45 +743,41 @@ class Reader:
                 )
             return
         # Raw and compressed output alike leave the canvas in the
-        # request's pixel format (conversion is per frame, so chunk by
-        # chunk gives the bytes of the whole canvas converted at once,
-        # and the first chunk's first frame is ``execute``'s sample).
+        # request's pixel format.  Conversion is per frame, so chunk by
+        # chunk gives the bytes of the whole canvas converted at once;
+        # the loss is sampled on the answer's first frame.
         chunks = (
             replace(
                 chunk,
                 segment=_to_request_format(
-                    plan, stats, chunk.segment, sample=index == 0
+                    plan, stats, chunk.segment, sample=chunk.index == 0
                 ),
             )
-            for index, chunk in enumerate(
-                self._iter_decoded(plan, stats, decode_cache)
-            )
+            for chunk in self._iter_decoded(plan, stats, decode_cache)
         )
-        if plan.request.codec != "raw":
+        if plan.request.codec == "raw":
+            yield from chunks
+        else:
             yield from self._iter_encoded(plan, stats, chunks)
-            return
-        for index, chunk in enumerate(chunks):
-            segment = chunk.segment
-            yield ReadChunk(
-                index, segment.start_time, segment.end_time,
-                segment, None, chunk.gop_ids,
-            )
 
     def _iter_encoded(
-        self, plan: ReadPlan, stats: ReadStats, chunks: Iterable[_DecodedChunk]
+        self, plan: ReadPlan, stats: ReadStats, chunks: Iterable[ReadChunk]
     ):
-        """Re-encode the decoded stream on output-GOP-size boundaries.
+        """Re-encode the decoded stream in blocks of ``LOCKSTEP_GOPS``
+        output GOPs, one chunk per block.
 
-        Blocks are cut at multiples of the output GOP size with start
-        times computed exactly as ``encode_segment`` would slice the
-        full canvas, and each GOP encodes independently, so the streamed
-        bytes are bit-identical to the non-streamed read's GOPs.  Each
-        block's deflate fans across the shared executor like theirs.
+        That is the width ``encode_segment`` steps in lockstep, so a
+        block is one full encoder pass: the same encoder work a
+        whole-answer encode does, in memory bounded by the block.  GOPs
+        encode independently and are stamped with the start times a
+        whole-answer encode gives them, so the output does not depend on
+        where a block boundary falls.
         """
         request = plan.request
         codec = codec_for(request.codec)
         fps_out = plan.target_fps
         gop_size = max(1, int(round(fps_out)))
+        block_frames = LOCKSTEP_GOPS * gop_size
         target = plan.target
         buffered: list[np.ndarray] = []
         buffered_frames = 0
@@ -896,13 +806,20 @@ class Reader:
                 start_time=request.start + emitted / fps_out,
             )
             timings = CodecTimings()
-            gops = codec.encode_segment(
-                block,
-                qp=request.qp,
-                gop_size=gop_size,
-                executor=self.executor,
-                timings=timings,
-            )
+            gops = [
+                gop.with_start_time(
+                    request.start + (emitted + k * gop_size) / fps_out
+                )
+                for k, gop in enumerate(
+                    codec.encode_segment(
+                        block,
+                        qp=request.qp,
+                        gop_size=gop_size,
+                        executor=self.executor,
+                        timings=timings,
+                    )
+                )
+            ]
             stats.add_encode_timings(timings)
             bpps.extend(g.bits_per_pixel for g in gops)
             chunk = ReadChunk(
@@ -918,8 +835,8 @@ class Reader:
             buffered.append(chunk.segment.pixels)
             buffered_frames += chunk.segment.num_frames
             pending_gop_ids.extend(chunk.gop_ids)
-            while buffered_frames >= gop_size:
-                yield emit(gop_size)
+            while buffered_frames >= block_frames:
+                yield emit(block_frames)
         if buffered_frames:
             yield emit(buffered_frames)
         if bpps:

@@ -138,14 +138,6 @@ class GopRecord:
     def duration(self) -> float:
         return self.end_time - self.start_time
 
-    @property
-    def independent_frames(self) -> int:
-        return self.frame_types.count("I")
-
-    @property
-    def dependent_frames(self) -> int:
-        return self.frame_types.count("P")
-
 
 @dataclass(frozen=True)
 class TileGroupRecord:

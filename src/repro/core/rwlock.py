@@ -179,12 +179,6 @@ class RWLock:
             self.release_exclusive()
 
     @property
-    def active_readers(self) -> int:
-        """Threads currently holding the shared side (diagnostics)."""
-        with self._cond:
-            return len(self._readers)
-
-    @property
     def write_locked(self) -> bool:
         with self._cond:
             return self._writer is not None

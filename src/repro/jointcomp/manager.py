@@ -42,11 +42,6 @@ class JointReport:
             return 0.0
         return 1.0 - self.bytes_after / self.bytes_before
 
-    @property
-    def admitted_fraction(self) -> float:
-        total = self.pairs_compressed + self.pairs_rejected
-        return self.pairs_compressed / total if total else 0.0
-
 
 class JointCompressionManager:
     """Applies joint compression across a VSS store's logical videos."""

@@ -137,15 +137,6 @@ class JointCandidateSelector:
         return len(matches)
 
 
-def oracle_pairs(
-    frames: dict[object, np.ndarray], truly_overlapping: set[tuple[object, object]]
-) -> list[CandidatePair]:
-    """The Figure 11 oracle: returns exactly the ground-truth pairs."""
-    return [
-        CandidatePair(a, b, MIN_MATCHES) for (a, b) in sorted(truly_overlapping, key=str)
-    ]
-
-
 def random_pairs(
     keys: list[object], count: int, seed: int = 0
 ) -> list[tuple[object, object]]:

@@ -51,10 +51,6 @@ class Dataset:
         cam = self.rig.cameras[0]
         return (cam.width, cam.height)
 
-    @property
-    def num_cameras(self) -> int:
-        return len(self.rig.cameras)
-
     def video(
         self, camera: int | str = 0, start: int = 0, stop: int | None = None
     ) -> VideoSegment:

@@ -1,4 +1,4 @@
-"""Small shared utilities: deterministic RNG, wall-clock timing, byte sizes.
+"""Small shared utilities: deterministic RNG, wall-clock timing, parallel map.
 
 These helpers are deliberately tiny; anything with real policy lives in a
 dedicated module.
@@ -72,16 +72,6 @@ class StageTimers:
 
     def as_dict(self) -> dict[str, float]:
         return {name: timer.elapsed for name, timer in self.timers.items()}
-
-
-def human_bytes(n: int | float) -> str:
-    """Format a byte count for reports (e.g. ``'1.5 MB'``)."""
-    n = float(n)
-    for unit in ("B", "KB", "MB", "GB", "TB"):
-        if abs(n) < 1024.0 or unit == "TB":
-            return f"{n:.1f} {unit}" if unit != "B" else f"{int(n)} B"
-        n /= 1024.0
-    raise AssertionError("unreachable")
 
 
 class LogicalClock:

@@ -62,7 +62,7 @@ the same ``encode_segment`` call, which opens with its own I frame.
 
 ``encode_segment`` is one kernel built on exactly that:
 
-1. the calling thread steps up to ``_LOCKSTEP_GOPS`` GOPs in lockstep —
+1. the calling thread steps up to ``LOCKSTEP_GOPS`` GOPs in lockstep —
    frame ``k`` of each, stacked per plane group into one ``(gops,
    channels, h, w)`` array, goes through one phase-correlation FFT round,
    one in-place DCT, one quantise and one sparse inverse (the decode
@@ -117,8 +117,9 @@ _PLANE_HEADER = struct.Struct(">HHHHI")  # nby, nbx, height, width, payload size
 #: that a step's float32 working set (about ten arrays of ``gops x
 #: frame`` elements) stays near cache size at the frame sizes the store
 #: is run with.  Wider segments run as consecutive passes whose deflate
-#: tasks still overlap the next pass.
-_LOCKSTEP_GOPS = 4
+#: tasks still overlap the next pass.  The reader re-encodes a transcoded
+#: answer in blocks of this many GOPs, one pass per block.
+LOCKSTEP_GOPS = 4
 
 
 @dataclass
@@ -242,7 +243,7 @@ class BlockCodec:
         """The encode kernel: GOP ``g`` covers frames ``[g * size,
         (g + 1) * size)`` (the last one may be shorter).
 
-        Up to ``_LOCKSTEP_GOPS`` GOPs advance together: at step ``k``
+        Up to ``LOCKSTEP_GOPS`` GOPs advance together: at step ``k``
         frame ``k`` of each is stacked per plane group into one
         ``(gops, channels, h, w)`` array and moves through estimate ->
         compensate -> DCT -> quantise -> reconstruct as one array.  The
@@ -268,9 +269,9 @@ class BlockCodec:
         jobs = []  # (first gop, step, plane indices, deflate result)
         handoff_seconds = 0.0
 
-        for first in range(0, num_gops, _LOCKSTEP_GOPS):
+        for first in range(0, num_gops, LOCKSTEP_GOPS):
             lo = first * size
-            hi = min(total, lo + _LOCKSTEP_GOPS * size)
+            hi = min(total, lo + LOCKSTEP_GOPS * size)
             # Reconstructed planes of the previous step: one float32
             # ``(gops, channels, h, w)`` stack per plane group.
             previous: list[np.ndarray] = []

@@ -21,37 +21,6 @@ import numpy as np
 MAX_SHIFT = 32
 
 
-def luma_of(frame_planes: list[np.ndarray]) -> np.ndarray:
-    """A cheap luma proxy: the first plane (Y or R) as float32."""
-    return frame_planes[0].astype(np.float32)
-
-
-def phase_correlate(reference: np.ndarray, target: np.ndarray) -> tuple[int, int]:
-    """Estimate the (dy, dx) translation taking ``reference`` to ``target``.
-
-    Uses the standard cross-power-spectrum peak.  Returns integer shifts
-    clamped to +/-:data:`MAX_SHIFT`.
-    """
-    if reference.shape != target.shape:
-        raise ValueError(f"shape mismatch: {reference.shape} vs {target.shape}")
-    f_ref = np.fft.rfft2(reference)
-    f_tgt = np.fft.rfft2(target)
-    cross = f_tgt * np.conj(f_ref)
-    denom = np.abs(cross)
-    denom[denom == 0.0] = 1.0
-    correlation = np.fft.irfft2(cross / denom, s=reference.shape)
-    peak = np.unravel_index(np.argmax(correlation), correlation.shape)
-    dy, dx = int(peak[0]), int(peak[1])
-    h, w = reference.shape
-    if dy > h // 2:
-        dy -= h
-    if dx > w // 2:
-        dx -= w
-    dy = int(np.clip(dy, -MAX_SHIFT, MAX_SHIFT))
-    dx = int(np.clip(dx, -MAX_SHIFT, MAX_SHIFT))
-    return dy, dx
-
-
 def shift_window(
     plane: np.ndarray, dy: int, dx: int, y0: int, y1: int, x0: int, x1: int
 ) -> np.ndarray:
@@ -141,12 +110,14 @@ def _refine(
 def correlate_stack(
     references: np.ndarray, targets: np.ndarray
 ) -> list[tuple[int, int]]:
-    """:func:`phase_correlate` for every pair of a stack ``(N, h, w)``.
+    """Phase correlation for every pair of a stack ``(N, h, w)``: the
+    ``(dy, dx)`` translation taking each reference to its target, from
+    the cross-power-spectrum peak, clamped to +/-:data:`MAX_SHIFT`.
 
     One batched FFT round serves all ``N`` pairs.  The transform applies
     independently per trailing ``(h, w)`` slice, so each vector is
-    bit-identical to the single-pair call (fuzz-tested against it in
-    ``tests/test_codec.py``).
+    bit-identical to the single-pair oracle in ``tests/kernel_oracles.py``
+    (fuzz-tested against it in ``tests/test_codec.py``).
     """
     h, w = references.shape[-2:]
     f_ref = np.fft.rfft2(references)

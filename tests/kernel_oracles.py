@@ -18,8 +18,10 @@ deflate, for the oldest), which must still decode to the same pixels
 
 :class:`FullScanCacheManager` is the eviction scoring that walked every
 GOP of every other physical per page, whose scores and evictions the
-bisecting scorer must equal (``test_eviction_scores.py``).  Nothing under
-``src/`` imports this module.
+bisecting scorer must equal (``test_eviction_scores.py``), and
+:func:`phase_correlate` the single-pair motion search whose vectors the
+stacked ``motion.correlate_stack`` must equal (``test_codec.py``).
+Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -393,6 +395,32 @@ def dense_gop(gop: EncodedGOP, block: int, deflate=entropy.deflate) -> EncodedGO
             parts += [_PLANE_HEADER.pack(nby, nbx, h, w, len(dense)), dense]
         payloads.append(b"".join(parts))
     return replace(gop, payloads=payloads)
+
+
+def phase_correlate(reference: np.ndarray, target: np.ndarray) -> tuple[int, int]:
+    """Estimate the (dy, dx) translation taking ``reference`` to ``target``.
+
+    Uses the standard cross-power-spectrum peak.  Returns integer shifts
+    clamped to +/-``motion.MAX_SHIFT``.
+    """
+    if reference.shape != target.shape:
+        raise ValueError(f"shape mismatch: {reference.shape} vs {target.shape}")
+    f_ref = np.fft.rfft2(reference)
+    f_tgt = np.fft.rfft2(target)
+    cross = f_tgt * np.conj(f_ref)
+    denom = np.abs(cross)
+    denom[denom == 0.0] = 1.0
+    correlation = np.fft.irfft2(cross / denom, s=reference.shape)
+    peak = np.unravel_index(np.argmax(correlation), correlation.shape)
+    dy, dx = int(peak[0]), int(peak[1])
+    h, w = reference.shape
+    if dy > h // 2:
+        dy -= h
+    if dx > w // 2:
+        dx -= w
+    dy = int(np.clip(dy, -motion.MAX_SHIFT, motion.MAX_SHIFT))
+    dx = int(np.clip(dx, -motion.MAX_SHIFT, motion.MAX_SHIFT))
+    return dy, dx
 
 
 class FullScanCacheManager(CacheManager):

@@ -7,6 +7,9 @@ The contracts under test:
   output, pixel-format conversion, fps resampling, ROI/resolution
   changes, re-encoded compressed output (same GOP bytes), and
   direct-served reads (same stored bytes).
+* ``read`` is the same stream drained: on equally fresh engines both
+  report the same ``ReadStats`` (timings aside) and make the same
+  encoder calls, one per block of up to four output GOPs.
 * Peak resident frames stay O(GOP window): on a serial store nothing
   decodes ahead of the pull, and no chunk ever approaches the full
   read's size.
@@ -18,6 +21,7 @@ The contracts under test:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -27,6 +31,7 @@ from repro.core.engine import VSSEngine
 from repro.core.specs import ReadSpec
 from repro.errors import ReadError, VSSError
 from repro.video.codec.container import encode_container
+from repro.video.frame import VideoSegment
 
 
 @pytest.fixture()
@@ -342,21 +347,11 @@ class TestParallelStream:
     def test_streamed_transcode_fans_out_like_read(
         self, tmp_path, calibration, three_second_clip, monkeypatch
     ):
-        # A streamed hevc window re-encodes block by block; every block
-        # must go through the same executor fan-out as the one-shot read
-        # and produce the same three GOPs' bytes.
-        from repro.video.codec.blockcodec import BlockCodec
-
+        # A 3-GOP hevc window is one encoder pass on either path: one
+        # ``encode_segment`` call on the engine's executor, same bytes.
         engine = VSSEngine(
             tmp_path / "p2", calibration=calibration, parallelism=2
         )
-        seen = []
-        encode_segment = BlockCodec.encode_segment
-
-        def recording(self, *args, **kwargs):
-            seen.append(kwargs.get("executor"))
-            return encode_segment(self, *args, **kwargs)
-
         try:
             session = engine.session()
             session.write(
@@ -366,20 +361,118 @@ class TestParallelStream:
             spec = ReadSpec(
                 "v", 0.15, 2.85, codec="hevc", qp=14, cache=False
             )
-            monkeypatch.setattr(BlockCodec, "encode_segment", recording)
+            calls = _record_encodes(monkeypatch)
             full = session.read(spec)
+            read_calls = list(calls)
+            calls.clear()
             stream = session.read_stream(spec)
             streamed = [g for chunk in stream for g in chunk.gops]
         finally:
             engine.close()
         assert len(full.gops) == 3
-        assert b"".join(p for g in streamed for p in g.payloads) == (
-            b"".join(p for g in full.gops for p in g.payloads)
-        )
-        assert len(seen) == 1 + 3 and all(e is engine.executor for e in seen)
+        assert _gop_bytes(streamed) == _gop_bytes(full.gops)
+        assert read_calls == calls == [(81, engine.executor)]
         assert stream.stats.codec_frames_encoded == (
             full.stats.codec_frames_encoded
         ) == 81
+
+    def test_long_transcode_encodes_in_lockstep_blocks(
+        self, serial_engine, three_second_clip, monkeypatch
+    ):
+        """Five output GOPs encode as one 4-GOP block plus one 1-GOP
+        block on both paths, one stream chunk per block."""
+        clip = VideoSegment(
+            np.concatenate([three_second_clip.pixels] * 2), "rgb", 36, 64,
+            fps=30.0,
+        )
+        session = serial_engine.session()
+        session.write("v", clip, codec="h264", qp=10, gop_size=30)
+        serial_engine.drain_admissions()
+        spec = ReadSpec("v", 0.0, 5.0, codec="hevc", qp=14, cache=False)
+        calls = _record_encodes(monkeypatch)
+        full = session.read(spec)
+        read_frames = [frames for frames, _ in calls]
+        calls.clear()
+        chunks = list(session.read_stream(spec))
+        assert read_frames == [frames for frames, _ in calls] == [120, 30]
+        assert [len(chunk.gops) for chunk in chunks] == [4, 1]
+        assert _gop_bytes(
+            [g for chunk in chunks for g in chunk.gops]
+        ) == _gop_bytes(full.gops)
+
+
+def _record_encodes(monkeypatch) -> list[tuple]:
+    """Record ``(frames, executor)`` of every ``encode_segment`` call."""
+    from repro.video.codec.blockcodec import BlockCodec
+
+    calls = []
+    encode_segment = BlockCodec.encode_segment
+
+    def recording(self, segment, *args, **kwargs):
+        calls.append((segment.num_frames, kwargs.get("executor")))
+        return encode_segment(self, segment, *args, **kwargs)
+
+    monkeypatch.setattr(BlockCodec, "encode_segment", recording)
+    return calls
+
+
+class TestStatsParity:
+    """``read`` is ``read_stream`` drained: on equally fresh engines the
+    two report the same stats, timings aside."""
+
+    SPECS = {
+        "direct": ReadSpec("traffic", 0.0, 3.0, codec="h264", qp=10),
+        "raw_rgb": ReadSpec("traffic", 0.1, 2.9, codec="raw"),
+        "raw_yuv420_half": ReadSpec(
+            "traffic", 0.1, 2.9, codec="raw", pixel_format="yuv420",
+            resolution=(32, 18),
+        ),
+        "h264_roi": ReadSpec(
+            "traffic", 0.0, 2.0, codec="h264", qp=14, roi=(8, 4, 56, 32)
+        ),
+        "hevc_unaligned": ReadSpec("traffic", 0.15, 2.85, codec="hevc", qp=14),
+    }
+    UNTIMED = {"wall_seconds", "plan_cached"}
+
+    @classmethod
+    def _untimed(cls, stats) -> dict:
+        return {
+            name: value
+            for name, value in dataclasses.asdict(stats).items()
+            if name not in cls.UNTIMED
+            and not (name.startswith("codec_") and name.endswith("_seconds"))
+        }
+
+    @pytest.mark.parametrize("case", sorted(SPECS))
+    def test_read_and_stream_stats_agree(
+        self, tmp_path, calibration, three_second_clip, case
+    ):
+        spec = self.SPECS[case].replace(cache=False)
+        stats = {}
+        for how in ("read", "read_stream"):
+            engine = VSSEngine(
+                tmp_path / how, calibration=calibration, parallelism=1
+            )
+            try:
+                session = engine.session()
+                session.write(
+                    "traffic", three_second_clip, codec="h264", qp=10,
+                    gop_size=30,
+                )
+                engine.drain_admissions()
+                if how == "read":
+                    stats[how] = session.read(spec).stats
+                else:
+                    stream = session.read_stream(spec)
+                    for _ in stream:
+                        pass
+                    stats[how] = stream.stats
+            finally:
+                engine.close()
+        assert stats["read"].direct_serve == (case == "direct")
+        assert self._untimed(stats["read"]) == self._untimed(
+            stats["read_stream"]
+        )
 
 
 class TestNoAliasingOfCachedPixels:
