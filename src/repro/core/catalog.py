@@ -352,28 +352,23 @@ class Catalog:
             )
             conn.commit()
 
-    def delete_logical(
-        self, logical_id: int, guard_over: str | None = None
-    ) -> None:
-        """Delete a logical video's rows.
+    def delete_logical(self, logical_id: int, force: bool = False) -> list[str]:
+        """Delete a logical video's rows and return the views cascaded.
 
-        ``guard_over`` (the video's name) makes the delete refuse —
-        atomically, inside the writer transaction — when any view is
-        still defined over it, closing the race where a concurrent
-        ``create_view`` lands between the caller's dependency scan and
-        the delete (which would orphan the new view).
+        Views transitively defined over the video refuse the delete
+        unless ``force``, which deletes them too.  The dependents check,
+        the cascade and the delete are one writer transaction, so a
+        concurrent ``create_view`` either lands first (and is cascaded
+        or refuses the delete) or finds its base gone.
         """
         with self._write() as conn:
-            if guard_over is not None:
-                row = conn.execute(
-                    "SELECT name FROM views WHERE over = ? LIMIT 1",
-                    (guard_over,),
-                ).fetchone()
-                if row is not None:
-                    raise CatalogError(
-                        f"view {row['name']!r} is defined over "
-                        f"{guard_over!r}"
-                    )
+            row = conn.execute(
+                "SELECT name FROM logical_videos WHERE id = ?", (logical_id,)
+            ).fetchone()
+            cascaded = (
+                [] if row is None
+                else self._delete_dependents(conn, row["name"], force)
+            )
             for hook in self._delete_hooks:
                 hook(conn, logical_id)
             conn.execute(
@@ -395,6 +390,7 @@ class Catalog:
             )
             conn.commit()
         self.bump_data_version(logical_id)
+        return cascaded
 
     def add_delete_hook(self, hook) -> None:
         """Register ``hook(conn, logical_id)`` to run inside the
@@ -514,34 +510,51 @@ class Catalog:
             value = conn.execute("SELECT COUNT(*) FROM views").fetchone()[0]
         return int(value)
 
-    def views_over(self, name: str) -> list[ViewRecord]:
-        """Views defined directly over ``name`` (one dependency level)."""
-        with self._read() as conn:
-            rows = conn.execute(
-                "SELECT * FROM views WHERE over = ? ORDER BY name", (name,)
-            ).fetchall()
-        return [self._view_from_row(r) for r in rows]
+    def delete_view(self, name: str, force: bool = False) -> list[str]:
+        """Delete one view definition and return every view deleted.
 
-    def delete_view(self, name: str) -> None:
-        """Delete one view definition.
-
-        Refuses — atomically, inside the writer transaction — while
-        other views are still defined over ``name``, so a concurrent
-        ``create_view`` can never be orphaned by this delete (the
-        engine cascades dependents deepest-first and retries).
+        Like :meth:`delete_logical`: dependents refuse the delete unless
+        ``force`` cascades them, all in one writer transaction.  A name
+        that is not a view raises :class:`VideoNotFoundError`.
         """
         with self._write() as conn:
-            row = conn.execute(
-                "SELECT name FROM views WHERE over = ? LIMIT 1", (name,)
-            ).fetchone()
-            if row is not None:
-                raise CatalogError(
-                    f"view {row['name']!r} is defined over {name!r}"
-                )
-            cursor = conn.execute("DELETE FROM views WHERE name = ?", (name,))
+            if not conn.execute(
+                "SELECT 1 FROM views WHERE name = ?", (name,)
+            ).fetchone():
+                raise VideoNotFoundError(name)
+            cascaded = self._delete_dependents(conn, name, force)
+            conn.execute("DELETE FROM views WHERE name = ?", (name,))
             conn.commit()
-        if cursor.rowcount == 0:
-            raise VideoNotFoundError(name)
+        return sorted([name, *cascaded])
+
+    @staticmethod
+    def _delete_dependents(
+        conn: sqlite3.Connection, name: str, force: bool
+    ) -> list[str]:
+        """Delete the views transitively defined over ``name`` inside the
+        caller's writer transaction; without ``force`` any dependent
+        raises before a row changes.  ``UNION`` drops rows already found,
+        so a cycle written behind the API still terminates."""
+        dependents = [
+            row["name"]
+            for row in conn.execute(
+                "WITH RECURSIVE dependents(name) AS ("
+                " SELECT name FROM views WHERE over = ?"
+                " UNION SELECT views.name FROM views"
+                " JOIN dependents ON views.over = dependents.name)"
+                " SELECT name FROM dependents WHERE name != ? ORDER BY name",
+                (name, name),
+            )
+        ]
+        if dependents and not force:
+            raise CatalogError(
+                f"cannot delete {name!r}: view(s) {dependents} are defined "
+                f"over it; delete them first or pass force=True to cascade"
+            )
+        conn.executemany(
+            "DELETE FROM views WHERE name = ?", [(n,) for n in dependents]
+        )
+        return dependents
 
     @staticmethod
     def _view_from_row(row: sqlite3.Row) -> ViewRecord:

@@ -576,10 +576,6 @@ class VSSEngine:
         """
         return self.catalog.create_logical(name, budget_bytes)
 
-    #: Retry budget for delete-vs-create_view races (each retry re-scans
-    #: and cascades views created concurrently over the dying name).
-    _DELETE_RETRIES = 8
-
     def delete(self, name: str, force: bool = False) -> None:
         """Delete a logical video or a derived view.
 
@@ -587,18 +583,11 @@ class VSSEngine:
         and any fragments cached through the view stay.  Deleting a name
         (view or video) that other views are defined over raises
         :class:`CatalogError` unless ``force=True``, which cascades the
-        delete through every transitively dependent view first.  The
-        final catalog deletion is guarded inside the writer transaction,
-        so a ``create_view`` racing this delete can never be orphaned:
-        a view created over a name mid-delete is cascaded as well.
+        delete through every transitively dependent view.  The
+        dependents check, the cascade and the delete are one catalog
+        transaction, so a ``create_view`` racing this delete is either
+        cascaded or finds its base gone.
         """
-        dependents = self._dependent_views(name)
-        if dependents and not force:
-            raise CatalogError(
-                f"cannot delete {name!r}: view(s) "
-                f"{[v.name for v in dependents]} are defined over it; "
-                f"delete them first or pass force=True to cascade"
-            )
         kind = self.catalog.name_kind(name)
         if kind is None:
             raise VideoNotFoundError(name)
@@ -613,17 +602,12 @@ class VSSEngine:
             self.decode_cache.invalidate_many(
                 g.id for g in self.catalog.gops_of_logical(logical.id)
             )
-            # Catalog rows go before the page files: the guarded delete
-            # can refuse (a view landed concurrently), and refusing must
-            # leave the video fully intact — files vanish only once the
-            # catalog no longer references them (the per-logical lock
-            # keeps a same-name re-create from racing the file removal).
-            self._delete_with_view_guard(
-                name,
-                force,
-                lambda: self.catalog.delete_logical(
-                    logical.id, guard_over=name
-                ),
+            # Catalog rows go before the page files: a refused delete
+            # leaves the video fully intact, and files vanish only once
+            # the catalog no longer references them (the per-logical
+            # lock keeps a same-name re-create from racing the removal).
+            self._forget_views(
+                self.catalog.delete_logical(logical.id, force=force)
             )
             self.layout.delete_logical_files(name)
             # Retire the per-logical bookkeeping so name/id churn cannot
@@ -639,73 +623,19 @@ class VSSEngine:
         """Delete a derived view's definition — never stored video data.
 
         Unlike :meth:`delete`, a name that is (or mid-call becomes) a
-        logical video raises :class:`VideoNotFoundError`: the deletion
-        itself only ever touches view rows, so no race can reach stored
-        bytes.  ``force`` cascades dependent views, exactly as in
+        logical video raises :class:`VideoNotFoundError`: the catalog
+        deletion only ever touches view rows, so no race can reach
+        stored bytes.  ``force`` cascades dependent views, exactly as in
         :meth:`delete`.
         """
-        if self.catalog.name_kind(name) != "view":
-            raise VideoNotFoundError(name)
-        dependents = self._dependent_views(name)
-        if dependents and not force:
-            raise CatalogError(
-                f"cannot delete {name!r}: view(s) "
-                f"{[v.name for v in dependents]} are defined over it; "
-                f"delete them first or pass force=True to cascade"
-            )
-        self._delete_with_view_guard(
-            name, force, lambda: self.catalog.delete_view(name)
-        )
+        self._forget_views(self.catalog.delete_view(name, force=force))
+
+    def _forget_views(self, names: list[str]) -> None:
+        """Drop deleted views from the in-memory name set and counters."""
         with self._state_lock:
-            self._view_names.discard(name)
-            self._view_reads.pop(name, None)
-
-    def _delete_with_view_guard(self, name: str, force: bool, attempt) -> None:
-        """Run a dependent-guarded catalog row deletion to completion.
-
-        ``attempt`` performs the deletion and raises :class:`CatalogError`
-        while views are still defined over ``name`` (checked inside the
-        writer transaction).  With ``force`` each retry re-scans and
-        cascades views that landed concurrently; without it the race
-        surfaces the same error a pre-existing dependent would.  A
-        target already deleted by a concurrent call counts as done.
-        """
-        for _ in range(self._DELETE_RETRIES):
-            if force:
-                self._purge_dependent_views(name)
-            try:
-                attempt()
-            except VideoNotFoundError:
-                break  # a concurrent delete won; nothing left
-            except CatalogError:
-                if not force:
-                    raise CatalogError(
-                        f"cannot delete {name!r}: view(s) were created "
-                        f"over it concurrently; pass force=True to cascade"
-                    ) from None
-                continue
-            break
-        else:
-            raise CatalogError(
-                f"could not delete {name!r}: concurrent view creation "
-                f"kept adding dependents"
-            )
-
-    def _purge_dependent_views(self, name: str) -> None:
-        """Best-effort cascade of views over ``name``, children first.
-
-        Each pass re-scans, so definitions created while the purge runs
-        are caught by the caller's retry loop; a view that regrew
-        children (or vanished) mid-pass is simply left for the next.
-        """
-        for view in reversed(self._dependent_views(name)):
-            try:
-                self.catalog.delete_view(view.name)
-            except (VideoNotFoundError, CatalogError):
-                continue
-            with self._state_lock:
-                self._view_names.discard(view.name)
-                self._view_reads.pop(view.name, None)
+            for name in names:
+                self._view_names.discard(name)
+                self._view_reads.pop(name, None)
 
     def list_videos(self, kind: str = "all") -> list[str]:
         """Names in the store, deterministically sorted.
@@ -763,35 +693,20 @@ class VSSEngine:
         # (the catalog re-checks authoritatively under its writer lock).
         if self.catalog.name_kind(name) is not None:
             raise VideoExistsError(name)
-        # Walk the chain for depth/cycle violations (creation order makes
-        # true cycles impossible — a view's parent must already exist and
-        # definitions are immutable — so the cycle arm is defense in
-        # depth against catalog corruption) and *merge while walking*:
-        # folding the new spec through every ancestor validates the
+        chain = self._view_chain(spec.over)
+        if len(chain) >= MAX_VIEW_DEPTH:
+            raise CatalogError(
+                f"view {name!r} would nest deeper than "
+                f"{MAX_VIEW_DEPTH} levels"
+            )
+        base = chain[-1].spec.over if chain else spec.over
+        if self.catalog.name_kind(base) is None:
+            raise VideoNotFoundError(base)
+        # Folding the new spec through every ancestor validates the
         # statically checkable geometry of the whole chain, not just the
         # immediate parent, so e.g. a window disjoint with a grandparent
         # fails here instead of on every future read.
-        depth, seen, cursor, merged = 0, {name}, spec, spec
-        while True:
-            over = cursor.over
-            if over in seen:
-                raise CatalogError(
-                    f"view {name!r} would create a cycle through {over!r}"
-                )
-            seen.add(over)
-            ancestor = self.catalog.find_view(over)
-            if ancestor is None:
-                if self.catalog.name_kind(over) is None:
-                    raise VideoNotFoundError(over)
-                break
-            depth += 1
-            if depth >= MAX_VIEW_DEPTH:
-                raise CatalogError(
-                    f"view {name!r} would nest deeper than "
-                    f"{MAX_VIEW_DEPTH} levels"
-                )
-            merged = merge_views(merged, ancestor.spec)
-            cursor = ancestor.spec
+        functools.reduce(merge_views, (v.spec for v in chain), spec)
         record = self.catalog.create_view(name, spec)
         with self._state_lock:
             self._view_names.add(name)
@@ -818,6 +733,31 @@ class VSSEngine:
                 return None
         return self.catalog.find_view(name)
 
+    def _view_chain(self, name: str) -> list[ViewRecord]:
+        """The views ``name`` resolves through, outermost first (empty
+        for a logical video or an unknown name).
+
+        The only upward walk: reads, ``create_view`` and view stats all
+        use it.  It reads the catalog without the per-logical lock: a
+        view definition is immutable, so the only race is a concurrent
+        delete, which makes the walk behave as if it started a moment
+        earlier.  Creation order makes cycles impossible, so the cycle
+        arm only guards against a corrupted catalog.
+        """
+        chain: list[ViewRecord] = []
+        view = self._find_view_fast(name)
+        while view is not None:
+            if any(v.name == view.name for v in chain):
+                raise CatalogError(f"view cycle detected at {view.name!r}")
+            chain.append(view)
+            if len(chain) > MAX_VIEW_DEPTH:
+                raise CatalogError(
+                    f"view chain over {name!r} exceeds depth "
+                    f"{MAX_VIEW_DEPTH}"
+                )
+            view = self._find_view_fast(view.spec.over)
+        return chain
+
     def _resolve_read_spec(self, spec: ReadSpec) -> tuple[ReadSpec, list[str]]:
         """Fold a request whose name may be a view into the effective
         read against the base logical video.
@@ -826,53 +766,13 @@ class VSSEngine:
         child's explicit pins always beat an ancestor's), then the
         request folds once over the merged view.  Returns the folded
         spec plus the chain of view names traversed (outermost first;
-        empty for a direct read).  Resolution reads the catalog without
-        the per-logical lock: a view definition is immutable, so the
-        only race is a concurrent delete, which simply makes this read
-        behave as if it started a moment earlier.
+        empty for a direct read).
         """
-        chain: list[str] = []
-        merged: ViewSpec | None = None
-        name = spec.name
-        while True:
-            view = self._find_view_fast(name)
-            if view is None:
-                break
-            if view.name in chain:
-                raise CatalogError(
-                    f"view cycle detected at {view.name!r}"
-                )
-            chain.append(view.name)
-            if len(chain) > MAX_VIEW_DEPTH:
-                raise CatalogError(
-                    f"view chain over {spec.name!r} exceeds depth "
-                    f"{MAX_VIEW_DEPTH}"
-                )
-            merged = (
-                view.spec
-                if merged is None
-                else merge_views(merged, view.spec)
-            )
-            name = view.spec.over
-        if merged is None:
-            return spec, chain
-        return fold_view(spec, merged), chain
-
-    def _dependent_views(self, name: str) -> list[ViewRecord]:
-        """Views transitively defined over ``name``, in discovery order
-        (every view appears after the parent it was discovered through,
-        so reversing the list yields children before their parents)."""
-        out: list[ViewRecord] = []
-        seen = {name}
-        frontier = [name]
-        while frontier:
-            for view in self.catalog.views_over(frontier.pop()):
-                if view.name in seen:
-                    continue
-                seen.add(view.name)
-                out.append(view)
-                frontier.append(view.name)
-        return out
+        chain = self._view_chain(spec.name)
+        if not chain:
+            return spec, []
+        merged = functools.reduce(merge_views, (v.spec for v in chain))
+        return fold_view(spec, merged), [v.name for v in chain]
 
     def _require_storage(self, name: str, operation: str) -> None:
         """Reject storage-management operations aimed at a view."""
@@ -1746,9 +1646,9 @@ class VSSEngine:
         view: a :class:`ViewStats` describing the definition, the chain,
         the traffic routed through it, and the base's storage.
         """
-        view = self._find_view_fast(name)
-        if view is not None:
-            return self._view_stats(view)
+        chain = self._view_chain(name)
+        if chain:
+            return self._view_stats(chain)
         logical = self.catalog.get_logical(name)
         fragments = self.catalog.fragments_of_logical(logical.id)
         gops = self.catalog.gops_of_logical(logical.id)
@@ -1761,19 +1661,8 @@ class VSSEngine:
             num_gops=len(gops),
         )
 
-    def _view_stats(self, view: ViewRecord) -> ViewStats:
-        depth, seen, base = 1, {view.name}, view.spec.over
-        while True:
-            parent = self.catalog.find_view(base)
-            if parent is None:
-                break
-            if parent.name in seen or depth >= MAX_VIEW_DEPTH:
-                raise CatalogError(
-                    f"view chain over {view.name!r} is cyclic or too deep"
-                )
-            seen.add(parent.name)
-            depth += 1
-            base = parent.spec.over
+    def _view_stats(self, chain: list[ViewRecord]) -> ViewStats:
+        view, base = chain[0], chain[-1].spec.over
         with self._state_lock:
             reads = self._view_reads.get(view.name, 0)
         base_stats = self.video_stats(base)
@@ -1782,7 +1671,7 @@ class VSSEngine:
             name=view.name,
             over=view.spec.over,
             base=base,
-            depth=depth,
+            depth=len(chain),
             reads=reads,
             spec=view.spec,
             base_stats=base_stats,

@@ -425,8 +425,8 @@ class Reader:
         batch = BatchStats(num_reads=len(plans))
         overlay = BatchDecodeCache(self.decode_cache)
         direct_by_plan = [self._direct_serve_records(plan) for plan in plans]
-        # gop_id -> (record, fragment, deepest stop frame needed)
-        needed: dict[int, tuple[GopRecord, Fragment, int]] = {}
+        # gop_id -> (record, deepest stop frame needed)
+        needed: dict[int, tuple[GopRecord, int]] = {}
         for plan, direct in zip(plans, direct_by_plan):
             if direct is not None:
                 continue  # byte-served: no decode work to share
@@ -442,15 +442,15 @@ class Reader:
                     )
                     batch.window_requests += 1
                     current = needed.get(record.id)
-                    if current is None or stop > current[2]:
-                        needed[record.id] = (record, choice.fragment, stop)
+                    if current is None or stop > current[1]:
+                        needed[record.id] = (record, stop)
         batch.unique_gops = len(needed)
 
-        def warm(entry: tuple[GopRecord, Fragment, int]) -> int:
-            record, fragment, stop = entry
+        def warm(entry: tuple[GopRecord, int]) -> int:
+            record, stop = entry
             if overlay.peek(record.id, stop):
                 return 0  # an earlier read already decoded this deep
-            encoded = self._load_gop(record, fragment)
+            encoded = self._load_gop(record)
             codec = codec_for(encoded.codec)
             if codec.is_compressed:
                 # Batch-warmed decodes are shared engine work: the reads
@@ -888,7 +888,7 @@ class Reader:
                 if first_needed:
                     prefix = prefix.slice_frames(first_needed, stop)
                 return _GopWindow(prefix, 0, 0, 0, True)
-        encoded = self._load_gop(record, fragment)
+        encoded = self._load_gop(record)
         codec = codec_for(encoded.codec)
         timings: CodecTimings | None = None
         if codec.is_compressed:
@@ -919,7 +919,7 @@ class Reader:
             timings,
         )
 
-    def _load_gop(self, record: GopRecord, fragment: Fragment) -> EncodedGOP:
+    def _load_gop(self, record: GopRecord) -> EncodedGOP:
         if record.joint_pair_id is not None:
             # Joint GOPs are reconstructed from their shared pair pieces.
             from repro.jointcomp.recovery import recover_gop

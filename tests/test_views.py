@@ -18,6 +18,7 @@ flushing into ``EngineStats``, snapshot-consistent ``list_videos`` /
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -40,6 +41,7 @@ from repro.errors import (
     ReadError,
     VideoExistsError,
     VideoNotFoundError,
+    VSSError,
     WriteError,
 )
 
@@ -562,18 +564,34 @@ class TestViewLifecycle:
     def test_catalog_deletes_are_guarded_against_dependents(
         self, loaded_engine
     ):
-        """The writer-transaction guards behind the delete-vs-create_view
-        race: a name with live dependents refuses to leave the catalog."""
+        """Each catalog delete checks, cascades and deletes in one
+        writer transaction: a name with live dependents refuses to leave
+        the catalog, and ``force`` returns every view it removed."""
         loaded_engine.create_view("a", ViewSpec(over="traffic"))
         loaded_engine.create_view("b", ViewSpec(over="a"))
         catalog = loaded_engine.catalog
-        with pytest.raises(CatalogError, match="defined over"):
-            catalog.delete_view("a")
         logical = catalog.get_logical("traffic")
         with pytest.raises(CatalogError, match="defined over"):
-            catalog.delete_logical(logical.id, guard_over="traffic")
-        assert loaded_engine.exists("traffic")  # nothing was deleted
-        assert loaded_engine.exists("b")
+            catalog.delete_view("a")
+        with pytest.raises(CatalogError, match="defined over"):
+            catalog.delete_logical(logical.id)
+        # nothing was deleted
+        assert loaded_engine.list_videos() == ["a", "b", "traffic"]
+        assert catalog.delete_view("a", force=True) == ["a", "b"]
+        assert loaded_engine.list_videos() == ["traffic"]
+
+        empty = loaded_engine.create("empty")
+        loaded_engine.create_view("c", ViewSpec(over="empty"))
+        loaded_engine.create_view("d", ViewSpec(over="c"))
+        assert catalog.delete_logical(empty.id, force=True) == ["c", "d"]
+        assert loaded_engine.list_videos() == ["traffic"]
+
+        # The engine drops exactly the names its cascades return.
+        loaded_engine.create_view("a", ViewSpec(over="traffic"))
+        loaded_engine.create_view("b", ViewSpec(over="a"))
+        loaded_engine.delete("traffic", force=True)
+        assert loaded_engine.list_videos() == []
+        assert not loaded_engine._view_names & {"a", "b"}
 
     def test_depth_limit(self, loaded_engine):
         over = "traffic"
@@ -606,6 +624,118 @@ class TestViewLifecycle:
             loaded_engine.session().read(
                 "a", 0.0, 1.0, codec="raw", cache=False
             )
+
+    def test_force_delete_terminates_on_corrupted_cycle(self, loaded_engine):
+        """Cycles injected behind the API: the cascade's recursive query
+        still terminates, and a force delete of the base leaves no view."""
+        for name, over in (("a", "traffic"), ("b", "a"), ("c", "b")):
+            loaded_engine.create_view(name, ViewSpec(over=over))
+        catalog: Catalog = loaded_engine.catalog
+        import json as _json
+
+        with catalog._write() as conn:
+            # 'a' now resolves over 'c' (a -> c -> b -> a), while its
+            # dependency row still hangs the chain under 'traffic'.
+            conn.execute(
+                "UPDATE views SET spec = ? WHERE name = 'a'",
+                (_json.dumps(ViewSpec(over="c").to_dict()),),
+            )
+            # 'x' <-> 'y' cycle in the dependency rows themselves.
+            for name, over in (("x", "y"), ("y", "x")):
+                conn.execute(
+                    "INSERT INTO views (name, over, spec, created_at)"
+                    " VALUES (?, ?, ?, 0)",
+                    (name, over, _json.dumps(ViewSpec(over=over).to_dict())),
+                )
+            conn.commit()
+        with pytest.raises(CatalogError, match="cycle|depth|exceeds"):
+            loaded_engine.session().read(
+                "a", 0.0, 1.0, codec="raw", cache=False
+            )
+        with pytest.raises(CatalogError, match="force"):
+            loaded_engine.delete("x")
+        loaded_engine.delete("x", force=True)
+        loaded_engine.delete("traffic", force=True)
+        assert loaded_engine.list_videos() == []
+
+
+# ----------------------------------------------------------------------
+# the delete-vs-create_view race
+# ----------------------------------------------------------------------
+class TestDeleteCreateViewRace:
+    SECONDS = 2.0
+
+    @pytest.mark.parametrize("force", [True, False])
+    def test_no_view_outlives_its_base(self, engine, tiny_clip, force):
+        """A delete cascading ``base`` races three threads creating views
+        over it.  The check, the cascade and the delete are one catalog
+        transaction, so each create either is cascaded or finds ``base``
+        gone; no view is ever left over a missing name, and a forced
+        delete never gives up."""
+        session = engine.session()
+        stop = threading.Event()
+        errors: list[Exception] = []
+        refusals: list[str] = []
+        created: list[str] = []
+        orphans: list[list[str]] = []
+
+        def deleter() -> None:
+            try:
+                while not stop.is_set():
+                    session.write("base", tiny_clip, codec="raw")
+                    if not force:
+                        for view in engine.list_videos("view"):
+                            engine.delete(view)
+                    try:
+                        engine.delete("base", force=force)
+                    except CatalogError as exc:
+                        refusals.append(str(exc))
+                        continue
+                    # Until this thread writes it again, no create can
+                    # land over 'base': any view over it is an orphan.
+                    orphans.append(
+                        [v.name for v in engine.list_views()
+                         if v.over == "base"]
+                    )
+            except Exception as exc:
+                errors.append(exc)
+
+        def creator(k: int) -> None:
+            i = 0
+            while not stop.is_set():
+                i += 1
+                try:
+                    engine.create_view(f"v{k}-{i}", ViewSpec(over="base"))
+                    created.append(f"v{k}-{i}")
+                except VSSError:
+                    pass
+                except Exception as exc:
+                    errors.append(exc)
+                    return
+
+        threads = [threading.Thread(target=deleter)] + [
+            threading.Thread(target=creator, args=(k,)) for k in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            stop.wait(self.SECONDS)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert created and (orphans or refusals)  # both sides ran
+        assert not any(orphans), orphans
+        assert all("force" in message for message in refusals)
+        if force:
+            assert not refusals
+        names = set(engine.list_videos())
+        assert all(view.over in names for view in engine.list_views())
 
 
 # ----------------------------------------------------------------------
