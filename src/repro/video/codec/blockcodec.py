@@ -33,20 +33,27 @@ Decode fast path
 Only the compensate-add-clip recurrence actually chains frame ``k`` to
 frame ``k-1``; every frame's residual reconstruction (inflate -> zigzag
 unscan -> dequantize -> inverse DCT) is independent.  ``decode_gop_frames``
-exploits this with a two-stage split:
+parses every frame and plane header up front, then works through each
+plane group in blocks of frames (:func:`~repro.video.frame.frame_blocks`,
+two float32 planes' worth per channel):
 
-1. a batched residual stage that parses every frame/plane header up front,
-   inflates every plane payload into its ``(mask, rows)`` (optionally
-   fanned across the shared :class:`~repro.core.executor.Executor`),
-   stacks each plane shape's masks and coded rows, and runs a single
-   fused dequantize-inverse-DCT over only the coded blocks;
-2. a cheap sequential pass that just compensates, adds the precomputed
-   residual, and clips, followed by one vectorized rint/uint8 conversion
-   over the whole GOP.
+1. a batched residual stage inflates the block's plane payloads into
+   their ``(mask, rows)`` (optionally fanned across the shared
+   :class:`~repro.core.executor.Executor`), stacks the masks and coded
+   rows, and runs one fused dequantize-inverse-DCT over only the coded
+   blocks, scattered into one residual buffer;
+2. a sequential pass over the block's frames compensates the group's
+   previous reconstruction, adds the residual and clips, and rounds each
+   frame straight into the uint8 output.
 
-Same-shape planes (a GOP's RGB channels, or a YUV pair of chroma planes)
-are grouped and move through both stages as one array.  The output is
-bit-identical to the per-frame scalar loop kept in
+The residual buffer, and per plane group one float32 reconstruction and
+one prediction buffer, are allocated once per call: a whole-GOP float32
+stack is 7.5 MB for 30 frames at 192x108, and under vssbench's
+allocator settings every call faulted such temporaries in afresh.  The
+reconstruction carries from one block to the next, so the blocks only
+bound memory.  Same-shape planes (a GOP's RGB channels, or a YUV pair of
+chroma planes) are grouped and move through both stages as one array.
+The output is bit-identical to the per-frame scalar loop kept in
 ``tests/kernel_oracles.py`` — both the fuzz oracle for that guarantee and
 the baseline the codec throughput benchmark measures against.
 
@@ -103,6 +110,7 @@ from repro.video.codec import dct, entropy, motion, quant
 from repro.video.codec.container import EncodedGOP
 from repro.video.frame import (
     VideoSegment,
+    frame_blocks,
     frames_plane_views,
     pixel_format,
 )
@@ -128,13 +136,14 @@ class CodecTimings:
     ``decode_gop_frames`` / ``encode_segment`` calls that share one
     instance.
 
-    Decode stage attribution: ``entropy_seconds`` covers header parsing,
-    inflate, and the zigzag unscan; ``transform_seconds`` the fused
-    dequantize-inverse-DCT (including the sparse scatter);
-    ``compensate_seconds`` the sequential recurrence plus output packing
-    (rint/uint8 and frame assembly).  ``decoded_bytes`` counts *output*
-    pixel bytes, so ``decoded_bytes / sum-of-stages`` is the codec's
-    decode MB/s.
+    Decode stage attribution, summed over a call's blocks of frames:
+    ``entropy_seconds`` covers header parsing, inflate, and the zigzag
+    unscan; ``transform_seconds`` the fused dequantize-inverse-DCT,
+    including the per-block scatter of the coded blocks into the
+    residual buffer; ``compensate_seconds`` the sequential recurrence
+    and rounding each frame into the output.  ``decoded_bytes`` counts
+    *output* pixel bytes, so ``decoded_bytes / sum-of-stages`` is the
+    codec's decode MB/s.
 
     Encode attribution: ``encode_recurrence_seconds`` is the calling
     thread's time in the lockstep loop (estimate, compensate, DCT,
@@ -348,6 +357,7 @@ class BlockCodec:
                         ),
                         nonzero.reshape(-1, nby, nbx),
                         block,
+                        np.empty_like(stack),
                     ).reshape(stack.shape)[:, :, :h, :w]
                     if step:
                         for gop, prediction in enumerate(predictions):
@@ -429,14 +439,15 @@ class BlockCodec:
         the start of the GOP — the caller cannot skip frames.  (This is the
         physical behaviour behind the paper's look-back cost.)
 
-        The residual work for all ``stop`` frames runs first as batched
-        array ops (see the module docstring); the frame-to-frame recurrence
-        then only compensates, adds, and clips.  ``executor`` (an
-        :class:`repro.core.executor.Executor`, optional) fans the plane
-        inflates across worker threads; ``timings`` (optional) accumulates
-        per-stage wall time.  Either plane layout decodes, frame by frame
-        as its type byte says; output pixels are bit-identical to the
-        scalar oracle's.
+        Per plane group and block of frames, the residual work runs as
+        batched array ops, then the frame-to-frame recurrence only
+        compensates, adds, clips and rounds into the output (see the
+        module docstring).  ``executor`` (an
+        :class:`repro.core.executor.Executor`, optional) fans each block's
+        plane inflates across worker threads; ``timings`` (optional)
+        accumulates per-stage wall time.  Either plane layout decodes,
+        frame by frame as its type byte says; output pixels are
+        bit-identical to the scalar oracle's.
         """
         if gop.codec != self.name:
             raise CodecError(f"GOP was encoded with {gop.codec!r}, not {self.name!r}")
@@ -482,80 +493,15 @@ class BlockCodec:
         groups = _plane_groups(shapes)
         luma_shape = shapes[0][2:4]
 
-        # -- inflate every plane payload into its (mask, rows): the only
-        #    C-released stage worth fanning out, the array math below
-        #    is already batched --
+        entropy_seconds = clock() - mark
+
+        # -- per plane group, one block of frames at a time: inflate and
+        #    scatter the block's coded residuals, then step the
+        #    recurrence over it --
         def unpack(task):
             chunk, is_sparse, (nby, nbx, _, _) = task
             return entropy.unpack_plane(chunk, nby * nbx, block, is_sparse)
 
-        tasks = [
-            (plane_payloads[index][p], sparse[index], shapes[p])
-            for idxs in groups
-            for index in range(stop)
-            for p in idxs
-        ]
-        if executor is not None and len(tasks) > 1:
-            planes = executor.map(unpack, tasks)
-        else:
-            planes = [unpack(task) for task in tasks]
-        entropy_seconds = clock() - mark
-
-        # -- batched residual reconstruction per plane shape ------------
-        transform_seconds = 0.0
-        residuals: dict[tuple[int, ...], np.ndarray] = {}
-        position = 0
-        for idxs in groups:
-            mark = clock()
-            count = stop * len(idxs)
-            nby, nbx, h, w = shapes[idxs[0]]
-            parsed = planes[position : position + count]
-            position += count
-            nonzero = np.stack([mask for mask, _ in parsed])
-            blocks_nz = entropy.unscan_rows(
-                np.concatenate([rows for _, rows in parsed]), block
-            )
-            entropy_seconds += clock() - mark
-            mark = clock()
-            coeffs = quant.dequantize(blocks_nz, qp, block)
-            padded = dct.inverse_dct_sparse(
-                coeffs, nonzero.reshape(-1, nby, nbx), block
-            )
-            residuals[tuple(idxs)] = padded.reshape(
-                stop, len(idxs), nby * block, nbx * block
-            )[:, :, :h, :w]
-            transform_seconds += clock() - mark
-
-        # -- sequential recurrence: compensate, add residual, clip ------
-        mark = clock()
-        stacks = {
-            tuple(idxs): np.empty(
-                (stop, len(idxs), *shapes[idxs[0]][2:4]), dtype=np.float32
-            )
-            for idxs in groups
-        }
-        for index in range(stop):
-            frame_type = gop.frame_types[index]
-            vectors = frame_vectors[index]
-            for idxs in groups:
-                key = tuple(idxs)
-                residual = residuals[key][index]
-                out = stacks[key][index]
-                if frame_type == "I":
-                    np.add(residual, 128.0, out=out)
-                else:
-                    prediction = motion.compensate(
-                        stacks[key][index - 1], vectors, luma_shape
-                    )
-                    np.add(prediction, residual, out=out)
-                # Direct ufunc pair: same values as np.clip(out, 0, 255)
-                # without the dispatch wrapper, which is measurable at
-                # one call per frame per plane group.
-                np.maximum(out, 0, out=out)
-                np.minimum(out, 255, out=out)
-
-        # -- one vectorized rint/uint8 pass over the whole GOP, written
-        #    straight into the output frame buffer through plane views --
         spec = pixel_format(gop.pixel_format)
         frames = np.empty(
             (stop, *spec.frame_shape(gop.height, gop.width)), dtype=np.uint8
@@ -563,17 +509,85 @@ class BlockCodec:
         views = frames_plane_views(
             frames, gop.pixel_format, gop.height, gop.width
         )
+        # Blocks of two float32 planes' worth per channel: one for the
+        # residual buffer, one for the coded blocks' coefficients.
+        layouts = []  # (plane indices, padded shape, frame blocks)
         for idxs in groups:
-            stack = stacks[tuple(idxs)]
-            # After rint the clipped values are exact integers in
-            # [0, 255], so the unsafe float->uint8 cast truncates to the
-            # same bytes astype would produce.
-            np.rint(stack, out=stack)
-            for channel, plane_index in enumerate(idxs):
-                np.copyto(
-                    views[plane_index], stack[:, channel], casting="unsafe"
+            nby, nbx = shapes[idxs[0]][:2]
+            padded = (nby * block, nbx * block)
+            layouts.append(
+                (idxs, padded, frame_blocks(stop, *padded, 2 * len(idxs)))
+            )
+        # The one residual buffer every group's blocks go through.
+        residual_buffer = np.empty(
+            max(
+                (blocks[0][1] - blocks[0][0]) * len(idxs) * padded[0] * padded[1]
+                for idxs, padded, blocks in layouts
+            ),
+            dtype=np.float32,
+        )
+        transform_seconds = 0.0
+        compensate_seconds = 0.0
+        for idxs, padded, blocks in layouts:
+            channels = len(idxs)
+            nby, nbx, h, w = shapes[idxs[0]]
+            # The group's reconstruction of the frame just decoded, and
+            # the buffer its motion-compensated prediction goes to.
+            recon = np.empty((channels, h, w), dtype=np.float32)
+            predicted = np.empty_like(recon)
+            for lo, hi in blocks:
+                mark = clock()
+                # Inflate is the only C-released stage worth fanning out.
+                tasks = [
+                    (plane_payloads[index][p], sparse[index], shapes[p])
+                    for index in range(lo, hi)
+                    for p in idxs
+                ]
+                if executor is None:
+                    parsed = [unpack(task) for task in tasks]
+                else:
+                    parsed = executor.map(unpack, tasks)
+                nonzero = np.stack([mask for mask, _ in parsed])
+                coded = entropy.unscan_rows(
+                    np.concatenate([rows for _, rows in parsed]), block
                 )
-        compensate_seconds = clock() - mark
+                entropy_seconds += clock() - mark
+                mark = clock()
+                residuals = dct.inverse_dct_sparse(
+                    quant.dequantize(coded, qp, block),
+                    nonzero.reshape(-1, nby, nbx),
+                    block,
+                    residual_buffer[: len(tasks) * padded[0] * padded[1]],
+                ).reshape(hi - lo, channels, *padded)[:, :, :h, :w]
+                transform_seconds += clock() - mark
+                mark = clock()
+                for index in range(lo, hi):
+                    residual = residuals[index - lo]
+                    if gop.frame_types[index] == "I":
+                        np.add(residual, 128.0, out=recon)
+                    else:
+                        # The prediction is ``recon`` itself for all-zero
+                        # vectors; adding in place is then still exact.
+                        prediction = motion.compensate(
+                            recon, frame_vectors[index], luma_shape, predicted
+                        )
+                        np.add(prediction, residual, out=recon)
+                    # Direct ufunc pair: same values as np.clip(recon, 0,
+                    # 255) without the dispatch wrapper, which is
+                    # measurable at one call per frame per plane group.
+                    np.maximum(recon, 0, out=recon)
+                    np.minimum(recon, 255, out=recon)
+                    # After rint the clipped values are exact integers in
+                    # [0, 255], so the unsafe float->uint8 cast stores
+                    # the bytes astype would; ``recon`` itself stays
+                    # unrounded, the reference of the next frame.
+                    for channel, plane in enumerate(idxs):
+                        np.rint(
+                            recon[channel],
+                            out=views[plane][index],
+                            casting="unsafe",
+                        )
+                compensate_seconds += clock() - mark
 
         if timings is not None:
             timings.entropy_seconds += entropy_seconds

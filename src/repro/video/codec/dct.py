@@ -79,14 +79,18 @@ def inverse_dct(coeffs: np.ndarray, height: int, width: int) -> np.ndarray:
 
 
 def inverse_dct_sparse(
-    coeff_blocks: np.ndarray, nonzero: np.ndarray, block: int
+    coeff_blocks: np.ndarray, nonzero: np.ndarray, block: int, out: np.ndarray
 ) -> np.ndarray:
     """Inverse blockwise DCT of a stack of planes, skipping zero blocks.
 
     ``nonzero`` is an ``(N, nby, nbx)`` boolean mask of the blocks that
     carry any coefficient; ``coeff_blocks`` holds exactly those blocks as a
     dense ``(K, B, B)`` float32 array (``K = nonzero.sum()``, row-major
-    mask order).  Returns the ``(N, nby*B, nbx*B)`` padded planes.
+    mask order), and may be overwritten: both callers hand over a
+    temporary.  The padded planes are written into ``out``, a
+    C-contiguous float32 array of their ``N * nby*B * nbx*B`` elements in
+    any shape (the decoder's is a slice of a buffer it keeps for the
+    call), and returned as ``(N, nby*B, nbx*B)``.
 
     The transform of an all-zero block is exactly ``+0.0`` everywhere
     (a DCT is linear and produces no negative zeros from positive-zero
@@ -96,9 +100,12 @@ def inverse_dct_sparse(
     actually populates.
     """
     n, nby, nbx = nonzero.shape
-    out = np.zeros((n, nby * block, nbx * block), dtype=np.float32)
+    planes = out.reshape(n, nby * block, nbx * block)
+    planes.fill(0.0)
     if coeff_blocks.size:
-        tiles = sfft.idctn(coeff_blocks, axes=(-2, -1), norm="ortho")
-        view = out.reshape(n, nby, block, nbx, block)
+        tiles = sfft.idctn(
+            coeff_blocks, axes=(-2, -1), norm="ortho", overwrite_x=True
+        )
+        view = planes.reshape(n, nby, block, nbx, block)
         np.moveaxis(view, -2, -3)[nonzero] = tiles
-    return out
+    return planes

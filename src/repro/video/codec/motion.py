@@ -16,13 +16,21 @@ edge replication (codecs clamp at picture borders the same way).
 from __future__ import annotations
 
 import numpy as np
+from scipy import fft as sfft
 
 #: Maximum magnitude of an estimated motion component, in pixels.
 MAX_SHIFT = 32
 
 
 def shift_window(
-    plane: np.ndarray, dy: int, dx: int, y0: int, y1: int, x0: int, x1: int
+    plane: np.ndarray,
+    dy: int,
+    dx: int,
+    y0: int,
+    y1: int,
+    x0: int,
+    x1: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The window ``[y0:y1, x0:x1]`` of ``plane`` shifted by (dy, dx).
 
@@ -42,9 +50,13 @@ def shift_window(
     ``(H, W)`` pair — same-shape planes sharing one vector (e.g. a GOP's
     RGB channels) then shift in a single banded pass instead of one pass
     per plane.
+
+    ``out`` (optional, not overlapping ``plane``) receives the window in
+    place of a new array.
     """
     h, w = plane.shape[-2:]
-    out = np.empty((*plane.shape[:-2], y1 - y0, x1 - x0), dtype=plane.dtype)
+    if out is None:
+        out = np.empty((*plane.shape[:-2], y1 - y0, x1 - x0), dtype=plane.dtype)
     # Output rows y (absolute) with an in-plane source row satisfy
     # 0 <= y - dy < h; [ya, yb) is that band clamped into the window.
     ya = min(max(y0, dy), y1)
@@ -74,7 +86,9 @@ def shift_window(
     return out
 
 
-def shift_plane(plane: np.ndarray, dy: int, dx: int) -> np.ndarray:
+def shift_plane(
+    plane: np.ndarray, dy: int, dx: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Translate planes ``(..., H, W)`` by (dy, dx), replicating edges.
 
     ``out[y, x] = plane[clip(y - dy), clip(x - dx)]``, realised as one
@@ -82,12 +96,13 @@ def shift_plane(plane: np.ndarray, dy: int, dx: int) -> np.ndarray:
     This runs once per plane per P-frame on both the encode and decode
     paths; the former ``plane[src_y][:, src_x]`` double fancy-index
     materialised two full copies per call, where the banded slice form
-    copies each pixel once.
+    copies each pixel once.  ``out`` is as for :func:`shift_window`;
+    a zero shift returns ``plane`` itself and leaves it untouched.
     """
     if dy == 0 and dx == 0:
         return plane
     h, w = plane.shape[-2:]
-    return shift_window(plane, dy, dx, 0, h, 0, w)
+    return shift_window(plane, dy, dx, 0, h, 0, w, out)
 
 
 def _sad(a: np.ndarray, b: np.ndarray) -> float:
@@ -114,28 +129,44 @@ def correlate_stack(
     ``(dy, dx)`` translation taking each reference to its target, from
     the cross-power-spectrum peak, clamped to +/-:data:`MAX_SHIFT`.
 
-    One batched FFT round serves all ``N`` pairs.  The transform applies
-    independently per trailing ``(h, w)`` slice, so each vector is
-    bit-identical to the single-pair oracle in ``tests/kernel_oracles.py``
-    (fuzz-tested against it in ``tests/test_codec.py``).
+    One batched ``scipy.fft`` round (the library ``dct.py`` uses) serves
+    all ``N`` pairs, and the spectrum is normalised in place in the
+    forward transform's output: the only arrays of the call are the two
+    spectra, the inverse's output and a mask.
+
+    The vectors equal the single-pair oracle's in
+    ``tests/kernel_oracles.py`` (fuzz-tested against it, and against the
+    former ``numpy.fft`` version on rendered frames, in
+    ``tests/test_codec.py``), but the correlation surfaces need not be
+    bit-identical to single-pair ones.  The batched transforms are, slice
+    for slice; numpy's complex multiply is not: it can round an element
+    differently inside a batch than alone.  On rendered 192x108 frames
+    almost every tiled slice differs from its single-pair surface in the
+    last bits (by up to 3e-8 against a peak near 1), with ``numpy.fft``
+    exactly as with ``scipy.fft``, and no peak has moved.
     """
     h, w = references.shape[-2:]
-    f_ref = np.fft.rfft2(references)
-    f_tgt = np.fft.rfft2(targets)
-    cross = f_tgt * np.conj(f_ref)
-    denom = np.abs(cross)
+    conj_ref = sfft.rfft2(references)
+    cross = sfft.rfft2(targets)
+    np.conjugate(conj_ref, out=conj_ref)
+    cross *= conj_ref
+    # |cross| into the real half of the spent reference spectrum; the
+    # divide promotes it back to complex the way ``cross / denom`` does.
+    denom = conj_ref.real
+    np.abs(cross, out=denom)
     denom[denom == 0.0] = 1.0
-    correlation = np.fft.irfft2(cross / denom, s=(h, w))
+    np.divide(cross, denom, out=cross)
+    correlation = sfft.irfft2(cross, s=(h, w), overwrite_x=True)
     peaks = correlation.reshape(len(references), -1).argmax(axis=1)
     vectors = []
-    for peak in peaks:
-        dy, dx = int(peak // w), int(peak % w)
+    for peak in peaks.tolist():
+        dy, dx = divmod(peak, w)
         if dy > h // 2:
             dy -= h
         if dx > w // 2:
             dx -= w
-        dy = int(np.clip(dy, -MAX_SHIFT, MAX_SHIFT))
-        dx = int(np.clip(dx, -MAX_SHIFT, MAX_SHIFT))
+        dy = max(-MAX_SHIFT, min(MAX_SHIFT, dy))
+        dx = max(-MAX_SHIFT, min(MAX_SHIFT, dx))
         vectors.append((dy, dx))
     return vectors
 
@@ -187,13 +218,17 @@ def estimate_stack(
     ]
 
 
-def compensate_global(plane: np.ndarray, vector: tuple[int, int]) -> np.ndarray:
+def compensate_global(
+    plane: np.ndarray, vector: tuple[int, int], out: np.ndarray | None = None
+) -> np.ndarray:
     """Apply a global motion vector to a prediction plane."""
-    return shift_plane(plane, *vector)
+    return shift_plane(plane, *vector, out)
 
 
 def compensate_tiled(
-    plane: np.ndarray, vectors: list[tuple[int, int]]
+    plane: np.ndarray,
+    vectors: list[tuple[int, int]],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply per-tile motion vectors (2x2 grid) to prediction planes.
 
@@ -207,14 +242,19 @@ def compensate_tiled(
 
     Like :func:`shift_window`, ``plane`` may carry leading batch
     dimensions; the tile grid applies to the trailing ``(H, W)`` pair.
+    Each tile is shifted straight into its window of ``out`` (as for
+    :func:`shift_window`; a new array when not given).
     """
     if all(v == (0, 0) for v in vectors):
         return plane
     h, w = plane.shape[-2:]
     hy, hx = h // 2, w // 2
-    # Fewer than four vectors leaves the uncovered tiles unshifted,
-    # exactly as the old shift-then-overwrite implementation did.
-    out = np.empty_like(plane) if len(vectors) >= 4 else plane.copy()
+    if out is None:
+        out = np.empty_like(plane)
+    if len(vectors) < 4:
+        # Fewer than four vectors leaves the uncovered tiles unshifted,
+        # exactly as the old shift-then-overwrite implementation did.
+        out[...] = plane
     bounds = (
         (0, hy, 0, hx),
         (0, hy, hx, w),
@@ -222,7 +262,7 @@ def compensate_tiled(
         (hy, h, hx, w),
     )
     for (y0, y1, x0, x1), (dy, dx) in zip(bounds, vectors):
-        out[..., y0:y1, x0:x1] = shift_window(plane, dy, dx, y0, y1, x0, x1)
+        shift_window(plane, dy, dx, y0, y1, x0, x1, out[..., y0:y1, x0:x1])
     return out
 
 
@@ -230,6 +270,7 @@ def compensate(
     prior: np.ndarray,
     vectors: list[tuple[int, int]],
     luma_shape: tuple[int, int],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Motion-compensate prediction planes from their reference.
 
@@ -243,7 +284,9 @@ def compensate(
     pass predicts all of them).  When every scaled vector is zero the
     reference is returned as-is — callers only read predictions, and
     skipping the copy keeps the all-static case (common in practice)
-    nearly free.
+    nearly free.  Otherwise the prediction is written into ``out`` when
+    given (a buffer of ``prior``'s shape that does not overlap it), so a
+    caller stepping a chain of frames reuses one buffer.
     """
     if not vectors or all(v == (0, 0) for v in vectors):
         # Zero luma vectors scale to zero in every plane geometry, so the
@@ -252,8 +295,8 @@ def compensate(
     shape = prior.shape[-2:]
     scaled = [scale_vector_for_plane(v, luma_shape, shape) for v in vectors]
     if len(scaled) == 1:
-        return compensate_global(prior, scaled[0])
-    return compensate_tiled(prior, scaled)
+        return compensate_global(prior, scaled[0], out)
+    return compensate_tiled(prior, scaled, out)
 
 
 def scale_vector_for_plane(

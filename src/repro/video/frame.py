@@ -27,6 +27,7 @@ require even frame dimensions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -304,14 +305,24 @@ def frames_plane_views(
 # ----------------------------------------------------------------------
 # colour-space conversion (vectorized over whole segments)
 # ----------------------------------------------------------------------
-def _rgb_to_yuv_channels(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    r = rgb[..., 0].astype(np.float32)
-    g = rgb[..., 1].astype(np.float32)
-    b = rgb[..., 2].astype(np.float32)
-    y = _KR * r + _KG * g + _KB * b
-    u = 128.0 + 0.564 * (b - y)
-    v = 128.0 + 0.713 * (r - y)
-    return y, u, v
+class _Scratch:
+    """Named buffers that live for one whole-segment call.
+
+    :meth:`take` hands out a view of the buffer kept under ``name``,
+    grown only when a request is larger, so every block after the first
+    runs in memory that is already mapped.  The next ``take`` of the
+    same name may overwrite what an earlier view holds.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = self._buffers[name] = np.empty(size, dtype=dtype)
+        return buffer[:size].reshape(shape)
 
 
 def _round_into(out: np.ndarray, values: np.ndarray) -> None:
@@ -325,31 +336,86 @@ def _round_into(out: np.ndarray, values: np.ndarray) -> None:
     np.copyto(out, values, casting="unsafe")
 
 
-def _yuv_to_rgb(y: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    y = y.astype(np.float32, copy=False)
-    du = u.astype(np.float32, copy=False) - 128.0
-    dv = v.astype(np.float32, copy=False) - 128.0
-    rgb = np.empty((*y.shape, 3), dtype=np.uint8)
-    _round_into(rgb[..., 0], y + 1.403 * dv)
-    _round_into(rgb[..., 1], y - 0.344 * du - 0.714 * dv)
-    _round_into(rgb[..., 2], y + 1.773 * du)
-    return rgb
+def _yuv_to_rgb(
+    y: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    scratch: _Scratch | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """RGB uint8 ``(..., H, W, 3)`` of luma ``(..., H, W)`` and chroma
+    planes at an integer fraction of its size (full size included).
+
+    ``u - 128`` and ``v - 128`` are widened to luma columns and
+    broadcast over the luma rows each chroma row covers: the
+    nearest-neighbour upsample of :func:`_unpool2` without its copies,
+    and the same float32 operations in the same order, so the same
+    bytes.  Temporaries come from ``scratch``: one luma-sized plane and
+    two widened chroma planes.
+    """
+    scratch = _Scratch() if scratch is None else scratch
+    *lead, h, w = y.shape
+    ch, cw = u.shape[-2:]
+    luma = y.reshape(*lead, ch, h // ch, w)
+    wide = (*lead, ch, 1, w)
+    if out is None:
+        out = np.empty((*lead, h, w, 3), dtype=np.uint8)
+    delta = scratch.take("delta", wide)
+    term = scratch.take("term", wide)
+    value = scratch.take("value", luma.shape)
+
+    def widen(plane: np.ndarray) -> None:
+        """``delta = plane - 128``, each sample repeated across the luma
+        columns it covers."""
+        np.subtract(
+            plane[..., None],
+            128.0,
+            out=delta.reshape(*lead, ch, cw, w // cw),
+            dtype=np.float32,
+        )
+
+    widen(u)
+    # b = y + 1.773 du
+    np.multiply(delta, 1.773, out=term)
+    np.add(luma, term, out=value)
+    _round_into(out[..., 2], value.reshape(y.shape))
+    # g = y - 0.344 du - 0.714 dv, its first difference kept in ``value``
+    np.multiply(delta, 0.344, out=term)
+    np.subtract(luma, term, out=value)
+    widen(v)
+    np.multiply(delta, 0.714, out=term)
+    value -= term
+    _round_into(out[..., 1], value.reshape(y.shape))
+    # r = y + 1.403 dv
+    np.multiply(delta, 1.403, out=term)
+    np.add(luma, term, out=value)
+    _round_into(out[..., 0], value.reshape(y.shape))
+    return out
 
 
-def _pool2(plane: np.ndarray, pool_h: int, pool_w: int) -> np.ndarray:
+def _pool2(
+    plane: np.ndarray, pool_h: int, pool_w: int, scratch: _Scratch | None = None
+) -> np.ndarray:
     """Mean-pool a stack of planes ``(N, H, W)`` by 1 or 2 rows and 2
-    columns, as the chroma of yuv422 / yuv420 is.
+    columns, as the chroma of yuv422 / yuv420 is, into ``scratch``'s
+    ``"pooled"`` buffer.
 
     The taps are summed pairwise along a row, then across rows: the order
     ``mean`` over the reshaped window uses, a tenth of its time.
     """
     if pool_w != 2 or pool_h not in (1, 2):
         raise ValueError(f"unsupported chroma pooling {pool_h}x{pool_w}")
+    scratch = _Scratch() if scratch is None else scratch
+    n, h, w = plane.shape
+    shape = (n, h // pool_h, w // 2)
     top = plane[:, ::pool_h]
-    pooled = top[:, :, 0::2] + top[:, :, 1::2]
+    pooled = scratch.take("pooled", shape)
+    np.add(top[:, :, 0::2], top[:, :, 1::2], out=pooled)
     if pool_h == 2:
         bottom = plane[:, 1::2]
-        pooled += bottom[:, :, 0::2] + bottom[:, :, 1::2]
+        pair = scratch.take("pair", shape)
+        np.add(bottom[:, :, 0::2], bottom[:, :, 1::2], out=pair)
+        pooled += pair
     pooled /= pool_h * pool_w
     return pooled
 
@@ -359,51 +425,90 @@ def _unpool2(plane: np.ndarray, pool_h: int, pool_w: int) -> np.ndarray:
     return plane.repeat(pool_h, axis=1).repeat(pool_w, axis=2)
 
 
-def _to_rgb(segment: VideoSegment) -> np.ndarray:
-    """Segment pixels as an ``(N, H, W, 3)`` uint8 array."""
+def _to_rgb(
+    segment: VideoSegment,
+    scratch: _Scratch | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Segment pixels as an ``(N, H, W, 3)`` uint8 array: ``out``, or
+    else ``scratch``'s ``"rgb"`` buffer, or the pixels themselves when
+    they are rgb already."""
     fmt, h, w = segment.pixel_format, segment.height, segment.width
     px = segment.pixels
     if fmt == "rgb":
         return px
+    scratch = _Scratch() if scratch is None else scratch
+    if out is None:
+        out = scratch.take("rgb", (px.shape[0], h, w, 3), np.uint8)
     if fmt == "gray":
-        return np.repeat(px[..., None], 3, axis=-1)
+        out[...] = px[..., None]
+        return out
     if fmt in ("yuv420", "yuv422"):
         sub_h = 2 if fmt == "yuv420" else 1
-        y = px[:, :h].astype(np.float32)
         chroma = px[:, h:].reshape(px.shape[0], 2, h // sub_h, w // 2)
-        u = _unpool2(chroma[:, 0].astype(np.float32), sub_h, 2)
-        v = _unpool2(chroma[:, 1].astype(np.float32), sub_h, 2)
-        return _yuv_to_rgb(y, u, v)
+        return _yuv_to_rgb(px[:, :h], chroma[:, 0], chroma[:, 1], scratch, out)
     raise FormatError(f"unknown pixel format {fmt!r}")
 
 
-def _from_rgb(rgb: np.ndarray, fmt: str, height: int, width: int) -> np.ndarray:
+def _from_rgb(
+    rgb: np.ndarray,
+    fmt: str,
+    height: int,
+    width: int,
+    scratch: _Scratch | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """``rgb`` ``(N, H, W, 3)`` uint8 packed as ``fmt`` into ``out`` (a
+    new array when not given; ``rgb`` itself for ``"rgb"``).
+
+    BT.601: ``y = KR r + KG g + KB b``, ``u = 128 + 0.564 (b - y)``,
+    ``v = 128 + 0.713 (r - y)``, in float32, each product of a channel
+    and a weight rounded as float32 copies of the channels would give.
+    The temporaries are two full-size planes and the pooled chroma, all
+    from ``scratch``; ``gray`` computes luma only.
+    """
     if fmt == "rgb":
         return rgb
-    out = np.empty(
-        (rgb.shape[0], *pixel_format(fmt).frame_shape(height, width)),
-        dtype=np.uint8,
-    )
-    y, u, v = _rgb_to_yuv_channels(rgb)
+    scratch = _Scratch() if scratch is None else scratch
+    if out is None:
+        out = np.empty(
+            (rgb.shape[0], *pixel_format(fmt).frame_shape(height, width)),
+            dtype=np.uint8,
+        )
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    y = scratch.take("y", r.shape)
+    value = scratch.take("value", r.shape)
+    np.multiply(r, _KR, out=y, dtype=np.float32)
+    np.multiply(g, _KG, out=value, dtype=np.float32)
+    y += value
+    np.multiply(b, _KB, out=value, dtype=np.float32)
+    y += value
     # The planes are written where they belong in each frame: U then V
     # fill the chroma rows contiguously (see ``frames_plane_views``).
     views = frames_plane_views(out, fmt, height, width)
-    _round_into(views[0], y)
     if fmt != "gray":
         pool_h = 2 if fmt == "yuv420" else 1
-        _round_into(views[1], _pool2(u, pool_h, 2))
-        _round_into(views[2], _pool2(v, pool_h, 2))
+        for view, channel, weight in ((views[1], b, 0.564), (views[2], r, 0.713)):
+            np.subtract(channel, y, out=value)
+            value *= weight
+            value += 128.0
+            _round_into(view, _pool2(value, pool_h, 2, scratch))
+    _round_into(views[0], y)
     return out
 
 
 #: Float32 elements per block of frames the whole-segment transforms
-#: (:func:`convert_segment`, ``resample.resize_segment``) work through at
-#: once.  The conversion runs a dozen float32 temporaries the size of its
-#: input; at 2**18 elements each is 1 MiB, so they stay cache-sized and
-#: inside the allocator's free lists, where whole-window temporaries
-#: (10 MB each for a four-second read) are fresh page-faulted memory on
-#: every call.  The resize holds its three scratch stacks for the whole
-#: call and sizes its blocks so that together they are this large.
+#: (:func:`convert_segment`, ``resample.resize_segment``, the codec's
+#: ``decode_gop_frames``) work through at once: each sizes its blocks so
+#: that its per-block scratch holds about this many (1 MiB), which stays
+#: cache-sized where whole-window temporaries are 10 MB each for a
+#: four-second read.  Size alone does not keep scratch off the page-fault
+#: path: under vssbench's allocator settings
+#: (``MALLOC_MMAP_THRESHOLD_=4194304``, which pins glibc's trim threshold
+#: at 128 KiB) a freed temporary at the top of the heap goes back to the
+#: OS and is faulted in again by the next block -- about 21k faults for a
+#: 120-frame 192x108 conversion that allocated per block.  So each of
+#: them allocates its scratch once per call.
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -424,9 +529,13 @@ def convert_segment(segment: VideoSegment, fmt: str) -> VideoSegment:
 
     Conversions go through RGB; converting to the segment's own format
     returns the segment unchanged (no copy).  The work runs in fixed
-    blocks of frames written into one preallocated output — every step
-    is elementwise or per frame, so the bytes equal a whole-segment
-    conversion's.
+    blocks of frames written straight into one preallocated output,
+    through scratch that lives for the whole call — every step is
+    elementwise or per frame, so the bytes equal a whole-segment
+    conversion's.  Blocks are sized as three channels deep: from rgb a
+    block's scratch is two luma-sized float32 planes and the pooled
+    chroma, to rgb one plane and two widened chroma planes; a conversion
+    between two other layouts holds both sets and an rgb stack.
     """
     spec = pixel_format(fmt)  # validate early
     if fmt == segment.pixel_format:
@@ -435,9 +544,14 @@ def convert_segment(segment: VideoSegment, fmt: str) -> VideoSegment:
     pixels = np.empty(
         (segment.num_frames, *spec.frame_shape(height, width)), dtype=np.uint8
     )
-    for lo, hi in frame_blocks(segment.num_frames, height, width):
+    scratch = _Scratch()
+    for lo, hi in frame_blocks(segment.num_frames, height, width, channels=3):
         piece = segment.slice_frames(lo, hi)
-        pixels[lo:hi] = _from_rgb(_to_rgb(piece), fmt, height, width)
+        if fmt == "rgb":
+            _to_rgb(piece, scratch, out=pixels[lo:hi])
+        else:
+            rgb = _to_rgb(piece, scratch)
+            _from_rgb(rgb, fmt, height, width, scratch, out=pixels[lo:hi])
     return replace(segment, pixels=pixels, pixel_format=fmt)
 
 

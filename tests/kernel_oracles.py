@@ -20,7 +20,9 @@ deflate, for the oldest), which must still decode to the same pixels
 GOP of every other physical per page, whose scores and evictions the
 bisecting scorer must equal (``test_eviction_scores.py``), and
 :func:`phase_correlate` the single-pair motion search whose vectors the
-stacked ``motion.correlate_stack`` must equal (``test_codec.py``).
+stacked ``motion.correlate_stack`` must equal, and
+:func:`correlate_stack_numpy` the ``numpy.fft`` search it replaced, whose
+vectors it must equal on rendered frames (``test_codec.py``).
 Nothing under ``src/`` imports this module.
 """
 
@@ -30,6 +32,7 @@ import zlib
 from dataclasses import replace
 
 import numpy as np
+from scipy import fft as sfft
 
 from repro.core.cache import CacheManager
 from repro.errors import CodecError
@@ -42,8 +45,10 @@ from repro.video.codec.blockcodec import (
 )
 from repro.video.codec.container import EncodedGOP
 from repro.video.frame import (
+    _KB,
+    _KG,
+    _KR,
     VideoSegment,
-    _rgb_to_yuv_channels,
     _unpool2,
     pixel_format,
     planes_to_frame,
@@ -103,10 +108,21 @@ def to_rgb(segment: VideoSegment) -> np.ndarray:
     return yuv_to_rgb(y, u, v)
 
 
+def rgb_to_yuv_channels(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full-resolution float32 Y, U and V of an rgb stack."""
+    r = rgb[..., 0].astype(np.float32)
+    g = rgb[..., 1].astype(np.float32)
+    b = rgb[..., 2].astype(np.float32)
+    y = _KR * r + _KG * g + _KB * b
+    u = 128.0 + 0.564 * (b - y)
+    v = 128.0 + 0.713 * (r - y)
+    return y, u, v
+
+
 def from_rgb(rgb: np.ndarray, fmt: str, height: int, width: int) -> np.ndarray:
     if fmt == "rgb":
         return rgb
-    y, u, v = _rgb_to_yuv_channels(rgb)
+    y, u, v = rgb_to_yuv_channels(rgb)
     y8 = np.clip(np.rint(y), 0, 255).astype(np.uint8)
     if fmt == "gray":
         return y8
@@ -400,17 +416,18 @@ def dense_gop(gop: EncodedGOP, block: int, deflate=entropy.deflate) -> EncodedGO
 def phase_correlate(reference: np.ndarray, target: np.ndarray) -> tuple[int, int]:
     """Estimate the (dy, dx) translation taking ``reference`` to ``target``.
 
-    Uses the standard cross-power-spectrum peak.  Returns integer shifts
+    Uses the standard cross-power-spectrum peak, on ``scipy.fft`` like
+    the batched ``motion.correlate_stack``.  Returns integer shifts
     clamped to +/-``motion.MAX_SHIFT``.
     """
     if reference.shape != target.shape:
         raise ValueError(f"shape mismatch: {reference.shape} vs {target.shape}")
-    f_ref = np.fft.rfft2(reference)
-    f_tgt = np.fft.rfft2(target)
+    f_ref = sfft.rfft2(reference)
+    f_tgt = sfft.rfft2(target)
     cross = f_tgt * np.conj(f_ref)
     denom = np.abs(cross)
     denom[denom == 0.0] = 1.0
-    correlation = np.fft.irfft2(cross / denom, s=reference.shape)
+    correlation = sfft.irfft2(cross / denom, s=reference.shape)
     peak = np.unravel_index(np.argmax(correlation), correlation.shape)
     dy, dx = int(peak[0]), int(peak[1])
     h, w = reference.shape
@@ -421,6 +438,33 @@ def phase_correlate(reference: np.ndarray, target: np.ndarray) -> tuple[int, int
     dy = int(np.clip(dy, -motion.MAX_SHIFT, motion.MAX_SHIFT))
     dx = int(np.clip(dx, -motion.MAX_SHIFT, motion.MAX_SHIFT))
     return dy, dx
+
+
+def correlate_stack_numpy(
+    references: np.ndarray, targets: np.ndarray
+) -> list[tuple[int, int]]:
+    """``motion.correlate_stack`` as it was on ``numpy.fft``, with a new
+    array per step: the reference the ``scipy.fft`` version's vectors
+    must equal on rendered content."""
+    h, w = references.shape[-2:]
+    f_ref = np.fft.rfft2(references)
+    f_tgt = np.fft.rfft2(targets)
+    cross = f_tgt * np.conj(f_ref)
+    denom = np.abs(cross)
+    denom[denom == 0.0] = 1.0
+    correlation = np.fft.irfft2(cross / denom, s=(h, w))
+    peaks = correlation.reshape(len(references), -1).argmax(axis=1)
+    vectors = []
+    for peak in peaks:
+        dy, dx = int(peak // w), int(peak % w)
+        if dy > h // 2:
+            dy -= h
+        if dx > w // 2:
+            dx -= w
+        dy = int(np.clip(dy, -motion.MAX_SHIFT, motion.MAX_SHIFT))
+        dx = int(np.clip(dx, -motion.MAX_SHIFT, motion.MAX_SHIFT))
+        vectors.append((dy, dx))
+    return vectors
 
 
 class FullScanCacheManager(CacheManager):

@@ -1,5 +1,6 @@
 """Tests for the codec stack: DCT, quantization, entropy, motion, GOPs."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.video.codec.container import (
     decode_container,
     encode_container,
 )
+from repro.video import frame as frame_module
 from repro.video.frame import VideoSegment, pixel_format
 from repro.video.codec.registry import (
     CODEC_NAMES,
@@ -36,6 +38,7 @@ from tests.kernel_oracles import (
     deflate_default,
     dense_gop,
     encode_gop_scalar,
+    correlate_stack_numpy,
     encode_levels,
     phase_correlate,
 )
@@ -348,6 +351,30 @@ class TestMotion:
                 reference(plane, vectors),
             )
 
+    def test_compensate_into_a_reused_buffer(self):
+        # The decoder keeps one prediction buffer per plane group and
+        # hands it to every P frame: whatever the buffer held before,
+        # the prediction written into it equals a fresh one, for global,
+        # tiled and short vector lists, on stacked planes; all-zero
+        # vectors return the reference and leave the buffer alone.
+        rng = np.random.default_rng(23)
+        plane = rng.uniform(0, 255, (3, 26, 50)).astype(np.float32)
+        out = np.empty_like(plane)
+        for vectors in (
+            [(2, -3)],
+            [(-40, 7)],
+            [(1, 1), (0, -2), (5, 0), (-3, 4)],
+            [(3, -2)] * 2,
+        ):
+            out.fill(np.nan)
+            expected = motion.compensate(plane, vectors, (26, 50))
+            got = motion.compensate(plane, vectors, (26, 50), out)
+            assert got is out
+            assert np.array_equal(got, expected)
+        out.fill(7.0)
+        assert motion.compensate(plane, [(0, 0)] * 4, (26, 50), out) is plane
+        assert (out == 7.0).all()
+
     def test_refine_rejects_bad_vector(self):
         rng = np.random.default_rng(7)
         ref = rng.uniform(0, 255, (32, 32)).astype(np.float32)
@@ -457,6 +484,61 @@ class TestMotion:
         (vectors,) = motion.estimate_stack("tiled", base[None], tgt[None])
         assert vectors[0] == (3, 0)
         assert vectors[3] == (0, -4)
+
+
+    @pytest.mark.parametrize("mode", ["global", "tiled"])
+    @pytest.mark.parametrize("scale", [1, 2, 4])
+    def test_estimate_stack_equals_numpy_fft_on_rendered_frames(
+        self, monkeypatch, rendered_lumas, mode, scale
+    ):
+        # ``correlate_stack`` moved from ``numpy.fft`` to ``scipy.fft``
+        # and normalises in place; the fuzz tests above compare it with
+        # an oracle on the same library, so the vectors the encoder
+        # actually writes must also match the old library's on real
+        # content: every consecutive pair of 60 rendered frames, at
+        # full, half and quarter resolution.
+        # Consecutive frames of one camera, and each frame against the
+        # same instant of the rig's other, 50%-overlapping camera, for
+        # large translations.  Both the correlation peaks (before the
+        # SAD mode decision) and the vectors must match.
+        left, right = rendered_lumas[scale]
+        refs = np.concatenate([left[:-1], left])
+        tgts = np.concatenate([left[1:], right])
+        runs = []
+        for correlate in (motion.correlate_stack, correlate_stack_numpy):
+            peaks = []
+
+            def recorded(references, targets, correlate=correlate, peaks=peaks):
+                peaks.extend(correlate(references, targets))
+                return peaks[-len(references):]
+
+            monkeypatch.setattr(motion, "correlate_stack", recorded)
+            runs.append((motion.estimate_stack(mode, refs, tgts), peaks))
+        (found, peaks), (expected, expected_peaks) = runs
+        assert peaks == expected_peaks
+        assert len(peaks) == len(refs) * (4 if mode == "tiled" else 1)
+        assert sum(peak != (0, 0) for peak in peaks) >= len(peaks) // 4
+        assert found == expected
+        assert any(v != (0, 0) for vectors in found for v in vectors)
+
+
+@pytest.fixture(scope="module")
+def rendered_lumas():
+    """The first planes, ``(60, h, w)`` float32, of the two cameras of
+    one rendered 1K rig at full, half and quarter resolution, keyed by
+    the divisor."""
+    from repro.video.resample import resize_segment
+
+    cameras = visualroad("1K", overlap=0.5, num_frames=60).videos(0, 60)
+    return {
+        scale: tuple(
+            resize_segment(
+                camera, camera.width // scale, camera.height // scale
+            ).pixels[..., 0].astype(np.float32)
+            for camera in cameras
+        )
+        for scale in (1, 2, 4)
+    }
 
 
 class TestBlockCodec:
@@ -832,6 +914,67 @@ class TestBatchedFastPathBitIdentity:
             codec.decode_gop(gop, timings=timings)
         assert timings.frames_decoded == tiny_clip.num_frames
         assert timings.decoded_bytes == tiny_clip.pixels.nbytes
+
+    @pytest.mark.parametrize("block_elements", [None, 4 * 112 * 192 * 2])
+    @pytest.mark.parametrize("fmt", ["rgb", "yuv420", "gray"])
+    @pytest.mark.parametrize("name", ["h264", "hevc"])
+    def test_decode_at_frame_block_edges_matches_scalar(
+        self, monkeypatch, rendered_gop, name, fmt, block_elements
+    ):
+        # The decode scatters residuals and steps the recurrence one
+        # ``frame_blocks`` block at a time, carrying each plane group's
+        # last reconstruction into the next block.  A 31-frame GOP, and
+        # prefixes that stop at one frame, on a block edge or inside a
+        # block, must decode to the scalar loop's pixels, with the
+        # default blocks and with blocks of one to eight frames (small
+        # ``_BLOCK_ELEMENTS``: 1 for the rgb group, 4 for a luma plane,
+        # 8 for a 4:2:0 chroma pair).
+        if block_elements is not None:
+            monkeypatch.setattr(frame_module, "_BLOCK_ELEMENTS", block_elements)
+        codec, gop, expected = rendered_gop(name, fmt)
+        assert gop.num_frames == 31
+        for stop in (1, 2, 3, 4, 5, 8, 9, 17, 30, 31):
+            decoded = codec.decode_gop_frames(gop, stop)
+            assert np.array_equal(decoded.pixels, expected[:stop]), stop
+
+    @pytest.mark.parametrize("name", ["h264", "hevc"])
+    def test_decode_scratch_is_bounded(self, rendered_gop, name):
+        # Scratch lives for one call and is sized by blocks of frames,
+        # not by the GOP: decoding a 30-frame 192x108 rgb GOP may hold
+        # at most 2 MiB beyond its output (the whole-GOP float32 stacks
+        # it replaced peaked about 15 MB above it).
+        codec, gop, _ = rendered_gop(name, "rgb")
+        codec.decode_gop_frames(gop, 30)
+        tracemalloc.start()
+        try:
+            decoded = codec.decode_gop_frames(gop, 30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= decoded.pixels.nbytes + 2 * 2**20
+
+
+@pytest.fixture(scope="module")
+def rendered_gop():
+    """``(codec, gop, scalar pixels)`` of one 31-frame GOP of a rendered
+    192x108 camera in a pixel format, encoded by a registry profile."""
+    from repro.video.frame import convert_segment
+
+    (camera, _) = visualroad("1K", overlap=0.5, num_frames=31).videos(0, 31)
+    cache = {}
+
+    def get(name, fmt):
+        if (name, fmt) not in cache:
+            codec = codec_for(name)
+            gop = codec.encode_gop(convert_segment(camera, fmt), qp=14)
+            cache[name, fmt] = (
+                codec,
+                gop,
+                decode_gop_frames_scalar(codec, gop, gop.num_frames).pixels,
+            )
+        return cache[name, fmt]
+
+    return get
 
 
 class TestRawCodec:

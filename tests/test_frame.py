@@ -1,5 +1,7 @@
 """Unit tests for frames, pixel formats, and conversions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,14 +170,20 @@ class TestConversions:
         seg = make_segment()
         assert convert_segment(seg, "rgb") is seg
 
+    @pytest.mark.parametrize("block_frames", [1, 2, 4])
     @pytest.mark.parametrize("fmt", ["gray", "yuv420", "yuv422"])
-    def test_blocked_conversion_equals_whole_segment(self, fmt, monkeypatch):
+    def test_blocked_conversion_equals_whole_segment(
+        self, fmt, block_frames, monkeypatch
+    ):
         # ``convert_segment`` works through the frames in fixed blocks to
-        # bound its float temporaries; the bytes must equal converting
-        # the whole window at once, in both directions, when the window
-        # is several blocks plus a remainder.
+        # bound its float temporaries, reusing one scratch across them;
+        # the bytes must equal converting the whole window at once, in
+        # both directions, when the window is several blocks plus a
+        # shorter remainder.
         seg = make_segment(n=11, h=26, w=50)
-        monkeypatch.setattr(frame_module, "_BLOCK_ELEMENTS", 3 * 26 * 50)
+        monkeypatch.setattr(
+            frame_module, "_BLOCK_ELEMENTS", block_frames * 3 * 26 * 50
+        )
         out = convert_segment(seg, fmt)
         whole = frame_module._from_rgb(seg.pixels, fmt, 26, 50)
         assert out.pixels.dtype == np.uint8
@@ -206,6 +214,31 @@ class TestConversions:
             - seg.pixels.astype(int)
         ).mean()
         assert err422 <= err420 + 0.5
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            ("rgb", "yuv420"),
+            ("yuv420", "rgb"),
+            ("rgb", "gray"),
+            ("gray", "rgb"),
+            ("rgb", "yuv422"),
+            ("yuv420", "yuv422"),
+        ],
+    )
+    def test_conversion_scratch_is_bounded(self, source, target):
+        # The conversion's float32 temporaries live in block-sized
+        # scratch for the whole call: converting 120 frames at 192x108
+        # may hold at most 2 MiB beyond its output (temporaries the
+        # size of each block, allocated per block, held about 7 MiB).
+        seg = convert_segment(make_segment(n=120, h=108, w=192), source)
+        tracemalloc.start()
+        try:
+            out = convert_segment(seg, target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.pixels.nbytes + 2 * 2**20
 
     def test_gray_conversion_is_luma(self):
         seg = make_segment(n=1)

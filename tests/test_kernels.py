@@ -164,6 +164,37 @@ def test_colour_conversion_matches_stack_and_concatenate_oracle(
     assert np.array_equal(_to_rgb(segment), oracle.to_rgb(segment))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    frames=st.integers(1, 7),
+    height=st.integers(1, 30),
+    width=st.integers(1, 40),
+    layout=st.sampled_from(["fresh", "roi", "stepped"]),
+    block_frames=st.sampled_from([None, 1, 2, 3]),
+    seed=st.integers(0, 2**16),
+)
+def test_gray_conversion_computes_luma_only(
+    frames, height, width, layout, block_frames, seed
+):
+    # Gray packs luma alone, so ``_from_rgb`` computes only Y (no U or
+    # V to drop, hence any size, odd ones included), through blocks of
+    # frames in ``convert_segment``; the bytes stay the whole-array
+    # oracle's.
+    rgb = _strided(seed, frames, height, width, layout)
+    expected = oracle.from_rgb(rgb, "gray", height, width)
+    scratch = frame_module._Scratch()
+    assert np.array_equal(_from_rgb(rgb, "gray", height, width, scratch), expected)
+    assert sorted(scratch._buffers) == ["value", "y"]
+    segment = VideoSegment(rgb, "rgb", height, width, 30.0)
+    with pytest.MonkeyPatch.context() as patch:
+        if block_frames is not None:
+            patch.setattr(
+                frame_module, "_BLOCK_ELEMENTS", block_frames * 3 * height * width
+            )
+        converted = frame_module.convert_segment(segment, "gray")
+    assert np.array_equal(converted.pixels, expected)
+
+
 # ----------------------------------------------------------------------
 # paste
 # ----------------------------------------------------------------------
