@@ -15,8 +15,9 @@ Public entry points:
   unchanged against local or remote engines.
 * :class:`repro.VSSBinaryServer` / :class:`repro.VSSBinaryClient` — the
   same surface over the length-prefixed binary frame protocol: one
-  asyncio loop multiplexing persistent connections, zero-copy ndarray
-  payloads, bit-identical responses to the HTTP and local paths.
+  asyncio loop multiplexing persistent connections, replies written
+  from the answer's own arrays (the client copies each once, off the
+  socket), bit-identical responses to the HTTP and local paths.
 * :mod:`repro.synthetic` — Table 1 dataset equivalents.
 * :mod:`repro.video` — frames, formats, codecs, metrics.
 * :mod:`repro.baselines` — Local-FS and VStore-style comparators.

@@ -40,10 +40,12 @@ A frame is::
 
 The same dict forms above travel in the JSON header; bulk pixel/GOP bytes
 travel in the payload, untouched.  Encoding returns the payload buffer
-as-is (zero-copy: the caller hands the buffer list straight to the
-socket), and :func:`parse_frame` returns the payload as a
-:class:`memoryview` slice of the received buffer, so ``np.frombuffer``
-rebuilds pixels without another copy.
+as-is, so a sender that writes the buffer list with one vectored write
+(the binary server's ``os.writev``) copies nothing.  A receiver copies
+once: :func:`read_frame` reads each body off the socket into a fresh
+writable array, and :func:`parse_frame` returns the payload as a
+:class:`memoryview` slice of it, so ``np.frombuffer`` rebuilds writable
+pixels without another copy.
 """
 
 from __future__ import annotations
@@ -515,7 +517,10 @@ def encode_frame(
     The first element is the frame prelude (length prefix + type +
     header); the payload buffers follow **unmodified** — no
     concatenation, so a multi-megabyte pixel array or a run of GOP blobs
-    is never copied just to be framed.
+    is never copied just to be framed.  Whether the send copies is the
+    writer's business: the binary server's ``os.writev`` does not (bar
+    what the kernel refuses); ``writelines`` on an asyncio transport
+    would join the list into one new bytes object first.
     """
     if frame_type not in FRAME_TYPES:
         raise WireError(f"unknown frame type {frame_type:#04x}")
@@ -589,20 +594,30 @@ def parse_frame(body: bytes | memoryview) -> tuple[int, dict, memoryview]:
 def read_frame(rfile) -> tuple[int, dict, memoryview]:
     """Read one complete frame from a blocking file-like.
 
-    ``rfile`` is anything whose ``read(n)`` returns ``n`` bytes unless
-    the peer hung up — a socket's ``makefile("rb")`` or an
-    ``HTTPResponse`` (which de-chunks) — so both clients parse their
-    responses here.  A short read raises :class:`WireError`.
+    ``rfile`` is a blocking file-like with ``read`` and ``readinto`` —
+    a socket's ``makefile("rb")`` or an ``HTTPResponse`` (which
+    de-chunks) — so both clients parse their responses here.  The body
+    is read straight into a fresh writable array, looping on short
+    reads, so the payload view (and pixels built on it) is the only
+    copy of the bytes and the caller may write to it.  A peer hanging
+    up mid-frame raises :class:`WireError`.
     """
     prefix = rfile.read(4)
-    if len(prefix) == 4:
+    arrived = len(prefix)
+    if arrived == 4:
         length = check_frame_length(int.from_bytes(prefix, "big"))
-        body = rfile.read(length)
-        if len(body) == length:
+        body = memoryview(np.empty(length, dtype=np.uint8))
+        got = 0
+        while got < length:
+            n = rfile.readinto(body[got:])
+            if not n:
+                break
+            got += n
+        if got == length:
             return parse_frame(body)
-        prefix += body
+        arrived += got
     raise WireError(
-        f"connection truncated mid-frame ({len(prefix)} of its bytes arrived)"
+        f"connection truncated mid-frame ({arrived} of its bytes arrived)"
     )
 
 

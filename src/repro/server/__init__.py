@@ -18,9 +18,11 @@ Clients talk to it with :class:`repro.client.VSSClient` (HTTP) or
 mirror :class:`repro.core.engine.Session` so code runs unchanged
 against local or remote engines.  :class:`VSSBinaryServer` is the
 high-throughput peer of the HTTP server: a single asyncio event loop
-multiplexing persistent connections speaking length-prefixed frames
-with zero-copy ndarray payloads.  See ``docs/api.md`` for the endpoint
-table, wire schemas, and backpressure semantics.
+multiplexing persistent connections speaking length-prefixed frames;
+it writes pixel payloads to the socket from the answer's own arrays
+(copying only what the kernel refuses), and a client reads each frame
+once, off the socket into the answer it returns.  See ``docs/api.md``
+for the endpoint table, wire schemas, and backpressure semantics.
 """
 
 from repro.server.binary import VSSBinaryServer

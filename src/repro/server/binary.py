@@ -13,9 +13,13 @@ connection per request, the binary server:
 * keeps connections **persistent**: a frame is self-delimiting
   (``u32 length | u8 type | u32 header_len | JSON header | raw
   payload``, layout in ``docs/api.md``), so a drained answer leaves the
-  connection ready for the next request, and a batch of frames leaves
-  in one vectored write with pixel buffers and stored GOP bytes
-  uncopied;
+  connection ready for the next request, and a batch of frames goes
+  to the socket in one ``os.writev`` straight from the answer's pixel
+  arrays and stored GOP bytes: the server copies nothing unless the
+  kernel refuses part of a reply, and then only that part, a bounded
+  slice at a time (not asyncio's ``writelines``: on Python 3.10 and
+  3.11 it joins the list into one new bytes object, a copy of every
+  reply, which this server paid until it switched to ``os.writev``);
 * **bridges** into worker threads only for engine work (planning,
   decode, catalog IO), prefetching the next batch of chunks while the
   current one goes out, so blocking storage code never stalls the loop.
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import os
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -100,6 +105,43 @@ async def read_frame_async(
 #: resident instead of O(read).
 _PULL_MAX_CHUNKS = 8
 _PULL_MAX_BYTES = 32 << 20
+
+
+#: Largest ``os.writev`` call: the kernel refuses longer vectors.
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+
+#: Slice size for the bytes the kernel refused.  asyncio copies each
+#: slice into its transport buffer and (before Python 3.12) memmoves
+#: that buffer's tail on every partial send, so a bounded slice keeps a
+#: slow reader from costing a multi-MB copy per socket wakeup.
+_HANDOFF_BYTES = 256 << 10
+
+
+def write_vectored(fd: int, buffers) -> list[memoryview]:
+    """Write ``buffers`` to the non-blocking socket ``fd`` with ``os.writev``.
+
+    Sends at most :data:`_IOV_MAX` buffers per call and stops at the
+    first call the kernel takes only part of (or none of).  Returns the
+    unsent tail as byte views of the caller's buffers, empty when all
+    of it went out; nothing is copied either way.  A peer that hung up
+    raises :class:`ConnectionError`.
+    """
+    views = [memoryview(b).cast("B") for b in buffers]
+    views = [v for v in views if v.nbytes]
+    start = 0
+    while start < len(views):
+        batch = views[start:start + _IOV_MAX]
+        try:
+            sent = os.writev(fd, batch)
+        except BlockingIOError:
+            sent = 0
+        for view in batch:
+            if sent < view.nbytes:
+                views[start] = view[sent:]
+                return views[start:]
+            sent -= view.nbytes
+            start += 1
+    return []
 
 
 def _pull_chunks(stream) -> tuple[list, bool]:
@@ -352,8 +394,24 @@ class VSSBinaryServer:
     # frame writers
     # ------------------------------------------------------------------
     async def _send(self, writer, buffers) -> None:
-        writer.writelines(buffers)
-        await writer.drain()
+        """Write one batch of frame buffers, copying nothing the kernel takes.
+
+        With nothing queued in the transport, the buffers go to the
+        socket in one :func:`write_vectored` call straight from the
+        answer's memory.  Only what the kernel refuses (or everything,
+        behind bytes already queued) is handed to ``writer.write`` as
+        :data:`_HANDOFF_BYTES` slices, draining between them, so a slow
+        reader holds at most one slice copied in the transport buffer.
+        """
+        transport = writer.transport
+        if not transport.is_closing() and not transport.get_write_buffer_size():
+            fd = writer.get_extra_info("socket").fileno()
+            buffers = write_vectored(fd, buffers)
+        for buffer in buffers:
+            view = memoryview(buffer).cast("B")
+            for start in range(0, view.nbytes, _HANDOFF_BYTES):
+                writer.write(view[start:start + _HANDOFF_BYTES])
+                await writer.drain()
 
     async def _send_reply(self, writer, result: dict) -> None:
         await self._send(writer, encode_frame(FRAME_REPLY, result))
@@ -430,7 +488,7 @@ class VSSBinaryServer:
                 )
                 # One vectored write per batch: every frame of the
                 # batch (and, on the last one, the END frame) leaves in
-                # a single writelines.
+                # a single _send, uncopied.
                 buffers: list = []
                 for chunk in chunks:
                     buffers.extend(chunk_frame(chunk))

@@ -56,6 +56,13 @@ def three_second_clip() -> VideoSegment:
     return _render_clip(90)
 
 
+@pytest.fixture(scope="session")
+def large_clip() -> VideoSegment:
+    """60 frames (2 s) at 384x216: a 14.9 MB raw answer when read back,
+    more than a loopback socket's send buffer takes at once."""
+    return _render_clip(60, height=216, width=384)
+
+
 @pytest.fixture()
 def store(tmp_path, calibration) -> Session:
     """A default session on a fresh engine (``store.engine``)."""

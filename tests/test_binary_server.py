@@ -13,9 +13,11 @@ only — the server keeps serving everyone else.
 
 from __future__ import annotations
 
+import gc
 import socket
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,11 +30,15 @@ from repro.core.wire import (
     FRAME_ERROR,
     FRAME_REPLY,
     FRAME_REQUEST,
+    FRAME_SEGMENT,
     frame_to_bytes,
     parse_frame,
+    read_frame,
+    read_spec_to_dict,
 )
 from repro.errors import VideoExistsError
 from repro.server import VSSBinaryServer, VSSServer
+from repro.server.binary import _IOV_MAX, write_vectored
 
 
 @pytest.fixture()
@@ -76,8 +82,11 @@ def _wait_idle(client: VSSBinaryClient, timeout: float = 5.0) -> dict:
 class _RawConnection:
     """A hand-rolled socket for speaking deliberately broken frames."""
 
-    def __init__(self, address: tuple[str, int]):
+    def __init__(self, address: tuple[str, int], rcvbuf: int | None = None):
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        if rcvbuf is not None:
+            # Before connecting, so the small window is what TCP offers.
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
         self.sock.settimeout(30.0)
         self.sock.connect(address)
         self.rfile = self.sock.makefile("rb")
@@ -400,6 +409,186 @@ class TestFrameFuzzing:
         )
         assert result.segment.num_frames == 30
 
+
+
+class _SlowReader:
+    """A socket read at most ``piece`` bytes per call, pausing every
+    ``every`` calls: a consumer far slower than the server's writes."""
+
+    def __init__(self, sock: socket.socket, piece: int = 16 << 10,
+                 every: int = 16, pause: float = 0.002):
+        self.sock = sock
+        self.piece = piece
+        self.every = every
+        self.pause = pause
+        self.calls = 0
+
+    def read(self, n: int) -> bytes:
+        data = bytearray()
+        while len(data) < n:
+            got = self.sock.recv(n - len(data))
+            if not got:
+                break
+            data += got
+        return bytes(data)
+
+    def readinto(self, buffer) -> int:
+        self.calls += 1
+        if self.calls % self.every == 0:
+            time.sleep(self.pause)
+        return self.sock.recv_into(memoryview(buffer)[:self.piece])
+
+
+def _read_request(spec: ReadSpec) -> bytes:
+    return frame_to_bytes(
+        FRAME_REQUEST, {"op": "read", "spec": read_spec_to_dict(spec)}
+    )
+
+
+def _read_answer(rfile) -> tuple[list, list]:
+    """The frame types of one read answer and its pixel payloads."""
+    types, pixels = [], []
+    while True:
+        frame_type, _, payload = read_frame(rfile)
+        types.append(frame_type)
+        if frame_type != FRAME_SEGMENT:
+            return types, pixels
+        pixels.append(payload)
+
+
+def _received(sock: socket.socket) -> bytes:
+    """Everything already readable on a non-blocking socket."""
+    data = bytearray()
+    while True:
+        try:
+            got = sock.recv(1 << 20)
+        except BlockingIOError:
+            return bytes(data)
+        if not got:
+            return bytes(data)
+        data += got
+
+
+class TestSendPath:
+    """Replies leave by ``os.writev`` from the answer's own buffers;
+    only bytes the kernel refuses are copied, a bounded slice at a time."""
+
+    @pytest.fixture()
+    def big(self, engine, large_clip) -> str:
+        session = engine.session()
+        session.write("big", large_clip, codec="h264", qp=10, gop_size=30)
+        engine.drain_admissions()
+        return "big"
+
+    def test_reply_allocates_answer_plus_client_copy(self, server, engine, big):
+        """A 2-s raw read at the stored resolution holds the server's
+        answer and the client's copy, and no joined copy of the reply
+        (nor a transport-buffer copy of what the kernel refused)."""
+        spec = ReadSpec(big, 0.0, 2.0, codec="raw", cache=False)
+        # Warm: the measured read copies decoded GOPs out of the decode
+        # cache into its answer and decodes nothing.
+        answer = engine.session().read(spec).segment.nbytes
+        engine.drain_admissions()
+        # The reply is larger than the socket's send buffer and the
+        # window is small: the kernel refuses most of it at first.
+        raw = _RawConnection(server.address, rcvbuf=64 << 10)
+        tracemalloc.start()
+        try:
+            raw.send(_read_request(spec))
+            types, pixels = _read_answer(raw.rfile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            raw.close()
+        assert types[-1] == FRAME_END
+        assert sum(payload.nbytes for payload in pixels) == answer
+        assert peak <= 2 * answer + (1 << 20), (peak, answer)
+
+    def test_slow_reader_gets_every_reply_in_order(self, server, engine, big):
+        specs = [
+            ReadSpec(big, 0.0, 2.0, codec="raw", cache=False),
+            ReadSpec(big, 0.5, 1.5, codec="raw", cache=False,
+                     resolution=(192, 108)),
+            ReadSpec(big, 1.0, 2.0, codec="raw", cache=False,
+                     pixel_format="yuv420"),
+        ]
+        session = engine.session()
+        expected = [session.read(spec).segment.pixels.tobytes()
+                    for spec in specs]
+        raw = _RawConnection(server.address, rcvbuf=8 << 10)
+        slow = _SlowReader(raw.sock)
+        try:
+            for spec, want in zip(specs, expected):
+                raw.send(_read_request(spec))
+                types, pixels = _read_answer(slow)
+                assert types[-1] == FRAME_END
+                assert b"".join(pixels) == want
+        finally:
+            raw.close()
+        assert slow.calls > len(expected[0]) // slow.piece
+
+    def test_more_buffers_than_iov_max(self):
+        buffers = [bytes([i % 251]) * (i % 7) for i in range(2 * _IOV_MAX + 3)]
+        writer, reader = socket.socketpair()
+        with writer, reader:
+            writer.setblocking(False)
+            reader.setblocking(False)
+            assert write_vectored(writer.fileno(), buffers) == []
+            assert _received(reader) == b"".join(buffers)
+
+    def test_zero_length_buffers(self):
+        pixels = np.arange(4096, dtype=np.uint8).reshape(16, 256)
+        buffers = [b"", b"head", memoryview(pixels), b"", bytearray(b"t")]
+        writer, reader = socket.socketpair()
+        with writer, reader:
+            writer.setblocking(False)
+            reader.setblocking(False)
+            assert write_vectored(writer.fileno(), buffers) == []
+            assert write_vectored(writer.fileno(), [b""]) == []
+            assert _received(reader) == b"head" + pixels.tobytes() + b"t"
+
+    def test_refused_tail_is_views_of_the_callers_buffers(self):
+        pixels = np.random.default_rng(0).integers(
+            0, 256, 8 << 20, dtype=np.uint8
+        )
+        buffers = [b"prelude", memoryview(pixels), b"end"]
+        writer, reader = socket.socketpair()
+        with writer, reader:
+            writer.setblocking(False)
+            reader.setblocking(False)
+            tail = write_vectored(writer.fileno(), buffers)
+            assert tail  # more than any socket buffer takes at once
+            assert any(view.obj is pixels for view in tail)
+            sent = _received(reader)
+            assert sent + b"".join(tail) == b"".join(buffers)
+
+    def test_closed_peer_raises_connection_error(self):
+        writer, reader = socket.socketpair()
+        with writer:
+            writer.setblocking(False)
+            reader.close()
+            with pytest.raises(ConnectionError):
+                write_vectored(writer.fileno(), [b"frame", b"payload"])
+
+    def test_hangup_mid_reply_is_routine(self, server, engine, big):
+        """A reader that vanishes mid-reply costs its connection only:
+        the slot comes back, nothing escapes to the event loop."""
+        escaped: list = []
+        server._loop.call_soon_threadsafe(
+            server._loop.set_exception_handler,
+            lambda loop, context: escaped.append(context),
+        )
+        spec = ReadSpec(big, 0.0, 2.0, codec="raw", cache=False)
+        raw = _RawConnection(server.address, rcvbuf=4096)
+        raw.send(_read_request(spec))
+        assert len(raw.rfile.read(1024)) == 1024
+        # Unread bytes at close make the kernel reset the connection.
+        raw.close()
+        with VSSBinaryClient(*server.address, timeout=10.0) as probe:
+            assert _wait_idle(probe)["server"]["inflight"] == 0
+            assert probe.ping()
+        gc.collect()  # an unretrieved task exception reports on collection
+        assert escaped == []
 
 
 class TestServerLifecycle:

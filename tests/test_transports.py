@@ -135,6 +135,21 @@ class TestReads:
         assert stream.stats is not None  # final server-side stats arrived
         assert stream.stats.frames_decoded > 0
 
+    def test_raw_answer_is_writable_and_private(self, loaded_client, engine):
+        """Remote pixels are writable, like an in-process answer's, and
+        are the caller's own: scribbling on them changes no later read."""
+        spec = ReadSpec("traffic", 0.0, 1.0, codec="raw", cache=False)
+        assert engine.session().read(spec).segment.pixels.flags.writeable
+        pixels = loaded_client.read(spec).segment.pixels
+        assert pixels.flags.writeable
+        expected = pixels.copy()
+        pixels[:] = 255 - pixels
+        again = loaded_client.read(spec).segment.pixels
+        assert np.array_equal(again, expected)
+        assert not np.array_equal(again, pixels)
+        for chunk in loaded_client.read_stream(spec):
+            assert chunk.segment.pixels.flags.writeable
+
     def test_encoded_read_same_bytes(self, loaded_client, engine):
         spec = ReadSpec("traffic", 0.15, 2.85, codec="h264", qp=14,
                         cache=False)
