@@ -70,6 +70,11 @@ def main() -> None:
                 f"(>= 30 dB is near-lossless)"
             )
 
+            # Every file is named by a row and every row's file is there.
+            findings = engine.check()
+            assert not any(findings.values()), findings
+            print("catalog and files agree:", findings)
+
 
 if __name__ == "__main__":
     main()

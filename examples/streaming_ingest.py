@@ -59,6 +59,13 @@ def main() -> None:
             stream.close()
             print("stream sealed:", session.video_stats("live"))
 
+            # Deferred compression rewrote pages in place: no staging file
+            # or unnamed page is left, and every header matches its row.
+            engine.drain_admissions()
+            findings = engine.check()
+            assert not any(findings.values()), findings
+            print("catalog and files agree:", findings)
+
 
 if __name__ == "__main__":
     main()

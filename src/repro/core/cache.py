@@ -199,6 +199,7 @@ class CacheManager:
             pid: self.catalog.gops_of_physical(pid) for pid in physicals
         }
         evicted: list[int] = []
+        unnamed: list[str] = []
         freed = 0
         for gid in order:
             if total - freed <= logical.budget_bytes:
@@ -214,33 +215,26 @@ class CacheManager:
             )
             if self._baseline_offset(physical, alternatives) == _PROTECTED:
                 continue
-            freed += self._evict_gop(record)
+            unnamed += self.catalog.delete_gop(gid)
+            if self.decode_cache is not None:
+                self.decode_cache.invalidate(gid)
+            freed += record.nbytes
             live[record.physical_id] = [
                 g for g in live[record.physical_id] if g.id != gid
             ]
             evicted.append(gid)
         remaining = total - freed
-        self._prune_empty_physicals(logical)
+        for physical in self.catalog.list_physicals(logical.id):
+            if not physical.is_original and not self.catalog.gops_of_physical(
+                physical.id
+            ):
+                unnamed += self.catalog.delete_physical(physical.id)
+        self.layout.sweep(unnamed)
         if evicted:
             self.catalog.bump_data_version(logical.id)
         return EvictionReport(
             evicted, freed, remaining, remaining <= logical.budget_bytes
         )
-
-    def _evict_gop(self, record: GopRecord) -> int:
-        """Delete a page's file and row; returns the bytes freed."""
-        self.layout.delete_gop_file(record.path)
-        self.catalog.delete_gop(record.id)
-        if self.decode_cache is not None:
-            self.decode_cache.invalidate(record.id)
-        return record.nbytes
-
-    def _prune_empty_physicals(self, logical: LogicalVideo) -> None:
-        for physical in self.catalog.list_physicals(logical.id):
-            if physical.is_original:
-                continue
-            if not self.catalog.gops_of_physical(physical.id):
-                self.catalog.delete_physical(physical.id)
 
     # ------------------------------------------------------------------
     # admission

@@ -41,15 +41,17 @@ from repro.core.records import (
 )
 from repro.core.specs import ViewSpec
 
+#: Each table's columns are in its record's field order: rows are
+#: unpacked positionally, and a migration rebuilds old tables in this order.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS logical_videos (
-    id INTEGER PRIMARY KEY,
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
     name TEXT NOT NULL UNIQUE,
     budget_bytes INTEGER NOT NULL,
     created_at REAL NOT NULL
 );
 CREATE TABLE IF NOT EXISTS physical_videos (
-    id INTEGER PRIMARY KEY,
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
     logical_id INTEGER NOT NULL REFERENCES logical_videos(id),
     codec TEXT NOT NULL,
     pixel_format TEXT NOT NULL,
@@ -70,7 +72,7 @@ CREATE TABLE IF NOT EXISTS physical_videos (
 CREATE INDEX IF NOT EXISTS physical_by_logical
     ON physical_videos(logical_id);
 CREATE TABLE IF NOT EXISTS tile_groups (
-    id INTEGER PRIMARY KEY,
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
     logical_id INTEGER NOT NULL REFERENCES logical_videos(id),
     source_physical_id INTEGER NOT NULL,
     grid TEXT NOT NULL,
@@ -89,7 +91,7 @@ CREATE TABLE IF NOT EXISTS roi_accesses (
     PRIMARY KEY (logical_id, x0, y0, x1, y1)
 );
 CREATE TABLE IF NOT EXISTS gops (
-    id INTEGER PRIMARY KEY,
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
     physical_id INTEGER NOT NULL REFERENCES physical_videos(id),
     seq INTEGER NOT NULL,
     start_time REAL NOT NULL,
@@ -106,8 +108,9 @@ CREATE TABLE IF NOT EXISTS gops (
 CREATE INDEX IF NOT EXISTS gops_by_physical ON gops(physical_id, seq);
 CREATE INDEX IF NOT EXISTS gops_by_time ON gops(physical_id, start_time);
 CREATE INDEX IF NOT EXISTS gops_by_last_access ON gops(last_access);
+CREATE INDEX IF NOT EXISTS gops_by_path ON gops(path);
 CREATE TABLE IF NOT EXISTS joint_pairs (
-    id INTEGER PRIMARY KEY,
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
     homography TEXT NOT NULL,
     x_f INTEGER NOT NULL,
     x_g INTEGER NOT NULL,
@@ -132,13 +135,26 @@ CREATE TABLE IF NOT EXISTS meta (
 );
 """
 
+#: The ``meta.schema_version`` this release writes; see
+#: :meth:`Catalog._open_schema`.
+SCHEMA_VERSION = 1
+
+#: Tables whose ids became ``AUTOINCREMENT`` at version 1.
+_REBUILT = (
+    "logical_videos", "physical_videos", "tile_groups", "gops", "joint_pairs",
+)
+
 
 def _roi_to_text(roi) -> str | None:
     return None if roi is None else json.dumps(list(roi))
 
 
-def _roi_from_text(text) -> tuple[int, int, int, int] | None:
-    return None if text is None else tuple(json.loads(text))
+def _physical(row: sqlite3.Row) -> PhysicalVideo:
+    roi, (start, end, mse, original, sealed) = row[8], row[9:14]
+    return PhysicalVideo(
+        *row[:8], None if roi is None else tuple(json.loads(roi)), start,
+        end, mse, bool(original), bool(sealed), *row[14:],
+    )
 
 
 class _ReaderConn:
@@ -171,48 +187,96 @@ class Catalog:
         # bumps its logical's version, so a memoized read plan is valid
         # exactly while the version it was keyed under still holds.
         # In-memory (one engine per store, like the per-logical locks);
-        # entries are never removed — SQLite reuses rowids, and a
-        # recreated logical resuming from the old counter (instead of 0)
-        # is what keeps stale plan-cache entries unreachable.
+        # a deleted logical's entry goes with it, since its id never
+        # comes back.
         self._versions_lock = threading.Lock()
         self._versions: dict[int, int] = {}
         # Callables run inside delete_logical's writer transaction, so
         # subsystems keeping sidecar tables in this database (the search
-        # index) cascade atomically with the catalog rows — SQLite
-        # reuses rowids, so an orphaned sidecar row would silently
-        # attach to a recreated video.
+        # index) cascade atomically with the catalog rows, and a delete
+        # leaves no sidecar row behind.
         self._delete_hooks: list = []
         self._readers: list[weakref.ref[_ReaderConn]] = []
         self._tls = threading.local()
         self._closed = False
         self._conn, self._wal = self._connect()
-        with self._lock:
-            self._conn.executescript(_SCHEMA)
-            self._migrate(self._conn)
-            self._conn.commit()
+        try:
+            with self._write() as conn:
+                self._open_schema(conn)
+        except BaseException:
+            self._conn.close()  # e.g. a store newer than this release
+            raise
 
     @staticmethod
-    def _migrate(conn: sqlite3.Connection) -> None:
-        """Bring a pre-existing database up to the current schema.
+    def _open_schema(conn: sqlite3.Connection) -> None:
+        """Create a fresh schema, or migrate an older one, in one
+        transaction keyed by ``meta.schema_version``.
 
-        ``CREATE TABLE IF NOT EXISTS`` never alters an existing table,
-        so columns added after a store was created must be grafted on
-        here (nullable or defaulted, so old rows read back with the
-        field's default).
+        A store older than the version row (version 0) named files by
+        rowids SQLite recycles.  Each id-bearing table is rebuilt from
+        :data:`_SCHEMA` with ``AUTOINCREMENT``, keeping every row and its
+        stored path; a column the old table lacks takes its default.
+        Compaction in such a store left rows pointing into the
+        directories of deleted physicals, so the physical id sequence
+        starts above every id a stored path names.  A newer store is
+        refused rather than misread.
         """
-        columns = {
-            row[1]
-            for row in conn.execute("PRAGMA table_info(physical_videos)")
-        }
-        for column, kind in (
-            ("tile_group_id", "INTEGER"),
-            ("tile_index", "INTEGER"),
-            ("format_mse", "REAL NOT NULL DEFAULT 0.0"),
-        ):
-            if column not in columns:
-                conn.execute(
-                    f"ALTER TABLE physical_videos ADD COLUMN {column} {kind}"
-                )
+        conn.execute("BEGIN")
+        tables = {r[0] for r in conn.execute("SELECT name FROM sqlite_master")}
+        version = None  # a fresh database
+        if "logical_videos" in tables:
+            row = "meta" in tables and conn.execute(
+                "SELECT value FROM meta WHERE key = 'schema_version'"
+            ).fetchone()
+            version = int(row[0]) if row else 0
+        if version == SCHEMA_VERSION:
+            return conn.commit()
+        if version is not None and version > SCHEMA_VERSION:
+            raise CatalogError(
+                f"catalog schema version {version} is newer than this"
+                f" release's {SCHEMA_VERSION}; open it with a newer release"
+            )
+        old = [t for t in _REBUILT if t in tables]
+        for table in old:
+            conn.execute(f"ALTER TABLE {table} RENAME TO {table}_v0")
+        for statement in _SCHEMA.split(";"):
+            conn.execute(statement)
+        for table in old:
+            have = {d[0] for d in conn.execute(f"SELECT * FROM {table}_v0").description}
+            columns = ", ".join(
+                d[0]
+                for d in conn.execute(f"SELECT * FROM {table}").description
+                if d[0] in have
+            )
+            conn.execute(
+                f"INSERT INTO {table} ({columns})"
+                f" SELECT {columns} FROM {table}_v0"
+            )
+            conn.execute(f"DROP TABLE {table}_v0")
+        # Each old index moved with its table, and went with it: now the
+        # new one can take its name.
+        for statement in _SCHEMA.split(";"):
+            conn.execute(statement)
+        floor = max(
+            (
+                int(path.split("/")[-2])
+                for (path,) in conn.execute("SELECT path FROM gops")
+                if path.startswith("videos/")
+            ),
+            default=0,
+        )
+        conn.execute("DELETE FROM sqlite_sequence WHERE name = 'physical_videos'")
+        conn.execute(
+            "INSERT INTO sqlite_sequence (name, seq) SELECT 'physical_videos',"
+            " MAX(?, COALESCE(MAX(id), 0)) FROM physical_videos",
+            (floor,),
+        )
+        conn.execute(
+            "INSERT OR REPLACE INTO meta (key, value)"
+            " VALUES ('schema_version', ?)",
+            (str(SCHEMA_VERSION),),
+        )
+        conn.commit()
 
     def _connect(self) -> tuple[sqlite3.Connection, bool]:
         conn = sqlite3.connect(
@@ -262,9 +326,14 @@ class Catalog:
 
     @contextmanager
     def _write(self):
-        """The single writer connection, exclusively held."""
+        """The single writer connection, exclusively held; a transaction
+        that raises is rolled back whole."""
         with self._lock:
-            yield self._conn
+            try:
+                yield self._conn
+            except BaseException:
+                self._conn.rollback()
+                raise
 
     def close(self) -> None:
         with self._readers_lock:
@@ -282,6 +351,42 @@ class Catalog:
                 self._conn.close()
             except sqlite3.Error:
                 pass
+
+    # ------------------------------------------------------------------
+    # statement helpers
+    # ------------------------------------------------------------------
+    def _rows(self, sql: str, params=()) -> list[sqlite3.Row]:
+        """Every row of one read-only statement."""
+        with self._read() as conn:
+            return conn.execute(sql, params).fetchall()
+
+    def _first(self, sql: str, params=(), missing: Exception | None = None):
+        """The first row of one read-only statement, or None; when there
+        is none and ``missing`` is given, that is raised instead."""
+        with self._read() as conn:
+            row = conn.execute(sql, params).fetchone()
+        if row is None and missing is not None:
+            raise missing
+        return row
+
+    @staticmethod
+    def _insert(conn: sqlite3.Connection, table: str, **values) -> int:
+        """Insert one row inside the caller's transaction; returns its id."""
+        return conn.execute(
+            f"INSERT INTO {table} ({', '.join(values)})"
+            f" VALUES ({', '.join('?' * len(values))})",
+            tuple(values.values()),
+        ).lastrowid
+
+    def _set(self, table: str, row_id: int, **values) -> None:
+        """Update one row's ``values`` in a transaction of its own."""
+        with self._write() as conn:
+            conn.execute(
+                f"UPDATE {table} SET {', '.join(f'{k} = ?' for k in values)}"
+                " WHERE id = ?",
+                (*values.values(), row_id),
+            )
+            conn.commit()
 
     # ------------------------------------------------------------------
     # data versions (plan-cache invalidation)
@@ -309,57 +414,48 @@ class Catalog:
             ).fetchone():
                 raise VideoExistsError(name)
             try:
-                cursor = conn.execute(
-                    "INSERT INTO logical_videos (name, budget_bytes, created_at)"
-                    " VALUES (?, ?, ?)",
-                    (name, budget_bytes, time.time()),
+                logical_id = self._insert(
+                    conn, "logical_videos", name=name,
+                    budget_bytes=budget_bytes, created_at=time.time(),
                 )
             except sqlite3.IntegrityError:
                 raise VideoExistsError(name) from None
             conn.commit()
-            return self.get_logical_by_id(cursor.lastrowid)
+            return self.get_logical_by_id(logical_id)
 
     def get_logical(self, name: str) -> LogicalVideo:
-        with self._read() as conn:
-            row = conn.execute(
-                "SELECT * FROM logical_videos WHERE name = ?", (name,)
-            ).fetchone()
-        if row is None:
-            raise VideoNotFoundError(name)
-        return self._logical_from_row(row)
+        return LogicalVideo(*self._first(
+            "SELECT * FROM logical_videos WHERE name = ?", (name,),
+            VideoNotFoundError(name),
+        ))
 
     def get_logical_by_id(self, logical_id: int) -> LogicalVideo:
-        with self._read() as conn:
-            row = conn.execute(
-                "SELECT * FROM logical_videos WHERE id = ?", (logical_id,)
-            ).fetchone()
-        if row is None:
-            raise CatalogError(f"no logical video with id {logical_id}")
-        return self._logical_from_row(row)
+        return LogicalVideo(*self._first(
+            "SELECT * FROM logical_videos WHERE id = ?", (logical_id,),
+            CatalogError(f"no logical video with id {logical_id}"),
+        ))
 
     def list_logical(self) -> list[LogicalVideo]:
-        with self._read() as conn:
-            rows = conn.execute(
-                "SELECT * FROM logical_videos ORDER BY name"
-            ).fetchall()
-        return [self._logical_from_row(r) for r in rows]
+        return [
+            LogicalVideo(*r)
+            for r in self._rows("SELECT * FROM logical_videos ORDER BY name")
+        ]
 
     def set_budget(self, logical_id: int, budget_bytes: int) -> None:
-        with self._write() as conn:
-            conn.execute(
-                "UPDATE logical_videos SET budget_bytes = ? WHERE id = ?",
-                (budget_bytes, logical_id),
-            )
-            conn.commit()
+        self._set("logical_videos", logical_id, budget_bytes=budget_bytes)
 
-    def delete_logical(self, logical_id: int, force: bool = False) -> list[str]:
-        """Delete a logical video's rows and return the views cascaded.
+    def delete_logical(
+        self, logical_id: int, force: bool = False
+    ) -> tuple[list[str], list[str]]:
+        """Delete a logical video's rows; returns the views cascaded and
+        the files no remaining row names (for :meth:`Layout.sweep`).
 
         Views transitively defined over the video refuse the delete
         unless ``force``, which deletes them too.  The dependents check,
         the cascade and the delete are one writer transaction, so a
         concurrent ``create_view`` either lands first (and is cascaded
-        or refuses the delete) or finds its base gone.
+        or refuses the delete) or finds its base gone.  Joint pairs no
+        remaining GOP names go in the same transaction.
         """
         with self._write() as conn:
             row = conn.execute(
@@ -371,41 +467,44 @@ class Catalog:
             )
             for hook in self._delete_hooks:
                 hook(conn, logical_id)
-            conn.execute(
-                "DELETE FROM gops WHERE physical_id IN "
-                "(SELECT id FROM physical_videos WHERE logical_id = ?)",
+            paths = self._drop_gops(
+                conn,
+                "physical_id IN (SELECT id FROM physical_videos"
+                " WHERE logical_id = ?)",
                 (logical_id,),
             )
-            conn.execute(
-                "DELETE FROM physical_videos WHERE logical_id = ?", (logical_id,)
+            unnamed_pairs = (
+                "FROM joint_pairs WHERE id NOT IN (SELECT joint_pair_id"
+                " FROM gops WHERE joint_pair_id IS NOT NULL)"
             )
-            conn.execute(
-                "DELETE FROM tile_groups WHERE logical_id = ?", (logical_id,)
-            )
-            conn.execute(
-                "DELETE FROM roi_accesses WHERE logical_id = ?", (logical_id,)
-            )
-            conn.execute(
-                "DELETE FROM logical_videos WHERE id = ?", (logical_id,)
-            )
+            paths += [
+                path
+                for row in conn.execute(
+                    f"SELECT left_path, overlap_path, right_path {unnamed_pairs}"
+                )
+                for path in row
+                if path
+            ]
+            conn.execute(f"DELETE {unnamed_pairs}")
+            for table, column in (
+                ("physical_videos", "logical_id"),
+                ("tile_groups", "logical_id"),
+                ("roi_accesses", "logical_id"),
+                ("logical_videos", "id"),
+            ):
+                conn.execute(
+                    f"DELETE FROM {table} WHERE {column} = ?", (logical_id,)
+                )
             conn.commit()
-        self.bump_data_version(logical_id)
-        return cascaded
+        with self._versions_lock:
+            self._versions.pop(logical_id, None)
+        return cascaded, paths
 
     def add_delete_hook(self, hook) -> None:
         """Register ``hook(conn, logical_id)`` to run inside the
         :meth:`delete_logical` writer transaction, before the catalog
         rows go."""
         self._delete_hooks.append(hook)
-
-    @staticmethod
-    def _logical_from_row(row: sqlite3.Row) -> LogicalVideo:
-        return LogicalVideo(
-            id=row["id"],
-            name=row["name"],
-            budget_bytes=row["budget_bytes"],
-            created_at=row["created_at"],
-        )
 
     # ------------------------------------------------------------------
     # names (videos + views as one namespace)
@@ -417,12 +516,11 @@ class Catalog:
         delete can never make a name look like both (or neither) kinds
         mid-probe.
         """
-        with self._read() as conn:
-            row = conn.execute(
-                "SELECT 'video' AS kind FROM logical_videos WHERE name = ?"
-                " UNION ALL SELECT 'view' FROM views WHERE name = ?",
-                (name, name),
-            ).fetchone()
+        row = self._first(
+            "SELECT 'video' AS kind FROM logical_videos WHERE name = ?"
+            " UNION ALL SELECT 'view' FROM views WHERE name = ?",
+            (name, name),
+        )
         return None if row is None else row["kind"]
 
     def list_names(self, kind: str = "all") -> list[str]:
@@ -446,9 +544,7 @@ class Catalog:
             raise ValueError(
                 f"unknown kind {kind!r}; expected 'all', 'video', or 'view'"
             )
-        with self._read() as conn:
-            rows = conn.execute(query).fetchall()
-        return [r["name"] for r in rows]
+        return [r["name"] for r in self._rows(query)]
 
     # ------------------------------------------------------------------
     # views
@@ -473,16 +569,15 @@ class Catalog:
             ).fetchone():
                 raise VideoNotFoundError(spec.over)
             try:
-                cursor = conn.execute(
-                    "INSERT INTO views (name, over, spec, created_at)"
-                    " VALUES (?, ?, ?, ?)",
-                    (name, spec.over, json.dumps(spec.to_dict()), time.time()),
+                view_id = self._insert(
+                    conn, "views", name=name, over=spec.over,
+                    spec=json.dumps(spec.to_dict()), created_at=time.time(),
                 )
             except sqlite3.IntegrityError:
                 raise VideoExistsError(name) from None
             conn.commit()
             row = conn.execute(
-                "SELECT * FROM views WHERE id = ?", (cursor.lastrowid,)
+                "SELECT * FROM views WHERE id = ?", (view_id,)
             ).fetchone()
         return self._view_from_row(row)
 
@@ -494,21 +589,17 @@ class Catalog:
 
     def find_view(self, name: str) -> ViewRecord | None:
         """The view named ``name``, or None (no exception probe)."""
-        with self._read() as conn:
-            row = conn.execute(
-                "SELECT * FROM views WHERE name = ?", (name,)
-            ).fetchone()
+        row = self._first("SELECT * FROM views WHERE name = ?", (name,))
         return None if row is None else self._view_from_row(row)
 
     def list_views(self) -> list[ViewRecord]:
-        with self._read() as conn:
-            rows = conn.execute("SELECT * FROM views ORDER BY name").fetchall()
-        return [self._view_from_row(r) for r in rows]
+        return [
+            self._view_from_row(r)
+            for r in self._rows("SELECT * FROM views ORDER BY name")
+        ]
 
     def count_views(self) -> int:
-        with self._read() as conn:
-            value = conn.execute("SELECT COUNT(*) FROM views").fetchone()[0]
-        return int(value)
+        return int(self._first("SELECT COUNT(*) FROM views")[0])
 
     def delete_view(self, name: str, force: bool = False) -> list[str]:
         """Delete one view definition and return every view deleted.
@@ -564,12 +655,7 @@ class Catalog:
             raise CatalogError(
                 f"corrupt view definition for {row['name']!r}: {exc}"
             ) from exc
-        return ViewRecord(
-            id=row["id"],
-            name=row["name"],
-            spec=spec,
-            created_at=row["created_at"],
-        )
+        return ViewRecord(row["id"], row["name"], spec, row["created_at"])
 
     # ------------------------------------------------------------------
     # physical videos
@@ -594,122 +680,116 @@ class Catalog:
         format_mse: float = 0.0,
     ) -> PhysicalVideo:
         with self._write() as conn:
-            cursor = conn.execute(
-                "INSERT INTO physical_videos (logical_id, codec, pixel_format,"
-                " width, height, fps, qp, roi, start_time, end_time,"
-                " mse_estimate, is_original, sealed, tile_group_id,"
-                " tile_index, format_mse)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    logical_id,
-                    codec,
-                    pixel_format,
-                    width,
-                    height,
-                    fps,
-                    qp,
-                    _roi_to_text(roi),
-                    start_time,
-                    end_time,
-                    mse_estimate,
-                    int(is_original),
-                    int(sealed),
-                    tile_group_id,
-                    tile_index,
-                    format_mse,
-                ),
+            physical_id = self._insert(
+                conn,
+                "physical_videos",
+                logical_id=logical_id,
+                codec=codec,
+                pixel_format=pixel_format,
+                width=width,
+                height=height,
+                fps=fps,
+                qp=qp,
+                roi=_roi_to_text(roi),
+                start_time=start_time,
+                end_time=end_time,
+                mse_estimate=mse_estimate,
+                is_original=int(is_original),
+                sealed=int(sealed),
+                tile_group_id=tile_group_id,
+                tile_index=tile_index,
+                format_mse=format_mse,
             )
             conn.commit()
-            return self.get_physical(cursor.lastrowid)
+            return self.get_physical(physical_id)
 
     def get_physical(self, physical_id: int) -> PhysicalVideo:
-        with self._read() as conn:
-            row = conn.execute(
-                "SELECT * FROM physical_videos WHERE id = ?", (physical_id,)
-            ).fetchone()
-        if row is None:
-            raise CatalogError(f"no physical video with id {physical_id}")
-        return self._physical_from_row(row)
+        return _physical(self._first(
+            "SELECT * FROM physical_videos WHERE id = ?", (physical_id,),
+            CatalogError(f"no physical video with id {physical_id}"),
+        ))
 
     def list_physicals(self, logical_id: int) -> list[PhysicalVideo]:
-        with self._read() as conn:
-            rows = conn.execute(
+        return [
+            _physical(r)
+            for r in self._rows(
                 "SELECT * FROM physical_videos WHERE logical_id = ?"
                 " ORDER BY id",
                 (logical_id,),
-            ).fetchall()
-        return [self._physical_from_row(r) for r in rows]
+            )
+        ]
 
     def original_physical(self, logical_id: int) -> PhysicalVideo | None:
-        with self._read() as conn:
-            row = conn.execute(
-                "SELECT * FROM physical_videos WHERE logical_id = ?"
-                " AND is_original = 1 ORDER BY id LIMIT 1",
-                (logical_id,),
-            ).fetchone()
-        return None if row is None else self._physical_from_row(row)
+        row = self._first(
+            "SELECT * FROM physical_videos WHERE logical_id = ?"
+            " AND is_original = 1 ORDER BY id LIMIT 1",
+            (logical_id,),
+        )
+        return None if row is None else _physical(row)
 
     def update_physical_times(
         self, physical_id: int, start_time: float, end_time: float
     ) -> None:
-        with self._write() as conn:
-            conn.execute(
-                "UPDATE physical_videos SET start_time = ?, end_time = ?"
-                " WHERE id = ?",
-                (start_time, end_time, physical_id),
-            )
-            conn.commit()
+        self._set(
+            "physical_videos", physical_id,
+            start_time=start_time, end_time=end_time,
+        )
 
     def seal_physical(self, physical_id: int) -> None:
-        with self._write() as conn:
-            conn.execute(
-                "UPDATE physical_videos SET sealed = 1 WHERE id = ?",
-                (physical_id,),
-            )
-            conn.commit()
+        self._set("physical_videos", physical_id, sealed=1)
 
     def update_mse_estimate(
         self, physical_id: int, mse_estimate: float, format_mse: float
     ) -> None:
-        with self._write() as conn:
-            conn.execute(
-                "UPDATE physical_videos SET mse_estimate = ?, format_mse = ?"
-                " WHERE id = ?",
-                (mse_estimate, format_mse, physical_id),
-            )
-            conn.commit()
+        self._set(
+            "physical_videos", physical_id,
+            mse_estimate=mse_estimate, format_mse=format_mse,
+        )
 
-    def delete_physical(self, physical_id: int) -> None:
+    def delete_physical(self, physical_id: int) -> list[str]:
+        """Delete a physical video and its GOPs; returns the files no
+        remaining row names (for :meth:`Layout.sweep`)."""
         with self._write() as conn:
-            conn.execute(
-                "DELETE FROM gops WHERE physical_id = ?", (physical_id,)
-            )
+            paths = self._drop_gops(conn, "physical_id = ?", (physical_id,))
             conn.execute(
                 "DELETE FROM physical_videos WHERE id = ?", (physical_id,)
             )
             conn.commit()
+        return paths
 
-    @staticmethod
-    def _physical_from_row(row: sqlite3.Row) -> PhysicalVideo:
-        return PhysicalVideo(
-            id=row["id"],
-            logical_id=row["logical_id"],
-            codec=row["codec"],
-            pixel_format=row["pixel_format"],
-            width=row["width"],
-            height=row["height"],
-            fps=row["fps"],
-            qp=row["qp"],
-            roi=_roi_from_text(row["roi"]),
-            start_time=row["start_time"],
-            end_time=row["end_time"],
-            mse_estimate=row["mse_estimate"],
-            is_original=bool(row["is_original"]),
-            sealed=bool(row["sealed"]),
-            tile_group_id=row["tile_group_id"],
-            tile_index=row["tile_index"],
-            format_mse=row["format_mse"],
-        )
+    def merge_physicals(
+        self, first: int, second: int, mse_estimate: float, format_mse: float
+    ) -> list[int]:
+        """Append physical ``second``'s GOPs to ``first`` and delete
+        ``second``, in one transaction (compaction); returns the GOP ids
+        moved.  The GOPs keep their files, so nothing is left to sweep.
+        """
+        with self._write() as conn:
+            (next_seq,) = conn.execute(
+                "SELECT COALESCE(MAX(seq) + 1, 0) FROM gops"
+                " WHERE physical_id = ?",
+                (first,),
+            ).fetchone()
+            moved = [
+                gop_id
+                for (gop_id,) in conn.execute(
+                    "SELECT id FROM gops WHERE physical_id = ? ORDER BY seq",
+                    (second,),
+                )
+            ]
+            conn.executemany(
+                "UPDATE gops SET physical_id = ?, seq = ? WHERE id = ?",
+                [(first, next_seq + i, gid) for i, gid in enumerate(moved)],
+            )
+            conn.execute(
+                "UPDATE physical_videos SET end_time = (SELECT end_time"
+                " FROM physical_videos WHERE id = ?), mse_estimate = ?,"
+                " format_mse = ? WHERE id = ?",
+                (second, mse_estimate, format_mse, first),
+            )
+            conn.execute("DELETE FROM physical_videos WHERE id = ?", (second,))
+            conn.commit()
+        return moved
 
     # ------------------------------------------------------------------
     # tile groups (repro.tiles: spatially tiled physical layouts)
@@ -724,54 +804,53 @@ class Catalog:
         via :meth:`add_physical`'s ``tile_group_id``/``tile_index``.
         """
         with self._write() as conn:
-            cursor = conn.execute(
-                "INSERT INTO tile_groups (logical_id, source_physical_id,"
-                " grid, created_at) VALUES (?, ?, ?, ?)",
-                (
-                    logical_id,
-                    source_physical_id,
-                    json.dumps(grid.to_dict()),
-                    time.time(),
-                ),
+            group_id = self._insert(
+                conn, "tile_groups", logical_id=logical_id,
+                source_physical_id=source_physical_id,
+                grid=json.dumps(grid.to_dict()), created_at=time.time(),
             )
             conn.commit()
-            return self.get_tile_group(cursor.lastrowid)
-
-    def get_tile_group(self, group_id: int) -> TileGroupRecord:
-        with self._read() as conn:
-            row = conn.execute(
+            return self._tile_group_from_row(conn.execute(
                 "SELECT * FROM tile_groups WHERE id = ?", (group_id,)
-            ).fetchone()
-        if row is None:
-            raise CatalogError(f"no tile group with id {group_id}")
-        return self._tile_group_from_row(row)
+            ).fetchone())
 
     def tile_groups_of_logical(self, logical_id: int) -> list[TileGroupRecord]:
-        with self._read() as conn:
-            rows = conn.execute(
+        return [
+            self._tile_group_from_row(r)
+            for r in self._rows(
                 "SELECT * FROM tile_groups WHERE logical_id = ? ORDER BY id",
                 (logical_id,),
-            ).fetchall()
-        return [self._tile_group_from_row(r) for r in rows]
-
-    def delete_tile_group(self, group_id: int) -> None:
-        """Remove a tile-group row (members are deleted by the caller
-        via :meth:`delete_physical`, which owns the page files too)."""
-        with self._write() as conn:
-            conn.execute(
-                "DELETE FROM tile_groups WHERE id = ?", (group_id,)
             )
+        ]
+
+    def delete_tile_group(self, group_id: int) -> list[str]:
+        """Delete a tile group, its member physicals and their GOPs in
+        one transaction; returns the files no remaining row names."""
+        with self._write() as conn:
+            paths = self._drop_gops(
+                conn,
+                "physical_id IN (SELECT id FROM physical_videos"
+                " WHERE tile_group_id = ?)",
+                (group_id,),
+            )
+            conn.execute(
+                "DELETE FROM physical_videos WHERE tile_group_id = ?",
+                (group_id,),
+            )
+            conn.execute("DELETE FROM tile_groups WHERE id = ?", (group_id,))
             conn.commit()
+        return paths
 
     def tile_members(self, group_id: int) -> list[PhysicalVideo]:
         """The group's per-tile physicals, in ``tile_index`` order."""
-        with self._read() as conn:
-            rows = conn.execute(
+        return [
+            _physical(r)
+            for r in self._rows(
                 "SELECT * FROM physical_videos WHERE tile_group_id = ?"
                 " ORDER BY tile_index",
                 (group_id,),
-            ).fetchall()
-        return [self._physical_from_row(r) for r in rows]
+            )
+        ]
 
     @staticmethod
     def _tile_group_from_row(row: sqlite3.Row) -> TileGroupRecord:
@@ -783,13 +862,7 @@ class Catalog:
             raise CatalogError(
                 f"corrupt tile grid for group {row['id']}: {exc}"
             ) from exc
-        return TileGroupRecord(
-            id=row["id"],
-            logical_id=row["logical_id"],
-            source_physical_id=row["source_physical_id"],
-            grid=grid,
-            created_at=row["created_at"],
-        )
+        return TileGroupRecord(**{**row, "grid": grid})
 
     # ------------------------------------------------------------------
     # ROI access tracking (feeds the access-driven re-tiling policy)
@@ -821,14 +894,13 @@ class Catalog:
 
     def roi_accesses(self, logical_id: int) -> dict:
         """Accumulated ROI read counts: ``{(x0, y0, x1, y1): count}``."""
-        with self._read() as conn:
-            rows = conn.execute(
+        return {
+            (r["x0"], r["y0"], r["x1"], r["y1"]): r["count"]
+            for r in self._rows(
                 "SELECT x0, y0, x1, y1, count FROM roi_accesses"
                 " WHERE logical_id = ?",
                 (logical_id,),
-            ).fetchall()
-        return {
-            (r["x0"], r["y0"], r["x1"], r["y1"]): r["count"] for r in rows
+            )
         }
 
     def clear_roi_accesses(self, logical_id: int) -> None:
@@ -854,33 +926,27 @@ class Catalog:
         last_access: int = 0,
     ) -> GopRecord:
         with self._write() as conn:
-            cursor = conn.execute(
-                "INSERT INTO gops (physical_id, seq, start_time, end_time,"
-                " num_frames, frame_types, nbytes, path, last_access)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    physical_id,
-                    seq,
-                    start_time,
-                    end_time,
-                    num_frames,
-                    frame_types,
-                    nbytes,
-                    path,
-                    last_access,
-                ),
+            gop_id = self._insert(
+                conn,
+                "gops",
+                physical_id=physical_id,
+                seq=seq,
+                start_time=start_time,
+                end_time=end_time,
+                num_frames=num_frames,
+                frame_types=frame_types,
+                nbytes=nbytes,
+                path=path,
+                last_access=last_access,
             )
             conn.commit()
-            return self.get_gop(cursor.lastrowid)
+            return self.get_gop(gop_id)
 
     def get_gop(self, gop_id: int) -> GopRecord:
-        with self._read() as conn:
-            row = conn.execute(
-                "SELECT * FROM gops WHERE id = ?", (gop_id,)
-            ).fetchone()
-        if row is None:
-            raise CatalogError(f"no GOP with id {gop_id}")
-        return self._gop_from_row(row)
+        return GopRecord(*self._first(
+            "SELECT * FROM gops WHERE id = ?", (gop_id,),
+            CatalogError(f"no GOP with id {gop_id}"),
+        ))
 
     def gops_of_physical(
         self,
@@ -896,20 +962,18 @@ class Catalog:
         if end is not None:
             query += " AND start_time < ?"
             params.append(end - 1e-9)
-        query += " ORDER BY seq"
-        with self._read() as conn:
-            rows = conn.execute(query, params).fetchall()
-        return [self._gop_from_row(r) for r in rows]
+        return [GopRecord(*r) for r in self._rows(query + " ORDER BY seq", params)]
 
     def gops_of_logical(self, logical_id: int) -> list[GopRecord]:
-        with self._read() as conn:
-            rows = conn.execute(
+        return [
+            GopRecord(*r)
+            for r in self._rows(
                 "SELECT gops.* FROM gops JOIN physical_videos p"
                 " ON gops.physical_id = p.id WHERE p.logical_id = ?"
                 " ORDER BY gops.physical_id, gops.seq",
                 (logical_id,),
-            ).fetchall()
-        return [self._gop_from_row(r) for r in rows]
+            )
+        ]
 
     #: Stay safely under SQLite's default host-parameter limit.
     _TOUCH_BATCH = 500
@@ -934,65 +998,75 @@ class Catalog:
                 )
             conn.commit()
 
-    def delete_gop(self, gop_id: int) -> None:
+    def delete_gop(self, gop_id: int) -> list[str]:
+        """Delete one GOP row (eviction); returns its file unless another
+        row still names it."""
         with self._write() as conn:
-            conn.execute("DELETE FROM gops WHERE id = ?", (gop_id,))
+            paths = self._drop_gops(conn, "id = ?", (gop_id,))
             conn.commit()
+        return paths
+
+    @classmethod
+    def _drop_gops(
+        cls, conn: sqlite3.Connection, where: str, params: tuple
+    ) -> list[str]:
+        """Delete the GOP rows matching ``where`` inside the caller's
+        transaction; returns the files no remaining row names."""
+        paths = [
+            row["path"]
+            for row in conn.execute(
+                f"SELECT path FROM gops WHERE joint_pair_id IS NULL"
+                f" AND {where}",
+                params,
+            )
+        ]
+        conn.execute(f"DELETE FROM gops WHERE {where}", params)
+        return cls._unnamed(conn, paths)
+
+    @staticmethod
+    def _unnamed(conn: sqlite3.Connection, paths: list[str]) -> list[str]:
+        """The ``paths`` no row names, seen from the caller's transaction.
+
+        A file is named by a GOP that is not joint, or as a piece of a
+        joint pair; a joint GOP's own ``path`` names nothing.
+        """
+        return [
+            path
+            for path in dict.fromkeys(paths)
+            if not conn.execute(
+                "SELECT 1 FROM gops WHERE path = ? AND joint_pair_id IS NULL"
+                " UNION ALL SELECT 1 FROM joint_pairs"
+                " WHERE ? IN (left_path, overlap_path, right_path)",
+                (path, path),
+            ).fetchone()
+        ]
+
+    def live_paths(self) -> set[str]:
+        """Every file a row names (see :meth:`_unnamed`)."""
+        return {
+            path
+            for row in self._rows(
+                "SELECT path, NULL, NULL FROM gops WHERE joint_pair_id IS NULL"
+                " UNION ALL SELECT left_path, overlap_path, right_path"
+                " FROM joint_pairs"
+            )
+            for path in row
+            if path
+        }
 
     def set_gop_compression(
         self, gop_id: int, zstd_level: int, nbytes: int
     ) -> None:
         """Record an in-place page rewrite (its path is unchanged)."""
-        with self._write() as conn:
-            conn.execute(
-                "UPDATE gops SET zstd_level = ?, nbytes = ? WHERE id = ?",
-                (zstd_level, nbytes, gop_id),
-            )
-            conn.commit()
-
-    def reassign_gop(self, gop_id: int, physical_id: int, seq: int) -> None:
-        """Move a GOP to another physical video (compaction)."""
-        with self._write() as conn:
-            conn.execute(
-                "UPDATE gops SET physical_id = ?, seq = ? WHERE id = ?",
-                (physical_id, seq, gop_id),
-            )
-            conn.commit()
-
-    def set_gop_joint(
-        self, gop_id: int, joint_pair_id: int, role: str, nbytes: int
-    ) -> None:
-        with self._write() as conn:
-            conn.execute(
-                "UPDATE gops SET joint_pair_id = ?, joint_role = ?, nbytes = ?"
-                " WHERE id = ?",
-                (joint_pair_id, role, nbytes, gop_id),
-            )
-            conn.commit()
-
-    @staticmethod
-    def _gop_from_row(row: sqlite3.Row) -> GopRecord:
-        return GopRecord(
-            id=row["id"],
-            physical_id=row["physical_id"],
-            seq=row["seq"],
-            start_time=row["start_time"],
-            end_time=row["end_time"],
-            num_frames=row["num_frames"],
-            frame_types=row["frame_types"],
-            nbytes=row["nbytes"],
-            path=row["path"],
-            last_access=row["last_access"],
-            zstd_level=row["zstd_level"],
-            joint_pair_id=row["joint_pair_id"],
-            joint_role=row["joint_role"],
-        )
+        self._set("gops", gop_id, zstd_level=zstd_level, nbytes=nbytes)
 
     # ------------------------------------------------------------------
     # joint pairs
     # ------------------------------------------------------------------
     def add_joint_pair(
         self,
+        gop_a: int,
+        gop_b: int,
         homography,
         x_f: int,
         x_g: int,
@@ -1000,64 +1074,64 @@ class Catalog:
         left_path: str,
         overlap_path: str | None,
         right_path: str | None,
-        nbytes: int,
+        share_a: int,
+        share_b: int,
         duplicate: bool = False,
-    ) -> JointPairRecord:
-        with self._write() as conn:
-            cursor = conn.execute(
-                "INSERT INTO joint_pairs (homography, x_f, x_g, merge,"
-                " left_path, overlap_path, right_path, nbytes, duplicate)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    json.dumps([float(v) for v in homography]),
-                    x_f,
-                    x_g,
-                    merge,
-                    left_path,
-                    overlap_path,
-                    right_path,
-                    nbytes,
-                    int(duplicate),
-                ),
-            )
-            conn.commit()
-            return self.get_joint_pair(cursor.lastrowid)
+    ) -> list[str]:
+        """Record a joint pair whose pieces are already written, and
+        repoint GOPs ``gop_a`` (role ``a``, ``share_a`` bytes) and
+        ``gop_b`` at it, in one transaction.
 
-    def update_joint_pair_paths(
-        self,
-        pair_id: int,
-        left_path: str,
-        overlap_path: str | None,
-        right_path: str | None,
-        nbytes: int,
-    ) -> None:
+        Refuses (:class:`CatalogError`) when either GOP is gone or
+        already joint.  Bumps both videos' data versions, so no memoized
+        plan names the old pages, and returns those pages for the sweep.
+        """
         with self._write() as conn:
-            conn.execute(
-                "UPDATE joint_pairs SET left_path = ?, overlap_path = ?,"
-                " right_path = ?, nbytes = ? WHERE id = ?",
-                (left_path, overlap_path, right_path, nbytes, pair_id),
+            rows = conn.execute(
+                "SELECT gops.path, gops.joint_pair_id, p.logical_id"
+                " FROM gops JOIN physical_videos p ON gops.physical_id = p.id"
+                " WHERE gops.id IN (?, ?)",
+                (gop_a, gop_b),
+            ).fetchall()
+            if len(rows) != 2 or any(r["joint_pair_id"] for r in rows):
+                raise CatalogError(
+                    f"GOPs {gop_a} and {gop_b} are no longer both present"
+                    " and unpaired"
+                )
+            pair_id = self._insert(
+                conn,
+                "joint_pairs",
+                homography=json.dumps([float(v) for v in homography]),
+                x_f=x_f,
+                x_g=x_g,
+                merge=merge,
+                left_path=left_path,
+                overlap_path=overlap_path,
+                right_path=right_path,
+                nbytes=share_a + share_b,
+                duplicate=int(duplicate),
             )
+            conn.executemany(
+                "UPDATE gops SET joint_pair_id = ?, joint_role = ?, nbytes = ?"
+                " WHERE id = ?",
+                [(pair_id, "a", share_a, gop_a), (pair_id, "b", share_b, gop_b)],
+            )
+            paths = self._unnamed(conn, [r["path"] for r in rows])
             conn.commit()
+        for row in rows:
+            self.bump_data_version(row["logical_id"])
+        return paths
 
     def get_joint_pair(self, pair_id: int) -> JointPairRecord:
-        with self._read() as conn:
-            row = conn.execute(
-                "SELECT * FROM joint_pairs WHERE id = ?", (pair_id,)
-            ).fetchone()
-        if row is None:
-            raise CatalogError(f"no joint pair with id {pair_id}")
-        return JointPairRecord(
-            id=row["id"],
-            homography=tuple(json.loads(row["homography"])),
-            x_f=row["x_f"],
-            x_g=row["x_g"],
-            merge=row["merge"],
-            left_path=row["left_path"],
-            overlap_path=row["overlap_path"],
-            right_path=row["right_path"],
-            nbytes=row["nbytes"],
-            duplicate=bool(row["duplicate"]),
+        row = self._first(
+            "SELECT * FROM joint_pairs WHERE id = ?", (pair_id,),
+            CatalogError(f"no joint pair with id {pair_id}"),
         )
+        return JointPairRecord(**{
+            **row,
+            "homography": tuple(json.loads(row["homography"])),
+            "duplicate": bool(row["duplicate"]),
+        })
 
     # ------------------------------------------------------------------
     # accounting and fragments
@@ -1068,21 +1142,17 @@ class Catalog:
         Jointly compressed GOPs share the pair's storage; each side is
         accounted half the pair to avoid double counting.
         """
-        with self._read() as conn:
-            plain = conn.execute(
-                "SELECT COALESCE(SUM(gops.nbytes), 0) FROM gops"
-                " JOIN physical_videos p ON gops.physical_id = p.id"
-                " WHERE p.logical_id = ?",
-                (logical_id,),
-            ).fetchone()[0]
-        return int(plain)
+        return int(self._first(
+            "SELECT COALESCE(SUM(gops.nbytes), 0) FROM gops"
+            " JOIN physical_videos p ON gops.physical_id = p.id"
+            " WHERE p.logical_id = ?",
+            (logical_id,),
+        )[0])
 
     def max_last_access(self) -> int:
-        with self._read() as conn:
-            value = conn.execute(
-                "SELECT COALESCE(MAX(last_access), 0) FROM gops"
-            ).fetchone()[0]
-        return int(value)
+        return int(self._first(
+            "SELECT COALESCE(MAX(last_access), 0) FROM gops"
+        )[0])
 
     def fragments_of_logical(
         self, logical_id: int, sealed_only: bool = False

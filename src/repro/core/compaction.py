@@ -9,7 +9,8 @@ representation.
 
 The paper's prototype hard-links the second video's files into the first
 and removes the copy; because this store records a path per GOP, the same
-effect is achieved by reassigning the GOP rows — no pixel data moves.
+effect is achieved by reassigning the GOP rows in one transaction — no
+pixel data moves, and a file lives while any row names it.
 """
 
 from __future__ import annotations
@@ -73,20 +74,12 @@ class Compactor:
         return False
 
     def _merge(self, first: PhysicalVideo, second: PhysicalVideo) -> None:
-        first_gops = self.catalog.gops_of_physical(first.id)
-        next_seq = (first_gops[-1].seq + 1) if first_gops else 0
-        for gop in self.catalog.gops_of_physical(second.id):
-            self.catalog.reassign_gop(gop.id, first.id, next_seq)
-            if self.decode_cache is not None:
-                self.decode_cache.invalidate(gop.id)
-            next_seq += 1
-        self.catalog.update_physical_times(
-            first.id, first.start_time, second.end_time
-        )
         # The merged video's quality bounds are the weaker of the two, both
         # against the original and as a read in their own format sees them.
         worst = max(first.mse_estimate, second.mse_estimate)
         format_mse = worst - max(first.own_format_mse, second.own_format_mse)
-        if (worst, format_mse) != (first.mse_estimate, first.format_mse):
-            self.catalog.update_mse_estimate(first.id, worst, format_mse)
-        self.catalog.delete_physical(second.id)
+        moved = self.catalog.merge_physicals(
+            first.id, second.id, worst, format_mse
+        )
+        if self.decode_cache is not None:
+            self.decode_cache.invalidate_many(moved)

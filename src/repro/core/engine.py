@@ -101,6 +101,7 @@ from repro.core.specs import (
 from repro.core.writer import StreamWriter, Writer
 from repro.errors import (
     CatalogError,
+    ContainerError,
     ReadError,
     VideoExistsError,
     VideoNotFoundError,
@@ -319,7 +320,13 @@ class VSSEngine:
     ):
         check_planner_mode(planner)
         self.layout = Layout(root)
+        existing = self.layout.catalog_path.exists()
         self.catalog = Catalog(self.layout.catalog_path)
+        # Sweep what a crash left between a file write and its rows; not
+        # when the catalog was just created, so an open that follows a
+        # lost catalog leaves the store's files in place.
+        if existing:
+            self.layout.sweep(self.layout.stored_files() - self.catalog.live_paths())
         if calibration is None:
             calibration = (
                 Calibration.load(self.layout.calibration_path)
@@ -596,20 +603,15 @@ class VSSEngine:
             return
         with self._locked(name):
             logical = self.catalog.get_logical(name)
-            # Drop decoded prefixes first: SQLite reuses GOP rowids, so
-            # stale entries could otherwise serve this video's pixels
-            # under a later video's GOP ids.
+            # Free the memory of its decoded prefixes.
             self.decode_cache.invalidate_many(
                 g.id for g in self.catalog.gops_of_logical(logical.id)
             )
-            # Catalog rows go before the page files: a refused delete
-            # leaves the video fully intact, and files vanish only once
-            # the catalog no longer references them (the per-logical
-            # lock keeps a same-name re-create from racing the removal).
-            self._forget_views(
-                self.catalog.delete_logical(logical.id, force=force)
-            )
-            self.layout.delete_logical_files(name)
+            # Rows first, in one transaction: a refused delete leaves the
+            # video intact, and files go only once no row names them.
+            cascaded, unnamed = self.catalog.delete_logical(logical.id, force)
+            self._forget_views(cascaded)
+            self.layout.sweep(unnamed)
             # Retire the per-logical bookkeeping so name/id churn cannot
             # grow the engine without bound; _locked re-validates, so a
             # waiter on the retired lock re-acquires the fresh one.
@@ -1054,21 +1056,16 @@ class VSSEngine:
     def _current_incarnation(self, logical: LogicalVideo) -> bool:
         """True while ``logical`` is still the live video of its name.
 
-        ``created_at`` is compared as well as the id: SQLite reuses
-        rowids after a delete, so a re-created video can come back under
-        the old id — a queued admission from the deleted incarnation
-        must not write its stale frames into the new one.  A name that
-        no longer exists at all raises :class:`VideoNotFoundError`:
+        Ids are never recycled, so a video re-created under the same
+        name has a new one: a queued admission from the deleted
+        incarnation must not write its stale frames into it.  A name
+        that no longer exists at all raises :class:`VideoNotFoundError`:
         callers run inside :meth:`_locked`, whose handler then retires
         the per-name lock-registry entry a background task would
         otherwise have re-created for a dead name (the registry must not
         grow without bound under name churn).
         """
-        fresh = self.catalog.get_logical(logical.name)
-        return (
-            fresh.id == logical.id
-            and fresh.created_at == logical.created_at
-        )
+        return self.catalog.get_logical(logical.name).id == logical.id
 
     def _run_if_current(
         self, logical: LogicalVideo, fn, shared: bool = False
@@ -1544,6 +1541,79 @@ class VSSEngine:
         return reference
 
     # ------------------------------------------------------------------
+    # consistency
+    # ------------------------------------------------------------------
+    def check(self, name: str | None = None) -> dict[str, list[str]]:
+        """Diff the catalog against the files, for one video or the store.
+
+        Returns relative paths under three keys: ``orphans`` (files no
+        row names), ``dangling`` (files a row names that are missing) and
+        ``mismatched`` (GOP files whose header codec, frame count or
+        geometry disagrees with the catalog).  Each video is diffed under
+        its shared lock; for the whole store, files outside every live
+        video's directory are diffed last.  Nothing is repaired.
+        """
+        if name is not None:
+            self._require_storage(name, "check")
+        names = self.catalog.list_names("video") if name is None else [name]
+
+        def header_matches(gop, physical: PhysicalVideo) -> bool:
+            try:
+                encoded = self.layout.read_gop(gop.path)
+            except ContainerError:
+                return False
+            return (
+                encoded.codec,
+                encoded.num_frames,
+                encoded.width,
+                encoded.height,
+            ) == (physical.codec, gop.num_frames, physical.width, physical.height)
+
+        report: dict[str, list[str]] = {
+            "orphans": [], "dangling": [], "mismatched": []
+        }
+        for video in names:
+            base = f"videos/{video}"
+            with self._locked(video, shared=True):
+                logical = self.catalog.get_logical(video)
+                gops = self.catalog.gops_of_logical(logical.id)
+                live = {g.path for g in gops if g.joint_pair_id is None}
+                for pair_id in {g.joint_pair_id for g in gops} - {None}:
+                    pair = self.catalog.get_joint_pair(pair_id)
+                    live |= {pair.left_path, pair.overlap_path, pair.right_path}
+                live.discard(None)
+                stored = {
+                    path
+                    for path in self.layout.stored_files(base)
+                    if path.rsplit("/", 2)[0] == base
+                }
+                physicals = {
+                    p.id: p for p in self.catalog.list_physicals(logical.id)
+                }
+                report["orphans"] += stored - live
+                report["dangling"] += [
+                    path
+                    for path in live - stored
+                    if not (self.layout.root / path).is_file()
+                ]
+                report["mismatched"] += [
+                    gop.path
+                    for gop in gops
+                    if gop.joint_pair_id is None
+                    and gop.path in stored
+                    and not header_matches(gop, physicals[gop.physical_id])
+                ]
+        if name is None:
+            bases = {f"videos/{video}" for video in names}
+            report["orphans"] += [
+                path
+                for path in self.layout.stored_files()
+                - self.catalog.live_paths()
+                if path.rsplit("/", 2)[0] not in bases
+            ]
+        return {key: sorted(paths) for key, paths in report.items()}
+
+    # ------------------------------------------------------------------
     # stats
     # ------------------------------------------------------------------
     def _absorb_session(self, stats: SessionStats) -> None:
@@ -1686,10 +1756,10 @@ class VSSEngine:
         Rides the admission worker so extraction never blocks the write
         path; keyed per incarnation so back-to-back writes coalesce into
         one pass (the queued task re-reads the catalog and indexes
-        whatever GOPs exist by the time it runs) while a video
-        re-created under a reused rowid still gets its own.
+        whatever GOPs exist by the time it runs) while a re-created
+        video, whose id is new, still gets its own.
         """
-        key = ("extract", logical.id, logical.created_at)
+        key = ("extract", logical.id)
         if self._admissions.pending(key):
             return  # coalesces with the queued pass; nothing dropped
         submitted = self._admissions.submit(
@@ -2183,7 +2253,7 @@ class HookedStream:
 
     def _check_alive(self) -> None:
         """Raise when the logical video this stream opened was deleted,
-        even if a video of the same name (and reused id) replaced it."""
+        even if a new video of the same name replaced it."""
         try:
             alive = self._engine._current_incarnation(self._logical)
         except CatalogError:

@@ -11,14 +11,27 @@ Layout::
             <seq>.gop        encoded-GOP container, or one VZST-wrapped
                              by deferred compression
       joint/
-        <pair id>.{left,overlap,right}.gop
+        <gop a id>-<gop b id>.{left,overlap,right}.gop
 
 Paths stored in the catalog are relative to the root so a store directory
 can be moved wholesale.  A page's path never changes: deferred
 compression rewrites the file in place, and :meth:`Layout.read_gop`
 recognises the ``VZST`` header whatever the catalog row says.  Only
-stores written by older versions hold ``<seq>.gop.z`` files (their rows
-point at them, so they read the same way).
+stores written by older versions hold ``<seq>.gop.z`` files, or joint
+pieces named ``<pair id>.<piece>.gop`` (their rows point at them, so
+they read the same way).
+
+A file's lifetime follows one rule.  Ids in file names are never
+recycled, so a name is never reused.  A new file is created under its
+fresh name (an existing one makes the write fail) before the rows that
+name it commit.  A file is removed only by :meth:`Layout.sweep`, and
+only after the transaction that stopped naming it has committed; the
+catalog's removals return exactly those paths.  A joint piece's name
+exists before its pair's row does, since a GOP joins at most one pair.
+When the engine opens an existing catalog it sweeps every file under
+``videos/`` and ``joint/`` that no row names (staging ``.tmp`` files
+included), so a crash at any point leaves at worst an orphan until the
+next open; the open that creates the catalog sweeps nothing.
 """
 
 from __future__ import annotations
@@ -51,19 +64,21 @@ class Layout:
     # ------------------------------------------------------------------
     # GOP files
     # ------------------------------------------------------------------
-    def gop_relpath(self, logical_name: str, physical_id: int, seq: int) -> str:
-        return f"videos/{logical_name}/{physical_id}/{seq}.gop"
-
     def write_gop(
         self, logical_name: str, physical_id: int, seq: int, gop: EncodedGOP
     ) -> tuple[str, int]:
         """Write a GOP container; returns (relative path, bytes written)."""
-        relpath = self.gop_relpath(logical_name, physical_id, seq)
+        relpath = f"videos/{logical_name}/{physical_id}/{seq}.gop"
+        return relpath, self._create(relpath, encode_container(gop))
+
+    def _create(self, relpath: str, data: bytes) -> int:
+        """Write a new file; raises :class:`FileExistsError` rather than
+        overwrite one."""
         target = self.root / relpath
         target.parent.mkdir(parents=True, exist_ok=True)
-        data = encode_container(gop)
-        target.write_bytes(data)
-        return relpath, len(data)
+        with open(target, "xb") as handle:
+            handle.write(data)
+        return len(data)
 
     def read_gop(self, relpath: str) -> EncodedGOP:
         """Read a GOP container, transparently undoing deferred
@@ -94,44 +109,45 @@ class Layout:
         os.replace(staging, target)
         return relpath, len(packed)
 
-    def delete_gop_file(self, relpath: str) -> None:
-        path = self.root / relpath
-        if path.exists():
-            path.unlink()
-            # Prune empty physical-video directories.
-            parent = path.parent
-            try:
-                next(parent.iterdir())
-            except StopIteration:
-                parent.rmdir()
+    def sweep(self, relpaths) -> None:
+        """Remove files no catalog row names any more, then the
+        directories that leaves empty (up to ``videos/`` or ``joint/``).
 
-    def delete_logical_files(self, logical_name: str) -> None:
-        base = self.root / "videos" / logical_name
-        if not base.exists():
-            return
-        for path in sorted(base.rglob("*"), reverse=True):
-            if path.is_file():
-                path.unlink()
-            else:
-                path.rmdir()
-        base.rmdir()
+        The one place the store deletes files: callers pass what a
+        committed catalog transaction returned, or the diff of
+        :meth:`stored_files` against the catalog's live paths.
+        """
+        for relpath in relpaths:
+            path = self.root / relpath
+            path.unlink(missing_ok=True)
+            for parent in path.parents:
+                if parent.parent == self.root:
+                    break
+                try:
+                    parent.rmdir()
+                except OSError:
+                    break  # not empty (or already gone)
+
+    def stored_files(self, under: str | None = None) -> set[str]:
+        """Relative paths of the files under ``under`` (default: all of
+        ``videos/`` and ``joint/``)."""
+        return {
+            path.relative_to(self.root).as_posix()
+            for top in ([under] if under else ["videos", "joint"])
+            for path in (self.root / top).rglob("*")
+            if path.is_file()
+        }
 
     # ------------------------------------------------------------------
     # joint-compression pieces
     # ------------------------------------------------------------------
-    def joint_relpath(self, pair_id: int, piece: str) -> str:
-        return f"joint/{pair_id}.{piece}.gop"
-
     def write_joint_piece(
-        self, pair_id: int, piece: str, gop: EncodedGOP
+        self, gop_a: int, gop_b: int, piece: str, gop: EncodedGOP
     ) -> tuple[str, int]:
-        relpath = self.joint_relpath(pair_id, piece)
-        data = encode_container(gop)
-        (self.root / relpath).write_bytes(data)
-        return relpath, len(data)
-
-    def read_joint_piece(self, relpath: str) -> EncodedGOP:
-        return self.read_gop(relpath)
+        """Write one piece of the pair GOPs ``gop_a`` and ``gop_b`` are
+        about to join; returns (relative path, bytes written)."""
+        relpath = f"joint/{gop_a}-{gop_b}.{piece}.gop"
+        return relpath, self._create(relpath, encode_container(gop))
 
     def file_size(self, relpath: str) -> int:
         return (self.root / relpath).stat().st_size

@@ -2,8 +2,9 @@
 
 ``JointCompressionManager.optimize`` walks the original physical videos of
 the store's logical videos, finds candidate GOP pairs (section 5.1.3),
-applies Algorithm 1 to each, and — for admitted pairs — replaces the two
-GOP files with the shared left/overlap/right pieces plus catalog metadata.
+applies Algorithm 1 to each, and — for admitted pairs — writes the shared
+left/overlap/right pieces, then repoints the two GOPs at them in one
+catalog transaction, and sweeps the two pages that no longer have a name.
 Reads reconstruct either side transparently (see
 :mod:`repro.jointcomp.recovery`), so applications never observe the
 rewrite; only the storage accounting changes.
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.records import GopRecord
+from repro.errors import CatalogError
 from repro.jointcomp.algorithm import JointCompressor, JointResult
 from repro.jointcomp.selection import JointCandidateSelector
 from repro.video.codec.quant import QP_DEFAULT
@@ -141,8 +143,7 @@ class JointCompressionManager:
         if result.swapped:
             gop_a, gop_b = gop_b, gop_a
             seg_a, seg_b = seg_b, seg_a
-        self._persist_pair(gop_a, gop_b, seg_a, result, report)
-        return True
+        return self._persist_pair(gop_a, gop_b, seg_a, result, report)
 
     def _persist_pair(
         self,
@@ -151,23 +152,11 @@ class JointCompressionManager:
         seg_a: VideoSegment,
         result: JointResult,
         report: JointReport,
-    ) -> None:
+    ) -> bool:
         catalog = self.vss.catalog
         layout = self.vss.layout
         codec = codec_for(self.codec)
         bytes_before = gop_a.nbytes + gop_b.nbytes
-
-        pair = catalog.add_joint_pair(
-            homography=result.homography.ravel(),
-            x_f=result.x_f,
-            x_g=result.x_g,
-            merge=result.merge,
-            left_path="",  # filled below once the pair id exists
-            overlap_path=None,
-            right_path=None,
-            nbytes=0,
-            duplicate=result.duplicate,
-        )
 
         def encode_piece(stack: np.ndarray, piece: str) -> tuple[str, int]:
             segment = VideoSegment(
@@ -179,7 +168,7 @@ class JointCompressionManager:
                 seg_a.start_time,
             )
             encoded = codec.encode_gop(segment, qp=self.qp)
-            return layout.write_joint_piece(pair.id, piece, encoded)
+            return layout.write_joint_piece(gop_a.id, gop_b.id, piece, encoded)
 
         left_path, left_bytes = encode_piece(result.left_frames, "left")
         overlap_path = right_path = None
@@ -190,19 +179,22 @@ class JointCompressionManager:
             )
             right_path, right_bytes = encode_piece(result.right_frames, "right")
         total = left_bytes + overlap_bytes + right_bytes
-        catalog.update_joint_pair_paths(
-            pair.id, left_path, overlap_path, right_path, total
-        )
-
-        # Remove the originals and repoint the GOP rows at the pair.
-        layout.delete_gop_file(gop_a.path)
-        layout.delete_gop_file(gop_b.path)
         share_a = left_bytes + overlap_bytes // 2
         share_b = right_bytes + overlap_bytes - overlap_bytes // 2
         if result.duplicate:
             share_a, share_b = left_bytes, 0
-        catalog.set_gop_joint(gop_a.id, pair.id, "a", share_a)
-        catalog.set_gop_joint(gop_b.id, pair.id, "b", share_b)
+        try:
+            pages = catalog.add_joint_pair(
+                gop_a.id, gop_b.id, result.homography.ravel(), result.x_f,
+                result.x_g, result.merge, left_path, overlap_path, right_path,
+                share_a, share_b, result.duplicate,
+            )
+        except CatalogError:
+            # A GOP was deleted or paired meanwhile; no row names the
+            # pieces, so they go at once.
+            layout.sweep(p for p in (left_path, overlap_path, right_path) if p)
+            return False
+        layout.sweep(pages)
         decode_cache = getattr(self.vss, "decode_cache", None)
         if decode_cache is not None:
             # Joint GOPs are never served from the decode cache; drop any
@@ -217,3 +209,4 @@ class JointCompressionManager:
         report.bytes_after += total
         report.quality_left_db.append(result.quality_left_db)
         report.quality_right_db.append(result.quality_right_db)
+        return True

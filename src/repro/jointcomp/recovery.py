@@ -29,7 +29,7 @@ def recover_segment(
     """Reconstruct one side ('a' = left/F, 'b' = right/G) of a pair."""
     if role not in ("a", "b"):
         raise JointCompressionError(f"unknown joint role {role!r}")
-    left = decode_gop(layout.read_joint_piece(pair.left_path))
+    left = decode_gop(layout.read_gop(pair.left_path))
     if pair.duplicate:
         # Either side is served from the single stored copy.
         return left
@@ -37,7 +37,7 @@ def recover_segment(
         raise JointCompressionError(
             f"joint pair {pair.id} is missing overlap/right pieces"
         )
-    overlap = decode_gop(layout.read_joint_piece(pair.overlap_path))
+    overlap = decode_gop(layout.read_gop(pair.overlap_path))
     if role == "a":
         pixels = np.concatenate([left.pixels, overlap.pixels], axis=2)
         return VideoSegment(
@@ -48,7 +48,7 @@ def recover_segment(
             left.fps,
             left.start_time,
         )
-    right = decode_gop(layout.read_joint_piece(pair.right_path))
+    right = decode_gop(layout.read_gop(pair.right_path))
     h_matrix = np.array(pair.homography, dtype=np.float64).reshape(3, 3)
     height = left.height
     width = left.width + overlap.width

@@ -21,8 +21,7 @@ locked writer, per-thread WAL readers).  Three tables:
 Consistency: :class:`SearchIndex` registers a
 :meth:`~repro.core.catalog.Catalog.add_delete_hook` so a logical's index
 rows are dropped inside the *same writer transaction* as its catalog
-rows — SQLite reuses rowids, so an orphaned index row would otherwise
-attach itself to a recreated video.  Upserts stamp the logical's
+rows, so a delete leaves no index row behind for a dead video id.  Upserts stamp the logical's
 ``data_version`` (the plan cache's mutation counter) at extraction time,
 which makes stale rows identifiable after a refinement rewrites pixels
 in place.

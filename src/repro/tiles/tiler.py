@@ -150,14 +150,14 @@ class Tiler:
     def drop_group(
         self, logical: LogicalVideo, group: TileGroupRecord
     ) -> None:
-        """Delete a tile group: pages, files, physicals, and the record."""
-        for member in self.catalog.tile_members(group.id):
-            for gop in self.catalog.gops_of_physical(member.id):
-                if self.decode_cache is not None:
-                    self.decode_cache.invalidate(gop.id)
-                self.layout.delete_gop_file(gop.path)
-            self.catalog.delete_physical(member.id)
-        self.catalog.delete_tile_group(group.id)
+        """Delete a tile group: pages, physicals, and the record in one
+        catalog transaction, then the files it stopped naming."""
+        if self.decode_cache is not None:
+            for member in self.catalog.tile_members(group.id):
+                self.decode_cache.invalidate_many(
+                    g.id for g in self.catalog.gops_of_physical(member.id)
+                )
+        self.layout.sweep(self.catalog.delete_tile_group(group.id))
         self.catalog.bump_data_version(logical.id)
 
     # ------------------------------------------------------------------

@@ -260,20 +260,39 @@ class TestLayout:
         seg = make_segment(n=2, h=16, w=24)
         gop = encode_gop("raw", seg)[0]
         relpath, _ = layout.write_gop("v", 1, 0, gop)
-        layout.delete_gop_file(relpath)
+        kept, _ = layout.write_gop("v", 2, 0, gop)
+        layout.sweep([relpath])
         assert not (layout.root / "videos/v/1").exists()
+        assert layout.stored_files() == {kept}
 
     def test_delete_logical_files(self, layout):
         seg = make_segment(n=2, h=16, w=24)
         gop = encode_gop("raw", seg)[0]
-        layout.write_gop("v", 1, 0, gop)
-        layout.write_gop("v", 2, 0, gop)
-        layout.delete_logical_files("v")
+        written = [layout.write_gop("v", pid, 0, gop)[0] for pid in (1, 2)]
+        layout.sweep(written)
         assert not (layout.root / "videos/v").exists()
+        # The top-level directories stay; missing paths are no error.
+        assert (layout.root / "videos").is_dir()
+        layout.sweep(written)
 
     def test_joint_piece_roundtrip(self, layout):
         seg = make_segment(n=2, h=16, w=24)
         gop = encode_gop("h264", seg, qp=14)[0]
-        relpath, _ = layout.write_joint_piece(7, "left", gop)
-        assert relpath == "joint/7.left.gop"
-        assert layout.read_joint_piece(relpath).payloads == gop.payloads
+        relpath, _ = layout.write_joint_piece(7, 9, "left", gop)
+        assert relpath == "joint/7-9.left.gop"
+        assert layout.read_gop(relpath).payloads == gop.payloads
+        layout.sweep([relpath])
+        assert layout.stored_files() == set()
+        assert (layout.root / "joint").is_dir()
+
+    def test_files_are_never_overwritten(self, layout):
+        seg = make_segment(n=2, h=16, w=24)
+        gop = encode_gop("raw", seg)[0]
+        relpath, _ = layout.write_gop("v", 1, 0, gop)
+        before = (layout.root / relpath).read_bytes()
+        with pytest.raises(FileExistsError):
+            layout.write_gop("v", 1, 0, encode_gop("raw", make_segment(n=3))[0])
+        layout.write_joint_piece(1, 2, "left", gop)
+        with pytest.raises(FileExistsError):
+            layout.write_joint_piece(1, 2, "left", gop)
+        assert (layout.root / relpath).read_bytes() == before

@@ -297,9 +297,9 @@ class TestConcurrency:
         assert "live" not in engine.list_videos()
 
     def test_stream_append_after_recreate_raises(self, engine):
-        """SQLite hands a deleted video's id to the next one created: a
-        write stream of the deleted incarnation must not append into the
-        re-created video under that reused id."""
+        """A re-created video gets a new id (ids are never recycled), and
+        a write stream of the deleted incarnation must not append into
+        the video re-created under its name."""
         clip = blank_segment(8, 36, 64, fps=30.0, fill=50)
         stream = engine.open_write_stream(
             "v", "h264", "rgb", 64, 36, 30.0, qp=12, gop_size=8
@@ -307,15 +307,16 @@ class TestConcurrency:
         stream.append(clip)
         old_id = engine.catalog.get_logical("v").id
         engine.delete("v")
-        assert engine.create("v").id == old_id
+        assert engine.create("v").id > old_id
         with pytest.raises(WriteError):
             stream.append(clip)
         engine.session().write("v", clip, codec="h264", qp=12, gop_size=8)
         catalog = engine.catalog
         physicals = catalog.list_physicals(catalog.get_logical("v").id)
         assert [
-            (p.id, len(catalog.gops_of_physical(p.id))) for p in physicals
-        ] == [(stream.physical.id, 1)]
+            (p.id > stream.physical.id, len(catalog.gops_of_physical(p.id)))
+            for p in physicals
+        ] == [(True, 1)]
 
     def test_delete_prunes_per_logical_state(self, engine):
         """Name churn must not grow the lock registry without bound."""

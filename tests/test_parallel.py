@@ -308,8 +308,8 @@ class TestDecodeCacheIntegration:
     def test_delete_invalidates_before_rowid_reuse(
         self, tmp_path, calibration
     ):
-        # SQLite reuses GOP rowids after a delete; stale decode-cache
-        # entries under those ids must not serve the deleted video.
+        # A delete drops the video's decoded prefixes: no decode-cache
+        # entry may serve the deleted video's pixels to a later one.
         with VSSEngine(tmp_path / "s", calibration=calibration) as engine:
             session = engine.session()
             clip_a = blank_segment(16, 36, 64, fps=30.0, fill=200)

@@ -223,8 +223,8 @@ class TestDeleteCascade:
 
     def test_delete_recreate_search_sees_only_new_rows(self, indexed_engine):
         indexed_engine.delete("traffic")
-        # Recreate under the same name: freshly reused logical ids /
-        # rowids must not resurrect rows from the deleted generation.
+        # Recreate under the same name: no index row of the deleted
+        # generation may come back with it.
         indexed_engine.create("traffic")
         indexed_engine.session().write(
             "traffic", _clip(30, seed=99), codec="h264", qp=10, gop_size=15

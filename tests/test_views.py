@@ -583,7 +583,7 @@ class TestViewLifecycle:
         empty = loaded_engine.create("empty")
         loaded_engine.create_view("c", ViewSpec(over="empty"))
         loaded_engine.create_view("d", ViewSpec(over="c"))
-        assert catalog.delete_logical(empty.id, force=True) == ["c", "d"]
+        assert catalog.delete_logical(empty.id, force=True) == (["c", "d"], [])
         assert loaded_engine.list_videos() == ["traffic"]
 
         # The engine drops exactly the names its cascades return.
