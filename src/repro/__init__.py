@@ -11,8 +11,11 @@ Public entry points:
   named *derived view* — a virtual video (window/crop/format defaults
   over a base) that resolves everywhere a video name is accepted.
 * :class:`repro.VSSServer` / :class:`repro.VSSClient` — the HTTP service
-  pair; the client mirrors the ``Session`` surface so code runs
-  unchanged against local or remote engines.
+  pair.  A client and a ``Session`` are one class's surface
+  (:class:`repro.core.specs.SessionSurface`): the same read / stream /
+  batch / async / write code and ``SessionStats`` accounting, and a
+  remote answer is the same :class:`repro.ReadResult` (``plan`` None),
+  so code runs unchanged against local or remote engines.
 * :class:`repro.VSSBinaryServer` / :class:`repro.VSSBinaryClient` — the
   same surface over the length-prefixed binary frame protocol: one
   asyncio loop multiplexing persistent connections, replies written
@@ -26,12 +29,7 @@ See examples/quickstart.py for a quickstart and docs/api.md for the
 engine/session API guide plus the service API and wire protocol.
 """
 
-from repro.client import (
-    RemoteReadResult,
-    RemoteReadStream,
-    VSSBinaryClient,
-    VSSClient,
-)
+from repro.client import RemoteReadStream, VSSBinaryClient, VSSClient
 from repro.core import (
     ReadChunk,
     ReadResult,
@@ -53,7 +51,6 @@ __all__ = [
     "ReadResult",
     "ReadSpec",
     "ReadStream",
-    "RemoteReadResult",
     "RemoteReadStream",
     "Session",
     "VSSBinaryClient",

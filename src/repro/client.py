@@ -1,12 +1,17 @@
 """Session-shaped clients for a remote VSS server: HTTP and binary.
 
-One client, two transports.  :class:`_RemoteClientBase` is the whole
-Session-shaped surface — ``read`` / ``read_stream`` / ``read_batch`` /
-``read_async`` / ``write`` plus one method per unary operation of the
-service-op table (:data:`repro.core.ops.OPS`: catalog, views, search,
-reindex, metrics) — so application code runs unchanged against a local
-engine, an HTTP server, or a binary server (the parity is asserted by
-introspection in ``tests/test_views.py``)::
+A client is a :class:`repro.core.specs.SessionSurface`, the class a
+local :class:`repro.core.engine.Session` is too: ``read`` /
+``read_stream`` / ``read_batch`` / ``read_async`` / ``write``, their
+:class:`SessionStats` accounting and the close lifecycle are that one
+class's code, and an answer is the same
+:class:`repro.core.reader.ReadResult` (with ``plan=None``: the plan
+stayed on the server).  Beside them a client has one method per unary
+operation of the service-op table (:data:`repro.core.ops.OPS`: catalog,
+views, search, reindex, metrics), so application code runs unchanged
+against a local engine, an HTTP server, or a binary server (the parity
+is asserted by introspection in ``tests/test_views.py``, the accounting
+in ``tests/test_transports.py``)::
 
     client = VSSBinaryClient("127.0.0.1", 8721, codec="h264", qp=12)
     client.write("traffic", segment)
@@ -17,7 +22,8 @@ introspection in ``tests/test_views.py``)::
 The data plane is the same on both transports: ``read``, ``read_batch``
 and ``write`` send one ``REQUEST`` frame and parse the frames that
 answer it (:mod:`repro.core.wire`; pixel payloads are ``np.frombuffer``
-views of the received frame).  A transport subclass supplies two hooks
+views of the received frame).  :class:`VSSClient` holds the surface's
+transport hooks and the catalog surface; a wire supplies two more hooks
 and nothing else:
 
 * ``_rpc(op, params)`` — one unary op: its REST route over HTTP, a
@@ -35,7 +41,8 @@ and nothing else:
 Specs are revalidated identically on the server, and server-side errors
 re-raise as the same :mod:`repro.errors` classes; a busy rejection (HTTP
 429 / ``ServerBusyError`` envelope) raises :class:`ServerBusyError`
-carrying the server's retry hint either way.
+carrying the server's retry hint either way.  A closed client rejects
+further calls, as a closed session does.
 """
 
 from __future__ import annotations
@@ -46,18 +53,22 @@ import socket
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPResponse
 
-from repro.core.engine import SessionStats
 from repro.core.ops import OPS
 from repro.core.reader import (
     BatchStats,
     ReadChunk,
+    ReadResult,
     ReadStats,
     collect_chunks,
 )
-from repro.core.specs import ReadSpec, SpecDefaults, ViewSpec, WriteSpec
+from repro.core.specs import (
+    ReadSpec,
+    SessionSurface,
+    ViewSpec,
+    WriteSpec,
+)
 from repro.core.wire import (
     FRAME_END,
     FRAME_ERROR,
@@ -88,36 +99,7 @@ from repro.search.query import (
     SearchHit,
     like_to_vector,
 )
-from repro.video.codec.registry import codec_for
 from repro.video.frame import VideoSegment
-
-
-@dataclass
-class RemoteReadResult:
-    """A read answer shipped over the wire: pixels or GOPs, plus stats.
-
-    The in-process :class:`ReadResult` carries the full plan; the remote
-    variant carries everything a consumer can use — the decoded segment
-    (raw reads), the encoded GOPs (compressed reads), and the server's
-    :class:`ReadStats`.
-    """
-
-    segment: VideoSegment | None
-    gops: list | None
-    stats: ReadStats
-
-    def as_segment(self) -> VideoSegment:
-        """The result as decoded video (decoding GOPs if necessary)."""
-        if self.segment is not None:
-            return self.segment
-        decoded = [codec_for(g.codec).decode_gop(g) for g in self.gops]
-        return decoded[0].concatenate(decoded)
-
-    @property
-    def nbytes(self) -> int:
-        if self.gops is not None:
-            return sum(g.nbytes for g in self.gops)
-        return self.segment.nbytes
 
 
 class _FrameReply:
@@ -180,13 +162,18 @@ class RemoteReadStream:
     Iterating yields :class:`repro.core.reader.ReadChunk` objects (the
     same type the in-process stream yields); ``stats`` holds the
     server's final :class:`ReadStats` once the stream is exhausted.
-    Closing early drops the connection (unread frames are in flight);
-    the server abandons its side on the broken pipe.
+    Like the in-process stream, exactly one callback fires per stream
+    that is not closed early: ``on_complete(stats, wall_seconds)`` (the
+    caller's pull time) once drained, ``on_failure()`` when a pull
+    raises.  Closing early drops the connection (unread frames are in
+    flight); the server abandons its side on the broken pipe.
     """
 
-    def __init__(self, reply: _FrameReply, on_failure=None):
+    def __init__(self, reply: _FrameReply, on_complete=None, on_failure=None):
         self._reply = reply
+        self._on_complete = on_complete
         self._on_failure = on_failure
+        self._wall = 0.0
         self.stats: ReadStats | None = None
         self.chunks_pulled = 0
 
@@ -194,6 +181,7 @@ class RemoteReadStream:
         return self
 
     def __next__(self) -> ReadChunk:
+        begin = time.perf_counter()
         try:
             frame_type, header, payload = next(self._reply)
             segment, gops = decode_content(frame_type, header, payload)
@@ -202,22 +190,27 @@ class RemoteReadStream:
                 segment, gops,
             )
         except StopIteration:
-            if self._reply.end is not None:
+            if self.stats is None and self._reply.end is not None:
                 self.stats = read_stats_from_dict(self._reply.end["stats"])
+                self._wall += time.perf_counter() - begin
+                if self._on_complete is not None:
+                    self._on_complete(self.stats, self._wall)
             raise
         except Exception:
             self.close()
             if self._on_failure is not None:
                 self._on_failure()
             raise
+        self._wall += time.perf_counter() - begin
         self.chunks_pulled += 1
         return chunk
 
-    def collect(self) -> RemoteReadResult:
-        """Drain the remaining chunks into one :class:`RemoteReadResult`."""
+    def collect(self) -> ReadResult:
+        """Drain the remaining chunks into one :class:`ReadResult`
+        (``plan`` is None: the plan stayed on the server)."""
         segment, gops = collect_chunks(self)
         stats = self.stats if self.stats is not None else ReadStats()
-        return RemoteReadResult(segment, gops, stats)
+        return ReadResult(None, segment, gops, stats)
 
     def close(self) -> None:
         """Abandon the stream early (drops the connection)."""
@@ -230,15 +223,15 @@ class RemoteReadStream:
         self.close()
 
 
-class _RemoteClientBase(SpecDefaults):
-    """A Session-shaped client, all but the socket.
+class VSSClient(SessionSurface):
+    """Session-shaped access to a remote HTTP VSS server (module docs).
 
-    Subclasses provide the wire: :meth:`_rpc` for one unary operation
-    and :meth:`_send_request` for a data-plane request frame.
-    Everything else — spec defaults and builders (:class:`SpecDefaults`),
-    the read / batch / write conversations, :class:`SessionStats`
-    accounting, the ``read_async`` pool, the catalog surface — lives
-    here once.
+    ``defaults`` mirror ``engine.session(**defaults)``: any non-
+    positional :class:`ReadSpec`/:class:`WriteSpec` field, filled into
+    whatever a call does not specify.  ``stats`` accumulates the same
+    :class:`SessionStats` counters a local session does, by the same
+    code.  Each call opens its own connection, which keeps a single
+    client safe to share across threads.
     """
 
     def __init__(
@@ -259,10 +252,7 @@ class _RemoteClientBase(SpecDefaults):
         #: Times a busy rejection was absorbed by waiting out the
         #: server's Retry-After hint and retrying (``busy_retries > 0``).
         self.busy_retries_used = 0
-        self._stats_lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
-        self._closed = False
-        self.stats = SessionStats()
 
     def _retrying(self, fn, *args, **kwargs):
         """Run one idempotent operation, honouring busy backpressure.
@@ -271,7 +261,9 @@ class _RemoteClientBase(SpecDefaults):
         is absorbed up to N times by sleeping out the server's
         ``Retry-After`` hint (capped at 5 s a hop) and reissuing the
         request; the N+1th rejection propagates.  The default (0) keeps
-        the historical fail-fast behaviour.
+        the historical fail-fast behaviour.  A data-plane failure is
+        counted once, by the surface, when it raises to the caller — a
+        rejection absorbed here shows up in ``busy_retries_used`` only.
         """
         attempts = 0
         while True:
@@ -281,294 +273,14 @@ class _RemoteClientBase(SpecDefaults):
                 if attempts >= self._busy_retries:
                     raise
                 attempts += 1
-                with self._stats_lock:
+                with self._lock:
                     self.busy_retries_used += 1
                 time.sleep(min(max(exc.retry_after, 0.0), 5.0))
 
-    def _attempt(self, fn, *args):
-        """:meth:`_retrying` for a data-plane call: a failure is counted
-        once, when it raises to the caller — a busy rejection absorbed
-        by a retry shows up in ``busy_retries_used`` only."""
-        try:
-            return self._retrying(fn, *args)
-        except Exception:
-            self._note_failure()
-            raise
-
-    # ------------------------------------------------------------------
-    # transport hooks (subclass responsibility)
-    # ------------------------------------------------------------------
-    def _rpc(self, op: str, params: dict) -> dict:
-        raise NotImplementedError
-
-    def _send_request(self, op: str, request: list):
-        """Send one request frame (:func:`encode_frame` buffers).
-
-        Returns ``(rfile, done)``: the blocking file-like the answer's
-        frames arrive on, and ``done(clean)`` to call once when the
-        conversation is over (:class:`_FrameReply`).  A failure the
-        server reports before any frame raises here.
-        """
-        raise NotImplementedError
-
-    def _converse(
-        self, op: str, params: dict, payload=None, *, expect=(), last=FRAME_END
-    ) -> _FrameReply:
-        request = encode_frame(FRAME_REQUEST, {"op": op, **params}, payload)
-        return _FrameReply(*self._send_request(op, request), expect, last)
-
-    def _unary(self, op: str, params: dict, payload=None) -> dict:
-        """One request answered by one ``REPLY`` frame."""
-        reply = self._converse(op, params, payload, last=FRAME_REPLY)
-        next(reply, None)
-        return reply.end
-
-    # ------------------------------------------------------------------
-    # catalog operations
-    # ------------------------------------------------------------------
-    def create(self, name: str, budget_bytes: int = 0) -> dict:
-        return self._retrying(
-            self._rpc, "create", {"name": name, "budget_bytes": budget_bytes}
-        )
-
-    def delete(self, name: str, force: bool = False) -> None:
-        """Delete a video or view; ``force`` cascades dependent views."""
-        self._retrying(self._rpc, "delete", {"name": name, "force": force})
-
-    def exists(self, name: str) -> bool:
-        """True when ``name`` is a logical video or a derived view."""
-        reply = self._retrying(self._rpc, "exists", {"name": name})
-        return bool(reply["exists"])
-
-    def list_videos(self, kind: str = "all") -> list[str]:
-        """Sorted names from one server-side catalog snapshot."""
-        reply = self._retrying(self._rpc, "list_videos", {"kind": kind})
-        return reply["videos"]
-
-    def create_view(self, name: str, spec: ViewSpec) -> dict:
-        """Register a derived view (mirrors ``Session.create_view``)."""
-        if not isinstance(spec, ViewSpec):
-            raise TypeError(
-                f"create_view takes a ViewSpec, got {type(spec).__name__}"
-            )
-        return self._retrying(
-            self._rpc,
-            "create_view",
-            {"name": name, "spec": view_spec_to_dict(spec)},
-        )
-
-    def get_view(self, name: str) -> dict:
-        """One view definition (``spec`` is a ViewSpec dict)."""
-        return self._retrying(self._rpc, "get_view", {"name": name})
-
-    def list_views(self) -> list[dict]:
-        """All view definitions, sorted by name."""
-        return self._retrying(self._rpc, "list_views", {})["views"]
-
-    def video_stats(self, name: str) -> dict:
-        return self._retrying(self._rpc, "video_stats", {"name": name})
-
-    # ------------------------------------------------------------------
-    # content index & search
-    # ------------------------------------------------------------------
-    def search(
-        self,
-        text: str | None = None,
-        like=None,
-        limit: int = DEFAULT_SEARCH_LIMIT,
-        min_score: float = 0.0,
-    ) -> list[SearchHit]:
-        """Ranked :class:`SearchHit` GOPs (mirrors ``Session.search``).
-
-        A ``like=`` *image* is turned into its query vector here, on the
-        client — only a flat float array ever crosses the wire, so the
-        servers never decode images and the payload stays tiny.
-        """
-        if like is not None:
-            _, like = like_to_vector(like)
-        query = search_query_to_dict(
-            text=text, like=like, limit=limit, min_score=min_score
-        )
-        reply = self._retrying(self._rpc, "search", {"query": query})
-        return [search_hit_from_dict(d) for d in reply["hits"]]
-
-    def reindex(self, name: str) -> int:
-        """Rebuild one video's content index; rows written."""
-        reply = self._retrying(self._rpc, "reindex", {"name": name})
-        return int(reply["indexed_gops"])
-
-    def metrics(self) -> dict:
-        """The server's metrics document (engine + admission gauges)."""
-        return self._retrying(self._rpc, "metrics", {})
-
-    # ------------------------------------------------------------------
-    # reads
-    # ------------------------------------------------------------------
-    def read(
-        self,
-        spec_or_name: ReadSpec | str,
-        start: float | None = None,
-        end: float | None = None,
-        **overrides,
-    ) -> RemoteReadResult:
-        """Read video; takes a :class:`ReadSpec` or (name, start, end)."""
-        spec = self._coerce_read_spec(spec_or_name, start, end, overrides)
-        begin = time.perf_counter()
-        result = self._attempt(lambda: self._open_stream(spec).collect())
-        with_stats = result.stats
-        with self._stats_lock:
-            self.stats.reads += 1
-            self.stats.wall_seconds += time.perf_counter() - begin
-            self.stats.decode_cache_hits += with_stats.decode_cache_hits
-            self.stats.decode_cache_misses += with_stats.decode_cache_misses
-            if with_stats.plan_cached:
-                self.stats.plan_cache_hits += 1
-        return result
-
-    def read_stream(
-        self,
-        spec_or_name: ReadSpec | str,
-        start: float | None = None,
-        end: float | None = None,
-        **overrides,
-    ):
-        """Open a streamed read; yields GOP-sized chunks lazily.
-
-        A failure is counted when opening or a chunk pull raises.
-        """
-        spec = self._coerce_read_spec(spec_or_name, start, end, overrides)
-        try:
-            return self._open_stream(spec, on_failure=self._note_failure)
-        except Exception:
-            self._note_failure()
-            raise
-
-    def _open_stream(self, spec: ReadSpec, on_failure=None) -> RemoteReadStream:
-        reply = self._converse(
-            "read",
-            {"spec": read_spec_to_dict(spec)},
-            expect=(FRAME_SEGMENT, FRAME_GOPS),
-        )
-        return RemoteReadStream(reply, on_failure)
-
-    def read_async(
-        self,
-        spec_or_name: ReadSpec | str,
-        start: float | None = None,
-        end: float | None = None,
-        **overrides,
-    ) -> Future:
-        """Submit a read; returns a ``concurrent.futures.Future``.
-
-        Mirrors ``Session.read_async``: the request runs on a small
-        client-side pool, so futures of different videos proceed
-        concurrently server-side.
-        """
-        spec = self._coerce_read_spec(spec_or_name, start, end, overrides)
-        with self._stats_lock:
-            if self._closed:
-                raise RuntimeError("client is closed")
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=4, thread_name_prefix="vss-client"
-                )
-            # Submit under the lock: close() swaps the pool out under
-            # the same lock before shutting it down, so a submit can
-            # never race into an already-shut-down executor.
-            return self._pool.submit(self.read, spec)
-
-    def read_batch(self, specs: list[ReadSpec]) -> list[RemoteReadResult]:
-        """Execute several reads server-side with shared decode work."""
-        params = {"specs": [read_spec_to_dict(s) for s in specs]}
-        results, batch = self._attempt(self._read_batch_once, params)
-        with self._stats_lock:
-            self.stats.batches += 1
-            self.stats.reads += len(results)
-            self.stats.last_batch = batch
-            self.stats.plan_cache_hits += sum(
-                1 for r in results if r.stats.plan_cached
-            )
-        return results
-
-    def _read_batch_once(self, params: dict):
-        with self._converse(
-            "read_batch",
-            params,
-            expect=(FRAME_RESULT_SEGMENT, FRAME_RESULT_GOPS),
-        ) as reply:
-            results = [
-                RemoteReadResult(
-                    *decode_content(frame_type, header, payload),
-                    read_stats_from_dict(header["stats"]),
-                )
-                for frame_type, header, payload in reply
-            ]
-        return results, BatchStats(**reply.end["batch"])
-
-    # ------------------------------------------------------------------
-    # writes
-    # ------------------------------------------------------------------
-    def write(
-        self,
-        spec_or_name: WriteSpec | str,
-        segment: VideoSegment,
-        **overrides,
-    ) -> dict:
-        """Write a raw segment under a :class:`WriteSpec` or name."""
-        spec = self._coerce_write_spec(spec_or_name, overrides)
-        begin = time.perf_counter()
-        # The pixels go out as the frame payload, straight from the
-        # segment's buffer.
-        reply = self._attempt(
-            self._unary,
-            "write",
-            {
-                "spec": write_spec_to_dict(spec),
-                "segment": segment_to_meta(segment),
-            },
-            segment_payload_view(segment),
-        )
-        with self._stats_lock:
-            self.stats.writes += 1
-            self.stats.wall_seconds += time.perf_counter() - begin
-        return reply
-
-    # ------------------------------------------------------------------
-    def _note_failure(self) -> None:
-        with self._stats_lock:
-            self.stats.failures += 1
-
-    def close(self) -> None:
-        """Release the ``read_async`` pool (idempotent).
-
-        Subclasses with persistent transport state extend this; a
-        closed client rejects further ``read_async`` calls.
-        """
-        with self._stats_lock:
-            if self._closed:
-                return
-            self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-class VSSClient(_RemoteClientBase):
-    """Session-shaped access to a remote HTTP VSS server (module docs).
-
-    ``defaults`` mirror ``engine.session(**defaults)``: any non-
-    positional :class:`ReadSpec`/:class:`WriteSpec` field, filled into
-    whatever a call does not specify.  ``stats`` accumulates the same
-    :class:`SessionStats` counters a local session would.  Each call
-    opens its own connection, which keeps a single client safe to share
-    across threads.
-    """
+    def _call(self, op: str, params: dict) -> dict:
+        """One catalog-surface operation on an open client."""
+        self._check_open()
+        return self._retrying(self._rpc, op, params)
 
     # ------------------------------------------------------------------
     # transport
@@ -617,6 +329,13 @@ class VSSClient(_RemoteClientBase):
         return self._request_json(*entry.render(params))
 
     def _send_request(self, op: str, request: list):
+        """Send one request frame (:func:`encode_frame` buffers).
+
+        Returns ``(rfile, done)``: the blocking file-like the answer's
+        frames arrive on, and ``done(clean)`` to call once when the
+        conversation is over (:class:`_FrameReply`).  A failure the
+        server reports before any frame raises here.
+        """
         conn = self._connect()
         try:
             # A buffer list with an explicit length is sent as it is:
@@ -648,6 +367,168 @@ class VSSClient(_RemoteClientBase):
             conn.close()
 
         return response, done
+
+    def _converse(
+        self, op: str, params: dict, payload=None, *, expect=(), last=FRAME_END
+    ) -> _FrameReply:
+        request = encode_frame(FRAME_REQUEST, {"op": op, **params}, payload)
+        return _FrameReply(*self._send_request(op, request), expect, last)
+
+    def _unary(self, op: str, params: dict, payload=None) -> dict:
+        """One request answered by one ``REPLY`` frame."""
+        reply = self._converse(op, params, payload, last=FRAME_REPLY)
+        next(reply, None)
+        return reply.end
+
+    # ------------------------------------------------------------------
+    # the surface's transport hooks
+    # ------------------------------------------------------------------
+    def _read_one(self, spec: ReadSpec) -> ReadResult:
+        return self._retrying(lambda: self._open_stream(spec).collect())
+
+    def _open_stream(
+        self, spec: ReadSpec, on_complete=None, on_failure=None
+    ) -> RemoteReadStream:
+        reply = self._converse(
+            "read",
+            {"spec": read_spec_to_dict(spec)},
+            expect=(FRAME_SEGMENT, FRAME_GOPS),
+        )
+        return RemoteReadStream(reply, on_complete, on_failure)
+
+    def _read_many(self, specs: list[ReadSpec]) -> tuple[list[ReadResult], BatchStats]:
+        params = {"specs": [read_spec_to_dict(s) for s in specs]}
+        return self._retrying(self._read_batch_once, params)
+
+    def _read_batch_once(self, params: dict):
+        with self._converse(
+            "read_batch",
+            params,
+            expect=(FRAME_RESULT_SEGMENT, FRAME_RESULT_GOPS),
+        ) as reply:
+            results = [
+                ReadResult(
+                    None,
+                    *decode_content(frame_type, header, payload),
+                    read_stats_from_dict(header["stats"]),
+                )
+                for frame_type, header, payload in reply
+            ]
+        return results, BatchStats(**reply.end["batch"])
+
+    def _write_one(self, spec: WriteSpec, segment: VideoSegment) -> dict:
+        # The pixels go out as the frame payload, straight from the
+        # segment's buffer.
+        return self._retrying(
+            self._unary,
+            "write",
+            {
+                "spec": write_spec_to_dict(spec),
+                "segment": segment_to_meta(segment),
+            },
+            segment_payload_view(segment),
+        )
+
+    def _submit(self, fn, *args) -> Future:
+        """Run ``fn`` on a small client-side pool, so futures of
+        different videos proceed concurrently server-side."""
+        with self._lock:
+            self._check_open()
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=4, thread_name_prefix="vss-client"
+                )
+            # Submit under the lock: close() marks the client closed
+            # under the same lock before shutting the pool down, so a
+            # submit can never race into an already-shut-down executor.
+            return self._pool.submit(fn, *args)
+
+    def _shutdown(self) -> None:
+        """Release the ``read_async`` pool."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    # ------------------------------------------------------------------
+    # catalog operations
+    # ------------------------------------------------------------------
+    def create(self, name: str, budget_bytes: int = 0) -> dict:
+        return self._call("create", {"name": name, "budget_bytes": budget_bytes})
+
+    def delete(self, name: str, force: bool = False) -> None:
+        """Delete a video or view; ``force`` cascades dependent views."""
+        self._call("delete", {"name": name, "force": force})
+
+    def exists(self, name: str) -> bool:
+        """True when ``name`` is a logical video or a derived view."""
+        return bool(self._call("exists", {"name": name})["exists"])
+
+    def list_videos(self, kind: str = "all") -> list[str]:
+        """Sorted names from one server-side catalog snapshot."""
+        return self._call("list_videos", {"kind": kind})["videos"]
+
+    def create_view(self, name: str, spec: ViewSpec) -> dict:
+        """Register a derived view (mirrors ``Session.create_view``)."""
+        if not isinstance(spec, ViewSpec):
+            raise TypeError(
+                f"create_view takes a ViewSpec, got {type(spec).__name__}"
+            )
+        return self._call(
+            "create_view", {"name": name, "spec": view_spec_to_dict(spec)}
+        )
+
+    def get_view(self, name: str) -> dict:
+        """One view definition (``spec`` is a ViewSpec dict)."""
+        return self._call("get_view", {"name": name})
+
+    def list_views(self) -> list[dict]:
+        """All view definitions, sorted by name."""
+        return self._call("list_views", {})["views"]
+
+    def video_stats(self, name: str) -> dict:
+        return self._call("video_stats", {"name": name})
+
+    def search(
+        self,
+        text: str | None = None,
+        like=None,
+        limit: int = DEFAULT_SEARCH_LIMIT,
+        min_score: float = 0.0,
+    ) -> list[SearchHit]:
+        """Ranked :class:`SearchHit` GOPs (mirrors ``Session.search``).
+
+        A ``like=`` *image* is turned into its query vector here, on the
+        client — only a flat float array ever crosses the wire, so the
+        servers never decode images and the payload stays tiny.
+        """
+        if like is not None:
+            _, like = like_to_vector(like)
+        query = search_query_to_dict(
+            text=text, like=like, limit=limit, min_score=min_score
+        )
+        reply = self._call("search", {"query": query})
+        return [search_hit_from_dict(d) for d in reply["hits"]]
+
+    def reindex(self, name: str) -> int:
+        """Rebuild one video's content index; rows written."""
+        return int(self._call("reindex", {"name": name})["indexed_gops"])
+
+    def metrics(self) -> dict:
+        """The server's metrics document (engine + admission gauges)."""
+        return self._call("metrics", {})
+
+    # ------------------------------------------------------------------
+    # writes (reads are SessionSurface's)
+    # ------------------------------------------------------------------
+    def write(
+        self,
+        spec_or_name: WriteSpec | str,
+        segment: VideoSegment,
+        **overrides,
+    ) -> dict:
+        """Write a raw segment under a :class:`WriteSpec` or name."""
+        return self._write(spec_or_name, overrides, segment)
 
 
 # ----------------------------------------------------------------------
@@ -698,11 +579,12 @@ class _BinaryConnection:
             pass
 
 
-class VSSBinaryClient(_RemoteClientBase):
+class VSSBinaryClient(VSSClient):
     """Session-shaped access to a :class:`repro.server.VSSBinaryServer`.
 
-    Same surface and semantics as :class:`VSSClient` (see the module
-    docs), different wire: the unary ops are REQUEST/REPLY frames too,
+    A :class:`VSSClient` whose two wire hooks (``_rpc``,
+    ``_send_request``) speak binary frames: same surface and semantics
+    (see the module docs), and the unary ops are REQUEST/REPLY frames too,
     and every request rides a pooled persistent connection.  Up to
     ``pool_connections`` drained connections are kept open and reused
     across calls — safe because the protocol is strictly
@@ -784,9 +666,9 @@ class VSSBinaryClient(_RemoteClientBase):
             self._release(conn) if clean else conn.close()
         )
 
-    def close(self) -> None:
-        """Release pooled connections and the ``read_async`` pool."""
-        super().close()
+    def _shutdown(self) -> None:
+        """Release the ``read_async`` pool and pooled connections."""
+        super()._shutdown()
         with self._conn_lock:
             conns, self._conns = self._conns, []
         for conn in conns:

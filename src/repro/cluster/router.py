@@ -53,7 +53,7 @@ from types import SimpleNamespace
 
 from repro.client import VSSBinaryClient
 from repro.cluster.health import HealthChecker
-from repro.cluster.ring import DEFAULT_VNODES, ShardRing
+from repro.cluster.ring import ShardRing
 from repro.core.ops import OPS
 from repro.core.reader import BatchStats
 from repro.errors import (
@@ -293,7 +293,6 @@ class ClusterEngine:
         self,
         shards,
         replication: int = 1,
-        vnodes: int = DEFAULT_VNODES,
         replication_overrides: dict[str, int] | None = None,
         shard_timeout: float = 60.0,
     ):
@@ -307,7 +306,6 @@ class ClusterEngine:
         self.ring = ShardRing(
             [s.name for s in self.shards],
             replication=replication,
-            vnodes=vnodes,
             replication_overrides=replication_overrides,
         )
         #: view name -> parent name, for placing view reads with the
@@ -769,7 +767,6 @@ class VSSRouter:
         port: int = 0,
         http_port: int = 0,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        vnodes: int = DEFAULT_VNODES,
         replication_overrides: dict[str, int] | None = None,
         shard_timeout: float = 60.0,
         probe_interval: float = 1.0,
@@ -778,7 +775,6 @@ class VSSRouter:
         self.engine = ClusterEngine(
             shards,
             replication=replication,
-            vnodes=vnodes,
             replication_overrides=replication_overrides,
             shard_timeout=shard_timeout,
         )

@@ -69,7 +69,7 @@ from repro.core.admission import AdmissionWorker
 from repro.core.cache import CacheManager, EvictionReport
 from repro.core.catalog import Catalog
 from repro.core.compaction import Compactor
-from repro.core.cost import CostModel
+from repro.core.cost import Calibration, CostModel
 from repro.core.decode_cache import DEFAULT_DECODE_CACHE_BYTES, DecodeCache
 from repro.core.deferred import DeferredCompressionManager
 from repro.core.executor import Executor
@@ -93,7 +93,8 @@ from repro.core.records import LogicalVideo, PhysicalVideo, ViewRecord
 from repro.core.rwlock import RWLock, RWLockStats
 from repro.core.specs import (
     ReadSpec,
-    SpecDefaults,
+    SessionStats,
+    SessionSurface,
     ViewSpec,
     WriteSpec,
     check_planner_mode,
@@ -114,7 +115,6 @@ from repro.search.index import SearchIndex
 from repro.search.query import DEFAULT_LIMIT as DEFAULT_SEARCH_LIMIT
 from repro.search.query import SearchHit, rows_to_hits, run_search
 from repro.util import LogicalClock
-from repro.vbench.calibrate import Calibration
 from repro.video.codec.container import EncodedGOP
 from repro.video.codec.quant import QP_DEFAULT
 from repro.video.codec.registry import codec_for
@@ -263,21 +263,6 @@ class EngineStats:
     codec_encode_recurrence_seconds: float
     codec_encode_entropy_seconds: float
     codec_frames_encoded: int
-
-
-@dataclass
-class SessionStats:
-    """Per-session counters (one :class:`Session`'s traffic)."""
-
-    reads: int = 0
-    writes: int = 0
-    batches: int = 0
-    failures: int = 0
-    wall_seconds: float = 0.0
-    decode_cache_hits: int = 0
-    decode_cache_misses: int = 0
-    plan_cache_hits: int = 0
-    last_batch: BatchStats | None = None
 
 
 class VSSEngine:
@@ -1130,8 +1115,9 @@ class VSSEngine:
         physical video — that would require materializing the whole
         answer the stream exists to avoid.  Exactly one callback fires
         per stream that is not closed early: ``on_complete`` receives
-        the final :class:`ReadStats` when the stream is exhausted,
-        ``on_failure`` (no arguments) runs when a chunk pull raises.
+        the final :class:`ReadStats` and the stream's pull time when it
+        is exhausted, ``on_failure`` (no arguments) runs when a chunk
+        pull raises.
         """
         if not isinstance(spec, ReadSpec):
             raise TypeError(
@@ -1922,7 +1908,7 @@ class ReadStream:
         engine._schedule_maintenance(self._logical)
         self._note_wall(begin)
         if self._on_complete is not None:
-            self._on_complete(self.stats)
+            self._on_complete(self.stats, self._wall)
         raise StopIteration
 
     def _note_wall(self, begin: float) -> None:
@@ -1957,7 +1943,7 @@ class ReadStream:
         self.close()
 
 
-class Session(SpecDefaults):
+class Session(SessionSurface):
     """A cheap, thread-compatible handle onto a :class:`VSSEngine`.
 
     A session carries per-caller spec defaults (e.g. a surveillance
@@ -1966,54 +1952,31 @@ class Session(SpecDefaults):
     and thread pools; creating one allocates no store resources, so "one
     session per request handler" is the intended usage.  A session's own
     counters are lock-guarded, so a single session may also be shared by
-    several threads.
+    several threads.  The read / stream / batch / async / write calls
+    and their accounting are :class:`SessionSurface`'s, the same code a
+    remote client runs; a session supplies the engine as its transport.
     """
 
     def __init__(self, engine: VSSEngine, defaults: dict):
         super().__init__(defaults)
         self._engine = engine
-        self._lock = threading.Lock()
-        self._closed = False
-        self.stats = SessionStats()
 
     @property
     def engine(self) -> VSSEngine:
         return self._engine
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Close the session, flushing its counters into the engine.
+    def _shutdown(self) -> None:
+        """Flush this session into the engine, once, at :meth:`close`.
 
-        Idempotent: the first close drains the engine's background
-        admission queue (so every admission this session's reads
-        triggered is durably applied — the deterministic hand-off point
-        for request handlers) and folds :attr:`stats` (failures, wall
-        seconds) into :class:`EngineStats`; later calls do nothing.  A
-        closed session rejects further requests with ``RuntimeError``.
-        The engine itself is untouched — sessions are cheap handles.
+        Drains the engine's background admission queue (so every
+        admission this session's reads triggered is durably applied —
+        the deterministic hand-off point for request handlers) and folds
+        :attr:`stats` (failures, wall seconds) into
+        :class:`EngineStats`.  The engine itself is untouched — sessions
+        are cheap handles.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
         self._engine.drain_admissions()
         self._engine._absorb_session(self.stats)
-
-    def __enter__(self) -> "Session":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("session is closed")
 
     # ------------------------------------------------------------------
     # catalog operations (mirrored by VSSClient; see tests/test_views.py
@@ -2078,123 +2041,25 @@ class Session(SpecDefaults):
         return self._engine.reindex(name)
 
     # ------------------------------------------------------------------
-    # reads (``read_spec`` / ``write_spec`` come from SpecDefaults)
+    # transport hooks (the calls themselves are SessionSurface's)
     # ------------------------------------------------------------------
-    def read(
-        self,
-        spec_or_name: ReadSpec | str,
-        start: float | None = None,
-        end: float | None = None,
-        **overrides,
-    ) -> ReadResult:
-        """Read video; takes a :class:`ReadSpec` or (name, start, end).
+    def _read_one(self, spec: ReadSpec) -> ReadResult:
+        return self._engine.read(spec)
 
-        With a spec, ``overrides`` are applied via :meth:`ReadSpec.replace`;
-        with a name, the spec is built from session defaults.
-        """
-        self._check_open()
-        return self._timed_read(
-            self._coerce_read_spec(spec_or_name, start, end, overrides)
+    def _open_stream(self, spec: ReadSpec, on_complete, on_failure) -> ReadStream:
+        return self._engine.read_stream(
+            spec, on_complete=on_complete, on_failure=on_failure
         )
 
-    def _timed_read(self, spec: ReadSpec) -> ReadResult:
-        """The body ``read`` runs inline and ``read_async`` on the pool.
+    def _read_many(self, specs: list[ReadSpec]) -> tuple[list[ReadResult], BatchStats]:
+        return self._engine.read_batch(specs)
 
-        A failure propagates (through the Future, for async reads) and
-        is counted, keeping :class:`SessionStats` consistent: ``reads``
-        only ever counts successful reads.
-        """
-        begin = time.perf_counter()
-        try:
-            result = self._engine.read(spec)
-        except Exception:
-            self._note_failure()
-            raise
-        self._note_read(result.stats, time.perf_counter() - begin)
-        return result
+    def _write_one(self, spec: WriteSpec, segment, gops) -> PhysicalVideo:
+        return self._engine.write(spec, segment=segment, gops=gops)
 
-    def read_stream(
-        self,
-        spec_or_name: ReadSpec | str,
-        start: float | None = None,
-        end: float | None = None,
-        **overrides,
-    ) -> ReadStream:
-        """Open a streaming read; yields GOP-sized :class:`ReadChunk`\\ s.
+    def _submit(self, fn, *args) -> Future:
+        return self._engine._frontend_pool().submit(fn, *args)
 
-        Memory stays O(GOP window) for the stream's whole life; session
-        counters update when the stream is exhausted (one read) or a
-        chunk pull raises (one failure).
-        """
-        self._check_open()
-        spec = self._coerce_read_spec(spec_or_name, start, end, overrides)
-        try:
-            return self._engine.read_stream(
-                spec,
-                on_complete=lambda stats: self._note_read(
-                    stats, stats.wall_seconds
-                ),
-                on_failure=self._note_failure,
-            )
-        except Exception:
-            self._note_failure()
-            raise
-
-    def read_batch(self, specs: list[ReadSpec]) -> list[ReadResult]:
-        """Execute several reads, sharing planning and decode work.
-
-        Overlapping reads decode each shared GOP once; see
-        :attr:`SessionStats.last_batch` for the sharing counters.
-        """
-        self._check_open()
-        begin = time.perf_counter()
-        try:
-            results, batch = self._engine.read_batch(list(specs))
-        except Exception:
-            self._note_failure()
-            raise
-        elapsed = time.perf_counter() - begin
-        with self._lock:
-            self.stats.batches += 1
-            self.stats.last_batch = batch
-            self.stats.wall_seconds += elapsed  # once, not per member
-        for result in results:
-            self._note_read(result.stats, 0.0)
-        return results
-
-    def read_async(
-        self,
-        spec_or_name: ReadSpec | str,
-        start: float | None = None,
-        end: float | None = None,
-        **overrides,
-    ) -> Future:
-        """Submit a read; returns a ``concurrent.futures.Future``.
-
-        The read runs on the engine's session pool; reads of different
-        videos proceed concurrently, reads of one video are linearized.
-        """
-        self._check_open()
-        spec = self._coerce_read_spec(spec_or_name, start, end, overrides)
-        return self._engine._frontend_pool().submit(self._timed_read, spec)
-
-    def _note_read(self, stats: ReadStats, elapsed: float) -> None:
-        """Fold one successful read's stats into :attr:`stats`."""
-        with self._lock:
-            self.stats.reads += 1
-            self.stats.wall_seconds += elapsed
-            self.stats.decode_cache_hits += stats.decode_cache_hits
-            self.stats.decode_cache_misses += stats.decode_cache_misses
-            if stats.plan_cached:
-                self.stats.plan_cache_hits += 1
-
-    def _note_failure(self) -> None:
-        with self._lock:
-            self.stats.failures += 1
-
-    # ------------------------------------------------------------------
-    # writes
-    # ------------------------------------------------------------------
     def write(
         self,
         spec_or_name: WriteSpec | str,
@@ -2203,18 +2068,7 @@ class Session(SpecDefaults):
         **overrides,
     ) -> PhysicalVideo:
         """Write video; takes a :class:`WriteSpec` or a name."""
-        self._check_open()
-        spec = self._coerce_write_spec(spec_or_name, overrides)
-        begin = time.perf_counter()
-        try:
-            physical = self._engine.write(spec, segment=segment, gops=gops)
-        except Exception:
-            self._note_failure()
-            raise
-        with self._lock:
-            self.stats.writes += 1
-            self.stats.wall_seconds += time.perf_counter() - begin
-        return physical
+        return self._write(spec_or_name, overrides, segment, gops)
 
 
 class HookedStream:

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.cost import Calibration
 from repro.core.records import PhysicalVideo
-from repro.vbench.calibrate import Calibration
 from repro.video.metrics import mse_from_psnr, psnr_from_mse
 
 #: Default quality threshold for reads (dB).  >= 40 dB is considered

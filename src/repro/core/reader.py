@@ -184,9 +184,13 @@ class BatchStats:
 
 @dataclass
 class ReadResult:
-    """The answer to a read: a raw segment or encoded GOPs, plus stats."""
+    """The answer to a read: a raw segment or encoded GOPs, plus stats.
 
-    plan: ReadPlan
+    ``plan`` is the plan that produced it, or None for an answer that
+    came over the wire (the plan stayed on the server).
+    """
+
+    plan: ReadPlan | None
     segment: VideoSegment | None
     gops: list[EncodedGOP] | None
     stats: ReadStats

@@ -102,9 +102,6 @@ class PhysicalVideo:
     def duration(self) -> float:
         return self.end_time - self.start_time
 
-    def covers_time(self, start: float, end: float) -> bool:
-        return self.start_time <= start + 1e-9 and self.end_time >= end - 1e-9
-
     def roi_or(self, full: ROI) -> ROI:
         return self.roi if self.roi is not None else full
 
@@ -210,9 +207,6 @@ class Fragment:
     @property
     def num_frames(self) -> int:
         return sum(g.num_frames for g in self.gops)
-
-    def covers_time(self, start: float, end: float) -> bool:
-        return self.start_time <= start + 1e-9 and self.end_time >= end - 1e-9
 
     def gops_overlapping(self, start: float, end: float) -> list[GopRecord]:
         return [

@@ -1,4 +1,9 @@
-"""Typed request specifications: :class:`ReadSpec` and :class:`WriteSpec`.
+"""Typed request specifications, and the one surface that takes them.
+
+:class:`ReadSpec`, :class:`WriteSpec` and :class:`ViewSpec` are the
+requests; :class:`SessionSurface` is the Session-shaped handle a local
+session and both remote clients share (spec defaults, the read / stream
+/ batch / async / write calls and their :class:`SessionStats`).
 
 One request type is shared by sessions, clients, the planner, the
 reader, the writer and the cache-admission path.  A spec is validated
@@ -19,7 +24,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
+import time
+from concurrent.futures import Future
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.quality import DEFAULT_EPSILON_DB
 from repro.core.records import ROI
@@ -28,6 +37,9 @@ from repro.errors import FormatError, OutOfRangeError
 from repro.video.codec.quant import QP_DEFAULT, QP_MAX, QP_MIN
 from repro.video.codec.registry import CODEC_NAMES
 from repro.video.frame import PIXEL_FORMATS
+
+if TYPE_CHECKING:
+    from repro.core.reader import BatchStats, ReadResult, ReadStats
 
 #: Planner modes accepted by :attr:`ReadSpec.mode` (None = store default).
 PLANNER_MODES = ("solver", "greedy", "original")
@@ -274,14 +286,55 @@ WRITE_SPEC_FIELDS = frozenset(
 ) - {"name"}
 
 
-class SpecDefaults:
-    """Per-caller spec defaults and the builders that apply them.
+@dataclass
+class SessionStats:
+    """One handle's traffic: a :class:`repro.core.engine.Session`'s or a
+    remote client's, counted the same way on both.
 
-    The base of :class:`repro.core.engine.Session` and of the remote
-    clients: ``defaults`` may name any non-positional :class:`ReadSpec`
-    or :class:`WriteSpec` field, and fill in whatever a call does not
-    specify, so a call reads the same against a local engine and a
-    remote one.
+    ``reads`` counts successful reads — a ``read``, each ``read_batch``
+    member, a drained stream — and ``wall_seconds`` their caller-side
+    time: a read's call, a stream's pulls, a batch once, a write's call.
+    ``failures`` counts calls that raised to the caller; a stream closed
+    early counts as neither.
+    """
+
+    reads: int = 0
+    writes: int = 0
+    batches: int = 0
+    failures: int = 0
+    wall_seconds: float = 0.0
+    decode_cache_hits: int = 0
+    decode_cache_misses: int = 0
+    plan_cache_hits: int = 0
+    last_batch: BatchStats | None = None
+
+
+class SessionSurface:
+    """The Session-shaped surface, written once for every transport.
+
+    :class:`repro.core.engine.Session` and the remote clients
+    (:mod:`repro.client`) share it: spec defaults and builders,
+    ``read`` / ``read_stream`` / ``read_batch`` / ``read_async`` /
+    ``write`` with their :class:`SessionStats` accounting, and the close
+    lifecycle.  ``defaults`` may name any non-positional
+    :class:`ReadSpec` or :class:`WriteSpec` field and fill in whatever a
+    call does not specify, so a call reads the same against a local
+    engine and a remote one.
+
+    A subclass supplies only its transport, as hooks:
+
+    * ``_read_one(spec)`` — one read, answered by a ``ReadResult``;
+    * ``_open_stream(spec, on_complete, on_failure)`` — open a streamed
+      read that calls ``on_complete(stats, wall_seconds)`` once drained
+      (the caller's pull time) or ``on_failure()`` when a pull raises;
+    * ``_read_many(specs)`` — one batch, ``(results, BatchStats)``;
+    * ``_write_one(spec, *payload)`` — one write;
+    * ``_submit(fn, *args)`` — run ``fn`` on a pool, as a ``Future``;
+    * ``_shutdown()`` — run once, by the first :meth:`close`.
+
+    A hook that raises is one failure, counted here where the call
+    raises to the caller.  A closed handle rejects further calls with
+    ``RuntimeError``.
     """
 
     def __init__(self, defaults: dict):
@@ -296,6 +349,9 @@ class SpecDefaults:
         # line that gave it, not on the first read or write.
         self.read_spec("_", 0.0, 1.0)
         self.write_spec("_")
+        self._lock = threading.Lock()
+        self._closed = False
+        self.stats = SessionStats()
 
     @property
     def defaults(self) -> dict:
@@ -338,3 +394,149 @@ class SpecDefaults:
             spec = spec_or_name
             return spec.replace(**overrides) if overrides else spec
         return self.write_spec(spec_or_name, **overrides)
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Close the handle (idempotent; the first call runs the
+        transport's ``_shutdown``).  Later calls on it raise
+        ``RuntimeError``."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+        self._shutdown()
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError(f"{type(self).__name__} is closed")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    # ------------------------------------------------------------------
+    # reads and writes
+    # ------------------------------------------------------------------
+    def read(
+        self,
+        spec_or_name: ReadSpec | str,
+        start: float | None = None,
+        end: float | None = None,
+        **overrides,
+    ) -> ReadResult:
+        """Read video; takes a :class:`ReadSpec` or (name, start, end).
+
+        With a spec, ``overrides`` are applied via :meth:`ReadSpec.replace`;
+        with a name, the spec is built from the handle's defaults.
+        """
+        self._check_open()
+        return self._timed_read(
+            self._coerce_read_spec(spec_or_name, start, end, overrides)
+        )
+
+    def _timed_read(self, spec: ReadSpec) -> ReadResult:
+        """The body ``read`` runs inline and ``read_async`` on the pool."""
+        begin = time.perf_counter()
+        try:
+            result = self._read_one(spec)
+        except Exception:
+            self._note_failure()
+            raise
+        self._note_read(result.stats, time.perf_counter() - begin)
+        return result
+
+    def read_stream(
+        self,
+        spec_or_name: ReadSpec | str,
+        start: float | None = None,
+        end: float | None = None,
+        **overrides,
+    ):
+        """Open a streaming read; yields GOP-sized ``ReadChunk``\\ s.
+
+        Memory stays O(GOP window) for the stream's whole life; the
+        counters update when the stream is exhausted (one read, its pull
+        time) or when opening it or a chunk pull raises (one failure).
+        """
+        self._check_open()
+        spec = self._coerce_read_spec(spec_or_name, start, end, overrides)
+        try:
+            return self._open_stream(spec, self._note_read, self._note_failure)
+        except Exception:
+            self._note_failure()
+            raise
+
+    def read_batch(self, specs: list[ReadSpec]) -> list[ReadResult]:
+        """Execute several reads, sharing planning and decode work.
+
+        Overlapping reads decode each shared GOP once; see
+        :attr:`SessionStats.last_batch` for the sharing counters.
+        """
+        self._check_open()
+        begin = time.perf_counter()
+        try:
+            results, batch = self._read_many(list(specs))
+        except Exception:
+            self._note_failure()
+            raise
+        elapsed = time.perf_counter() - begin
+        with self._lock:
+            self.stats.batches += 1
+            self.stats.last_batch = batch
+            self.stats.wall_seconds += elapsed  # once, not per member
+        for result in results:
+            self._note_read(result.stats, 0.0)
+        return results
+
+    def read_async(
+        self,
+        spec_or_name: ReadSpec | str,
+        start: float | None = None,
+        end: float | None = None,
+        **overrides,
+    ) -> Future:
+        """Submit a read; returns a ``concurrent.futures.Future``.
+
+        Reads of different videos proceed concurrently; a failure
+        propagates through the Future and is counted once.
+        """
+        self._check_open()
+        spec = self._coerce_read_spec(spec_or_name, start, end, overrides)
+        return self._submit(self._timed_read, spec)
+
+    def _write(self, spec_or_name, overrides: dict, *payload):
+        """The timing and accounting of every transport's ``write``."""
+        self._check_open()
+        spec = self._coerce_write_spec(spec_or_name, overrides)
+        begin = time.perf_counter()
+        try:
+            written = self._write_one(spec, *payload)
+        except Exception:
+            self._note_failure()
+            raise
+        with self._lock:
+            self.stats.writes += 1
+            self.stats.wall_seconds += time.perf_counter() - begin
+        return written
+
+    def _note_read(self, stats: ReadStats, elapsed: float) -> None:
+        """Fold one successful read's stats into :attr:`stats`."""
+        with self._lock:
+            self.stats.reads += 1
+            self.stats.wall_seconds += elapsed
+            self.stats.decode_cache_hits += stats.decode_cache_hits
+            self.stats.decode_cache_misses += stats.decode_cache_misses
+            if stats.plan_cached:
+                self.stats.plan_cache_hits += 1
+
+    def _note_failure(self) -> None:
+        with self._lock:
+            self.stats.failures += 1

@@ -24,6 +24,9 @@ from repro.video.codec.quant import QP_DEFAULT
 from repro.video.codec.registry import codec_for, decode_gop
 from repro.video.frame import VideoSegment
 
+#: Codec the shared left/overlap/right pieces are encoded with.
+JOINT_CODEC = "h264"
+
 
 @dataclass
 class JointReport:
@@ -52,16 +55,11 @@ class JointCompressionManager:
         self,
         vss,
         merge: str = "unprojected",
-        codec: str = "h264",
-        qp: int = QP_DEFAULT,
-        compressor: JointCompressor | None = None,
-        selector: JointCandidateSelector | None = None,
     ):
         self.vss = vss
-        self.codec = codec
-        self.qp = qp
-        self.compressor = compressor or JointCompressor(merge=merge)
-        self.selector = selector or JointCandidateSelector()
+        self.compressor = JointCompressor(merge=merge)
+        # Stateful (it accumulates candidate frames): one per manager.
+        self.selector = JointCandidateSelector()
 
     # ------------------------------------------------------------------
     def optimize(
@@ -155,7 +153,7 @@ class JointCompressionManager:
     ) -> bool:
         catalog = self.vss.catalog
         layout = self.vss.layout
-        codec = codec_for(self.codec)
+        codec = codec_for(JOINT_CODEC)
         bytes_before = gop_a.nbytes + gop_b.nbytes
 
         def encode_piece(stack: np.ndarray, piece: str) -> tuple[str, int]:
@@ -167,7 +165,7 @@ class JointCompressionManager:
                 seg_a.fps,
                 seg_a.start_time,
             )
-            encoded = codec.encode_gop(segment, qp=self.qp)
+            encoded = codec.encode_gop(segment, qp=QP_DEFAULT)
             return layout.write_joint_piece(gop_a.id, gop_b.id, piece, encoded)
 
         left_path, left_bytes = encode_piece(result.left_frames, "left")

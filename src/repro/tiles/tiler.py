@@ -51,13 +51,11 @@ class Tiler:
         layout: Layout,
         writer: Writer,
         decode_cache=None,
-        zstd_level: int = TILE_ZSTD_LEVEL,
     ):
         self.catalog = catalog
         self.layout = layout
         self.writer = writer
         self.decode_cache = decode_cache
-        self.zstd_level = zstd_level
 
     # ------------------------------------------------------------------
     def tile(
@@ -183,10 +181,8 @@ class Tiler:
         Recording a nonzero ``zstd_level`` also tells deferred
         compression these pages are already handled.
         """
-        if self.zstd_level <= 0:
-            return
         for gop in self.catalog.gops_of_physical(physical_id):
             _, nbytes = self.layout.compress_gop_file(
-                gop.path, self.zstd_level
+                gop.path, TILE_ZSTD_LEVEL
             )
-            self.catalog.set_gop_compression(gop.id, self.zstd_level, nbytes)
+            self.catalog.set_gop_compression(gop.id, TILE_ZSTD_LEVEL, nbytes)

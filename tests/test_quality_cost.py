@@ -229,3 +229,28 @@ class TestStoreCalibration:
         saved.save(Layout(root).calibration_path)
         with VSSEngine(root) as engine:
             assert engine.calibration == saved
+
+
+def test_import_repro_leaves_the_scene_renderer_unloaded():
+    """The calibration record lives in ``core/cost.py``: importing the
+    store no longer drags in the synthetic road-scene renderer that
+    ``run_calibration`` times, while the old import path still works."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+    import repro.core.cost
+
+    assert Calibration is repro.core.cost.Calibration
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import repro, sys; assert 'repro.synthetic' not in sys.modules",
+        ],
+        check=True,
+        env=env,
+    )

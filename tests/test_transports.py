@@ -399,3 +399,67 @@ class TestClientAccounting:
             server.gauges.leave()
         assert client.stats.failures == 3
         assert client.busy_retries_used == 0
+
+
+class TestSurfaceParity:
+    """A ``Session`` and both clients are one surface: the same scripted
+    calls, each over a fresh store holding the same clip, leave the same
+    :class:`SessionStats` counts, every call kind adds its caller-side
+    time to ``wall_seconds``, and a closed handle rejects every call."""
+
+    SPEC = ReadSpec("traffic", 0.0, 2.0, codec="raw", cache=False)
+
+    def _script(self, handle, clip) -> tuple[dict, tuple]:
+        grew = {}
+
+        def step(kind, call) -> None:
+            before = handle.stats.wall_seconds
+            call()
+            grew[kind] = handle.stats.wall_seconds > before
+
+        step("write", lambda: handle.write(
+            "traffic", clip, codec="h264", qp=10, gop_size=30
+        ))
+        step("read", lambda: handle.read(self.SPEC))
+        step("read_stream", lambda: list(handle.read_stream(self.SPEC)))
+        step("read_batch", lambda: handle.read_batch(
+            [self.SPEC, self.SPEC.replace(start=1.0, end=3.0)]
+        ))
+        with pytest.raises(VideoNotFoundError):
+            handle.read("ghost", 0.0, 1.0)
+        handle.close()
+        for call in (
+            lambda: handle.read(self.SPEC),
+            lambda: handle.read_stream(self.SPEC),
+            lambda: handle.write("traffic", clip),
+            lambda: handle.exists("traffic"),
+        ):
+            with pytest.raises(RuntimeError, match="closed"):
+                call()
+        s = handle.stats
+        return grew, (
+            s.reads, s.batches, s.writes, s.failures,
+            s.decode_cache_hits + s.decode_cache_misses,
+        )
+
+    def test_session_and_clients_count_alike(
+        self, tmp_path, calibration, three_second_clip
+    ):
+        outcomes = {}
+        with VSSEngine(tmp_path / "local", calibration=calibration) as eng:
+            with eng.session() as session:
+                outcomes["session"] = self._script(session, three_second_clip)
+        for transport, (server_cls, client_cls) in sorted(TRANSPORTS.items()):
+            with VSSEngine(
+                tmp_path / transport, calibration=calibration
+            ) as eng, server_cls(engine=eng) as server, client_cls(
+                *server.address, timeout=30.0
+            ) as client:
+                outcomes[transport] = self._script(client, three_second_clip)
+        for name, (grew, _) in outcomes.items():
+            assert all(grew.values()), (name, grew)
+        counts = {name: c for name, (_, c) in outcomes.items()}
+        # (reads, batches, writes, failures, decode-cache lookups)
+        assert counts["http"] == counts["session"], counts
+        assert counts["binary"] == counts["session"], counts
+        assert counts["session"][:4] == (4, 1, 1, 1)

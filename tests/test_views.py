@@ -820,8 +820,8 @@ class TestSnapshotListing:
 # API parity audit (satellite)
 # ----------------------------------------------------------------------
 def _public_methods(cls) -> set[str]:
-    # dir() walks the MRO: the client surface is split between
-    # _RemoteClientBase and its transport subclasses.
+    # dir() walks the MRO: the surface is split between SessionSurface,
+    # the handle classes and their transport subclasses.
     return {
         name
         for name in dir(cls)
