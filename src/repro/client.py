@@ -514,6 +514,11 @@ class VSSClient(SessionSurface):
         """Rebuild one video's content index; rows written."""
         return int(self._call("reindex", {"name": name})["indexed_gops"])
 
+    def check(self) -> dict[str, list[str]]:
+        """The store's consistency report (mirrors ``Session.check``):
+        through a router, the sorted union of every live shard's."""
+        return self._call("check", {})
+
     def metrics(self) -> dict:
         """The server's metrics document (engine + admission gauges)."""
         return self._call("metrics", {})

@@ -55,7 +55,7 @@ from repro.client import VSSBinaryClient
 from repro.cluster.health import HealthChecker
 from repro.cluster.ring import ShardRing
 from repro.core.ops import OPS
-from repro.core.reader import BatchStats
+from repro.core.reader import BatchStats, decode_mb_per_s
 from repro.errors import (
     ServerBusyError,
     ShardUnavailableError,
@@ -63,6 +63,7 @@ from repro.errors import (
 )
 from repro.server.binary import VSSBinaryServer
 from repro.server.http import DEFAULT_MAX_INFLIGHT, VSSServer
+from repro.util import Counters
 
 _log = logging.getLogger("repro.cluster")
 
@@ -106,10 +107,6 @@ class _Shard:
         #: (the least-loaded-replica read policy keys on this gauge).
         self.inflight = 0
         self._lock = threading.Lock()
-        #: read_batch calls to one shard are serialized so the per-call
-        #: BatchStats read back from the shard client cannot be clobbered
-        #: by a concurrent batch on the same client.
-        self.batch_lock = threading.Lock()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -201,7 +198,7 @@ class _RoutedStream:
                 self._tried.append(shard.name)
                 continue
             if self._tried:
-                self._engine._count("failovers")
+                self._engine.counters.add(failovers=1)
             shard.enter()
             self._holding = True
             self._shard = shard
@@ -280,7 +277,8 @@ class ClusterEngine:
       placement says: ``any`` goes to the least-loaded live replica and
       fails over; ``all`` requires **every** placement replica live and
       applies to each in ring order, keeping replicas byte-identical;
-      ``scatter`` fans out to every live shard and merges;
+      ``scatter`` fans out to every live shard and merges (every shard,
+      when the op is ``whole``);
     * ``write`` is an ``all`` mutation carrying pixels;
     * ``read_stream`` goes to the least-loaded live replica and fails
       over until the first chunk is delivered;
@@ -314,16 +312,16 @@ class ClusterEngine:
         #: :meth:`sync_views`.
         self._view_over: dict[str, str] = {}
         self._views_lock = threading.Lock()
-        self._counter_lock = threading.Lock()
-        self.counters = {
-            "reads_routed": 0,
-            "batches_routed": 0,
-            "writes_routed": 0,
-            "catalog_ops": 0,
-            "searches_routed": 0,
-            "failovers": 0,
-            "partial_mutations": 0,
-        }
+        #: The ``router`` section of :meth:`stats`.
+        self.counters = Counters(
+            reads_routed=0,
+            batches_routed=0,
+            writes_routed=0,
+            catalog_ops=0,
+            searches_routed=0,
+            failovers=0,
+            partial_mutations=0,
+        )
         self._pool = ThreadPoolExecutor(
             max_workers=max(4, 2 * len(self.shards)),
             thread_name_prefix="vss-router",
@@ -367,10 +365,6 @@ class ClusterEngine:
     def _shard_failed(self, shard: _Shard, exc: BaseException) -> None:
         shard.mark_down(exc)
 
-    def _count(self, key: str, n: int = 1) -> None:
-        with self._counter_lock:
-            self.counters[key] += n
-
     # ------------------------------------------------------------------
     # the op table's unary ops
     # ------------------------------------------------------------------
@@ -389,11 +383,11 @@ class ClusterEngine:
         def call(shard: _Shard) -> dict:
             return shard.client._rpc(op.name, declared)
 
-        self._count(
-            "searches_routed" if op.name == "search" else "catalog_ops"
+        self.counters.add(
+            **{"searches_routed" if op.name == "search" else "catalog_ops": 1}
         )
         if op.placement == "scatter":
-            reply = op.merge(self._scatter(what, call), params)
+            reply = op.merge(self._scatter(what, call, op.whole), params)
         elif op.placement == "all":
             reply = self._on_all_replicas(name, what, call)[0]
         else:
@@ -437,7 +431,7 @@ class ClusterEngine:
             except Exception as exc:
                 applied = ", ".join(s.name for s in shards[: len(replies)])
                 if applied:
-                    self._count("partial_mutations")
+                    self.counters.add(partial_mutations=1)
                     _log.warning(
                         "partial mutation: %s %r applied on %s, "
                         "failed on %s: %r",
@@ -490,10 +484,9 @@ class ClusterEngine:
     # write
     # ------------------------------------------------------------------
     def write(self, spec, segment=None) -> SimpleNamespace:
-        self._count("writes_routed")
         # A write touches the catalog on every replica, so it counts as
         # a catalog op too (test_router_counters_for_a_fixed_sequence).
-        self._count("catalog_ops")
+        self.counters.add(writes_routed=1, catalog_ops=1)
         replies = self._on_all_replicas(
             spec.name, "write", lambda s: s.client.write(spec, segment)
         )
@@ -517,25 +510,31 @@ class ClusterEngine:
             raise ShardUnavailableError("every cluster shard is down")
         return live
 
-    def _scatter(self, what: str, fn) -> list:
+    def _scatter(self, what: str, fn, whole: bool = False) -> list:
         """Run ``fn(shard)`` on every live shard; skip ones that die.
 
         A shard failing mid-scatter is marked down and dropped from the
         merge (listings degrade to the live subset rather than failing
-        the whole cluster); only a fully dead cluster raises.
+        the whole cluster); only a fully dead cluster raises.  A
+        ``whole`` scatter raises as soon as any shard is down or dies.
         """
+        shards = self._live_shards()
+        down = [s.name for s in self.shards if s not in shards]
+        if whole and down:
+            raise ShardUnavailableError(f"cannot {what}: {', '.join(down)} down")
         replies = []
-        for shard, future in [
-            (s, self._pool.submit(fn, s)) for s in self._live_shards()
-        ]:
+        for shard, future in [(s, self._pool.submit(fn, s)) for s in shards]:
             try:
                 replies.append(future.result())
             except Exception as exc:
                 if not _shard_died(exc):
                     raise
                 self._shard_failed(shard, exc)
+                down.append(shard.name)
         if not replies:
             raise ShardUnavailableError(f"cannot {what}: every shard died")
+        if whole and down:
+            raise ShardUnavailableError(f"cannot {what}: {', '.join(down)} died")
         return replies
 
     def stats(self) -> dict:
@@ -559,8 +558,6 @@ class ClusterEngine:
                     doc.update(shard.snapshot())
             up += 1 if doc["up"] else 0
             per_shard[shard.name] = doc
-        with self._counter_lock:
-            counters = dict(self.counters)
 
         def summed(cast, *keys: str) -> dict:
             """Engine counters (each shard's own, monotonic) summed over
@@ -585,14 +582,6 @@ class ClusterEngine:
             "codec_encode_recurrence_seconds",
             "codec_encode_entropy_seconds",
         )
-        # The cluster-wide MB/s is derived from the summed totals rather
-        # than averaging per-shard rates (shards with no decode traffic
-        # would otherwise drag the mean to zero).
-        stage_seconds = (
-            codec["codec_entropy_seconds"]
-            + codec["codec_transform_seconds"]
-            + codec["codec_compensate_seconds"]
-        )
         codec.update(
             summed(
                 int,
@@ -601,18 +590,16 @@ class ClusterEngine:
                 "codec_frames_encoded",
             )
         )
-        codec["codec_decode_mb_per_s"] = (
-            codec["codec_decoded_bytes"] / 1e6 / stage_seconds
-            if stage_seconds > 0
-            else 0.0
-        )
+        # From the summed totals, not a mean of per-shard rates: shards
+        # with no decode traffic would drag a mean to zero.
+        codec["codec_decode_mb_per_s"] = decode_mb_per_s(codec)
         return {
             "cluster": True,
             "shards": per_shard,
             "shards_up": up,
             "shards_down": len(self.shards) - up,
             "replication": self.ring.replication,
-            "router": counters,
+            "router": self.counters.snapshot(),
             "tiles": tiles,
             "codec": codec,
         }
@@ -621,7 +608,7 @@ class ClusterEngine:
     # reads
     # ------------------------------------------------------------------
     def read_stream(self, spec) -> _RoutedStream:
-        self._count("reads_routed")
+        self.counters.add(reads_routed=1)
         candidates = self._read_candidates(spec.name)
         if not candidates:
             raise self._no_replica(spec.name)
@@ -632,36 +619,10 @@ class ClusterEngine:
         return stream
 
     def read_batch(self, specs: list) -> tuple[list, BatchStats]:
-        self._count("batches_routed")
-        if not specs:
-            return [], BatchStats()
-        groups: dict[str, list[int]] = {}
-        for index, spec in enumerate(specs):
-            shard = self._pick_batch_shard(spec.name, exclude=())
-            groups.setdefault(shard.name, []).append(index)
+        self.counters.add(batches_routed=1)
         results: list = [None] * len(specs)
         merged = BatchStats()
-        futures = [
-            (
-                indices,
-                self._pool.submit(
-                    self._run_group, self._by_name[name], indices, specs
-                ),
-            )
-            for name, indices in groups.items()
-        ]
-        first_exc = None
-        for indices, future in futures:
-            try:
-                sub_results, sub_batch = future.result()
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                first_exc = first_exc or exc
-                continue
-            for position, result in zip(indices, sub_results):
-                results[position] = result
-            merged.merge(sub_batch)
-        if first_exc is not None:
-            raise first_exc
+        self._run_groups(specs, range(len(specs)), set(), results, merged)
         return results, merged
 
     def _no_replica(self, name: str) -> ShardUnavailableError:
@@ -680,60 +641,62 @@ class ClusterEngine:
             raise self._no_replica(name)
         return candidates[0]
 
-    def _run_group(
-        self, shard: _Shard, indices: list[int], specs: list
-    ) -> tuple[list, BatchStats]:
-        """One shard's slice of a scattered batch, with replica retry.
+    def _run_groups(
+        self, specs: list, indices, exclude: set[str], results: list,
+        merged: BatchStats,
+    ) -> None:
+        """Answer ``specs[i]`` for each of ``indices`` into ``results``.
 
-        A group whose shard dies under it has delivered nothing, so it
-        is retried wholesale on the next live replica of each spec (one
-        shard per retry round; the ring guarantees co-placement of the
-        group only while the dead shard's replicas overlap, so a retry
-        may need the full scatter machinery — one level of recursion
-        bounded by the shard count).
+        The indices are grouped by :meth:`_pick_batch_shard`, so
+        co-sharded reads still share decode work server-side, and the
+        groups run concurrently as one sub-batch per shard.  A group
+        whose shard dies under it has delivered nothing: the shard is
+        marked down and excluded, and the group's indices are grouped
+        again the same way (their surviving replicas may differ), so the
+        recursion is bounded by the shard count.  The first error is
+        raised once every group has finished.
         """
-        subset = [specs[i] for i in indices]
-        exclude: set[str] = set()
-        while True:
-            try:
-                shard.enter()
-                try:
-                    with shard.batch_lock:
-                        sub_results = shard.client.read_batch(subset)
-                        sub_batch = shard.client.stats.last_batch
-                finally:
-                    shard.leave()
-                return sub_results, sub_batch
-            except Exception as exc:
-                if not _shard_died(exc):
-                    raise
+        groups: dict[_Shard, list[int]] = {}
+        for i in indices:
+            shard = self._pick_batch_shard(specs[i].name, exclude)
+            groups.setdefault(shard, []).append(i)
+        running = [
+            (shard, group, self._pool.submit(
+                self._read_group, shard, [specs[i] for i in group]
+            ))
+            for shard, group in groups.items()
+        ]
+        first_exc = None
+        for shard, group, future in running:
+            exc = future.exception()
+            if exc is None:
+                sub_results, sub_batch = future.result()
+                for i, result in zip(group, sub_results):
+                    results[i] = result
+                merged.merge(sub_batch)
+                continue
+            if _shard_died(exc):
                 self._shard_failed(shard, exc)
-                exclude.add(shard.name)
-                self._count("failovers")
-                # All specs in a group shared a placement shard; their
-                # surviving replicas may differ, so re-split the group.
-                regrouped: dict[str, list[int]] = {}
-                for i in indices:
-                    retry_shard = self._pick_batch_shard(
-                        specs[i].name, exclude=exclude
+                self.counters.add(failovers=1)
+                try:
+                    self._run_groups(
+                        specs, group, exclude | {shard.name}, results, merged
                     )
-                    regrouped.setdefault(retry_shard.name, []).append(i)
-                if len(regrouped) == 1:
-                    shard = self._by_name[next(iter(regrouped))]
                     continue
-                results: list = []
-                merged = BatchStats()
-                for name, sub_indices in regrouped.items():
-                    sub, batch = self._run_group(
-                        self._by_name[name], sub_indices, specs
-                    )
-                    results.extend(zip(sub_indices, sub))
-                    merged.merge(batch)
-                results.sort()
-                ordered = [r for _, r in results]
-                # Map back to this group's local order.
-                local = {i: r for i, r in zip(sorted(indices), ordered)}
-                return [local[i] for i in indices], merged
+                except BaseException as retry_exc:  # noqa: BLE001
+                    exc = retry_exc  # re-raised below
+            first_exc = first_exc or exc
+        if first_exc is not None:
+            raise first_exc
+
+    @staticmethod
+    def _read_group(shard: _Shard, specs: list) -> tuple[list, BatchStats]:
+        """One shard's sub-batch: its results and its own BatchStats."""
+        shard.enter()
+        try:
+            return shard.client._read_many(specs)
+        finally:
+            shard.leave()
 
     # ------------------------------------------------------------------
     def close(self) -> None:

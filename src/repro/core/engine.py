@@ -61,8 +61,8 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import contextmanager, nullcontext
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from repro.core.admission import AdmissionWorker
@@ -88,6 +88,7 @@ from repro.core.reader import (
     ReadResult,
     ReadStats,
     collect_chunks,
+    decode_mb_per_s,
 )
 from repro.core.records import LogicalVideo, PhysicalVideo, ViewRecord
 from repro.core.rwlock import RWLock, RWLockStats
@@ -114,7 +115,7 @@ from repro.tiles import RetilePolicy, TileGrid, Tiler
 from repro.search.index import SearchIndex
 from repro.search.query import DEFAULT_LIMIT as DEFAULT_SEARCH_LIMIT
 from repro.search.query import SearchHit, rows_to_hits, run_search
-from repro.util import LogicalClock
+from repro.util import Counters, LogicalClock
 from repro.video.codec.container import EncodedGOP
 from repro.video.codec.quant import QP_DEFAULT
 from repro.video.codec.registry import codec_for
@@ -131,6 +132,95 @@ COMPACT_INTERVAL = 8
 
 #: Bound on memoized read plans; stale-version entries age out via LRU.
 PLAN_CACHE_SIZE = 512
+
+#: The running totals a finished read adds its ``ReadStats`` attribute
+#: of the same name to (its ``frames_decoded`` goes to
+#: ``codec_frames_decoded``, the one total named differently).
+_READ_TOTALS = (
+    "codec_entropy_seconds",
+    "codec_transform_seconds",
+    "codec_compensate_seconds",
+    "codec_decoded_bytes",
+    "codec_encode_recurrence_seconds",
+    "codec_encode_entropy_seconds",
+    "codec_frames_encoded",
+    "tiles_total",
+    "tiles_decoded",
+    "tile_bytes_skipped",
+)
+
+
+def diff_store(
+    layout: Layout,
+    catalog: Catalog,
+    names: list[str] | None = None,
+    hold=lambda video: nullcontext(),
+) -> dict[str, list[str]]:
+    """The report of :meth:`VSSEngine.check`, from a layout and catalog.
+
+    ``names`` limits it to those videos; by default every video is
+    diffed, then the files outside every video's directory.
+    ``hold(video)`` is held while one video is diffed (the engine passes
+    its shared lock).  Nothing is removed, so ``python -m repro.server
+    <root> --check`` runs this without an engine, whose open would first
+    sweep the very orphans the report lists.
+    """
+    whole = names is None
+    if whole:
+        names = catalog.list_names("video")
+
+    def header_matches(gop, physical: PhysicalVideo) -> bool:
+        try:
+            encoded = layout.read_gop(gop.path)
+        except ContainerError:
+            return False
+        return (
+            encoded.codec,
+            encoded.num_frames,
+            encoded.width,
+            encoded.height,
+        ) == (physical.codec, gop.num_frames, physical.width, physical.height)
+
+    report: dict[str, list[str]] = {
+        "orphans": [], "dangling": [], "mismatched": []
+    }
+    for video in names:
+        base = f"videos/{video}"
+        with hold(video):
+            logical = catalog.get_logical(video)
+            gops = catalog.gops_of_logical(logical.id)
+            live = {g.path for g in gops if g.joint_pair_id is None}
+            for pair_id in {g.joint_pair_id for g in gops} - {None}:
+                pair = catalog.get_joint_pair(pair_id)
+                live |= {pair.left_path, pair.overlap_path, pair.right_path}
+            live.discard(None)
+            stored = {
+                path
+                for path in layout.stored_files(base)
+                if path.rsplit("/", 2)[0] == base
+            }
+            physicals = {p.id: p for p in catalog.list_physicals(logical.id)}
+            report["orphans"] += stored - live
+            report["dangling"] += [
+                path
+                for path in live - stored
+                if not (layout.root / path).is_file()
+            ]
+            report["mismatched"] += [
+                gop.path
+                for gop in gops
+                if gop.joint_pair_id is None
+                and gop.path in stored
+                and not header_matches(gop, physicals[gop.physical_id])
+            ]
+    if whole:
+        bases = {f"videos/{video}" for video in names}
+        report["orphans"] += [
+            path
+            for path in layout.stored_files() - catalog.live_paths()
+            if path.rsplit("/", 2)[0] not in bases
+        ]
+    return {key: sorted(paths) for key, paths in report.items()}
 
 
 @dataclass
@@ -170,9 +260,21 @@ class ViewStats:
     base_stats: StoreStats
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EngineStats:
     """Store-wide statistics (``engine.stats()``).
+
+    Fields with a zero default are the engine's running totals: its
+    counter table (:class:`repro.util.Counters`) starts from those
+    defaults, and each operation adds to it as it finishes
+    (``extraction_pending`` is the one total that also goes down).
+    Fields without a default are read when ``stats()`` is called:
+    instantaneous gauges (``num_logical_videos``, ``num_views``,
+    ``parallelism``, ``decode_cache_bytes``, ``admission_queue_depth``,
+    ``search_index_rows``), the monotonic counters other components
+    keep (executor, decode cache, per-logical locks, admission queue)
+    and two derived rates (``decode_cache_hit_rate``,
+    ``codec_decode_mb_per_s``).
 
     ``view_reads`` counts reads that resolved through at least one
     derived view (monotonic — deleting a view does not erase its
@@ -219,14 +321,14 @@ class EngineStats:
 
     num_logical_videos: int
     num_views: int
-    num_sessions: int
-    reads: int
-    writes: int
-    batches: int
-    streams: int
-    view_reads: int
-    failures: int
-    session_seconds: float
+    num_sessions: int = 0
+    reads: int = 0
+    writes: int = 0
+    batches: int = 0
+    streams: int = 0
+    view_reads: int = 0
+    failures: int = 0
+    session_seconds: float = 0.0
     parallelism: int
     executor_tasks: int
     decode_cache_hits: int
@@ -235,8 +337,8 @@ class EngineStats:
     decode_cache_evictions: int
     decode_cache_invalidations: int
     decode_cache_bytes: int
-    plan_cache_hits: int
-    plan_cache_misses: int
+    plan_cache_hits: int = 0
+    plan_cache_misses: int = 0
     lock_shared_acquisitions: int
     lock_exclusive_acquisitions: int
     admission_queue_depth: int
@@ -245,24 +347,24 @@ class EngineStats:
     admissions_coalesced: int
     admissions_dropped: int
     search_index_rows: int
-    extraction_pending: int
-    extraction_completed: int
-    extraction_dropped: int
-    searches_served: int
-    search_seconds: float
-    tiles_total: int
-    tiles_decoded: int
-    tile_bytes_skipped: int
-    retiles: int
-    codec_entropy_seconds: float
-    codec_transform_seconds: float
-    codec_compensate_seconds: float
-    codec_frames_decoded: int
-    codec_decoded_bytes: int
+    extraction_pending: int = 0
+    extraction_completed: int = 0
+    extraction_dropped: int = 0
+    searches_served: int = 0
+    search_seconds: float = 0.0
+    tiles_total: int = 0
+    tiles_decoded: int = 0
+    tile_bytes_skipped: int = 0
+    retiles: int = 0
+    codec_entropy_seconds: float = 0.0
+    codec_transform_seconds: float = 0.0
+    codec_compensate_seconds: float = 0.0
+    codec_frames_decoded: int = 0
+    codec_decoded_bytes: int = 0
     codec_decode_mb_per_s: float
-    codec_encode_recurrence_seconds: float
-    codec_encode_entropy_seconds: float
-    codec_frames_encoded: int
+    codec_encode_recurrence_seconds: float = 0.0
+    codec_encode_entropy_seconds: float = 0.0
+    codec_frames_encoded: int = 0
 
 
 class VSSEngine:
@@ -369,25 +471,23 @@ class VSSEngine:
         # the catalog's database; registers the delete-cascade hook, and
         # ingest-time extraction rides the admission worker above.
         self._search_index = SearchIndex(self.catalog)
-        self._search_lock = threading.Lock()
-        self._extraction_pending = 0
-        self._extraction_completed = 0
-        self._extraction_dropped = 0
-        self._searches_served = 0
-        self._search_seconds = 0.0
         # Versioned plan cache: (logical id, data version, effective
         # ReadSpec, cost model, planner mode) -> ReadPlan.  Bounded LRU;
         # entries for superseded versions (or a replaced cost model)
         # become unreachable the moment the key moves and age out here.
         self._plan_lock = threading.Lock()
         self._plan_cache: OrderedDict[tuple, object] = OrderedDict()
-        self._plan_hits = 0
-        self._plan_misses = 0
-        # Engine-wide mutable state: the per-logical lock registry, the
-        # maintenance counters, and the traffic counters.  Per-logical
-        # reader-writer locks order operations on one video (shared for
-        # reads, exclusive for mutations); _state_lock guards only the
-        # tiny shared bookkeeping below.
+        # The running totals of EngineStats (its fields with a default).
+        self._counters = Counters(**{
+            f.name: f.default
+            for f in fields(EngineStats)
+            if f.default is not MISSING
+        })
+        # Engine-wide mutable state: the per-logical lock registry and
+        # the maintenance bookkeeping.  Per-logical reader-writer locks
+        # order operations on one video (shared for reads, exclusive for
+        # mutations); _state_lock guards only the tiny shared
+        # bookkeeping below.
         self._lock_stats = RWLockStats()
         self._state_lock = threading.Lock()
         self._logical_locks: dict[str, RWLock] = {}
@@ -398,31 +498,10 @@ class VSSEngine:
         self._reads_since_refine = 0
         self._reads_since_compact = 0
         self._refine_cursor: dict[int, int] = {}
-        self._reads = 0
-        self._writes = 0
-        self._batches = 0
-        self._streams = 0
-        # Tile accounting rolled up from answered reads, plus the
-        # per-logical ROI access log the re-tiling policy consumes
-        # (flushed to the catalog during maintenance).
-        self._tiles_total = 0
-        self._tiles_decoded = 0
-        self._tile_bytes_skipped = 0
-        self._retiles = 0
-        # Codec decode fast-path counters rolled up from completed reads
-        # and streams (see EngineStats docstring for attribution).
-        self._codec_entropy_seconds = 0.0
-        self._codec_transform_seconds = 0.0
-        self._codec_compensate_seconds = 0.0
-        self._codec_frames_decoded = 0
-        self._codec_decoded_bytes = 0
-        self._codec_encode_recurrence_seconds = 0.0
-        self._codec_encode_entropy_seconds = 0.0
-        self._codec_frames_encoded = 0
+        # The per-logical ROI access log the re-tiling policy consumes
+        # (flushed to the catalog during maintenance), and reads per view.
         self._roi_accesses: dict[int, dict[tuple, int]] = {}
-        self._num_sessions = 0
         self._view_reads: dict[str, int] = {}
-        self._view_reads_total = 0
         # Known view names, kept in sync by create_view/delete: lets the
         # hot read/write paths skip the catalog probe entirely in stores
         # with no (matching) view — like the per-logical locks, this
@@ -430,8 +509,6 @@ class VSSEngine:
         self._view_names: set[str] = {
             v.name for v in self.catalog.list_views()
         }
-        self._failures = 0
-        self._session_seconds = 0.0
         self._frontend: ThreadPoolExecutor | None = None
         self._closed = False
 
@@ -553,8 +630,7 @@ class VSSEngine:
         call does not specify explicitly.
         """
         session = Session(self, defaults)
-        with self._state_lock:
-            self._num_sessions += 1
+        self._counters.add(num_sessions=1)
         return session
 
     # ------------------------------------------------------------------
@@ -807,8 +883,7 @@ class VSSEngine:
                 )
             if is_original:
                 self._default_budget(logical, outcome.nbytes)
-        with self._state_lock:
-            self._writes += 1
+        self._counters.add(writes=1)
         self._schedule_extraction(logical)
         return outcome.physical
 
@@ -839,8 +914,7 @@ class VSSEngine:
                 is_original=is_original,
                 gop_size=gop_size,
             )
-        with self._state_lock:
-            self._writes += 1
+        self._counters.add(writes=1)
         return HookedStream(self, logical, stream, is_original)
 
     def _get_or_create(self, name: str) -> LogicalVideo:
@@ -948,9 +1022,10 @@ class VSSEngine:
             plan = self._plan_cache.get(key)
             if plan is not None:
                 self._plan_cache.move_to_end(key)
-                self._plan_hits += 1
-                return plan, True
-            self._plan_misses += 1
+        if plan is not None:
+            self._counters.add(plan_cache_hits=1)
+            return plan, True
+        self._counters.add(plan_cache_misses=1)
         fragments = (
             self.catalog.fragments_of_logical(logical.id)
             if fragments_fn is None
@@ -983,40 +1058,34 @@ class VSSEngine:
 
         Runs after the shared lock is released — admission needs the
         exclusive side, and upgrading in place would deadlock against
-        concurrent readers.  One ``_state_lock`` hold covers the traffic
-        counters, the codec roll-up, the tile counters plus the ROI
+        concurrent readers.  The read's :class:`ReadStats` fold into the
+        counter table in one ``add`` (:data:`_READ_TOTALS`); the ROI
         access log the re-tiling policy consumes (genuine sub-frame ROIs
-        only), and the per-view counts; then the materialized ``result``
-        (None for a stream, which never holds its whole answer) is
-        queued for opportunistic admission when cacheable.  Callers
-        follow up with one :meth:`_schedule_maintenance` tick per
-        operation (a batch group ticks once, not once per member).
+        only) and the per-view counts take ``_state_lock``; then the
+        materialized ``result`` (None for a stream, which never holds
+        its whole answer) is queued for opportunistic admission when
+        cacheable.  Callers follow up with one
+        :meth:`_schedule_maintenance` tick per operation (a batch group
+        ticks once, not once per member).
         """
+        # Zeros are skipped: a warm read's totals mostly are.
+        deltas = {
+            total: value
+            for total in _READ_TOTALS
+            if (value := getattr(stats, total))
+        }
+        deltas["reads"] = 1
+        deltas["streams"] = result is None
+        deltas["view_reads"] = bool(stats.view_chain)
+        deltas["codec_frames_decoded"] = stats.frames_decoded
+        self._counters.add(deltas)
         roi = tuple(int(v) for v in plan.roi)
-        with self._state_lock:
-            self._reads += 1
-            if result is None:
-                self._streams += 1
-            self._codec_entropy_seconds += stats.codec_entropy_seconds
-            self._codec_transform_seconds += stats.codec_transform_seconds
-            self._codec_compensate_seconds += stats.codec_compensate_seconds
-            self._codec_frames_decoded += stats.frames_decoded
-            self._codec_decoded_bytes += stats.codec_decoded_bytes
-            self._codec_encode_recurrence_seconds += (
-                stats.codec_encode_recurrence_seconds
-            )
-            self._codec_encode_entropy_seconds += (
-                stats.codec_encode_entropy_seconds
-            )
-            self._codec_frames_encoded += stats.codec_frames_encoded
-            self._tiles_total += plan.tiles_total
-            self._tiles_decoded += plan.tiles_decoded
-            self._tile_bytes_skipped += plan.tile_bytes_skipped
-            if roi != (0, 0, *plan.original_resolution):
-                per = self._roi_accesses.setdefault(logical.id, {})
-                per[roi] = per.get(roi, 0) + 1
-            if stats.view_chain:
-                self._view_reads_total += 1
+        sub_frame = roi != (0, 0, *plan.original_resolution)
+        if sub_frame or stats.view_chain:
+            with self._state_lock:
+                if sub_frame:
+                    per = self._roi_accesses.setdefault(logical.id, {})
+                    per[roi] = per.get(roi, 0) + 1
                 for view_name in stats.view_chain:
                     self._view_reads[view_name] = (
                         self._view_reads.get(view_name, 0) + 1
@@ -1184,8 +1253,7 @@ class VSSEngine:
                 results[i] = result
                 self._complete_read(logical, result.plan, result.stats, result)
             self._schedule_maintenance(logical)
-        with self._state_lock:
-            self._batches += 1
+        self._counters.add(batches=1)
         return results, total
 
     def _read_preamble(
@@ -1399,8 +1467,7 @@ class VSSEngine:
         # The tiler bumped the data version, so memoized plans for the
         # old layout are already unreachable.
         if group is not None:
-            with self._state_lock:
-                self._retiles += 1
+            self._counters.add(retiles=1)
         return group
 
     def _maybe_retile(self, logical: LogicalVideo) -> None:
@@ -1433,8 +1500,7 @@ class VSSEngine:
         except WriteError:
             return  # source not tileable (evicted pages / joint pairs)
         self.catalog.clear_roi_accesses(logical.id)
-        with self._state_lock:
-            self._retiles += 1
+        self._counters.add(retiles=1)
 
     def _refine_one(self, logical: LogicalVideo) -> None:
         """Periodic exact-quality sampling (section 3.2): decode a sample
@@ -1536,68 +1602,16 @@ class VSSEngine:
         row names), ``dangling`` (files a row names that are missing) and
         ``mismatched`` (GOP files whose header codec, frame count or
         geometry disagrees with the catalog).  Each video is diffed under
-        its shared lock; for the whole store, files outside every live
-        video's directory are diffed last.  Nothing is repaired.
+        its shared lock (:func:`diff_store`).  Nothing is repaired.
         """
         if name is not None:
             self._require_storage(name, "check")
-        names = self.catalog.list_names("video") if name is None else [name]
-
-        def header_matches(gop, physical: PhysicalVideo) -> bool:
-            try:
-                encoded = self.layout.read_gop(gop.path)
-            except ContainerError:
-                return False
-            return (
-                encoded.codec,
-                encoded.num_frames,
-                encoded.width,
-                encoded.height,
-            ) == (physical.codec, gop.num_frames, physical.width, physical.height)
-
-        report: dict[str, list[str]] = {
-            "orphans": [], "dangling": [], "mismatched": []
-        }
-        for video in names:
-            base = f"videos/{video}"
-            with self._locked(video, shared=True):
-                logical = self.catalog.get_logical(video)
-                gops = self.catalog.gops_of_logical(logical.id)
-                live = {g.path for g in gops if g.joint_pair_id is None}
-                for pair_id in {g.joint_pair_id for g in gops} - {None}:
-                    pair = self.catalog.get_joint_pair(pair_id)
-                    live |= {pair.left_path, pair.overlap_path, pair.right_path}
-                live.discard(None)
-                stored = {
-                    path
-                    for path in self.layout.stored_files(base)
-                    if path.rsplit("/", 2)[0] == base
-                }
-                physicals = {
-                    p.id: p for p in self.catalog.list_physicals(logical.id)
-                }
-                report["orphans"] += stored - live
-                report["dangling"] += [
-                    path
-                    for path in live - stored
-                    if not (self.layout.root / path).is_file()
-                ]
-                report["mismatched"] += [
-                    gop.path
-                    for gop in gops
-                    if gop.joint_pair_id is None
-                    and gop.path in stored
-                    and not header_matches(gop, physicals[gop.physical_id])
-                ]
-        if name is None:
-            bases = {f"videos/{video}" for video in names}
-            report["orphans"] += [
-                path
-                for path in self.layout.stored_files()
-                - self.catalog.live_paths()
-                if path.rsplit("/", 2)[0] not in bases
-            ]
-        return {key: sorted(paths) for key, paths in report.items()}
+        return diff_store(
+            self.layout,
+            self.catalog,
+            None if name is None else [name],
+            hold=lambda video: self._locked(video, shared=True),
+        )
 
     # ------------------------------------------------------------------
     # stats
@@ -1605,56 +1619,19 @@ class VSSEngine:
     def _absorb_session(self, stats: SessionStats) -> None:
         """Fold a closing session's counters into the engine
         (:meth:`Session.close`)."""
-        with self._state_lock:
-            self._failures += stats.failures
-            self._session_seconds += stats.wall_seconds
+        self._counters.add(
+            failures=stats.failures, session_seconds=stats.wall_seconds
+        )
 
     def stats(self) -> EngineStats:
         """Store-wide counters: traffic, decode cache, executor."""
         decode = self.decode_cache.stats
         admissions = self._admissions.stats
-        with self._state_lock:
-            reads, writes = self._reads, self._writes
-            batches, sessions = self._batches, self._num_sessions
-            streams = self._streams
-            view_reads = self._view_reads_total
-            failures = self._failures
-            session_seconds = self._session_seconds
-            tiles_total = self._tiles_total
-            tiles_decoded = self._tiles_decoded
-            tile_bytes_skipped = self._tile_bytes_skipped
-            retiles = self._retiles
-            codec_entropy = self._codec_entropy_seconds
-            codec_transform = self._codec_transform_seconds
-            codec_compensate = self._codec_compensate_seconds
-            codec_frames = self._codec_frames_decoded
-            codec_bytes = self._codec_decoded_bytes
-            encode_recurrence = self._codec_encode_recurrence_seconds
-            encode_entropy = self._codec_encode_entropy_seconds
-            frames_encoded = self._codec_frames_encoded
-        codec_seconds = codec_entropy + codec_transform + codec_compensate
-        codec_mb_per_s = (
-            codec_bytes / 1e6 / codec_seconds if codec_seconds > 0 else 0.0
-        )
-        with self._plan_lock:
-            plan_hits, plan_misses = self._plan_hits, self._plan_misses
-        with self._search_lock:
-            extraction_pending = self._extraction_pending
-            extraction_completed = self._extraction_completed
-            extraction_dropped = self._extraction_dropped
-            searches_served = self._searches_served
-            search_seconds = self._search_seconds
+        totals = self._counters.snapshot()
         return EngineStats(
+            **totals,
             num_logical_videos=len(self.catalog.list_logical()),
             num_views=self.catalog.count_views(),
-            num_sessions=sessions,
-            reads=reads,
-            writes=writes,
-            batches=batches,
-            streams=streams,
-            view_reads=view_reads,
-            failures=failures,
-            session_seconds=session_seconds,
             parallelism=self.executor.parallelism,
             executor_tasks=self.executor.tasks_completed,
             decode_cache_hits=decode.hits,
@@ -1663,8 +1640,6 @@ class VSSEngine:
             decode_cache_evictions=decode.evictions,
             decode_cache_invalidations=decode.invalidations,
             decode_cache_bytes=self.decode_cache.current_bytes,
-            plan_cache_hits=plan_hits,
-            plan_cache_misses=plan_misses,
             lock_shared_acquisitions=self._lock_stats.shared_acquisitions,
             lock_exclusive_acquisitions=(
                 self._lock_stats.exclusive_acquisitions
@@ -1675,24 +1650,7 @@ class VSSEngine:
             admissions_coalesced=admissions.coalesced,
             admissions_dropped=admissions.dropped,
             search_index_rows=self._search_index.count_rows(),
-            extraction_pending=extraction_pending,
-            extraction_completed=extraction_completed,
-            extraction_dropped=extraction_dropped,
-            searches_served=searches_served,
-            search_seconds=search_seconds,
-            tiles_total=tiles_total,
-            tiles_decoded=tiles_decoded,
-            tile_bytes_skipped=tile_bytes_skipped,
-            retiles=retiles,
-            codec_entropy_seconds=codec_entropy,
-            codec_transform_seconds=codec_transform,
-            codec_compensate_seconds=codec_compensate,
-            codec_frames_decoded=codec_frames,
-            codec_decoded_bytes=codec_bytes,
-            codec_decode_mb_per_s=codec_mb_per_s,
-            codec_encode_recurrence_seconds=encode_recurrence,
-            codec_encode_entropy_seconds=encode_entropy,
-            codec_frames_encoded=frames_encoded,
+            codec_decode_mb_per_s=decode_mb_per_s(totals),
         )
 
     def video_stats(self, name: str) -> StoreStats | ViewStats:
@@ -1751,20 +1709,16 @@ class VSSEngine:
         submitted = self._admissions.submit(
             key, lambda: self._extraction_task(logical)
         )
-        with self._search_lock:
-            if submitted:
-                self._extraction_pending += 1
-            else:
-                self._extraction_dropped += 1
+        self._counters.add(
+            **{"extraction_pending" if submitted else "extraction_dropped": 1}
+        )
 
     def _extraction_task(self, logical: LogicalVideo) -> None:
         """Admission-worker body: index the original's un-indexed GOPs."""
         try:
             self._run_if_current(logical, self._extract_missing, shared=True)
         finally:
-            with self._search_lock:
-                self._extraction_pending -= 1
-                self._extraction_completed += 1
+            self._counters.add(extraction_pending=-1, extraction_completed=1)
 
     def _extract_missing(self, logical: LogicalVideo) -> int:
         """Index the original's GOPs not yet in the search index.
@@ -1829,9 +1783,9 @@ class VSSEngine:
                 return None
 
         hits = rows_to_hits(scored, name_of)
-        with self._search_lock:
-            self._searches_served += 1
-            self._search_seconds += time.perf_counter() - begin
+        self._counters.add(
+            searches_served=1, search_seconds=time.perf_counter() - begin
+        )
         return hits
 
 
@@ -2039,6 +1993,11 @@ class Session(SessionSurface):
         """Rebuild the content index for one video; rows written."""
         self._check_open()
         return self._engine.reindex(name)
+
+    def check(self) -> dict[str, list[str]]:
+        """The whole store's :meth:`VSSEngine.check` report."""
+        self._check_open()
+        return self._engine.check()
 
     # ------------------------------------------------------------------
     # transport hooks (the calls themselves are SessionSurface's)

@@ -24,7 +24,10 @@ Both servers and both clients dispatch through :data:`OPS`.  One
   (:data:`PLACEMENTS`): ``local`` on the router itself, ``any`` live
   replica of the key's placement, ``all`` of them, or ``scatter`` to
   every live shard with ``merge(replies, params) -> dict`` folding the
-  shard reply dicts into one.  ``key(params)`` names the video whose
+  shard reply dicts into one.  A scatter leaves a down or dying shard
+  out of the merge, unless the op is ``whole`` (``check``: an audit that
+  skipped a shard would read clean for data it never looked at), which
+  then fails with :class:`ShardUnavailableError`.  ``key(params)`` names the video whose
   ring placement decides the replicas (default ``params["name"]``).
   Validating params is ``run``'s job, on the shard: the router hands a
   shard's error reply back as it came.
@@ -132,6 +135,7 @@ class Op:
     body: str | None = None
     key: Callable[[dict], str | None] = _key_name
     merge: Callable[[list, dict], dict] | None = None
+    whole: bool = False
     #: ``rest`` split once: HTTP method and the path's segments.
     method: str | None = dataclasses.field(init=False, default=None)
     segments: tuple[str, ...] = dataclasses.field(init=False, default=())
@@ -147,6 +151,8 @@ class Op:
                 f"op {self.name!r}: a merge goes with scatter placement, "
                 f"and only with it"
             )
+        if self.whole and self.placement != "scatter":
+            raise ValueError(f"op {self.name!r}: only a scatter can be whole")
         if self.rest is not None:
             self.method, path = self.rest.split(" ")
             self.segments = tuple(path.strip("/").split("/"))
@@ -278,6 +284,10 @@ def _reindex(service, p: dict) -> dict:
     return {"name": p["name"], "indexed_gops": service.engine.reindex(p["name"])}
 
 
+def _check(service, p: dict) -> dict:
+    return service.engine.check()
+
+
 # -- placement keys and scatter merges (router side) -------------------
 def _key_view_parent(p: dict) -> str:
     # A view lives with the root of its base chain, so reads against it
@@ -312,11 +322,19 @@ def _merge_hits(replies: list, p: dict) -> dict:
     return {"hits": [search_hit_to_dict(h) for h in hits]}
 
 
+def _merge_check(replies: list, p: dict) -> dict:
+    return {
+        key: sorted({path for r in replies for path in r[key]})
+        for key in replies[0]
+    }
+
+
 _NAME = ("name",)
 
-#: Every unary op, by name.  Only ``reindex`` is admitted (it decodes
-#: every GOP of the video); ``search`` is pure index work and skips
-#: admission like the catalog ops do.
+#: Every unary op, by name.  Only ``reindex`` (it decodes every GOP of
+#: the video) and ``check`` (it reads every GOP file's header) are
+#: admitted; ``search`` is pure index work and skips admission like the
+#: catalog ops do.
 OPS: dict[str, Op] = {
     op.name: op
     for op in (
@@ -342,6 +360,8 @@ OPS: dict[str, Op] = {
            body="query", merge=_merge_hits),
         Op("reindex", _reindex, "all", _NAME, admitted=True,
            rest="POST /v1/reindex"),
+        Op("check", _check, "scatter", admitted=True, rest="GET /v1/check",
+           merge=_merge_check, whole=True),
     )
 }
 

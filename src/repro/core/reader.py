@@ -64,6 +64,29 @@ from repro.video.resample import index_run, resize_segment
 
 _EPS = 1e-9
 
+#: The stages codec decode wall time splits into; :class:`ReadStats`,
+#: ``EngineStats`` and the router's ``codec`` roll-up share these names.
+DECODE_STAGES = (
+    "codec_entropy_seconds",
+    "codec_transform_seconds",
+    "codec_compensate_seconds",
+)
+
+
+def decode_mb_per_s(totals) -> float:
+    """Codec decode throughput: decoded MB per stage-second.
+
+    ``totals`` maps :data:`DECODE_STAGES` and ``codec_decoded_bytes`` to
+    sums — one read's, an engine's or a cluster's — so a rate is always
+    derived from summed totals, never averaged.  0.0 when nothing was
+    decoded.
+    """
+    seconds = sum(totals[stage] for stage in DECODE_STAGES)
+    if seconds <= 0.0 or totals["codec_decoded_bytes"] == 0:
+        return 0.0
+    return totals["codec_decoded_bytes"] / 1e6 / seconds
+
+
 #: Sentinel distinguishing "use the reader's cache" from an explicit None.
 _DEFAULT_CACHE = object()
 
@@ -128,20 +151,12 @@ class ReadStats:
     @property
     def codec_decode_seconds(self) -> float:
         """Total wall time inside the codec decode stages."""
-        return (
-            self.codec_entropy_seconds
-            + self.codec_transform_seconds
-            + self.codec_compensate_seconds
-        )
+        return sum(getattr(self, stage) for stage in DECODE_STAGES)
 
     @property
     def decode_mb_per_s(self) -> float:
-        """Codec decode throughput (decoded MB per stage-second); 0.0 when
-        the read decoded nothing."""
-        seconds = self.codec_decode_seconds
-        if seconds <= 0.0 or self.codec_decoded_bytes == 0:
-            return 0.0
-        return self.codec_decoded_bytes / 1e6 / seconds
+        """This read's :func:`decode_mb_per_s`."""
+        return decode_mb_per_s(vars(self))
 
     @classmethod
     def for_plan(cls, plan: ReadPlan) -> "ReadStats":

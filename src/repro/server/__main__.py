@@ -7,14 +7,51 @@ Three modes:
 * ``python -m repro.server --router --shards host:port,host:port`` —
   cluster router over running binary shard servers (serves **both**
   transports: ``--port`` binary, ``--http-port`` HTTP).
+
+``python -m repro.server /path/to/store --check`` serves nothing: it
+prints the store's ``engine.check()`` report as JSON and exits 1 when
+the report lists any file, 0 when it is clean (:func:`check_offline`).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+from pathlib import Path
 
 from repro.server.binary import VSSBinaryServer
 from repro.server.http import DEFAULT_MAX_INFLIGHT, VSSServer
+
+
+def check_offline(root: str | Path) -> dict[str, list[str]]:
+    """The ``engine.check()`` report of a store, without opening an
+    engine and without removing or creating a file.
+
+    An engine's open sweeps the files no catalog row names, which are
+    the orphans the report exists to list; this reads the catalog and
+    the files directly (:func:`repro.core.engine.diff_store`).  A store
+    without a catalog is not given one (the next engine open would then
+    sweep every file): each of its files is reported as an orphan.
+    Nothing is locked, so on a store a server has open, a file written
+    just before its row commits may show up as an orphan; ask that
+    server instead (``GET /v1/check``, ``client.check()``).
+    """
+    from repro.core.catalog import Catalog
+    from repro.core.engine import diff_store
+    from repro.core.layout import Layout
+
+    layout = Layout(root)
+    if not layout.catalog_path.exists():
+        return {
+            "orphans": sorted(layout.stored_files()),
+            "dangling": [],
+            "mismatched": [],
+        }
+    catalog = Catalog(layout.catalog_path)
+    try:
+        return diff_store(layout, catalog)
+    finally:
+        catalog.close()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -79,14 +116,21 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="engine worker threads (default: core count)",
     )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="print the store's consistency report as JSON and exit "
+        "(1 on any finding); removes nothing, and on a store a server has "
+        "open, files mid-write may show as orphans",
+    )
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
     if args.router:
         if not args.shards:
             parser.error("--router requires --shards host:port,...")
-        if args.root is not None:
-            parser.error("--router takes no store directory")
+        if args.root is not None or args.check:
+            parser.error("--router takes no store directory (or --check)")
         from repro.cluster import VSSRouter
 
         router = VSSRouter(
@@ -112,6 +156,12 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.root is None:
         parser.error("a store directory is required (unless --router)")
+    if args.check:
+        if not Path(args.root).is_dir():
+            parser.error(f"{args.root}: no such store directory")
+        report = check_offline(args.root)
+        print(json.dumps(report, indent=2))
+        return 1 if any(report.values()) else 0
     if args.binary:
         server = VSSBinaryServer(
             root=args.root,

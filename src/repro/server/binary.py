@@ -58,7 +58,6 @@ from pathlib import Path
 from repro.core.engine import VSSEngine
 from repro.core.ops import OPS, Op, physical_to_dict
 from repro.core.wire import (
-    FRAME_ERROR,
     FRAME_PING,
     FRAME_PONG,
     FRAME_REPLY,
@@ -74,7 +73,7 @@ from repro.core.wire import (
     parse_frame,
     stream_end_frame,
 )
-from repro.errors import WireError
+from repro.errors import ServerBusyError, WireError
 from repro.server.http import (
     DEFAULT_MAX_INFLIGHT,
     RETRY_AFTER_SECONDS,
@@ -106,6 +105,11 @@ async def read_frame_async(
 _PULL_MAX_CHUNKS = 8
 _PULL_MAX_BYTES = 32 << 20
 
+
+#: The rejection a full server answers an admitted request with.
+_BUSY = ServerBusyError(
+    "too many in-flight requests", retry_after=RETRY_AFTER_SECONDS
+)
 
 #: Largest ``os.writev`` call: the kernel refuses longer vectors.
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
@@ -425,14 +429,6 @@ class VSSBinaryServer:
             if not best_effort:
                 raise
 
-    async def _send_busy(self, writer) -> None:
-        envelope = {
-            "error": "ServerBusyError",
-            "message": "too many in-flight requests",
-            "retry_after": RETRY_AFTER_SECONDS,
-        }
-        await self._send(writer, encode_frame(FRAME_ERROR, envelope))
-
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
@@ -443,7 +439,7 @@ class VSSBinaryServer:
         is just one more name the op does not look at).
         """
         if op.admitted and not self.gauges.try_enter():
-            await self._send_busy(writer)
+            await self._send_error(writer, _BUSY)
             return
         try:
             reply = await self._bridge_call(op, self, header)
@@ -455,7 +451,7 @@ class VSSBinaryServer:
     async def _op_write(self, writer, header, payload) -> None:
         spec, segment = decode_write(header, payload)
         if not self.gauges.try_enter():
-            await self._send_busy(writer)
+            await self._send_error(writer, _BUSY)
             return
         try:
             physical = await self._bridge_call(
@@ -468,7 +464,7 @@ class VSSBinaryServer:
     async def _op_read(self, writer, header, payload) -> None:
         spec = decode_read(header)
         if not self.gauges.try_enter():
-            await self._send_busy(writer)
+            await self._send_error(writer, _BUSY)
             return
         stream = None
         prefetch = None
@@ -514,7 +510,7 @@ class VSSBinaryServer:
     async def _op_read_batch(self, writer, header, payload) -> None:
         specs = decode_read_batch(header)
         if not self.gauges.try_enter():
-            await self._send_busy(writer)
+            await self._send_error(writer, _BUSY)
             return
         try:
             results, batch = await self._bridge_call(

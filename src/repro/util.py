@@ -1,4 +1,5 @@
-"""Small shared utilities: deterministic RNG, wall-clock timing, parallel map.
+"""Small shared utilities: deterministic RNG, wall-clock timing, counter
+tables, parallel map.
 
 These helpers are deliberately tiny; anything with real policy lives in a
 dedicated module.
@@ -72,6 +73,39 @@ class StageTimers:
 
     def as_dict(self) -> dict[str, float]:
         return {name: timer.elapsed for name, timer in self.timers.items()}
+
+
+class Counters:
+    """Named running totals behind one lock.
+
+    ``start`` names every total and its zero (``0`` or ``0.0``), in the
+    order :meth:`snapshot` reports them; :meth:`add` of a name it does
+    not know raises ``KeyError``.
+
+    >>> totals = Counters(reads=0, seconds=0.0)
+    >>> totals.add(reads=1, seconds=0.5)
+    >>> totals.add({"reads": 2})
+    >>> totals.snapshot()
+    {'reads': 3, 'seconds': 0.5}
+    """
+
+    def __init__(self, **start) -> None:
+        self._totals = dict(start)
+        self._lock = threading.Lock()
+
+    def add(self, deltas: dict | None = None, /, **more) -> None:
+        """Add each delta, given as a dict, as keywords or both, to its
+        total, all under one hold of the lock."""
+        with self._lock:
+            totals = self._totals
+            for source in (deltas or {}, more):
+                for name, delta in source.items():
+                    totals[name] += delta
+
+    def snapshot(self) -> dict:
+        """A copy of every total, as of one instant."""
+        with self._lock:
+            return dict(self._totals)
 
 
 class LogicalClock:

@@ -31,14 +31,16 @@ from repro.core.wire import (
     FRAME_REPLY,
     FRAME_REQUEST,
     FRAME_SEGMENT,
+    error_frame,
     frame_to_bytes,
     parse_frame,
     read_frame,
     read_spec_to_dict,
 )
-from repro.errors import VideoExistsError
+from repro.errors import ServerBusyError, VideoExistsError
 from repro.server import VSSBinaryServer, VSSServer
 from repro.server.binary import _IOV_MAX, write_vectored
+from repro.server.http import RETRY_AFTER_SECONDS
 
 
 @pytest.fixture()
@@ -237,6 +239,34 @@ class TestAdmissionControl:
             t.join()
         assert not errors
         assert len(set(shapes)) == 1  # same clip, three videos
+
+    def test_busy_reply_is_the_error_frame_of_a_busy_error(self, server):
+        """A full server's rejection, byte for byte: the envelope
+        ``error_frame`` builds for a ``ServerBusyError``, keys in the
+        order the binary protocol has always sent them."""
+        envelope = {
+            "error": "ServerBusyError",
+            "message": "too many in-flight requests",
+            "retry_after": RETRY_AFTER_SECONDS,
+        }
+        expected = frame_to_bytes(FRAME_ERROR, envelope)
+        assert b"".join(error_frame(ServerBusyError(
+            "too many in-flight requests", retry_after=RETRY_AFTER_SECONDS
+        ))) == expected
+        saved = server.gauges.max_inflight
+        server.gauges.max_inflight = 0
+        conn = _RawConnection(server.address)
+        try:
+            spec = ReadSpec("cam", 0.0, 0.5, codec="raw")
+            conn.send(frame_to_bytes(
+                FRAME_REQUEST, {"op": "read", "spec": read_spec_to_dict(spec)}
+            ))
+            prefix = conn.rfile.read(4)
+            body = conn.rfile.read(int.from_bytes(prefix, "big"))
+        finally:
+            conn.close()
+            server.gauges.max_inflight = saved
+        assert prefix + body == expected
 
     def test_one_shared_client_across_threads(self, loaded_client):
         spec = ReadSpec("traffic", 0.0, 1.0, codec="raw", cache=False)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -222,6 +223,28 @@ class TestRouting:
         total = sum(len(e.list_videos()) for e in fleet.engines)
         assert total == 6  # replication=1: exactly one copy each
 
+    def test_check_fails_typed_when_a_shard_is_missing(
+        self, router, fleet, tiny_clip
+    ):
+        """A listing degrades to the live shards; the ``check`` audit
+        does not, since a skipped shard's files would read as clean: a
+        shard dying mid-scatter, or one already down, fails it typed."""
+        victim = fleet.addrs[0]
+        with VSSBinaryClient(*router.address) as client:
+            _load(client, "cam", tiny_clip)
+            assert client.check() == {
+                "orphans": [], "dangling": [], "mismatched": []
+            }
+            fleet.kill(victim)
+            with pytest.raises(ShardUnavailableError, match="died") as info:
+                client.check()
+            assert victim in str(info.value)
+            assert not router.engine._by_name[victim].up
+            with pytest.raises(ShardUnavailableError, match="down") as info:
+                client.check()
+            assert victim in str(info.value)
+            assert isinstance(client.list_videos(), list)
+
     def test_read_batch_scatter_gathers_in_request_order(
         self, router, tiny_clip
     ):
@@ -240,6 +263,50 @@ class TestRouting:
                 expect = client.read(spec).segment.pixels
                 assert np.array_equal(result.segment.pixels, expect)
             assert client.stats.last_batch.num_reads == len(specs)
+
+    def test_concurrent_batches_to_one_shard_keep_their_own_stats(
+        self, tmp_path, calibration, tiny_clip
+    ):
+        """Four callers batch through a one-shard router at once: each
+        gets its own answer and its own BatchStats back, and the shard
+        serves their sub-batches side by side, not one at a time."""
+        fleet = Fleet(tmp_path, calibration, 1)
+        router = VSSRouter(fleet.addrs, probe_interval=30.0).start()
+        try:
+            with VSSBinaryClient(*router.address) as loader:
+                _load(loader, "cam", tiny_clip)
+            spec_lists = [
+                [
+                    ReadSpec("cam", 0.04 * i, 0.3 + 0.05 * (n + i),
+                             codec="raw", cache=False)
+                    for i in range(n)
+                ]
+                for n in (1, 2, 3, 5)
+            ]
+            barrier = threading.Barrier(len(spec_lists))
+
+            def caller(specs):
+                with VSSBinaryClient(*router.address) as client:
+                    barrier.wait()
+                    answers = []
+                    for _ in range(3):
+                        answers.append(client.read_batch(specs))
+                        assert client.stats.last_batch.num_reads == len(specs)
+                    return answers
+
+            with ThreadPoolExecutor(max_workers=len(spec_lists)) as pool:
+                outcomes = list(pool.map(caller, spec_lists))
+            assert fleet.servers[0].gauges.peak_inflight >= 2
+            engine = fleet.engines[0]
+            for specs, answers in zip(spec_lists, outcomes):
+                direct = [engine.read(s).segment.pixels for s in specs]
+                for results in answers:
+                    assert len(results) == len(specs)
+                    for result, pixels in zip(results, direct):
+                        assert np.array_equal(result.segment.pixels, pixels)
+        finally:
+            router.close()
+            fleet.close()
 
     def test_views_route_to_their_base_shard(self, router, fleet, tiny_clip):
         with VSSBinaryClient(*router.address) as client:
@@ -410,6 +477,42 @@ class TestReplicationFailover:
             assert np.array_equal(
                 results[0].segment.pixels, results[2].segment.pixels
             )
+
+    def test_batch_group_splits_when_survivors_differ(
+        self, replicated, fleet, tiny_clip
+    ):
+        """Two videos share a primary but not a second replica: when the
+        primary dies under their one sub-batch, the group is grouped
+        again and each half is answered by its own survivor."""
+        ring = replicated.engine.ring
+        by_primary: dict[str, dict[str, str]] = {}
+        for i in range(1000):
+            primary, second = ring.replicas(f"cam{i}")
+            by_primary.setdefault(primary, {}).setdefault(second, f"cam{i}")
+        primary, seconds = next(
+            (p, s) for p, s in by_primary.items() if len(s) == 2
+        )
+        (second_a, name_a), (second_b, name_b) = sorted(seconds.items())
+        specs = [
+            ReadSpec(n, 0.0, 0.5, codec="raw", cache=False)
+            for n in (name_a, name_b, name_a)
+        ]
+        with VSSBinaryClient(*replicated.address) as client:
+            for name in (name_a, name_b):
+                _load(client, name, tiny_clip)
+            expected = [client.read(s).segment.pixels for s in specs]
+            survivors = (second_a, second_b)
+            engines = dict(zip(fleet.addrs, fleet.engines))
+            before = {a: engines[a].stats().batches for a in survivors}
+            fleet.kill(primary)
+            results = client.read_batch(specs)
+            assert client.stats.last_batch.num_reads == 3
+        for result, pixels in zip(results, expected):
+            assert np.array_equal(result.segment.pixels, pixels)
+        assert {
+            a: engines[a].stats().batches - before[a] for a in survivors
+        } == {second_a: 1, second_b: 1}
+        assert replicated.engine.counters.snapshot()["failovers"] == 1
 
     def test_mid_stream_death_raises_typed_error(
         self, replicated, fleet, tiny_clip

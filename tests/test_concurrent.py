@@ -13,6 +13,7 @@ The contracts under test:
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from concurrent.futures import wait
@@ -23,11 +24,11 @@ import pytest
 from repro.client import VSSClient
 from repro.core.admission import AdmissionWorker
 from repro.core.cost import CostModel
-from repro.core.engine import Session, VSSEngine
+from repro.core.engine import EngineStats, Session, VSSEngine
 from repro.core.read_planner import plan_read
 from repro.core.rwlock import RWLock, RWLockStats
-from repro.core.specs import ReadSpec, WriteSpec
-from repro.util import LogicalClock
+from repro.core.specs import ReadSpec, ViewSpec, WriteSpec
+from repro.util import Counters, LogicalClock
 from repro.errors import (
     FormatError,
     OutOfRangeError,
@@ -169,6 +170,112 @@ class TestEngineSessions:
         sessions = [loaded_engine.session() for _ in range(100)]
         assert all(isinstance(s, Session) for s in sessions)
         assert loaded_engine.stats().num_sessions == before + 100
+
+    #: ``EngineStats`` field names in order: ``/metrics`` consumers and
+    #: the benchmark read them by name.
+    ENGINE_STATS_FIELDS = (
+        "num_logical_videos", "num_views", "num_sessions", "reads",
+        "writes", "batches", "streams", "view_reads", "failures",
+        "session_seconds", "parallelism", "executor_tasks",
+        "decode_cache_hits", "decode_cache_misses", "decode_cache_hit_rate",
+        "decode_cache_evictions", "decode_cache_invalidations",
+        "decode_cache_bytes", "plan_cache_hits", "plan_cache_misses",
+        "lock_shared_acquisitions", "lock_exclusive_acquisitions",
+        "admission_queue_depth", "admissions_enqueued",
+        "admissions_completed", "admissions_coalesced", "admissions_dropped",
+        "search_index_rows", "extraction_pending", "extraction_completed",
+        "extraction_dropped", "searches_served", "search_seconds",
+        "tiles_total", "tiles_decoded", "tile_bytes_skipped", "retiles",
+        "codec_entropy_seconds", "codec_transform_seconds",
+        "codec_compensate_seconds", "codec_frames_decoded",
+        "codec_decoded_bytes", "codec_decode_mb_per_s",
+        "codec_encode_recurrence_seconds", "codec_encode_entropy_seconds",
+        "codec_frames_encoded",
+    )
+
+    def test_engine_stats_roll_up_a_fixed_script(
+        self, engine, three_second_clip, tiny_clip
+    ):
+        """Every running total of ``EngineStats`` after one fixed script
+        of reads, writes, a batch, a stream, a view, a retile, a search
+        and a failing read: each equals what the script did and the sum
+        of its reads' own ``ReadStats``."""
+        assert tuple(
+            f.name for f in dataclasses.fields(EngineStats)
+        ) == self.ENGINE_STATS_FIELDS
+        session = engine.session()
+        session.write("cam", three_second_clip, codec="h264", qp=10, gop_size=30)
+        session.write("tiled", tiny_clip, codec="h264", qp=10, gop_size=12)
+        reads = [session.read("cam", 0.0, 1.0, codec="raw", cache=False)]
+        reads.append(session.read("cam", 0.2, 1.4, codec="hevc", qp=14))
+        engine.drain_admissions()  # the hevc answer is admitted
+        stream = session.read_stream("cam", 0.5, 1.5, codec="raw")
+        assert list(stream)
+        reads.append(stream)
+        reads += session.read_batch([
+            ReadSpec("cam", 0.0, 2.0, codec="raw", cache=False),
+            ReadSpec("cam", 1.0, 2.5, codec="h264", qp=20, cache=False),
+        ])
+        engine.create_view("clip", ViewSpec(over="cam", start=0.5, end=2.0))
+        reads.append(session.read("clip", 0.5, 1.0, codec="raw", cache=False))
+        assert engine.retile("tiled", rows=2, cols=2) is not None
+        roi = session.read(
+            "tiled", 0.0, 0.8, codec="raw", roi=(0, 0, 32, 18), cache=False
+        )
+        reads.append(roi)
+        assert roi.stats.tiles_decoded < roi.stats.tiles_total
+        session.search(text="vehicle")
+        with pytest.raises(VideoNotFoundError):
+            session.read("ghost", 0.0, 1.0)
+        session.close()
+        stats = engine.stats()
+
+        per_read = [r.stats for r in reads]
+
+        def total(attr: str):
+            return sum(getattr(s, attr) for s in per_read)
+
+        replanned = 1  # the admission re-plans the hevc read: a hit
+        assert (stats.reads, stats.streams, stats.batches) == (7, 1, 1)
+        assert (stats.writes, stats.view_reads, stats.retiles) == (2, 1, 1)
+        assert (stats.num_sessions, stats.failures) == (1, 1)
+        assert stats.session_seconds == pytest.approx(
+            session.stats.wall_seconds
+        )
+        assert stats.plan_cache_hits == total("plan_cached") + replanned
+        assert stats.plan_cache_misses == 7 - total("plan_cached")
+        assert stats.plan_cache_hits == 1
+        assert (
+            stats.extraction_pending,
+            stats.extraction_completed,
+            stats.extraction_dropped,
+        ) == (0, 2, 0)
+        assert stats.searches_served == 1
+        assert stats.search_seconds > 0.0
+        for field in ("tiles_total", "tiles_decoded", "tile_bytes_skipped"):
+            assert getattr(stats, field) == total(field), field
+        assert stats.tile_bytes_skipped > 0
+        assert stats.codec_frames_decoded == total("frames_decoded")
+        for field in (
+            "codec_decoded_bytes", "codec_frames_encoded",
+        ):
+            assert getattr(stats, field) == total(field), field
+        for field in (
+            "codec_entropy_seconds",
+            "codec_transform_seconds",
+            "codec_compensate_seconds",
+            "codec_encode_recurrence_seconds",
+            "codec_encode_entropy_seconds",
+        ):
+            assert getattr(stats, field) == pytest.approx(total(field)), field
+        assert stats.codec_frames_encoded > 0
+        assert stats.codec_decode_mb_per_s == pytest.approx(
+            total("codec_decoded_bytes")
+            / 1e6
+            / total("codec_decode_seconds")
+        )
+        assert (stats.num_logical_videos, stats.num_views) == (2, 1)
+        assert stats.admission_queue_depth == 0
 
 
 # ----------------------------------------------------------------------
@@ -605,6 +712,40 @@ class TestRWLock:
 # ----------------------------------------------------------------------
 # admission worker: coalescing, bounding, deterministic drain
 # ----------------------------------------------------------------------
+class TestCounters:
+    def test_concurrent_adds_lose_nothing(self):
+        """N threads x M adds of two totals at once: every delta lands,
+        and each snapshot is one consistent state."""
+        import sys
+
+        totals = Counters(reads=0, seconds=0.0)
+        snapshots: list[dict] = []
+
+        def work():
+            for _ in range(20000):
+                totals.add(reads=1, seconds=0.5)
+            snapshots.append(totals.snapshot())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force preemption inside add()
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert totals.snapshot() == {"reads": 8 * 20000, "seconds": 8 * 10000.0}
+        assert all(s["seconds"] == s["reads"] * 0.5 for s in snapshots)
+
+    def test_an_unknown_name_is_refused(self):
+        totals = Counters(reads=0)
+        with pytest.raises(KeyError):
+            totals.add(raeds=1)
+
+
 class TestLogicalClock:
     def test_concurrent_ticks_are_distinct(self):
         """N threads x M ticks yield N*M distinct stamps (strict order)."""

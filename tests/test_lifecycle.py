@@ -6,11 +6,17 @@ would and then compares pixels; ``engine.check()`` diffs the catalog
 against the files at the end.
 """
 
+import json
+import os
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.catalog import Catalog
 from repro.core.engine import VSSEngine
 from repro.errors import CatalogError
@@ -341,6 +347,44 @@ def test_check_reports_without_repairing(tmp_path, calibration, tiny_clip):
         assert engine.check("a") == expected
         assert engine.check("b") == CLEAN
         assert engine.check() == expected  # nothing was repaired
+
+
+def test_check_cli_prints_the_report_and_exits_on_findings(
+    tmp_path, calibration, tiny_clip
+):
+    """``python -m repro.server <root> --check`` in its own process: a
+    clean store exits 0; a planted orphan is reported, exit 1, and is
+    still there afterwards (the command opens no engine, so nothing is
+    swept); with a deleted page both are reported; a store whose catalog
+    is lost reports every file as an orphan and is not given a new
+    catalog."""
+    root = tmp_path / "store"
+    with VSSEngine(root, calibration=calibration) as engine:
+        engine.session().write("v", tiny_clip, codec="h264", gop_size=12)
+        files = engine.layout.stored_files()
+    page = sorted(files)[0]
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+
+    def check_cli() -> tuple[int, dict]:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.server", str(root), "--check"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        return done.returncode, json.loads(done.stdout)
+
+    assert check_cli() == (0, CLEAN)
+    orphan = "videos/v/99/0.gop"
+    (root / "videos/v/99").mkdir()
+    (root / orphan).write_bytes(b"stray")
+    assert check_cli() == (1, {**CLEAN, "orphans": [orphan]})
+    assert (root / orphan).read_bytes() == b"stray"
+    (root / page).unlink()
+    assert check_cli() == (1, {**CLEAN, "orphans": [orphan], "dangling": [page]})
+    for db in root.glob("catalog.db*"):
+        db.unlink()
+    lost = sorted({*files, orphan} - {page})
+    assert check_cli() == (1, {**CLEAN, "orphans": lost})
+    assert not (root / "catalog.db").exists()
 
 
 def _raw_page(engine, name) -> bytes:

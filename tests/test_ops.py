@@ -64,6 +64,7 @@ EXAMPLES: dict[str, dict] = {
     "delete_view": {"name": "clip", "force": False},
     "search": {"query": search_query_to_dict(text="car", limit=5)},
     "reindex": {"name": "traffic"},
+    "check": {},
 }
 
 _RESTORE = {
@@ -270,7 +271,7 @@ def _fails_alike(fronted, name: str, params: dict) -> None:
 
 def test_a_missing_param_fails_at_the_router_as_at_a_shard(fronted):
     """Same ``WireError`` text as a shard gives, and no shard is asked."""
-    counters = dict(fronted.router.engine.counters)
+    counters = fronted.router.engine.counters.snapshot()
     for op in OPS.values():
         for key in op.required:
             _fails_alike(
@@ -278,7 +279,7 @@ def test_a_missing_param_fails_at_the_router_as_at_a_shard(fronted):
                 op.name,
                 {k: v for k, v in EXAMPLES[op.name].items() if k != key},
             )
-    assert fronted.router.engine.counters == counters
+    assert fronted.router.engine.counters.snapshot() == counters
 
 
 @pytest.mark.parametrize(
@@ -300,8 +301,8 @@ def test_a_shard_answering_wire_error_is_not_a_dead_shard(
     _fails_alike(fronted, name, params)
     cluster = fronted.router.engine
     assert all(shard.up for shard in cluster.shards)
-    assert cluster.counters["partial_mutations"] == 0
-    assert cluster.counters["failovers"] == 0
+    assert cluster.counters.snapshot()["partial_mutations"] == 0
+    assert cluster.counters.snapshot()["failovers"] == 0
 
 
 def test_router_counters_for_a_fixed_sequence(fronted, three_second_clip):
@@ -320,13 +321,31 @@ def test_router_counters_for_a_fixed_sequence(fronted, three_second_clip):
         "reads_routed": 1,
         "batches_routed": 1,
         "writes_routed": 1,
-        # The start-up view sync, 10 routed table ops (search has its
+        # The start-up view sync, 11 routed table ops (search has its
         # own counter), 4 restores and the write.
-        "catalog_ops": 16,
+        "catalog_ops": 17,
         "searches_routed": 1,
         "failovers": 0,
         "partial_mutations": 0,
     }
+
+
+def test_routed_check_is_the_union_of_the_shards_reports(fronted):
+    """An orphan planted on one shard, another outside every video on
+    the other: the router's report is both shards' reports merged."""
+    planted = ["videos/traffic/999/0.gop", "videos/gone/1/0.gop"]
+    for engine, path in zip(fronted.shard_engines, planted):
+        (engine.layout.root / path).parent.mkdir(parents=True)
+        (engine.layout.root / path).write_bytes(b"not a gop")
+    reports = [engine.check() for engine in fronted.shard_engines]
+    assert [r["orphans"] for r in reports] == [[p] for p in planted]
+    union = {
+        key: sorted({path for r in reports for path in r[key]})
+        for key in reports[0]
+    }
+    assert fronted.routed_binary.check() == union
+    assert fronted.routed_http.check() == union
+    assert union["orphans"] == sorted(planted)
 
 
 def test_router_serves_a_new_table_op_unedited(fronted, monkeypatch):
@@ -358,6 +377,8 @@ def test_an_op_must_say_where_it_runs():
         Op("elsewhere", run, "everywhere")
     with pytest.raises(ValueError, match="merge"):
         Op("unmerged", run, "scatter")
+    with pytest.raises(ValueError, match="whole"):
+        Op("everywhere", run, "any", whole=True)
 
 
 def test_partial_mutation_is_counted_and_logged(fronted, caplog):
@@ -374,7 +395,7 @@ def test_partial_mutation_is_counted_and_logged(fronted, caplog):
     with caplog.at_level(logging.WARNING, logger="repro.cluster"):
         with pytest.raises(CatalogError):
             fronted.routed_binary.create("x")
-    assert cluster.counters["partial_mutations"] == 1
+    assert cluster.counters.snapshot()["partial_mutations"] == 1
     (record,) = caplog.records
     message = record.getMessage()
     assert "create 'x'" in message
@@ -389,7 +410,7 @@ def test_partial_mutation_is_counted_and_logged(fronted, caplog):
     with pytest.raises(ShardUnavailableError, match=applied.name) as info:
         fronted.routed_binary.create("y")
     assert info.value.shard == dying.name
-    assert cluster.counters["partial_mutations"] == 2
+    assert cluster.counters.snapshot()["partial_mutations"] == 2
 
 
 def test_docs_list_every_op_and_route():

@@ -295,7 +295,7 @@ class TestTransportParity:
                 # canonical merged order, hits from every shard
                 assert hits == merge_ranked([hits], limit=6)
                 assert {h.name for h in hits} == {"cam-a", "cam-b", "cam-c"}
-                assert router.engine.counters["searches_routed"] == 1
+                assert router.engine.counters.snapshot()["searches_routed"] == 1
                 assert client.reindex("cam-a") == 2
         finally:
             router.close()
