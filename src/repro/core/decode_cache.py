@@ -47,6 +47,17 @@ class DecodeCacheStats:
         return self.hits / total if total else 0.0
 
 
+def _prefix(
+    entry: tuple[int, VideoSegment] | None, stop: int
+) -> VideoSegment | None:
+    """Frames ``[0, stop)`` of a cached ``(stop, prefix)`` entry, or None
+    when there is no entry or it is shorter."""
+    if entry is None or entry[0] < stop:
+        return None
+    cached_stop, segment = entry
+    return segment if cached_stop == stop else segment.slice_frames(0, stop)
+
+
 class DecodeCache:
     """Bounded LRU of decoded GOP prefixes with prefix reuse."""
 
@@ -91,23 +102,24 @@ class DecodeCache:
                 return None
             self._entries.move_to_end(gop_id)
             self.stats.hits += 1
-            cached_stop, segment = entry
-        if cached_stop == stop:
-            return segment
-        return segment.slice_frames(0, stop)
+        return _prefix(entry, stop)
 
-    def peek(self, gop_id: int, stop: int) -> bool:
-        """True when a prefix covering ``[0, stop)`` is cached.
+    def peek(self, gop_id: int, stop: int) -> VideoSegment | None:
+        """The cached prefix ``[0, stop)`` of a GOP, or None.
 
         Unlike :meth:`get` this neither counts a hit/miss nor refreshes
-        LRU order — it exists so batch planning can test coverage without
-        skewing the store-wide counters.
+        LRU order.  Batch planning tests coverage with it, and the
+        ingest-side background decoders (search extraction, joint
+        compression) take a GOP a read has just decoded from it; they
+        decode the page file on a miss and never :meth:`put`, so the
+        counters keep describing the read path alone and background work
+        never evicts what reads cached.
         """
         if not self.enabled:
-            return False
+            return None
         with self._lock:
             entry = self._entries.get(gop_id)
-            return entry is not None and entry[0] >= stop
+        return _prefix(entry, stop)
 
     def put(self, gop_id: int, stop: int, segment: VideoSegment) -> None:
         """Remember ``segment`` as the decoded prefix ``[0, stop)``.
@@ -183,13 +195,15 @@ class BatchDecodeCache:
     def enabled(self) -> bool:
         return True
 
-    def peek(self, gop_id: int, stop: int) -> bool:
-        """True when the overlay or the base already covers ``[0, stop)``."""
+    def peek(self, gop_id: int, stop: int) -> VideoSegment | None:
+        """The prefix ``[0, stop)`` when the overlay or the base already
+        covers it (counting nothing), else None."""
         with self._lock:
             entry = self._local.get(gop_id)
-        if entry is not None and entry[0] >= stop:
-            return True
-        return self.base is not None and self.base.peek(gop_id, stop)
+        segment = _prefix(entry, stop)
+        if segment is None and self.base is not None:
+            return self.base.peek(gop_id, stop)
+        return segment
 
     def get(self, gop_id: int, stop: int) -> VideoSegment | None:
         if self.base is not None:
@@ -198,12 +212,7 @@ class BatchDecodeCache:
                 return segment
         with self._lock:
             entry = self._local.get(gop_id)
-        if entry is None or entry[0] < stop:
-            return None
-        cached_stop, segment = entry
-        if cached_stop == stop:
-            return segment
-        return segment.slice_frames(0, stop)
+        return _prefix(entry, stop)
 
     def put(self, gop_id: int, stop: int, segment: VideoSegment) -> None:
         with self._lock:

@@ -407,13 +407,22 @@ class VSSEngine:
     ):
         check_planner_mode(planner)
         self.layout = Layout(root)
-        existing = self.layout.catalog_path.exists()
-        self.catalog = Catalog(self.layout.catalog_path)
-        # Sweep what a crash left between a file write and its rows; not
-        # when the catalog was just created, so an open that follows a
-        # lost catalog leaves the store's files in place.
-        if existing:
-            self.layout.sweep(self.layout.stored_files() - self.catalog.live_paths())
+        # One engine per store, held until close(): the sweep below would
+        # remove a file another engine wrote before its row committed.
+        self._store_lock = self.layout.lock()
+        try:
+            existing = self.layout.catalog_path.exists()
+            self.catalog = Catalog(self.layout.catalog_path)
+            # Sweep what a crash left between a file write and its rows;
+            # not when the catalog was just created, so an open that
+            # follows a lost catalog leaves the store's files in place.
+            if existing:
+                self.layout.sweep(
+                    self.layout.stored_files() - self.catalog.live_paths()
+                )
+        except BaseException:
+            self._store_lock.close()
+            raise
         if calibration is None:
             calibration = (
                 Calibration.load(self.layout.calibration_path)
@@ -530,6 +539,7 @@ class VSSEngine:
         self.executor.shutdown()
         self.decode_cache.clear()
         self.catalog.close()
+        self._store_lock.close()
 
     def drain_admissions(self) -> None:
         """Block until queued background admissions/maintenance finish.
@@ -1738,6 +1748,7 @@ class VSSEngine:
             self._search_index,
             logical.id,
             records,
+            self.decode_cache,
             data_version=self.catalog.data_version(logical.id),
             skip_seqs=skip,
         )

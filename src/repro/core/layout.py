@@ -5,6 +5,7 @@ Layout::
     <root>/
       catalog.db             SQLite catalog
       calibration.json       vbench-style calibration
+      store.lock             held (flock) by the one engine open here
       videos/
         <logical name>/
           <physical id>/
@@ -32,14 +33,25 @@ When the engine opens an existing catalog it sweeps every file under
 ``videos/`` and ``joint/`` that no row names (staging ``.tmp`` files
 included), so a crash at any point leaves at worst an orphan until the
 next open; the open that creates the catalog sweeps nothing.
+
+That open-time sweep is safe only while no other engine writes the
+store: a file another engine has just written, whose row has not
+committed yet, would look like an orphan.  So an engine holds
+:meth:`Layout.lock` (an exclusive ``flock`` on ``store.lock``, outside
+``videos/`` and ``joint/`` so no sweep sees it) from before its sweep
+until it closes, and a second open fails with
+:class:`~repro.errors.StoreLockedError`.  The offline check
+(``python -m repro.server <root> --check``) removes nothing and takes no
+lock.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 from pathlib import Path
 
-from repro.errors import ContainerError
+from repro.errors import ContainerError, StoreLockedError
 from repro.lossless import zstd
 from repro.video.codec.container import EncodedGOP, decode_container, encode_container
 
@@ -61,6 +73,20 @@ class Layout:
     def calibration_path(self) -> Path:
         return self.root / "calibration.json"
 
+    def lock(self):
+        """Take the store's exclusive lock; it is held until the returned
+        file is closed.  Raises :class:`StoreLockedError` at once when an
+        engine (in any process) holds it."""
+        handle = open(self.root / "store.lock", "ab")
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            handle.close()
+            raise StoreLockedError(
+                f"store {self.root} is already open in another engine"
+            ) from None
+        return handle
+
     # ------------------------------------------------------------------
     # GOP files
     # ------------------------------------------------------------------
@@ -75,8 +101,14 @@ class Layout:
         """Write a new file; raises :class:`FileExistsError` rather than
         overwrite one."""
         target = self.root / relpath
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with open(target, "xb") as handle:
+        try:
+            handle = open(target, "xb")
+        except FileNotFoundError:
+            # The first file of its directory: one mkdir per directory,
+            # not one per file.
+            target.parent.mkdir(parents=True, exist_ok=True)
+            handle = open(target, "xb")
+        with handle:
             handle.write(data)
         return len(data)
 

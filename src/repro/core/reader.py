@@ -467,7 +467,7 @@ class Reader:
 
         def warm(entry: tuple[GopRecord, int]) -> int:
             record, stop = entry
-            if overlay.peek(record.id, stop):
+            if overlay.peek(record.id, stop) is not None:
                 return 0  # an earlier read already decoded this deep
             encoded = self._load_gop(record)
             codec = codec_for(encoded.codec)

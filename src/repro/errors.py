@@ -32,6 +32,11 @@ class VideoExistsError(CatalogError):
         self.name = name
 
 
+class StoreLockedError(VSSError):
+    """The store is already open in another engine (this process or
+    another): its lock file is held.  The message names the store root."""
+
+
 class ReadError(VSSError):
     """A read operation could not be satisfied."""
 

@@ -15,6 +15,13 @@ Given frame sequences F (left) and G (right):
    5.1.2) and abort the pair if it still fails;
 5. encode the three region sequences separately.
 
+Each homography is planned once (:func:`repro.vision.homography.warp_plan`),
+not once per frame: the forward plan keeps the columns ``[x_f, w)`` the
+merge reads, and the recovery plan (:func:`recovery_plan`, H^-1 applied to
+an F-sized canvas) keeps the columns ``[0, x_g)`` a recovered right frame
+takes from it.  Both are rebuilt only when H is re-estimated, and the
+read path's recovery builds one recovery plan per pair.
+
 Mixed-resolution pairs are handled by upscaling the smaller input first.
 """
 
@@ -30,9 +37,11 @@ from repro.util import StageTimers
 from repro.video.metrics import psnr
 from repro.vision.features import describe_keypoints, detect_keypoints
 from repro.vision.homography import (
+    WarpPlan,
+    apply_homography,
     homography_identity_distance,
     ransac_homography,
-    warp_perspective,
+    warp_plan,
 )
 from repro.vision.matching import match_descriptors, matched_points
 
@@ -179,6 +188,7 @@ class JointCompressor:
             return None
 
         merge_fn = MERGE_FUNCTIONS[self.merge]
+        forward, recovery = _plans(h_matrix, x_f, x_g, height, width)
         left = np.empty((n, height, x_f, 3), dtype=np.uint8)
         overlap = np.empty((n, height, width - x_f, 3), dtype=np.uint8)
         right = np.empty((n, height, width - x_g, 3), dtype=np.uint8)
@@ -198,19 +208,17 @@ class JointCompressor:
                 fresh = self.estimate_homography(frame_f, frame_g, timers)
                 if fresh is not None and fresh[0, 2] >= 0:
                     h_matrix = fresh
+                    forward, recovery = _plans(h_matrix, x_f, x_g, height, width)
                     reestimations += 1
             with timers.measure("compression"):
-                warped, valid = warp_perspective(
-                    frame_g, h_matrix, (height, width)
-                )
                 left[i] = frame_f[:, :x_f]
                 overlap[i] = merge_fn(
-                    frame_f[:, x_f:], warped[:, x_f:], valid[:, x_f:]
+                    frame_f[:, x_f:], forward.apply(frame_g), forward.valid
                 )
                 right[i] = frame_g[:, x_g:]
             ok, q_left, q_right = self._verify(
                 frame_f, frame_g, left[i], overlap[i], right[i],
-                h_matrix, x_f, x_g, timers,
+                recovery, x_f, timers,
             )
             if not ok:
                 if retried_this_frame == 0:
@@ -218,6 +226,9 @@ class JointCompressor:
                     retried_this_frame = 1
                     if fresh is not None and fresh[0, 2] >= 0:
                         h_matrix = fresh
+                        forward, recovery = _plans(
+                            h_matrix, x_f, x_g, height, width
+                        )
                         reestimations += 1
                         continue  # retry the same frame
                 return None  # abort joint compression (paper Figure 8)
@@ -248,19 +259,15 @@ class JointCompressor:
         left: np.ndarray,
         overlap: np.ndarray,
         right: np.ndarray,
-        h_matrix: np.ndarray,
+        recovery: WarpPlan,
         x_f: int,
-        x_g: int,
         timers: StageTimers,
     ) -> tuple[bool, float, float]:
         """Invert the projection and check recovered quality (Alg. 1)."""
         with timers.measure("verification"):
             recovered_f = np.concatenate([left, overlap], axis=1)
             q_left = psnr(frame_f, recovered_f)
-            recovered_g = recover_right_frame(
-                overlap, right, h_matrix, x_f, x_g, frame_g.shape[0],
-                frame_g.shape[1],
-            )
+            recovered_g = recover_right_frame(overlap, right, recovery, x_f)
             q_right = psnr(frame_g, recovered_g)
         ok = min(q_left, q_right) >= self.verify_db
         return ok, q_left, q_right
@@ -327,8 +334,6 @@ def _split_columns(
     overlap (Algorithm 1's partition guard).
     """
     mid = np.array([[0.0, height / 2.0]])
-    from repro.vision.homography import apply_homography
-
     left_edge_in_f = apply_homography(h_matrix, mid)[0, 0]
     right_edge_in_g = apply_homography(
         np.linalg.inv(h_matrix), np.array([[width - 1.0, height / 2.0]])
@@ -340,33 +345,45 @@ def _split_columns(
     return x_f, x_g
 
 
+def recovery_plan(
+    h_matrix: np.ndarray, x_g: int, height: int, width: int
+) -> WarpPlan:
+    """The plan that returns a pair's overlap to G's space: H^-1 applied
+    to an F-sized canvas, keeping G's columns ``[0, x_g)``."""
+    return warp_plan(
+        np.linalg.inv(h_matrix), (height, width), (height, width), (0, x_g)
+    )
+
+
+def _plans(
+    h_matrix: np.ndarray, x_f: int, x_g: int, height: int, width: int
+) -> tuple[WarpPlan, WarpPlan]:
+    """Algorithm 1's two plans for one homography: the forward warp of G
+    on F's columns ``[x_f, w)`` (the merge) and the recovery plan."""
+    forward = warp_plan(h_matrix, (height, width), (height, width), (x_f, width))
+    return forward, recovery_plan(h_matrix, x_g, height, width)
+
+
 def recover_right_frame(
-    overlap: np.ndarray,
-    right: np.ndarray,
-    h_matrix: np.ndarray,
-    x_f: int,
-    x_g: int,
-    height: int,
-    width: int,
+    overlap: np.ndarray, right: np.ndarray, recovery: WarpPlan, x_f: int
 ) -> np.ndarray:
     """Reconstruct a right (G) frame from stored pieces.
 
     The overlap lives in F's coordinate space at columns [x_f, w); placing
-    it on an F-sized canvas and warping by H^-1 returns it to G space,
-    where it covers columns [0, x_g); the stored right region supplies the
-    rest.
+    it on an F-sized canvas and warping by H^-1 (``recovery``, from
+    :func:`recovery_plan`) returns it to G space, where it covers columns
+    [0, x_g); the stored right region supplies the rest.
     """
+    height, width = recovery.input_shape
+    x_g = recovery.columns[1]
     canvas = np.zeros((height, width, 3), dtype=np.uint8)
     canvas[:, x_f:] = overlap
-    unwarped, valid = warp_perspective(
-        canvas, np.linalg.inv(h_matrix), (height, width)
-    )
     result = np.empty((height, width, 3), dtype=np.uint8)
-    result[:, :x_g] = unwarped[:, :x_g]
+    result[:, :x_g] = recovery.apply(canvas)
     result[:, x_g:] = right
     # Fill any invalid (out-of-projection) pixels from the nearest valid
     # column to avoid black fringes.
-    invalid_cols = ~valid[:, :x_g]
+    invalid_cols = ~recovery.valid
     if invalid_cols.any():
         ys, xs = np.nonzero(invalid_cols)
         result[ys, xs] = result[ys, np.clip(xs + 2, 0, width - 1)]

@@ -8,6 +8,13 @@ catalog transaction, and sweeps the two pages that no longer have a name.
 Reads reconstruct either side transparently (see
 :mod:`repro.jointcomp.recovery`), so applications never observe the
 rewrite; only the storage accounting changes.
+
+The originals' GOPs are decoded in the background, usually just after
+the tail reads that follow ingest decoded them: a GOP the engine's
+:class:`~repro.core.decode_cache.DecodeCache` holds far enough is taken
+from it (``peek``, which counts nothing), any other is decoded from its
+page file, and nothing is put in the cache.  The pieces are encoded with
+the engine's executor taking their deflate, which changes no byte.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from repro.errors import CatalogError
 from repro.jointcomp.algorithm import JointCompressor, JointResult
 from repro.jointcomp.selection import JointCandidateSelector
 from repro.video.codec.quant import QP_DEFAULT
-from repro.video.codec.registry import codec_for, decode_gop
-from repro.video.frame import VideoSegment
+from repro.video.codec.registry import codec_for
+from repro.video.frame import VideoSegment, convert_segment
 
 #: Codec the shared left/overlap/right pieces are encoded with.
 JOINT_CODEC = "h264"
@@ -110,19 +117,20 @@ class JointCompressionManager:
         return report
 
     # ------------------------------------------------------------------
-    def _representative_frame(self, gop: GopRecord) -> np.ndarray:
-        encoded = self.vss.layout.read_gop(gop.path)
-        codec = codec_for(encoded.codec)
-        first = codec.decode_gop_frames(encoded, 1)
-        from repro.video.frame import convert_segment
+    def _decode_prefix(self, gop: GopRecord, stop: int) -> VideoSegment:
+        """Frames ``[0, stop)`` of an original GOP in rgb, from the decode
+        cache when it holds them, else from the page file."""
+        segment = self.vss.decode_cache.peek(gop.id, stop)
+        if segment is None:
+            encoded = self.vss.layout.read_gop(gop.path)
+            segment = codec_for(encoded.codec).decode_gop_frames(encoded, stop)
+        return convert_segment(segment, "rgb")
 
-        return convert_segment(first, "rgb").frame(0)
+    def _representative_frame(self, gop: GopRecord) -> np.ndarray:
+        return self._decode_prefix(gop, 1).frame(0)
 
     def _decode_full(self, gop: GopRecord) -> VideoSegment:
-        encoded = self.vss.layout.read_gop(gop.path)
-        from repro.video.frame import convert_segment
-
-        return convert_segment(decode_gop(encoded), "rgb")
+        return self._decode_prefix(gop, gop.num_frames)
 
     def _apply_pair(
         self, gop_a: GopRecord, gop_b: GopRecord, report: JointReport
@@ -154,6 +162,7 @@ class JointCompressionManager:
         catalog = self.vss.catalog
         layout = self.vss.layout
         codec = codec_for(JOINT_CODEC)
+        executor = self.vss.executor
         bytes_before = gop_a.nbytes + gop_b.nbytes
 
         def encode_piece(stack: np.ndarray, piece: str) -> tuple[str, int]:
@@ -165,7 +174,12 @@ class JointCompressionManager:
                 seg_a.fps,
                 seg_a.start_time,
             )
-            encoded = codec.encode_gop(segment, qp=QP_DEFAULT)
+            (encoded,) = codec.encode_segment(
+                segment,
+                qp=QP_DEFAULT,
+                gop_size=segment.num_frames,
+                executor=executor,
+            )
             return layout.write_joint_piece(gop_a.id, gop_b.id, piece, encoded)
 
         left_path, left_bytes = encode_piece(result.left_frames, "left")
@@ -193,12 +207,9 @@ class JointCompressionManager:
             layout.sweep(p for p in (left_path, overlap_path, right_path) if p)
             return False
         layout.sweep(pages)
-        decode_cache = getattr(self.vss, "decode_cache", None)
-        if decode_cache is not None:
-            # Joint GOPs are never served from the decode cache; drop any
-            # stale decoded prefixes so they stop occupying its budget.
-            decode_cache.invalidate(gop_a.id)
-            decode_cache.invalidate(gop_b.id)
+        # Joint GOPs are never served from the decode cache; drop any
+        # stale decoded prefixes so they stop occupying its budget.
+        self.vss.decode_cache.invalidate_many((gop_a.id, gop_b.id))
 
         report.pairs_compressed += 1
         if result.duplicate:

@@ -5,6 +5,8 @@ its pixels are derived from the pair's shared left/overlap/right pieces.
 ``recover_gop`` rebuilds the requested side's frames and hands them to the
 reader as a raw GOP (reconstruction already decoded the pieces, so
 re-wrapping them raw lets the normal decode path consume them for free).
+A right side's frames share one recovery plan (the pair's homography is
+fixed), built once per reconstruction.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from repro.core.layout import Layout
 from repro.core.records import GopRecord, JointPairRecord
 from repro.errors import JointCompressionError
-from repro.jointcomp.algorithm import recover_right_frame
+from repro.jointcomp.algorithm import recover_right_frame, recovery_plan
 from repro.video.codec.container import EncodedGOP
 from repro.video.codec.raw import RawCodec
 from repro.video.codec.registry import decode_gop
@@ -52,16 +54,11 @@ def recover_segment(
     h_matrix = np.array(pair.homography, dtype=np.float64).reshape(3, 3)
     height = left.height
     width = left.width + overlap.width
+    plan = recovery_plan(h_matrix, pair.x_g, height, width)
     frames = np.empty((right.num_frames, height, width, 3), dtype=np.uint8)
     for i in range(right.num_frames):
         frames[i] = recover_right_frame(
-            overlap.frame(i),
-            right.frame(i),
-            h_matrix,
-            pair.x_f,
-            pair.x_g,
-            height,
-            width,
+            overlap.frame(i), right.frame(i), plan, pair.x_f
         )
     return VideoSegment(frames, "rgb", height, width, right.fps, right.start_time)
 

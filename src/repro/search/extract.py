@@ -23,6 +23,13 @@ Three features per GOP, matching the index's columns:
 
 Every frame is adapted through :func:`repro.vision.frame_to_rgb`, so
 extraction works on whatever pixel format the original was stored in.
+
+Extraction is queued when a stream closes, just after the tail reads
+that follow ingest have decoded the newest GOPs: a GOP whose whole decode
+the engine's :class:`~repro.core.decode_cache.DecodeCache` holds is taken
+from it (:meth:`~repro.core.decode_cache.DecodeCache.peek`, which counts
+nothing), and any other is decoded from its page file without filling
+the cache.  The pixels are the same either way.
 """
 
 from __future__ import annotations
@@ -107,6 +114,7 @@ def extract_physical(
     index: SearchIndex,
     logical_id: int,
     gop_records,
+    decode_cache,
     data_version: int = 0,
     skip_seqs: frozenset | set = frozenset(),
 ) -> int:
@@ -115,15 +123,19 @@ def extract_physical(
     Returns the number of rows written.  Joint-stored GOPs (their bytes
     live in a shared pair file) and GOPs that fail to load or decode are
     skipped rather than failing the pass — extraction is opportunistic,
-    exactly like cache admission.
+    exactly like cache admission.  ``decode_cache`` (a
+    :class:`~repro.core.decode_cache.DecodeCache`) serves the GOPs it
+    holds whole (module docstring).
     """
     indexed = 0
     for record in gop_records:
         if record.seq in skip_seqs or record.joint_pair_id is not None:
             continue
         try:
-            encoded = layout.read_gop(record.path)
-            segment = codec_for(encoded.codec).decode_gop(encoded)
+            segment = decode_cache.peek(record.id, record.num_frames)
+            if segment is None:
+                encoded = layout.read_gop(record.path)
+                segment = codec_for(encoded.codec).decode_gop(encoded)
             features = extract_gop(segment)
         except Exception:  # noqa: BLE001 - opportunistic, like admission
             continue

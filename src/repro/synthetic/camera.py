@@ -13,15 +13,17 @@ datasets cannot provide, used heavily by the joint-compression tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.synthetic.scene import RoadScene
 from repro.video.frame import VideoSegment
 from repro.vision.homography import (
+    WarpPlan,
     perspective_skew_homography,
     translation_homography,
-    warp_perspective,
+    warp_plan,
 )
 
 
@@ -61,16 +63,21 @@ class Camera:
             return np.eye(3)
         return perspective_skew_homography(self.width, self.height, self.skew)
 
+    @cached_property
+    def skew_plan(self) -> WarpPlan:
+        """The skew warp of a ``height x width`` crop, planned once per
+        camera: the skew never changes, only the crop's pixels do."""
+        shape = (self.height, self.width)
+        return warp_plan(self.skew_matrix(), shape, shape)
+
     def view(self, world: np.ndarray, t: int, world_width: int) -> np.ndarray:
-        """This camera's image of a rendered world frame."""
+        """This camera's image of a rendered world frame (as tall as the
+        camera)."""
         offset = self.offset_at(t, world_width)
         crop = world[:, offset : offset + self.width]
         if self.skew == 0.0:
             return np.ascontiguousarray(crop)
-        warped, _ = warp_perspective(
-            crop, self.skew_matrix(), (self.height, self.width)
-        )
-        return warped
+        return self.skew_plan.apply(crop)
 
 
 @dataclass

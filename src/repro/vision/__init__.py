@@ -29,8 +29,10 @@ from repro.vision.histogram import (
 from repro.vision.homography import (
     estimate_homography,
     homography_identity_distance,
+    WarpPlan,
     ransac_homography,
     warp_perspective,
+    warp_plan,
 )
 from repro.vision.matching import match_descriptors
 
@@ -97,6 +99,7 @@ def frame_to_rgb(
 __all__ = [
     "Detection",
     "Keypoint",
+    "WarpPlan",
     "classify_color",
     "color_histogram",
     "detect_and_describe",
@@ -110,4 +113,5 @@ __all__ = [
     "match_descriptors",
     "ransac_homography",
     "warp_perspective",
+    "warp_plan",
 ]

@@ -11,12 +11,23 @@ Points are ``(x, y)`` with ``x`` the column index.  A homography ``H`` maps
 destination space: output pixel ``p`` samples ``image`` at ``H^-1 p``
 (inverse mapping with bilinear interpolation).
 
+Where each output pixel samples depends only on ``H`` and the shapes, so
+it is computed once per homography: :func:`warp_plan` builds a
+:class:`WarpPlan` (the inverse, the sampling grid and the valid mask,
+cut to the output columns the caller keeps) and :meth:`WarpPlan.apply`
+warps each frame with it.  ``warp_perspective`` is a plan built and
+applied once; there is no other warp.  A plan keeps only whole columns
+of the whole-frame grid, so its pixels equal those columns of the
+whole-frame warp bit for bit.
+
 In VSS's joint compression, ``H`` maps right-frame coordinates into the
 left frame's space, so ``warp_perspective(right, H, left.shape)`` overlays
 the right frame onto the left (paper Figure 6).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -150,17 +161,69 @@ def homography_identity_distance(h: np.ndarray) -> float:
     return float(np.linalg.norm(h - np.eye(3), ord=2))
 
 
-def warp_perspective(
-    image: np.ndarray,
-    h: np.ndarray,
-    output_shape: tuple[int, int],
-    fill: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Warp ``image`` into the destination space defined by ``h``.
+@dataclass(frozen=True, eq=False)
+class WarpPlan:
+    """Where each kept output pixel of one warp samples its input.
 
-    ``output_shape`` is ``(height, width)``.  Returns ``(warped, valid)``
-    where ``valid`` marks output pixels whose source coordinate fell inside
-    the input image.  Works on 2-D (gray) and 3-D (rgb) arrays.
+    A plan fixes one homography, one input shape, one output shape and
+    the output columns ``[start, stop)`` its caller keeps, so a caller
+    that warps many frames by one homography builds it once and applies
+    it per frame.  ``sample`` holds the source ``(y, x)`` of each kept
+    output pixel and ``valid`` marks those that fell inside the input.
+    """
+
+    input_shape: tuple[int, int]
+    columns: tuple[int, int]
+    sample: np.ndarray  # (2, out_h, stop - start) float64: source (y, x)
+    valid: np.ndarray  # (out_h, stop - start) bool
+
+    def apply(self, image: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        """The warped columns of ``image`` (2-D gray or 3-D rgb); pixels
+        outside ``valid`` take ``fill``."""
+        if image.shape[:2] != self.input_shape:
+            raise ValueError(
+                f"plan for input {self.input_shape}, got {image.shape[:2]}"
+            )
+        planes = (
+            [image] if image.ndim == 2
+            else [image[..., c] for c in range(image.shape[2])]
+        )
+        warped = [
+            np.where(
+                self.valid,
+                ndimage.map_coordinates(
+                    plane.astype(np.float32),
+                    self.sample,
+                    order=1,
+                    mode="constant",
+                    cval=fill,
+                ),
+                fill,
+            )
+            for plane in planes
+        ]
+        if image.ndim == 2:
+            return warped[0].astype(image.dtype)  # gray: no rounding
+        stacked = np.stack(warped, axis=-1)
+        if np.issubdtype(image.dtype, np.integer):
+            stacked = np.clip(np.rint(stacked), 0, 255)
+        return stacked.astype(image.dtype)
+
+
+def warp_plan(
+    h: np.ndarray,
+    input_shape: tuple[int, int],
+    output_shape: tuple[int, int],
+    columns: tuple[int, int] | None = None,
+) -> WarpPlan:
+    """Plan the warp by ``h`` of ``input_shape`` images into
+    ``output_shape`` (both ``(height, width)``), keeping the output
+    columns ``columns = (start, stop)`` (default: all of them).
+
+    The inverse, the sampling grid and the valid mask are computed over
+    the whole output frame and only then cut to ``columns``: a matmul
+    over the kept columns alone may round differently, and the plan must
+    sample exactly where the whole-frame warp does.
     """
     h = np.asarray(h, dtype=np.float64)
     try:
@@ -175,31 +238,35 @@ def warp_perspective(
     w = np.where(np.abs(w) < 1e-12, 1e-12, w)
     src_x = (mapped[0] / w).reshape(out_h, out_w)
     src_y = (mapped[1] / w).reshape(out_h, out_w)
-    in_h, in_w = image.shape[:2]
+    in_h, in_w = input_shape
     valid = (
         (src_x >= 0) & (src_x <= in_w - 1) & (src_y >= 0) & (src_y <= in_h - 1)
     )
-    sample = np.stack([src_y, src_x])
-    if image.ndim == 2:
-        warped = ndimage.map_coordinates(
-            image.astype(np.float32), sample, order=1, mode="constant", cval=fill
-        )
-        warped = np.where(valid, warped, fill)
-        return warped.astype(image.dtype), valid
-    channels = []
-    for c in range(image.shape[2]):
-        warped = ndimage.map_coordinates(
-            image[..., c].astype(np.float32),
-            sample,
-            order=1,
-            mode="constant",
-            cval=fill,
-        )
-        channels.append(np.where(valid, warped, fill))
-    warped = np.stack(channels, axis=-1)
-    if np.issubdtype(image.dtype, np.integer):
-        warped = np.clip(np.rint(warped), 0, 255)
-    return warped.astype(image.dtype), valid
+    start, stop = columns if columns is not None else (0, out_w)
+    return WarpPlan(
+        input_shape=(in_h, in_w),
+        columns=(start, stop),
+        sample=np.stack([src_y[:, start:stop], src_x[:, start:stop]]),
+        valid=np.ascontiguousarray(valid[:, start:stop]),
+    )
+
+
+def warp_perspective(
+    image: np.ndarray,
+    h: np.ndarray,
+    output_shape: tuple[int, int],
+    fill: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Warp ``image`` into the destination space defined by ``h``.
+
+    ``output_shape`` is ``(height, width)``.  Returns ``(warped, valid)``
+    where ``valid`` marks output pixels whose source coordinate fell inside
+    the input image.  Works on 2-D (gray) and 3-D (rgb) arrays.  A caller
+    warping many frames by one homography builds :func:`warp_plan` once
+    instead.
+    """
+    plan = warp_plan(h, image.shape[:2], output_shape)
+    return plan.apply(image, fill), plan.valid
 
 
 def translation_homography(dx: float, dy: float) -> np.ndarray:

@@ -14,6 +14,7 @@ from http.client import HTTPResponse
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.engine import Session, VSSEngine
 from repro.core.wire import (
@@ -27,6 +28,15 @@ from repro.core.wire import (
 from repro.synthetic.scene import RoadScene
 from repro.vbench.calibrate import Calibration
 from repro.video.frame import VideoSegment
+
+
+#: ``pytest --hypothesis-profile=deep``: many more examples for every
+#: property test, and longer and more histories for the twin-store
+#: machine (``tests/test_store_model.py``), which otherwise runs a small
+#: fixed number.  Minutes, not seconds: not part of tier-1.
+settings.register_profile(
+    "deep", max_examples=200, stateful_step_count=40, deadline=None
+)
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,9 @@ bisecting scorer must equal (``test_eviction_scores.py``), and
 stacked ``motion.correlate_stack`` must equal, and
 :func:`correlate_stack_numpy` the ``numpy.fft`` search it replaced, whose
 vectors it must equal on rendered frames (``test_codec.py``).
+:func:`warp_perspective` is the perspective warp that rebuilt its inverse,
+sampling grid and valid mask on every call; a warp plan applied to a
+frame must equal its bytes on the plan's columns (``test_kernels.py``).
 Nothing under ``src/`` imports this module.
 """
 
@@ -33,9 +36,10 @@ from dataclasses import replace
 
 import numpy as np
 from scipy import fft as sfft
+from scipy import ndimage
 
 from repro.core.cache import CacheManager
-from repro.errors import CodecError
+from repro.errors import CodecError, HomographyError
 from repro.video.codec import dct, entropy, motion, quant
 from repro.video.codec.blockcodec import (
     _FRAME_HEADER,
@@ -538,3 +542,51 @@ class FullScanCacheManager(CacheManager):
             if covered >= gop.duration - 1e-6:
                 alternatives.append(other)
         return alternatives
+
+
+def warp_perspective(
+    image: np.ndarray,
+    h: np.ndarray,
+    output_shape: tuple[int, int],
+    fill: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Warp ``image`` into the destination space of ``h``, inverse-mapped
+    with bilinear sampling: returns ``(warped, valid)``."""
+    h = np.asarray(h, dtype=np.float64)
+    try:
+        h_inv = np.linalg.inv(h)
+    except np.linalg.LinAlgError as exc:
+        raise HomographyError(f"homography not invertible: {exc}") from exc
+    out_h, out_w = output_shape
+    ys, xs = np.mgrid[0:out_h, 0:out_w]
+    coords = np.stack([xs.ravel(), ys.ravel(), np.ones(out_h * out_w)])
+    mapped = h_inv @ coords
+    w = mapped[2]
+    w = np.where(np.abs(w) < 1e-12, 1e-12, w)
+    src_x = (mapped[0] / w).reshape(out_h, out_w)
+    src_y = (mapped[1] / w).reshape(out_h, out_w)
+    in_h, in_w = image.shape[:2]
+    valid = (
+        (src_x >= 0) & (src_x <= in_w - 1) & (src_y >= 0) & (src_y <= in_h - 1)
+    )
+    sample = np.stack([src_y, src_x])
+    if image.ndim == 2:
+        warped = ndimage.map_coordinates(
+            image.astype(np.float32), sample, order=1, mode="constant", cval=fill
+        )
+        warped = np.where(valid, warped, fill)
+        return warped.astype(image.dtype), valid
+    channels = []
+    for c in range(image.shape[2]):
+        warped = ndimage.map_coordinates(
+            image[..., c].astype(np.float32),
+            sample,
+            order=1,
+            mode="constant",
+            cval=fill,
+        )
+        channels.append(np.where(valid, warped, fill))
+    warped = np.stack(channels, axis=-1)
+    if np.issubdtype(image.dtype, np.integer):
+        warped = np.clip(np.rint(warped), 0, 255)
+    return warped.astype(image.dtype), valid

@@ -1,6 +1,7 @@
 """Tests for the SQLite catalog and on-disk layout."""
 
 import sqlite3
+from pathlib import Path
 
 import pytest
 
@@ -284,6 +285,24 @@ class TestLayout:
         layout.sweep([relpath])
         assert layout.stored_files() == set()
         assert (layout.root / "joint").is_dir()
+
+    def test_a_directory_is_made_once_not_per_file(self, layout, monkeypatch):
+        gop = encode_gop("raw", make_segment(n=2, h=16, w=24))[0]
+        made = []
+        mkdir = Path.mkdir
+        def counted(path, *args, **kwargs):
+            made.append(path)
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counted)
+        written = [layout.write_gop("v", 1, 0, gop)[0]]
+        first = len(made)  # the directory and its parents, once
+        assert layout.root / "videos/v/1" in made
+        written += [layout.write_gop("v", 1, seq, gop)[0] for seq in (1, 2)]
+        assert len(made) == first
+        layout.sweep(written)  # removes the emptied directory too
+        layout.write_gop("v", 1, 3, gop)
+        assert len(made) > first
 
     def test_files_are_never_overwritten(self, layout):
         seg = make_segment(n=2, h=16, w=24)

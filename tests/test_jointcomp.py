@@ -1,5 +1,7 @@
 """Tests for joint compression: Algorithm 1, selection, recovery, manager."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from repro.jointcomp import (
     JointCompressionManager,
     JointCompressor,
 )
-from repro.jointcomp.algorithm import recover_right_frame
+from repro.jointcomp.algorithm import recover_right_frame, recovery_plan
 from repro.jointcomp.selection import random_pairs
 from repro.synthetic import visualroad
 from repro.video.metrics import segment_psnr
@@ -97,15 +99,27 @@ class TestAlgorithm:
         recovered = recover_right_frame(
             result.overlap_frames[0],
             result.right_frames[0],
-            result.homography,
+            recovery_plan(
+                result.homography, result.x_g, right.height, right.width
+            ),
             result.x_f,
-            result.x_g,
-            right.height,
-            right.width,
         )
         from repro.video.metrics import psnr
 
         assert psnr(right.frame(0), recovered) >= 24.0
+
+
+#: sha256 of a rendered ``visualroad("1K", overlap=0.5)`` pair (10 frames
+#: of each camera; the right one is warped by its perspective skew).
+RENDERED_PAIR_SHA256 = (
+    "82c6ddc163acff966f39d39a321516aaa89a2f97c009ce26f271f0353cfadd9b"
+)
+
+
+def test_rendered_pair_is_pinned():
+    left, right = visualroad("1K", overlap=0.5, num_frames=10).videos(0, 10)
+    digest = hashlib.sha256(left.pixels.tobytes() + right.pixels.tobytes())
+    assert digest.hexdigest() == RENDERED_PAIR_SHA256
 
 
 class TestSelection:
@@ -179,6 +193,40 @@ class TestManagerEndToEnd:
             names=["left"]
         )
         assert report.pairs_compressed == 0
+
+    #: sha256 of the joint pieces (name and bytes, in name order) and of
+    #: the raw read-backs of both sides after ``optimize(merge="mean")``:
+    #: the bytes the per-frame warp produced, which the warp plans, the
+    #: decode-cache reuse and the executor-deflated pieces must keep.
+    PIECES_SHA256 = (
+        "beaa50488450cf833758527d1c4fa137f24a4ddeada105b0746cb427efe9f177"
+    )
+    READBACK_SHA256 = (
+        "fea966ec1326564b20f830152ae66a61bd649d0f0e7830a25ca09f47ca1f529f"
+    )
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_pieces_and_read_backs_are_pinned(self, joint_store, warm):
+        """``warm`` reads both videos first, so the decode cache holds
+        every original GOP when ``optimize`` decodes them."""
+        engine, _, _ = joint_store
+        if warm:
+            for name in ("left", "right"):
+                engine.session().read(name, 0.0, 10 / 30, codec="raw")
+        report = JointCompressionManager(engine, merge="mean").optimize()
+        assert report.pairs_compressed >= 1
+        pieces = hashlib.sha256()
+        joint = engine.layout.root / "joint"
+        for path in sorted(joint.iterdir()):
+            pieces.update(path.name.encode() + b"\0" + path.read_bytes())
+        session = engine.session()
+        reads = hashlib.sha256()
+        for name in ("left", "right"):
+            answer = session.read(name, 0.0, 10 / 30, codec="raw", cache=False)
+            reads.update(answer.segment.pixels.tobytes())
+        assert (pieces.hexdigest(), reads.hexdigest()) == (
+            self.PIECES_SHA256, self.READBACK_SHA256
+        )
 
     def test_report_quality_recorded(self, joint_store):
         engine, _, _ = joint_store

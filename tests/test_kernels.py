@@ -23,6 +23,7 @@ from repro.video import frame as frame_module
 from repro.video.frame import VideoSegment, _from_rgb, _pool2, _to_rgb
 from repro.video.metrics import segment_psnr
 from repro.video.resample import index_run, resize_segment
+from repro.vision.homography import warp_perspective, warp_plan
 from tests import kernel_oracles as oracle
 
 FORMATS = ["rgb", "yuv420", "yuv422", "gray"]
@@ -427,3 +428,62 @@ def test_quarter_resolution_read_over_cached_roi_slivers(
         assert answer.pixels.any(axis=(0, 2, 3)).all()
         assert answer.pixels.any(axis=(0, 1, 3)).all()
         assert segment_psnr(clean, answer) > 15.0
+
+
+# ----------------------------------------------------------------------
+# perspective warp
+# ----------------------------------------------------------------------
+def _homography(seed: int) -> np.ndarray:
+    """A random invertible homography: scale, shear, translation and a
+    mild perspective row, like the rig's skews and the pairs' overlaps."""
+    rng = np.random.default_rng(seed)
+    h = np.eye(3)
+    h[0, 0], h[1, 1] = rng.uniform(0.7, 1.3, 2)
+    h[0, 1], h[1, 0] = rng.uniform(-0.2, 0.2, 2)
+    h[:2, 2] = rng.uniform(-20.0, 20.0, 2)
+    h[2, :2] = rng.uniform(-0.01, 0.01, 2)
+    return h
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    rgb=st.booleans(),
+    in_shape=st.tuples(st.integers(1, 40), st.integers(1, 48)),
+    out_shape=st.tuples(st.integers(1, 40), st.integers(1, 48)),
+    same_shape=st.booleans(),
+    cut=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+def test_warp_plan_matches_per_frame_oracle(
+    seed, rgb, in_shape, out_shape, same_shape, cut
+):
+    """Random homographies, gray and rgb, equal and differing input and
+    output shapes, any column slice: one plan applied to two frames equals
+    the per-frame oracle's bytes and valid mask on the plan's columns, and
+    ``warp_perspective`` equals it whole."""
+    if same_shape:
+        out_shape = in_shape
+    out_w = out_shape[1]
+    start = min(int(cut[0] * out_w), out_w - 1)
+    stop = start + 1 + int(cut[1] * (out_w - start - 1))
+    rng = np.random.default_rng(seed + 1)
+    h = _homography(seed)
+    plan = warp_plan(h, in_shape, out_shape, (start, stop))
+    for _ in range(2):
+        image = rng.integers(
+            0, 256, in_shape + ((3,) if rgb else ()), dtype=np.uint8
+        )
+        expected, expected_valid = oracle.warp_perspective(image, h, out_shape)
+        warped = plan.apply(image)
+        assert warped.dtype == expected.dtype
+        assert np.array_equal(warped, expected[:, start:stop])
+        assert np.array_equal(plan.valid, expected_valid[:, start:stop])
+        whole, valid = warp_perspective(image, h, out_shape)
+        assert np.array_equal(whole, expected)
+        assert np.array_equal(valid, expected_valid)
+
+
+def test_warp_plan_refuses_another_input_shape():
+    plan = warp_plan(np.eye(3), (8, 12), (8, 12))
+    with pytest.raises(ValueError, match="plan for input"):
+        plan.apply(np.zeros((8, 13), dtype=np.uint8))

@@ -8,6 +8,7 @@ against the files at the end.
 
 import json
 import os
+import re
 import sqlite3
 import subprocess
 import sys
@@ -19,8 +20,9 @@ import pytest
 import repro
 from repro.core.catalog import Catalog
 from repro.core.engine import VSSEngine
-from repro.errors import CatalogError
+from repro.errors import CatalogError, StoreLockedError
 from repro.jointcomp import JointCompressionManager
+from repro.server.__main__ import check_offline
 from repro.synthetic import visualroad
 from repro.video.metrics import segment_psnr
 
@@ -385,6 +387,59 @@ def test_check_cli_prints_the_report_and_exits_on_findings(
     lost = sorted({*files, orphan} - {page})
     assert check_cli() == (1, {**CLEAN, "orphans": lost})
     assert not (root / "catalog.db").exists()
+
+
+#: A process that opens an engine on ``argv[1]`` and holds it until a
+#: line arrives on stdin.
+HOLDER = """
+import sys
+from repro.core.engine import VSSEngine
+engine = VSSEngine(sys.argv[1])
+print("open", flush=True)
+sys.stdin.readline()
+engine.close()
+"""
+
+
+def test_a_store_open_in_another_process_is_refused_before_its_sweep(
+    tmp_path, calibration, tiny_clip
+):
+    """While another process holds the store, an open raises
+    ``StoreLockedError`` naming the root, and removes nothing: a page the
+    holder wrote ahead of its row is still there.  The offline check
+    takes no lock and still runs.  Once the holder closes, the store
+    opens and its sweep removes the page no row names."""
+    root = tmp_path / "store"
+    with VSSEngine(root, calibration=calibration) as engine:
+        engine.session().write("v", tiny_clip, codec="h264", gop_size=12)
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    holder = subprocess.Popen(
+        [sys.executable, "-c", HOLDER, str(root)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+    )
+    inflight = "videos/v/99/0.gop"
+    try:
+        assert holder.stdout.readline() == "open\n"
+        (root / "videos/v/99").mkdir()
+        (root / inflight).write_bytes(b"written before its row")
+        with pytest.raises(StoreLockedError, match=re.escape(str(root))):
+            VSSEngine(root, calibration=calibration)
+        assert (root / inflight).exists()
+        assert check_offline(root) == {**CLEAN, "orphans": [inflight]}
+    finally:
+        holder.communicate("\n", timeout=120)
+    assert holder.returncode == 0
+    with VSSEngine(root, calibration=calibration) as engine:
+        assert not (root / inflight).exists()
+        assert engine.check() == CLEAN
+
+
+def test_one_engine_per_store_in_one_process_too(tmp_path, calibration):
+    root = tmp_path / "store"
+    with VSSEngine(root, calibration=calibration):
+        with pytest.raises(StoreLockedError):
+            VSSEngine(root, calibration=calibration)
+    VSSEngine(root, calibration=calibration).close()  # released at close
 
 
 def _raw_page(engine, name) -> bytes:

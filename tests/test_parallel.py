@@ -201,6 +201,19 @@ class TestDecodeCache:
         assert cache.stats.evictions == 1
         assert cache.current_bytes <= cache.capacity_bytes
 
+    def test_peek_counts_nothing_and_keeps_lru_order(self):
+        one = self._segment(4)
+        cache = DecodeCache(capacity_bytes=one.nbytes * 2)
+        cache.put(1, 4, self._segment(4))
+        cache.put(2, 4, self._segment(4))
+        assert cache.peek(1, 3).num_frames == 3
+        assert cache.peek(1, 4) is not None
+        assert cache.peek(1, 5) is None and cache.peek(9, 1) is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 0)
+        cache.put(3, 4, self._segment(4))  # gop 1 is still the oldest
+        assert 1 not in cache and 2 in cache
+        assert DecodeCache(capacity_bytes=0).peek(1, 1) is None
+
     def test_invalidate(self):
         cache = DecodeCache(capacity_bytes=1 << 20)
         cache.put(1, 4, self._segment(4))

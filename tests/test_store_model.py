@@ -1,0 +1,298 @@
+"""Twin stores: one random history, two engines, the same answers.
+
+Two engines on two roots run the same hypothesis-drawn history of stream
+appends, stream closes, whole writes, raw reads at full and half
+resolution, hevc reads, joint compression, delete + re-create and engine
+close + reopen.  One keeps the default decode cache; its twin has none
+(``decode_cache_bytes=0``).  The decode cache changes who decodes a GOP
+(a read, search extraction and joint compression take frames from it)
+and must change nothing else: after every step both engines have given
+the same bytes or raised the same :class:`~repro.errors.VSSError` class,
+hold byte-equal joint pieces under the same names, rank a search alike
+(extraction indexed the same features), and report a clean
+``engine.check()``.
+
+The data is two overlapping ``visualroad("1K")`` cameras, 3 s each.
+Tier-1 runs a fixed, small number of histories; ``pytest
+--hypothesis-profile=deep tests/test_store_model.py`` runs the deep
+profile's (``tests/conftest.py``).
+"""
+
+from __future__ import annotations
+
+import shutil
+import tempfile
+from functools import cache
+from pathlib import Path
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.core.engine import VSSEngine
+from repro.core.layout import Layout
+from repro.errors import VSSError, WriteError
+from repro.jointcomp import JointCompressionManager
+from repro.synthetic import visualroad
+from repro.vbench.calibrate import Calibration
+from repro.video.codec.container import encode_container
+
+CAMERAS = ("left", "right")
+FPS = 30
+SECONDS = 3
+#: One stream append: one GOP of ``gop_size`` frames (one second).
+GOP = FPS
+HALF = (96, 54)
+
+#: Tier-1 depth: 10-15 s on a 2-core host.
+TIER1 = settings(max_examples=10, stateful_step_count=12, deadline=None)
+
+
+@cache
+def sources():
+    return visualroad("1K", overlap=0.5, num_frames=SECONDS * FPS).videos(
+        0, SECONDS * FPS
+    )
+
+
+def outcome(call):
+    """What a twin observed: the answer's bytes, or the error's class."""
+    try:
+        answer = call()
+    except VSSError as exc:
+        return type(exc)
+    if not hasattr(answer, "gops"):
+        return None  # not a read: only success counts
+    if answer.gops is not None:
+        return b"".join(encode_container(gop) for gop in answer.gops)
+    segment = answer.segment
+    return segment.pixel_format, segment.pixels.shape, segment.pixels.tobytes()
+
+
+class TwinStores(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.dir = Path(tempfile.mkdtemp(prefix="vss-twins-"))
+        self.roots = (self.dir / "cached", self.dir / "uncached")
+        self.engines = [self.open(i) for i in (0, 1)]
+        #: Per camera: the twins' open write streams, or None.
+        self.streams: dict[str, list | None] = dict.fromkeys(CAMERAS)
+        #: Seconds written to a camera's video (by a stream or a write).
+        #: At 0 a stream may start or a whole write land; a video with
+        #: seconds and no stream takes no more.
+        self.seconds = dict.fromkeys(CAMERAS, 0)
+
+    def open(self, twin: int) -> VSSEngine:
+        cache_bytes = {} if twin == 0 else {"decode_cache_bytes": 0}
+        return VSSEngine(
+            self.roots[twin], calibration=Calibration.default(), **cache_bytes
+        )
+
+    def both(self, act):
+        """Run ``act(twin)`` for both twins (0, 1); they must agree."""
+        first, second = (outcome(lambda: act(twin)) for twin in (0, 1))
+        assert first == second
+        return first
+
+    # ------------------------------------------------------------------
+    # steps, each run on both twins
+    # ------------------------------------------------------------------
+    def append(self, camera: str) -> None:
+        """Append the camera's next GOP, opening its stream first."""
+        source = sources()[CAMERAS.index(camera)]
+        if self.streams[camera] is None:
+            self.streams[camera] = [
+                engine.open_write_stream(
+                    camera, "h264", "rgb", source.width, source.height, FPS,
+                    qp=14, gop_size=GOP,
+                )
+                for engine in self.engines
+            ]
+        second = self.seconds[camera]
+        piece = source.slice_frames(second * FPS, (second + 1) * FPS)
+        self.both(lambda twin: self.streams[camera][twin].append(piece))
+        self.seconds[camera] += 1
+
+    def close_stream(self, camera: str) -> None:
+        self.both(lambda twin: self.streams[camera][twin].close())
+        self.streams[camera] = None
+
+    def write(self, camera: str, seconds: int) -> None:
+        source = sources()[CAMERAS.index(camera)].slice_frames(0, seconds * FPS)
+        self.both(
+            lambda twin: self.engines[twin].session().write(
+                camera, source, codec="h264", qp=14, gop_size=GOP
+            )
+        )
+        self.seconds[camera] = seconds
+
+    def read(self, camera: str, start: float, end: float, **spec) -> None:
+        self.both(
+            lambda twin: self.engines[twin].session().read(
+                camera, start, end, **spec
+            )
+        )
+
+    def optimize(self) -> None:
+        first, second = (
+            (r.pairs_compressed, r.pairs_rejected, r.bytes_before, r.bytes_after)
+            for r in (
+                JointCompressionManager(engine, merge="mean").optimize()
+                for engine in self.engines
+            )
+        )
+        assert first == second
+
+    # ------------------------------------------------------------------
+    # rules: draw a step's arguments
+    # ------------------------------------------------------------------
+    def appendable(self) -> list[str]:
+        return [
+            c for c in CAMERAS
+            if self.seconds[c] < SECONDS
+            and (self.streams[c] or not self.seconds[c])
+        ]
+
+    def empty(self) -> list[str]:
+        return [c for c in CAMERAS if not self.seconds[c]]
+
+    def window(self, data, step: float) -> tuple[str, float, float]:
+        """A camera with video and a window of it on a ``step`` grid
+        (any camera and window while none has video: those reads fail
+        alike, which a few steps show well enough)."""
+        written = [c for c in CAMERAS if self.seconds[c]]
+        camera = data.draw(st.sampled_from(written or CAMERAS))
+        cells = round(max(self.seconds[camera], 1) / step)
+        first = data.draw(st.integers(0, cells - 1))
+        last = data.draw(st.integers(first + 1, cells))
+        return camera, first * step, last * step
+
+    @precondition(lambda self: self.appendable())
+    @rule(data=st.data())
+    def append_one_gop(self, data):
+        self.append(data.draw(st.sampled_from(self.appendable())))
+
+    @precondition(lambda self: any(self.streams.values()))
+    @rule(data=st.data())
+    def close(self, data):
+        self.close_stream(
+            data.draw(st.sampled_from([c for c in CAMERAS if self.streams[c]]))
+        )
+
+    @precondition(lambda self: self.empty())
+    @rule(data=st.data(), seconds=st.integers(1, SECONDS))
+    def session_write(self, data, seconds):
+        self.write(data.draw(st.sampled_from(self.empty())), seconds)
+
+    @rule(data=st.data(), half=st.booleans())
+    def read_raw(self, data, half):
+        self.read(
+            *self.window(data, 0.5), codec="raw",
+            resolution=HALF if half else None,
+        )
+
+    @rule(data=st.data())
+    def read_hevc(self, data):
+        self.read(*self.window(data, 1.0), codec="hevc")
+
+    @precondition(lambda self: not self.empty())
+    @rule()
+    def jointly_compress(self):
+        self.optimize()
+
+    @rule(camera=st.sampled_from(CAMERAS))
+    def delete_and_recreate(self, camera):
+        self.both(lambda twin: self.engines[twin].delete(camera))
+        self.both(lambda twin: self.engines[twin].create(camera))
+        if self.streams[camera]:
+            # The old stream outlived its video: its next append fails.
+            piece = sources()[0].slice_frames(0, FPS)
+            failed = self.both(lambda twin: self.streams[camera][twin].append(piece))
+            assert failed is WriteError
+        self.streams[camera] = None
+        self.seconds[camera] = 0
+
+    @rule()
+    def close_and_reopen(self):
+        for engine in self.engines:
+            engine.close()
+        self.engines = [self.open(i) for i in (0, 1)]
+        # Open streams die with their engine; their videos keep what was
+        # appended and take no more.
+        self.streams = dict.fromkeys(CAMERAS)
+
+    # ------------------------------------------------------------------
+    @invariant()
+    def twins_agree_and_check_clean(self):
+        for engine in self.engines:
+            engine.drain_admissions()
+        assert [engine.check() for engine in self.engines] == [
+            {"orphans": [], "dangling": [], "mismatched": []}
+        ] * 2
+        pieces = [
+            {p.name: p.read_bytes() for p in (root / "joint").iterdir()}
+            for root in self.roots
+        ]
+        assert pieces[0] == pieces[1]
+        # Search extraction indexed the same features on both twins.
+        first, second = (
+            engine.search(text="vehicle car truck", like=sources()[1].frame(0))
+            for engine in self.engines
+        )
+        assert first == second
+
+    def teardown(self):
+        for engine in self.engines:
+            engine.close()
+        shutil.rmtree(self.dir, ignore_errors=True)
+
+
+TwinStores.TestCase.settings = (
+    settings.default if settings.get_current_profile_name() == "deep" else TIER1
+)
+TestTwinStores = TwinStores.TestCase
+
+
+def test_twins_agree_on_an_ingest_follow_epoch(monkeypatch):
+    """The benchmark's ingest epoch in small, on both twins: each camera
+    streamed a GOP at a time with a tail read of the new second after
+    every append, closed, jointly compressed and read back.  The tail
+    reads leave every original GOP in the cached twin's decode cache, so
+    its search extraction and joint compression read no page of them;
+    the twin without a cache decodes every page, to the same bytes."""
+    pages_read = {}
+    read_gop = Layout.read_gop
+
+    def counted(layout, relpath):
+        if relpath.startswith("videos/"):
+            pages_read[layout.root] = pages_read.get(layout.root, 0) + 1
+        return read_gop(layout, relpath)
+
+    machine = TwinStores()
+    try:
+        for second in range(SECONDS):
+            for camera in CAMERAS:
+                machine.append(camera)
+                machine.read(camera, second, second + 1.0, codec="raw")
+        machine.twins_agree_and_check_clean()
+        monkeypatch.setattr(Layout, "read_gop", counted)
+        for camera in CAMERAS:
+            machine.close_stream(camera)
+        for engine in machine.engines:
+            engine.drain_admissions()  # the extraction the closes queued
+        machine.optimize()
+        monkeypatch.undo()
+        machine.twins_agree_and_check_clean()
+        assert pages_read.get(machine.roots[0], 0) == 0
+        assert pages_read[machine.roots[1]] >= 2 * len(CAMERAS) * SECONDS
+        assert len(list((machine.roots[0] / "joint").iterdir())) >= 3
+        for camera in CAMERAS:
+            machine.read(camera, 0.0, float(SECONDS), codec="raw")
+            machine.read(camera, 0.0, 2.0, codec="hevc")
+    finally:
+        machine.teardown()
