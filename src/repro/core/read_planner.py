@@ -12,11 +12,30 @@ Implements paper section 3.1:
    ``c_l`` that is waived when the same fragment was chosen for the
    preceding interval (its dependency frames are already decoded — the
    set Omega of the paper).
-4. The joint optimization is NP-hard, so the paper hands it to an SMT
-   solver; we embed the same constraints into the exact branch-and-bound
-   optimizer in :mod:`repro.solver`.  A dependency-naive greedy baseline
-   (Figure 10's comparison) and a read-the-original mode are also
-   provided.
+4. The paper hands the joint choice to an SMT solver because fragment
+   selection is NP-hard in general.  Here look-back couples only
+   interval i-1 with interval i, so the problem is a chain, and one
+   dynamic-programming pass over the intervals is exact
+   (:func:`_cheapest_run`).
+
+An interval's *states* are the minimal covers of its spatial cells: one
+per covering fragment for a single-cell interval, and for a multi-cell
+one every set of fragments that covers each cell and in which each
+member covers a cell no other member does.  These are exactly the plans
+the reader can run: a chosen fragment that owns no cell is never
+decoded (:func:`_extract_choices` drops it), so it could never waive its
+next look-back.  Every member of a minimal cover owns a cell, so the
+model prices what executes.  A state costs its members' transcode
+costs; entering it charges the look-back of each member the previous
+state did not hold.
+
+Ties keep one order: states rank by summed transcode cost, then by
+fragment order, and of equal totals the run that ranks first from the
+first interval on wins.
+
+``greedy`` (per cell, the cheapest fragment by transcode cost, ignoring
+look-back: Figure 10's dependency-naive baseline) and ``original``
+(read the original only) are the comparison modes.
 """
 
 from __future__ import annotations
@@ -30,7 +49,6 @@ from repro.core.records import ROI, Fragment, PhysicalVideo
 from repro.core.roi import check_roi, check_roi_bounds
 from repro.core.specs import ReadSpec, ViewSpec
 from repro.errors import OutOfRangeError, QualityError, ReadError
-from repro.solver import Optimizer
 
 _EPS = 1e-9
 
@@ -246,8 +264,6 @@ class ReadPlan:
     choices: list[IntervalChoice]
     estimated_cost: float
     mode: str
-    solver_nodes: int = 0
-    optimal: bool = True
     #: (width, height) of the original video's frames; the coordinate space
     #: that ``roi`` and fragment ROIs are expressed in.
     original_resolution: tuple[int, int] = (0, 0)
@@ -319,9 +335,10 @@ def plan_read(
     """Produce a :class:`ReadPlan` for ``request`` over the available
     fragments.
 
-    ``mode`` selects the planner: ``solver`` (exact optimization, the
-    paper's approach), ``greedy`` (per-interval minimum transcode cost,
-    dependency-naive), or ``original`` (ignore the cache entirely).
+    ``mode`` selects the planner: ``solver`` (the exact pass over the
+    intervals, the paper's approach), ``greedy`` (per-interval minimum
+    transcode cost, dependency-naive), or ``original`` (ignore the cache
+    entirely).
     """
     if mode not in ("solver", "greedy", "original"):
         raise ValueError(f"unknown planning mode {mode!r}")
@@ -342,7 +359,7 @@ def plan_read(
     intervals = _build_intervals(request, candidates, roi)
     if mode in ("solver", "greedy"):
         plan = _optimize(
-            request, target, target_fps, roi, intervals, cost_model, mode
+            request, target, target_fps, roi, intervals, original, cost_model, mode
         )
     else:
         plan = _plan_original(
@@ -477,143 +494,210 @@ def _optimize(
     target_fps: float,
     roi: ROI,
     intervals: list[_Interval],
+    original: PhysicalVideo,
     cost_model: CostModel,
     mode: str,
 ) -> ReadPlan:
-    original = next(
-        (
-            f.physical
-            for iv in intervals
-            for f in iv.fragments
-            if f.physical.is_original
-        ),
-        intervals[0].fragments[0].physical if intervals and intervals[0].fragments else None,
-    )
-    if original is None:
-        raise QualityError("no usable fragments for any interval")
-
-    optimizer = Optimizer()
-    variables: dict[tuple[int, int], object] = {}  # (interval idx, frag id)
-    frag_by_key: dict[tuple[int, int], Fragment] = {}
-    linear_costs: dict[tuple[int, int], float] = {}
+    full: ROI = (0, 0, original.width, original.height)
     interval_cells: list[list[tuple[ROI, list[Fragment]]]] = []
-
-    for index, interval in enumerate(intervals):
+    costs: list[list[float]] = []  # [interval][position in its fragments]
+    lookbacks: list[list[float]] = []
+    for interval in intervals:
         if not interval.fragments:
             raise QualityError(
                 f"no fragment covers interval [{interval.start}, {interval.end})"
             )
         cells = _spatial_cells(interval, roi, original)
+        for cell, covering in cells:
+            if not covering:
+                raise QualityError(
+                    f"no fragment covers cell {cell} in interval "
+                    f"[{interval.start}, {interval.end})"
+                )
         interval_cells.append(cells)
         duration = interval.end - interval.start
-        roi_area = _area(roi)
-        for fragment in interval.fragments:
-            key = (index, id(fragment))
-            frag_roi = fragment.physical.roi_or(
-                (0, 0, original.width, original.height)
-            )
-            overlap = _clip_roi(frag_roi, roi)
-            fraction = _area(overlap) / roi_area if overlap else 0.0
-            cost = cost_model.transcode_cost(
-                fragment, duration, target, target_fps, fraction
-            )
-            var = optimizer.variable(f"f{fragment.physical.id}@{index}")
-            variables[key] = var
-            frag_by_key[key] = fragment
-            linear_costs[key] = cost
-            optimizer.add_linear_cost(var, cost)
-        if len(cells) == 1:
-            optimizer.add_exactly_one(
-                [variables[(index, id(f))] for f in cells[0][1]]
-            )
-        else:
-            for cell, covering in cells:
-                if not covering:
-                    raise QualityError(
-                        f"no fragment covers cell {cell} in interval "
-                        f"[{interval.start}, {interval.end})"
-                    )
-                optimizer.add_at_least_one(
-                    [variables[(index, id(f))] for f in covering]
+        costs.append(
+            [
+                cost_model.transcode_cost(
+                    fragment,
+                    duration,
+                    target,
+                    target_fps,
+                    _area(_clip_roi(fragment.physical.roi_or(full), roi))
+                    / _area(roi),
                 )
-
-    # Look-back coupling between adjacent intervals.
-    lookbacks: dict[tuple[int, int], float] = {}
-    for index, interval in enumerate(intervals):
-        for fragment in interval.fragments:
-            key = (index, id(fragment))
-            lookback = cost_model.lookback_cost(
-                fragment, interval.start, already_decoded=False
-            )
-            lookbacks[key] = lookback
-            if lookback <= 0.0:
-                continue
-            previous_key = (index - 1, id(fragment))
-            unless = variables.get(previous_key)
-            optimizer.add_conditional_cost(variables[key], unless, lookback)
+                for fragment in interval.fragments
+            ]
+        )
+        lookbacks.append(
+            [
+                cost_model.lookback_cost(
+                    fragment, interval.start, already_decoded=False
+                )
+                for fragment in interval.fragments
+            ]
+        )
 
     if mode == "solver":
-        solution = optimizer.minimize()
-        chosen_keys = {
-            key for key, var in variables.items() if solution.assignment[var]
-        }
-        estimated = solution.objective
-        nodes = solution.nodes_explored
-        optimal = solution.optimal
+        selected = _cheapest_run(intervals, interval_cells, costs, lookbacks)
     else:
-        chosen_keys, estimated = _greedy_choice(
-            intervals, interval_cells, variables, linear_costs
-        )
-        # Greedy ignored look-back while choosing; charge what it incurred.
-        for index, interval in enumerate(intervals):
-            for fragment in interval.fragments:
-                key = (index, id(fragment))
-                if key not in chosen_keys:
-                    continue
-                if (index - 1, id(fragment)) in chosen_keys:
-                    continue
-                estimated += lookbacks.get(key, 0.0)
-        nodes = 0
-        optimal = False
-
-    choices = _extract_choices(
-        intervals, interval_cells, chosen_keys, frag_by_key
-    )
+        selected = _greedy_choice(intervals, interval_cells, costs)
     return ReadPlan(
         request=request,
         target=target,
         target_fps=target_fps,
         roi=roi,
-        choices=choices,
-        estimated_cost=estimated,
+        choices=_extract_choices(intervals, interval_cells, selected),
+        estimated_cost=_price(intervals, selected, costs, lookbacks),
         mode=mode,
-        solver_nodes=nodes,
-        optimal=optimal,
     )
+
+
+def _price(
+    intervals: list[_Interval],
+    selected: list[tuple[int, ...]],
+    costs: list[list[float]],
+    lookbacks: list[list[float]],
+) -> float:
+    """The cost of a choice: each chosen fragment's transcode cost, plus
+    its look-back unless it was also chosen for the interval before."""
+    total = 0.0
+    for index in range(len(intervals)):
+        for position in selected[index]:
+            total += costs[index][position]
+            if not _chosen_before(intervals, selected, index, position):
+                total += lookbacks[index][position]
+    return total
+
+
+def _positions(
+    interval: _Interval, cells: list[tuple[ROI, list[Fragment]]]
+) -> list[frozenset[int]]:
+    """Each cell as the positions (in ``interval.fragments``) covering it."""
+    position = {id(f): p for p, f in enumerate(interval.fragments)}
+    return [frozenset(position[id(f)] for f in covering) for _, covering in cells]
+
+
+def _chosen_before(
+    intervals: list[_Interval],
+    selected: list[tuple[int, ...]],
+    index: int,
+    position: int,
+) -> bool:
+    """Whether the fragment at ``position`` of interval ``index`` was
+    also chosen for the interval before (its look-back is waived)."""
+    if index == 0:
+        return False
+    fragment = intervals[index].fragments[position]
+    before = intervals[index - 1].fragments
+    return any(before[p] is fragment for p in selected[index - 1])
+
+
+def _minimal_covers(cells: list[frozenset[int]]) -> list[tuple[int, ...]]:
+    """Every minimal cover of ``cells``: the sets of positions that cover
+    each cell and in which every member covers a cell no other does.
+
+    Branches on the first uncovered cell; a position tried at one branch
+    is excluded from its later siblings, so each cover is found once.  A
+    member left with no cell of its own never regains one as members
+    are added, so its branch stops there.
+    """
+    covers: list[tuple[int, ...]] = []
+
+    def branch(chosen: frozenset[int], excluded: frozenset[int]) -> None:
+        held = [c & chosen for c in cells]
+        if {p for h in held if len(h) == 1 for p in h} != chosen:
+            return
+        uncovered = next((c for c, h in zip(cells, held) if not h), None)
+        if uncovered is None:
+            covers.append(tuple(sorted(chosen)))
+            return
+        for position in sorted(uncovered - excluded):
+            branch(chosen | {position}, excluded)
+            excluded = excluded | {position}
+
+    branch(frozenset(), frozenset())
+    return covers
+
+
+def _cheapest_run(
+    intervals: list[_Interval],
+    interval_cells: list[list[tuple[ROI, list[Fragment]]]],
+    costs: list[list[float]],
+    lookbacks: list[list[float]],
+) -> list[tuple[int, ...]]:
+    """The least-cost choice of one minimal cover per interval.
+
+    An interval's states are its minimal covers, ranked by summed
+    transcode cost, then by position.  A pass from the last interval to
+    the first keeps, per state, the least cost of the rest of the read
+    and the next state reaching it (the first in rank on equal costs);
+    a walk from the first interval's best state then reads the choice
+    off.  Entering a state charges the look-back of each member the
+    previous state did not hold.
+    """
+    states = []
+    for index, interval in enumerate(intervals):
+        covers = _minimal_covers(_positions(interval, interval_cells[index]))
+        states.append(
+            sorted(
+                (sum(costs[index][p] for p in cover), cover) for cover in covers
+            )
+        )
+
+    def entering(index: int, held: set[int], cover: tuple[int, ...]) -> float:
+        fragments = intervals[index].fragments
+        return sum(
+            lookbacks[index][p] for p in cover if id(fragments[p]) not in held
+        )
+
+    def cheapest(options: list[float]) -> int:
+        return min(range(len(options)), key=options.__getitem__)
+
+    to_go = [cost for cost, _ in states[-1]]
+    nexts: list[list[int]] = []
+    for index in range(len(intervals) - 2, -1, -1):
+        fragments = intervals[index].fragments
+        best, step = [], []
+        for cost, cover in states[index]:
+            held = {id(fragments[p]) for p in cover}
+            options = [
+                entering(index + 1, held, following) + to_go[k]
+                for k, (_, following) in enumerate(states[index + 1])
+            ]
+            k = cheapest(options)
+            best.append(cost + options[k])
+            step.append(k)
+        to_go = best
+        nexts.append(step)
+    k = cheapest(
+        [
+            entering(0, set(), cover) + to_go[k]
+            for k, (_, cover) in enumerate(states[0])
+        ]
+    )
+    selected = [states[0][k][1]]
+    for index, step in enumerate(reversed(nexts), start=1):
+        k = step[k]
+        selected.append(states[index][k][1])
+    return selected
 
 
 def _greedy_choice(
     intervals: list[_Interval],
     interval_cells: list[list[tuple[ROI, list[Fragment]]]],
-    variables: dict,
-    linear_costs: dict[tuple[int, int], float],
-) -> tuple[set, float]:
+    costs: list[list[float]],
+) -> list[tuple[int, ...]]:
     """Dependency-naive baseline: per cell, the cheapest covering
     fragment by transcode cost alone."""
-    chosen: set = set()
-    total = 0.0
-    for index, cells in enumerate(interval_cells):
-        picked: set = set()
-        for _cell, covering in cells:
-            if any(id(f) in picked for f in covering):
-                continue
-            best = min(covering, key=lambda f: linear_costs[(index, id(f))])
-            picked.add(id(best))
-        for frag_id in picked:
-            key = (index, frag_id)
-            chosen.add(key)
-            total += linear_costs[key]
-    return chosen, total
+    selected = []
+    for index, interval in enumerate(intervals):
+        picked: set[int] = set()
+        for covering in _positions(interval, interval_cells[index]):
+            if not covering & picked:
+                picked.add(min(sorted(covering), key=costs[index].__getitem__))
+        selected.append(tuple(sorted(picked)))
+    return selected
 
 
 def _plan_original(
@@ -660,37 +744,32 @@ def _plan_original(
 def _extract_choices(
     intervals: list[_Interval],
     interval_cells: list[list[tuple[ROI, list[Fragment]]]],
-    chosen_keys: set,
-    frag_by_key: dict[tuple[int, int], Fragment],
+    selected: list[tuple[int, ...]],
 ) -> list[IntervalChoice]:
     choices: list[IntervalChoice] = []
     for index, interval in enumerate(intervals):
-        selected = [
-            frag_by_key[(index, frag_id)]
-            for (iv, frag_id) in chosen_keys
-            if iv == index
-        ]
-        selected_ids = {id(f) for f in selected}
+        chosen = [interval.fragments[p] for p in selected[index]]
         cell_map: dict[int, list[ROI]] = {}
         for cell, covering in interval_cells[index]:
-            owners = [f for f in covering if id(f) in selected_ids]
+            owners = [f for f in covering if any(f is c for c in chosen)]
             if not owners:
                 continue
             # Prefer the highest-quality owner for each cell.
             owner = min(owners, key=lambda f: f.physical.mse_estimate)
             cell_map.setdefault(id(owner), []).append(cell)
-        for fragment in selected:
+        for position, fragment in zip(selected[index], chosen):
             cells = cell_map.get(id(fragment), [])
             if not cells:
                 continue
-            previous_selected = index > 0 and (index - 1, id(fragment)) in chosen_keys
             choices.append(
                 IntervalChoice(
                     interval.start,
                     interval.end,
                     fragment,
                     cells,
-                    lookback_charged=not previous_selected,
+                    lookback_charged=not _chosen_before(
+                        intervals, selected, index, position
+                    ),
                 )
             )
     return choices

@@ -65,14 +65,6 @@ class ContainerError(CodecError):
     """An encoded-GOP container is malformed or truncated."""
 
 
-class SolverError(VSSError):
-    """The fragment-selection optimizer failed to produce a solution."""
-
-
-class InfeasibleError(SolverError):
-    """The constraint system admits no feasible assignment."""
-
-
 class JointCompressionError(VSSError):
     """Joint compression could not be applied to a pair of GOPs."""
 

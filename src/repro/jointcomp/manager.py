@@ -13,8 +13,9 @@ The originals' GOPs are decoded in the background, usually just after
 the tail reads that follow ingest decoded them: a GOP the engine's
 :class:`~repro.core.decode_cache.DecodeCache` holds far enough is taken
 from it (``peek``, which counts nothing), any other is decoded from its
-page file, and nothing is put in the cache.  The pieces are encoded with
-the engine's executor taking their deflate, which changes no byte.
+page file, and nothing is put in the cache.  The pieces are encoded
+inline on the calling thread: a 30-frame piece is too small for the
+executor's deflate hand-off to pay for itself.
 """
 
 from __future__ import annotations
@@ -162,7 +163,6 @@ class JointCompressionManager:
         catalog = self.vss.catalog
         layout = self.vss.layout
         codec = codec_for(JOINT_CODEC)
-        executor = self.vss.executor
         bytes_before = gop_a.nbytes + gop_b.nbytes
 
         def encode_piece(stack: np.ndarray, piece: str) -> tuple[str, int]:
@@ -178,7 +178,6 @@ class JointCompressionManager:
                 segment,
                 qp=QP_DEFAULT,
                 gop_size=segment.num_frames,
-                executor=executor,
             )
             return layout.write_joint_piece(gop_a.id, gop_b.id, piece, encoded)
 

@@ -26,11 +26,15 @@ vectors it must equal on rendered frames (``test_codec.py``).
 :func:`warp_perspective` is the perspective warp that rebuilt its inverse,
 sampling grid and valid mask on every call; a warp plan applied to a
 frame must equal its bytes on the plan's columns (``test_kernels.py``).
+:func:`plan_brute_force` prices every run of minimal covers of a read
+plan's intervals, whose least cost the planner's pass must equal
+(``test_planner.py``).
 Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import replace
 
@@ -590,3 +594,46 @@ def warp_perspective(
     if np.issubdtype(image.dtype, np.integer):
         warped = np.clip(np.rint(warped), 0, 255)
     return warped.astype(image.dtype), valid
+
+
+def minimal_covers(fragments: list, cells: list[set]) -> list[tuple]:
+    """Every subset of ``fragments`` that covers each cell and from which
+    no member can be dropped, by enumerating all subsets."""
+    covers = []
+    for size in range(1, len(fragments) + 1):
+        for subset in itertools.combinations(fragments, size):
+            chosen = set(subset)
+            if not all(cell & chosen for cell in cells):
+                continue
+            if any(all(cell & (chosen - {f}) for cell in cells) for f in chosen):
+                continue
+            covers.append(subset)
+    return covers
+
+
+def plan_brute_force(intervals: list[dict]) -> list[tuple[float, tuple]]:
+    """Every run of one minimal cover per interval with its cost, least
+    first.
+
+    An interval is ``{"fragments", "cells", "cost", "lookback"}``: its
+    fragment keys, each cell as the set of keys covering it, and each
+    key's transcode and look-back cost there.  A run pays each chosen
+    fragment's transcode cost, plus its look-back unless the same key
+    was chosen in the interval before.
+    """
+    options = [
+        minimal_covers(interval["fragments"], interval["cells"])
+        for interval in intervals
+    ]
+    runs = []
+    for run in itertools.product(*options):
+        total, before = 0.0, set()
+        for interval, cover in zip(intervals, run):
+            for key in cover:
+                total += interval["cost"][key]
+                if key not in before:
+                    total += interval["lookback"][key]
+            before = set(cover)
+        runs.append((total, run))
+    runs.sort(key=lambda entry: entry[0])
+    return runs
