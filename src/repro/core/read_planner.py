@@ -689,14 +689,24 @@ def _greedy_choice(
     costs: list[list[float]],
 ) -> list[tuple[int, ...]]:
     """Dependency-naive baseline: per cell, the cheapest covering
-    fragment by transcode cost alone."""
+    fragment by transcode cost alone.  A pick a later, better pick took
+    every cell from (:func:`_cell_owners`) is dropped: the reader would
+    never decode it, so the plan does not pay for it."""
     selected = []
     for index, interval in enumerate(intervals):
         picked: set[int] = set()
         for covering in _positions(interval, interval_cells[index]):
             if not covering & picked:
                 picked.add(min(sorted(covering), key=costs[index].__getitem__))
-        selected.append(tuple(sorted(picked)))
+        owners = _cell_owners(
+            interval_cells[index], [interval.fragments[p] for p in picked]
+        )
+        selected.append(
+            tuple(
+                p for p in sorted(picked)
+                if any(o is interval.fragments[p] for o in owners)
+            )
+        )
     return selected
 
 
@@ -741,6 +751,21 @@ def _plan_original(
     )
 
 
+def _cell_owners(
+    cells: list[tuple[ROI, list[Fragment]]], chosen: list[Fragment]
+) -> list[Fragment | None]:
+    """The chosen fragment that supplies each cell (None where none
+    covers it): of those covering it, the highest-quality one (least
+    ``mse_estimate``), the first of equals."""
+    owners: list[Fragment | None] = []
+    for _, covering in cells:
+        candidates = [f for f in covering if any(f is c for c in chosen)]
+        if len(candidates) > 1:
+            candidates = [min(candidates, key=lambda f: f.physical.mse_estimate)]
+        owners.append(candidates[0] if candidates else None)
+    return owners
+
+
 def _extract_choices(
     intervals: list[_Interval],
     interval_cells: list[list[tuple[ROI, list[Fragment]]]],
@@ -750,13 +775,10 @@ def _extract_choices(
     for index, interval in enumerate(intervals):
         chosen = [interval.fragments[p] for p in selected[index]]
         cell_map: dict[int, list[ROI]] = {}
-        for cell, covering in interval_cells[index]:
-            owners = [f for f in covering if any(f is c for c in chosen)]
-            if not owners:
-                continue
-            # Prefer the highest-quality owner for each cell.
-            owner = min(owners, key=lambda f: f.physical.mse_estimate)
-            cell_map.setdefault(id(owner), []).append(cell)
+        cells = interval_cells[index]
+        for (cell, _), owner in zip(cells, _cell_owners(cells, chosen)):
+            if owner is not None:
+                cell_map.setdefault(id(owner), []).append(cell)
         for position, fragment in zip(selected[index], chosen):
             cells = cell_map.get(id(fragment), [])
             if not cells:

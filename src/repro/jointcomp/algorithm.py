@@ -15,12 +15,26 @@ Given frame sequences F (left) and G (right):
    5.1.2) and abort the pair if it still fails;
 5. encode the three region sequences separately.
 
+Steps 3 and 4 run on whole frame stacks, not frame by frame.  A pass
+takes all remaining frames of the pair under one H, :data:`PASS_BLOCK`
+frames at a time.  Per block it warps G once, merges, recovers the right
+side once, and takes each frame's PSNR.  It accepts the frames up to the
+first that fails verification.  At that frame H is re-estimated exactly
+as the per-frame loop does, and the next pass resumes there; a
+``reestimate_every`` boundary also ends a pass.  The result (pieces, H,
+split, re-estimation count, qualities) is the per-frame loop's, field by
+field (``tests/kernel_oracles.PerFrameJointCompressor``).  The PSNRs
+match too: a frame's squared differences are integers whose sum is
+exact in float64 in any order, so :func:`_frame_psnrs` takes the same
+mean that :func:`~repro.video.metrics.psnr` takes.
+
 Each homography is planned once (:func:`repro.vision.homography.warp_plan`),
 not once per frame: the forward plan keeps the columns ``[x_f, w)`` the
 merge reads, and the recovery plan (:func:`recovery_plan`, H^-1 applied to
 an F-sized canvas) keeps the columns ``[0, x_g)`` a recovered right frame
 takes from it.  Both are rebuilt only when H is re-estimated, and the
-read path's recovery builds one recovery plan per pair.
+read path's recovery builds one recovery plan per pair and applies it to
+the whole right side at once.
 
 Mixed-resolution pairs are handled by upscaling the smaller input first.
 """
@@ -34,7 +48,7 @@ import numpy as np
 from repro.errors import HomographyError
 from repro.jointcomp.merge import MERGE_FUNCTIONS
 from repro.util import StageTimers
-from repro.video.metrics import psnr
+from repro.video.metrics import psnr, psnr_from_mse
 from repro.vision.features import describe_keypoints, detect_keypoints
 from repro.vision.homography import (
     WarpPlan,
@@ -57,6 +71,10 @@ VERIFY_DB = 26.0
 #: Recovery quality below which the homography is re-estimated (paper:
 #: 24 dB, section 5.1.2).
 REESTIMATE_DB = 24.0
+
+#: Frames one verification block merges, recovers and checks at once:
+#: small enough that the block's float temporaries stay near a megabyte.
+PASS_BLOCK = 4
 
 #: Keypoint detection budget for homography estimation (tuned for the
 #: scaled-down synthetic resolutions; the paper's constants assume full-HD).
@@ -187,55 +205,42 @@ class JointCompressor:
         if x_f is None:
             return None
 
-        merge_fn = MERGE_FUNCTIONS[self.merge]
-        forward, recovery = _plans(h_matrix, x_f, x_g, height, width)
-        left = np.empty((n, height, x_f, 3), dtype=np.uint8)
+        left = np.ascontiguousarray(frames_f[:, :, :x_f])
         overlap = np.empty((n, height, width - x_f, 3), dtype=np.uint8)
-        right = np.empty((n, height, width - x_g, 3), dtype=np.uint8)
+        right = np.ascontiguousarray(frames_g[:, :, x_g:])
         quality_left: list[float] = []
         quality_right: list[float] = []
+        every = self.reestimate_every
+        plans = _plans(h_matrix, x_f, x_g, height, width)
         reestimations = 0
-        retried_this_frame = 0
+        retried = False  # frame i is a retry after a failure re-estimate
         i = 0
         while i < n:
-            frame_f, frame_g = frames_f[i], frames_g[i]
-            if (
-                self.reestimate_every
-                and i > 0
-                and i % self.reestimate_every == 0
-                and retried_this_frame == 0
-            ):
-                fresh = self.estimate_homography(frame_f, frame_g, timers)
+            if every and i > 0 and i % every == 0 and not retried:
+                fresh = self.estimate_homography(frames_f[i], frames_g[i], timers)
                 if fresh is not None and fresh[0, 2] >= 0:
                     h_matrix = fresh
-                    forward, recovery = _plans(h_matrix, x_f, x_g, height, width)
+                    plans = _plans(h_matrix, x_f, x_g, height, width)
                     reestimations += 1
-            with timers.measure("compression"):
-                left[i] = frame_f[:, :x_f]
-                overlap[i] = merge_fn(
-                    frame_f[:, x_f:], forward.apply(frame_g), forward.valid
-                )
-                right[i] = frame_g[:, x_g:]
-            ok, q_left, q_right = self._verify(
-                frame_f, frame_g, left[i], overlap[i], right[i],
-                recovery, x_f, timers,
+            stop = min(n, (i // every + 1) * every) if every else n
+            failed = self._pass(
+                frames_f, frames_g, overlap, plans, x_f, i, stop,
+                quality_left, quality_right, timers,
             )
-            if not ok:
-                if retried_this_frame == 0:
-                    fresh = self.estimate_homography(frame_f, frame_g, timers)
-                    retried_this_frame = 1
-                    if fresh is not None and fresh[0, 2] >= 0:
-                        h_matrix = fresh
-                        forward, recovery = _plans(
-                            h_matrix, x_f, x_g, height, width
-                        )
-                        reestimations += 1
-                        continue  # retry the same frame
+            if failed == stop:
+                i, retried = stop, False
+                continue
+            if retried and failed == i:
                 return None  # abort joint compression (paper Figure 8)
-            quality_left.append(q_left)
-            quality_right.append(q_right)
-            retried_this_frame = 0
-            i += 1
+            fresh = self.estimate_homography(
+                frames_f[failed], frames_g[failed], timers
+            )
+            if fresh is None or fresh[0, 2] < 0:
+                return None
+            h_matrix = fresh
+            plans = _plans(h_matrix, x_f, x_g, height, width)
+            reestimations += 1
+            i, retried = failed, True
 
         return JointResult(
             homography=h_matrix,
@@ -252,25 +257,61 @@ class JointCompressor:
         )
 
     # ------------------------------------------------------------------
-    def _verify(
+    def _pass(
         self,
-        frame_f: np.ndarray,
-        frame_g: np.ndarray,
-        left: np.ndarray,
+        frames_f: np.ndarray,
+        frames_g: np.ndarray,
         overlap: np.ndarray,
-        right: np.ndarray,
-        recovery: WarpPlan,
+        plans: tuple[WarpPlan, WarpPlan],
         x_f: int,
+        start: int,
+        stop: int,
+        quality_left: list[float],
+        quality_right: list[float],
         timers: StageTimers,
-    ) -> tuple[bool, float, float]:
-        """Invert the projection and check recovered quality (Alg. 1)."""
-        with timers.measure("verification"):
-            recovered_f = np.concatenate([left, overlap], axis=1)
-            q_left = psnr(frame_f, recovered_f)
-            recovered_g = recover_right_frame(overlap, right, recovery, x_f)
-            q_right = psnr(frame_g, recovered_g)
-        ok = min(q_left, q_right) >= self.verify_db
-        return ok, q_left, q_right
+    ) -> int:
+        """Merge frames ``[start, stop)`` into ``overlap`` by one
+        homography's ``plans`` (:func:`_plans`), :data:`PASS_BLOCK`
+        frames at a time, and verify that both sides are recoverable
+        (Alg. 1).  Appends the qualities of the frames that pass and
+        returns the first that fails (``stop`` if none does)."""
+        height, width = frames_f.shape[1:3]
+        merge_fn = MERGE_FUNCTIONS[self.merge]
+        forward, recovery = plans
+        x_g = recovery.columns[1]
+        frame_values = height * width * 3
+        for first in range(start, stop, PASS_BLOCK):
+            last = min(stop, first + PASS_BLOCK)
+            with timers.measure("compression"):
+                overlap[first:last] = merge_fn(
+                    frames_f[first:last, :, x_f:],
+                    forward.apply(frames_g[first:last]),
+                    forward.valid,
+                )
+            with timers.measure("verification"):
+                # Left recovery is the stored left plus the overlap, and
+                # right recovery keeps G's columns [x_g, w): only the
+                # overlap and the recovered columns [0, x_g) can differ.
+                q_left = _frame_psnrs(
+                    frames_f[first:last, :, x_f:], overlap[first:last],
+                    frame_values,
+                )
+                recovered = recover_right_frame(
+                    overlap[first:last],
+                    frames_g[first:last, :, x_g:],
+                    recovery,
+                    x_f,
+                )
+                q_right = _frame_psnrs(
+                    frames_g[first:last, :, :x_g], recovered[:, :, :x_g],
+                    frame_values,
+                )
+            for k in range(last - first):
+                if min(q_left[k], q_right[k]) < self.verify_db:
+                    return first + k
+                quality_left.append(q_left[k])
+                quality_right.append(q_right[k])
+        return stop
 
     def _duplicate_result(
         self,
@@ -367,24 +408,43 @@ def _plans(
 def recover_right_frame(
     overlap: np.ndarray, right: np.ndarray, recovery: WarpPlan, x_f: int
 ) -> np.ndarray:
-    """Reconstruct a right (G) frame from stored pieces.
+    """Reconstruct a stack of right (G) frames from stored pieces, in one
+    warp.
 
     The overlap lives in F's coordinate space at columns [x_f, w); placing
     it on an F-sized canvas and warping by H^-1 (``recovery``, from
     :func:`recovery_plan`) returns it to G space, where it covers columns
     [0, x_g); the stored right region supplies the rest.
     """
+    frames = overlap.shape[0]
     height, width = recovery.input_shape
     x_g = recovery.columns[1]
-    canvas = np.zeros((height, width, 3), dtype=np.uint8)
-    canvas[:, x_f:] = overlap
-    result = np.empty((height, width, 3), dtype=np.uint8)
-    result[:, :x_g] = recovery.apply(canvas)
-    result[:, x_g:] = right
+    canvas = np.zeros((frames, height, width, 3), dtype=np.uint8)
+    canvas[:, :, x_f:] = overlap
+    result = np.empty((frames, height, width, 3), dtype=np.uint8)
+    result[:, :, :x_g] = recovery.apply(canvas)
+    result[:, :, x_g:] = right
     # Fill any invalid (out-of-projection) pixels from the nearest valid
     # column to avoid black fringes.
     invalid_cols = ~recovery.valid
     if invalid_cols.any():
         ys, xs = np.nonzero(invalid_cols)
-        result[ys, xs] = result[ys, np.clip(xs + 2, 0, width - 1)]
+        result[:, ys, xs] = result[:, ys, np.clip(xs + 2, 0, width - 1)]
     return result
+
+
+def _frame_psnrs(
+    reference: np.ndarray, recovered: np.ndarray, frame_values: int
+) -> list[float]:
+    """:func:`~repro.video.metrics.psnr` of each frame of two uint8
+    stacks, given only the columns where they can differ; a whole frame
+    holds ``frame_values`` values.
+
+    The squared differences are integers and each frame's sum of them
+    stays far below 2**53, so every partial sum is exact: the sum here
+    equals the one ``psnr``'s mean takes, bit for bit.
+    """
+    diff = reference.astype(np.float64) - recovered
+    diff = diff.reshape(len(diff), -1)
+    sums = np.einsum("ij,ij->i", diff, diff)
+    return [psnr_from_mse(float(total) / frame_values) for total in sums]

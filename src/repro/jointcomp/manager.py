@@ -136,8 +136,13 @@ class JointCompressionManager:
     def _apply_pair(
         self, gop_a: GopRecord, gop_b: GopRecord, report: JointReport
     ) -> bool:
-        seg_a = self._decode_full(gop_a)
-        seg_b = self._decode_full(gop_b)
+        try:
+            seg_a = self._decode_full(gop_a)
+            seg_b = self._decode_full(gop_b)
+        except FileNotFoundError:
+            # A page swept since the scan (its video was deleted): the
+            # pair is gone, as on a CatalogError in _persist_pair.
+            return False
         frames = min(seg_a.num_frames, seg_b.num_frames)
         if frames < 1:
             return False

@@ -6,7 +6,9 @@ its pixels are derived from the pair's shared left/overlap/right pieces.
 reader as a raw GOP (reconstruction already decoded the pieces, so
 re-wrapping them raw lets the normal decode path consume them for free).
 A right side's frames share one recovery plan (the pair's homography is
-fixed), built once per reconstruction.
+fixed), built once per reconstruction, and are rebuilt in one stacked
+:func:`~repro.jointcomp.algorithm.recover_right_frame`: one canvas stack,
+one warp of it, one fringe fill.
 """
 
 from __future__ import annotations
@@ -55,11 +57,7 @@ def recover_segment(
     height = left.height
     width = left.width + overlap.width
     plan = recovery_plan(h_matrix, pair.x_g, height, width)
-    frames = np.empty((right.num_frames, height, width, 3), dtype=np.uint8)
-    for i in range(right.num_frames):
-        frames[i] = recover_right_frame(
-            overlap.frame(i), right.frame(i), plan, pair.x_f
-        )
+    frames = recover_right_frame(overlap.pixels, right.pixels, plan, pair.x_f)
     return VideoSegment(frames, "rgb", height, width, right.fps, right.start_time)
 
 

@@ -13,12 +13,29 @@ destination space: output pixel ``p`` samples ``image`` at ``H^-1 p``
 
 Where each output pixel samples depends only on ``H`` and the shapes, so
 it is computed once per homography: :func:`warp_plan` builds a
-:class:`WarpPlan` (the inverse, the sampling grid and the valid mask,
-cut to the output columns the caller keeps) and :meth:`WarpPlan.apply`
-warps each frame with it.  ``warp_perspective`` is a plan built and
-applied once; there is no other warp.  A plan keeps only whole columns
-of the whole-frame grid, so its pixels equal those columns of the
-whole-frame warp bit for bit.
+:class:`WarpPlan`, cut to the output columns the caller keeps, and
+:meth:`WarpPlan.apply` warps one frame or a whole ``(n, h, w[, 3])``
+stack with it.  ``warp_perspective`` is a plan built and applied once;
+there is no other warp.  A plan keeps only whole columns of the
+whole-frame grid, so its pixels equal those columns of the whole-frame
+warp bit for bit.
+
+A plan holds, per kept output pixel, the flat index of the top-left
+source pixel of its bilinear square and the fractions ``ty`` and ``tx``
+into that square, plus the valid mask.  ``apply`` is four gathers per
+pixel and a float64 sum, done in frame blocks whose float64 scratch
+stays near half a megabyte.  It equals scipy.ndimage's linear coordinate
+mapping (spline order 1, constant mode) of the input cast to float32,
+bit for bit, because it does that routine's arithmetic in its order:
+scipy's spline loop starts a float64 total at 0 and adds the four
+corners row-major; each term is the corner value times its row weight,
+then times its column weight; the weights are ``1 - t`` and ``t`` with
+``t = coordinate - floor(coordinate)``; and the total is cast to
+float32.  A sample exactly on the last row or column uses the square
+before it, at fraction 1.  Its terms are then the same products in the
+same order, with exact zeros added at other places, so the sum does not
+change.  The per-frame scipy warp survives as the test oracle
+(``tests/kernel_oracles.py``).
 
 In VSS's joint compression, ``H`` maps right-frame coordinates into the
 left frame's space, so ``warp_perspective(right, H, left.shape)`` overlays
@@ -30,23 +47,52 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from repro.errors import HomographyError
 
 
-def _normalization(points: np.ndarray) -> np.ndarray:
-    """Hartley normalization transform for DLT conditioning."""
-    centroid = points.mean(axis=0)
-    spread = np.sqrt(((points - centroid) ** 2).sum(axis=1)).mean()
-    scale = np.sqrt(2.0) / max(spread, 1e-12)
-    return np.array(
-        [
-            [scale, 0.0, -scale * centroid[0]],
-            [0.0, scale, -scale * centroid[1]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
+def _dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized direct linear transform of ``m`` point sets at once.
+
+    ``src`` and ``dst`` are ``(m, p, 2)``.  Each set is Hartley-normalized,
+    its ``2p x 9`` system solved by SVD and the result denormalized; numpy
+    runs its batched matmul, SVD and inverse as the same BLAS and LAPACK
+    routine per set, so a set's model does not depend on the others.
+    Returns ``(H, ok)``: ``H`` is ``(m, 3, 3)`` scaled so ``H[2, 2] == 1``,
+    and ``ok`` is False where ``|h33| < 1e-12`` (degenerate; that ``H`` is
+    left unscaled).
+    """
+    m, points = src.shape[:2]
+    ones = np.ones((m, points, 1))
+
+    def normalizations(pts: np.ndarray) -> np.ndarray:
+        centroid = pts.mean(axis=1)
+        spread = np.sqrt(((pts - centroid[:, None]) ** 2).sum(axis=2)).mean(axis=1)
+        scale = np.sqrt(2.0) / np.maximum(spread, 1e-12)
+        t = np.zeros((m, 3, 3))
+        t[:, 0, 0] = scale
+        t[:, 0, 2] = -scale * centroid[:, 0]
+        t[:, 1, 1] = scale
+        t[:, 1, 2] = -scale * centroid[:, 1]
+        t[:, 2, 2] = 1.0
+        return t
+
+    t_src = normalizations(src)
+    t_dst = normalizations(dst)
+    src_n = t_src @ np.concatenate([src, ones], axis=2).transpose(0, 2, 1)
+    dst_n = t_dst @ np.concatenate([dst, ones], axis=2).transpose(0, 2, 1)
+    x, y = src_n[:, 0], src_n[:, 1]
+    u, v = dst_n[:, 0], dst_n[:, 1]
+    zero = np.zeros_like(x)
+    one = np.ones_like(x)
+    rows_a = np.stack([x, y, one, zero, zero, zero, -u * x, -u * y, -u], axis=2)
+    rows_b = np.stack([zero, zero, zero, x, y, one, -v * x, -v * y, -v], axis=2)
+    system = np.concatenate([rows_a, rows_b], axis=1)
+    _, _, vh = np.linalg.svd(system)
+    h = np.linalg.inv(t_dst) @ vh[:, -1].reshape(m, 3, 3) @ t_src
+    h33 = h[:, 2, 2]
+    ok = np.abs(h33) >= 1e-12
+    return h / np.where(ok, h33, 1.0)[:, None, None], ok
 
 
 def estimate_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -61,24 +107,10 @@ def estimate_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         raise HomographyError(
             f"need >= 4 matched points, got {src.shape[0]} and {dst.shape[0]}"
         )
-    t_src = _normalization(src)
-    t_dst = _normalization(dst)
-    ones = np.ones((src.shape[0], 1))
-    src_n = (t_src @ np.hstack([src, ones]).T).T
-    dst_n = (t_dst @ np.hstack([dst, ones]).T).T
-    x, y = src_n[:, 0], src_n[:, 1]
-    u, v = dst_n[:, 0], dst_n[:, 1]
-    zero = np.zeros_like(x)
-    one = np.ones_like(x)
-    rows_a = np.stack([x, y, one, zero, zero, zero, -u * x, -u * y, -u], axis=1)
-    rows_b = np.stack([zero, zero, zero, x, y, one, -v * x, -v * y, -v], axis=1)
-    system = np.concatenate([rows_a, rows_b], axis=0)
-    _, _, vh = np.linalg.svd(system)
-    h_normalized = vh[-1].reshape(3, 3)
-    h = np.linalg.inv(t_dst) @ h_normalized @ t_src
-    if abs(h[2, 2]) < 1e-12:
+    h, ok = _dlt(src[None], dst[None])
+    if not ok[0]:
         raise HomographyError("degenerate homography (h33 ~ 0)")
-    return h / h[2, 2]
+    return h[0]
 
 
 def apply_homography(h: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -94,9 +126,45 @@ def apply_homography(h: np.ndarray, points: np.ndarray) -> np.ndarray:
 def reprojection_errors(
     h: np.ndarray, src: np.ndarray, dst: np.ndarray
 ) -> np.ndarray:
-    """Euclidean error of mapping each ``src`` point vs its ``dst``."""
-    mapped = apply_homography(h, src)
-    return np.sqrt(((mapped - np.asarray(dst, dtype=np.float64)) ** 2).sum(axis=1))
+    """Euclidean error of mapping each ``src`` point vs its ``dst``.
+
+    ``h`` is one homography (errors ``(n,)``) or an ``(m, 3, 3)`` stack of
+    them (errors ``(m, n)``, each row what that model alone gives).
+    """
+    src = np.asarray(src, dtype=np.float64).reshape(-1, 2)
+    dst = np.asarray(dst, dtype=np.float64).reshape(-1, 2)
+    mapped = h @ np.hstack([src, np.ones((src.shape[0], 1))]).T
+    w = mapped[..., 2, :]
+    w = np.where(np.abs(w) < 1e-12, 1e-12, w)
+    dx = mapped[..., 0, :] / w - dst[:, 0]
+    dy = mapped[..., 1, :] / w - dst[:, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+#: Minimal samples :func:`ransac_homography` solves and scores per
+#: batch: one batched DLT and one error array each.
+RANSAC_BATCH = 64
+
+
+def _batch_homographies(
+    src: np.ndarray, dst: np.ndarray, samples: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The minimal models of ``samples`` (``(m, 4)`` indices) and which
+    are not degenerate: one batched :func:`_dlt`, or one
+    :func:`estimate_homography` per sample when a batched LAPACK call
+    fails (one bad sample fails the whole stack)."""
+    try:
+        return _dlt(src[samples], dst[samples])
+    except np.linalg.LinAlgError:
+        models = np.zeros((len(samples), 3, 3))
+        ok = np.zeros(len(samples), dtype=bool)
+        for k, sample in enumerate(samples):
+            try:
+                models[k] = estimate_homography(src[sample], dst[sample])
+                ok[k] = True
+            except (HomographyError, np.linalg.LinAlgError):
+                pass
+        return models, ok
 
 
 def ransac_homography(
@@ -112,6 +180,12 @@ def ransac_homography(
     Returns ``(H, inlier_mask)``; raises :class:`HomographyError` when no
     model reaches ``min_inliers``.  The final model is re-estimated from all
     inliers of the best minimal sample.
+
+    The samples are drawn one ``rng.choice`` at a time, and solved and
+    scored :data:`RANSAC_BATCH` at a time.  The best minimal model is the
+    first with the most inliers, and a model that explains every
+    correspondence ends the search after its batch; degenerate samples
+    are skipped.  That is the choice a per-sample loop makes.
     """
     src = np.asarray(src, dtype=np.float64).reshape(-1, 2)
     dst = np.asarray(dst, dtype=np.float64).reshape(-1, 2)
@@ -121,20 +195,20 @@ def ransac_homography(
     rng = np.random.default_rng(seed)
     best_mask: np.ndarray | None = None
     best_count = 0
-    for _ in range(iterations):
-        sample = rng.choice(n, size=4, replace=False)
-        try:
-            candidate = estimate_homography(src[sample], dst[sample])
-        except (HomographyError, np.linalg.LinAlgError):
-            continue
-        errors = reprojection_errors(candidate, src, dst)
-        mask = errors <= inlier_threshold
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            if count == n:
-                break
+    for first in range(0, iterations, RANSAC_BATCH):
+        samples = np.array([
+            rng.choice(n, size=4, replace=False)
+            for _ in range(min(RANSAC_BATCH, iterations - first))
+        ])
+        models, ok = _batch_homographies(src, dst, samples)
+        masks = reprojection_errors(models, src, dst) <= inlier_threshold
+        counts = np.where(ok, masks.sum(axis=1), -1)
+        best = int(np.argmax(counts))
+        if counts[best] > best_count:
+            best_count = int(counts[best])
+            best_mask = masks[best]
+        if best_count == n:
+            break
     if best_mask is None or best_count < max(min_inliers, 4):
         raise HomographyError(
             f"RANSAC found only {best_count} inliers (need {min_inliers})"
@@ -161,53 +235,128 @@ def homography_identity_distance(h: np.ndarray) -> float:
     return float(np.linalg.norm(h - np.eye(3), ord=2))
 
 
+#: Float64 values in each of :meth:`WarpPlan.apply`'s two scratch sums
+#: (256 KiB each): a block of frames, or of one frame's pixels, that fits.
+WARP_BLOCK = 1 << 15
+
+
 @dataclass(frozen=True, eq=False)
 class WarpPlan:
     """Where each kept output pixel of one warp samples its input.
 
     A plan fixes one homography, one input shape, one output shape and
     the output columns ``[start, stop)`` its caller keeps, so a caller
-    that warps many frames by one homography builds it once and applies
-    it per frame.  ``sample`` holds the source ``(y, x)`` of each kept
-    output pixel and ``valid`` marks those that fell inside the input.
+    that warps many frames by one homography builds it once.  Per kept
+    output pixel (row-major) it holds the flat index of the top-left
+    source pixel of its bilinear square and the row and column fractions
+    ``ty`` and ``tx`` into it; ``valid`` marks the pixels whose source
+    fell inside the input.  An invalid pixel holds index 0 and fractions
+    0 and takes the fill value.
     """
 
     input_shape: tuple[int, int]
     columns: tuple[int, int]
-    sample: np.ndarray  # (2, out_h, stop - start) float64: source (y, x)
+    index: np.ndarray  # (out_h * (stop - start),) intp
+    ty: np.ndarray  # (out_h * (stop - start),) float64
+    tx: np.ndarray  # (out_h * (stop - start),) float64
     valid: np.ndarray  # (out_h, stop - start) bool
 
     def apply(self, image: np.ndarray, fill: float = 0.0) -> np.ndarray:
-        """The warped columns of ``image`` (2-D gray or 3-D rgb); pixels
-        outside ``valid`` take ``fill``."""
-        if image.shape[:2] != self.input_shape:
+        """The warped columns of one frame (2-D gray or 3-D rgb) or of an
+        ``(n, h, w[, 3])`` stack of them; pixels outside ``valid`` take
+        ``fill``.  A 3-D array whose first two axes are the input shape
+        is one rgb frame.
+
+        Each pixel is four gathers summed in float64 in scipy's order,
+        ``(1-ty)(1-tx)·v00 + (1-ty)tx·v01 + ty(1-tx)·v10 + ty·tx·v11``
+        with each term the value times its row weight, then times its
+        column weight; the sum is cast to float32, the fill put in, and
+        integer rgb rounded and clipped (gray is cast as is).
+        """
+        if image.ndim in (2, 3) and image.shape[:2] == self.input_shape:
+            return self._apply_stack(image[None], fill)[0]
+        if image.ndim not in (3, 4) or image.shape[1:3] != self.input_shape:
             raise ValueError(
-                f"plan for input {self.input_shape}, got {image.shape[:2]}"
+                f"plan for input {self.input_shape}, got {image.shape}"
             )
-        planes = (
-            [image] if image.ndim == 2
-            else [image[..., c] for c in range(image.shape[2])]
+        return self._apply_stack(image, fill)
+
+    def _apply_stack(self, image: np.ndarray, fill: float) -> np.ndarray:
+        """:meth:`apply` of an ``(n, h, w)`` gray or ``(n, h, w, c)`` rgb
+        stack."""
+        frames = image.shape[0]
+        out_h, kept = self.valid.shape
+        result = np.empty((frames, out_h, kept) + image.shape[3:], image.dtype)
+        pixels = self.index.size
+        if frames == 0 or pixels == 0:
+            return result
+        stack = image if image.ndim == 4 else image[..., None]
+        channels = stack.shape[3]
+        in_h, in_w = self.input_shape
+        # The fractions of a pixel on the last row or column are 1 into
+        # the square before it (or 0 on a 1-pixel axis), so every
+        # neighbour is in range; a zero weight adds exactly nothing.
+        right = 1 if in_w > 1 else 0
+        down = in_w if in_h > 1 else 0
+        row = (1.0 - self.ty, self.ty)
+        col = (1.0 - self.tx, self.tx)
+        terms = (
+            (self.index, row[0], col[0]),
+            (self.index + right, row[0], col[1]),
+            (self.index + down, row[1], col[0]),
+            (self.index + (down + right), row[1], col[1]),
         )
-        warped = [
-            np.where(
-                self.valid,
-                ndimage.map_coordinates(
-                    plane.astype(np.float32),
-                    self.sample,
-                    order=1,
-                    mode="constant",
-                    cval=fill,
-                ),
-                fill,
+        block = max(1, WARP_BLOCK // (channels * pixels))
+        block = min(block, frames)
+        span = min(pixels, max(1, WARP_BLOCK // (channels * block)))
+        # uint8 gathers widen exactly; scipy reads any other input as
+        # float32, and so do these gathers.
+        source_type = np.uint8 if image.dtype == np.uint8 else np.float32
+        source = np.empty((block, channels, in_h * in_w), source_type)
+        scratch = block * channels * span
+        gathered = np.empty(scratch, source_type)
+        total = np.empty(scratch)
+        term = np.empty(scratch)
+        warped = np.empty((block, pixels, channels), np.float32)
+        invalid = ~self.valid.ravel()
+        rounds = image.ndim == 4 and np.issubdtype(image.dtype, np.integer)
+        for f0 in range(0, frames, block):
+            m = min(block, frames - f0)
+            src = source[:m]
+            np.copyto(
+                src.reshape(m, channels, in_h, in_w),
+                stack[f0:f0 + m].transpose(0, 3, 1, 2),
+                casting="unsafe",
             )
-            for plane in planes
-        ]
-        if image.ndim == 2:
-            return warped[0].astype(image.dtype)  # gray: no rounding
-        stacked = np.stack(warped, axis=-1)
-        if np.issubdtype(image.dtype, np.integer):
-            stacked = np.clip(np.rint(stacked), 0, 255)
-        return stacked.astype(image.dtype)
+            out = warped[:m]
+            planes = out.transpose(0, 2, 1)
+            for p0 in range(0, pixels, span):
+                p1 = min(pixels, p0 + span)
+                shape = (m, channels, p1 - p0)
+                size = m * channels * (p1 - p0)
+                g = gathered[:size].reshape(shape)
+                s = total[:size].reshape(shape)
+                t = term[:size].reshape(shape)
+                for k, (corner, wy, wx) in enumerate(terms):
+                    # Every index is in range; "clip" only spares take
+                    # the bounds check's buffered copy.
+                    np.take(src, corner[p0:p1], axis=2, out=g, mode="clip")
+                    acc = s if k == 0 else t
+                    np.multiply(g, wy[p0:p1], out=acc)
+                    np.multiply(acc, wx[p0:p1], out=acc)
+                    if k == 1 or k == 2:
+                        np.add(s, t, out=s)
+                np.add(s, t, out=planes[:, :, p0:p1])
+            out[:, invalid] = fill
+            if rounds:
+                np.rint(out, out=out)
+                np.clip(out, 0, 255, out=out)
+            np.copyto(
+                result[f0:f0 + m].reshape(m, pixels, channels),
+                out,
+                casting="unsafe",
+            )
+        return result
 
 
 def warp_plan(
@@ -243,11 +392,21 @@ def warp_plan(
         (src_x >= 0) & (src_x <= in_w - 1) & (src_y >= 0) & (src_y <= in_h - 1)
     )
     start, stop = columns if columns is not None else (0, out_w)
+    valid = np.ascontiguousarray(valid[:, start:stop])
+    src_x = np.where(valid, src_x[:, start:stop], 0.0).ravel()
+    src_y = np.where(valid, src_y[:, start:stop], 0.0).ravel()
+    # scipy's square starts at floor(coordinate); one on the last row or
+    # column starts a square earlier, at fraction 1, so its neighbours
+    # stay inside the input.
+    x0 = np.minimum(np.floor(src_x), max(in_w - 2, 0))
+    y0 = np.minimum(np.floor(src_y), max(in_h - 2, 0))
     return WarpPlan(
         input_shape=(in_h, in_w),
         columns=(start, stop),
-        sample=np.stack([src_y[:, start:stop], src_x[:, start:stop]]),
-        valid=np.ascontiguousarray(valid[:, start:stop]),
+        index=y0.astype(np.intp) * in_w + x0.astype(np.intp),
+        ty=src_y - y0,
+        tx=src_x - x0,
+        valid=valid,
     )
 
 

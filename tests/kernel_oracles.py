@@ -24,8 +24,16 @@ stacked ``motion.correlate_stack`` must equal, and
 :func:`correlate_stack_numpy` the ``numpy.fft`` search it replaced, whose
 vectors it must equal on rendered frames (``test_codec.py``).
 :func:`warp_perspective` is the perspective warp that rebuilt its inverse,
-sampling grid and valid mask on every call; a warp plan applied to a
-frame must equal its bytes on the plan's columns (``test_kernels.py``).
+sampling grid and valid mask on every call and sampled with scipy's
+``map_coordinates``; a warp plan applied to a frame or a stack must equal
+its bytes on the plan's columns (``test_kernels.py``).
+:func:`ransac_homography` solves (:func:`estimate_homography`, the
+per-set DLT) and scores (:func:`reprojection_errors`) one minimal sample
+at a time; the batched RANSAC must return its H and mask bit for bit
+(``test_kernels.py``).  :class:`PerFrameJointCompressor` is Algorithm 1
+one frame at a time (warp, merge, :func:`recover_right_frame`, PSNR),
+whose result the stacked ``JointCompressor.compress`` must equal field by
+field (``test_jointcomp.py``).
 :func:`plan_brute_force` prices every run of minimal covers of a read
 plan's intervals, whose least cost the planner's pass must equal
 (``test_planner.py``).
@@ -44,6 +52,14 @@ from scipy import ndimage
 
 from repro.core.cache import CacheManager
 from repro.errors import CodecError, HomographyError
+from repro.jointcomp.algorithm import (
+    JointCompressor,
+    JointResult,
+    _match_resolution,
+    _split_columns,
+)
+from repro.jointcomp.merge import MERGE_FUNCTIONS
+from repro.util import StageTimers
 from repro.video.codec import dct, entropy, motion, quant
 from repro.video.codec.blockcodec import (
     _FRAME_HEADER,
@@ -61,7 +77,8 @@ from repro.video.frame import (
     pixel_format,
     planes_to_frame,
 )
-from repro.video.metrics import mse
+from repro.video.metrics import mse, psnr
+from repro.vision.homography import apply_homography, homography_identity_distance
 
 
 def bilinear_axis(pixels: np.ndarray, new_size: int, axis: int) -> np.ndarray:
@@ -594,6 +611,199 @@ def warp_perspective(
     if np.issubdtype(image.dtype, np.integer):
         warped = np.clip(np.rint(warped), 0, 255)
     return warped.astype(image.dtype), valid
+
+
+def _normalization(points: np.ndarray) -> np.ndarray:
+    """Hartley normalization transform for DLT conditioning."""
+    centroid = points.mean(axis=0)
+    spread = np.sqrt(((points - centroid) ** 2).sum(axis=1)).mean()
+    scale = np.sqrt(2.0) / max(spread, 1e-12)
+    return np.array(
+        [
+            [scale, 0.0, -scale * centroid[0]],
+            [0.0, scale, -scale * centroid[1]],
+            [0.0, 0.0, 1.0],
+        ]
+    )
+
+
+def estimate_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The normalized DLT of one point set, on 2-D arrays; scaled so
+    ``H[2, 2] == 1``."""
+    src = np.asarray(src, dtype=np.float64).reshape(-1, 2)
+    dst = np.asarray(dst, dtype=np.float64).reshape(-1, 2)
+    if src.shape[0] < 4 or src.shape != dst.shape:
+        raise HomographyError(
+            f"need >= 4 matched points, got {src.shape[0]} and {dst.shape[0]}"
+        )
+    t_src = _normalization(src)
+    t_dst = _normalization(dst)
+    ones = np.ones((src.shape[0], 1))
+    src_n = (t_src @ np.hstack([src, ones]).T).T
+    dst_n = (t_dst @ np.hstack([dst, ones]).T).T
+    x, y = src_n[:, 0], src_n[:, 1]
+    u, v = dst_n[:, 0], dst_n[:, 1]
+    zero = np.zeros_like(x)
+    one = np.ones_like(x)
+    rows_a = np.stack([x, y, one, zero, zero, zero, -u * x, -u * y, -u], axis=1)
+    rows_b = np.stack([zero, zero, zero, x, y, one, -v * x, -v * y, -v], axis=1)
+    system = np.concatenate([rows_a, rows_b], axis=0)
+    _, _, vh = np.linalg.svd(system)
+    h = np.linalg.inv(t_dst) @ vh[-1].reshape(3, 3) @ t_src
+    if abs(h[2, 2]) < 1e-12:
+        raise HomographyError("degenerate homography (h33 ~ 0)")
+    return h / h[2, 2]
+
+
+def reprojection_errors(h: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Euclidean error of mapping each ``src`` point by one ``h``."""
+    mapped = apply_homography(h, src)
+    return np.sqrt(((mapped - np.asarray(dst, dtype=np.float64)) ** 2).sum(axis=1))
+
+
+def ransac_homography(
+    src: np.ndarray,
+    dst: np.ndarray,
+    iterations: int = 300,
+    inlier_threshold: float = 2.0,
+    min_inliers: int = 8,
+    seed: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """RANSAC that solves (:func:`estimate_homography`) and scores one
+    minimal sample at a time: the first model with the most inliers wins,
+    an all-inlier model ends the loop, and a sample whose solve raises is
+    skipped."""
+    src = np.asarray(src, dtype=np.float64).reshape(-1, 2)
+    dst = np.asarray(dst, dtype=np.float64).reshape(-1, 2)
+    n = src.shape[0]
+    if n < 4:
+        raise HomographyError(f"need >= 4 correspondences, got {n}")
+    rng = np.random.default_rng(seed)
+    best_mask: np.ndarray | None = None
+    best_count = 0
+    for _ in range(iterations):
+        sample = rng.choice(n, size=4, replace=False)
+        try:
+            candidate = estimate_homography(src[sample], dst[sample])
+        except (HomographyError, np.linalg.LinAlgError):
+            continue
+        mask = reprojection_errors(candidate, src, dst) <= inlier_threshold
+        count = int(mask.sum())
+        if count > best_count:
+            best_count = count
+            best_mask = mask
+            if count == n:
+                break
+    if best_mask is None or best_count < max(min_inliers, 4):
+        raise HomographyError(
+            f"RANSAC found only {best_count} inliers (need {min_inliers})"
+        )
+    refined = estimate_homography(src[best_mask], dst[best_mask])
+    final_mask = reprojection_errors(refined, src, dst) <= inlier_threshold
+    if final_mask.sum() >= 4:
+        refined = estimate_homography(src[final_mask], dst[final_mask])
+    else:
+        final_mask = best_mask
+    return refined, final_mask
+
+
+def recover_right_frame(overlap, right, h_matrix, x_f, x_g):
+    """One right (G) frame from its pieces: the overlap on an F-sized
+    canvas warped back by H^-1, G's own columns ``[x_g, w)``, and each
+    pixel outside the projection copied from two columns on."""
+    height, width = right.shape[0], overlap.shape[1] + x_f
+    canvas = np.zeros((height, width, 3), dtype=np.uint8)
+    canvas[:, x_f:] = overlap
+    warped, valid = warp_perspective(canvas, np.linalg.inv(h_matrix), (height, width))
+    result = np.empty((height, width, 3), dtype=np.uint8)
+    result[:, :x_g] = warped[:, :x_g]
+    result[:, x_g:] = right
+    ys, xs = np.nonzero(~valid[:, :x_g])
+    result[ys, xs] = result[ys, np.clip(xs + 2, 0, width - 1)]
+    return result
+
+
+class PerFrameJointCompressor(JointCompressor):
+    """Algorithm 1 one frame at a time: warp (:func:`warp_perspective`),
+    merge, recover and PSNR-check frame ``i``; on a failing frame
+    re-estimate once and retry it, and abort if it fails again.  The
+    stacked ``JointCompressor.compress`` must return the same result."""
+
+    def compress(self, frames_f, frames_g, _swapped=False):
+        timers = StageTimers()
+        frames_f, frames_g = _match_resolution(frames_f, frames_g)
+        if frames_f.shape != frames_g.shape:
+            return None
+        h_matrix = self.estimate_homography(frames_f[0], frames_g[0], timers)
+        if h_matrix is None:
+            return None
+        if homography_identity_distance(h_matrix) <= self.duplicate_epsilon:
+            return self._duplicate_result(frames_f, frames_g, h_matrix, timers)
+        if h_matrix[0, 2] < 0 and not _swapped:
+            result = self.compress(frames_g, frames_f, _swapped=True)
+            if result is not None:
+                result.swapped = not result.swapped
+            return result
+        if h_matrix[0, 2] < 0:
+            return None
+        n, height, width = frames_f.shape[:3]
+        x_f, x_g = _split_columns(h_matrix, width, height)
+        if x_f is None:
+            return None
+        merge_fn = MERGE_FUNCTIONS[self.merge]
+        left = np.empty((n, height, x_f, 3), dtype=np.uint8)
+        overlap = np.empty((n, height, width - x_f, 3), dtype=np.uint8)
+        right = np.empty((n, height, width - x_g, 3), dtype=np.uint8)
+        quality_left: list[float] = []
+        quality_right: list[float] = []
+        reestimations = 0
+        retried_this_frame = 0
+        i = 0
+        while i < n:
+            frame_f, frame_g = frames_f[i], frames_g[i]
+            if (
+                self.reestimate_every
+                and i > 0
+                and i % self.reestimate_every == 0
+                and retried_this_frame == 0
+            ):
+                fresh = self.estimate_homography(frame_f, frame_g, timers)
+                if fresh is not None and fresh[0, 2] >= 0:
+                    h_matrix = fresh
+                    reestimations += 1
+            warped, valid = warp_perspective(frame_g, h_matrix, (height, width))
+            left[i] = frame_f[:, :x_f]
+            overlap[i] = merge_fn(frame_f[:, x_f:], warped[:, x_f:], valid[:, x_f:])
+            right[i] = frame_g[:, x_g:]
+            q_left = psnr(frame_f, np.concatenate([left[i], overlap[i]], axis=1))
+            recovered = recover_right_frame(overlap[i], right[i], h_matrix, x_f, x_g)
+            q_right = psnr(frame_g, recovered)
+            if min(q_left, q_right) < self.verify_db:
+                if retried_this_frame == 0:
+                    fresh = self.estimate_homography(frame_f, frame_g, timers)
+                    retried_this_frame = 1
+                    if fresh is not None and fresh[0, 2] >= 0:
+                        h_matrix = fresh
+                        reestimations += 1
+                        continue
+                return None
+            quality_left.append(q_left)
+            quality_right.append(q_right)
+            retried_this_frame = 0
+            i += 1
+        return JointResult(
+            homography=h_matrix,
+            x_f=x_f,
+            x_g=x_g,
+            merge=self.merge,
+            left_frames=left,
+            overlap_frames=overlap,
+            right_frames=right,
+            quality_left_db=float(np.mean(quality_left)),
+            quality_right_db=float(np.mean(quality_right)),
+            reestimations=reestimations,
+            timers=timers,
+        )
 
 
 def minimal_covers(fragments: list, cells: list[set]) -> list[tuple]:

@@ -1,9 +1,12 @@
 """Tests for joint compression: Algorithm 1, selection, recovery, manager."""
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import VSSEngine
 from repro.jointcomp import (
@@ -15,6 +18,7 @@ from repro.jointcomp.algorithm import recover_right_frame, recovery_plan
 from repro.jointcomp.selection import random_pairs
 from repro.synthetic import visualroad
 from repro.video.metrics import segment_psnr
+from tests import kernel_oracles as oracle
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +101,8 @@ class TestAlgorithm:
             left.pixels, right.pixels
         )
         recovered = recover_right_frame(
-            result.overlap_frames[0],
-            result.right_frames[0],
+            result.overlap_frames[:1],
+            result.right_frames[:1],
             recovery_plan(
                 result.homography, result.x_g, right.height, right.width
             ),
@@ -106,7 +110,113 @@ class TestAlgorithm:
         )
         from repro.video.metrics import psnr
 
-        assert psnr(right.frame(0), recovered) >= 24.0
+        assert psnr(right.frame(0), recovered[0]) >= 24.0
+
+
+@lru_cache(maxsize=None)
+def _rendered(pan_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    left, right = visualroad(
+        "1K", overlap=0.5, num_frames=12, pan_rate=pan_rate
+    ).videos(0, 12)
+    return left.pixels, right.pixels
+
+
+def _assert_same_result(got, expected):
+    """Field by field: pieces, H, the split, re-estimations, qualities."""
+    if expected is None:
+        assert got is None
+        return
+    assert got is not None
+    for name in ("x_f", "x_g", "reestimations", "duplicate", "swapped", "merge",
+                 "quality_left_db", "quality_right_db"):
+        assert getattr(got, name) == getattr(expected, name), name
+    for name in ("homography", "left_frames", "overlap_frames", "right_frames"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+
+
+def _compress_both(frames_f, frames_g, **options):
+    got = JointCompressor(**options).compress(frames_f, frames_g)
+    expected = oracle.PerFrameJointCompressor(**options).compress(
+        frames_f, frames_g
+    )
+    _assert_same_result(got, expected)
+    return got
+
+
+#: Rendered pairs are slow to compress twice (about 0.3 s an example): a
+#: dozen in tier-1, sixty under ``--hypothesis-profile=deep``.
+COMPRESS_EXAMPLES = 12 if settings.default.max_examples <= 100 else 60
+
+
+@settings(max_examples=COMPRESS_EXAMPLES, deadline=None)
+@given(
+    frames=st.integers(1, 12),
+    pan_rate=st.sampled_from([0.0, 0.3]),
+    merge=st.sampled_from(["mean", "unprojected"]),
+    every=st.sampled_from([None, 1, 3, 5]),
+    bad_frame=st.one_of(st.none(), st.integers(0, 11)),
+    shift=st.integers(2, 8),
+    swap=st.booleans(),
+)
+def test_stacked_compress_matches_per_frame_loop(
+    frames, pan_rate, merge, every, bad_frame, shift, swap
+):
+    """Stacked Algorithm 1 against the per-frame loop on rendered pairs:
+    static and panning cameras, both merges, fixed re-estimation
+    cadences, and a right frame shifted by a few rows so that it (and the
+    frame after it, once H follows it) fails verification."""
+    frames_f, frames_g = (a[:frames] for a in _rendered(pan_rate))
+    if bad_frame is not None and bad_frame < frames:
+        frames_g = frames_g.copy()
+        frames_g[bad_frame] = np.roll(frames_g[bad_frame], shift, axis=0)
+    if swap:
+        frames_f, frames_g = frames_g, frames_f
+    _compress_both(frames_f, frames_g, merge=merge, reestimate_every=every)
+
+
+@pytest.mark.parametrize("bad_frame", [0, 3])
+def test_a_failing_frame_is_re_estimated_and_resumed(bad_frame):
+    """A shifted right frame fails under the first H; re-estimating on
+    it passes it, the next frame fails under that H and re-estimates
+    back; the pass resumes and the pair is admitted, as per frame."""
+    frames_f, frames_g = _rendered(0.0)
+    frames_g = frames_g.copy()
+    frames_g[bad_frame] = np.roll(frames_g[bad_frame], 4, axis=0)
+    result = _compress_both(frames_f, frames_g, merge="mean")
+    assert result is not None and result.reestimations >= 1
+
+
+def test_fixed_cadence_re_estimates_at_each_boundary():
+    """reestimate_every ends a pass at each multiple of the cadence."""
+    frames_f, frames_g = _rendered(0.3)
+    result = _compress_both(frames_f, frames_g, merge="mean", reestimate_every=3)
+    assert result is not None and result.reestimations == 3
+
+
+def test_an_unrecoverable_frame_aborts_the_pair():
+    """A right frame that fails again after its re-estimation aborts the
+    pair in both loops."""
+    frames_f, frames_g = _rendered(0.0)
+    frames_g = frames_g.copy()
+    frames_g[5] = np.roll(frames_g[5], 37, axis=1)
+    assert _compress_both(frames_f, frames_g, merge="unprojected") is None
+
+
+def test_stacked_right_recovery_is_per_frame_recovery(overlapping_pair):
+    """recover_right_frame on a stack equals the per-frame oracle (the
+    canvas warped back by H^-1 with the scipy warp) on every frame."""
+    ds, left, right = overlapping_pair
+    result = JointCompressor(merge="mean").compress(left.pixels, right.pixels)
+    plan = recovery_plan(result.homography, result.x_g, right.height, right.width)
+    stacked = recover_right_frame(
+        result.overlap_frames, result.right_frames, plan, result.x_f
+    )
+    for i in range(len(stacked)):
+        expected = oracle.recover_right_frame(
+            result.overlap_frames[i], result.right_frames[i],
+            result.homography, result.x_f, result.x_g,
+        )
+        assert np.array_equal(stacked[i], expected)
 
 
 #: sha256 of a rendered ``visualroad("1K", overlap=0.5)`` pair (10 frames

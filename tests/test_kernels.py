@@ -23,7 +23,9 @@ from repro.video import frame as frame_module
 from repro.video.frame import VideoSegment, _from_rgb, _pool2, _to_rgb
 from repro.video.metrics import segment_psnr
 from repro.video.resample import index_run, resize_segment
-from repro.vision.homography import warp_perspective, warp_plan
+from repro.errors import HomographyError
+from repro.vision import homography
+from repro.vision.homography import ransac_homography, warp_perspective, warp_plan
 from tests import kernel_oracles as oracle
 
 FORMATS = ["rgb", "yuv420", "yuv422", "gray"]
@@ -483,7 +485,173 @@ def test_warp_plan_matches_per_frame_oracle(
         assert np.array_equal(valid, expected_valid)
 
 
+def _translation_onto_edges(in_shape, out_shape, kind: int) -> np.ndarray:
+    """An integral translation whose samples land exactly on the input's
+    last row (kind 1), last column (kind 2) or both (kind 3)."""
+    h = np.eye(3)
+    if kind & 2:
+        h[0, 2] = out_shape[1] - in_shape[1]
+    if kind & 1:
+        h[1, 2] = out_shape[0] - in_shape[0]
+    return h
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    frames=st.integers(1, 31),
+    rgb=st.booleans(),
+    dtype=st.sampled_from([np.uint8, np.float32, np.float64]),
+    in_shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+    out_shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+    same_shape=st.booleans(),
+    geometry=st.sampled_from(["random", "shift", "row", "column", "corner"]),
+    cut=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    fill=st.sampled_from([0.0, 7.0, 2.5]),
+)
+def test_stacked_warp_matches_per_frame_oracle(
+    seed, frames, rgb, dtype, in_shape, out_shape, same_shape, geometry,
+    cut, fill,
+):
+    """One plan applied to a stack of 1-31 frames equals the per-frame
+    oracle on every frame, bit for bit: gray, rgb and float input,
+    non-zero fill, any column slice (zero-width ones too), random
+    homographies and integral translations whose samples land exactly on
+    the last row or column."""
+    if same_shape:
+        out_shape = in_shape
+    out_w = out_shape[1]
+    start = int(cut[0] * out_w)
+    stop = start + int(cut[1] * (out_w - start))
+    rng = np.random.default_rng(seed + 1)
+    if geometry == "random":
+        h = _homography(seed)
+    elif geometry == "shift":
+        h = np.eye(3)
+        h[:2, 2] = rng.integers(-3, 4, 2)
+    else:
+        h = _translation_onto_edges(
+            in_shape, out_shape, {"row": 1, "column": 2, "corner": 3}[geometry]
+        )
+    stack = rng.integers(0, 256, (frames,) + in_shape + ((3,) if rgb else ()))
+    stack = stack.astype(dtype)
+    if dtype != np.uint8:
+        stack += rng.random(stack.shape).astype(dtype)
+    plan = warp_plan(h, in_shape, out_shape, (start, stop))
+    warped = plan.apply(stack, fill)
+    if stack.ndim == 3 and stack.shape[:2] == in_shape:
+        # A square gray stack as deep as its side reads as one frame
+        # with that many channels, as the docstring says.
+        expected, valid = oracle.warp_perspective(stack, h, out_shape, fill)
+        expected = expected[:, start:stop]
+    else:
+        per_frame = [
+            oracle.warp_perspective(frame, h, out_shape, fill) for frame in stack
+        ]
+        expected = np.stack([e[:, start:stop] for e, _ in per_frame])
+        valid = per_frame[0][1]
+    assert warped.dtype == expected.dtype
+    assert warped.shape == expected.shape
+    assert np.array_equal(warped, expected)
+    assert np.array_equal(plan.valid, valid[:, start:stop])
+
+
 def test_warp_plan_refuses_another_input_shape():
     plan = warp_plan(np.eye(3), (8, 12), (8, 12))
     with pytest.raises(ValueError, match="plan for input"):
         plan.apply(np.zeros((8, 13), dtype=np.uint8))
+    with pytest.raises(ValueError, match="plan for input"):
+        plan.apply(np.zeros((2, 8, 13, 3), dtype=np.uint8))
+
+
+# ----------------------------------------------------------------------
+# RANSAC
+# ----------------------------------------------------------------------
+def _correspondences(seed: int, n: int, noise: float, outliers: float, layout: str):
+    """``n`` points and their images under a random homography, with
+    gaussian noise, a share of outliers and a degenerate layout: a
+    collinear block, every point on one line, or repeated points."""
+    rng = np.random.default_rng(seed)
+    src = rng.uniform(0.0, 200.0, (n, 2))
+    if layout == "collinear":
+        src[: min(n, 10)] = np.stack([np.arange(min(n, 10)) * 3.0, np.full(min(n, 10), 5.0)], 1)
+    elif layout == "line":
+        src[:, 1] = 0.5 * src[:, 0] + 3.0
+    elif layout == "repeated":
+        src[1::2] = src[::2][: n // 2]
+    h = _homography(seed)
+    mapped = np.hstack([src, np.ones((n, 1))]) @ h.T
+    dst = mapped[:, :2] / mapped[:, 2:]
+    dst += rng.normal(0.0, noise, dst.shape)
+    wrong = rng.random(n) < outliers
+    dst[wrong] = rng.uniform(0.0, 200.0, (int(wrong.sum()), 2))
+    return src, dst
+
+
+def _ransac_outcome(fn, src, dst, seed):
+    try:
+        return fn(src, dst, seed=seed)
+    except HomographyError as exc:
+        return str(exc)
+
+
+def _assert_same_ransac(src, dst, seed):
+    got = _ransac_outcome(ransac_homography, src, dst, seed)
+    expected = _ransac_outcome(oracle.ransac_homography, src, dst, seed)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str), got
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(4, 90),
+    noise=st.sampled_from([0.0, 0.3, 1.5]),
+    outliers=st.sampled_from([0.0, 0.2, 0.6]),
+    layout=st.sampled_from(["spread", "collinear", "line", "repeated"]),
+)
+def test_batched_ransac_matches_per_sample_loop(seed, n, noise, outliers, layout):
+    """The batched minimal solves and scores pick the per-sample loop's
+    model: the same H and inlier mask bit for bit, or the same error.
+    Exact correspondences (no noise, no outliers) end the search at the
+    first all-inlier model; collinear and repeated points give
+    degenerate samples, which both skip."""
+    src, dst = _correspondences(seed, n, noise, outliers, layout)
+    _assert_same_ransac(src, dst, seed % 97)
+
+
+def test_all_inlier_model_ends_the_search_at_its_batch():
+    """Exact correspondences: the first sample already explains every
+    point, so one batch is solved, and the answer is the loop's."""
+    src, dst = _correspondences(5, 40, 0.0, 0.0, "spread")
+    solved = []
+    batch = homography._batch_homographies
+
+    def counted(src_, dst_, samples):
+        solved.append(len(samples))
+        return batch(src_, dst_, samples)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homography, "_batch_homographies", counted)
+        _assert_same_ransac(src, dst, 0)
+    assert solved == [homography.RANSAC_BATCH]
+
+
+def test_failed_batched_solve_falls_back_to_per_sample():
+    """A LinAlgError from a batched LAPACK call sends that batch through
+    one solve per sample (each a stack of one), with the same answer."""
+    src, dst = _correspondences(11, 60, 0.5, 0.3, "spread")
+    svd = np.linalg.svd
+
+    def refuses_stacks(a, *args, **kwargs):
+        if np.ndim(a) == 3 and len(a) > 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "svd", refuses_stacks)
+        _assert_same_ransac(src, dst, 4)

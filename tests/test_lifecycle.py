@@ -183,6 +183,29 @@ def test_a_pair_refused_by_its_transaction_leaves_no_piece(
         assert engine.check() == CLEAN
 
 
+def test_a_video_deleted_before_the_pair_decode_skips_the_pair(
+    tmp_path, calibration, cameras
+):
+    """A video deleted between optimize's scan and its decode of the
+    pair: the pages are swept, so the pair is skipped, not raised."""
+    root = tmp_path / "store"
+    with joint_store(root, calibration, cameras) as engine:
+        manager = JointCompressionManager(engine, merge="mean")
+        candidates = manager.selector.candidates
+
+        def deleted_meanwhile():
+            found = candidates()
+            engine.delete("left")
+            return found
+
+        manager.selector.candidates = deleted_meanwhile
+        report = manager.optimize()
+        assert report.candidates_considered >= 1
+        assert (report.pairs_compressed, report.pairs_rejected) == (0, 0)
+        assert list((root / "joint").iterdir()) == []
+        assert engine.check() == CLEAN
+
+
 def test_a_repeated_read_after_optimize_replans(
     tmp_path, calibration, cameras
 ):

@@ -248,11 +248,11 @@ class _AcceptAll:
         return True
 
 
-def _fragment(pid: int, start: int, end: int, roi=None, original=False):
+def _fragment(pid: int, start: int, end: int, roi=None, original=False, mse=1.0):
     width, height = (WIDTH, HEIGHT) if roi is None else (roi[2] - roi[0], roi[3] - roi[1])
     physical = PhysicalVideo(
         pid, 1, "h264", "rgb", width, height, 30.0, 10, roi,
-        float(start), float(end), 0.0 if original else 1.0, original, True,
+        float(start), float(end), 0.0 if original else mse, original, True,
     )
     gops = [
         GopRecord(100 * pid + t, pid, t, float(t), float(t + 1), 30, "I" + "P" * 29, 4000, "p")
@@ -305,15 +305,55 @@ def test_every_chosen_fragment_supplies_a_cell_and_is_priced():
     for plan in plans.values():
         assert all(choice.cells for choice in plan.choices)
     solver = plans["solver"]
-    priced = 0.0
-    for choice in solver.choices:
-        crop = choice.fragment.physical.roi_or((0, 0, WIDTH, HEIGHT))
-        share = (min(crop[2], roi[2]) - crop[0]) * (crop[3] - crop[1]) / (48 * 36)
-        priced += cost_model.transcode_cost(
-            choice.fragment, choice.duration, solver.target, solver.target_fps, share
-        )
-        if choice.lookback_charged:
-            priced += cost_model.lookback_cost(choice.fragment, choice.start, False)
-    assert solver.estimated_cost == pytest.approx(priced)
+    assert solver.estimated_cost == pytest.approx(_priced(solver, roi, cost_model))
     assert solver.estimated_cost <= plans["greedy"].estimated_cost + 1e-12
     assert solver.estimated_cost <= plans["original"].estimated_cost + 1e-12
+
+
+def _priced(plan, roi, cost_model) -> float:
+    """What a plan's choices cost: each at its crop's share of the ROI
+    for its interval, plus the look-back of every choice that charges
+    one."""
+    total = 0.0
+    for choice in plan.choices:
+        crop = choice.fragment.physical.roi_or((0, 0, WIDTH, HEIGHT))
+        width = min(crop[2], roi[2]) - max(crop[0], roi[0])
+        height = min(crop[3], roi[3]) - max(crop[1], roi[1])
+        share = width * height / ((roi[2] - roi[0]) * (roi[3] - roi[1]))
+        total += cost_model.transcode_cost(
+            choice.fragment, choice.duration, plan.target, plan.target_fps, share
+        )
+        if choice.lookback_charged:
+            total += cost_model.lookback_cost(choice.fragment, choice.start, False)
+    return total
+
+
+@st.composite
+def _crops(draw) -> list:
+    """The original plus 1-5 crops over parts of [0, 3) s, each with its
+    own rectangle and quality, so cells are covered by several crops and
+    a later, better pick can take an earlier pick's cells."""
+    fragments = [_fragment(1, 0, 4, original=True)]
+    for pid in range(2, 2 + draw(st.integers(1, 5))):
+        start = draw(st.integers(0, 2))
+        end = draw(st.integers(start + 1, 3))
+        x0 = draw(st.integers(0, 40))
+        y0 = draw(st.integers(0, 28))
+        x1 = draw(st.integers(x0 + 4, WIDTH))
+        y1 = draw(st.integers(y0 + 4, HEIGHT))
+        mse = draw(st.sampled_from([0.25, 1.0, 4.0]))
+        fragments.append(_fragment(pid, start, end, roi=(x0, y0, x1, y1), mse=mse))
+    return fragments
+
+
+@settings(deadline=None)
+@given(fragments=_crops(), roi=st.sampled_from([(0, 0, 48, 36), (8, 4, 64, 36), (0, 0, 64, 36)]))
+def test_greedy_prices_the_choices_it_returns(fragments, roi):
+    """Figure 10's greedy baseline, over random overlapping crops: its
+    estimate is exactly what its choices cost, so no pick that owns no
+    cell (and that the reader would never decode) is paid for; every
+    choice owns a cell."""
+    cost_model = CostModel(Calibration.default())
+    plan = _plan(fragments, roi, end=3.0, mode="greedy")
+    assert all(choice.cells for choice in plan.choices)
+    assert plan.estimated_cost == pytest.approx(_priced(plan, roi, cost_model), rel=1e-12)
