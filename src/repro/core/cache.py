@@ -58,7 +58,6 @@ class CacheManager:
         policy: str = "vss",
         gamma: float = GAMMA,
         zeta: float = ZETA,
-        decode_cache=None,
     ):
         if policy not in ("vss", "lru"):
             raise ValueError(f"unknown cache policy {policy!r}")
@@ -68,7 +67,6 @@ class CacheManager:
         self.policy = policy
         self.gamma = gamma
         self.zeta = zeta
-        self.decode_cache = decode_cache
 
     # ------------------------------------------------------------------
     # scoring
@@ -216,8 +214,6 @@ class CacheManager:
             if self._baseline_offset(physical, alternatives) == _PROTECTED:
                 continue
             unnamed += self.catalog.delete_gop(gid)
-            if self.decode_cache is not None:
-                self.decode_cache.invalidate(gid)
             freed += record.nbytes
             live[record.physical_id] = [
                 g for g in live[record.physical_id] if g.id != gid
@@ -230,8 +226,6 @@ class CacheManager:
             ):
                 unnamed += self.catalog.delete_physical(physical.id)
         self.layout.sweep(unnamed)
-        if evicted:
-            self.catalog.bump_data_version(logical.id)
         return EvictionReport(
             evicted, freed, remaining, remaining <= logical.budget_bytes
         )

@@ -139,6 +139,10 @@ CREATE TABLE IF NOT EXISTS meta (
 #: :meth:`Catalog._open_schema`.
 SCHEMA_VERSION = 1
 
+#: The physical video of the GOP whose id is the parameter (a
+#: :meth:`Catalog._page_change` clause).
+_OF_GOP = "id IN (SELECT physical_id FROM gops WHERE id = ?)"
+
 #: Tables whose ids became ``AUTOINCREMENT`` at version 1.
 _REBUILT = (
     "logical_videos", "physical_videos", "tile_groups", "gops", "joint_pairs",
@@ -176,21 +180,25 @@ class _ReaderConn:
 class Catalog:
     """All metadata operations for one VSS store."""
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, on_pages_changed=None):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()  # guards the writer connection
         self._readers_lock = threading.Lock()
         # Per-logical mutation counters backing the engine's versioned
-        # plan cache: every page-affecting mutation (write, evict,
-        # compact, deferred compression rewrite, refinement, delete)
-        # bumps its logical's version, so a memoized read plan is valid
-        # exactly while the version it was keyed under still holds.
-        # In-memory (one engine per store, like the per-logical locks);
-        # a deleted logical's entry goes with it, since its id never
-        # comes back.
+        # plan cache.  Every method that changes a row the planner reads
+        # (a GOP, a physical, a tile group) is one _page_change: after
+        # its transaction commits, the video's version bumps, so a
+        # memoized read plan is valid exactly while the version it was
+        # keyed under still holds, and the ids of the GOP rows it
+        # deleted, moved or rewrote go to ``on_pages_changed`` (the
+        # engine's decode cache drops them).  Versions are opaque: only
+        # compared for equality.  In-memory (one engine per store, like
+        # the per-logical locks); a deleted logical's entry goes with
+        # it, since its id never comes back.
         self._versions_lock = threading.Lock()
         self._versions: dict[int, int] = {}
+        self._on_pages_changed = on_pages_changed
         # Callables run inside delete_logical's writer transaction, so
         # subsystems keeping sidecar tables in this database (the search
         # index) cascade atomically with the catalog rows, and a delete
@@ -379,14 +387,47 @@ class Catalog:
         ).lastrowid
 
     def _set(self, table: str, row_id: int, **values) -> None:
-        """Update one row's ``values`` in a transaction of its own."""
-        with self._write() as conn:
+        """Update one physical's or GOP's ``values``: a page change of
+        its own (a GOP's row is rewritten)."""
+        of_row = _OF_GOP if table == "gops" else "id = ?"
+        with self._page_change(of_row, (row_id,)) as (conn, gop_ids):
             conn.execute(
                 f"UPDATE {table} SET {', '.join(f'{k} = ?' for k in values)}"
                 " WHERE id = ?",
                 (*values.values(), row_id),
             )
+            if table == "gops":
+                gop_ids.append(row_id)
+
+    @contextmanager
+    def _page_change(self, physicals: str, params: tuple):
+        """A writer transaction changing pages of the physical videos
+        matching ``physicals`` (a ``WHERE`` clause on ``physical_videos``,
+        read before the body runs).
+
+        Yields the connection and a list for the ids of the GOP rows the
+        body deletes, moves or rewrites.  After the commit the owning
+        videos' data versions bump and the ids go to the listener (see
+        ``__init__``); a body that raises rolls back and announces
+        nothing.
+        """
+        with self._write() as conn:
+            owners = [
+                logical_id
+                for (logical_id,) in conn.execute(
+                    "SELECT DISTINCT logical_id FROM physical_videos"
+                    f" WHERE {physicals}",
+                    params,
+                )
+            ]
+            gop_ids: list[int] = []
+            yield conn, gop_ids
             conn.commit()
+        with self._versions_lock:
+            for logical_id in owners:
+                self._versions[logical_id] = self._versions.get(logical_id, 0) + 1
+        if gop_ids and self._on_pages_changed is not None:
+            self._on_pages_changed(gop_ids)
 
     # ------------------------------------------------------------------
     # data versions (plan-cache invalidation)
@@ -395,11 +436,6 @@ class Catalog:
         """The logical video's mutation counter (see ``__init__``)."""
         with self._versions_lock:
             return self._versions.get(logical_id, 0)
-
-    def bump_data_version(self, logical_id: int) -> None:
-        """Record a page-affecting mutation of ``logical_id``."""
-        with self._versions_lock:
-            self._versions[logical_id] = self._versions.get(logical_id, 0) + 1
 
     # ------------------------------------------------------------------
     # logical videos
@@ -442,13 +478,20 @@ class Catalog:
         ]
 
     def set_budget(self, logical_id: int, budget_bytes: int) -> None:
-        self._set("logical_videos", logical_id, budget_bytes=budget_bytes)
+        with self._write() as conn:
+            conn.execute(
+                "UPDATE logical_videos SET budget_bytes = ? WHERE id = ?",
+                (budget_bytes, logical_id),
+            )
+            conn.commit()
 
     def delete_logical(
         self, logical_id: int, force: bool = False
     ) -> tuple[list[str], list[str]]:
         """Delete a logical video's rows; returns the views cascaded and
         the files no remaining row names (for :meth:`Layout.sweep`).
+        Its GOP ids are announced, and its data version goes (the id
+        never comes back).
 
         Views transitively defined over the video refuse the delete
         unless ``force``, which deletes them too.  The dependents check,
@@ -457,7 +500,9 @@ class Catalog:
         or refuses the delete) or finds its base gone.  Joint pairs no
         remaining GOP names go in the same transaction.
         """
-        with self._write() as conn:
+        with self._page_change(
+            "logical_id = ?", (logical_id,)
+        ) as (conn, gop_ids):
             row = conn.execute(
                 "SELECT name FROM logical_videos WHERE id = ?", (logical_id,)
             ).fetchone()
@@ -469,6 +514,7 @@ class Catalog:
                 hook(conn, logical_id)
             paths = self._drop_gops(
                 conn,
+                gop_ids,
                 "physical_id IN (SELECT id FROM physical_videos"
                 " WHERE logical_id = ?)",
                 (logical_id,),
@@ -495,7 +541,6 @@ class Catalog:
                 conn.execute(
                     f"DELETE FROM {table} WHERE {column} = ?", (logical_id,)
                 )
-            conn.commit()
         with self._versions_lock:
             self._versions.pop(logical_id, None)
         return cascaded, paths
@@ -749,12 +794,13 @@ class Catalog:
     def delete_physical(self, physical_id: int) -> list[str]:
         """Delete a physical video and its GOPs; returns the files no
         remaining row names (for :meth:`Layout.sweep`)."""
-        with self._write() as conn:
-            paths = self._drop_gops(conn, "physical_id = ?", (physical_id,))
+        with self._page_change("id = ?", (physical_id,)) as (conn, gop_ids):
+            paths = self._drop_gops(
+                conn, gop_ids, "physical_id = ?", (physical_id,)
+            )
             conn.execute(
                 "DELETE FROM physical_videos WHERE id = ?", (physical_id,)
             )
-            conn.commit()
         return paths
 
     def merge_physicals(
@@ -764,13 +810,13 @@ class Catalog:
         ``second``, in one transaction (compaction); returns the GOP ids
         moved.  The GOPs keep their files, so nothing is left to sweep.
         """
-        with self._write() as conn:
+        with self._page_change("id = ?", (first,)) as (conn, moved):
             (next_seq,) = conn.execute(
                 "SELECT COALESCE(MAX(seq) + 1, 0) FROM gops"
                 " WHERE physical_id = ?",
                 (first,),
             ).fetchone()
-            moved = [
+            moved += [
                 gop_id
                 for (gop_id,) in conn.execute(
                     "SELECT id FROM gops WHERE physical_id = ? ORDER BY seq",
@@ -788,7 +834,6 @@ class Catalog:
                 (second, mse_estimate, format_mse, first),
             )
             conn.execute("DELETE FROM physical_videos WHERE id = ?", (second,))
-            conn.commit()
         return moved
 
     # ------------------------------------------------------------------
@@ -803,16 +848,15 @@ class Catalog:
         lossless ``to_dict``); member physicals are linked afterwards
         via :meth:`add_physical`'s ``tile_group_id``/``tile_index``.
         """
-        with self._write() as conn:
+        with self._page_change("logical_id = ?", (logical_id,)) as (conn, _):
             group_id = self._insert(
                 conn, "tile_groups", logical_id=logical_id,
                 source_physical_id=source_physical_id,
                 grid=json.dumps(grid.to_dict()), created_at=time.time(),
             )
-            conn.commit()
-            return self._tile_group_from_row(conn.execute(
-                "SELECT * FROM tile_groups WHERE id = ?", (group_id,)
-            ).fetchone())
+        return self._tile_group_from_row(self._first(
+            "SELECT * FROM tile_groups WHERE id = ?", (group_id,)
+        ))
 
     def tile_groups_of_logical(self, logical_id: int) -> list[TileGroupRecord]:
         return [
@@ -826,9 +870,12 @@ class Catalog:
     def delete_tile_group(self, group_id: int) -> list[str]:
         """Delete a tile group, its member physicals and their GOPs in
         one transaction; returns the files no remaining row names."""
-        with self._write() as conn:
+        with self._page_change(
+            "tile_group_id = ?", (group_id,)
+        ) as (conn, gop_ids):
             paths = self._drop_gops(
                 conn,
+                gop_ids,
                 "physical_id IN (SELECT id FROM physical_videos"
                 " WHERE tile_group_id = ?)",
                 (group_id,),
@@ -838,7 +885,6 @@ class Catalog:
                 (group_id,),
             )
             conn.execute("DELETE FROM tile_groups WHERE id = ?", (group_id,))
-            conn.commit()
         return paths
 
     def tile_members(self, group_id: int) -> list[PhysicalVideo]:
@@ -925,7 +971,7 @@ class Catalog:
         path: str,
         last_access: int = 0,
     ) -> GopRecord:
-        with self._write() as conn:
+        with self._page_change("id = ?", (physical_id,)) as (conn, _):
             gop_id = self._insert(
                 conn,
                 "gops",
@@ -939,8 +985,7 @@ class Catalog:
                 path=path,
                 last_access=last_access,
             )
-            conn.commit()
-            return self.get_gop(gop_id)
+        return self.get_gop(gop_id)
 
     def get_gop(self, gop_id: int) -> GopRecord:
         return GopRecord(*self._first(
@@ -1001,27 +1046,25 @@ class Catalog:
     def delete_gop(self, gop_id: int) -> list[str]:
         """Delete one GOP row (eviction); returns its file unless another
         row still names it."""
-        with self._write() as conn:
-            paths = self._drop_gops(conn, "id = ?", (gop_id,))
-            conn.commit()
-        return paths
+        with self._page_change(_OF_GOP, (gop_id,)) as (conn, gop_ids):
+            return self._drop_gops(conn, gop_ids, "id = ?", (gop_id,))
 
     @classmethod
     def _drop_gops(
-        cls, conn: sqlite3.Connection, where: str, params: tuple
+        cls, conn: sqlite3.Connection, gop_ids: list[int], where: str,
+        params: tuple,
     ) -> list[str]:
         """Delete the GOP rows matching ``where`` inside the caller's
-        transaction; returns the files no remaining row names."""
-        paths = [
-            row["path"]
-            for row in conn.execute(
-                f"SELECT path FROM gops WHERE joint_pair_id IS NULL"
-                f" AND {where}",
-                params,
-            )
-        ]
+        :meth:`_page_change`, adding their ids to its ``gop_ids``;
+        returns the files no remaining row names."""
+        rows = conn.execute(
+            f"SELECT id, path, joint_pair_id FROM gops WHERE {where}", params
+        ).fetchall()
         conn.execute(f"DELETE FROM gops WHERE {where}", params)
-        return cls._unnamed(conn, paths)
+        gop_ids += [row["id"] for row in rows]
+        return cls._unnamed(
+            conn, [row["path"] for row in rows if row["joint_pair_id"] is None]
+        )
 
     @staticmethod
     def _unnamed(conn: sqlite3.Connection, paths: list[str]) -> list[str]:
@@ -1083,14 +1126,15 @@ class Catalog:
         ``gop_b`` at it, in one transaction.
 
         Refuses (:class:`CatalogError`) when either GOP is gone or
-        already joint.  Bumps both videos' data versions, so no memoized
-        plan names the old pages, and returns those pages for the sweep.
+        already joint.  Announces both GOPs, so no memoized plan names
+        the old pages, and returns those pages for the sweep.
         """
-        with self._write() as conn:
+        with self._page_change(
+            "id IN (SELECT physical_id FROM gops WHERE id IN (?, ?))",
+            (gop_a, gop_b),
+        ) as (conn, gop_ids):
             rows = conn.execute(
-                "SELECT gops.path, gops.joint_pair_id, p.logical_id"
-                " FROM gops JOIN physical_videos p ON gops.physical_id = p.id"
-                " WHERE gops.id IN (?, ?)",
+                "SELECT path, joint_pair_id FROM gops WHERE id IN (?, ?)",
                 (gop_a, gop_b),
             ).fetchall()
             if len(rows) != 2 or any(r["joint_pair_id"] for r in rows):
@@ -1116,11 +1160,8 @@ class Catalog:
                 " WHERE id = ?",
                 [(pair_id, "a", share_a, gop_a), (pair_id, "b", share_b, gop_b)],
             )
-            paths = self._unnamed(conn, [r["path"] for r in rows])
-            conn.commit()
-        for row in rows:
-            self.bump_data_version(row["logical_id"])
-        return paths
+            gop_ids += (gop_a, gop_b)
+            return self._unnamed(conn, [r["path"] for r in rows])
 
     def get_joint_pair(self, pair_id: int) -> JointPairRecord:
         row = self._first(

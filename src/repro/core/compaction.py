@@ -47,17 +47,14 @@ def _mergeable(a: PhysicalVideo, b: PhysicalVideo) -> bool:
 class Compactor:
     """Merges contiguous cached physical videos."""
 
-    def __init__(self, catalog: Catalog, decode_cache=None):
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.decode_cache = decode_cache
 
     def compact(self, logical: LogicalVideo) -> int:
         """Run compaction to a fixpoint; returns the number of merges."""
         merges = 0
         while self._compact_once(logical):
             merges += 1
-        if merges:
-            self.catalog.bump_data_version(logical.id)
         return merges
 
     def _compact_once(self, logical: LogicalVideo) -> bool:
@@ -78,8 +75,4 @@ class Compactor:
         # against the original and as a read in their own format sees them.
         worst = max(first.mse_estimate, second.mse_estimate)
         format_mse = worst - max(first.own_format_mse, second.own_format_mse)
-        moved = self.catalog.merge_physicals(
-            first.id, second.id, worst, format_mse
-        )
-        if self.decode_cache is not None:
-            self.decode_cache.invalidate_many(moved)
+        self.catalog.merge_physicals(first.id, second.id, worst, format_mse)

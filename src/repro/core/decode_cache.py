@@ -9,10 +9,12 @@ decode the paper's cost model charges on every access.
 
 Entries are keyed by catalog GOP id and must be invalidated whenever the
 underlying page changes hands or disappears: cache eviction deletes the
-page, compaction reassigns it, and deferred compression rewrites its
-file.  :class:`CacheManager`, :class:`Compactor`, and
-:class:`DeferredCompressionManager` all hold a reference and call
-:meth:`DecodeCache.invalidate` at those points.
+page, compaction reassigns it, deferred compression rewrites its file,
+a re-tile drops the old tiles, joint compression repoints it at a pair
+and a delete drops the video.  No subsystem does that itself: the
+:class:`~repro.core.catalog.Catalog` passes the ids of every GOP row it
+deletes, moves or rewrites to one listener, which the engine sets to
+:meth:`DecodeCache.invalidate_many`.
 
 The cache is bounded by decoded bytes and evicts least-recently-used
 entries; all operations are thread-safe (reader worker threads populate

@@ -39,14 +39,12 @@ class DeferredCompressionManager:
         cache: CacheManager,
         threshold: float = DEFAULT_THRESHOLD,
         enabled: bool = True,
-        decode_cache=None,
     ):
         self.catalog = catalog
         self.layout = layout
         self.cache = cache
         self.threshold = threshold
         self.enabled = enabled
-        self.decode_cache = decode_cache
 
     # ------------------------------------------------------------------
     def active(self, logical: LogicalVideo) -> bool:
@@ -77,11 +75,6 @@ class DeferredCompressionManager:
         level = self.level(logical)
         _, nbytes = self.layout.compress_gop_file(target.path, level)
         self.catalog.set_gop_compression(target.id, level, nbytes)
-        if self.decode_cache is not None:
-            self.decode_cache.invalidate(target.id)
-        # The page's size and level changed; memoized plans costed with
-        # the old record must re-plan.
-        self.catalog.bump_data_version(logical.id)
         return target.id
 
     def _raw_pages(self, logical: LogicalVideo):

@@ -25,10 +25,13 @@ observable at ``engine.drain_admissions()`` / ``Session.close()`` /
 ``engine.close()``, which drain the queue deterministically.
 
 Read plans are memoized in a versioned cache keyed by ``(logical id,
-mutation version, effective ReadSpec)``: the catalog bumps a per-logical
-version on every page-affecting mutation, so warm hot-path reads skip
-the planner and the fragment query entirely and a single write/evict/
-compact invalidates exactly the affected video's entries.
+mutation version, effective ReadSpec)``: every catalog method that
+changes a page bumps its video's version itself, so warm hot-path reads
+skip the planner and the fragment query entirely and a single write/
+evict/compact invalidates exactly the affected video's entries.  The
+same methods hand the ids of the GOP rows they delete, move or rewrite
+to the decode cache, which the engine registers as the catalog's one
+listener; no subsystem bumps or invalidates by hand.
 
 Callers talk to the engine through cheap :class:`Session` handles::
 
@@ -118,7 +121,6 @@ from repro.search.query import SearchHit, rows_to_hits, run_search
 from repro.util import Counters, LogicalClock
 from repro.video.codec.container import EncodedGOP
 from repro.video.codec.quant import QP_DEFAULT
-from repro.video.codec.registry import codec_for
 from repro.video.frame import VideoSegment, convert_segment
 from repro.video.metrics import segment_mse
 from repro.video.resample import crop_roi, resize_segment
@@ -407,12 +409,18 @@ class VSSEngine:
     ):
         check_planner_mode(planner)
         self.layout = Layout(root)
+        self.decode_cache = DecodeCache(decode_cache_bytes)
         # One engine per store, held until close(): the sweep below would
         # remove a file another engine wrote before its row committed.
         self._store_lock = self.layout.lock()
         try:
             existing = self.layout.catalog_path.exists()
-            self.catalog = Catalog(self.layout.catalog_path)
+            # The catalog announces every GOP row it deletes, moves or
+            # rewrites; their decoded prefixes go at once.
+            self.catalog = Catalog(
+                self.layout.catalog_path,
+                on_pages_changed=self.decode_cache.invalidate_many,
+            )
             # Sweep what a crash left between a file write and its rows;
             # not when the catalog was just created, so an open that
             # follows a lost catalog leaves the store's files in place.
@@ -435,7 +443,6 @@ class VSSEngine:
         self.quality_model = QualityModel(calibration)
         self.cost_model = CostModel(calibration)
         self.executor = Executor(parallelism)
-        self.decode_cache = DecodeCache(decode_cache_bytes)
         self.writer = Writer(
             self.catalog, self.layout, self.clock, executor=self.executor
         )
@@ -451,25 +458,18 @@ class VSSEngine:
             self.layout,
             self.quality_model,
             policy=cache_policy,
-            decode_cache=self.decode_cache,
         )
         self.deferred = DeferredCompressionManager(
             self.catalog,
             self.layout,
             self.cache,
             enabled=deferred_compression,
-            decode_cache=self.decode_cache,
         )
-        self.compactor = Compactor(self.catalog, decode_cache=self.decode_cache)
+        self.compactor = Compactor(self.catalog)
         # Tiled physical layouts (repro.tiles): the tiler builds/replaces
         # per-tile physicals, the policy decides when observed ROI
         # accesses justify doing so during maintenance.
-        self.tiler = Tiler(
-            self.catalog,
-            self.layout,
-            self.writer,
-            decode_cache=self.decode_cache,
-        )
+        self.tiler = Tiler(self.catalog, self.layout, self.writer, self.reader)
         self.retile_policy = RetilePolicy()
         self.budget_multiple = budget_multiple
         self.planner = planner
@@ -674,12 +674,10 @@ class VSSEngine:
             return
         with self._locked(name):
             logical = self.catalog.get_logical(name)
-            # Free the memory of its decoded prefixes.
-            self.decode_cache.invalidate_many(
-                g.id for g in self.catalog.gops_of_logical(logical.id)
-            )
             # Rows first, in one transaction: a refused delete leaves the
             # video intact, and files go only once no row names them.
+            # The catalog announces the GOPs, freeing their decoded
+            # prefixes.
             cascaded, unnamed = self.catalog.delete_logical(logical.id, force)
             self._forget_views(cascaded)
             self.layout.sweep(unnamed)
@@ -1474,7 +1472,7 @@ class VSSEngine:
                     rows, cols, original.width, original.height
                 )
             group = self.tiler.retile(logical, original, grid)
-        # The tiler bumped the data version, so memoized plans for the
+        # The catalog bumped the data version, so memoized plans for the
         # old layout are already unreachable.
         if group is not None:
             self._counters.add(retiles=1)
@@ -1536,15 +1534,22 @@ class VSSEngine:
         if not gops:
             return
         sample = gops[0]
+        window = self.catalog.gops_of_physical(
+            original.id, sample.start_time, sample.end_time
+        )
+        if not window or any(g.joint_pair_id is not None for g in window):
+            # Joint originals are skipped: loading them through the
+            # reader is ROADMAP item 2's fix, which must ship with the
+            # resize charge.
+            return
         try:
-            cached = codec_for(physical.codec).decode_gop(
-                self.layout.read_gop(sample.path)
-            )
-            reference = self._decode_original_window(
-                logical, original, sample.start_time, sample.end_time
-            )
-        except Exception:
+            cached = self.reader.load_stored(sample)
+            pieces = [self.reader.load_stored(gop) for gop in window]
+        except ReadError:
             return  # sampling is best-effort
+        reference = pieces[0].concatenate(pieces).slice_time(
+            sample.start_time, sample.end_time
+        )
         reference = self._match_geometry(reference, physical)
         frames = min(cached.num_frames, reference.num_frames)
         if frames == 0:
@@ -1563,29 +1568,9 @@ class VSSEngine:
                 reference.pixel_format,
             )
             format_mse = max(measured - segment_mse(converted, cached), 0.0)
+        # Quality estimates feed fragment selection; the catalog bumps
+        # the version, so reads re-plan from here on.
         self.catalog.update_mse_estimate(physical.id, measured, format_mse)
-        # Quality estimates feed fragment selection; re-plan from here on.
-        self.catalog.bump_data_version(logical.id)
-
-    def _decode_original_window(
-        self,
-        logical: LogicalVideo,
-        original: PhysicalVideo,
-        start: float,
-        end: float,
-    ) -> VideoSegment:
-        pieces = []
-        for gop in self.catalog.gops_of_physical(original.id, start, end):
-            encoded = self.layout.read_gop(gop.path)
-            pieces.append(
-                codec_for(encoded.codec).decode_gop(
-                    encoded.with_start_time(gop.start_time)
-                )
-            )
-        if not pieces:
-            raise ReadError("original GOPs missing for refinement window")
-        merged = pieces[0].concatenate(pieces)
-        return merged.slice_time(start, end)
 
     @staticmethod
     def _match_geometry(
@@ -1744,11 +1729,10 @@ class VSSEngine:
         records = self.catalog.gops_of_physical(original.id)
         skip = self._search_index.indexed_seqs(logical.id)
         return extract_physical(
-            self.layout,
             self._search_index,
             logical.id,
             records,
-            self.decode_cache,
+            self.reader.load_stored,
             data_version=self.catalog.data_version(logical.id),
             skip_seqs=skip,
         )

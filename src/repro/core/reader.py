@@ -20,6 +20,9 @@ output pixels and stats deterministic.  A direct serve reads one stored
 GOP per chunk, on the pulling thread.
 A :class:`DecodeCache` short-circuits the decode entirely when a
 sufficiently long prefix of the GOP was decoded by an earlier read.
+Background work (search extraction, joint compression, tiling,
+refinement) loads stored GOPs through :meth:`Reader.load_stored`, which
+takes from that cache but never fills it.
 
 :meth:`Reader.execute_batch` executes several plans with shared decode
 work: the union of needed GOP windows is decoded once into a batch-local
@@ -469,21 +472,10 @@ class Reader:
             record, stop = entry
             if overlay.peek(record.id, stop) is not None:
                 return 0  # an earlier read already decoded this deep
-            encoded = self._load_gop(record)
-            codec = codec_for(encoded.codec)
-            if codec.is_compressed:
-                # Batch-warmed decodes are shared engine work: the reads
-                # that consume them see overlay hits (no frames decoded),
-                # so no per-read codec timings are attributed here either.
-                overlay.put(
-                    record.id,
-                    stop,
-                    codec.decode_gop_frames(
-                        encoded, stop, executor=self.executor
-                    ),
-                )
-            else:
-                overlay.put(record.id, record.num_frames, codec.decode_gop(encoded))
+            # Batch-warmed decodes are shared engine work: the reads that
+            # consume them see overlay hits (no frames decoded), so no
+            # per-read codec timings are attributed here either.
+            self._decode_into(overlay, record, stop)
             return 1
 
         batch.gops_decoded = sum(
@@ -907,36 +899,68 @@ class Reader:
                 if first_needed:
                     prefix = prefix.slice_frames(first_needed, stop)
                 return _GopWindow(prefix, 0, 0, 0, True)
-        encoded = self._load_gop(record)
-        codec = codec_for(encoded.codec)
-        timings: CodecTimings | None = None
-        if codec.is_compressed:
-            timings = CodecTimings()
-            decoded = codec.decode_gop_frames(
-                encoded, stop, executor=self.executor, timings=timings
-            )
-            if cacheable:
-                decode_cache.put(record.id, stop, decoded)
-            frames_decoded = stop
-            lookback = first_needed
-            if first_needed:
-                decoded = decoded.slice_frames(first_needed, stop)
+        timings = CodecTimings()
+        decoded, compressed = self._decode_into(
+            decode_cache if cacheable else None, record, stop, timings
+        )
+        if compressed:
+            frames_decoded, lookback = stop, first_needed
         else:
             # Raw frames are independently decodable; skip the prefix.
-            full = codec.decode_gop(encoded)
-            if cacheable:
-                decode_cache.put(record.id, record.num_frames, full)
-            decoded = full.slice_frames(first_needed, stop)
-            frames_decoded = stop - first_needed
-            lookback = 0
+            frames_decoded, lookback, timings = stop - first_needed, 0, None
         return _GopWindow(
-            decoded,
+            decoded.slice_frames(first_needed, stop),
             frames_decoded,
             lookback,
             record.nbytes,
             False if cacheable else None,
             timings,
         )
+
+    def _decode_into(
+        self,
+        cache,
+        record: GopRecord,
+        stop: int,
+        timings: CodecTimings | None = None,
+    ) -> tuple[VideoSegment, bool]:
+        """Decode a GOP's frames ``[0, stop)`` — all of a raw GOP, whose
+        frames need no look-back — on the executor and put them in
+        ``cache`` (None: nowhere).  Returns them and whether the GOP's
+        codec is compressed."""
+        encoded = self._load_gop(record)
+        codec = codec_for(encoded.codec)
+        if codec.is_compressed:
+            decoded = codec.decode_gop_frames(
+                encoded, stop, executor=self.executor, timings=timings
+            )
+        else:
+            decoded, stop = codec.decode_gop(encoded), record.num_frames
+        if cache is not None:
+            cache.put(record.id, stop, decoded)
+        return decoded, codec.is_compressed
+
+    def load_stored(
+        self, record: GopRecord, stop: int | None = None
+    ) -> VideoSegment:
+        """Frames ``[0, stop)`` of a stored GOP (default: all of them),
+        for background work.
+
+        A prefix the decode cache holds is taken from it (``peek``: no
+        hit or miss counted, no LRU refresh); any other is decoded from
+        its page (a joint GOP from its pair's pieces) on the calling
+        thread, without the executor, and is not put in the cache.  So
+        the cache and its counters keep describing reads alone.  A page
+        gone since the caller's catalog snapshot raises
+        :class:`ReadError`.
+        """
+        stop = record.num_frames if stop is None else stop
+        if self.decode_cache is not None:
+            segment = self.decode_cache.peek(record.id, stop)
+            if segment is not None:
+                return segment
+        encoded = self._load_gop(record)
+        return codec_for(encoded.codec).decode_gop_frames(encoded, stop)
 
     def _load_gop(self, record: GopRecord) -> EncodedGOP:
         if record.joint_pair_id is not None:

@@ -98,9 +98,10 @@ def _int_tuple(field_name: str, value):
 # ----------------------------------------------------------------------
 # specs
 # ----------------------------------------------------------------------
-def read_spec_to_dict(spec: ReadSpec) -> dict:
-    """A :class:`ReadSpec` as a JSON-serializable dict (all fields, with
-    ``resolution``/``roi`` as arrays and ``None`` kept explicit)."""
+def _spec_to_dict(spec: ReadSpec | ViewSpec) -> dict:
+    """A :class:`ReadSpec` or :class:`ViewSpec` as a JSON-serializable
+    dict (all fields, with ``resolution``/``roi`` as arrays and ``None``
+    kept explicit)."""
     data = dataclasses.asdict(spec)
     for field_name in _TUPLE_FIELDS:
         if data[field_name] is not None:
@@ -108,34 +109,25 @@ def read_spec_to_dict(spec: ReadSpec) -> dict:
     return data
 
 
-def read_spec_from_dict(data: dict) -> ReadSpec:
-    """Rebuild a :class:`ReadSpec`; unknown/missing keys raise
-    :class:`WireError`, invalid values raise the spec's own errors."""
-    _check_keys(data, _READ_FIELDS, "ReadSpec")
-    fields = dict(data)
-    for field_name in _TUPLE_FIELDS:
-        fields[field_name] = _int_tuple(field_name, fields[field_name])
-    return ReadSpec(**fields)
+def _spec_from_dict(cls, fields: tuple[str, ...], what: str):
+    """The inverse of :func:`_spec_to_dict` for ``cls``: unknown/missing
+    keys raise :class:`WireError`, invalid values raise the spec's own
+    errors."""
+
+    def from_dict(data: dict):
+        """Rebuild the spec from its dict (see :func:`_spec_from_dict`)."""
+        _check_keys(data, fields, what)
+        values = dict(data)
+        for field_name in _TUPLE_FIELDS:
+            values[field_name] = _int_tuple(field_name, values[field_name])
+        return cls(**values)
+
+    return from_dict
 
 
-def view_spec_to_dict(spec: ViewSpec) -> dict:
-    """A :class:`ViewSpec` as a JSON-serializable dict (all fields, with
-    ``resolution``/``roi`` as arrays and ``None`` kept explicit)."""
-    data = dataclasses.asdict(spec)
-    for field_name in _TUPLE_FIELDS:
-        if data[field_name] is not None:
-            data[field_name] = list(data[field_name])
-    return data
-
-
-def view_spec_from_dict(data: dict) -> ViewSpec:
-    """Rebuild a :class:`ViewSpec`; unknown/missing keys raise
-    :class:`WireError`, invalid values raise the spec's own errors."""
-    _check_keys(data, _VIEW_FIELDS, "ViewSpec")
-    fields = dict(data)
-    for field_name in _TUPLE_FIELDS:
-        fields[field_name] = _int_tuple(field_name, fields[field_name])
-    return ViewSpec(**fields)
+read_spec_to_dict = view_spec_to_dict = _spec_to_dict
+read_spec_from_dict = _spec_from_dict(ReadSpec, _READ_FIELDS, "ReadSpec")
+view_spec_from_dict = _spec_from_dict(ViewSpec, _VIEW_FIELDS, "ViewSpec")
 
 
 def write_spec_to_dict(spec: WriteSpec) -> dict:

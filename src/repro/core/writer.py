@@ -254,8 +254,6 @@ class StreamWriter:
         catalog.update_physical_times(
             self.physical.id, self.physical.start_time, self._end_time
         )
-        # New pages change what a read of this logical can plan over.
-        catalog.bump_data_version(self._logical.id)
 
     def close(self) -> WriteOutcome:
         """Seal the physical video; further appends are rejected."""
@@ -264,7 +262,6 @@ class StreamWriter:
         if self._seq == 0:
             raise WriteError("stream closed with no data written")
         self._writer.catalog.seal_physical(self.physical.id)
-        self._writer.catalog.bump_data_version(self._logical.id)
         physical = self._writer.catalog.get_physical(self.physical.id)
         return WriteOutcome(physical, self._seq, self._nbytes)
 

@@ -10,12 +10,14 @@ Reads reconstruct either side transparently (see
 rewrite; only the storage accounting changes.
 
 The originals' GOPs are decoded in the background, usually just after
-the tail reads that follow ingest decoded them: a GOP the engine's
-:class:`~repro.core.decode_cache.DecodeCache` holds far enough is taken
-from it (``peek``, which counts nothing), any other is decoded from its
-page file, and nothing is put in the cache.  The pieces are encoded
-inline on the calling thread: a 30-frame piece is too small for the
-executor's deflate hand-off to pay for itself.
+the tail reads that follow ingest decoded them, through the engine's
+:meth:`~repro.core.reader.Reader.load_stored`: a GOP the decode cache
+holds far enough is taken from it without counting anything, any other
+is decoded from its page file, and nothing is put in the cache.  The
+catalog's joint transaction announces both GOPs, so the engine drops
+their decoded prefixes and memoized plans itself.  The pieces are
+encoded inline on the calling thread: a 30-frame piece is too small for
+the executor's deflate hand-off to pay for itself.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.records import GopRecord
-from repro.errors import CatalogError
+from repro.errors import CatalogError, ReadError
 from repro.jointcomp.algorithm import JointCompressor, JointResult
 from repro.jointcomp.selection import JointCandidateSelector
 from repro.video.codec.quant import QP_DEFAULT
@@ -95,7 +97,7 @@ class JointCompressionManager:
                     continue
                 key = (name, gop.id)
                 gop_index[key] = gop
-                frame = self._representative_frame(gop)
+                frame = self._decode_rgb(gop, 1).frame(0)
                 self.selector.add(key, frame)
 
         candidates = [
@@ -118,28 +120,19 @@ class JointCompressionManager:
         return report
 
     # ------------------------------------------------------------------
-    def _decode_prefix(self, gop: GopRecord, stop: int) -> VideoSegment:
-        """Frames ``[0, stop)`` of an original GOP in rgb, from the decode
-        cache when it holds them, else from the page file."""
-        segment = self.vss.decode_cache.peek(gop.id, stop)
-        if segment is None:
-            encoded = self.vss.layout.read_gop(gop.path)
-            segment = codec_for(encoded.codec).decode_gop_frames(encoded, stop)
-        return convert_segment(segment, "rgb")
-
-    def _representative_frame(self, gop: GopRecord) -> np.ndarray:
-        return self._decode_prefix(gop, 1).frame(0)
-
-    def _decode_full(self, gop: GopRecord) -> VideoSegment:
-        return self._decode_prefix(gop, gop.num_frames)
+    def _decode_rgb(
+        self, gop: GopRecord, stop: int | None = None
+    ) -> VideoSegment:
+        """Frames ``[0, stop)`` of an original GOP (default: all), in rgb."""
+        return convert_segment(self.vss.reader.load_stored(gop, stop), "rgb")
 
     def _apply_pair(
         self, gop_a: GopRecord, gop_b: GopRecord, report: JointReport
     ) -> bool:
         try:
-            seg_a = self._decode_full(gop_a)
-            seg_b = self._decode_full(gop_b)
-        except FileNotFoundError:
+            seg_a = self._decode_rgb(gop_a)
+            seg_b = self._decode_rgb(gop_b)
+        except ReadError:
             # A page swept since the scan (its video was deleted): the
             # pair is gone, as on a CatalogError in _persist_pair.
             return False
@@ -211,9 +204,6 @@ class JointCompressionManager:
             layout.sweep(p for p in (left_path, overlap_path, right_path) if p)
             return False
         layout.sweep(pages)
-        # Joint GOPs are never served from the decode cache; drop any
-        # stale decoded prefixes so they stop occupying its budget.
-        self.vss.decode_cache.invalidate_many((gop_a.id, gop_b.id))
 
         report.pairs_compressed += 1
         if result.duplicate:

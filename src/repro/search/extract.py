@@ -25,11 +25,11 @@ Every frame is adapted through :func:`repro.vision.frame_to_rgb`, so
 extraction works on whatever pixel format the original was stored in.
 
 Extraction is queued when a stream closes, just after the tail reads
-that follow ingest have decoded the newest GOPs: a GOP whose whole decode
-the engine's :class:`~repro.core.decode_cache.DecodeCache` holds is taken
-from it (:meth:`~repro.core.decode_cache.DecodeCache.peek`, which counts
-nothing), and any other is decoded from its page file without filling
-the cache.  The pixels are the same either way.
+that follow ingest have decoded the newest GOPs.  The engine passes
+:meth:`repro.core.reader.Reader.load_stored` as the loader: a GOP whose
+whole decode the engine's decode cache holds is taken from it without
+counting anything, and any other is decoded from its page file without
+filling the cache.  The pixels are the same either way.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.search.index import EMBEDDING_DIM, SearchIndex
-from repro.video.codec.registry import codec_for
 from repro.video.frame import VideoSegment
 from repro.vision import (
     Detection,
@@ -110,33 +109,27 @@ def extract_gop(segment: VideoSegment) -> GopFeatures:
 
 
 def extract_physical(
-    layout,
     index: SearchIndex,
     logical_id: int,
     gop_records,
-    decode_cache,
+    load,
     data_version: int = 0,
     skip_seqs: frozenset | set = frozenset(),
 ) -> int:
     """Index every not-yet-indexed GOP of one physical video.
 
-    Returns the number of rows written.  Joint-stored GOPs (their bytes
-    live in a shared pair file) and GOPs that fail to load or decode are
-    skipped rather than failing the pass — extraction is opportunistic,
-    exactly like cache admission.  ``decode_cache`` (a
-    :class:`~repro.core.decode_cache.DecodeCache`) serves the GOPs it
-    holds whole (module docstring).
+    Returns the number of rows written.  ``load(record)`` decodes a GOP
+    (module docstring).  Joint-stored GOPs (their bytes live in a shared
+    pair file) and GOPs that fail to load or decode are skipped rather
+    than failing the pass — extraction is opportunistic, exactly like
+    cache admission.
     """
     indexed = 0
     for record in gop_records:
         if record.seq in skip_seqs or record.joint_pair_id is not None:
             continue
         try:
-            segment = decode_cache.peek(record.id, record.num_frames)
-            if segment is None:
-                encoded = layout.read_gop(record.path)
-                segment = codec_for(encoded.codec).decode_gop(encoded)
-            features = extract_gop(segment)
+            features = extract_gop(load(record))
         except Exception:  # noqa: BLE001 - opportunistic, like admission
             continue
         index.upsert(

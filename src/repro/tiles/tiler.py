@@ -27,11 +27,12 @@ import numpy as np
 
 from repro.core.catalog import Catalog
 from repro.core.layout import Layout
+from repro.core.reader import Reader
 from repro.core.records import LogicalVideo, PhysicalVideo, TileGroupRecord
 from repro.core.writer import Writer
 from repro.errors import WriteError
 from repro.tiles.grid import TileGrid
-from repro.video.codec.registry import codec_for, decode_gop
+from repro.video.codec.registry import codec_for
 from repro.video.frame import VideoSegment, convert_segment
 
 _EPS = 1e-6
@@ -43,19 +44,22 @@ TILE_ZSTD_LEVEL = 3
 
 
 class Tiler:
-    """Builds and replaces tiled layouts of a logical video."""
+    """Builds and replaces tiled layouts of a logical video.
+
+    ``reader`` loads the source's pages (:meth:`Reader.load_stored`).
+    """
 
     def __init__(
         self,
         catalog: Catalog,
         layout: Layout,
         writer: Writer,
-        decode_cache=None,
+        reader: Reader,
     ):
         self.catalog = catalog
         self.layout = layout
         self.writer = writer
-        self.decode_cache = decode_cache
+        self.reader = reader
 
     # ------------------------------------------------------------------
     def tile(
@@ -106,8 +110,7 @@ class Tiler:
             for index, (x0, y0, x1, y1) in enumerate(rects)
         ]
         for record in gops:
-            encoded = self.layout.read_gop(record.path)
-            rgb = convert_segment(decode_gop(encoded), "rgb")
+            rgb = convert_segment(self.reader.load_stored(record), "rgb")
             for index, (x0, y0, x1, y1) in enumerate(rects):
                 piece = VideoSegment(
                     pixels=np.ascontiguousarray(
@@ -123,7 +126,6 @@ class Tiler:
         for stream in streams:
             stream.close()
             self._pack_pages(stream.physical.id)
-        self.catalog.bump_data_version(logical.id)
         return group
 
     def retile(
@@ -134,29 +136,18 @@ class Tiler:
     ) -> TileGroupRecord | None:
         """Replace the logical video's tiled layout with ``grid``.
 
-        Drops every existing tile group, then builds the new one from
-        ``source``.  Returns None (leaving the current layout in place)
-        when an existing group already uses an equal grid.
+        Drops every existing tile group (its pages, physicals and record
+        in one catalog transaction, then the files it stopped naming),
+        then builds the new one from ``source``.  Returns None (leaving
+        the current layout in place) when an existing group already uses
+        an equal grid.
         """
         existing = self.catalog.tile_groups_of_logical(logical.id)
         if any(g.grid == grid for g in existing):
             return None
         for old in existing:
-            self.drop_group(logical, old)
+            self.layout.sweep(self.catalog.delete_tile_group(old.id))
         return self.tile(logical, source, grid)
-
-    def drop_group(
-        self, logical: LogicalVideo, group: TileGroupRecord
-    ) -> None:
-        """Delete a tile group: pages, physicals, and the record in one
-        catalog transaction, then the files it stopped naming."""
-        if self.decode_cache is not None:
-            for member in self.catalog.tile_members(group.id):
-                self.decode_cache.invalidate_many(
-                    g.id for g in self.catalog.gops_of_physical(member.id)
-                )
-        self.layout.sweep(self.catalog.delete_tile_group(group.id))
-        self.catalog.bump_data_version(logical.id)
 
     # ------------------------------------------------------------------
     def _check_source(self, source: PhysicalVideo, grid: TileGrid) -> None:

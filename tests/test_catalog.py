@@ -7,8 +7,10 @@ import pytest
 
 from repro.core.catalog import _SCHEMA, Catalog
 from repro.core.layout import Layout
+from repro.core.specs import ViewSpec
 from repro.errors import CatalogError, VideoExistsError, VideoNotFoundError
 from repro.lossless import zstd
+from repro.tiles.grid import TileGrid
 from repro.video.codec.registry import encode_gop
 from tests.test_frame import make_segment
 
@@ -172,6 +174,143 @@ class TestGops:
         catalog.add_gop(physical.id, 0, 0.0, 1.0, 30, "I", 100, "a")
         catalog.add_gop(physical.id, 1, 1.0, 2.0, 30, "I", 250, "b")
         assert catalog.total_bytes(video.id) == 350
+
+
+def _page(catalog, physical, seq, start=None):
+    start = float(seq) if start is None else start
+    return catalog.add_gop(
+        physical.id, seq, start, start + 1.0, 30, "I", 100, f"p{physical.id}.{seq}"
+    ).id
+
+
+class _Rows:
+    """Two videos' rows: ``v`` holds an original (pages ``a0``, ``a1``),
+    two contiguous cached physicals ``p2`` (page ``c0``) and ``p3``
+    (page ``d0``) and a one-tile group over the original (page ``t0``);
+    ``w`` holds an original with page ``b0``."""
+
+    def __init__(self, catalog):
+        self.v = catalog.create_logical("v", 0)
+        self.w = catalog.create_logical("w", 0)
+        self.p1 = add_physical(catalog, self.v, end_time=2.0)
+        self.a0, self.a1 = (_page(catalog, self.p1, seq) for seq in (0, 1))
+        cached = dict(is_original=False, mse_estimate=1.0)
+        self.p2 = add_physical(catalog, self.v, **cached)
+        self.c0 = _page(catalog, self.p2, 0)
+        self.p3 = add_physical(
+            catalog, self.v, start_time=1.0, end_time=2.0, **cached
+        )
+        self.d0 = _page(catalog, self.p3, 0, start=1.0)
+        self.group = catalog.create_tile_group(
+            self.v.id, self.p1.id, TileGrid.uniform(1, 1, 64, 36)
+        )
+        tile = add_physical(
+            catalog, self.v, is_original=False, codec="raw",
+            tile_group_id=self.group.id, tile_index=0,
+        )
+        self.t0 = _page(catalog, tile, 0)
+        self.q = add_physical(catalog, self.w)
+        self.b0 = _page(catalog, self.q, 0)
+
+
+#: name -> (change, the videos it bumps, the GOP ids it announces).
+PAGE_CHANGES = {
+    "add_gop": (lambda c, r: _page(c, r.p2, 1, start=1.0), "v", lambda r: []),
+    "update_physical_times": (
+        lambda c, r: c.update_physical_times(r.p2.id, 0.0, 1.0), "v",
+        lambda r: [],
+    ),
+    "seal_physical": (lambda c, r: c.seal_physical(r.p2.id), "v", lambda r: []),
+    "update_mse_estimate": (
+        lambda c, r: c.update_mse_estimate(r.p2.id, 3.0, 1.0), "v",
+        lambda r: [],
+    ),
+    "set_gop_compression": (
+        lambda c, r: c.set_gop_compression(r.c0, 3, 50), "v",
+        lambda r: [r.c0],
+    ),
+    "delete_gop": (lambda c, r: c.delete_gop(r.c0), "v", lambda r: [r.c0]),
+    "delete_physical": (
+        lambda c, r: c.delete_physical(r.p1.id), "v",
+        lambda r: [r.a0, r.a1],
+    ),
+    "merge_physicals": (
+        lambda c, r: c.merge_physicals(r.p2.id, r.p3.id, 1.0, 0.0), "v",
+        lambda r: [r.d0],
+    ),
+    "create_tile_group": (
+        lambda c, r: c.create_tile_group(r.v.id, r.p1.id, r.group.grid), "v",
+        lambda r: [],
+    ),
+    "delete_tile_group": (
+        lambda c, r: c.delete_tile_group(r.group.id), "v", lambda r: [r.t0],
+    ),
+    "add_joint_pair": (
+        lambda c, r: c.add_joint_pair(
+            r.a0, r.b0, [1.0] * 9, 10, 20, "mean", "joint/l", "joint/o",
+            "joint/r", 60, 40,
+        ),
+        "vw",
+        lambda r: [r.a0, r.b0],
+    ),
+    "delete_logical": (
+        lambda c, r: c.delete_logical(r.v.id), "v",
+        lambda r: [r.a0, r.a1, r.c0, r.d0, r.t0],
+    ),
+}
+
+#: Bookkeeping that changes no page: no bump, nothing announced.
+QUIET = {
+    "touch_gops": lambda c, r: c.touch_gops([r.a0, r.c0], 7),
+    "record_roi_accesses": lambda c, r: c.record_roi_accesses(
+        r.v.id, {(0, 0, 32, 18): 3}, 7
+    ),
+    "set_budget": lambda c, r: c.set_budget(r.v.id, 10**6),
+    "create_view": lambda c, r: c.create_view("crop", ViewSpec(over="v")),
+}
+
+
+class TestPageChangeAnnouncements:
+    """Every catalog method that changes a row the planner reads bumps
+    that video's data version itself, and passes exactly the GOP ids
+    whose rows it deleted, moved or rewrote to the one listener."""
+
+    @pytest.fixture()
+    def announced(self, tmp_path):
+        heard: list[list[int]] = []
+        catalog = Catalog(
+            tmp_path / "catalog.db",
+            on_pages_changed=lambda ids: heard.append(list(ids)),
+        )
+        rows = _Rows(catalog)
+        heard.clear()
+        yield catalog, rows, heard
+        catalog.close()
+
+    @staticmethod
+    def versions(catalog, rows):
+        return {
+            name: catalog.data_version(video.id)
+            for name, video in (("v", rows.v), ("w", rows.w))
+        }
+
+    @pytest.mark.parametrize("name", sorted(PAGE_CHANGES))
+    def test_a_page_change_bumps_and_announces(self, announced, name):
+        catalog, rows, heard = announced
+        change, bumped, gop_ids = PAGE_CHANGES[name]
+        before = self.versions(catalog, rows)
+        change(catalog, rows)
+        after = self.versions(catalog, rows)
+        assert {v for v in before if after[v] != before[v]} == set(bumped)
+        assert sorted(i for ids in heard for i in ids) == sorted(gop_ids(rows))
+
+    @pytest.mark.parametrize("name", sorted(QUIET))
+    def test_bookkeeping_neither_bumps_nor_announces(self, announced, name):
+        catalog, rows, heard = announced
+        before = self.versions(catalog, rows)
+        QUIET[name](catalog, rows)
+        assert self.versions(catalog, rows) == before
+        assert heard == []
 
 
 class TestFragments:

@@ -334,24 +334,82 @@ class TestDecodeCacheIntegration:
             result = session.read("b", 0.0, 0.5, cache=False)
             assert int(result.segment.pixels.mean()) == 30
 
-    def test_deferred_compression_invalidates(
-        self, tmp_path, calibration, tiny_clip
-    ):
-        with VSSEngine(tmp_path / "defer", calibration=calibration) as engine:
-            session = engine.session()
-            session.write("v", tiny_clip, codec="raw", gop_size=8)
-            session.read("v", 0.0, 0.8, cache=False)  # populate decode cache
+    @staticmethod
+    def _store_for(rewrite, session, tiny_clip):
+        """Write the videos ``rewrite`` needs; returns a read of them."""
+        if rewrite == "joint_pair":
+            from repro.synthetic import visualroad
+
+            clips = visualroad("1K", overlap=0.5, num_frames=10).videos(0, 10)
+            for name, clip in zip(("v", "w"), clips):
+                session.write(name, clip, codec="h264", qp=10, gop_size=5)
+            return lambda: [
+                session.read(name, 0.0, 1 / 3, codec="raw", cache=False)
+                for name in ("v", "w")
+            ]
+        if rewrite == "retile":
+            session.write("v", tiny_clip, codec="h264", qp=10, gop_size=8)
+            session.engine.retile("v", rows=2, cols=2)
+            return lambda: [
+                session.read("v", 0.0, 0.8, roi=(4, 4, 28, 16), cache=False)
+            ]
+        session.write("v", tiny_clip, codec="raw", gop_size=8)
+        return lambda: [session.read("v", 0.0, 0.8, cache=False)]
+
+    @staticmethod
+    def _rewrite(rewrite, engine) -> None:
+        if rewrite == "joint_pair":
+            from repro.jointcomp import JointCompressionManager
+
+            report = JointCompressionManager(engine, merge="mean").optimize()
+            assert report.pairs_compressed
+        elif rewrite == "retile":
+            engine.retile("v", rows=1, cols=2)
+        else:
             logical = engine.catalog.get_logical("v")
-            assert len(engine.decode_cache) > 0
-            compressed = engine.deferred.compress_one(logical)
-            assert compressed is not None
-            assert compressed not in engine.decode_cache
-            # The rewritten page still reads back identically.
-            result = session.read("v", 0.0, 0.8, cache=False)
-            assert np.array_equal(
-                result.segment.pixels,
-                tiny_clip.pixels,
-            )
+            assert engine.deferred.compress_one(logical) is not None
+
+    @pytest.mark.parametrize(
+        "rewrite", ["deferred_compression", "retile", "joint_pair"]
+    )
+    def test_rewritten_pages_are_invalidated(
+        self, tmp_path, calibration, tiny_clip, rewrite
+    ):
+        """A page rewritten in place (deferred compression), dropped with
+        its tile group (re-tile) or repointed at a joint pair leaves the
+        decode cache; reads still give the same answer."""
+        with VSSEngine(tmp_path / "rewrite", calibration=calibration) as engine:
+            session = engine.session()
+            read = self._store_for(rewrite, session, tiny_clip)
+            first = read()
+
+            def pages():
+                return {
+                    g.id: g
+                    for name in engine.catalog.list_names("video")
+                    for g in engine.catalog.gops_of_logical(
+                        engine.catalog.get_logical(name).id
+                    )
+                }
+
+            before = pages()
+            cached = {gid for gid in before if gid in engine.decode_cache}
+            self._rewrite(rewrite, engine)
+            after = pages()
+            rewritten = {
+                gid
+                for gid, gop in before.items()
+                if gid not in after
+                or (gop.zstd_level, gop.joint_pair_id)
+                != (after[gid].zstd_level, after[gid].joint_pair_id)
+            }
+            assert rewritten & cached
+            assert not any(gid in engine.decode_cache for gid in rewritten)
+            for old, new in zip(first, read()):
+                if rewrite == "joint_pair":  # a lossy reconstruction
+                    assert new.segment.pixels.shape == old.segment.pixels.shape
+                else:
+                    assert np.array_equal(new.segment.pixels, old.segment.pixels)
 
 
 # ----------------------------------------------------------------------

@@ -2,14 +2,18 @@
 
 Two engines on two roots run the same hypothesis-drawn history of stream
 appends, stream closes, whole writes, raw reads at full and half
-resolution, hevc reads, joint compression, delete + re-create and engine
-close + reopen.  One keeps the default decode cache; its twin has none
-(``decode_cache_bytes=0``).  The decode cache changes who decodes a GOP
-(a read, search extraction and joint compression take frames from it)
-and must change nothing else: after every step both engines have given
-the same bytes or raised the same :class:`~repro.errors.VSSError` class,
-hold byte-equal joint pieces under the same names, rank a search alike
-(extraction indexed the same features), and report a clean
+resolution, hevc reads, joint compression, delete + re-create, engine
+close + reopen, and the page rewrites: budget enforcement under a small
+budget, compaction, deferred compression (raw reads above its threshold,
+then a drain) and a re-tile followed by an ROI read.  One keeps the
+default decode cache; its twin has none (``decode_cache_bytes=0``).  The
+decode cache changes who decodes a GOP (a read, search extraction,
+joint compression, tiling and refinement take frames from it), and the
+catalog drops a rewritten page's entry itself; it must change nothing
+else: after every step both engines have given the same bytes or raised
+the same :class:`~repro.errors.VSSError` class, report the same storage
+per video, hold byte-equal joint pieces under the same names, rank a
+search alike (extraction indexed the same features), and report a clean
 ``engine.check()``.
 
 The data is two overlapping ``visualroad("1K")`` cameras, 3 s each.
@@ -48,6 +52,8 @@ SECONDS = 3
 #: One stream append: one GOP of ``gop_size`` frames (one second).
 GOP = FPS
 HALF = (96, 54)
+#: Regions of the 192x108 frame an ROI read asks for.
+ROIS = ((0, 0, 96, 54), (40, 20, 150, 90), (96, 54, 192, 108))
 
 #: Tier-1 depth: 10-15 s on a 2-core host.
 TIER1 = settings(max_examples=10, stateful_step_count=12, deadline=None)
@@ -138,6 +144,25 @@ class TwinStores(RuleBasedStateMachine):
             )
         )
 
+    def drain(self) -> None:
+        """Run both twins' queued background work, so the next step
+        starts from the same background state on both."""
+        for engine in self.engines:
+            engine.drain_admissions()
+
+    def each(self, act) -> list:
+        """What ``act(engine)`` returned or raised (its
+        :class:`~repro.errors.VSSError` class) on each twin, after a
+        drain."""
+        self.drain()
+        results = []
+        for engine in self.engines:
+            try:
+                results.append(act(engine))
+            except VSSError as exc:
+                results.append(type(exc))
+        return results
+
     def optimize(self) -> None:
         first, second = (
             (r.pairs_compressed, r.pairs_rejected, r.bytes_before, r.bytes_after)
@@ -165,8 +190,7 @@ class TwinStores(RuleBasedStateMachine):
         """A camera with video and a window of it on a ``step`` grid
         (any camera and window while none has video: those reads fail
         alike, which a few steps show well enough)."""
-        written = [c for c in CAMERAS if self.seconds[c]]
-        camera = data.draw(st.sampled_from(written or CAMERAS))
+        camera = data.draw(st.sampled_from(self.written() or CAMERAS))
         cells = round(max(self.seconds[camera], 1) / step)
         first = data.draw(st.integers(0, cells - 1))
         last = data.draw(st.integers(first + 1, cells))
@@ -205,6 +229,56 @@ class TwinStores(RuleBasedStateMachine):
     def jointly_compress(self):
         self.optimize()
 
+    def written(self) -> list[str]:
+        return [c for c in CAMERAS if self.seconds[c]]
+
+    @precondition(lambda self: self.written())
+    @rule(data=st.data(), budget=st.sampled_from((1, 400_000)))
+    def evict_to_budget(self, data, budget):
+        camera = data.draw(st.sampled_from(self.written()))
+
+        def evict(engine):
+            engine.set_budget(camera, budget)
+            report = engine.enforce_budget(camera)
+            return len(report.evicted_gop_ids), report.bytes_freed, report.fit
+
+        assert len(set(self.each(evict))) == 1
+
+    @precondition(lambda self: max(self.seconds.values()) >= 2)
+    @rule(data=st.data())
+    def compact(self, data):
+        """Two adjacent one-second hevc reads, each drained, admit two
+        contiguous cached physicals; compaction merges them."""
+        camera = data.draw(
+            st.sampled_from([c for c in CAMERAS if self.seconds[c] >= 2])
+        )
+        split = data.draw(st.integers(1, self.seconds[camera] - 1))
+        for start in (split - 1.0, float(split)):
+            self.drain()
+            self.read(camera, start, start + 1.0, codec="hevc")
+        assert len(set(self.each(lambda engine: engine.compact(camera)))) == 1
+
+    @precondition(lambda self: self.written())
+    @rule(data=st.data())
+    def compress_deferred(self, data):
+        """Raw reads of one window, each drained: once the video's cache
+        use is above the deferred-compression threshold, the next raw
+        read queues a page's compression, and the invariant drains it."""
+        camera, start, end = self.window(data, 0.5)
+        for _ in range(2):
+            self.drain()
+            self.read(camera, start, end, codec="raw")
+
+    @precondition(lambda self: self.written())
+    @rule(data=st.data(), cols=st.integers(1, 3), roi=st.sampled_from(ROIS))
+    def retile_and_read_roi(self, data, cols, roi):
+        camera, start, end = self.window(data, 0.5)
+        self.drain()
+        self.both(
+            lambda twin: self.engines[twin].retile(camera, rows=2, cols=cols)
+        )
+        self.read(camera, start, end, codec="raw", roi=roi)
+
     @rule(camera=st.sampled_from(CAMERAS))
     def delete_and_recreate(self, camera):
         self.both(lambda twin: self.engines[twin].delete(camera))
@@ -229,8 +303,7 @@ class TwinStores(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     @invariant()
     def twins_agree_and_check_clean(self):
-        for engine in self.engines:
-            engine.drain_admissions()
+        self.drain()
         assert [engine.check() for engine in self.engines] == [
             {"orphans": [], "dangling": [], "mismatched": []}
         ] * 2
@@ -239,6 +312,13 @@ class TwinStores(RuleBasedStateMachine):
             for root in self.roots
         ]
         assert pieces[0] == pieces[1]
+        # Admission, eviction, compaction and deferred compression stored
+        # the same pages on both twins.
+        first, second = (
+            [engine.video_stats(name) for name in engine.list_videos("video")]
+            for engine in self.engines
+        )
+        assert first == second
         # Search extraction indexed the same features on both twins.
         first, second = (
             engine.search(text="vehicle car truck", like=sources()[1].frame(0))
