@@ -19,6 +19,12 @@ deletes, moves or rewrites to one listener, which the engine sets to
 The cache is bounded by decoded bytes and evicts least-recently-used
 entries; all operations are thread-safe (reader worker threads populate
 it concurrently).
+
+What goes in is frozen: :meth:`DecodeCache.put` and
+:meth:`BatchDecodeCache.put` make the stored pixels read-only, so a
+slice the cache hands out — and a raw answer that is a view of one
+(``repro.core.reader``) — cannot be written through, and a caller that
+tries gets a ``ValueError`` rather than corrupting later reads.
 """
 
 from __future__ import annotations
@@ -93,7 +99,7 @@ class DecodeCache:
         """The decoded prefix ``[0, stop)`` of a GOP, or None on miss.
 
         A cached decode to frame ``k`` serves any request with
-        ``stop <= k`` (sliced view — callers never mutate cached pixels).
+        ``stop <= k`` (a read-only view: :meth:`put` froze it).
         """
         if not self.enabled:
             return None
@@ -127,7 +133,8 @@ class DecodeCache:
         """Remember ``segment`` as the decoded prefix ``[0, stop)``.
 
         A shorter prefix never replaces a longer one; oversized segments
-        are ignored rather than flushing the whole cache.
+        are ignored rather than flushing the whole cache.  What is stored
+        is frozen (its pixels made read-only) first.
         """
         if not self.enabled:
             return
@@ -142,6 +149,7 @@ class DecodeCache:
                     return
                 self._bytes -= existing[1].nbytes
                 del self._entries[gop_id]
+            segment.pixels.flags.writeable = False
             self._entries[gop_id] = (stop, segment)
             self._bytes += nbytes
             while self._bytes > self.capacity_bytes and self._entries:
@@ -220,6 +228,7 @@ class BatchDecodeCache:
         with self._lock:
             entry = self._local.get(gop_id)
             if entry is None or entry[0] < stop:
+                segment.pixels.flags.writeable = False
                 self._local[gop_id] = (stop, segment)
         if self.base is not None:
             self.base.put(gop_id, stop, segment)

@@ -40,6 +40,16 @@ schedule: compressed output is re-encoded in blocks of up to
 width the encoder steps in lockstep anyway.  The chunk schedule is
 computed statically from the catalog (no decoding), so concatenated
 chunks equal the whole answer assembled at once.
+
+A decoded chunk is pasted into a fresh canvas, except an *identity
+chunk*: one choice over the whole chunk, whose one cell is the
+fragment's whole frame at the canvas's size, reading a unit-step run of
+one decoded window.  Its pixels are that run of the window itself — the
+decode-cache entry, or the fresh decode just put there — so a warm
+GOP-aligned full-resolution raw read allocates and copies no pixels.
+Hence the read contract: every decoded chunk, and every answer collected
+from them, is read-only (the decode cache freezes what it stores, and
+:meth:`Reader.iter_output` freezes each chunk it hands out).
 """
 
 from __future__ import annotations
@@ -205,7 +215,9 @@ class ReadResult:
     """The answer to a read: a raw segment or encoded GOPs, plus stats.
 
     ``plan`` is the plan that produced it, or None for an answer that
-    came over the wire (the plan stayed on the server).
+    came over the wire (the plan stayed on the server).  An in-process
+    ``segment``'s pixels are read-only (see :class:`ReadChunk`); a
+    remote one's are the client's own, writable buffer.
     """
 
     plan: ReadPlan | None
@@ -234,7 +246,9 @@ class ReadChunk:
     Exactly one of ``segment``/``gops`` is set: decoded chunks carry a
     segment in the request's pixel format; encoded chunks carry GOPs
     (one direct-served stored GOP, or one re-encoded block of output
-    GOPs).
+    GOPs).  A decoded chunk's pixels are read-only, and may be a view
+    of a decode-cache entry that keeps that whole decoded GOP alive;
+    copy them before writing.
     ``gop_ids`` are the catalog GOPs whose pages this chunk consumed —
     the engine stamps their LRU entries as the chunk is pulled.
     """
@@ -264,9 +278,11 @@ def collect_chunks(
 ) -> tuple[VideoSegment | None, list[EncodedGOP] | None]:
     """Fold a chunk stream into ``(segment, gops)``, one of them None.
 
-    Decoded chunks concatenate into one segment; otherwise the GOP runs
-    flatten into one list — the shape every ``collect()`` (in-process
-    and both remote streams) wraps in its own result type.
+    Decoded chunks concatenate into one segment, as writable as the
+    chunks were (read-only in-process, the caller's own from a remote
+    stream); otherwise the GOP runs flatten into one list — the shape
+    every ``collect()`` (in-process and both remote streams) wraps in
+    its own result type.
     """
     segments: list[VideoSegment] = []
     gops: list[EncodedGOP] = []
@@ -279,7 +295,9 @@ def collect_chunks(
         return None, gops
     if len(segments) == 1:
         return segments[0], None
-    return segments[0].concatenate(segments), None
+    joined = segments[0].concatenate(segments)
+    joined.pixels.flags.writeable = segments[0].pixels.flags.writeable
+    return joined, None
 
 
 @dataclass
@@ -312,9 +330,11 @@ class _ChoiceSchedule:
     timeline, ``out_idx`` lists the global output frames the choice
     serves, and ``src_full`` maps each of them to a frame index in the
     run — the same floor/clip arithmetic the monolithic assembler used,
-    so chunked pastes pick identical source frames.  ``windows`` is the
-    consumer-side carry of decoded (RGB) windows still needed by future
-    chunks.
+    so chunked pastes pick identical source frames.  ``whole_frame`` is
+    True when the choice's one cell maps the fragment's whole frame onto
+    the whole canvas at equal size (no crop, no resize).  ``windows`` is
+    the consumer-side carry of decoded (RGB) windows still needed by
+    future chunks.
     """
 
     choice: IntervalChoice
@@ -325,6 +345,7 @@ class _ChoiceSchedule:
     fps_src: float
     out_idx: np.ndarray
     src_full: np.ndarray
+    whole_frame: bool
     windows: dict[int, VideoSegment] = field(default_factory=dict)
 
 
@@ -549,10 +570,14 @@ class Reader:
             for j in range(len(records)):
                 if first_pos[j] < first_pos[j + 1]:
                     cuts.add(int(out_idx[first_pos[j]]))
+            size = (plan.target.width, plan.target.height)
+            whole_frame = _choice_rects(choice, plan, size) == [
+                ((0, 0, *size),) * 2
+            ] and (fragment.physical.width, fragment.physical.height) == size
             ctxs.append(
                 _ChoiceSchedule(
                     choice, records, offsets, n_frames, t0, fps_src,
-                    out_idx, src_full,
+                    out_idx, src_full, whole_frame,
                 )
             )
         boundaries = sorted(cuts)
@@ -643,7 +668,7 @@ class Reader:
 
     def _iter_decoded(self, plan: ReadPlan, stats: ReadStats, decode_cache):
         """Generate the RGB answer as :class:`ReadChunk` pieces, each
-        allocating only its own frames."""
+        allocating at most its own frames (an identity chunk, none)."""
         schedule = self._decode_schedule(plan)
         target = plan.target
         fps_out = plan.target_fps
@@ -654,14 +679,10 @@ class Reader:
         for index, ((lo, hi, ops), built) in enumerate(
             self._prefetched(schedule, build)
         ):
-            chunk_pixels = np.zeros(
-                (hi - lo, target.height, target.width, 3), dtype=np.uint8
-            )
             gop_ids: list[int] = []
             for op, decoded in zip(ops, built):
-                ctx = op.ctx
                 for j, record_id, rgb, window in decoded:
-                    ctx.windows[j] = rgb
+                    op.ctx.windows[j] = rgb
                     stats.gop_ids_touched.append(record_id)
                     gop_ids.append(record_id)
                     stats.bytes_read += window.bytes_read
@@ -680,25 +701,34 @@ class Reader:
                             window.timings.compensate_seconds
                         )
                         stats.codec_decoded_bytes += window.timings.decoded_bytes
-                pieces = [
-                    ctx.windows[j] for j in range(op.j_lo, op.j_hi + 1)
-                ]
-                source = (
-                    pieces[0]
-                    if len(pieces) == 1
-                    else pieces[0].concatenate(pieces)
+            chunk_pixels = _identity_view(ops, hi - lo)
+            if chunk_pixels is None:
+                chunk_pixels = np.zeros(
+                    (hi - lo, target.height, target.width, 3), dtype=np.uint8
                 )
-                self._paste(
-                    chunk_pixels,
-                    ctx.out_idx[op.p0:op.p1] - lo,
-                    source,
-                    ctx.src_full[op.p0:op.p1] - int(ctx.offsets[op.j_lo]),
-                    ctx.choice,
-                    plan,
-                    stats,
-                )
-                for j in [j for j in ctx.windows if j < op.keep_from]:
-                    del ctx.windows[j]
+                for op in ops:
+                    ctx = op.ctx
+                    pieces = [
+                        ctx.windows[j] for j in range(op.j_lo, op.j_hi + 1)
+                    ]
+                    source = (
+                        pieces[0]
+                        if len(pieces) == 1
+                        else pieces[0].concatenate(pieces)
+                    )
+                    self._paste(
+                        chunk_pixels,
+                        ctx.out_idx[op.p0:op.p1] - lo,
+                        source,
+                        ctx.src_full[op.p0:op.p1] - int(ctx.offsets[op.j_lo]),
+                        ctx.choice,
+                        plan,
+                        stats,
+                    )
+            for op in ops:
+                windows = op.ctx.windows
+                for j in [j for j in windows if j < op.keep_from]:
+                    del windows[j]
             segment = VideoSegment(
                 pixels=chunk_pixels,
                 pixel_format="rgb",
@@ -760,8 +790,10 @@ class Reader:
         chunks = (
             replace(
                 chunk,
-                segment=_to_request_format(
-                    plan, stats, chunk.segment, sample=chunk.index == 0
+                segment=_frozen(
+                    _to_request_format(
+                        plan, stats, chunk.segment, sample=chunk.index == 0
+                    )
                 ),
             )
             for chunk in self._iter_decoded(plan, stats, decode_cache)
@@ -1000,41 +1032,80 @@ class Reader:
 
         Each cell is read once, through a view of ``source`` (a decode-
         cache entry is never copied whole), and written once: straight
-        into the canvas when the scales agree, through
-        :func:`resize_segment` otherwise.
+        into the canvas when the scales agree, by :func:`resize_segment`
+        otherwise — into the canvas rectangle itself when the output
+        frames are a run, else into a fresh array that is then scattered.
         """
-        physical = choice.fragment.physical
-        frag_roi = physical.roi
-        if frag_roi is None:
-            # Full-frame fragment: its pixels span the original frame.
-            frag_roi = (0, 0, *plan.original_resolution)
         frames, dest = index_run(src_indices), index_run(out_indices)
-        for cell in choice.cells:
-            rects = cell_rects(
-                cell,
-                frag_roi,
-                (physical.width, physical.height),
-                plan.roi,
-                (canvas.shape[2], canvas.shape[1]),
-            )
+        for rects in _choice_rects(
+            choice, plan, (canvas.shape[2], canvas.shape[1])
+        ):
             if rects is None:
                 continue
             (fx0, fy0, fx1, fy1), (ox0, oy0, ox1, oy1) = rects
             window = source.pixels[frames, fy0:fy1, fx0:fx1]
-            if (fx1 - fx0, fy1 - fy0) != (ox1 - ox0, oy1 - oy0):
-                piece = VideoSegment(
-                    pixels=window,
-                    pixel_format=source.pixel_format,
-                    height=fy1 - fy0,
-                    width=fx1 - fx0,
-                    fps=plan.target_fps,
-                    start_time=choice.start,
-                )
-                resized = resize_segment(piece, ox1 - ox0, oy1 - oy0)
-                if stats.resample_mse == 0.0:
-                    stats.resample_mse = _resample_error_sample(piece, resized)
-                window = resized.pixels
-            canvas[dest, oy0:oy1, ox0:ox1] = window
+            if (fx1 - fx0, fy1 - fy0) == (ox1 - ox0, oy1 - oy0):
+                canvas[dest, oy0:oy1, ox0:ox1] = window
+                continue
+            piece = VideoSegment(
+                pixels=window,
+                pixel_format=source.pixel_format,
+                height=fy1 - fy0,
+                width=fx1 - fx0,
+                fps=plan.target_fps,
+                start_time=choice.start,
+            )
+            # A run of canvas frames is a view: the filter writes into it.
+            out = (
+                canvas[dest, oy0:oy1, ox0:ox1]
+                if isinstance(dest, slice)
+                else None
+            )
+            resized = resize_segment(piece, ox1 - ox0, oy1 - oy0, out=out)
+            if stats.resample_mse == 0.0:
+                stats.resample_mse = _resample_error_sample(piece, resized)
+            if out is None:
+                canvas[dest, oy0:oy1, ox0:ox1] = resized.pixels
+
+
+def _choice_rects(
+    choice: IntervalChoice, plan: ReadPlan, canvas_size: tuple[int, int]
+) -> list[tuple[ROI, ROI] | None]:
+    """:func:`cell_rects` of each of ``choice``'s cells on a
+    ``canvas_size`` canvas of the plan's ROI."""
+    physical = choice.fragment.physical
+    frag_roi = physical.roi
+    if frag_roi is None:
+        # Full-frame fragment: its pixels span the original frame.
+        frag_roi = (0, 0, *plan.original_resolution)
+    frag_size = (physical.width, physical.height)
+    return [
+        cell_rects(cell, frag_roi, frag_size, plan.roi, canvas_size)
+        for cell in choice.cells
+    ]
+
+
+def _identity_view(ops: list[_ChunkOp], frames: int) -> np.ndarray | None:
+    """A chunk's pixels as a view of the one decoded window they are, or
+    None when the chunk needs a canvas.
+
+    An *identity chunk* has one op over all its ``frames``, reading one
+    window of a whole-frame choice through a unit-step run of its
+    frames: a paste would copy that run of the window unchanged.  The
+    view is of the decode-cache entry (or of the fresh decode just put
+    there), so it keeps that whole decoded GOP alive while it lives; a
+    run of whole frames of a decoded stack is C-contiguous.
+    """
+    if len(ops) != 1:
+        return None
+    op = ops[0]
+    ctx = op.ctx
+    if not ctx.whole_frame or op.j_lo != op.j_hi or op.p1 - op.p0 != frames:
+        return None
+    run = index_run(ctx.src_full[op.p0:op.p1] - int(ctx.offsets[op.j_lo]))
+    if not isinstance(run, slice) or run.step not in (None, 1):
+        return None
+    return ctx.windows[op.j_lo].pixels[run]
 
 
 def _pixel_rect(cell: ROI, region: ROI, size: tuple[int, int]) -> ROI:
@@ -1090,6 +1161,16 @@ def _resample_error_sample(
         resized.slice_frames(0, 1), source.width, source.height
     )
     return mse(source.frame(0), restored.frame(0))
+
+
+def _frozen(segment: VideoSegment) -> VideoSegment:
+    """``segment`` with its pixels made read-only.
+
+    A decoded chunk may be a view of a decode-cache entry, so every
+    in-process answer is read-only alike, view or canvas.
+    """
+    segment.pixels.flags.writeable = False
+    return segment
 
 
 def _to_request_format(

@@ -121,21 +121,29 @@ def _lerp_axis(
     return out
 
 
-def resize_segment(segment: VideoSegment, width: int, height: int) -> VideoSegment:
+def resize_segment(
+    segment: VideoSegment, width: int, height: int, out: np.ndarray | None = None
+) -> VideoSegment:
     """Resize a segment to ``width`` x ``height`` with bilinear filtering.
 
     ``segment.pixels`` may be any strided view (an ROI of a decoded
     window, every other frame of it): the filter reads it once, in place.
+    ``out``, when given, is where the frames go (any strided uint8 view
+    of the output's shape, such as a rectangle of a larger canvas); the
+    result's pixels are then ``out`` itself.
     """
     if width <= 0 or height <= 0:
         raise ValueError(f"target resolution must be positive, got {width}x{height}")
-    if (width, height) == segment.resolution:
-        return segment
     fmt = segment.pixel_format
-    pixels = np.empty(
-        (segment.num_frames, *pixel_format(fmt).frame_shape(height, width)),
-        dtype=np.uint8,
-    )
+    shape = (segment.num_frames, *pixel_format(fmt).frame_shape(height, width))
+    if out is not None and out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, expected {shape}")
+    if (width, height) == segment.resolution:
+        if out is None:
+            return segment
+        out[...] = segment.pixels
+        return replace(segment, pixels=out)
+    pixels = np.empty(shape, dtype=np.uint8) if out is None else out
     # Frame by frame the filter is independent, so it runs in bounded
     # blocks (see ``frame_blocks``): the same bytes as one pass over the
     # whole window, without its window-sized float32 temporaries.  A

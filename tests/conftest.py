@@ -103,6 +103,12 @@ def three_second_clip() -> VideoSegment:
 
 
 @pytest.fixture(scope="session")
+def benchmark_size_clip() -> VideoSegment:
+    """90 frames (3 s) at vssbench's 192x108: a 1.87 MB raw second."""
+    return _render_clip(90, height=108, width=192)
+
+
+@pytest.fixture(scope="session")
 def large_clip() -> VideoSegment:
     """60 frames (2 s) at 384x216: a 14.9 MB raw answer when read back,
     more than a loopback socket's send buffer takes at once."""

@@ -62,13 +62,15 @@ def _strided(seed: int, frames: int, height: int, width: int, layout: str):
     free=st.integers(1, 40),
     layout=st.sampled_from(["fresh", "roi", "stepped"]),
     block_frames=st.sampled_from([None, 1, 2, 3]),
+    into=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 def test_resize_matches_whole_array_oracle(
-    fmt, frames, size, ratio, other_axis, free, layout, block_frames, seed
+    fmt, frames, size, ratio, other_axis, free, layout, block_frames, into, seed
 ):
     """Up, down, integer and non-integer ratios, one axis or both, odd and
-    even sizes, strided inputs, and windows that end inside a block."""
+    even sizes, strided inputs, windows that end inside a block, and
+    ``out=`` a rectangle of a larger canvas (the rest left as it was)."""
     even = fmt in ("yuv420", "yuv422")
     width, height = (2 * v if even else v for v in size)
     new_width = max(1, width * ratio[0] // ratio[1])
@@ -92,7 +94,19 @@ def test_resize_matches_whole_array_oracle(
                 "_BLOCK_ELEMENTS",
                 block_frames * 9 * max(height, new_height) * max(width, new_width),
             )
-        got = resize_segment(segment, new_width, new_height)
+        if into:
+            shape = expected.pixels.shape
+            canvas = np.full(
+                (frames, shape[1] + 3, shape[2] + 5, *shape[3:]), 7, np.uint8
+            )
+            out = canvas[:, 1:1 + shape[1], 2:2 + shape[2]]
+            got = resize_segment(segment, new_width, new_height, out=out)
+            assert got.pixels is out
+            rest = np.ones(canvas.shape, dtype=bool)
+            rest[:, 1:1 + shape[1], 2:2 + shape[2]] = False
+            assert (canvas[rest] == 7).all()
+        else:
+            got = resize_segment(segment, new_width, new_height)
     assert got.resolution == (new_width, new_height)
     assert got.pixels.dtype == np.uint8
     assert np.array_equal(got.pixels, expected.pixels)

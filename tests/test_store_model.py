@@ -14,7 +14,7 @@ else: after every step both engines have given the same bytes or raised
 the same :class:`~repro.errors.VSSError` class, report the same storage
 per video, hold byte-equal joint pieces under the same names, rank a
 search alike (extraction indexed the same features), and report a clean
-``engine.check()``.
+``engine.check()``; and every answer either gave is read-only.
 
 The data is two overlapping ``visualroad("1K")`` cameras, 3 s each.
 Tier-1 runs a fixed, small number of histories; ``pytest
@@ -92,6 +92,8 @@ class TwinStores(RuleBasedStateMachine):
         #: At 0 a stream may start or a whole write land; a video with
         #: seconds and no stream takes no more.
         self.seconds = dict.fromkeys(CAMERAS, 0)
+        #: The read results of the current step, on both twins.
+        self.answers: list = []
 
     def open(self, twin: int) -> VSSEngine:
         cache_bytes = {} if twin == 0 else {"decode_cache_bytes": 0}
@@ -138,11 +140,12 @@ class TwinStores(RuleBasedStateMachine):
         self.seconds[camera] = seconds
 
     def read(self, camera: str, start: float, end: float, **spec) -> None:
-        self.both(
-            lambda twin: self.engines[twin].session().read(
-                camera, start, end, **spec
-            )
-        )
+        def answer(twin: int):
+            result = self.engines[twin].session().read(camera, start, end, **spec)
+            self.answers.append(result)
+            return result
+
+        self.both(answer)
 
     def drain(self) -> None:
         """Run both twins' queued background work, so the next step
@@ -187,10 +190,14 @@ class TwinStores(RuleBasedStateMachine):
         return [c for c in CAMERAS if not self.seconds[c]]
 
     def window(self, data, step: float) -> tuple[str, float, float]:
-        """A camera with video and a window of it on a ``step`` grid
-        (any camera and window while none has video: those reads fail
-        alike, which a few steps show well enough)."""
+        """A camera with video and a window of it on a ``step`` grid, or
+        on whole seconds part of the time: GOP-aligned windows are the
+        ones a warm twin serves as views of its decode cache (any camera
+        and window while none has video: those reads fail alike, which a
+        few steps show well enough)."""
         camera = data.draw(st.sampled_from(self.written() or CAMERAS))
+        if data.draw(st.booleans()):
+            step = 1.0
         cells = round(max(self.seconds[camera], 1) / step)
         first = data.draw(st.integers(0, cells - 1))
         last = data.draw(st.integers(first + 1, cells))
@@ -326,6 +333,15 @@ class TwinStores(RuleBasedStateMachine):
         )
         assert first == second
 
+    @invariant()
+    def answers_are_read_only(self):
+        """Every in-process answer is read-only: a raw one may be a view
+        of a decode-cache entry, which no caller may write through."""
+        for result in self.answers:
+            if result.segment is not None:
+                assert not result.segment.pixels.flags.writeable
+        self.answers.clear()
+
     def teardown(self):
         for engine in self.engines:
             engine.close()
@@ -374,5 +390,6 @@ def test_twins_agree_on_an_ingest_follow_epoch(monkeypatch):
         for camera in CAMERAS:
             machine.read(camera, 0.0, float(SECONDS), codec="raw")
             machine.read(camera, 0.0, 2.0, codec="hevc")
+        machine.answers_are_read_only()
     finally:
         machine.teardown()

@@ -136,10 +136,11 @@ class TestReads:
         assert stream.stats.frames_decoded > 0
 
     def test_raw_answer_is_writable_and_private(self, loaded_client, engine):
-        """Remote pixels are writable, like an in-process answer's, and
-        are the caller's own: scribbling on them changes no later read."""
+        """Remote pixels are writable, unlike an in-process answer's (which
+        may be a view of the decode cache), and are the caller's own:
+        scribbling on them changes no later read."""
         spec = ReadSpec("traffic", 0.0, 1.0, codec="raw", cache=False)
-        assert engine.session().read(spec).segment.pixels.flags.writeable
+        assert not engine.session().read(spec).segment.pixels.flags.writeable
         pixels = loaded_client.read(spec).segment.pixels
         assert pixels.flags.writeable
         expected = pixels.copy()
