@@ -265,21 +265,13 @@ class CostModel:
         prefix = gop.frame_types[:frames_before]
         return (prefix.count("I"), prefix.count("P"))
 
-    def lookback_cost(
-        self,
-        fragment: Fragment,
-        start_time: float,
-        already_decoded: bool,
-    ) -> float:
+    def lookback_cost(self, fragment: Fragment, start_time: float) -> float:
         """``c_l`` in seconds.
 
-        ``already_decoded`` corresponds to the dependency frames being in
-        the previously selected set Omega (the planner passes True when
-        the same fragment was chosen for the preceding interval, so decode
-        state carries over).
+        The planner waives it when the same fragment was chosen for the
+        preceding interval: the dependency frames are then in the
+        previously selected set Omega, and decode state carries over.
         """
-        if already_decoded:
-            return 0.0
         independent, dependent = self.lookback_frames(fragment, start_time)
         if independent == 0 and dependent == 0:
             return 0.0

@@ -101,7 +101,6 @@ from repro.core.specs import (
     SessionSurface,
     ViewSpec,
     WriteSpec,
-    check_planner_mode,
 )
 from repro.core.writer import StreamWriter, Writer
 from repro.errors import (
@@ -373,10 +372,10 @@ class VSSEngine:
     """A thread-safe VSS store rooted at a directory.
 
     Parameters mirror the prototype's knobs: ``cache_policy`` selects
-    LRU_VSS or plain LRU (the Figure 16 comparison), ``planner`` selects
-    solver/greedy/original fragment selection (Figure 10), and
+    LRU_VSS or plain LRU (the Figure 16 comparison) and
     ``deferred_compression`` toggles section 5.2's optimization
-    (Figure 12/13).
+    (Figure 12/13).  Figure 10's planner baselines are a read's
+    ``ReadSpec.mode``.
 
     Execution knobs:
 
@@ -400,14 +399,12 @@ class VSSEngine:
         root: str | Path,
         budget_multiple: float = DEFAULT_BUDGET_MULTIPLE,
         cache_policy: str = "vss",
-        planner: str = "solver",
         deferred_compression: bool = True,
         calibration: Calibration | None = None,
         cache_reads: bool = True,
         parallelism: int | None = None,
         decode_cache_bytes: int = DEFAULT_DECODE_CACHE_BYTES,
     ):
-        check_planner_mode(planner)
         self.layout = Layout(root)
         self.decode_cache = DecodeCache(decode_cache_bytes)
         # One engine per store, held until close(): the sweep below would
@@ -449,7 +446,6 @@ class VSSEngine:
         self.reader = Reader(
             self.layout,
             self.catalog,
-            self.cost_model,
             executor=self.executor,
             decode_cache=self.decode_cache,
         )
@@ -472,7 +468,6 @@ class VSSEngine:
         self.tiler = Tiler(self.catalog, self.layout, self.writer, self.reader)
         self.retile_policy = RetilePolicy()
         self.budget_multiple = budget_multiple
-        self.planner = planner
         self.cache_reads = cache_reads
         # Background admission/maintenance queue (see repro.core.admission).
         self._admissions = AdmissionWorker()
@@ -481,7 +476,7 @@ class VSSEngine:
         # ingest-time extraction rides the admission worker above.
         self._search_index = SearchIndex(self.catalog)
         # Versioned plan cache: (logical id, data version, effective
-        # ReadSpec, cost model, planner mode) -> ReadPlan.  Bounded LRU;
+        # ReadSpec, cost model) -> ReadPlan.  Bounded LRU;
         # entries for superseded versions (or a replaced cost model)
         # become unreachable the moment the key moves and age out here.
         self._plan_lock = threading.Lock()
@@ -1013,19 +1008,18 @@ class VSSEngine:
         fragments_fn=None,
     ):
         """The read plan for ``spec``, memoized by (logical, version, spec,
-        cost model, planner mode).
+        cost model).
 
         Returns ``(plan, cached)``.  Must run under the logical's lock
         (shared suffices: mutations — which bump the version — hold the
         exclusive side, so the version/fragment snapshot cannot move
         mid-plan).  ``fragments_fn`` lets batch groups share one
         fragment query across several cache misses.  Reassigning
-        ``cost_model`` or ``planner`` (the Figure 10 ablations do) makes
-        every later read plan afresh.
+        ``cost_model`` (the Figure 10 ablations do) makes every later
+        read plan afresh.
         """
         version = self.catalog.data_version(logical.id)
-        mode = spec.mode or self.planner
-        key = (logical.id, version, spec, self.cost_model, mode)
+        key = (logical.id, version, spec, self.cost_model)
         with self._plan_lock:
             plan = self._plan_cache.get(key)
             if plan is not None:
@@ -1045,7 +1039,7 @@ class VSSEngine:
             original,
             self.cost_model,
             self.quality_model,
-            mode=mode,
+            mode=spec.mode or "solver",
         )
         with self._plan_lock:
             self._plan_cache[key] = plan
@@ -1102,7 +1096,7 @@ class VSSEngine:
             result is not None
             and self._should_cache(plan.request)
             and not stats.direct_serve
-            and not self._would_duplicate(plan)
+            and not plan.is_stored_answer()
         ):
             # The closure pins the result's pixels/bytes until the
             # worker runs; the queue's byte bound caps that memory.
@@ -1173,7 +1167,7 @@ class VSSEngine:
             fresh_plan, _ = self._plan_for(logical, original, plan.request)
         except VSSError:
             fresh_plan = None  # planning hiccup: fall back to the old check
-        if fresh_plan is not None and self._would_duplicate(fresh_plan):
+        if fresh_plan is not None and fresh_plan.is_stored_answer():
             return
         self._admit(logical, plan, result)
 
@@ -1290,7 +1284,7 @@ class VSSEngine:
     # cache admission (section 4)
     # ------------------------------------------------------------------
     def _admit(self, logical: LogicalVideo, plan, result: ReadResult) -> None:
-        if self._would_duplicate(plan):
+        if plan.is_stored_answer():
             return
         quality, request, stats = self.quality_model, plan.request, result.stats
         sources = [c.fragment.physical for c in plan.choices]
@@ -1339,21 +1333,6 @@ class VSSEngine:
         # removed pages the new physical was covering, so deleting the new
         # pages afterwards could orphan part of the timeline.
         self.cache.enforce_budget(logical)
-
-    def _would_duplicate(self, plan) -> bool:
-        """True when the read was served from a single fragment already in
-        the requested format — caching it again would store a byte-level
-        duplicate and only churn the budget."""
-        if len({id(c.fragment) for c in plan.choices}) != 1:
-            return False
-        fragment = plan.choices[0].fragment
-        if not self.cost_model.is_format_match(fragment, plan.target):
-            return False
-        if abs(fragment.physical.fps - plan.target_fps) > 1e-9:
-            return False
-        full = (0, 0, *plan.original_resolution)
-        frag_roi = fragment.physical.roi_or(full)
-        return tuple(frag_roi) == tuple(plan.roi)
 
     def enforce_budget(self, name: str) -> EvictionReport:
         self._require_storage(name, "enforce_budget")

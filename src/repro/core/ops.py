@@ -1,6 +1,8 @@
-"""The service-op table: every unary control-plane operation, defined once.
+"""The service-op tables: every operation, defined once.
 
-Both servers and both clients dispatch through :data:`OPS`.  One
+Both servers and both clients dispatch through :data:`OPS`, the unary
+control-plane ops, and the servers answer the data plane through
+:data:`DATA_OPS`.  One
 :class:`Op` entry carries everything the four of them need:
 
 * the **name** — the binary ``"op"`` value and the client's logical
@@ -38,24 +40,42 @@ every non-``local`` op after validation; any other engine gets
 ``run``.  The router forwards the declared params to the shards'
 ``_rpc`` and returns their reply dicts untouched.
 
-The payload-carrying ops (``read``, ``read_batch``, ``write``) stream
-pixels as the binary frames of :mod:`repro.core.wire`, the same on both
-transports; of this module they use only ``physical_to_dict``.  Adding
-a unary op costs one entry here plus
-its engine and client methods — the router serves it unedited.
+The payload-carrying ops (``read``, ``read_batch``, ``write``) are the
+entries of :data:`DATA_OPS`, each called as ``(service, header,
+payload)`` with a ``REQUEST`` frame's header and payload.  An entry
+first does the eager work — decode the request, then open
+``service.session.read_stream``, run ``service.engine.read_batch`` or
+``service.engine.write`` — so a missing video or a malformed request
+raises before any frame exists.  It then returns an iterator of frames
+(lists of buffers, :mod:`repro.core.wire`): a read's chunks and its
+``END``, a batch's results and its ``END``, or a write's one ``REPLY``.
+Closing the iterator releases what the entry holds.  Both servers send
+these frames as they come, so the two transports answer alike, and a
+router's frontends serve them from its cluster engine unedited.
+
+Adding a unary op costs one entry in :data:`OPS` plus its engine and
+client methods — the router serves it unedited.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from urllib.parse import parse_qs, quote, unquote, urlencode
 
 from repro.core.wire import (
+    FRAME_REPLY,
+    batch_frames,
+    chunk_frame,
+    decode_read,
+    decode_read_batch,
+    decode_write,
+    encode_frame,
     search_hit_from_dict,
     search_hit_to_dict,
     search_query_from_dict,
+    stream_end_frame,
     view_spec_from_dict,
     view_spec_to_dict,
 )
@@ -363,6 +383,57 @@ OPS: dict[str, Op] = {
         Op("check", _check, "scatter", admitted=True, rest="GET /v1/check",
            merge=_merge_check, whole=True),
     )
+}
+
+
+# ----------------------------------------------------------------------
+# the data plane
+# ----------------------------------------------------------------------
+def reply_frames(document: dict) -> Iterator[list]:
+    """A one-frame answer: ``document`` as a ``REPLY``."""
+    yield encode_frame(FRAME_REPLY, document)
+
+
+def _stream_frames(stream) -> Iterator[list]:
+    """A read stream's answer: each chunk's frame, then the ``END``.
+
+    :func:`_read` runs it to the first ``yield`` before handing it out,
+    so ``close()`` reaches the ``finally`` (and closes the stream) even
+    when no frame was ever taken.
+    """
+    try:
+        yield []
+        for chunk in stream:
+            yield chunk_frame(chunk)
+        yield stream_end_frame(stream.stats)
+    finally:
+        stream.close()
+
+
+def _read(service, header: dict, payload) -> Iterator[list]:
+    frames = _stream_frames(service.session.read_stream(decode_read(header)))
+    next(frames)
+    return frames
+
+
+def _read_batch(service, header: dict, payload) -> Iterator[list]:
+    results, batch = service.engine.read_batch(decode_read_batch(header))
+    return batch_frames(results, batch)
+
+
+def _write(service, header: dict, payload) -> Iterator[list]:
+    spec, segment = decode_write(header, payload)
+    return reply_frames(
+        physical_to_dict(service.engine.write(spec, segment=segment))
+    )
+
+
+#: The payload-carrying ops, by name (module docs).  All three are
+#: admitted.
+DATA_OPS: dict[str, Callable[[object, dict, object], Iterator[list]]] = {
+    "read": _read,
+    "read_batch": _read_batch,
+    "write": _write,
 }
 
 

@@ -35,7 +35,8 @@ first interval on wins.
 
 ``greedy`` (per cell, the cheapest fragment by transcode cost, ignoring
 look-back: Figure 10's dependency-naive baseline) and ``original``
-(read the original only) are the comparison modes.
+(the same pass over the original's fragments only) are the comparison
+modes.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from repro.core.cost import CostModel, TargetFormat
 from repro.core.quality import QualityModel
 from repro.core.records import ROI, Fragment, PhysicalVideo
 from repro.core.roi import check_roi, check_roi_bounds
-from repro.core.specs import ReadSpec, ViewSpec
+from repro.core.specs import ReadSpec, ViewSpec, check_planner_mode
 from repro.errors import OutOfRangeError, QualityError, ReadError
 
 _EPS = 1e-9
@@ -280,6 +281,26 @@ class ReadPlan:
     def num_fragments_used(self) -> int:
         return len({id(c.fragment) for c in self.choices})
 
+    def is_stored_answer(self) -> bool:
+        """True when one fragment answers the whole plan as it is stored:
+        in the requested format, frame rate and crop.
+
+        Its stored frames are then the answer's frames, so serving its
+        bytes is exact and caching the answer would store a duplicate.
+        A full-frame fragment is no such answer for an ROI read, even at
+        the requested resolution.
+        """
+        if self.num_fragments_used != 1:
+            return False
+        fragment = self.choices[0].fragment
+        physical = fragment.physical
+        full: ROI = (0, 0, *self.original_resolution)
+        return (
+            CostModel.is_format_match(fragment, self.target)
+            and abs(physical.fps - self.target_fps) <= _EPS
+            and tuple(physical.roi_or(full)) == tuple(self.roi)
+        )
+
 
 @dataclass
 class _Interval:
@@ -337,11 +358,10 @@ def plan_read(
 
     ``mode`` selects the planner: ``solver`` (the exact pass over the
     intervals, the paper's approach), ``greedy`` (per-interval minimum
-    transcode cost, dependency-naive), or ``original`` (ignore the cache
-    entirely).
+    transcode cost, dependency-naive), or ``original`` (the exact pass
+    over the original's fragments alone: the cache ignored).
     """
-    if mode not in ("solver", "greedy", "original"):
-        raise ValueError(f"unknown planning mode {mode!r}")
+    check_planner_mode(mode)
     if request.start < original.start_time - _EPS or request.end > original.end_time + _EPS:
         raise OutOfRangeError(
             f"read [{request.start}, {request.end}) outside stored video "
@@ -357,14 +377,9 @@ def plan_read(
             f"no fragments meet the {request.quality_db} dB quality cutoff"
         )
     intervals = _build_intervals(request, candidates, roi)
-    if mode in ("solver", "greedy"):
-        plan = _optimize(
-            request, target, target_fps, roi, intervals, original, cost_model, mode
-        )
-    else:
-        plan = _plan_original(
-            request, target, target_fps, roi, intervals, cost_model
-        )
+    plan = _optimize(
+        request, target, target_fps, roi, intervals, original, cost_model, mode
+    )
     plan.original_resolution = (original.width, original.height)
     _attach_tile_stats(plan, request, fragments)
     return plan
@@ -531,17 +546,15 @@ def _optimize(
         )
         lookbacks.append(
             [
-                cost_model.lookback_cost(
-                    fragment, interval.start, already_decoded=False
-                )
+                cost_model.lookback_cost(fragment, interval.start)
                 for fragment in interval.fragments
             ]
         )
 
-    if mode == "solver":
-        selected = _cheapest_run(intervals, interval_cells, costs, lookbacks)
-    else:
+    if mode == "greedy":
         selected = _greedy_choice(intervals, interval_cells, costs)
+    else:
+        selected = _cheapest_run(intervals, interval_cells, costs, lookbacks)
     return ReadPlan(
         request=request,
         target=target,
@@ -708,47 +721,6 @@ def _greedy_choice(
             )
         )
     return selected
-
-
-def _plan_original(
-    request: ReadSpec,
-    target: TargetFormat,
-    target_fps: float,
-    roi: ROI,
-    intervals: list[_Interval],
-    cost_model: CostModel,
-) -> ReadPlan:
-    choices = []
-    total = 0.0
-    previous = None
-    for interval in intervals:
-        originals = [f for f in interval.fragments if f.physical.is_original]
-        if not originals:
-            raise QualityError(
-                f"original video does not cover "
-                f"[{interval.start}, {interval.end})"
-            )
-        fragment = originals[0]
-        total += cost_model.transcode_cost(
-            fragment, interval.end - interval.start, target, target_fps
-        )
-        charged = previous is not fragment
-        total += cost_model.lookback_cost(
-            fragment, interval.start, already_decoded=not charged
-        )
-        choices.append(
-            IntervalChoice(interval.start, interval.end, fragment, [roi], charged)
-        )
-        previous = fragment
-    return ReadPlan(
-        request=request,
-        target=target,
-        target_fps=target_fps,
-        roi=roi,
-        choices=choices,
-        estimated_cost=total,
-        mode="original",
-    )
 
 
 def _cell_owners(

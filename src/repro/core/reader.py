@@ -61,7 +61,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.cost import CostModel
 from repro.core.decode_cache import BatchDecodeCache
 from repro.core.layout import Layout
 from repro.core.read_planner import IntervalChoice, ReadPlan
@@ -381,13 +380,11 @@ class Reader:
         self,
         layout: Layout,
         catalog,
-        cost_model: CostModel,
         executor=None,
         decode_cache=None,
     ):
         self.layout = layout
         self.catalog = catalog
-        self.cost_model = cost_model
         self.executor = executor
         self.decode_cache = decode_cache
 
@@ -422,23 +419,13 @@ class Reader:
         """The GOP records a byte-for-byte serve would ship, or None when
         the plan is ineligible (format/fps/ROI mismatch, unaligned
         boundaries, or joint GOPs needing reconstruction)."""
-        if plan.request.codec == "raw":
-            return None
-        if len({id(c.fragment) for c in plan.choices}) != 1:
+        if plan.request.codec == "raw" or not plan.is_stored_answer():
             return None
         choice = plan.choices[0]
-        fragment = choice.fragment
-        if not self.cost_model.is_format_match(fragment, plan.target):
-            return None
-        if abs(fragment.physical.fps - plan.target_fps) > _EPS:
-            return None
         if choice.cells != [plan.roi]:
             return None
-        frag_roi = fragment.physical.roi
-        if frag_roi is not None and tuple(frag_roi) != tuple(plan.roi):
-            return None
         request = plan.request
-        gops = fragment.gops_overlapping(request.start, request.end)
+        gops = choice.fragment.gops_overlapping(request.start, request.end)
         if not gops:
             return None
         if (

@@ -41,7 +41,7 @@ from repro.video.frame import PIXEL_FORMATS
 if TYPE_CHECKING:
     from repro.core.reader import BatchStats, ReadResult, ReadStats
 
-#: Planner modes accepted by :attr:`ReadSpec.mode` (None = store default).
+#: Planner modes accepted by :attr:`ReadSpec.mode` (None = ``solver``).
 PLANNER_MODES = ("solver", "greedy", "original")
 
 
@@ -84,8 +84,8 @@ class ReadSpec:
     (S): output ``resolution`` and ``roi`` in original coordinates;
     physical (P): ``codec``, ``pixel_format``, output ``qp``, and the
     quality cutoff ``quality_db`` below which cached fragments are
-    rejected.  ``cache`` overrides the store's read-caching default and
-    ``mode`` overrides its planner (both None = inherit).
+    rejected.  ``cache`` overrides the store's read-caching default (None
+    = inherit) and ``mode`` picks the planner (None = ``solver``).
     """
 
     name: str

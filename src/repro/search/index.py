@@ -2,7 +2,7 @@
 
 The catalog is already SQLite, so the search index lives in the same
 database file and rides the catalog's connection discipline (single
-locked writer, per-thread WAL readers).  Three tables:
+locked writer, per-thread WAL readers).  Two tables:
 
 * ``search_gops`` — one row per indexed GOP of a logical video's
   *original* physical, keyed ``(logical_id, gop_seq)``.  Originals are
@@ -13,10 +13,9 @@ locked writer, per-thread WAL readers).  Three tables:
   pooled descriptor embedding as little-endian float32 BLOBs.
 * ``search_fts`` — an FTS5 table over the labels, rowid-linked to
   ``search_gops.id``, serving keyword queries ranked by BM25.
-* a ``vec0`` virtual table per vector space when the ``sqlite_vec``
-  extension is importable and loadable; otherwise (the default in this
-  tree) vector queries brute-force cosine similarity over the BLOB
-  columns in numpy — exact, and fast enough for per-GOP row counts.
+
+Vector queries brute-force cosine similarity over the BLOB columns in
+numpy — exact, and fast enough for per-GOP row counts.
 
 Consistency: :class:`SearchIndex` registers a
 :meth:`~repro.core.catalog.Catalog.add_delete_hook` so a logical's index
@@ -33,11 +32,6 @@ import sqlite3
 from dataclasses import dataclass
 
 import numpy as np
-
-try:  # pragma: no cover - not installed in this environment
-    import sqlite_vec  # type: ignore
-except ImportError:  # the brute-force path below is the tested one
-    sqlite_vec = None
 
 #: Dimensions of the two vector spaces (see repro.search.extract).
 HISTOGRAM_DIM = 64
@@ -115,25 +109,6 @@ class SearchIndex:
             conn.executescript(_SEARCH_SCHEMA)
             conn.commit()
         catalog.add_delete_hook(self._on_delete_logical)
-        self.vector_backend = "brute-force"
-        if sqlite_vec is not None:  # pragma: no cover - env-dependent
-            try:
-                with catalog._write() as conn:
-                    conn.enable_load_extension(True)
-                    try:
-                        sqlite_vec.load(conn)
-                    finally:
-                        conn.enable_load_extension(False)
-                    for space, dim in _VECTOR_DIMS.items():
-                        conn.execute(
-                            f"CREATE VIRTUAL TABLE IF NOT EXISTS"
-                            f" search_vec_{space} USING vec0"
-                            f"(vector float[{dim}] distance_metric=cosine)"
-                        )
-                    conn.commit()
-                self.vector_backend = "sqlite-vec"
-            except Exception:
-                pass  # stdlib sqlite3 may lack extension support
 
     # ------------------------------------------------------------------
     # writes
@@ -179,16 +154,6 @@ class SearchIndex:
                 "INSERT INTO search_fts (rowid, labels) VALUES (?, ?)",
                 (cursor.lastrowid, doc),
             )
-            if self.vector_backend == "sqlite-vec":  # pragma: no cover
-                for space, vec in (
-                    ("histogram", histogram),
-                    ("embedding", embedding),
-                ):
-                    conn.execute(
-                        f"INSERT INTO search_vec_{space} (rowid, vector)"
-                        " VALUES (?, ?)",
-                        (cursor.lastrowid, pack_vector(vec)),
-                    )
             conn.commit()
 
     def _delete_rows(
@@ -204,13 +169,6 @@ class SearchIndex:
             return
         marks = ",".join("?" * len(ids))
         conn.execute(f"DELETE FROM search_fts WHERE rowid IN ({marks})", ids)
-        if self.vector_backend == "sqlite-vec":  # pragma: no cover
-            for space in _VECTOR_DIMS:
-                conn.execute(
-                    f"DELETE FROM search_vec_{space}"
-                    f" WHERE rowid IN ({marks})",
-                    ids,
-                )
         conn.execute(f"DELETE FROM search_gops WHERE id IN ({marks})", ids)
 
     def _on_delete_logical(
@@ -293,11 +251,6 @@ class SearchIndex:
             raise ValueError(
                 f"{space} query must have {dim} dims, got {query.shape}"
             )
-        if self.vector_backend == "sqlite-vec":  # pragma: no cover
-            try:
-                return self._vec_search(space, query, limit)
-            except Exception:
-                pass  # any extension hiccup degrades to exact brute force
         with self.catalog._read() as conn:
             rows = conn.execute(
                 f"SELECT logical_id, gop_seq, start_time, end_time,"
@@ -321,36 +274,4 @@ class SearchIndex:
                 score=float(scores[i]),
             )
             for i in order
-        ]
-
-    def _vec_search(
-        self, space: str, query: np.ndarray, limit: int
-    ) -> list[IndexRow]:  # pragma: no cover - needs the extension
-        """Top-k via the sqlite-vec virtual table (cosine distance).
-
-        Runs on the writer connection — the only one the extension was
-        loaded into; vec searches are rare enough that serializing them
-        there is fine.
-        """
-        with self.catalog._write() as conn:
-            rows = conn.execute(
-                f"SELECT g.logical_id, g.gop_seq, g.start_time,"
-                f" g.end_time, g.labels, g.num_detections, v.distance"
-                f" FROM search_vec_{space} v"
-                f" JOIN search_gops g ON g.id = v.rowid"
-                f" WHERE v.vector MATCH ? AND v.k = ?"
-                f" ORDER BY v.distance",
-                (pack_vector(query), limit),
-            ).fetchall()
-        return [
-            IndexRow(
-                logical_id=row["logical_id"],
-                gop_seq=row["gop_seq"],
-                start_time=row["start_time"],
-                end_time=row["end_time"],
-                labels=row["labels"],
-                num_detections=row["num_detections"],
-                score=1.0 - float(row["distance"]),
-            )
-            for row in rows
         ]

@@ -3,10 +3,10 @@
 :class:`VSSBinaryServer` is the throughput-oriented peer of the HTTP
 :class:`repro.server.http.VSSServer`.  Both front the same
 :class:`repro.core.engine.VSSEngine` and answer ``read`` /
-``read_batch`` / ``write`` with the same frames — request decoding and
-frame building live in :mod:`repro.core.wire` — so this module is
-transport only.  Where the HTTP server burns one thread and one
-connection per request, the binary server:
+``read_batch`` / ``write`` with the same frames — each op's engine call
+and frame building is its entry in :mod:`repro.core.ops` — so this
+module is transport only.  Where the HTTP server burns one thread and
+one connection per request, the binary server:
 
 * runs **one event loop** that multiplexes every connection — thousands
   of idle streams cost file descriptors, not threads;
@@ -21,7 +21,7 @@ connection per request, the binary server:
   3.11 it joins the list into one new bytes object, a copy of every
   reply, which this server paid until it switched to ``os.writev``);
 * **bridges** into worker threads only for engine work (planning,
-  decode, catalog IO), prefetching the next batch of chunks while the
+  decode, catalog IO), prefetching the next batch of frames while the
   current one goes out, so blocking storage code never stalls the loop.
 
 A connection carries any number of sequential requests: the client
@@ -33,15 +33,16 @@ framing errors (bad length prefix, unknown frame type, truncated frame)
 answer with a :class:`WireError` envelope and close only that
 connection — never the server.
 
-Admission control matches the HTTP server: heavy operations (read,
-read_batch, write) take a :class:`ServiceGauges` slot or are rejected
-immediately with a ``ServerBusyError`` envelope carrying the same
-``retry_after`` hint as HTTP 429 + ``Retry-After``; the queue-depth
-gauges are served by the ``metrics`` op (the ``/metrics`` equivalent).
-
-Only the payload-carrying ops (``read``, ``read_batch``, ``write``) have
-handlers here; every other ``"op"`` value is an entry of the service-op
-table in :mod:`repro.core.ops`, run by one generic handler.
+Every ``"op"`` value is answered by one handler,
+:meth:`VSSBinaryServer._answer`: a payload op is its
+:data:`repro.core.ops.DATA_OPS` entry, and a unary op of
+:data:`repro.core.ops.OPS` answers one ``REPLY`` frame.  Admission
+control matches the HTTP server: the heavy ops (the payload ops,
+``reindex``, ``check``) take a :class:`ServiceGauges` slot or are
+rejected immediately with a ``ServerBusyError`` envelope carrying the
+same ``retry_after`` hint as HTTP 429 + ``Retry-After``; the
+queue-depth gauges are served by the ``metrics`` op (the ``/metrics``
+equivalent).
 """
 
 from __future__ import annotations
@@ -56,22 +57,15 @@ from functools import partial
 from pathlib import Path
 
 from repro.core.engine import VSSEngine
-from repro.core.ops import OPS, Op, physical_to_dict
+from repro.core.ops import DATA_OPS, OPS, reply_frames
 from repro.core.wire import (
     FRAME_PING,
     FRAME_PONG,
-    FRAME_REPLY,
     FRAME_REQUEST,
-    batch_frames,
     check_frame_length,
-    chunk_frame,
-    decode_read,
-    decode_read_batch,
-    decode_write,
     encode_frame,
     error_frame,
     parse_frame,
-    stream_end_frame,
 )
 from repro.errors import ServerBusyError, WireError
 from repro.server.http import (
@@ -97,12 +91,12 @@ async def read_frame_async(
     return parse_frame(body)
 
 
-#: Chunk-batch bounds for one bridge round-trip.  Every loop<->thread
-#: hop costs a wakeup on both sides (and GIL churn under load), so the
-#: stream is drained in bounded batches rather than chunk-at-a-time:
+#: Frame-batch bounds for one bridge round-trip.  Every loop<->thread
+#: hop costs a wakeup on both sides (and GIL churn under load), so an
+#: answer is drained in bounded batches rather than frame-at-a-time:
 #: small reads finish in a single hop, large reads stay O(batch)
 #: resident instead of O(read).
-_PULL_MAX_CHUNKS = 8
+_PULL_MAX_FRAMES = 8
 _PULL_MAX_BYTES = 32 << 20
 
 
@@ -148,32 +142,47 @@ def write_vectored(fd: int, buffers) -> list[memoryview]:
     return []
 
 
-def _pull_chunks(stream) -> tuple[list, bool]:
-    """Drain up to one bounded batch of chunks on a bridge thread.
+def _entry(name) -> tuple:
+    """``(run, admitted)`` for op ``name``: its :data:`DATA_OPS` entry, or
+    its :data:`OPS` entry answering one ``REPLY`` frame.
 
-    Returns ``(chunks, exhausted)``.
+    The request header doubles as a unary op's params (its ``"op"`` key
+    is just one more name the op does not look at).
     """
-    chunks: list = []
+    if name in DATA_OPS:
+        return DATA_OPS[name], True
+    op = OPS.get(name)
+    if op is None:
+        # Frame boundaries are intact: answer and keep serving.
+        raise WireError(f"unknown op {name!r}")
+    return (
+        lambda service, header, payload: reply_frames(op(service, header))
+    ), op.admitted
+
+
+def _pull(frames) -> tuple[list, bool]:
+    """Up to one bounded batch of frames, pulled on a bridge thread.
+
+    Returns ``(batch, exhausted)``.
+    """
+    batch: list = []
     nbytes = 0
-    while len(chunks) < _PULL_MAX_CHUNKS and nbytes < _PULL_MAX_BYTES:
-        try:
-            chunk = next(stream)
-        except StopIteration:
-            return chunks, True
-        chunks.append(chunk)
-        nbytes += chunk.nbytes
-    return chunks, False
+    while len(batch) < _PULL_MAX_FRAMES and nbytes < _PULL_MAX_BYTES:
+        frame = next(frames, None)
+        if frame is None:
+            return batch, True
+        batch.append(frame)
+        nbytes += sum(memoryview(buffer).nbytes for buffer in frame)
+    return batch, False
 
 
-def _open_and_pull(session, spec):
-    """Open a read stream and pull its first batch in one bridge hop."""
-    stream = session.read_stream(spec)
-    try:
-        chunks, done = _pull_chunks(stream)
-    except BaseException:
-        stream.close()
-        raise
-    return stream, chunks, done
+def _open(run, service, header: dict, payload):
+    """Run an op's eager work and pull its first batch in one bridge hop.
+
+    A frame iterator that raises has already released what it held.
+    """
+    frames = run(service, header, payload)
+    return (frames, *_pull(frames))
 
 
 class VSSBinaryServer:
@@ -379,16 +388,8 @@ class VSSBinaryServer:
                     best_effort=True,
                 )
                 return
-            op = header.get("op")
             try:
-                handler = self._OPS.get(op)
-                if handler is not None:
-                    await handler(self, writer, header, payload)
-                elif op in OPS:
-                    await self._op_unary(writer, OPS[op], header)
-                else:
-                    # Frame boundaries are intact: answer and keep serving.
-                    raise WireError(f"unknown op {op!r}")
+                await self._answer(writer, header, payload)
             except (ConnectionError, TimeoutError, asyncio.CancelledError):
                 raise
             except Exception as exc:  # noqa: BLE001 - mapped to an envelope
@@ -417,9 +418,6 @@ class VSSBinaryServer:
                 writer.write(view[start:start + _HANDOFF_BYTES])
                 await writer.drain()
 
-    async def _send_reply(self, writer, result: dict) -> None:
-        await self._send(writer, encode_frame(FRAME_REPLY, result))
-
     async def _send_error(
         self, writer, exc: BaseException, best_effort: bool = False
     ) -> None:
@@ -430,100 +428,48 @@ class VSSBinaryServer:
                 raise
 
     # ------------------------------------------------------------------
-    # operations
+    # the one handler
     # ------------------------------------------------------------------
-    async def _op_unary(self, writer, op: Op, header: dict) -> None:
-        """Any op of the service table: one bridge hop, one REPLY frame.
+    async def _answer(self, writer, header: dict, payload) -> None:
+        """Answer one request of any op (module docs).
 
-        The request header doubles as the op's params (its ``"op"`` key
-        is just one more name the op does not look at).
+        An admitted op takes a gauge slot first.  One bridge hop then
+        runs the op's eager work and pulls the first bounded batch of
+        its frames; errors raised there (missing video, malformed
+        request) surface as one error frame.  While a batch goes out in
+        one uncopied :meth:`_send`, the bridge already pulls the next,
+        so the answer's decode runs ahead of the socket writes; once
+        frames flow, a failure travels as an in-band error frame too —
+        the framing keeps the connection reusable either way.
         """
-        if op.admitted and not self.gauges.try_enter():
+        run, admitted = _entry(header.get("op"))
+        if admitted and not self.gauges.try_enter():
             await self._send_error(writer, _BUSY)
             return
-        try:
-            reply = await self._bridge_call(op, self, header)
-        finally:
-            if op.admitted:
-                self.gauges.leave()
-        await self._send_reply(writer, reply)
-
-    async def _op_write(self, writer, header, payload) -> None:
-        spec, segment = decode_write(header, payload)
-        if not self.gauges.try_enter():
-            await self._send_error(writer, _BUSY)
-            return
-        try:
-            physical = await self._bridge_call(
-                self.engine.write, spec, segment=segment
-            )
-        finally:
-            self.gauges.leave()
-        await self._send_reply(writer, physical_to_dict(physical))
-
-    async def _op_read(self, writer, header, payload) -> None:
-        spec = decode_read(header)
-        if not self.gauges.try_enter():
-            await self._send_error(writer, _BUSY)
-            return
-        stream = None
+        frames = None
         prefetch = None
         try:
-            # Errors raised before any chunk exists (missing video,
-            # empty logical) surface as one error frame; once streaming
-            # starts, failures travel as an in-band error frame too —
-            # the framing keeps the connection reusable either way.
-            stream, chunks, done = await self._bridge_call(
-                _open_and_pull, self.session, spec
+            frames, batch, done = await self._bridge_call(
+                _open, run, self, header, payload
             )
             while True:
-                # Prefetch the next batch while this one goes out: the
-                # bridge thread decodes ahead of the socket writes.
-                prefetch = (
-                    None if done else self._bridge_call(_pull_chunks, stream)
+                prefetch = None if done else self._bridge_call(_pull, frames)
+                await self._send(
+                    writer, [buffer for frame in batch for buffer in frame]
                 )
-                # One vectored write per batch: every frame of the
-                # batch (and, on the last one, the END frame) leaves in
-                # a single _send, uncopied.
-                buffers: list = []
-                for chunk in chunks:
-                    buffers.extend(chunk_frame(chunk))
                 if prefetch is None:
-                    buffers.extend(stream_end_frame(stream.stats))
-                    await self._send(writer, buffers)
                     break
-                await self._send(writer, buffers)
-                chunks, done = await prefetch
+                batch, done = await prefetch
                 prefetch = None
         except BaseException:
             # Let an in-flight prefetch finish before closing the
-            # stream under it; its result is discarded.
+            # frames under it; its result is discarded.
             if prefetch is not None:
                 with contextlib.suppress(BaseException):
                     await prefetch
-            if stream is not None:
-                stream.close()
+            if frames is not None:
+                frames.close()
             raise
         finally:
-            self.gauges.leave()
-
-    async def _op_read_batch(self, writer, header, payload) -> None:
-        specs = decode_read_batch(header)
-        if not self.gauges.try_enter():
-            await self._send_error(writer, _BUSY)
-            return
-        try:
-            results, batch = await self._bridge_call(
-                self.engine.read_batch, specs
-            )
-            for buffers in batch_frames(results, batch):
-                await self._send(writer, buffers)
-        finally:
-            self.gauges.leave()
-
-    #: The payload-carrying ops; everything else lives in ``OPS``.
-    _OPS = {
-        "write": _op_write,
-        "read": _op_read,
-        "read_batch": _op_read_batch,
-    }
+            if admitted:
+                self.gauges.leave()

@@ -11,16 +11,16 @@ status codes, and how bytes reach the socket.
   handler matches ``(method, path)`` against that table and has no
   per-op code; ``docs/api.md`` lists them.  Requests and replies are
   JSON.
-* The data plane — ``POST /v1/read``, ``/v1/read_batch``, ``/v1/write``
+* The data plane — ``POST /v1/<name>`` for each entry of
+  :data:`repro.core.ops.DATA_OPS` (``read``, ``read_batch``, ``write``)
   — carries the binary frames of :mod:`repro.core.wire`: the request
   body is one ``REQUEST`` frame, and the ``200`` answer is a chunked
-  body holding exactly the frame sequence the binary server would
-  write (one HTTP chunk per frame; payload buffers go to the socket
-  uncopied).  Request decoding and frame building live in ``wire``, so
-  both servers answer with the same frames.  A failure *before* the
-  first frame (missing video, malformed request, busy) is a plain HTTP
-  error — status code + JSON envelope; once frames flow, a failure
-  travels as an in-band ``ERROR`` frame.
+  body holding the frames the entry returns, the same the binary server
+  writes (one HTTP chunk per frame; payload buffers go to the socket
+  uncopied).  One handler serves every entry.  A failure in the entry's
+  eager work (missing video, malformed request) or a busy server is a
+  plain HTTP error — status code + JSON envelope; once frames flow, a
+  failure travels as an in-band ``ERROR`` frame.
 * ``GET /healthz`` answers ``{"ok": true}`` with no engine work.
 
 Names resolve uniformly: a derived view created via ``POST /v1/views``
@@ -45,21 +45,13 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from repro.core.engine import VSSEngine
-from repro.core.ops import match_route, physical_to_dict
+from repro.core.ops import DATA_OPS, match_route
 from repro.core.wire import (
-    FRAME_REPLY,
     FRAME_REQUEST,
-    batch_frames,
     check_frame_length,
-    chunk_frame,
-    decode_read,
-    decode_read_batch,
-    decode_write,
-    encode_frame,
     error_frame,
     error_to_dict,
     parse_frame,
-    stream_end_frame,
 )
 from repro.errors import (
     ServerBusyError,
@@ -242,27 +234,29 @@ class VSSRequestHandler(BaseHTTPRequestHandler):
             self.wfile.write(payload)
         self.wfile.write(b"\r\n")
 
-    def _send_frames(self, frames, abandon=None) -> None:
+    def _send_frames(self, frames) -> None:
         """Answer ``200`` with ``frames`` (buffer lists) as a chunked body.
 
-        The status line is committed, so a failure while producing or
-        writing frames travels as an in-band ``ERROR`` frame;
-        ``abandon`` releases whatever the producer holds.
+        Once the status line is out, a failure while producing or
+        writing frames travels as an in-band ``ERROR`` frame.  ``frames``
+        is closed however the answer ends, releasing what its producer
+        holds.
         """
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-vss-frames")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
         try:
-            for buffers in frames:
-                self._write_frame(buffers)
-        except Exception as exc:  # noqa: BLE001 - in-band error frame
-            if abandon is not None:
-                abandon()
-            if isinstance(exc, ConnectionError):
+            self.send_response(200)
+            self.send_header("Content-Type", "application/x-vss-frames")
+            self.send_header("Transfer-Encoding", "chunked")
+            self.end_headers()
+            try:
+                for buffers in frames:
+                    self._write_frame(buffers)
+            except ConnectionError:
                 raise  # the client hung up: _serve has nothing to tell it
-            self._write_frame(error_frame(exc))
-        self.wfile.write(b"0\r\n\r\n")
+            except Exception as exc:  # noqa: BLE001 - in-band error frame
+                self._write_frame(error_frame(exc))
+            self.wfile.write(b"0\r\n\r\n")
+        finally:
+            frames.close()
 
     # ------------------------------------------------------------------
     # routing
@@ -270,9 +264,15 @@ class VSSRequestHandler(BaseHTTPRequestHandler):
     def _dispatch(self) -> None:
         """Route one request: data plane, liveness, then the op table."""
         url = urlsplit(self.path)
-        data_route = self._DATA_ROUTES.get((self.command, url.path))
-        if data_route is not None:
-            self._serve(lambda: data_route(self), admitted=True)
+        name = url.path.removeprefix("/v1/")
+        if self.command == "POST" and name != url.path and name in DATA_OPS:
+
+            def answer() -> None:
+                self._send_frames(
+                    DATA_OPS[name](self.server, *self._read_request(name))
+                )
+
+            self._serve(answer, admitted=True)
             return
         if self.command == "GET" and url.path == "/healthz":
             # Liveness only — no engine work, so a wedged store never
@@ -317,40 +317,6 @@ class VSSRequestHandler(BaseHTTPRequestHandler):
         finally:
             if admitted:
                 gauges.leave()
-
-    # ------------------------------------------------------------------
-    # data-plane endpoint bodies
-    # ------------------------------------------------------------------
-    def _handle_write(self) -> None:
-        spec, segment = decode_write(*self._read_request("write"))
-        physical = self.server.engine.write(spec, segment=segment)
-        self._send_frames(
-            [encode_frame(FRAME_REPLY, physical_to_dict(physical))]
-        )
-
-    def _handle_read(self) -> None:
-        header, _ = self._read_request("read")
-        stream = self.server.session.read_stream(decode_read(header))
-
-        def frames():
-            for chunk in stream:
-                yield chunk_frame(chunk)
-            yield stream_end_frame(stream.stats)
-
-        self._send_frames(frames(), abandon=stream.close)
-
-    def _handle_read_batch(self) -> None:
-        header, _ = self._read_request("read_batch")
-        results, batch = self.server.engine.read_batch(
-            decode_read_batch(header)
-        )
-        self._send_frames(batch_frames(results, batch))
-
-    _DATA_ROUTES = {
-        ("POST", "/v1/write"): _handle_write,
-        ("POST", "/v1/read"): _handle_read,
-        ("POST", "/v1/read_batch"): _handle_read_batch,
-    }
 
 
 class VSSServer:

@@ -34,6 +34,22 @@ VEHICLE_PALETTE: dict[str, tuple[int, int, int]] = {
 #: distance between the dominant bin's colour and the query colour is <= 50.
 COLOR_MATCH_THRESHOLD = 50.0
 
+#: A pixel is vehicle paint when its Euclidean distance to a palette
+#: colour is at most this, and a detection needs this many such pixels
+#: connected.
+COLOR_TOLERANCE = 60
+MIN_AREA = 12
+
+#: Per palette colour and channel, ``(value - reference) ** 2`` for every
+#: uint8 value: a pixel's squared distance is three table lookups.
+_SQUARED_DISTANCE = np.array(
+    [
+        [(np.arange(256) - channel) ** 2 for channel in reference]
+        for reference in VEHICLE_PALETTE.values()
+    ],
+    dtype=np.int32,
+)
+
 
 @dataclass(frozen=True)
 class Detection:
@@ -54,26 +70,32 @@ class Detection:
         return frame[self.y0 : self.y1, self.x0 : self.x1]
 
 
-def detect_vehicles(
-    frame: np.ndarray,
-    min_area: int = 12,
-    color_tolerance: float = 60.0,
-) -> list[Detection]:
-    """Detect vehicles in an RGB frame.
-
-    Pixels within ``color_tolerance`` of any palette colour are grouped
-    into connected components; components of at least ``min_area`` pixels
-    become detections labelled by their dominant palette colour.
-    """
-    if frame.ndim != 3 or frame.shape[2] != 3:
-        raise ValueError(f"expected an (H, W, 3) rgb frame, got {frame.shape}")
-    pixels = frame.astype(np.float32)
+def paint_mask(frame: np.ndarray) -> np.ndarray:
+    """Where a uint8 RGB frame is within :data:`COLOR_TOLERANCE` of a
+    palette colour, compared as squared distances in integers."""
+    if frame.ndim != 3 or frame.shape[2] != 3 or frame.dtype != np.uint8:
+        raise ValueError(
+            f"expected an (H, W, 3) uint8 rgb frame, got {frame.shape} "
+            f"{frame.dtype}"
+        )
+    red, green, blue = frame[..., 0], frame[..., 1], frame[..., 2]
     mask = np.zeros(frame.shape[:2], dtype=bool)
-    for reference in VEHICLE_PALETTE.values():
-        ref = np.asarray(reference, dtype=np.float32)
-        distance = np.sqrt(((pixels - ref) ** 2).sum(axis=-1))
-        mask |= distance <= color_tolerance
-    labels, count = ndimage.label(mask)
+    for table in _SQUARED_DISTANCE:
+        squared = table[0][red]
+        squared += table[1][green]
+        squared += table[2][blue]
+        mask |= squared <= COLOR_TOLERANCE**2
+    return mask
+
+
+def detect_vehicles(frame: np.ndarray) -> list[Detection]:
+    """Detect vehicles in a uint8 RGB frame.
+
+    The pixels of :func:`paint_mask` are grouped into connected
+    components; components of at least :data:`MIN_AREA` pixels become
+    detections labelled by their dominant palette colour.
+    """
+    labels, count = ndimage.label(paint_mask(frame))
     if count == 0:
         return []
     detections = []
@@ -83,7 +105,7 @@ def detect_vehicles(
             continue
         component = labels[slc] == index
         area = int(component.sum())
-        if area < min_area:
+        if area < MIN_AREA:
             continue
         y0, y1 = slc[0].start, slc[0].stop
         x0, x1 = slc[1].start, slc[1].stop

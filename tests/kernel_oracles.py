@@ -35,8 +35,14 @@ one frame at a time (warp, merge, :func:`recover_right_frame`, PSNR),
 whose result the stacked ``JointCompressor.compress`` must equal field by
 field (``test_jointcomp.py``).
 :func:`plan_brute_force` prices every run of minimal covers of a read
-plan's intervals, whose least cost the planner's pass must equal
-(``test_planner.py``).
+plan's intervals, whose least cost the planner's pass must equal, and
+:func:`plan_original` is the walk that planned ``mode="original"``
+reads before they ran through that pass, whose choices and estimate the
+pass must equal bit for bit (``test_planner.py``).
+:func:`detect_vehicles_float` is vehicle detection with its colour mask
+computed as float32 Euclidean distances (a ``sqrt`` per pixel and
+palette colour); the integer mask and the detections must equal it
+(``test_vision.py``).
 Nothing under ``src/`` imports this module.
 """
 
@@ -51,7 +57,14 @@ from scipy import fft as sfft
 from scipy import ndimage
 
 from repro.core.cache import CacheManager
-from repro.errors import CodecError, HomographyError
+from repro.core.read_planner import (
+    IntervalChoice,
+    ReadPlan,
+    _build_intervals,
+    _filter_candidates,
+    resolve_target,
+)
+from repro.errors import CodecError, HomographyError, QualityError
 from repro.jointcomp.algorithm import (
     JointCompressor,
     JointResult,
@@ -78,6 +91,13 @@ from repro.video.frame import (
     planes_to_frame,
 )
 from repro.video.metrics import mse, psnr
+from repro.vision.detection import (
+    COLOR_TOLERANCE,
+    MIN_AREA,
+    VEHICLE_PALETTE,
+    Detection,
+    classify_color,
+)
 from repro.vision.homography import apply_homography, homography_identity_distance
 
 
@@ -847,3 +867,75 @@ def plan_brute_force(intervals: list[dict]) -> list[tuple[float, tuple]]:
         runs.append((total, run))
     runs.sort(key=lambda entry: entry[0])
     return runs
+
+
+def plan_original(request, fragments, original, cost_model, quality_model):
+    """A ``mode="original"`` plan as one walk over the intervals: the
+    first original fragment covering each, charged its look-back unless
+    it also read the interval before."""
+    target, target_fps, roi = resolve_target(request, original)
+    candidates = _filter_candidates(
+        request, fragments, original, quality_model, roi, "original"
+    )
+    if not candidates:
+        raise QualityError("no original fragment meets the cutoff")
+    choices = []
+    total = 0.0
+    previous = None
+    for interval in _build_intervals(request, candidates, roi):
+        originals = [f for f in interval.fragments if f.physical.is_original]
+        if not originals:
+            raise QualityError(
+                f"original video does not cover "
+                f"[{interval.start}, {interval.end})"
+            )
+        fragment = originals[0]
+        total += cost_model.transcode_cost(
+            fragment, interval.end - interval.start, target, target_fps
+        )
+        charged = previous is not fragment
+        if charged:
+            total += cost_model.lookback_cost(fragment, interval.start)
+        choices.append(
+            IntervalChoice(interval.start, interval.end, fragment, [roi], charged)
+        )
+        previous = fragment
+    return ReadPlan(
+        request=request,
+        target=target,
+        target_fps=target_fps,
+        roi=roi,
+        choices=choices,
+        estimated_cost=total,
+        mode="original",
+    )
+
+
+def float_paint_mask(frame: np.ndarray) -> np.ndarray:
+    """The paint mask as float32 distances: ``sqrt`` of the summed squared
+    channel differences, at most the tolerance."""
+    pixels = frame.astype(np.float32)
+    mask = np.zeros(frame.shape[:2], dtype=bool)
+    for reference in VEHICLE_PALETTE.values():
+        ref = np.asarray(reference, dtype=np.float32)
+        distance = np.sqrt(((pixels - ref) ** 2).sum(axis=-1))
+        mask |= distance <= float(COLOR_TOLERANCE)
+    return mask
+
+
+def detect_vehicles_float(frame: np.ndarray) -> list[Detection]:
+    """``detect_vehicles`` over :func:`float_paint_mask`."""
+    labels, count = ndimage.label(float_paint_mask(frame))
+    detections = []
+    for index, slc in enumerate(ndimage.find_objects(labels), start=1):
+        if slc is None:
+            continue
+        area = int((labels[slc] == index).sum())
+        if area < MIN_AREA:
+            continue
+        y0, y1 = slc[0].start, slc[0].stop
+        x0, x1 = slc[1].start, slc[1].stop
+        color = classify_color(frame[y0:y1, x0:x1])
+        detections.append(Detection(x0, y0, x1, y1, color, area))
+    detections.sort(key=lambda d: -d.area)
+    return detections

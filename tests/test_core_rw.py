@@ -132,6 +132,23 @@ class TestRead:
         assert result.stats.direct_serve
         assert sum(g.num_frames for g in result.gops) == 30
 
+    def test_roi_read_of_a_full_frame_fragment_is_not_direct_served(
+        self, store, benchmark_size_clip
+    ):
+        """A full-frame fragment in the requested codec, pixel format and
+        resolution does not answer an ROI read as stored: shipping its
+        bytes would return the whole frame, not the crop scaled up."""
+        store.write("v", benchmark_size_clip, codec="h264", qp=10)
+        spec = ReadSpec(
+            "v", 0.0, 1.0, codec="h264", roi=(0, 0, 96, 54),
+            resolution=(192, 108), cache=False,
+        )
+        result = store.read(spec)
+        assert not result.stats.direct_serve
+        assert not result.plan.is_stored_answer()
+        expected = store.read(spec.replace(codec="raw")).segment
+        assert segment_psnr(expected, result.as_segment()) >= spec.quality_db
+
     def test_unaligned_same_format_falls_back(self, loaded_store):
         result = loaded_store.read("traffic", 0.25, 1.25, codec="h264")
         assert not result.stats.direct_serve

@@ -5,8 +5,8 @@ clients' ``_rpc`` against **one** engine fronted by a ``VSSServer`` and
 a ``VSSBinaryServer`` at once, and through both ports of a
 ``VSSRouter`` over two shards holding copies of the same store; all
 four replies must be equal.  The data plane gets the same treatment:
-the frames answering a ``read`` or ``read_batch`` are the same on all
-four endpoints.  Another test pins ``docs/api.md`` to the table, so
+the frames answering a ``read``, ``read_batch`` or ``write`` are the
+same on all four endpoints.  Another test pins ``docs/api.md`` to the table, so
 neither can drift.
 """
 
@@ -23,18 +23,22 @@ import pytest
 from repro.client import VSSBinaryClient, VSSClient
 from repro.cluster import VSSRouter
 from repro.core.engine import VSSEngine
-from repro.core.ops import OPS, Op
-from repro.core.specs import ReadSpec, ViewSpec
+from repro.core.ops import DATA_OPS, OPS, Op
+from repro.core.specs import ReadSpec, ViewSpec, WriteSpec
 from repro.core.wire import (
     FRAME_END,
     FRAME_ERROR,
     FRAME_GOPS,
+    FRAME_REPLY,
     FRAME_RESULT_GOPS,
     FRAME_RESULT_SEGMENT,
     FRAME_SEGMENT,
     read_spec_to_dict,
     search_query_to_dict,
+    segment_payload_view,
+    segment_to_meta,
     view_spec_to_dict,
+    write_spec_to_dict,
 )
 from repro.errors import (
     CatalogError,
@@ -43,6 +47,7 @@ from repro.errors import (
     WireError,
 )
 from repro.server import VSSBinaryServer, VSSServer
+from repro.video.frame import blank_segment
 
 _VIEW = view_spec_to_dict(ViewSpec(over="traffic", start=0.5, end=2.0))
 
@@ -181,9 +186,12 @@ _RAW = ReadSpec(
     "traffic", 0.2, 2.8, codec="raw", cache=False, resolution=(32, 18)
 )
 _STORED = ReadSpec("traffic", 0.0, 3.0, codec="h264", qp=10, cache=False)
+_INGEST = blank_segment(30, 18, 32, fps=30.0, fill=90)
 
-#: One data-plane request per case: op, params, and the frame types of
-#: the answer.  ``_STORED`` is served from the stored bytes.
+#: One data-plane request per case: op, params, the frame types of the
+#: answer and, for a write, the request payload.  ``_STORED`` is served
+#: from the stored bytes.  A write's video is deleted after each answer,
+#: so every endpoint writes it afresh.
 DATA_PLANE: dict[str, tuple] = {
     "raw read": (
         "read", {"spec": read_spec_to_dict(_RAW)},
@@ -213,16 +221,44 @@ DATA_PLANE: dict[str, tuple] = {
         {"specs": [read_spec_to_dict(_RAW.replace(name="ghost"))]},
         [FRAME_ERROR],
     ),
+    "write": (
+        "write",
+        {
+            "spec": write_spec_to_dict(
+                WriteSpec("ingest", codec="h264", qp=10, gop_size=15)
+            ),
+            "segment": segment_to_meta(_INGEST),
+        },
+        [FRAME_REPLY],
+        bytes(segment_payload_view(_INGEST)),
+    ),
+    "malformed read": (
+        "read",
+        {
+            "spec": {
+                key: value
+                for key, value in read_spec_to_dict(_RAW).items()
+                if key != "end"
+            }
+        },
+        [FRAME_ERROR],
+    ),
 }
+
+#: Header fields that differ between two equal answers: a write's
+#: physical id (ids are never recycled, so each fresh write gets a new
+#: one).
+_FRESH = {"physical_id"}
 
 
 def _untimed(header):
-    """A frame header without its wall-clock fields, at any depth."""
+    """A frame header without its wall-clock fields and fresh ids, at
+    any depth."""
     if isinstance(header, dict):
         return {
             key: _untimed(value)
             for key, value in header.items()
-            if not key.endswith("_seconds")
+            if not key.endswith("_seconds") and key not in _FRESH
         }
     return header
 
@@ -236,15 +272,17 @@ def test_both_transports_answer_with_the_same_frames(
     payload bytes — at a single server and through a router; an HTTP
     failure before the first frame carries, as its JSON body, the
     envelope the binary transport frames."""
-    op, params, types = DATA_PLANE[case]
+    op, params, types, *payload = DATA_PLANE[case]
 
     def answer(transport: str, client) -> list:
         frames = list(
             raw_answer(
-                transport, (client.host, client.port), op, params
+                transport, (client.host, client.port), op, params, *payload
             ).frames()
         )
         assert [frame[0] for frame in frames] == types
+        if op == "write":
+            client.delete(params["spec"]["name"])
         return [(t, _untimed(header), data) for t, header, data in frames]
 
     # Once unrecorded, so every recorded answer comes from warm caches
@@ -415,7 +453,8 @@ def test_partial_mutation_is_counted_and_logged(fronted, caplog):
 
 def test_docs_list_every_op_and_route():
     """docs/api.md names each table op, its REST route template and —
-    in the "Request routing" table — its placement and merge."""
+    in the "Request routing" table — its placement and merge, and lists
+    each payload op's route."""
     docs = (Path(__file__).parent.parent / "docs" / "api.md").read_text()
     for op in OPS.values():
         assert f"`{op.name}`" in docs, f"op {op.name!r} missing from docs"
@@ -424,3 +463,5 @@ def test_docs_list_every_op_and_route():
         merge = f"`{op.merge.__name__}`" if op.merge else "—"
         row = f"| `{op.name}` | `{op.placement}` | {merge} |"
         assert row in docs, f"routing row {row!r} missing from docs"
+    for name in DATA_OPS:
+        assert f"| `POST /v1/{name}` |" in docs, f"data op {name!r} missing"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_oracles import minimal_covers, plan_brute_force
+from kernel_oracles import minimal_covers, plan_brute_force, plan_original
 from repro.core.cost import CostModel
 from repro.core.read_planner import (
     _cheapest_run,
@@ -324,7 +324,7 @@ def _priced(plan, roi, cost_model) -> float:
             choice.fragment, choice.duration, plan.target, plan.target_fps, share
         )
         if choice.lookback_charged:
-            total += cost_model.lookback_cost(choice.fragment, choice.start, False)
+            total += cost_model.lookback_cost(choice.fragment, choice.start)
     return total
 
 
@@ -357,3 +357,62 @@ def test_greedy_prices_the_choices_it_returns(fragments, roi):
     plan = _plan(fragments, roi, end=3.0, mode="greedy")
     assert all(choice.cells for choice in plan.choices)
     assert plan.estimated_cost == pytest.approx(_priced(plan, roi, cost_model), rel=1e-12)
+
+
+@st.composite
+def _original_reads(draw):
+    """The original split into 1-4 fragments (an evicted GOP leaves a
+    gap), crops the mode must ignore, and a random window, ROI, size,
+    frame rate and codec."""
+    first = draw(st.integers(0, 3))
+    last = draw(st.integers(first, 3))
+    original = _fragment(1, 0, 4, original=True)
+    pieces, run = [], [original.gops[first]]
+    for seq in range(first + 1, last + 1):
+        cut = draw(st.sampled_from(["join", "split", "evict"]))
+        if cut != "join" and run:
+            pieces.append(Fragment(original.physical, run))
+            run = []
+        if cut != "evict" or seq == last:
+            run.append(original.gops[seq])
+    pieces.append(Fragment(original.physical, run))
+    start = draw(st.integers(4 * first, 4 * last + 3)) / 4
+    end = draw(st.integers(int(start * 4) + 1, 4 * last + 4)) / 4
+    request = ReadSpec(
+        "v", start, end,
+        codec=draw(st.sampled_from(["raw", "h264", "hevc"])),
+        roi=draw(st.sampled_from([None, (0, 0, 48, 36), (8, 4, 64, 36)])),
+        resolution=draw(st.sampled_from([None, (32, 18), (64, 36)])),
+        fps=draw(st.sampled_from([None, 15.0])),
+        mode="original",
+    )
+    return pieces + draw(_crops())[1:], original.physical, request
+
+
+@settings(deadline=None)
+@given(_original_reads())
+def test_original_mode_matches_the_walk(read):
+    """``mode="original"`` runs the exact pass over the original's
+    fragments; it must choose, split, charge and price exactly as
+    :func:`kernel_oracles.plan_original`, the walk it replaced, or fail
+    alike."""
+    fragments, original, request = read
+    args = (
+        request, fragments, original, CostModel(Calibration.default()),
+        _AcceptAll(),
+    )
+    try:
+        expected = plan_original(*args)
+    except QualityError:
+        with pytest.raises(QualityError):
+            plan_read(*args, mode="original")
+        return
+    plan = plan_read(*args, mode="original")
+    assert plan.estimated_cost == expected.estimated_cost
+    assert [
+        (c.start, c.end, c.fragment, c.cells, c.lookback_charged)
+        for c in plan.choices
+    ] == [
+        (c.start, c.end, c.fragment, c.cells, c.lookback_charged)
+        for c in expected.choices
+    ]

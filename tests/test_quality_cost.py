@@ -10,6 +10,7 @@ from repro.core.cost import ETA, CostModel, TargetFormat
 from repro.core.engine import VSSEngine
 from repro.core.layout import Layout
 from repro.core.quality import QualityModel, TAU_DB
+from repro.core.read_planner import _Interval, _price
 from repro.core.records import Fragment, GopRecord, PhysicalVideo
 from repro.vbench import calibrate
 from repro.vbench.calibrate import Calibration
@@ -168,7 +169,7 @@ class TestCostModel:
 
     def test_lookback_zero_at_gop_start(self, cost):
         fragment = make_fragment(make_physical())
-        assert cost.lookback_cost(fragment, 1.0, already_decoded=False) == 0.0
+        assert cost.lookback_cost(fragment, 1.0) == 0.0
 
     def test_lookback_counts_dependencies(self, cost):
         fragment = make_fragment(make_physical())
@@ -177,12 +178,23 @@ class TestCostModel:
         assert dependent == 14  # P frames before the 0.5 s mark
 
     def test_lookback_waived_when_already_decoded(self, cost):
+        """The planner waives ``c_l`` for a fragment also chosen for the
+        interval before: its dependency frames are already decoded (the
+        set Omega)."""
         fragment = make_fragment(make_physical())
-        assert cost.lookback_cost(fragment, 1.5, already_decoded=True) == 0.0
+        lookback = cost.lookback_cost(fragment, 1.5)
+        assert lookback > 0.0
+        intervals = [
+            _Interval(1.5, 2.0, [fragment]), _Interval(2.0, 2.5, [fragment])
+        ]
+        selected = [(0,), (0,)]
+        assert _price(
+            intervals, selected, [[0.0], [0.0]], [[lookback], [lookback]]
+        ) == lookback
 
     def test_lookback_raw_is_free(self, cost):
         fragment = make_fragment(make_physical(codec="raw"), all_intra=True)
-        assert cost.lookback_cost(fragment, 1.5, already_decoded=False) == 0.0
+        assert cost.lookback_cost(fragment, 1.5) == 0.0
 
     def test_eta_weighting(self, cost):
         """Mid-GOP entry cost follows |A| + eta * |D| (paper's c_l)."""
@@ -194,7 +206,7 @@ class TestCostModel:
             cost.calibration.decode_per_pixel(physical.codec, pixels) * pixels
         )
         expected = (independent + ETA * dependent) * per_frame
-        assert cost.lookback_cost(fragment, 1.5, False) == pytest.approx(expected)
+        assert cost.lookback_cost(fragment, 1.5) == pytest.approx(expected)
 
 
 @settings(max_examples=20, deadline=None)

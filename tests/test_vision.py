@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import HomographyError
+from tests.kernel_oracles import detect_vehicles_float, float_paint_mask
 from repro.synthetic import visualroad
 from repro.vision.detection import (
     VEHICLE_PALETTE,
     classify_color,
     detect_vehicles,
     matches_search_color,
+    paint_mask,
 )
 from repro.vision.features import (
     describe_keypoints,
@@ -241,6 +243,27 @@ class TestDetection:
     def test_rejects_non_rgb_input(self):
         with pytest.raises(ValueError):
             detect_vehicles(np.zeros((10, 10), dtype=np.uint8))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integer_mask_equals_the_float_distances(self, seed):
+        """The squared-distance mask and the detections equal the float32
+        ``sqrt`` oracle on random frames, with pixels planted at squared
+        distance exactly 3600 (in) and 3601 (out) from red."""
+        rng = np.random.default_rng(seed)
+        height, width = [(108, 192), (37, 53), (1, 7)][seed % 3]
+        frame = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
+        red = np.array(VEHICLE_PALETTE["red"])
+        frame[0, 0] = red - (60, 0, 0)
+        frame[-1, -1] = red - (60, -1, 0)
+        mask = paint_mask(frame)
+        assert mask[0, 0] and not mask[-1, -1]
+        assert np.array_equal(mask, float_paint_mask(frame))
+        assert detect_vehicles(frame) == detect_vehicles_float(frame)
+
+    def test_scene_detections_equal_the_float_distances(self, scene_frame):
+        frame, _, _ = scene_frame
+        assert np.array_equal(paint_mask(frame), float_paint_mask(frame))
+        assert detect_vehicles(frame) == detect_vehicles_float(frame)
 
 
 @settings(max_examples=15, deadline=None)
