@@ -560,7 +560,7 @@ class ClusterEngine:
             per_shard[shard.name] = doc
 
         def summed(cast, *keys: str) -> dict:
-            """Engine counters (each shard's own, monotonic) summed over
+            """Engine counters and gauges (each shard's own) summed over
             the shards that are up."""
             return {
                 key: sum(
@@ -573,6 +573,14 @@ class ClusterEngine:
 
         tiles = summed(
             int, "tiles_total", "tiles_decoded", "tile_bytes_skipped", "retiles"
+        )
+        decode_cache = summed(
+            int,
+            "decode_cache_hits",
+            "decode_cache_misses",
+            "decode_cache_evictions",
+            "decode_cache_bytes",
+            "decode_cache_resized_bytes",
         )
         codec = summed(
             float,
@@ -601,6 +609,7 @@ class ClusterEngine:
             "replication": self.ring.replication,
             "router": self.counters.snapshot(),
             "tiles": tiles,
+            "decode_cache": decode_cache,
             "codec": codec,
         }
 

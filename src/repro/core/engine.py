@@ -271,7 +271,8 @@ class EngineStats:
     (``extraction_pending`` is the one total that also goes down).
     Fields without a default are read when ``stats()`` is called:
     instantaneous gauges (``num_logical_videos``, ``num_views``,
-    ``parallelism``, ``decode_cache_bytes``, ``admission_queue_depth``,
+    ``parallelism``, ``decode_cache_bytes``,
+    ``decode_cache_resized_bytes``, ``admission_queue_depth``,
     ``search_index_rows``), the monotonic counters other components
     keep (executor, decode cache, per-logical locks, admission queue)
     and two derived rates (``decode_cache_hit_rate``,
@@ -338,6 +339,9 @@ class EngineStats:
     decode_cache_evictions: int
     decode_cache_invalidations: int
     decode_cache_bytes: int
+    #: The part of ``decode_cache_bytes`` held by resized entries (GOPs
+    #: kept at a size a read asked for, in room decodes leave free).
+    decode_cache_resized_bytes: int
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     lock_shared_acquisitions: int
@@ -1614,6 +1618,7 @@ class VSSEngine:
             decode_cache_evictions=decode.evictions,
             decode_cache_invalidations=decode.invalidations,
             decode_cache_bytes=self.decode_cache.current_bytes,
+            decode_cache_resized_bytes=self.decode_cache.resized_bytes,
             lock_shared_acquisitions=self._lock_stats.shared_acquisitions,
             lock_exclusive_acquisitions=(
                 self._lock_stats.exclusive_acquisitions

@@ -43,12 +43,15 @@ chunks equal the whole answer assembled at once.
 
 A decoded chunk is pasted into a fresh canvas, except an *identity
 chunk*: one choice over the whole chunk, whose one cell is the
-fragment's whole frame at the canvas's size, reading a unit-step run of
-one decoded window.  Its pixels are that run of the window itself — the
-decode-cache entry, or the fresh decode just put there — so a warm
-GOP-aligned full-resolution raw read allocates and copies no pixels.
-Hence the read contract: every decoded chunk, and every answer collected
-from them, is read-only (the decode cache freezes what it stores, and
+fragment's whole frame, reading a unit-step run of one window.  Its
+pixels are that run of the window itself — the native decode-cache
+entry when the canvas has the fragment's size, else the GOP's entry at
+the canvas's size (a window from the GOP's first frame, resized whole
+on a prefetch worker the first time and kept from the GOP's second
+read on) — so a warm GOP-aligned raw read at full or reduced
+resolution allocates and copies no pixels.  Hence the read contract:
+every decoded chunk, and every answer collected from them, is read-only
+(the decode cache freezes what it stores, and
 :meth:`Reader.iter_output` freezes each chunk it hands out).
 """
 
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -309,6 +312,10 @@ class _GopWindow:
     when the window went through the compressed fast path (None for raw
     GOPs and cache hits); like the other deltas it travels with the
     pixels so the consumer folds stats in deterministic order.
+    ``resample_error`` is set when ``segment`` is the window already
+    resized to the canvas (:meth:`Reader._resized_window`): it gives the
+    measured error of its first frame, the one the paste would have
+    sampled, and is called only when the read still needs that sample.
     """
 
     segment: VideoSegment
@@ -317,6 +324,7 @@ class _GopWindow:
     bytes_read: int
     cache_hit: bool | None
     timings: CodecTimings | None = None
+    resample_error: Callable[[], float] | None = None
 
 
 @dataclass
@@ -331,9 +339,10 @@ class _ChoiceSchedule:
     run — the same floor/clip arithmetic the monolithic assembler used,
     so chunked pastes pick identical source frames.  ``whole_frame`` is
     True when the choice's one cell maps the fragment's whole frame onto
-    the whole canvas at equal size (no crop, no resize).  ``windows`` is
-    the consumer-side carry of decoded (RGB) windows still needed by
-    future chunks.
+    the whole canvas (no crop); ``size`` is the canvas's ``(width,
+    height)``, which differs from the fragment's when the choice resizes.
+    ``windows`` is the consumer-side carry of decoded (RGB) windows
+    still needed by future chunks.
     """
 
     choice: IntervalChoice
@@ -345,6 +354,7 @@ class _ChoiceSchedule:
     out_idx: np.ndarray
     src_full: np.ndarray
     whole_frame: bool
+    size: tuple[int, int]
     windows: dict[int, VideoSegment] = field(default_factory=dict)
 
 
@@ -558,13 +568,14 @@ class Reader:
                 if first_pos[j] < first_pos[j + 1]:
                     cuts.add(int(out_idx[first_pos[j]]))
             size = (plan.target.width, plan.target.height)
+            frag_size = (fragment.physical.width, fragment.physical.height)
             whole_frame = _choice_rects(choice, plan, size) == [
-                ((0, 0, *size),) * 2
-            ] and (fragment.physical.width, fragment.physical.height) == size
+                ((0, 0, *frag_size), (0, 0, *size))
+            ]
             ctxs.append(
                 _ChoiceSchedule(
                     choice, records, offsets, n_frames, t0, fps_src,
-                    out_idx, src_full, whole_frame,
+                    out_idx, src_full, whole_frame, size,
                 )
             )
         boundaries = sorted(cuts)
@@ -603,18 +614,35 @@ class Reader:
             chunks.append((lo, hi, ops))
         return chunks
 
-    def _build_windows(self, ops: list[_ChunkOp], decode_cache) -> list[list]:
+    def _build_windows(
+        self, ops: list[_ChunkOp], frames: int, decode_cache
+    ) -> list[list]:
         """Decode (and RGB-convert) the windows one chunk's ops call for.
 
         Runs as one prefetch task; per-window stat deltas travel with the
-        pixels so the consumer can fold them in deterministic order.
+        pixels so the consumer can fold them in deterministic order.  The
+        window of a resized identity chunk (:func:`_resized_identity`)
+        comes already resized, from the decode cache when it holds it.
         """
+        resized_j = _resized_identity(ops, frames)
+        cacheable = decode_cache is not None and decode_cache.enabled
         built = []
         for op in ops:
             choice = op.ctx.choice
             decoded = []
             for j in op.decode_js:
                 record = op.ctx.records[j]
+                if (
+                    j == resized_j
+                    and cacheable
+                    and record.joint_pair_id is None
+                ):
+                    window = self._resized_window(
+                        record, choice, op.ctx.size, decode_cache
+                    )
+                    if window is not None:
+                        decoded.append((j, record.id, window.segment, window))
+                        continue
                 window = self._decode_gop_window(
                     record, choice.fragment, choice.start, choice.end,
                     decode_cache,
@@ -623,6 +651,50 @@ class Reader:
                 decoded.append((j, record.id, rgb, window))
             built.append(decoded)
         return built
+
+    def _resized_window(
+        self,
+        record: GopRecord,
+        choice: IntervalChoice,
+        size: tuple[int, int],
+        decode_cache,
+    ) -> _GopWindow | None:
+        """A GOP's window whole-frame resized to ``size``, or None when
+        the window does not start at the GOP's first frame.
+
+        The decode cache's resized entry serves it when it holds one
+        (a hit: nothing decoded, resized or measured); otherwise the
+        native window is taken as usual — a native hit or a decode —
+        then resized.  The result is offered to the cache as the GOP's
+        entry at ``size``, with its first frame's error measured, only
+        when the native window was a hit, i.e. from the GOP's second read
+        on, so a pass of reads that each see a GOP once keeps no resized
+        copies; otherwise the error is measured only if the read asks
+        for it.
+        """
+        first_needed, stop = self._window_bounds(
+            record, choice.fragment.physical.fps, choice.start, choice.end
+        )
+        if first_needed:
+            return None
+        hit = decode_cache.get_resized(record.id, stop, size)
+        if hit is not None:
+            segment, error = hit
+            return _GopWindow(
+                segment, 0, 0, 0, True, resample_error=lambda: error
+            )
+        window = self._decode_gop_window(
+            record, choice.fragment, choice.start, choice.end, decode_cache
+        )
+        rgb = convert_segment(window.segment, "rgb")
+        resized = resize_segment(rgb, *size)
+        if window.cache_hit:
+            error = _resample_error_sample(rgb, resized)
+            decode_cache.put_resized(record.id, stop, resized, error)
+            measure = lambda: error  # noqa: E731
+        else:
+            measure = lambda: _resample_error_sample(rgb, resized)  # noqa: E731
+        return replace(window, segment=resized, resample_error=measure)
 
     def _prefetched(self, chunks, build):
         """Yield ``build(chunk)`` in order with a bounded pipeline.
@@ -661,7 +733,8 @@ class Reader:
         fps_out = plan.target_fps
 
         def build(chunk):
-            return chunk, self._build_windows(chunk[2], decode_cache)
+            lo, hi, ops = chunk
+            return chunk, self._build_windows(ops, hi - lo, decode_cache)
 
         for index, ((lo, hi, ops), built) in enumerate(
             self._prefetched(schedule, build)
@@ -679,6 +752,11 @@ class Reader:
                         stats.decode_cache_hits += 1
                     elif window.cache_hit is False:
                         stats.decode_cache_misses += 1
+                    if (
+                        window.resample_error is not None
+                        and stats.resample_mse == 0.0
+                    ):
+                        stats.resample_mse = window.resample_error()
                     if window.timings is not None:
                         stats.codec_entropy_seconds += window.timings.entropy_seconds
                         stats.codec_transform_seconds += (
@@ -1072,16 +1150,13 @@ def _choice_rects(
     ]
 
 
-def _identity_view(ops: list[_ChunkOp], frames: int) -> np.ndarray | None:
-    """A chunk's pixels as a view of the one decoded window they are, or
-    None when the chunk needs a canvas.
+def _identity_run(ops: list[_ChunkOp], frames: int) -> slice | None:
+    """The run of window frames an *identity chunk* shows, or None.
 
-    An *identity chunk* has one op over all its ``frames``, reading one
+    An identity chunk has one op over all its ``frames``, reading one
     window of a whole-frame choice through a unit-step run of its
-    frames: a paste would copy that run of the window unchanged.  The
-    view is of the decode-cache entry (or of the fresh decode just put
-    there), so it keeps that whole decoded GOP alive while it lives; a
-    run of whole frames of a decoded stack is C-contiguous.
+    frames: once that window is at the canvas's size, a paste would
+    copy the run unchanged.
     """
     if len(ops) != 1:
         return None
@@ -1092,7 +1167,50 @@ def _identity_view(ops: list[_ChunkOp], frames: int) -> np.ndarray | None:
     run = index_run(ctx.src_full[op.p0:op.p1] - int(ctx.offsets[op.j_lo]))
     if not isinstance(run, slice) or run.step not in (None, 1):
         return None
-    return ctx.windows[op.j_lo].pixels[run]
+    return run
+
+
+def _resized_identity(ops: list[_ChunkOp], frames: int) -> int | None:
+    """The window an identity chunk of a resizing choice can show
+    resized, or None.
+
+    That is a window decoded for this chunk alone whose run starts at
+    its first frame: resized whole, it is then the chunk itself, and
+    its first frame is the one the paste samples the resample error on.
+    """
+    run = _identity_run(ops, frames)
+    if run is None or run.start != 0:
+        return None
+    op = ops[0]
+    j = op.j_lo
+    physical = op.ctx.choice.fragment.physical
+    if (
+        (physical.width, physical.height) == op.ctx.size
+        or j not in op.decode_js
+        or op.keep_from <= j
+    ):
+        return None
+    return j
+
+
+def _identity_view(ops: list[_ChunkOp], frames: int) -> np.ndarray | None:
+    """A chunk's pixels as a view of the one window they are, or None
+    when the chunk needs a canvas.
+
+    The window is a decode-cache entry — the native decode, or for a
+    resizing choice the GOP's entry at the canvas's size — or the fresh
+    decode or resize just put there, so the view keeps that whole entry
+    alive while it lives; a run of whole frames of a stack is
+    C-contiguous.
+    """
+    run = _identity_run(ops, frames)
+    if run is None:
+        return None
+    ctx = ops[0].ctx
+    window = ctx.windows[ops[0].j_lo]
+    if (window.width, window.height) != ctx.size:
+        return None  # a native window of a resizing choice: paste it
+    return window.pixels[run]
 
 
 def _pixel_rect(cell: ROI, region: ROI, size: tuple[int, int]) -> ROI:

@@ -39,6 +39,26 @@ def _as_uint8_rgb(image: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(data), 0, 255).astype(np.uint8)
 
 
+def _bin_index(image: np.ndarray, bins: int) -> np.ndarray:
+    """The joint bin of every pixel of a uint8 RGB image, flattened:
+    ``q_r * bins**2 + q_g * bins + q_b`` with ``q = value * bins // 256``.
+
+    Computed channel by channel into two pixel-sized uint16 arrays (the
+    product and index fit while ``bins**3 <= 2**16``; more bins take
+    int64), never widening the whole image.
+    """
+    dtype = np.uint16 if bins**3 <= 1 << 16 else np.int64
+    index = np.multiply(image[..., 0], bins, dtype=dtype)
+    index //= 256
+    level = np.empty_like(index)
+    for channel in (1, 2):
+        np.multiply(image[..., channel], bins, out=level, dtype=dtype)
+        level //= 256
+        index *= bins
+        index += level
+    return index.ravel()
+
+
 def color_histogram(image: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
     """Normalized joint RGB histogram of an image, flattened to 1-D.
 
@@ -49,11 +69,9 @@ def color_histogram(image: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
     image = _as_uint8_rgb(image)
     if image.size == 0:
         return np.zeros(bins**3, dtype=np.float64)
-    quantized = (image.astype(np.int64) * bins) // 256
-    flat = (
-        quantized[..., 0] * bins * bins + quantized[..., 1] * bins + quantized[..., 2]
-    ).ravel()
-    counts = np.bincount(flat, minlength=bins**3).astype(np.float64)
+    counts = np.bincount(_bin_index(image, bins), minlength=bins**3).astype(
+        np.float64
+    )
     total = counts.sum()
     return counts / total if total else counts
 
@@ -75,11 +93,7 @@ def dominant_color(image: np.ndarray, bins: int = 8) -> tuple[int, int, int]:
     image = _as_uint8_rgb(image)
     if image.size == 0:
         return (0, 0, 0)
-    quantized = (image.astype(np.int64) * bins) // 256
-    flat = (
-        quantized[..., 0] * bins * bins + quantized[..., 1] * bins + quantized[..., 2]
-    ).ravel()
-    winner = int(np.bincount(flat, minlength=bins**3).argmax())
+    winner = int(np.bincount(_bin_index(image, bins), minlength=bins**3).argmax())
     r = winner // (bins * bins)
     g = (winner // bins) % bins
     b = winner % bins

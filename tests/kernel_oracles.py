@@ -42,7 +42,9 @@ pass must equal bit for bit (``test_planner.py``).
 :func:`detect_vehicles_float` is vehicle detection with its colour mask
 computed as float32 Euclidean distances (a ``sqrt`` per pixel and
 palette colour); the integer mask and the detections must equal it
-(``test_vision.py``).
+(``test_vision.py``).  :func:`histogram_bins_int64` is the colour
+quantization that widened the whole image to int64; ``color_histogram``
+and ``dominant_color`` must count the same bins (``test_vision.py``).
 Nothing under ``src/`` imports this module.
 """
 
@@ -98,6 +100,7 @@ from repro.vision.detection import (
     Detection,
     classify_color,
 )
+from repro.vision.histogram import _as_uint8_rgb
 from repro.vision.homography import apply_homography, homography_identity_distance
 
 
@@ -939,3 +942,13 @@ def detect_vehicles_float(frame: np.ndarray) -> list[Detection]:
         detections.append(Detection(x0, y0, x1, y1, color, area))
     detections.sort(key=lambda d: -d.area)
     return detections
+
+
+def histogram_bins_int64(image: np.ndarray, bins: int) -> np.ndarray:
+    """Per-bin pixel counts of an image's joint RGB histogram, with the
+    quantization computed on the image widened to int64."""
+    quantized = (_as_uint8_rgb(image).astype(np.int64) * bins) // 256
+    flat = (
+        quantized[..., 0] * bins * bins + quantized[..., 1] * bins + quantized[..., 2]
+    ).ravel()
+    return np.bincount(flat, minlength=bins**3)

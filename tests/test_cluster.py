@@ -352,6 +352,36 @@ class TestRouting:
         assert doc["router"]["reads_routed"] == 1
         assert doc["router"]["writes_routed"] == 1
 
+    def test_metrics_sum_the_decode_cache_across_shards(
+        self, router, fleet, tiny_clip
+    ):
+        # Two half-resolution reads of the one GOP: the second keeps the
+        # GOP at that size beside its decode, and the roll-up sums both
+        # gauges and the counters over the shards.
+        with VSSBinaryClient(*router.address) as client:
+            _load(client, "cam", tiny_clip)
+            for _ in range(2):
+                client.read(
+                    "cam", 0.0, 0.8, codec="raw", resolution=(32, 18),
+                    cache=False,
+                )
+            doc = client.metrics()["engine"]
+        rolled = doc["decode_cache"]
+        engines = [engine.stats() for engine in fleet.engines]
+        for key in (
+            "decode_cache_hits", "decode_cache_misses",
+            "decode_cache_evictions", "decode_cache_bytes",
+            "decode_cache_resized_bytes",
+        ):
+            assert rolled[key] == sum(getattr(s, key) for s in engines), key
+        assert rolled["decode_cache_resized_bytes"] == 24 * 18 * 32 * 3
+        assert rolled["decode_cache_bytes"] == 24 * 36 * 64 * 3 + (
+            rolled["decode_cache_resized_bytes"]
+        )
+        assert (rolled["decode_cache_hits"], rolled["decode_cache_misses"]) == (
+            1, 1,
+        )
+
 
 class TestLiveness:
     def test_router_and_shards_answer_both_probes(self, router, fleet):

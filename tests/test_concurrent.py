@@ -172,7 +172,8 @@ class TestEngineSessions:
         "session_seconds", "parallelism", "executor_tasks",
         "decode_cache_hits", "decode_cache_misses", "decode_cache_hit_rate",
         "decode_cache_evictions", "decode_cache_invalidations",
-        "decode_cache_bytes", "plan_cache_hits", "plan_cache_misses",
+        "decode_cache_bytes", "decode_cache_resized_bytes",
+        "plan_cache_hits", "plan_cache_misses",
         "lock_shared_acquisitions", "lock_exclusive_acquisitions",
         "admission_queue_depth", "admissions_enqueued",
         "admissions_completed", "admissions_coalesced", "admissions_dropped",

@@ -16,6 +16,7 @@ import pytest
 from repro.core.engine import VSSEngine
 from repro.core.decode_cache import DecodeCache
 from repro.core.executor import Executor
+from repro.core.specs import ReadSpec
 from repro.video.codec.registry import codec_for
 from repro.video.frame import blank_segment
 
@@ -225,8 +226,124 @@ class TestDecodeCache:
     def test_disabled_cache(self):
         cache = DecodeCache(capacity_bytes=0)
         cache.put(1, 4, self._segment(4))
+        cache.put_resized(1, 4, blank_segment(4, 2, 2, fps=30.0), 1.5)
         assert cache.get(1, 4) is None
+        assert cache.get_resized(1, 4, (2, 2)) is None
         assert len(cache) == 0
+
+    def test_resized_entries_sit_beside_the_native_one(self):
+        cache = DecodeCache(capacity_bytes=1 << 20)
+        native = self._segment(8)
+        half = blank_segment(8, 2, 2, fps=30.0, fill=9)
+        cache.put(1, 8, native)
+        cache.put_resized(1, 8, half, 2.5)
+        assert len(cache) == 2 and 1 in cache
+        assert cache.current_bytes == native.nbytes + half.nbytes
+        assert cache.resized_bytes == half.nbytes
+        # A resized miss counts nothing (the native get that follows
+        # counts it); a hit counts one hit and carries the error.
+        assert cache.get_resized(1, 8, (4, 4)) is None
+        assert cache.get_resized(1, 9, (2, 2)) is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 0)
+        segment, error = cache.get_resized(1, 5, (2, 2))
+        assert segment.num_frames == 5 and error == 2.5
+        assert not segment.pixels.flags.writeable
+        assert (cache.stats.hits, cache.stats.misses) == (1, 0)
+        # peek and get see the native entry alone.
+        assert cache.peek(1, 8) is native
+        assert cache.get(1, 8) is native
+
+    def test_a_resized_hit_refreshes_the_native_entry(self):
+        # As the native hit it replaces would: gop 2 is then the oldest.
+        one = self._segment(4)
+        cache = DecodeCache(capacity_bytes=3 * one.nbytes - 1)
+        cache.put(1, 4, self._segment(4))
+        cache.put(2, 4, self._segment(4))
+        cache.put_resized(1, 4, blank_segment(4, 2, 2, fps=30.0), 1.0)
+        assert cache.get_resized(1, 4, (2, 2)) is not None
+        cache.put(3, 4, self._segment(4))  # evicts the resize, then gop 2
+        assert cache.peek(1, 4) is not None and 2 not in cache
+        assert (cache.resized_bytes, cache.stats.evictions) == (0, 2)
+
+    def test_byte_counts_hold_under_concurrent_puts_and_invalidations(self):
+        # More threads than cores put, hit and invalidate native and
+        # resized entries of a few GOPs through a budget that keeps
+        # evicting; a lost update would leave a byte count or the per-GOP
+        # size index out of step with the entries.
+        import sys
+
+        one = self._segment(4)
+        cache = DecodeCache(capacity_bytes=6 * one.nbytes)
+
+        errors = []
+
+        def work(seed: int) -> None:
+            try:
+                churn(seed)
+            except Exception as exc:  # a lost update can also raise
+                errors.append(exc)
+
+        def churn(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            for _ in range(1000):
+                gop, action = int(rng.integers(6)), int(rng.integers(4))
+                if action == 0:
+                    cache.put(gop, 4, self._segment(4))
+                elif action == 1:
+                    size = int(rng.integers(1, 3))
+                    cache.put_resized(
+                        gop, 4, blank_segment(4, size, size, fps=30.0), 1.0
+                    )
+                elif action == 2:
+                    cache.get_resized(gop, 4, (1, 1))
+                else:
+                    cache.invalidate_many([gop, (gop + 1) % 6])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(seed,)) for seed in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        resized = sum(e.segment.nbytes for e in cache._resized.values())
+        assert cache.resized_bytes == resized
+        assert cache.current_bytes == resized + sum(
+            e.segment.nbytes for e in cache._native.values()
+        )
+        assert cache.current_bytes <= cache.capacity_bytes
+
+    def test_a_resized_entry_is_kept_only_in_free_room(self):
+        one = self._segment(4)
+        cache = DecodeCache(capacity_bytes=2 * one.nbytes)
+        cache.put_resized(1, 4, blank_segment(4, 2, 2, fps=30.0), 1.0)
+        cache.put(1, 4, self._segment(4))
+        cache.put(2, 4, self._segment(4))  # the decode evicts the resize
+        assert cache.get_resized(1, 4, (2, 2)) is None
+        cache.put_resized(2, 4, blank_segment(4, 2, 2, fps=30.0), 1.0)
+        assert (cache.resized_bytes, cache.stats.evictions) == (0, 1)
+        assert 1 in cache and 2 in cache
+
+    def test_invalidation_drops_every_size(self):
+        cache = DecodeCache(capacity_bytes=1 << 20)
+        for gop in (1, 2):
+            cache.put(gop, 8, self._segment(8))
+            cache.put_resized(gop, 8, blank_segment(8, 2, 2, fps=30.0), 1.0)
+            cache.put_resized(gop, 8, blank_segment(8, 1, 1, fps=30.0), 1.0)
+        cache.invalidate_many([1, 7])
+        assert 1 not in cache and 2 in cache and len(cache) == 3
+        assert cache.stats.invalidations == 1
+        assert cache.resized_bytes == 8 * (2 * 2 + 1) * 3
+        cache.invalidate(2)
+        assert len(cache) == 0
+        assert (cache.current_bytes, cache.resized_bytes) == (0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -410,6 +527,160 @@ class TestDecodeCacheIntegration:
                     assert new.segment.pixels.shape == old.segment.pixels.shape
                 else:
                     assert np.array_equal(new.segment.pixels, old.segment.pixels)
+
+
+def _admit(session, spec) -> None:
+    session.read(spec)
+    session.engine.drain_admissions()
+
+
+def _pages(engine) -> dict:
+    """Every GOP row of every video: id -> where its pixels live."""
+    return {
+        g.id: (g.physical_id, g.path, g.zstd_level, g.joint_pair_id)
+        for name in engine.catalog.list_names("video")
+        for g in engine.catalog.gops_of_logical(
+            engine.catalog.get_logical(name).id
+        )
+    }
+
+
+def _enforce_tiny_budget(engine) -> None:
+    engine.set_budget("v", 1)
+    engine.cache.enforce_budget(engine.catalog.get_logical("v"))
+
+
+def _joint(engine) -> None:
+    from repro.jointcomp import JointCompressionManager
+
+    assert JointCompressionManager(engine, merge="mean").optimize().pairs_compressed
+
+
+def _recreate(engine) -> None:
+    engine.delete("v")
+    session = engine.session()
+    clip = blank_segment(24, 36, 64, fps=30.0, fill=90)
+    session.write("v", clip, codec="h264", qp=10, gop_size=8)
+
+
+class TestResizedEntriesLeaveWithTheirPage:
+    """Each page-changing catalog transaction drops a GOP's entries at
+    every size: after it no entry of a rewritten GOP is left, the
+    cache's byte counts are the sum of what is, and a re-read equals an
+    engine's without a decode cache.
+
+    Each case is ``(setup, reads, rewrite)``: ``setup(session, clips)``
+    writes (and admits) what the case needs, ``reads`` are read twice
+    before the rewrite — the second read keeps the GOPs it resizes —
+    and once after it, and ``rewrite(engine)`` changes the pages.
+    """
+
+    HALF = dict(codec="raw", resolution=(32, 18), cache=False)
+    QUARTER = dict(codec="raw", resolution=(16, 10), cache=False)
+    #: At any quality the planner may take an admitted half-size copy.
+    FROM_COPY = dict(QUARTER, quality_db=0.0)
+    CASES = {
+        "budget_eviction": (
+            lambda s, c: (
+                s.write("v", c["long"], codec="h264", qp=10, gop_size=30),
+                _admit(s, ReadSpec("v", 0.0, 3.0, codec="h264", resolution=(32, 18))),
+            ),
+            [ReadSpec("v", 0.0, 3.0, **FROM_COPY)],
+            _enforce_tiny_budget,
+        ),
+        "compaction": (
+            lambda s, c: (
+                s.write("v", c["long"], codec="h264", qp=10, gop_size=30),
+                _admit(s, ReadSpec("v", 0.0, 1.5, codec="h264", resolution=(32, 18))),
+                _admit(s, ReadSpec("v", 1.5, 3.0, codec="h264", resolution=(32, 18))),
+            ),
+            [ReadSpec("v", 0.0, 3.0, **FROM_COPY)],
+            lambda engine: engine.compact("v"),
+        ),
+        "deferred_compression": (
+            lambda s, c: s.write("v", c["tiny"], codec="raw", gop_size=8),
+            [ReadSpec("v", 0.0, 0.8, **HALF)],
+            lambda engine: engine.deferred.compress_one(
+                engine.catalog.get_logical("v")
+            ),
+        ),
+        "retile": (
+            lambda s, c: (
+                s.write("v", c["tiny"], codec="h264", qp=10, gop_size=8),
+                s.engine.retile("v", rows=2, cols=2),
+            ),
+            [ReadSpec("v", 0.0, 0.8, roi=(0, 0, 32, 18), **QUARTER)],
+            lambda engine: engine.retile("v", rows=1, cols=2),
+        ),
+        "joint_repoint": (
+            lambda s, c: [
+                s.write(name, clip, codec="h264", qp=10, gop_size=5)
+                for name, clip in zip(("v", "w"), c["pair"])
+            ],
+            [
+                ReadSpec(name, 0.0, 1 / 3, codec="raw", resolution=(96, 54), cache=False)
+                for name in ("v", "w")
+            ],
+            _joint,
+        ),
+        "delete_recreate": (
+            lambda s, c: s.write("v", c["tiny"], codec="h264", qp=10, gop_size=8),
+            [ReadSpec("v", 0.0, 0.8, **HALF)],
+            _recreate,
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def clips(self, tiny_clip, three_second_clip):
+        from repro.synthetic import visualroad
+
+        pair = visualroad("1K", overlap=0.5, num_frames=10).videos(0, 10)
+        return {"tiny": tiny_clip, "long": three_second_clip, "pair": pair}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rewrite_drops_every_size(self, tmp_path, calibration, clips, case):
+        setup, reads, rewrite = self.CASES[case]
+        engines = [
+            VSSEngine(tmp_path / "cached", calibration=calibration),
+            VSSEngine(
+                tmp_path / "uncached", calibration=calibration,
+                decode_cache_bytes=0,
+            ),
+        ]
+        try:
+            answers = []
+            for engine in engines:
+                session = engine.session()
+                setup(session, clips)
+                engine.drain_admissions()
+                for _ in range(2):
+                    for spec in reads:
+                        session.read(spec)
+                cache = engine.decode_cache
+                resized = {gid for gid, _ in cache._resized}
+                before = _pages(engine)
+                rewrite(engine)
+                engine.drain_admissions()
+                if cache.enabled:
+                    after = _pages(engine)
+                    rewritten = {
+                        gid for gid, page in before.items()
+                        if after.get(gid) != page
+                    }
+                    assert rewritten & resized, case
+                    assert not any(gid in cache for gid in rewritten)
+                    kept = sum(e.segment.nbytes for e in cache._resized.values())
+                    assert cache.resized_bytes == kept
+                    assert cache.current_bytes == kept + sum(
+                        e.segment.nbytes for e in cache._native.values()
+                    )
+                answers.append(
+                    [session.read(spec).segment.pixels.tobytes() for spec in reads]
+                )
+            assert answers[0] == answers[1]
+        finally:
+            for engine in engines:
+                engine.close()
 
 
 # ----------------------------------------------------------------------

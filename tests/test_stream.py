@@ -476,11 +476,11 @@ class TestStatsParity:
 
 
 class TestReadOnlyAnswers:
-    """Every in-process answer is read-only.  A full-resolution chunk
-    that is one whole decoded window is a view of its decode-cache entry
-    (nothing is allocated or copied), so writing through an answer must
-    fail rather than corrupt every later read of that GOP; a resized
-    answer is a canvas of its own."""
+    """Every in-process answer is read-only.  A chunk that is one whole
+    decoded window is a view of its decode-cache entry (nothing is
+    allocated or copied) — at full resolution the native decode, at half
+    the GOP's resized entry — so writing through an answer must fail
+    rather than corrupt every later read of that GOP."""
 
     SPECS = {
         "full": ReadSpec("traffic", 0.0, 2.0, codec="raw", cache=False),
@@ -508,11 +508,15 @@ class TestReadOnlyAnswers:
         misses = cache.stats.misses
         answers = self._answers(session, how, spec)
         assert cache.stats.misses == misses  # served from cached pixels
-        cached = [segment.pixels for _, segment in cache._entries.values()]
-        # A GOP-aligned full-resolution chunk is its cache entry's frames
+        cached = [
+            entry.segment.pixels
+            for entries in (cache._native, cache._resized)
+            for entry in entries.values()
+        ]
+        # A GOP-aligned chunk is its cache entry's frames, at either size
         # (a 2-s read or batch member concatenates two of them); a silent
         # return to copying fails here.
-        shares = size == "full" and how == "read_stream"
+        shares = how == "read_stream"
         for pixels in answers:
             assert not pixels.flags.writeable
             assert pixels.flags.c_contiguous

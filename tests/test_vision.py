@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import HomographyError
-from tests.kernel_oracles import detect_vehicles_float, float_paint_mask
+from tests.kernel_oracles import (
+    detect_vehicles_float,
+    float_paint_mask,
+    histogram_bins_int64,
+)
 from repro.synthetic import visualroad
 from repro.vision.detection import (
     VEHICLE_PALETTE,
@@ -384,6 +388,61 @@ class TestHardenedInputs:
         # dominant colour lands in the black bin.
         region = np.full((8, 8, 3), np.nan)
         assert color_distance(dominant_color(region), (0, 0, 0)) < 40.0
+
+
+class TestHistogramQuantizer:
+    """The uint16 bin index against the int64 formula it replaced."""
+
+    @staticmethod
+    def _images():
+        rng = np.random.default_rng(7)
+        rgb = rng.integers(0, 256, size=(36, 64, 3), dtype=np.uint8)
+        rgb[0, :4] = [[0, 0, 0], [255, 255, 255], [63, 64, 127], [128, 191, 192]]
+        unit = rng.random((20, 30, 3))
+        unit[0, 0] = np.nan
+        return {
+            "rgb": rgb,
+            "gray": rgb[..., 1],
+            "unit_float": unit,
+            "byte_float": rng.uniform(-20.0, 280.0, size=(20, 30, 3)),
+            "rendered": visualroad("1K", overlap=0.5, num_frames=1)
+            .videos(0, 1)[0]
+            .frame(0),
+        }
+
+    @pytest.mark.parametrize("bins", [4, 8, 16])
+    @pytest.mark.parametrize(
+        "kind", ["rgb", "gray", "unit_float", "byte_float", "rendered"]
+    )
+    def test_equals_the_int64_formula(self, bins, kind):
+        image = self._images()[kind]
+        counts = histogram_bins_int64(image, bins)
+        expected = counts.astype(np.float64) / counts.sum()
+        assert color_histogram(image, bins).tobytes() == expected.tobytes()
+        winner = int(counts.argmax())
+        step, half = 256 // bins, 256 // (2 * bins)
+        assert dominant_color(image, bins) == tuple(
+            min(255, level * step + half)
+            for level in (winner // (bins * bins), (winner // bins) % bins, winner % bins)
+        )
+
+    def test_peak_stays_near_two_uint16_planes(self):
+        # Two uint16 pixel planes plus bincount's intp copy of the index
+        # (12 bytes a pixel); the int64 formula peaked at ~48.
+        import tracemalloc
+
+        frame = np.random.default_rng(0).integers(
+            0, 256, size=(108, 192, 3), dtype=np.uint8
+        )
+        for call in (color_histogram, dominant_color):
+            call(frame)
+            tracemalloc.start()
+            try:
+                call(frame)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 12 * 108 * 192 + 4096, (call.__name__, peak)
 
 
 # ----------------------------------------------------------------------
