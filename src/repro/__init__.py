@@ -13,9 +13,13 @@ Public entry points:
 * :class:`repro.VSSServer` / :class:`repro.VSSClient` — the HTTP service
   pair.  A client and a ``Session`` are one class's surface
   (:class:`repro.core.specs.SessionSurface`): the same read / stream /
-  batch / async / write code and ``SessionStats`` accounting, and a
-  remote answer is the same :class:`repro.ReadResult` (``plan`` None),
-  so code runs unchanged against local or remote engines.
+  batch / async / write code and ``SessionStats`` accounting, and the
+  same method for each catalog, view, search and check op.  Every answer
+  is the value a session gives, of the same type — a remote read's
+  :class:`repro.ReadResult` (``plan`` None), a write's
+  ``PhysicalVideo``, ``create``'s ``LogicalVideo``, ``video_stats``'
+  ``StoreStats`` — so code runs unchanged against a local engine, a
+  server or a router.
 * :class:`repro.VSSBinaryServer` / :class:`repro.VSSBinaryClient` — the
   same surface over the length-prefixed binary frame protocol: one
   asyncio loop multiplexing persistent connections, replies written

@@ -3,15 +3,18 @@
 A client is a :class:`repro.core.specs.SessionSurface`, the class a
 local :class:`repro.core.engine.Session` is too: ``read`` /
 ``read_stream`` / ``read_batch`` / ``read_async`` / ``write``, their
-:class:`SessionStats` accounting and the close lifecycle are that one
-class's code, and an answer is the same
-:class:`repro.core.reader.ReadResult` (with ``plan=None``: the plan
-stayed on the server).  Beside them a client has one method per unary
-operation of the service-op table (:data:`repro.core.ops.OPS`: catalog,
-views, search, reindex, metrics), so application code runs unchanged
-against a local engine, an HTTP server, or a binary server (the parity
-is asserted by introspection in ``tests/test_views.py``, the accounting
-in ``tests/test_transports.py``)::
+:class:`SessionStats` accounting, the close lifecycle and the unary ops
+of the service-op table (:data:`repro.core.ops.OPS`: catalog, views,
+search, reindex, check) are that one class's code.  An answer is the
+value a session returns: the same :class:`repro.core.reader.ReadResult`
+(with ``plan=None``: the plan stayed on the server), the same
+:class:`repro.core.records.PhysicalVideo` for a write, and each unary
+op's reply decoded by its table entry into the engine's own record.  So
+application code runs unchanged against a local engine, an HTTP server,
+a binary server or a router (values and types in
+``tests/test_ops.py``, method names in ``tests/test_views.py``, the
+accounting in ``tests/test_transports.py``).  Only ``metrics`` (and
+``ping``, binary only) are the clients' own::
 
     client = VSSBinaryClient("127.0.0.1", 8721, codec="h264", qp=12)
     client.write("traffic", segment)
@@ -23,11 +26,11 @@ The data plane is the same on both transports: ``read``, ``read_batch``
 and ``write`` send one ``REQUEST`` frame and parse the frames that
 answer it (:mod:`repro.core.wire`; pixel payloads are ``np.frombuffer``
 views of the received frame).  :class:`VSSClient` holds the surface's
-transport hooks and the catalog surface; a wire supplies two more hooks
-and nothing else:
+transport hooks (its ``_unary`` is ``_rpc`` with busy retries); a wire
+supplies two more hooks and nothing else:
 
-* ``_rpc(op, params)`` — one unary op: its REST route over HTTP, a
-  ``REQUEST``/``REPLY`` frame pair over binary;
+* ``_rpc(op, params)`` — one unary op, answered by its reply dict: its
+  REST route over HTTP, a ``REQUEST``/``REPLY`` frame pair over binary;
 * ``_send_request(op, request)`` — put the request frame on the wire and
   hand back the file-like its answer arrives on, plus what to do with
   the connection afterwards.  :class:`VSSClient` POSTs the frame to
@@ -55,7 +58,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from http.client import HTTPConnection, HTTPResponse
 
-from repro.core.ops import OPS
+from repro.core.ops import OPS, physical_from_dict
 from repro.core.reader import (
     BatchStats,
     ReadChunk,
@@ -63,12 +66,8 @@ from repro.core.reader import (
     ReadStats,
     collect_chunks,
 )
-from repro.core.specs import (
-    ReadSpec,
-    SessionSurface,
-    ViewSpec,
-    WriteSpec,
-)
+from repro.core.records import PhysicalVideo
+from repro.core.specs import ReadSpec, SessionSurface, WriteSpec
 from repro.core.wire import (
     FRAME_END,
     FRAME_ERROR,
@@ -84,21 +83,11 @@ from repro.core.wire import (
     read_frame,
     read_spec_to_dict,
     read_stats_from_dict,
-    search_hit_from_dict,
-    search_query_to_dict,
     segment_payload_view,
     segment_to_meta,
-    view_spec_to_dict,
     write_spec_to_dict,
 )
 from repro.errors import ServerBusyError, VSSError, WireError
-from repro.search.query import (
-    DEFAULT_LIMIT as DEFAULT_SEARCH_LIMIT,
-)
-from repro.search.query import (
-    SearchHit,
-    like_to_vector,
-)
 from repro.video.frame import VideoSegment
 
 
@@ -277,11 +266,6 @@ class VSSClient(SessionSurface):
                     self.busy_retries_used += 1
                 time.sleep(min(max(exc.retry_after, 0.0), 5.0))
 
-    def _call(self, op: str, params: dict) -> dict:
-        """One catalog-surface operation on an open client."""
-        self._check_open()
-        return self._retrying(self._rpc, op, params)
-
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
@@ -374,7 +358,7 @@ class VSSClient(SessionSurface):
         request = encode_frame(FRAME_REQUEST, {"op": op, **params}, payload)
         return _FrameReply(*self._send_request(op, request), expect, last)
 
-    def _unary(self, op: str, params: dict, payload=None) -> dict:
+    def _one_reply(self, op: str, params: dict, payload=None) -> dict:
         """One request answered by one ``REPLY`` frame."""
         reply = self._converse(op, params, payload, last=FRAME_REPLY)
         next(reply, None)
@@ -416,18 +400,25 @@ class VSSClient(SessionSurface):
             ]
         return results, BatchStats(**reply.end["batch"])
 
-    def _write_one(self, spec: WriteSpec, segment: VideoSegment) -> dict:
+    def _write_one(
+        self, spec: WriteSpec, segment: VideoSegment
+    ) -> PhysicalVideo:
         # The pixels go out as the frame payload, straight from the
         # segment's buffer.
-        return self._retrying(
-            self._unary,
-            "write",
-            {
-                "spec": write_spec_to_dict(spec),
-                "segment": segment_to_meta(segment),
-            },
-            segment_payload_view(segment),
+        return physical_from_dict(
+            self._retrying(
+                self._one_reply,
+                "write",
+                {
+                    "spec": write_spec_to_dict(spec),
+                    "segment": segment_to_meta(segment),
+                },
+                segment_payload_view(segment),
+            )
         )
+
+    def _unary(self, op: str, params: dict) -> dict:
+        return self._retrying(self._rpc, op, params)
 
     def _submit(self, fn, *args) -> Future:
         """Run ``fn`` on a small client-side pool, so futures of
@@ -450,78 +441,9 @@ class VSSClient(SessionSurface):
         if pool is not None:
             pool.shutdown(wait=True)
 
-    # ------------------------------------------------------------------
-    # catalog operations
-    # ------------------------------------------------------------------
-    def create(self, name: str, budget_bytes: int = 0) -> dict:
-        return self._call("create", {"name": name, "budget_bytes": budget_bytes})
-
-    def delete(self, name: str, force: bool = False) -> None:
-        """Delete a video or view; ``force`` cascades dependent views."""
-        self._call("delete", {"name": name, "force": force})
-
-    def exists(self, name: str) -> bool:
-        """True when ``name`` is a logical video or a derived view."""
-        return bool(self._call("exists", {"name": name})["exists"])
-
-    def list_videos(self, kind: str = "all") -> list[str]:
-        """Sorted names from one server-side catalog snapshot."""
-        return self._call("list_videos", {"kind": kind})["videos"]
-
-    def create_view(self, name: str, spec: ViewSpec) -> dict:
-        """Register a derived view (mirrors ``Session.create_view``)."""
-        if not isinstance(spec, ViewSpec):
-            raise TypeError(
-                f"create_view takes a ViewSpec, got {type(spec).__name__}"
-            )
-        return self._call(
-            "create_view", {"name": name, "spec": view_spec_to_dict(spec)}
-        )
-
-    def get_view(self, name: str) -> dict:
-        """One view definition (``spec`` is a ViewSpec dict)."""
-        return self._call("get_view", {"name": name})
-
-    def list_views(self) -> list[dict]:
-        """All view definitions, sorted by name."""
-        return self._call("list_views", {})["views"]
-
-    def video_stats(self, name: str) -> dict:
-        return self._call("video_stats", {"name": name})
-
-    def search(
-        self,
-        text: str | None = None,
-        like=None,
-        limit: int = DEFAULT_SEARCH_LIMIT,
-        min_score: float = 0.0,
-    ) -> list[SearchHit]:
-        """Ranked :class:`SearchHit` GOPs (mirrors ``Session.search``).
-
-        A ``like=`` *image* is turned into its query vector here, on the
-        client — only a flat float array ever crosses the wire, so the
-        servers never decode images and the payload stays tiny.
-        """
-        if like is not None:
-            _, like = like_to_vector(like)
-        query = search_query_to_dict(
-            text=text, like=like, limit=limit, min_score=min_score
-        )
-        reply = self._call("search", {"query": query})
-        return [search_hit_from_dict(d) for d in reply["hits"]]
-
-    def reindex(self, name: str) -> int:
-        """Rebuild one video's content index; rows written."""
-        return int(self._call("reindex", {"name": name})["indexed_gops"])
-
-    def check(self) -> dict[str, list[str]]:
-        """The store's consistency report (mirrors ``Session.check``):
-        through a router, the sorted union of every live shard's."""
-        return self._call("check", {})
-
     def metrics(self) -> dict:
         """The server's metrics document (engine + admission gauges)."""
-        return self._call("metrics", {})
+        return self._op("metrics", {})
 
     # ------------------------------------------------------------------
     # writes (reads are SessionSurface's)
@@ -531,7 +453,7 @@ class VSSClient(SessionSurface):
         spec_or_name: WriteSpec | str,
         segment: VideoSegment,
         **overrides,
-    ) -> dict:
+    ) -> PhysicalVideo:
         """Write a raw segment under a :class:`WriteSpec` or name."""
         return self._write(spec_or_name, overrides, segment)
 
@@ -652,11 +574,11 @@ class VSSBinaryClient(VSSClient):
     # transport hooks
     # ------------------------------------------------------------------
     def _rpc(self, op: str, params: dict) -> dict:
-        return self._unary(op, params)
+        return self._one_reply(op, params)
 
     def ping(self) -> bool:
         """Round-trip a no-op frame (connectivity probe)."""
-        return bool(self._rpc("ping", {}).get("pong"))
+        return self._op("ping", {})
 
     def _send_request(self, op: str, request: list):
         conn = self._acquire()

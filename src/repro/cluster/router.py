@@ -49,13 +49,13 @@ from __future__ import annotations
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 from repro.client import VSSBinaryClient
 from repro.cluster.health import HealthChecker
 from repro.cluster.ring import ShardRing
 from repro.core.ops import OPS
 from repro.core.reader import BatchStats, decode_mb_per_s
+from repro.core.records import PhysicalVideo
 from repro.errors import (
     ServerBusyError,
     ShardUnavailableError,
@@ -483,23 +483,14 @@ class ClusterEngine:
     # ------------------------------------------------------------------
     # write
     # ------------------------------------------------------------------
-    def write(self, spec, segment=None) -> SimpleNamespace:
+    def write(self, spec, segment=None) -> PhysicalVideo:
+        """The first replica's :class:`PhysicalVideo`."""
         # A write touches the catalog on every replica, so it counts as
         # a catalog op too (test_router_counters_for_a_fixed_sequence).
         self.counters.add(writes_routed=1, catalog_ops=1)
-        replies = self._on_all_replicas(
+        return self._on_all_replicas(
             spec.name, "write", lambda s: s.client.write(spec, segment)
-        )
-        first = replies[0]
-        return SimpleNamespace(
-            id=first["physical_id"],
-            codec=first["codec"],
-            width=first["width"],
-            height=first["height"],
-            fps=first["fps"],
-            start_time=first["start_time"],
-            end_time=first["end_time"],
-        )
+        )[0]
 
     # ------------------------------------------------------------------
     # scatter

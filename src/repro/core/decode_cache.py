@@ -94,6 +94,9 @@ def _prefix(entry: Entry | None, stop: int) -> VideoSegment | None:
 class DecodeCache:
     """Bounded LRU of decoded GOP prefixes with prefix reuse."""
 
+    #: A read's hit or miss here is a decode-cache hit or miss.
+    counted = True
+
     def __init__(self, capacity_bytes: int = DEFAULT_DECODE_CACHE_BYTES):
         self.capacity_bytes = int(capacity_bytes)
         self._lock = threading.Lock()
@@ -187,6 +190,11 @@ class DecodeCache:
             entry = self._native.get(gop_id)
         return _prefix(entry, stop)
 
+    def take(self, gop_id: int) -> None:
+        """Nothing: only a batch decodes ahead of its reads
+        (:meth:`BatchDecodeCache.take`)."""
+        return None
+
     def put(self, gop_id: int, stop: int, segment: VideoSegment) -> None:
         """Remember ``segment`` as the native decoded prefix ``[0, stop)``.
 
@@ -275,21 +283,32 @@ class BatchDecodeCache:
     """Batch-local decoded-GOP store layered over the shared cache.
 
     ``Reader.execute_batch`` decodes each GOP needed by a batch exactly
-    once and parks the result here; every read in the batch then hits.
-    The overlay is unbounded but lives only for one batch, so its high
-    -water mark is the batch's unique decoded GOPs.  When the store's
-    :class:`DecodeCache` is enabled, puts are written through to it (so
-    later non-batch reads benefit) and gets consult it first (so its
-    hit/miss counters keep describing store-wide behaviour); when the
-    store cache is disabled the overlay still guarantees single-decode
-    semantics within the batch.  Resized entries live in the store cache
-    alone: without one, a batch resizes what it reads and keeps nothing.
+    once, ahead of the batch's reads, and parks the result here
+    (:meth:`put_ahead`).  The first read that asks for such a GOP misses
+    and takes that decode as its own (:meth:`take`): it counts one miss
+    and the frames decoded, as a read that decoded the GOP itself would;
+    later reads hit.  The overlay is unbounded but lives only for one
+    batch, so its high-water mark is the batch's unique decoded GOPs.
+    When the store's :class:`DecodeCache` is enabled, gets consult it
+    first and a GOP goes into it when a read takes or decodes it, so its
+    hit/miss counters count what the batch's reads count, and later
+    non-batch reads benefit.  When the store cache is disabled the
+    overlay still guarantees single-decode semantics within the batch,
+    and its hits and misses are not decode-cache ones (:attr:`counted`
+    is False).  Resized entries live in the store cache alone: without
+    one, a batch resizes what it reads and keeps nothing.
     """
 
     def __init__(self, base: DecodeCache | None):
         self.base = base if (base is not None and base.enabled) else None
+        #: Whether a read's hit or miss here is a decode-cache one: only
+        #: when the store has a decode cache.
+        self.counted = self.base is not None
         self._lock = threading.Lock()
         self._local: dict[int, Entry] = {}
+        #: GOP id -> ``(segment, codec timings)`` of a GOP decoded ahead
+        #: of the batch's reads, until a read takes it.
+        self._ahead: dict[int, tuple] = {}
 
     @property
     def enabled(self) -> bool:
@@ -313,6 +332,23 @@ class BatchDecodeCache:
         with self._lock:
             entry = self._local.get(gop_id)
         return _prefix(entry, stop)
+
+    def put_ahead(self, gop_id: int, segment: VideoSegment, timings) -> None:
+        """Park a GOP the batch decoded before its reads ran, with the
+        decode's codec timings (None for a raw GOP): reads miss it until
+        one takes it."""
+        with self._lock:
+            self._ahead[gop_id] = segment, timings
+
+    def take(self, gop_id: int) -> tuple | None:
+        """``(segment, timings)`` of a GOP decoded ahead, for the first
+        read that misses it (then None); it is :meth:`put` now, as that
+        read's own decode would be."""
+        with self._lock:
+            ahead = self._ahead.pop(gop_id, None)
+        if ahead is not None:
+            self.put(gop_id, ahead[0].num_frames, ahead[0])
+        return ahead
 
     def get_resized(
         self, gop_id: int, stop: int, size: tuple[int, int]

@@ -77,6 +77,7 @@ from repro.core.decode_cache import DEFAULT_DECODE_CACHE_BYTES, DecodeCache
 from repro.core.deferred import DeferredCompressionManager
 from repro.core.executor import Executor
 from repro.core.layout import Layout
+from repro.core.ops import OPS
 from repro.core.quality import QualityModel
 from repro.core.read_planner import (
     MAX_VIEW_DEPTH,
@@ -238,6 +239,12 @@ class StoreStats:
     num_physicals: int
     num_fragments: int
     num_gops: int
+
+    def __getitem__(self, key: str):
+        # Only for benchmarks/vssbench/workloads.py's remote_streams,
+        # which reads a remote video_stats reply as a dict
+        # (s["total_bytes"], s["num_physicals"]); goes when that line does.
+        return getattr(self, key)
 
 
 @dataclass
@@ -1885,9 +1892,10 @@ class Session(SessionSurface):
     and thread pools; creating one allocates no store resources, so "one
     session per request handler" is the intended usage.  A session's own
     counters are lock-guarded, so a single session may also be shared by
-    several threads.  The read / stream / batch / async / write calls
-    and their accounting are :class:`SessionSurface`'s, the same code a
-    remote client runs; a session supplies the engine as its transport.
+    several threads.  The read / stream / batch / async / write calls,
+    their accounting and the unary ops are :class:`SessionSurface`'s,
+    the same code a remote client runs; a session supplies the engine as
+    its transport, and runs a unary op's table entry in-process.
     """
 
     def __init__(self, engine: VSSEngine, defaults: dict):
@@ -1912,73 +1920,6 @@ class Session(SessionSurface):
         self._engine._absorb_session(self.stats)
 
     # ------------------------------------------------------------------
-    # catalog operations (mirrored by VSSClient; see tests/test_views.py
-    # for the introspection audit keeping the two surfaces in sync)
-    # ------------------------------------------------------------------
-    def create(self, name: str, budget_bytes: int = 0) -> LogicalVideo:
-        """Create a logical video (see :meth:`VSSEngine.create`)."""
-        self._check_open()
-        return self._engine.create(name, budget_bytes=budget_bytes)
-
-    def delete(self, name: str, force: bool = False) -> None:
-        """Delete a video or view (see :meth:`VSSEngine.delete`)."""
-        self._check_open()
-        self._engine.delete(name, force=force)
-
-    def exists(self, name: str) -> bool:
-        """True when ``name`` is a logical video or a derived view."""
-        self._check_open()
-        return self._engine.exists(name)
-
-    def list_videos(self, kind: str = "all") -> list[str]:
-        """Sorted names from one catalog snapshot (see the engine)."""
-        self._check_open()
-        return self._engine.list_videos(kind)
-
-    def video_stats(self, name: str) -> "StoreStats | ViewStats":
-        """Per-video :class:`StoreStats` or per-view :class:`ViewStats`."""
-        self._check_open()
-        return self._engine.video_stats(name)
-
-    def create_view(self, name: str, spec: ViewSpec) -> ViewRecord:
-        """Register a derived view (see :meth:`VSSEngine.create_view`)."""
-        self._check_open()
-        return self._engine.create_view(name, spec)
-
-    def get_view(self, name: str) -> ViewRecord:
-        """The persisted definition of the view named ``name``."""
-        self._check_open()
-        return self._engine.get_view(name)
-
-    def list_views(self) -> list[ViewRecord]:
-        """All view definitions, sorted by name."""
-        self._check_open()
-        return self._engine.list_views()
-
-    def search(
-        self,
-        text: str | None = None,
-        like=None,
-        limit: int = DEFAULT_SEARCH_LIMIT,
-        min_score: float = 0.0,
-    ) -> list[SearchHit]:
-        """Ranked :class:`SearchHit` GOPs (see :meth:`VSSEngine.search`)."""
-        self._check_open()
-        return self._engine.search(
-            text=text, like=like, limit=limit, min_score=min_score
-        )
-
-    def reindex(self, name: str) -> int:
-        """Rebuild the content index for one video; rows written."""
-        self._check_open()
-        return self._engine.reindex(name)
-
-    def check(self) -> dict[str, list[str]]:
-        """The whole store's :meth:`VSSEngine.check` report."""
-        self._check_open()
-        return self._engine.check()
-
-    # ------------------------------------------------------------------
     # transport hooks (the calls themselves are SessionSurface's)
     # ------------------------------------------------------------------
     def _read_one(self, spec: ReadSpec) -> ReadResult:
@@ -1997,6 +1938,9 @@ class Session(SessionSurface):
 
     def _submit(self, fn, *args) -> Future:
         return self._engine._frontend_pool().submit(fn, *args)
+
+    def _unary(self, op: str, params: dict) -> dict:
+        return OPS[op](self, params)
 
     def write(
         self,

@@ -1,9 +1,9 @@
 """The service-op tables: every operation, defined once.
 
-Both servers and both clients dispatch through :data:`OPS`, the unary
-control-plane ops, and the servers answer the data plane through
-:data:`DATA_OPS`.  One
-:class:`Op` entry carries everything the four of them need:
+Both servers, both clients and a local session dispatch through
+:data:`OPS`, the unary control-plane ops, and the servers answer the
+data plane through :data:`DATA_OPS`.  One :class:`Op` entry carries
+everything they need:
 
 * the **name** — the binary ``"op"`` value and the client's logical
   operation name;
@@ -12,7 +12,10 @@ control-plane ops, and the servers answer the data plane through
   names with their defaults;
 * ``run(service, params) -> dict`` — parse params, make one engine
   call, build the reply dict.  ``service`` is whichever server fronts
-  the engine; it exposes ``.engine`` and ``.gauges``;
+  the engine (it exposes ``.engine`` and ``.gauges``) or a local
+  session (``.engine`` only);
+* ``decode(reply)`` — the reply dict as the value the engine call
+  returned (below);
 * ``admitted`` — whether the op takes a ``ServiceGauges`` slot (busy
   rejection when the server is full);
 * the **REST binding** — ``"METHOD /path/<param>"``.  Path placeholders
@@ -53,8 +56,22 @@ Closing the iterator releases what the entry holds.  Both servers send
 these frames as they come, so the two transports answer alike, and a
 router's frontends serve them from its cluster engine unedited.
 
-Adding a unary op costs one entry in :data:`OPS` plus its engine and
-client methods — the router serves it unedited.
+Each entry's ``decode(reply)`` turns its reply dict back into the value
+the engine method returns (a :class:`~repro.core.records.LogicalVideo`,
+a ``StoreStats`` or ``ViewStats``, a
+:class:`~repro.core.records.ViewRecord` or a list of them, a list of
+names or of ``SearchHit`` objects, a bool, an int, or the ``check``
+report).
+:class:`repro.core.specs.SessionSurface` defines one method per unary
+op on top of it, so a local session, both clients and a client of a
+router answer each op with the same value.  The payload ops keep their
+own decoders: a write's ``REPLY`` is the whole
+:class:`~repro.core.records.PhysicalVideo` row
+(:func:`physical_from_dict`).
+
+Adding a unary op costs one entry in :data:`OPS` plus its engine method
+and one :class:`~repro.core.specs.SessionSurface` method — the servers,
+the clients and the router serve it unedited.
 """
 
 from __future__ import annotations
@@ -62,8 +79,10 @@ from __future__ import annotations
 import dataclasses
 import json
 from collections.abc import Callable, Iterator
+from operator import itemgetter
 from urllib.parse import parse_qs, quote, unquote, urlencode
 
+from repro.core.records import LogicalVideo, PhysicalVideo, ViewRecord
 from repro.core.wire import (
     FRAME_REPLY,
     batch_frames,
@@ -99,6 +118,7 @@ def logical_to_dict(logical) -> dict:
         "name": logical.name,
         "id": logical.id,
         "budget_bytes": logical.budget_bytes,
+        "created_at": logical.created_at,
     }
 
 
@@ -112,16 +132,37 @@ def view_record_to_dict(record) -> dict:
     }
 
 
-def physical_to_dict(physical) -> dict:
-    return {
-        "physical_id": physical.id,
-        "codec": physical.codec,
-        "width": physical.width,
-        "height": physical.height,
-        "fps": physical.fps,
-        "start_time": physical.start_time,
-        "end_time": physical.end_time,
-    }
+def stats_to_dict(stats) -> dict:
+    """A ``StoreStats``, or a ``ViewStats`` with its spec as a wire
+    dict so that it round-trips."""
+    document = dataclasses.asdict(stats)
+    if "spec" in document:
+        document["spec"] = view_spec_to_dict(stats.spec)
+    return document
+
+
+# ----------------------------------------------------------------------
+# reply decoders (each reply back into the value the engine returned)
+# ----------------------------------------------------------------------
+def view_record_from_dict(d: dict) -> ViewRecord:
+    spec = view_spec_from_dict(d["spec"])
+    return ViewRecord(d["id"], d["name"], spec, d["created_at"])
+
+
+def physical_from_dict(d: dict) -> PhysicalVideo:
+    """A write's ``REPLY``: the whole row, ``roi`` a tuple again."""
+    roi = d["roi"]
+    return PhysicalVideo(**{**d, "roi": None if roi is None else tuple(roi)})
+
+
+def stats_from_dict(d: dict):
+    # Imported here: the engine module imports this one.
+    from repro.core.engine import StoreStats, ViewStats
+
+    if "base_stats" not in d:
+        return StoreStats(**d)
+    spec, base = view_spec_from_dict(d["spec"]), StoreStats(**d["base_stats"])
+    return ViewStats(**{**d, "spec": spec, "base_stats": base})
 
 
 def _flag(value) -> bool:
@@ -156,6 +197,7 @@ class Op:
     key: Callable[[dict], str | None] = _key_name
     merge: Callable[[list, dict], dict] | None = None
     whole: bool = False
+    decode: Callable[[dict], object] = lambda reply: reply
     #: ``rest`` split once: HTTP method and the path's segments.
     method: str | None = dataclasses.field(init=False, default=None)
     segments: tuple[str, ...] = dataclasses.field(init=False, default=())
@@ -269,7 +311,7 @@ def _list_videos(service, p: dict) -> dict:
 
 
 def _video_stats(service, p: dict) -> dict:
-    return as_plain_dict(service.engine.video_stats(p["name"]))
+    return stats_to_dict(service.engine.video_stats(p["name"]))
 
 
 def _create_view(service, p: dict) -> dict:
@@ -358,28 +400,34 @@ _NAME = ("name",)
 OPS: dict[str, Op] = {
     op.name: op
     for op in (
-        Op("ping", _ping, "local"),
+        Op("ping", _ping, "local", decode=itemgetter("pong")),
         Op("metrics", _metrics, "local", rest="GET /metrics"),
         Op("create", _create, "all", _NAME, {"budget_bytes": 0},
-           rest="POST /v1/videos"),
+           rest="POST /v1/videos", decode=lambda r: LogicalVideo(**r)),
         Op("delete", _delete, "all", _NAME, {"force": False},
-           rest="DELETE /v1/videos/<name>"),
-        Op("exists", _exists, "any", _NAME, rest="GET /v1/videos/<name>"),
+           rest="DELETE /v1/videos/<name>", decode=lambda r: None),
+        Op("exists", _exists, "any", _NAME, rest="GET /v1/videos/<name>",
+           decode=itemgetter("exists")),
         Op("list_videos", _list_videos, "scatter", (), {"kind": "all"},
-           rest="GET /v1/videos", merge=_merge_videos),
+           rest="GET /v1/videos", merge=_merge_videos,
+           decode=itemgetter("videos")),
         Op("video_stats", _video_stats, "any", _NAME,
-           rest="GET /v1/videos/<name>/stats"),
+           rest="GET /v1/videos/<name>/stats", decode=stats_from_dict),
         Op("create_view", _create_view, "all", ("name", "spec"),
-           rest="POST /v1/views", key=_key_view_parent),
-        Op("get_view", _get_view, "any", _NAME, rest="GET /v1/views/<name>"),
+           rest="POST /v1/views", key=_key_view_parent,
+           decode=view_record_from_dict),
+        Op("get_view", _get_view, "any", _NAME, rest="GET /v1/views/<name>",
+           decode=view_record_from_dict),
         Op("list_views", _list_views, "scatter", rest="GET /v1/views",
-           merge=_merge_views),
+           merge=_merge_views,
+           decode=lambda r: [view_record_from_dict(v) for v in r["views"]]),
         Op("delete_view", _delete_view, "all", _NAME, {"force": False},
-           rest="DELETE /v1/views/<name>"),
+           rest="DELETE /v1/views/<name>", decode=lambda r: None),
         Op("search", _search, "scatter", ("query",), rest="POST /v1/search",
-           body="query", merge=_merge_hits),
+           body="query", merge=_merge_hits,
+           decode=lambda r: [search_hit_from_dict(h) for h in r["hits"]]),
         Op("reindex", _reindex, "all", _NAME, admitted=True,
-           rest="POST /v1/reindex"),
+           rest="POST /v1/reindex", decode=itemgetter("indexed_gops")),
         Op("check", _check, "scatter", admitted=True, rest="GET /v1/check",
            merge=_merge_check, whole=True),
     )
@@ -424,7 +472,7 @@ def _read_batch(service, header: dict, payload) -> Iterator[list]:
 def _write(service, header: dict, payload) -> Iterator[list]:
     spec, segment = decode_write(header, payload)
     return reply_frames(
-        physical_to_dict(service.engine.write(spec, segment=segment))
+        dataclasses.asdict(service.engine.write(spec, segment=segment))
     )
 
 

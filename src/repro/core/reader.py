@@ -460,7 +460,8 @@ class Reader:
         decoded once — fanned across the executor — into a
         :class:`BatchDecodeCache` overlay, and the plans then execute
         against the overlay, so N overlapping reads pay for one decode of
-        each shared GOP instead of N.
+        each shared GOP instead of N.  The first read of such a GOP
+        reports that decode as its own miss; the others, hits.
         """
         batch = BatchStats(num_reads=len(plans))
         overlay = BatchDecodeCache(self.decode_cache)
@@ -490,10 +491,11 @@ class Reader:
             record, stop = entry
             if overlay.peek(record.id, stop) is not None:
                 return 0  # an earlier read already decoded this deep
-            # Batch-warmed decodes are shared engine work: the reads that
-            # consume them see overlay hits (no frames decoded), so no
-            # per-read codec timings are attributed here either.
-            self._decode_into(overlay, record, stop)
+            # The first read of the GOP counts this decode, its frames
+            # and timings as its own (BatchDecodeCache.take).
+            overlay.put_ahead(
+                record.id, *self._decode_into(None, record, stop, CodecTimings())
+            )
             return 1
 
         batch.gops_decoded = sum(
@@ -990,27 +992,30 @@ class Reader:
             and decode_cache.enabled
             and record.joint_pair_id is None
         )
+        counted = cacheable and decode_cache.counted
         if cacheable:
             prefix = decode_cache.get(record.id, stop)
             if prefix is not None:
                 if first_needed:
                     prefix = prefix.slice_frames(first_needed, stop)
-                return _GopWindow(prefix, 0, 0, 0, True)
-        timings = CodecTimings()
-        decoded, compressed = self._decode_into(
-            decode_cache if cacheable else None, record, stop, timings
+                return _GopWindow(prefix, 0, 0, 0, True if counted else None)
+        # A GOP a batch decoded ahead (perhaps past this read's stop) is
+        # this read's decode.
+        ahead = decode_cache.take(record.id) if cacheable else None
+        decoded, timings = ahead or self._decode_into(
+            decode_cache if cacheable else None, record, stop, CodecTimings()
         )
-        if compressed:
-            frames_decoded, lookback = stop, first_needed
+        if timings is not None:
+            frames_decoded, lookback = decoded.num_frames, first_needed
         else:
             # Raw frames are independently decodable; skip the prefix.
-            frames_decoded, lookback, timings = stop - first_needed, 0, None
+            frames_decoded, lookback = stop - first_needed, 0
         return _GopWindow(
             decoded.slice_frames(first_needed, stop),
             frames_decoded,
             lookback,
             record.nbytes,
-            False if cacheable else None,
+            False if counted else None,
             timings,
         )
 
@@ -1019,12 +1024,12 @@ class Reader:
         cache,
         record: GopRecord,
         stop: int,
-        timings: CodecTimings | None = None,
-    ) -> tuple[VideoSegment, bool]:
+        timings: CodecTimings,
+    ) -> tuple[VideoSegment, CodecTimings | None]:
         """Decode a GOP's frames ``[0, stop)`` — all of a raw GOP, whose
         frames need no look-back — on the executor and put them in
-        ``cache`` (None: nowhere).  Returns them and whether the GOP's
-        codec is compressed."""
+        ``cache`` (None: nowhere).  Returns them and ``timings``, which
+        the decode filled in (None for a raw GOP)."""
         encoded = self._load_gop(record)
         codec = codec_for(encoded.codec)
         if codec.is_compressed:
@@ -1033,9 +1038,10 @@ class Reader:
             )
         else:
             decoded, stop = codec.decode_gop(encoded), record.num_frames
+            timings = None
         if cache is not None:
             cache.put(record.id, stop, decoded)
-        return decoded, codec.is_compressed
+        return decoded, timings
 
     def load_stored(
         self, record: GopRecord, stop: int | None = None

@@ -3,7 +3,8 @@
 :class:`ReadSpec`, :class:`WriteSpec` and :class:`ViewSpec` are the
 requests; :class:`SessionSurface` is the Session-shaped handle a local
 session and both remote clients share (spec defaults, the read / stream
-/ batch / async / write calls and their :class:`SessionStats`).
+/ batch / async / write calls and their :class:`SessionStats`, and one
+method per unary op of the service-op table).
 
 One request type is shared by sessions, clients, the planner, the
 reader, the writer and the cache-admission path.  A spec is validated
@@ -31,14 +32,17 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.quality import DEFAULT_EPSILON_DB
-from repro.core.records import ROI
+from repro.core.records import ROI, LogicalVideo, ViewRecord
 from repro.core.roi import check_roi
 from repro.errors import FormatError, OutOfRangeError
+from repro.search.query import DEFAULT_LIMIT as DEFAULT_SEARCH_LIMIT
+from repro.search.query import SearchHit, like_to_vector
 from repro.video.codec.quant import QP_DEFAULT, QP_MAX, QP_MIN
 from repro.video.codec.registry import CODEC_NAMES
 from repro.video.frame import PIXEL_FORMATS
 
 if TYPE_CHECKING:
+    from repro.core.engine import StoreStats, ViewStats
     from repro.core.reader import BatchStats, ReadResult, ReadStats
 
 #: Planner modes accepted by :attr:`ReadSpec.mode` (None = ``solver``).
@@ -319,7 +323,10 @@ class SessionSurface:
     lifecycle.  ``defaults`` may name any non-positional
     :class:`ReadSpec` or :class:`WriteSpec` field and fill in whatever a
     call does not specify, so a call reads the same against a local
-    engine and a remote one.
+    engine and a remote one.  The control plane is here too: one method
+    per unary op of the service-op table (:data:`repro.core.ops.OPS`),
+    each answering with the value the engine method returns, whatever
+    the handle.
 
     A subclass supplies only its transport, as hooks:
 
@@ -329,6 +336,7 @@ class SessionSurface:
       (the caller's pull time) or ``on_failure()`` when a pull raises;
     * ``_read_many(specs)`` — one batch, ``(results, BatchStats)``;
     * ``_write_one(spec, *payload)`` — one write;
+    * ``_unary(op, params)`` — one unary op, answered by its reply dict;
     * ``_submit(fn, *args)`` — run ``fn`` on a pool, as a ``Future``;
     * ``_shutdown()`` — run once, by the first :meth:`close`.
 
@@ -540,3 +548,82 @@ class SessionSurface:
     def _note_failure(self) -> None:
         with self._lock:
             self.stats.failures += 1
+
+    # ------------------------------------------------------------------
+    # the control plane: one method per unary op of the service table
+    # ------------------------------------------------------------------
+    def _op(self, name: str, params: dict):
+        """Run the unary op ``name`` through :meth:`_unary` and decode
+        its reply into the value the engine method returns."""
+        # Imported here: ops imports wire, which imports this module.
+        from repro.core.ops import OPS
+
+        self._check_open()
+        return OPS[name].decode(self._unary(name, params))
+
+    def create(self, name: str, budget_bytes: int = 0) -> LogicalVideo:
+        """Create a logical video (see :meth:`VSSEngine.create`)."""
+        return self._op("create", {"name": name, "budget_bytes": budget_bytes})
+
+    def delete(self, name: str, force: bool = False) -> None:
+        """Delete a video or view; ``force`` cascades dependent views."""
+        self._op("delete", {"name": name, "force": force})
+
+    def exists(self, name: str) -> bool:
+        """True when ``name`` is a logical video or a derived view."""
+        return self._op("exists", {"name": name})
+
+    def list_videos(self, kind: str = "all") -> list[str]:
+        """Sorted names from one catalog snapshot (see the engine)."""
+        return self._op("list_videos", {"kind": kind})
+
+    def video_stats(self, name: str) -> StoreStats | ViewStats:
+        """Per-video :class:`StoreStats` or per-view :class:`ViewStats`."""
+        return self._op("video_stats", {"name": name})
+
+    def create_view(self, name: str, spec: ViewSpec) -> ViewRecord:
+        """Register a derived view (see :meth:`VSSEngine.create_view`)."""
+        if not isinstance(spec, ViewSpec):
+            raise TypeError(
+                f"create_view takes a ViewSpec, got {type(spec).__name__}"
+            )
+        return self._op("create_view", {"name": name, "spec": spec.to_dict()})
+
+    def get_view(self, name: str) -> ViewRecord:
+        """The persisted definition of the view named ``name``."""
+        return self._op("get_view", {"name": name})
+
+    def list_views(self) -> list[ViewRecord]:
+        """All view definitions, sorted by name."""
+        return self._op("list_views", {})
+
+    def search(
+        self,
+        text: str | None = None,
+        like=None,
+        limit: int = DEFAULT_SEARCH_LIMIT,
+        min_score: float = 0.0,
+    ) -> list[SearchHit]:
+        """Ranked :class:`SearchHit` GOPs (see :meth:`VSSEngine.search`).
+
+        A ``like=`` image becomes its query vector here, on the caller's
+        side: only a flat float array crosses the wire, so a server
+        never decodes images.
+        """
+        from repro.core.wire import search_query_to_dict
+
+        if like is not None:
+            _, like = like_to_vector(like)
+        query = search_query_to_dict(
+            text=text, like=like, limit=limit, min_score=min_score
+        )
+        return self._op("search", {"query": query})
+
+    def reindex(self, name: str) -> int:
+        """Rebuild one video's content index; rows written."""
+        return self._op("reindex", {"name": name})
+
+    def check(self) -> dict[str, list[str]]:
+        """The store's consistency report (see :meth:`VSSEngine.check`):
+        through a router, the sorted union of every live shard's."""
+        return self._op("check", {})

@@ -183,12 +183,12 @@ class TestViewsOverBinary:
 
     def test_create_list_get_delete_view(self, loaded_client):
         created = loaded_client.create_view("vw", self.VIEW)
-        assert created["name"] == "vw"
-        assert created["over"] == "traffic"
+        assert created.name == "vw"
+        assert created.over == "traffic"
         listed = loaded_client.list_views()
-        assert [v["name"] for v in listed] == ["vw"]
+        assert [v.name for v in listed] == ["vw"]
         got = loaded_client.get_view("vw")
-        assert got["spec"] == created["spec"]
+        assert got.spec == created.spec == self.VIEW
         loaded_client.delete("vw")
         assert loaded_client.list_views() == []
 

@@ -38,7 +38,6 @@ from repro.errors import (
     WireError,
 )
 from repro.server.binary import VSSBinaryServer
-from repro.server.http import VSSServer
 
 # ----------------------------------------------------------------------
 # ring placement
@@ -313,7 +312,7 @@ class TestRouting:
             _load(client, "base", tiny_clip)
             client.create_view("half", ViewSpec(over="base", end=0.4))
             client.create_view("quarter", ViewSpec(over="half", end=0.2))
-            assert [v["name"] for v in client.list_views()] == [
+            assert [v.name for v in client.list_views()] == [
                 "half", "quarter",
             ]
             # The nested view's chain resolves to base's shard.
@@ -324,7 +323,7 @@ class TestRouting:
                 read.segment.pixels, direct.segment.pixels
             )
             client.delete("quarter")
-            assert [v["name"] for v in client.list_views()] == ["half"]
+            assert [v.name for v in client.list_views()] == ["half"]
 
     def test_catalog_roundtrip_and_errors(self, router, tiny_clip):
         with VSSClient(*router.http_address) as client:
@@ -334,7 +333,7 @@ class TestRouting:
             _load(client, "cam", tiny_clip)
             assert client.exists("cam")
             stats = client.video_stats("cam")
-            assert stats["name"] == "cam" and stats["num_gops"] >= 1
+            assert stats.name == "cam" and stats.num_gops >= 1
             client.delete("cam")
             assert not client.exists("cam")
 

@@ -552,9 +552,15 @@ class TestReadBatch:
         assert batch.window_requests > batch.unique_gops
         assert batch.gops_decoded == batch.unique_gops == 2
         assert batch.gops_shared == batch.window_requests - 2
-        # Every read was served from the batch overlay: zero re-decodes.
-        assert sum(r.stats.frames_decoded for r in results) == 0
-        assert all(r.stats.decode_cache_hits > 0 for r in results)
+        # Each shared GOP decoded once, counted by the first read that
+        # used it; the rest re-decode nothing.  Without a decode cache,
+        # no read counts a decode-cache hit or miss.
+        assert results[0].stats.frames_decoded > 0
+        assert sum(r.stats.frames_decoded for r in results[1:]) == 0
+        assert all(
+            r.stats.decode_cache_hits == r.stats.decode_cache_misses == 0
+            for r in results
+        )
 
     def test_batch_results_match_sequential(self, nocache_engine):
         session = nocache_engine.session()
@@ -587,6 +593,28 @@ class TestReadBatch:
         assert batch_seconds < sequential_seconds
         for serial, batch in zip(sequential, batched):
             assert np.array_equal(serial.segment.pixels, batch.segment.pixels)
+
+    def test_batch_counts_what_the_store_cache_counts(
+        self, loaded_engine, nocache_engine
+    ):
+        """A batch's reads count the decode-cache hits and misses the
+        store's cache counts: the same totals with a cache (a GOP the
+        batch decoded is one miss), none without one."""
+        for engine in (loaded_engine, nocache_engine):
+            engine.drain_admissions()
+            before = engine.stats()
+            with engine.session() as session:
+                session.read_batch(self._overlapping_specs(4))
+                after = engine.stats()
+                counted = (
+                    session.stats.decode_cache_hits,
+                    session.stats.decode_cache_misses,
+                )
+            assert counted == (
+                after.decode_cache_hits - before.decode_cache_hits,
+                after.decode_cache_misses - before.decode_cache_misses,
+            )
+            assert (counted[1] > 0) == (engine is loaded_engine)
 
     def test_batch_populates_store_decode_cache(self, loaded_engine):
         """With the store cache enabled, batch decodes write through, so

@@ -6,12 +6,15 @@ a ``VSSBinaryServer`` at once, and through both ports of a
 ``VSSRouter`` over two shards holding copies of the same store; all
 four replies must be equal.  The data plane gets the same treatment:
 the frames answering a ``read``, ``read_batch`` or ``write`` are the
-same on all four endpoints.  Another test pins ``docs/api.md`` to the table, so
-neither can drift.
+same on all four endpoints.  Above the wire, every op a handle exposes
+(and ``write``) answers with the same value and types through a
+``Session``, both clients and a client of the router.  Another test pins
+``docs/api.md`` to the table, so neither can drift.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import shutil
 from contextlib import ExitStack
@@ -86,7 +89,7 @@ _RESTORE = {
 #: documents (each server's own gauges, the engine's moving counters) —
 #: for those only the key sets are compared.
 _VOLATILE = {
-    "create": {"id"},
+    "create": {"id", "created_at"},
     "create_view": {"id", "created_at"},
     "metrics": {"engine", "server"},
 }
@@ -246,9 +249,9 @@ DATA_PLANE: dict[str, tuple] = {
 }
 
 #: Header fields that differ between two equal answers: a write's
-#: physical id (ids are never recycled, so each fresh write gets a new
-#: one).
-_FRESH = {"physical_id"}
+#: physical and logical ids (ids are never recycled, so each fresh write
+#: of a deleted video gets new ones).
+_FRESH = {"id", "logical_id"}
 
 
 def _untimed(header):
@@ -297,6 +300,98 @@ def test_both_transports_answer_with_the_same_frames(
     assert [(t, data) for t, _, data in routed] == [
         (t, data) for t, _, data in direct
     ]
+
+
+#: The value-parity script: per op a handle exposes (plus ``write``), a
+#: call and what undoes it, so every handle meets the same store.
+_SURFACE_CALLS = {
+    "create": (
+        lambda h: h.create("fresh", budget_bytes=4096),
+        lambda h: h.delete("fresh"),
+    ),
+    "delete": (
+        lambda h: h.delete("scratch", force=True),
+        lambda h: h.create("scratch"),
+    ),
+    "exists": (lambda h: (h.exists("clip"), h.exists("ghost")), None),
+    "list_videos": (lambda h: (h.list_videos(), h.list_videos("view")), None),
+    "video_stats": (
+        lambda h: (h.video_stats("traffic"), h.video_stats("clip")),
+        None,
+    ),
+    "create_view": (
+        lambda h: h.create_view(
+            "fresh", ViewSpec(over="traffic", start=0.5, end=2.0)
+        ),
+        lambda h: h.delete("fresh"),
+    ),
+    "get_view": (lambda h: h.get_view("clip"), None),
+    "list_views": (lambda h: h.list_views(), None),
+    "search": (lambda h: h.search(text="car", limit=5), None),
+    "reindex": (lambda h: h.reindex("traffic"), None),
+    "check": (lambda h: h.check(), None),
+    "write": (
+        lambda h: h.write("ingest", _INGEST, codec="h264", qp=10, gop_size=15),
+        lambda h: h.delete("ingest"),
+    ),
+}
+
+#: Fields a fresh catalog row gets anew: ids are never recycled.
+_FRESH_FIELDS = {"id", "logical_id", "created_at"}
+
+
+def _value(value):
+    """``value`` as comparable data with its type at every level, fresh
+    ids and creation stamps set aside."""
+    if dataclasses.is_dataclass(value):
+        return type(value), {
+            f.name: _value(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.name not in _FRESH_FIELDS
+        }
+    if isinstance(value, (list, tuple)):
+        return type(value), [_value(item) for item in value]
+    if isinstance(value, dict):
+        return type(value), {k: _value(v) for k, v in value.items()}
+    return type(value), value
+
+
+def test_every_handle_answers_every_op_with_the_same_value(fronted):
+    """A Session, a VSSClient, a VSSBinaryClient and a VSSBinaryClient on
+    a router return equal values of the same types for every table op
+    they all expose and for ``write``."""
+    handles = [
+        fronted.engine.session(),
+        fronted.over_http,
+        fronted.over_binary,
+        fronted.routed_binary,
+    ]
+    exposed = {
+        name for name in OPS
+        if all(callable(getattr(h, name, None)) for h in handles)
+    }
+    assert exposed | {"write"} == set(_SURFACE_CALLS)
+    differ = []
+    for name, (call, undo) in sorted(_SURFACE_CALLS.items()):
+        values = []
+        for handle in handles:
+            values.append(_value(call(handle)))
+            if undo is not None:
+                undo(handle)
+        if any(value != values[0] for value in values):
+            differ.append(name)
+    handles[0].close()
+    assert differ == []
+
+
+def test_a_remote_store_stats_answers_by_key(fronted):
+    """Goes with benchmarks/vssbench/workloads.py's remote_streams, which
+    reads a remote ``video_stats`` as ``s["total_bytes"]`` and
+    ``s["num_physicals"]``: this pin and ``StoreStats.__getitem__`` go
+    when that line reads attributes."""
+    stats = fronted.over_binary.video_stats("traffic")
+    assert stats["total_bytes"] == stats.total_bytes > 0
+    assert stats["num_physicals"] == stats.num_physicals
 
 
 def _fails_alike(fronted, name: str, params: dict) -> None:

@@ -103,7 +103,7 @@ class TestCatalogOverHTTP:
         for name in ["stats", "a/stats", "metrics"]:
             client.write(name, tiny_clip, codec="raw")
             assert client.exists(name)
-            assert client.video_stats(name)["num_gops"] >= 1
+            assert client.video_stats(name).num_gops >= 1
         assert client.list_videos() == ["a/stats", "metrics", "stats"]
         for name in ["stats", "a/stats", "metrics"]:
             client.delete(name)
@@ -124,8 +124,8 @@ class TestRouting:
 
 class TestWriteOverHTTP:
     def test_write_then_read_round_trip(self, client, tiny_clip):
-        reply = client.write("clip", tiny_clip, codec="raw")
-        assert reply["codec"] == "raw"
+        written = client.write("clip", tiny_clip, codec="raw")
+        assert written.codec == "raw"
         back = client.read(
             "clip", 0.0, tiny_clip.duration, codec="raw", cache=False
         )
@@ -245,12 +245,10 @@ class TestViewsOverHTTP:
         spec = ViewSpec(over="traffic", start=0.5, end=2.5,
                         roi=(8, 4, 40, 28))
         created = loaded_client.create_view("crop", spec)
-        assert created["name"] == "crop" and created["over"] == "traffic"
-        assert ViewSpec.from_dict(created["spec"]) == spec
-        assert [v["name"] for v in loaded_client.list_views()] == ["crop"]
-        assert ViewSpec.from_dict(
-            loaded_client.get_view("crop")["spec"]
-        ) == spec
+        assert created.name == "crop" and created.over == "traffic"
+        assert created.spec == spec
+        assert [v.name for v in loaded_client.list_views()] == ["crop"]
+        assert loaded_client.get_view("crop").spec == spec
         assert loaded_client.exists("crop")
         assert loaded_client.list_videos() == ["crop", "traffic"]
         assert loaded_client.list_videos(kind="view") == ["crop"]
@@ -299,11 +297,11 @@ class TestViewsOverHTTP:
                                                    roi=(8, 4, 40, 28)))
         loaded_client.read("crop", 0.0, 1.0, codec="raw", cache=False)
         stats = loaded_client.video_stats("crop")
-        assert stats["base"] == "traffic"
-        assert stats["depth"] == 1
-        assert stats["reads"] == 1
-        assert stats["base_stats"]["num_gops"] >= 3
-        assert stats["spec"]["roi"] == [8, 4, 40, 28]
+        assert stats.base == "traffic"
+        assert stats.depth == 1
+        assert stats.reads == 1
+        assert stats.base_stats.num_gops >= 3
+        assert stats.spec.roi == (8, 4, 40, 28)
 
     def test_delete_with_dependents_over_http(self, loaded_client):
         loaded_client.create_view("a", ViewSpec(over="traffic"))

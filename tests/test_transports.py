@@ -107,8 +107,8 @@ class TestCatalog:
 
     def test_video_stats(self, loaded_client):
         stats = loaded_client.video_stats("traffic")
-        assert stats["num_gops"] == 3
-        assert stats["total_bytes"] > 0
+        assert stats.num_gops == 3
+        assert stats.total_bytes > 0
 
 
 class TestReads:
