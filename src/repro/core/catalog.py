@@ -17,6 +17,23 @@ Concurrency model (the engine API serves many sessions at once):
 Cross-statement consistency for one logical video (e.g. the two queries
 inside :meth:`fragments_of_logical`) is provided by the engine's
 per-logical locks, not by the catalog.
+
+A warm read runs no SQL at all:
+
+* **LRU stamps stay in memory.**  :meth:`touch_gops` records
+  ``gop id -> tick`` in a locked dict; the pending stamps are written in
+  one transaction before any answer that carries ``last_access``
+  (:meth:`_gop_rows`) and on :meth:`close`, so eviction scoring sees
+  every earlier touch.  A crash loses at most the stamps since the last
+  such write: LRU order shifts, but no row names a missing page.
+* **Row lookups are memoized per write generation.**
+  :meth:`get_logical`, :meth:`get_logical_by_id`,
+  :meth:`original_physical` and :meth:`total_bytes` answer from a memo
+  that every outermost :meth:`_write` drops whole after it commits or
+  rolls back.  An in-process memo is valid because this catalog is the
+  store's only writer: an engine holds ``store.lock`` from open to
+  close, one engine per store, and every write it makes goes through
+  :meth:`_write`.
 """
 
 from __future__ import annotations
@@ -204,6 +221,13 @@ class Catalog:
         # index) cascade atomically with the catalog rows, and a delete
         # leaves no sidecar row behind.
         self._delete_hooks: list = []
+        # Pending LRU stamps, gop id -> tick (see the module docs).
+        self._stamps_lock = threading.Lock()
+        self._stamps: dict[int, int] = {}
+        # Memoized lookups, replaced whole by every outermost _write (see
+        # _memoized for which answers are kept).
+        self._memo: dict[tuple, object] = {}
+        self._write_depth = 0  # _write nesting, under self._lock
         self._readers: list[weakref.ref[_ReaderConn]] = []
         self._tls = threading.local()
         self._closed = False
@@ -335,15 +359,46 @@ class Catalog:
     @contextmanager
     def _write(self):
         """The single writer connection, exclusively held; a transaction
-        that raises is rolled back whole."""
+        that raises is rolled back whole.  The outermost one drops the
+        lookup memo as it ends, committed or not."""
         with self._lock:
+            self._write_depth += 1
             try:
                 yield self._conn
             except BaseException:
                 self._conn.rollback()
                 raise
+            finally:
+                self._write_depth -= 1
+                if not self._write_depth:
+                    self._memo = {}
+
+    def _memoized(self, key: tuple, lookup):
+        """``lookup()``'s answer, kept until the next outermost
+        :meth:`_write` ends.  One that raises is not kept, nor one that
+        ends inside a writer transaction (without WAL, it may have read
+        that transaction's uncommitted rows); one that a whole write
+        overtook goes into the memo that write dropped."""
+        memo = self._memo
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        value = lookup()
+        if not self._write_depth:
+            memo[key] = value
+        return value
 
     def close(self) -> None:
+        """Write the pending stamps, then close every connection (the
+        connections close even if that write fails)."""
+        try:
+            if not self._closed:
+                self._flush_stamps()
+        finally:
+            self._close_connections()
+
+    def _close_connections(self) -> None:
         with self._readers_lock:
             self._closed = True
             readers, self._readers = self._readers, []
@@ -460,16 +515,16 @@ class Catalog:
             return self.get_logical_by_id(logical_id)
 
     def get_logical(self, name: str) -> LogicalVideo:
-        return LogicalVideo(*self._first(
+        return self._memoized(("name", name), lambda: LogicalVideo(*self._first(
             "SELECT * FROM logical_videos WHERE name = ?", (name,),
             VideoNotFoundError(name),
-        ))
+        )))
 
     def get_logical_by_id(self, logical_id: int) -> LogicalVideo:
-        return LogicalVideo(*self._first(
+        return self._memoized(("id", logical_id), lambda: LogicalVideo(*self._first(
             "SELECT * FROM logical_videos WHERE id = ?", (logical_id,),
             CatalogError(f"no logical video with id {logical_id}"),
-        ))
+        )))
 
     def list_logical(self) -> list[LogicalVideo]:
         return [
@@ -765,12 +820,15 @@ class Catalog:
         ]
 
     def original_physical(self, logical_id: int) -> PhysicalVideo | None:
-        row = self._first(
-            "SELECT * FROM physical_videos WHERE logical_id = ?"
-            " AND is_original = 1 ORDER BY id LIMIT 1",
-            (logical_id,),
-        )
-        return None if row is None else _physical(row)
+        def lookup():
+            row = self._first(
+                "SELECT * FROM physical_videos WHERE logical_id = ?"
+                " AND is_original = 1 ORDER BY id LIMIT 1",
+                (logical_id,),
+            )
+            return None if row is None else _physical(row)
+
+        return self._memoized(("original", logical_id), lookup)
 
     def update_physical_times(
         self, physical_id: int, start_time: float, end_time: float
@@ -987,11 +1045,18 @@ class Catalog:
             )
         return self.get_gop(gop_id)
 
+    def _gop_rows(self, sql: str, params=()) -> list[sqlite3.Row]:
+        """Every row of one read-only statement over ``gops``, every
+        pending LRU stamp written first: the one read that sees
+        ``last_access``."""
+        self._flush_stamps()
+        return self._rows(sql, params)
+
     def get_gop(self, gop_id: int) -> GopRecord:
-        return GopRecord(*self._first(
-            "SELECT * FROM gops WHERE id = ?", (gop_id,),
-            CatalogError(f"no GOP with id {gop_id}"),
-        ))
+        rows = self._gop_rows("SELECT * FROM gops WHERE id = ?", (gop_id,))
+        if not rows:
+            raise CatalogError(f"no GOP with id {gop_id}")
+        return GopRecord(*rows[0])
 
     def gops_of_physical(
         self,
@@ -1007,12 +1072,14 @@ class Catalog:
         if end is not None:
             query += " AND start_time < ?"
             params.append(end - 1e-9)
-        return [GopRecord(*r) for r in self._rows(query + " ORDER BY seq", params)]
+        return [
+            GopRecord(*r) for r in self._gop_rows(query + " ORDER BY seq", params)
+        ]
 
     def gops_of_logical(self, logical_id: int) -> list[GopRecord]:
         return [
             GopRecord(*r)
-            for r in self._rows(
+            for r in self._gop_rows(
                 "SELECT gops.* FROM gops JOIN physical_videos p"
                 " ON gops.physical_id = p.id WHERE p.logical_id = ?"
                 " ORDER BY gops.physical_id, gops.seq",
@@ -1020,28 +1087,30 @@ class Catalog:
             )
         ]
 
-    #: Stay safely under SQLite's default host-parameter limit.
-    _TOUCH_BATCH = 500
-
     def touch_gops(self, gop_ids: list[int], tick: int) -> None:
-        """Record an access (LRU bookkeeping).
+        """Record an access (LRU bookkeeping) in memory: every read
+        touches every GOP it used, so this runs on the hot path.  Each
+        GOP keeps its highest tick, here and when :meth:`_flush_stamps`
+        writes it (a touch can arrive after a later tick's flush)."""
+        with self._stamps_lock:
+            stamps = self._stamps
+            for gop_id in gop_ids:
+                if stamps.get(gop_id, -1) < tick:
+                    stamps[gop_id] = tick
 
-        Batched into one ``IN (...)`` statement per chunk — every read
-        touches every GOP it used, so this runs on the hot path.
-        """
-        if not gop_ids:
+    def _flush_stamps(self) -> None:
+        """Write the pending stamps in one transaction.  Touches wait
+        while it runs, so a reader that finds none pending reads SQL
+        that holds every earlier touch."""
+        if not self._stamps:
             return
-        unique = list(dict.fromkeys(gop_ids))
-        with self._write() as conn:
-            for i in range(0, len(unique), self._TOUCH_BATCH):
-                chunk = unique[i : i + self._TOUCH_BATCH]
-                placeholders = ",".join("?" * len(chunk))
-                conn.execute(
-                    f"UPDATE gops SET last_access = ?"
-                    f" WHERE id IN ({placeholders})",
-                    [tick, *chunk],
-                )
+        with self._write() as conn, self._stamps_lock:
+            conn.executemany(
+                "UPDATE gops SET last_access = MAX(last_access, ?) WHERE id = ?",
+                [(tick, gop_id) for gop_id, tick in self._stamps.items()],
+            )
             conn.commit()
+            self._stamps.clear()
 
     def delete_gop(self, gop_id: int) -> list[str]:
         """Delete one GOP row (eviction); returns its file unless another
@@ -1183,17 +1252,17 @@ class Catalog:
         Jointly compressed GOPs share the pair's storage; each side is
         accounted half the pair to avoid double counting.
         """
-        return int(self._first(
+        return self._memoized(("bytes", logical_id), lambda: int(self._first(
             "SELECT COALESCE(SUM(gops.nbytes), 0) FROM gops"
             " JOIN physical_videos p ON gops.physical_id = p.id"
             " WHERE p.logical_id = ?",
             (logical_id,),
-        )[0])
+        )[0]))
 
     def max_last_access(self) -> int:
-        return int(self._first(
+        return int(self._gop_rows(
             "SELECT COALESCE(MAX(last_access), 0) FROM gops"
-        )[0])
+        )[0][0])
 
     def fragments_of_logical(
         self, logical_id: int, sealed_only: bool = False

@@ -1,17 +1,21 @@
 """Tests for the SQLite catalog and on-disk layout."""
 
 import sqlite3
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from repro.core.catalog import _SCHEMA, Catalog
+from repro.core.engine import VSSEngine
 from repro.core.layout import Layout
-from repro.core.specs import ViewSpec
+from repro.core.specs import ReadSpec, ViewSpec
 from repro.errors import CatalogError, VideoExistsError, VideoNotFoundError
 from repro.lossless import zstd
 from repro.tiles.grid import TileGrid
 from repro.video.codec.registry import encode_gop
+from tests.conftest import _render_clip
 from tests.test_frame import make_segment
 
 
@@ -311,6 +315,255 @@ class TestPageChangeAnnouncements:
         QUIET[name](catalog, rows)
         assert self.versions(catalog, rows) == before
         assert heard == []
+
+
+def traced_statements(monkeypatch) -> list[str]:
+    """Every SQL statement run on a connection a catalog opens from now
+    on, in order."""
+    statements: list[str] = []
+    connect = Catalog._connect
+
+    def traced(catalog):
+        conn, wal = connect(catalog)
+        conn.set_trace_callback(statements.append)
+        return conn, wal
+
+    monkeypatch.setattr(Catalog, "_connect", traced)
+    return statements
+
+
+class TestStampsAndMemo:
+    """LRU stamps wait in memory until something reads ``last_access``;
+    row lookups are kept until the next writer transaction ends."""
+
+    @staticmethod
+    def stamp_on_disk(catalog, gop_id):
+        fresh = Catalog(catalog.path)
+        try:
+            return fresh.get_gop(gop_id).last_access
+        finally:
+            fresh.close()
+
+    def test_stamps_are_written_when_read_or_closed(self, tmp_path):
+        catalog = Catalog(tmp_path / "catalog.db")
+        video = catalog.create_logical("v", 0)
+        physical = add_physical(catalog, video)
+        a, b = (
+            catalog.add_gop(physical.id, seq, seq, seq + 1.0, 30, "I", 100, f"p{seq}")
+            for seq in (0, 1)
+        )
+        catalog.touch_gops([a.id, b.id, a.id], 42)
+        catalog.touch_gops([a.id], 7)  # an older tick loses
+        assert self.stamp_on_disk(catalog, a.id) == 0  # still buffered
+        assert catalog.get_gop(a.id).last_access == 42
+        assert self.stamp_on_disk(catalog, b.id) == 42
+        catalog.touch_gops([b.id], 43)
+        catalog.close()
+        reopened = Catalog(tmp_path / "catalog.db")
+        assert [g.last_access for g in reopened.gops_of_logical(video.id)] == [42, 43]
+        reopened.close()
+
+    def test_lookups_are_kept_until_the_next_commit(self, tmp_path, monkeypatch):
+        statements = traced_statements(monkeypatch)
+        catalog = Catalog(tmp_path / "catalog.db")
+        video = catalog.create_logical("v", 0)
+        physical = add_physical(catalog, video)
+        catalog.add_gop(physical.id, 0, 0.0, 1.0, 30, "I", 100, "p")
+
+        def lookups():
+            return (
+                catalog.get_logical("v"),
+                catalog.get_logical_by_id(video.id),
+                catalog.original_physical(video.id),
+                catalog.total_bytes(video.id),
+            )
+
+        statements.clear()
+        answers = lookups()
+        assert len(statements) == 4
+        assert lookups() == answers and len(statements) == 4
+        catalog.set_budget(video.id, 5)
+        statements.clear()
+        assert catalog.get_logical("v").budget_bytes == 5
+        assert len(statements) == 1
+        catalog.close()
+
+    def test_a_lookup_a_commit_overtook_is_not_kept(self, catalog, monkeypatch):
+        video = catalog.create_logical("v", 0)
+        first = Catalog._first
+
+        def overtaken(self, *args, **kwargs):
+            row = first(self, *args, **kwargs)
+            monkeypatch.undo()
+            catalog.set_budget(video.id, 5)  # commits after the row was read
+            return row
+
+        monkeypatch.setattr(Catalog, "_first", overtaken)
+        assert catalog.get_logical("v").budget_bytes == 0  # its own answer
+        assert catalog.get_logical("v").budget_bytes == 5  # not kept
+
+    def test_a_lookup_inside_a_write_is_not_kept(self, catalog):
+        """Without WAL a lookup inside a writer transaction reads its
+        uncommitted rows; none is kept for other threads to see."""
+        video = catalog.create_logical("v", 0)
+        catalog._wal = False  # the locked-connection fallback
+        seen = []
+
+        def hook(conn, logical_id):
+            conn.execute("UPDATE logical_videos SET budget_bytes = 9")
+            seen.append((catalog.get_logical("v").budget_bytes, dict(catalog._memo)))
+            raise CatalogError("refused")  # rolls the update back
+
+        catalog.add_delete_hook(hook)
+        with pytest.raises(CatalogError):
+            catalog.delete_logical(video.id)
+        assert seen == [(9, {})]
+        assert catalog.get_logical("v").budget_bytes == 0
+
+    def test_touches_lookups_and_commits_race_without_loss(self, catalog):
+        """Touchers, readers of stamped rows and memoized lookups, and a
+        writer, on more threads than cores: every GOP ends at its
+        highest tick, and a lookup after each commit sees that commit
+        (a reader's answer read before it was never kept)."""
+        video = catalog.create_logical("v", 0)
+        physical = add_physical(catalog, video)
+        gops = [
+            catalog.add_gop(physical.id, seq, seq, seq + 1.0, 30, "I", 100, f"p{seq}").id
+            for seq in range(4)
+        ]
+        stale: list[int] = []
+
+        def touch(worker):
+            for tick in range(worker, 2000, 4):
+                catalog.touch_gops([gops[tick % 4], gops[(tick + 1) % 4]], tick)
+
+        def read():
+            for _ in range(100):
+                catalog.gops_of_logical(video.id)
+                catalog.get_logical("v")
+                catalog.total_bytes(video.id)
+
+        def write():
+            for budget in range(1, 101):
+                catalog.set_budget(video.id, budget)
+                if catalog.get_logical("v").budget_bytes != budget:
+                    stale.append(budget)
+
+        threads = [
+            threading.Thread(target=touch, args=(w,)) for w in range(4)
+        ] + [threading.Thread(target=read) for _ in range(2)] + [
+            threading.Thread(target=write)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force preemption inside the locks
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert stale == []
+        assert [g.last_access for g in catalog.gops_of_logical(video.id)] == [
+            1999, 1997, 1998, 1999,
+        ]
+
+    def test_errors_are_not_kept(self, catalog):
+        with pytest.raises(VideoNotFoundError):
+            catalog.get_logical("v")
+        other = Catalog(catalog.path)  # a commit this catalog cannot see
+        try:
+            made = other.create_logical("v", 0)
+        finally:
+            other.close()
+        assert catalog.get_logical("v") == made
+
+
+class TestWarmReadsRunNoSQL:
+    """After a warm-up, a plan-cached read, a drained stream and a batch
+    run no SQL statement on any catalog connection; a write, a budget
+    change and a delete + re-create each send the next lookup to SQL."""
+
+    @pytest.fixture()
+    def traced(self, tmp_path, calibration, monkeypatch):
+        statements = traced_statements(monkeypatch)
+        with VSSEngine(tmp_path / "s", calibration=calibration) as engine:
+            yield engine, statements
+
+    def test_warm_reads_run_no_sql(self, traced, tiny_clip):
+        engine, statements = traced
+        session = engine.session()
+        session.write("v", tiny_clip, codec="h264", qp=14, gop_size=12)
+        whole = ReadSpec("v", 0.0, 0.8, codec="raw", cache=False)
+        half = whole.replace(end=0.4, resolution=(32, 18))
+        for spec in (whole, half):
+            engine.read(spec)  # plans, and fills the decode cache
+        engine.drain_admissions()  # the write's extraction commits
+        engine.read(whole)  # looks the rows up again
+
+        statements.clear()
+        assert engine.read(whole).stats.plan_cached
+        assert statements == []
+        stream = engine.read_stream(whole)
+        assert len(list(stream)) == 2 and stream.stats.plan_cached
+        assert statements == []
+        results, _ = engine.read_batch([whole, half])
+        assert [r.stats.plan_cached for r in results] == [True, True]
+        assert statements == []
+
+    def test_commits_send_the_next_lookup_to_sql(self, traced, tiny_clip):
+        engine, statements = traced
+        catalog, session = engine.catalog, engine.session()
+        v = session.create("v")
+        assert catalog.original_physical(v.id) is None
+
+        def looked_up(lookup):
+            engine.drain_admissions()  # no background statement counts
+            statements.clear()
+            answer = lookup()
+            assert statements, "answered from a stale memo"
+            return answer
+
+        session.write("v", tiny_clip, codec="h264", qp=14, gop_size=12)
+        assert looked_up(lambda: catalog.original_physical(v.id)) is not None
+        assert looked_up(lambda: catalog.total_bytes(v.id)) > 0
+        engine.set_budget("v", 10**9)
+        assert looked_up(lambda: catalog.get_logical("v")).budget_bytes == 10**9
+        assert looked_up(lambda: catalog.get_logical_by_id(v.id)).budget_bytes == 10**9
+        session.delete("v")
+        session.create("v")
+        again = looked_up(lambda: catalog.get_logical("v"))
+        assert again.id != v.id
+        assert looked_up(lambda: catalog.original_physical(again.id)) is None
+        assert looked_up(lambda: catalog.total_bytes(again.id)) == 0
+
+
+def test_lru_order_is_unchanged(tmp_path, calibration):
+    """The reads' stamps, buffered in memory, order an LRU eviction as
+    they did when each read wrote its own: the cached physical's two
+    pages touched last (seconds 3, then 0) stay."""
+    with VSSEngine(
+        tmp_path / "s", calibration=calibration, cache_policy="lru"
+    ) as engine:
+        session = engine.session()
+        session.write("v", _render_clip(120), codec="h264", qp=14, gop_size=30)
+        session.read("v", 0.0, 4.0, codec="hevc")  # admits GOPs 5-8
+        engine.drain_admissions()
+        session.read("v", 3.0, 4.0, codec="hevc")
+        session.read("v", 0.0, 1.0, codec="hevc")
+        catalog = engine.catalog
+        logical = catalog.get_logical("v")
+        original, cached = catalog.list_physicals(logical.id)
+        pages = catalog.gops_of_physical(cached.id)
+        engine.set_budget("v", sum(
+            g.nbytes for g in catalog.gops_of_physical(original.id)
+        ) + pages[0].nbytes + pages[3].nbytes)
+        report = engine.enforce_budget("v")
+        assert report.evicted_gop_ids == [6, 7] and report.fit
+        assert {
+            g.id: g.last_access for g in catalog.gops_of_physical(cached.id)
+        } == {5: 5, 8: 4}
 
 
 class TestFragments:

@@ -14,7 +14,9 @@ else: after every step both engines have given the same bytes or raised
 the same :class:`~repro.errors.VSSError` class, report the same storage
 per video, hold byte-equal joint pieces under the same names, rank a
 search alike (extraction indexed the same features), and report a clean
-``engine.check()``; and every answer either gave is read-only.
+``engine.check()``; every answer either gave is read-only; and each
+engine's catalog, whose row lookups are memoized and whose LRU stamps
+wait in memory, answers as a fresh catalog on the same database does.
 
 The data is two overlapping ``visualroad("1K")`` cameras, 3 s each.
 Tier-1 runs a fixed, small number of histories; ``pytest
@@ -38,6 +40,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.core.catalog import Catalog
 from repro.core.engine import VSSEngine
 from repro.core.layout import Layout
 from repro.errors import VSSError, WriteError
@@ -341,6 +344,37 @@ class TwinStores(RuleBasedStateMachine):
             if result.segment is not None:
                 assert not result.segment.pixels.flags.writeable
         self.answers.clear()
+
+    @invariant()
+    def catalog_answers_as_a_fresh_one(self):
+        """For each live name, the engine catalog's memoized lookups and
+        its GOP rows (pending stamps written first) equal what a fresh
+        catalog on the same database reads."""
+        self.drain()
+        for engine in self.engines:
+            names = engine.list_videos("video")
+            answers = self.lookups(engine.catalog, names)
+            fresh = Catalog(engine.catalog.path)
+            try:
+                assert self.lookups(fresh, names) == answers
+            finally:
+                fresh.close()
+
+    @staticmethod
+    def lookups(catalog: Catalog, names: list[str]) -> tuple:
+        """Every name's memoized lookups, then the GOP rows that carry
+        ``last_access`` (reading those writes the stamps, a commit that
+        drops the memo)."""
+        logicals = [catalog.get_logical(name) for name in names]
+        memoized = [
+            (
+                logical,
+                catalog.original_physical(logical.id),
+                catalog.total_bytes(logical.id),
+            )
+            for logical in logicals
+        ]
+        return memoized, [catalog.gops_of_logical(v.id) for v in logicals]
 
     def teardown(self):
         for engine in self.engines:
