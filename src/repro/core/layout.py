@@ -61,6 +61,7 @@ class Layout:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self._root = os.fspath(self.root)
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / "videos").mkdir(exist_ok=True)
         (self.root / "joint").mkdir(exist_ok=True)
@@ -117,9 +118,11 @@ class Layout:
         compression (recognised by its header, not by the catalog).
 
         A page packed again after a crash left its row unpacked carries
-        two headers; both come off.
+        two headers; both come off.  One unbuffered ``open`` and
+        ``readall`` read the page: no ``Path`` is built per page.
         """
-        data = (self.root / relpath).read_bytes()
+        with open(os.path.join(self._root, relpath), "rb", buffering=0) as page:
+            data = page.readall()
         while zstd.is_packed(data):
             data = zstd.decompress(data)
         try:

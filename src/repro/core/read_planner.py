@@ -276,6 +276,12 @@ class ReadPlan:
     tiles_total: int = 0
     tiles_decoded: int = 0
     tile_bytes_skipped: int = 0
+    #: What the reader derives from this plan alone (its chunk schedule,
+    #: direct-serve records), set by its first execution and shared by
+    #: every later one: :func:`plan_read` never changes a plan after
+    #: returning it, and the engine's plan cache keys a plan by the
+    #: video's data version, so the memo cannot go stale.
+    derived: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_fragments_used(self) -> int:

@@ -39,7 +39,12 @@ schedule: compressed output is re-encoded in blocks of up to
 :data:`~repro.video.codec.blockcodec.LOCKSTEP_GOPS` output GOPs, the
 width the encoder steps in lockstep anyway.  The chunk schedule is
 computed statically from the catalog (no decoding), so concatenated
-chunks equal the whole answer assembled at once.
+chunks equal the whole answer assembled at once, and it is computed
+once per plan: the schedule, its identity chunks, the windows it reads
+and a direct serve's records are kept on the plan (``ReadPlan.derived``)
+and shared by every read of a plan-cached spec.  A read whose windows
+are all in the decode cache builds its chunks on the calling thread;
+one that decodes builds them on the executor (:meth:`Reader._prefetched`).
 
 A decoded chunk is pasted into a fresh canvas, except an *identity
 chunk*: one choice over the whole chunk, whose one cell is the
@@ -58,7 +63,7 @@ every decoded chunk, and every answer collected from them, is read-only
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 
@@ -67,7 +72,7 @@ import numpy as np
 from repro.core.decode_cache import BatchDecodeCache
 from repro.core.layout import Layout
 from repro.core.read_planner import IntervalChoice, ReadPlan
-from repro.core.records import ROI, Fragment, GopRecord
+from repro.core.records import ROI, GopRecord
 from repro.errors import ReadError
 from repro.util import map_parallel
 from repro.video.codec.blockcodec import LOCKSTEP_GOPS, CodecTimings
@@ -327,26 +332,30 @@ class _GopWindow:
     resample_error: Callable[[], float] | None = None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class _ChoiceSchedule:
     """Static decode/paste plan for one :class:`IntervalChoice`.
 
-    Everything here is derived from catalog metadata before any pixel is
-    decoded: ``offsets`` are cumulative per-record window frame counts,
-    ``t0``/``fps_src`` anchor the choice's decoded frame run on the
-    timeline, ``out_idx`` lists the global output frames the choice
-    serves, and ``src_full`` maps each of them to a frame index in the
-    run — the same floor/clip arithmetic the monolithic assembler used,
-    so chunked pastes pick identical source frames.  ``whole_frame`` is
-    True when the choice's one cell maps the fragment's whole frame onto
-    the whole canvas (no crop); ``size`` is the canvas's ``(width,
-    height)``, which differs from the fragment's when the choice resizes.
-    ``windows`` is the consumer-side carry of decoded (RGB) windows
-    still needed by future chunks.
+    Derived once per plan from catalog metadata before any pixel is
+    decoded (:meth:`Reader._derive`), and shared, read-only, by every
+    read of that plan, concurrent ones included: ``bounds`` are each
+    record's ``(first needed frame, stop frame)`` window, ``offsets``
+    the cumulative window frame counts, ``t0``/``fps_src`` anchor the
+    choice's decoded frame run on the timeline, ``out_idx`` lists the
+    global output frames the choice serves, and ``src_full`` maps each
+    of them to a frame index in the run — the same floor/clip arithmetic
+    the monolithic assembler used, so chunked pastes pick identical
+    source frames.  ``whole_frame`` is True when the choice's one cell
+    maps the fragment's whole frame onto the whole canvas (no crop);
+    ``size`` is the canvas's ``(width, height)``, which differs from the
+    fragment's when the choice resizes.  The decoded windows a read
+    still needs for its later chunks are that read's own
+    (:meth:`Reader._iter_decoded`), never kept here.
     """
 
     choice: IntervalChoice
     records: list[GopRecord]
+    bounds: list[tuple[int, int]]
     offsets: np.ndarray
     n_frames: int
     t0: float
@@ -355,10 +364,9 @@ class _ChoiceSchedule:
     src_full: np.ndarray
     whole_frame: bool
     size: tuple[int, int]
-    windows: dict[int, VideoSegment] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ChunkOp:
     """One choice's share of one chunk: which of ``ctx.out_idx`` fall in
     the chunk (positions ``[p0, p1)``), which records to decode while
@@ -373,6 +381,38 @@ class _ChunkOp:
     j_lo: int
     j_hi: int
     keep_from: int
+
+
+@dataclass(frozen=True)
+class _Chunk:
+    """Output frames ``[lo, hi)`` of a plan's decoded answer and each
+    choice's share of them.  ``identity`` is the run of window frames
+    the chunk shows when it is an identity chunk (:func:`_identity_run`),
+    else None; ``resized_j`` is the window it may show resized
+    (:func:`_resized_identity`), else None."""
+
+    lo: int
+    hi: int
+    ops: list[_ChunkOp]
+    identity: slice | None
+    resized_j: int | None
+
+
+@dataclass(frozen=True)
+class _Derived:
+    """What the reader derives from a plan alone, kept on the plan
+    (``ReadPlan.derived``) by its first execution.
+
+    ``direct`` is the plan's :meth:`Reader._direct_serve_records`.  When
+    that is None, ``chunks`` is its decode schedule
+    (:meth:`Reader._decode_schedule`) and ``windows`` the ``(GOP id,
+    stop frame)`` of every window the schedule reads, or None when one
+    is a joint GOP's, which the decode cache never holds.
+    """
+
+    direct: list[GopRecord] | None
+    chunks: list[_Chunk] = field(default_factory=list)
+    windows: tuple[tuple[int, int], ...] | None = None
 
 
 #: Sentinel marking iterator exhaustion inside the prefetch pipeline.
@@ -400,27 +440,39 @@ class Reader:
 
     # ------------------------------------------------------------------
     def execute(
-        self,
-        plan: ReadPlan,
-        decode_cache=_DEFAULT_CACHE,
-        direct_records=_DEFAULT_CACHE,
+        self, plan: ReadPlan, decode_cache=_DEFAULT_CACHE
     ) -> ReadResult:
         """Execute one plan: :meth:`iter_output` drained into one result.
 
         ``decode_cache`` overrides the reader's store-wide cache for this
         call (``Reader.execute_batch`` passes a batch-local overlay);
-        leave it unset to use the store cache.  ``direct_records`` is the
-        precomputed :meth:`_direct_serve_records` outcome when the caller
-        already evaluated eligibility (the batch pre-pass does); leave it
-        unset to evaluate here.
+        leave it unset to use the store cache.
         """
         start_wall = time.perf_counter()
         stats = ReadStats.for_plan(plan)
         segment, gops = collect_chunks(
-            self.iter_output(plan, stats, decode_cache, direct_records)
+            self.iter_output(plan, stats, decode_cache)
         )
         stats.wall_seconds = time.perf_counter() - start_wall
         return ReadResult(plan, segment, gops, stats)
+
+    def _derive(self, plan: ReadPlan) -> _Derived:
+        """The plan's :class:`_Derived`, computed by its first read and
+        kept on the plan for every later one.
+
+        Two reads racing on a fresh plan may both derive it; they derive
+        equal values, and either may be the one kept.
+        """
+        derived = plan.derived
+        if derived is None:
+            direct = self._direct_serve_records(plan)
+            derived = (
+                _Derived(direct)
+                if direct is not None
+                else _Derived(None, *self._decode_schedule(plan))
+            )
+            plan.derived = derived
+        return derived
 
     # ------------------------------------------------------------------
     # direct byte serving (no transcode)
@@ -465,11 +517,10 @@ class Reader:
         """
         batch = BatchStats(num_reads=len(plans))
         overlay = BatchDecodeCache(self.decode_cache)
-        direct_by_plan = [self._direct_serve_records(plan) for plan in plans]
         # gop_id -> (record, deepest stop frame needed)
         needed: dict[int, tuple[GopRecord, int]] = {}
-        for plan, direct in zip(plans, direct_by_plan):
-            if direct is not None:
+        for plan in plans:
+            if self._derive(plan).direct is not None:
                 continue  # byte-served: no decode work to share
             for choice in plan.choices:
                 fps = choice.fragment.physical.fps
@@ -501,10 +552,7 @@ class Reader:
         batch.gops_decoded = sum(
             map_parallel(self.executor, warm, list(needed.values()))
         )
-        results = [
-            self.execute(plan, decode_cache=overlay, direct_records=direct)
-            for plan, direct in zip(plans, direct_by_plan)
-        ]
+        results = [self.execute(plan, decode_cache=overlay) for plan in plans]
         return results, batch
 
     # ------------------------------------------------------------------
@@ -520,8 +568,10 @@ class Reader:
 
     def _decode_schedule(
         self, plan: ReadPlan
-    ) -> list[tuple[int, int, list[_ChunkOp]]]:
-        """Statically partition a plan into chunks of output frames.
+    ) -> tuple[list[_Chunk], tuple[tuple[int, int], ...] | None]:
+        """Statically partition a plan into chunks of output frames, and
+        list the ``(GOP id, stop frame)`` windows they read (None when a
+        joint GOP is among them).
 
         Chunk boundaries fall wherever some choice activates a new source
         GOP window, so handling one chunk decodes at most a handful of
@@ -533,6 +583,8 @@ class Reader:
         """
         total, frame_times = self._grid(plan)
         ctxs: list[_ChoiceSchedule] = []
+        windows: list[tuple[int, int]] = []
+        joint = False
         cuts = {0, total}
         for choice in plan.choices:
             mask = (frame_times >= choice.start - _EPS) & (
@@ -553,6 +605,8 @@ class Reader:
                 self._window_bounds(r, fps_src, choice.start, choice.end)
                 for r in records
             ]
+            windows.extend((r.id, stop) for r, (_, stop) in zip(records, bounds))
+            joint = joint or any(r.joint_pair_id is not None for r in records)
             offsets = np.concatenate(
                 [[0], np.cumsum([stop - first for first, stop in bounds])]
             ).astype(np.int64)
@@ -576,12 +630,12 @@ class Reader:
             ]
             ctxs.append(
                 _ChoiceSchedule(
-                    choice, records, offsets, n_frames, t0, fps_src,
+                    choice, records, bounds, offsets, n_frames, t0, fps_src,
                     out_idx, src_full, whole_frame, size,
                 )
             )
         boundaries = sorted(cuts)
-        chunks: list[tuple[int, int, list[_ChunkOp]]] = []
+        chunks: list[_Chunk] = []
         cursors = [0] * len(ctxs)
         for lo, hi in zip(boundaries, boundaries[1:]):
             ops: list[_ChunkOp] = []
@@ -613,41 +667,35 @@ class Reader:
                         ctx, int(p0), int(p1), decode_js, j_lo, j_hi, keep_from
                     )
                 )
-            chunks.append((lo, hi, ops))
-        return chunks
+            run = _identity_run(ops, hi - lo)
+            chunks.append(_Chunk(lo, hi, ops, run, _resized_identity(ops, run)))
+        return chunks, None if joint else tuple(windows)
 
-    def _build_windows(
-        self, ops: list[_ChunkOp], frames: int, decode_cache
-    ) -> list[list]:
+    def _build_windows(self, chunk: _Chunk, decode_cache) -> list[list]:
         """Decode (and RGB-convert) the windows one chunk's ops call for.
 
-        Runs as one prefetch task; per-window stat deltas travel with the
-        pixels so the consumer can fold them in deterministic order.  The
-        window of a resized identity chunk (:func:`_resized_identity`)
-        comes already resized, from the decode cache when it holds it.
+        Runs as one build of :meth:`_prefetched`; per-window stat deltas
+        travel with the pixels so the consumer can fold them in
+        deterministic order.  The window of a resized identity chunk
+        (:func:`_resized_identity`) comes already resized, from the
+        decode cache when it holds it.
         """
-        resized_j = _resized_identity(ops, frames)
         cacheable = decode_cache is not None and decode_cache.enabled
         built = []
-        for op in ops:
-            choice = op.ctx.choice
+        for op in chunk.ops:
+            ctx = op.ctx
             decoded = []
             for j in op.decode_js:
-                record = op.ctx.records[j]
-                if (
-                    j == resized_j
-                    and cacheable
-                    and record.joint_pair_id is None
-                ):
+                record = ctx.records[j]
+                first_needed, stop = ctx.bounds[j]
+                if j == chunk.resized_j and cacheable:
                     window = self._resized_window(
-                        record, choice, op.ctx.size, decode_cache
+                        record, stop, ctx.size, decode_cache
                     )
-                    if window is not None:
-                        decoded.append((j, record.id, window.segment, window))
-                        continue
+                    decoded.append((j, record.id, window.segment, window))
+                    continue
                 window = self._decode_gop_window(
-                    record, choice.fragment, choice.start, choice.end,
-                    decode_cache,
+                    record, first_needed, stop, decode_cache
                 )
                 rgb = convert_segment(window.segment, "rgb")
                 decoded.append((j, record.id, rgb, window))
@@ -657,12 +705,11 @@ class Reader:
     def _resized_window(
         self,
         record: GopRecord,
-        choice: IntervalChoice,
+        stop: int,
         size: tuple[int, int],
         decode_cache,
-    ) -> _GopWindow | None:
-        """A GOP's window whole-frame resized to ``size``, or None when
-        the window does not start at the GOP's first frame.
+    ) -> _GopWindow:
+        """A GOP's frames ``[0, stop)`` whole-frame resized to ``size``.
 
         The decode cache's resized entry serves it when it holds one
         (a hit: nothing decoded, resized or measured); otherwise the
@@ -674,20 +721,13 @@ class Reader:
         copies; otherwise the error is measured only if the read asks
         for it.
         """
-        first_needed, stop = self._window_bounds(
-            record, choice.fragment.physical.fps, choice.start, choice.end
-        )
-        if first_needed:
-            return None
         hit = decode_cache.get_resized(record.id, stop, size)
         if hit is not None:
             segment, error = hit
             return _GopWindow(
                 segment, 0, 0, 0, True, resample_error=lambda: error
             )
-        window = self._decode_gop_window(
-            record, choice.fragment, choice.start, choice.end, decode_cache
-        )
+        window = self._decode_gop_window(record, 0, stop, decode_cache)
         rgb = convert_segment(window.segment, "rgb")
         resized = resize_segment(rgb, *size)
         if window.cache_hit:
@@ -698,21 +738,37 @@ class Reader:
             measure = lambda: _resample_error_sample(rgb, resized)  # noqa: E731
         return replace(window, segment=resized, resample_error=measure)
 
-    def _prefetched(self, chunks, build):
-        """Yield ``build(chunk)`` in order with a bounded pipeline.
+    def _prefetched(self, derived: _Derived, build, decode_cache):
+        """Yield ``build(chunk)`` for each of the plan's chunks, in order.
 
-        With a multi-worker executor, up to ``parallelism`` chunk builds
-        run ahead of the consumer — enough to keep every worker busy
-        while holding only O(parallelism) decoded windows in memory.
-        Serial stores build strictly on demand (nothing runs ahead of
-        the pull).
+        A read builds on the calling thread, each chunk as it is pulled,
+        when nothing could run ahead (a serial store) or nothing needs
+        to: every window it reads answers ``decode_cache.peek`` (a joint
+        GOP's never does), so no build decodes, and a hop through the
+        pool and back would cost more than the build.  Any read that
+        will decode — a one-chunk read too — stays on the pool: building
+        every one-chunk read on the caller raised ``ingest_follow``'s
+        ``read_p50_ms`` from 14.5–16.1 to 19.0–20.2 ms in 3 of 3
+        benchmark pairs on a 2-core host.  There, up to ``parallelism``
+        chunk builds run ahead of the consumer — enough to keep every
+        worker busy while holding only O(parallelism) decoded windows in
+        memory.
         """
-        if self.executor is None or self.executor.parallelism == 1:
-            for chunk in chunks:
+        windows = derived.windows
+        if (
+            self.executor is None
+            or self.executor.parallelism == 1
+            or (
+                windows is not None
+                and decode_cache is not None
+                and all(decode_cache.peek(*w) is not None for w in windows)
+            )
+        ):
+            for chunk in derived.chunks:
                 yield build(chunk)
             return
         pending: deque = deque()
-        iterator = iter(chunks)
+        iterator = iter(derived.chunks)
         try:
             while True:
                 while len(pending) < self.executor.parallelism:
@@ -727,24 +783,31 @@ class Reader:
             while pending:
                 pending.popleft().cancel()
 
-    def _iter_decoded(self, plan: ReadPlan, stats: ReadStats, decode_cache):
+    def _iter_decoded(
+        self, plan: ReadPlan, derived: _Derived, stats: ReadStats, decode_cache
+    ):
         """Generate the RGB answer as :class:`ReadChunk` pieces, each
         allocating at most its own frames (an identity chunk, none)."""
-        schedule = self._decode_schedule(plan)
         target = plan.target
         fps_out = plan.target_fps
+        # Per choice, the decoded (RGB) windows later chunks still need:
+        # this read's own, since the schedule is every read's.
+        carry: defaultdict[_ChoiceSchedule, dict[int, VideoSegment]] = (
+            defaultdict(dict)
+        )
 
-        def build(chunk):
-            lo, hi, ops = chunk
-            return chunk, self._build_windows(ops, hi - lo, decode_cache)
+        def build(chunk: _Chunk):
+            return chunk, self._build_windows(chunk, decode_cache)
 
-        for index, ((lo, hi, ops), built) in enumerate(
-            self._prefetched(schedule, build)
+        for index, (chunk, built) in enumerate(
+            self._prefetched(derived, build, decode_cache)
         ):
+            lo, hi = chunk.lo, chunk.hi
             gop_ids: list[int] = []
-            for op, decoded in zip(ops, built):
+            for op, decoded in zip(chunk.ops, built):
+                windows = carry[op.ctx]
                 for j, record_id, rgb, window in decoded:
-                    op.ctx.windows[j] = rgb
+                    windows[j] = rgb
                     stats.gop_ids_touched.append(record_id)
                     gop_ids.append(record_id)
                     stats.bytes_read += window.bytes_read
@@ -768,15 +831,15 @@ class Reader:
                             window.timings.compensate_seconds
                         )
                         stats.codec_decoded_bytes += window.timings.decoded_bytes
-            chunk_pixels = _identity_view(ops, hi - lo)
+            chunk_pixels = _identity_view(chunk, carry)
             if chunk_pixels is None:
                 chunk_pixels = np.zeros(
                     (hi - lo, target.height, target.width, 3), dtype=np.uint8
                 )
-                for op in ops:
+                for op in chunk.ops:
                     ctx = op.ctx
                     pieces = [
-                        ctx.windows[j] for j in range(op.j_lo, op.j_hi + 1)
+                        carry[ctx][j] for j in range(op.j_lo, op.j_hi + 1)
                     ]
                     source = (
                         pieces[0]
@@ -792,8 +855,8 @@ class Reader:
                         plan,
                         stats,
                     )
-            for op in ops:
-                windows = op.ctx.windows
+            for op in chunk.ops:
+                windows = carry[op.ctx]
                 for j in [j for j in windows if j < op.keep_from]:
                     del windows[j]
             segment = VideoSegment(
@@ -817,7 +880,6 @@ class Reader:
         plan: ReadPlan,
         stats: ReadStats | None = None,
         decode_cache=_DEFAULT_CACHE,
-        direct_records=_DEFAULT_CACHE,
     ):
         """Stream one plan's output as :class:`ReadChunk` increments.
 
@@ -835,11 +897,10 @@ class Reader:
             stats = ReadStats.for_plan(plan)
         if decode_cache is _DEFAULT_CACHE:
             decode_cache = self.decode_cache
-        if direct_records is _DEFAULT_CACHE:
-            direct_records = self._direct_serve_records(plan)
-        if direct_records is not None:
+        derived = self._derive(plan)
+        if derived.direct is not None:
             stats.direct_serve = True
-            for index, record in enumerate(direct_records):
+            for index, record in enumerate(derived.direct):
                 encoded = self._read_gop_file(record).with_start_time(
                     record.start_time
                 )
@@ -863,7 +924,7 @@ class Reader:
                     )
                 ),
             )
-            for chunk in self._iter_decoded(plan, stats, decode_cache)
+            for chunk in self._iter_decoded(plan, derived, stats, decode_cache)
         )
         if plan.request.codec == "raw":
             yield from chunks
@@ -969,22 +1030,15 @@ class Reader:
         return first_needed, stop
 
     def _decode_gop_window(
-        self,
-        record: GopRecord,
-        fragment: Fragment,
-        start: float,
-        end: float,
-        decode_cache,
+        self, record: GopRecord, first_needed: int, stop: int, decode_cache
     ) -> _GopWindow:
-        """Decode the frames of one GOP that fall inside [start, end).
+        """Decode frames ``[first_needed, stop)`` of one GOP.
 
         Frames before the window inside the GOP are decoded anyway (the
         look-back dependency chain) and then dropped — unless the decode
         cache already holds a prefix that covers the window, in which
         case no bytes are read and no frames are decoded at all.
         """
-        fps = fragment.physical.fps
-        first_needed, stop = self._window_bounds(record, fps, start, end)
         # Joint GOPs are rebuilt from shared pair pieces rather than their
         # own page file; never cache them.
         cacheable = (
@@ -1176,32 +1230,38 @@ def _identity_run(ops: list[_ChunkOp], frames: int) -> slice | None:
     return run
 
 
-def _resized_identity(ops: list[_ChunkOp], frames: int) -> int | None:
-    """The window an identity chunk of a resizing choice can show
-    resized, or None.
+def _resized_identity(ops: list[_ChunkOp], run: slice | None) -> int | None:
+    """The window an identity chunk of a resizing choice, showing
+    ``run`` (:func:`_identity_run`), can show resized, or None.
 
-    That is a window decoded for this chunk alone whose run starts at
-    its first frame: resized whole, it is then the chunk itself, and
-    its first frame is the one the paste samples the resample error on.
+    That is a window decoded for this chunk alone that starts at its
+    GOP's first frame (a joint GOP's is never cached), with the run
+    starting at the window's first frame: resized whole, it is then the
+    chunk itself, and its first frame is the one the paste samples the
+    resample error on.
     """
-    run = _identity_run(ops, frames)
     if run is None or run.start != 0:
         return None
     op = ops[0]
+    ctx = op.ctx
     j = op.j_lo
-    physical = op.ctx.choice.fragment.physical
+    physical = ctx.choice.fragment.physical
     if (
-        (physical.width, physical.height) == op.ctx.size
+        (physical.width, physical.height) == ctx.size
         or j not in op.decode_js
         or op.keep_from <= j
+        or ctx.bounds[j][0]
+        or ctx.records[j].joint_pair_id is not None
     ):
         return None
     return j
 
 
-def _identity_view(ops: list[_ChunkOp], frames: int) -> np.ndarray | None:
-    """A chunk's pixels as a view of the one window they are, or None
-    when the chunk needs a canvas.
+def _identity_view(
+    chunk: _Chunk, carry: dict[_ChoiceSchedule, dict[int, VideoSegment]]
+) -> np.ndarray | None:
+    """A chunk's pixels as a view of the one window they are (in this
+    read's ``carry``), or None when the chunk needs a canvas.
 
     The window is a decode-cache entry — the native decode, or for a
     resizing choice the GOP's entry at the canvas's size — or the fresh
@@ -1209,14 +1269,13 @@ def _identity_view(ops: list[_ChunkOp], frames: int) -> np.ndarray | None:
     alive while it lives; a run of whole frames of a stack is
     C-contiguous.
     """
-    run = _identity_run(ops, frames)
-    if run is None:
+    if chunk.identity is None:
         return None
-    ctx = ops[0].ctx
-    window = ctx.windows[ops[0].j_lo]
-    if (window.width, window.height) != ctx.size:
+    op = chunk.ops[0]
+    window = carry[op.ctx][op.j_lo]
+    if (window.width, window.height) != op.ctx.size:
         return None  # a native window of a resizing choice: paste it
-    return window.pixels[run]
+    return window.pixels[chunk.identity]
 
 
 def _pixel_rect(cell: ROI, region: ROI, size: tuple[int, int]) -> ROI:

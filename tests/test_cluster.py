@@ -589,6 +589,21 @@ class TestReplicationFailover:
 # ----------------------------------------------------------------------
 # busy propagation and client retry
 # ----------------------------------------------------------------------
+def _hold_only_slot(gauges) -> None:
+    """Cap ``gauges`` at one in-flight request and take that slot.
+
+    A server releases a request's slot only after it has sent the
+    reply, so the slot of the op the client has just finished may still
+    be held for a moment: wait (a few seconds at most) until it is free.
+    """
+    gauges.max_inflight = 1
+    deadline = time.monotonic() + 5.0
+    while gauges.inflight:
+        assert time.monotonic() < deadline, "the server never went idle"
+        time.sleep(0.001)
+    assert gauges.try_enter()
+
+
 class TestBusyPropagation:
     def test_shard_busy_propagates_with_retry_after(
         self, router, fleet, tiny_clip
@@ -597,8 +612,7 @@ class TestBusyPropagation:
             _load(client, "cam", tiny_clip)
             owner = router.engine.ring.primary("cam")
             shard_server = fleet.servers[fleet.addrs.index(owner)]
-            shard_server.gauges.max_inflight = 1
-            assert shard_server.gauges.try_enter()
+            _hold_only_slot(shard_server.gauges)
             try:
                 with pytest.raises(ServerBusyError) as info:
                     client.read("cam", 0.0, 0.5, codec="raw")
@@ -617,8 +631,7 @@ class TestBusyPropagation:
                 *server.address, busy_retries=5
             ) as client:
                 _load(client, "cam", tiny_clip)
-                server.gauges.max_inflight = 1
-                assert server.gauges.try_enter()
+                _hold_only_slot(server.gauges)
                 timer = threading.Timer(0.5, server.gauges.leave)
                 timer.start()
                 try:
@@ -636,8 +649,7 @@ class TestBusyPropagation:
             server = fleet.servers[0]
             with VSSBinaryClient(*server.address) as client:
                 _load(client, "cam", tiny_clip)
-                server.gauges.max_inflight = 1
-                assert server.gauges.try_enter()
+                _hold_only_slot(server.gauges)
                 try:
                     with pytest.raises(ServerBusyError):
                         client.read("cam", 0.0, 0.5, codec="raw")

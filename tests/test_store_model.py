@@ -2,14 +2,19 @@
 
 Two engines on two roots run the same hypothesis-drawn history of stream
 appends, stream closes, whole writes, raw reads at full and half
-resolution, hevc reads, joint compression, delete + re-create, engine
-close + reopen, and the page rewrites: budget enforcement under a small
-budget, compaction, deferred compression (raw reads above its threshold,
-then a drain) and a re-tile followed by an ROI read.  One keeps the
-default decode cache; its twin has none (``decode_cache_bytes=0``).  The
-decode cache changes who decodes a GOP (a read, search extraction,
-joint compression, tiling and refinement take frames from it), and the
-catalog drops a rewritten page's entry itself; it must change nothing
+resolution, hevc reads, streamed reads (drained at once), joint
+compression, delete + re-create, engine close + reopen, and the page
+rewrites: budget enforcement under a small budget, compaction, deferred
+compression (raw reads above its threshold, then a drain) and a re-tile
+followed by an ROI read.  One keeps the default decode cache; its twin
+has none (``decode_cache_bytes=0``).  The decode cache changes who
+decodes a GOP (a read, search extraction, joint compression, tiling and
+refinement take frames from it), and the catalog drops a rewritten
+page's entry itself; it also changes where a read builds its chunks:
+the read rules ask for their spec twice, and a second read whose plan
+(and with it the chunk schedule) is cached finds every window in the
+cached twin's decode cache and builds on the calling thread, while the
+twin without a cache builds on its pool.  It must change nothing
 else: after every step both engines have given the same bytes or raised
 the same :class:`~repro.errors.VSSError` class, report the same storage
 per video, hold byte-equal joint pieces under the same names, rank a
@@ -101,7 +106,8 @@ class TwinStores(RuleBasedStateMachine):
     def open(self, twin: int) -> VSSEngine:
         cache_bytes = {} if twin == 0 else {"decode_cache_bytes": 0}
         return VSSEngine(
-            self.roots[twin], calibration=Calibration.default(), **cache_bytes
+            self.roots[twin], calibration=Calibration.default(),
+            parallelism=2, **cache_bytes,
         )
 
     def both(self, act):
@@ -142,13 +148,32 @@ class TwinStores(RuleBasedStateMachine):
         )
         self.seconds[camera] = seconds
 
-    def read(self, camera: str, start: float, end: float, **spec) -> None:
+    def read(
+        self, camera: str, start: float, end: float, stream=False, **spec
+    ) -> None:
+        """One read on both twins; with ``stream``, a streamed read
+        drained at once."""
+
         def answer(twin: int):
-            result = self.engines[twin].session().read(camera, start, end, **spec)
+            session = self.engines[twin].session()
+            if stream:
+                result = session.read_stream(camera, start, end, **spec).collect()
+            else:
+                result = session.read(camera, start, end, **spec)
             self.answers.append(result)
             return result
 
         self.both(answer)
+
+    def read_twice(self, *args, **spec) -> None:
+        """A read, a drain, and the same read again.  Unless the first
+        read was admitted or maintenance rewrote a page, the second's
+        plan is cached.  The drain keeps the twins in step: a background
+        admission or compaction landing between the two reads on one
+        twin alone would change the second read's plan there."""
+        self.read(*args, **spec)
+        self.drain()
+        self.read(*args, **spec)
 
     def drain(self) -> None:
         """Run both twins' queued background work, so the next step
@@ -223,16 +248,29 @@ class TwinStores(RuleBasedStateMachine):
     def session_write(self, data, seconds):
         self.write(data.draw(st.sampled_from(self.empty())), seconds)
 
-    @rule(data=st.data(), half=st.booleans())
-    def read_raw(self, data, half):
-        self.read(
+    @rule(data=st.data(), half=st.booleans(), cache=st.booleans())
+    def read_raw(self, data, half, cache):
+        self.read_twice(
             *self.window(data, 0.5), codec="raw",
-            resolution=HALF if half else None,
+            resolution=HALF if half else None, cache=cache,
         )
 
-    @rule(data=st.data())
-    def read_hevc(self, data):
-        self.read(*self.window(data, 1.0), codec="hevc")
+    @rule(data=st.data(), cache=st.booleans())
+    def read_hevc(self, data, cache):
+        self.read_twice(*self.window(data, 1.0), codec="hevc", cache=cache)
+
+    @rule(
+        data=st.data(), codec=st.sampled_from(("raw", "hevc")),
+        half=st.booleans(),
+    )
+    def read_stream(self, data, codec, half):
+        """A streamed read, drained before the next step: a stream held
+        open across a budget eviction fails today, on both twins."""
+        raw = codec == "raw"
+        self.read_twice(
+            *self.window(data, 0.5 if raw else 1.0), stream=True, codec=codec,
+            resolution=HALF if raw and half else None,
+        )
 
     @precondition(lambda self: not self.empty())
     @rule()

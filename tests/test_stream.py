@@ -17,17 +17,24 @@ The contracts under test:
   one-shot read; early close counts nothing; a delete landing
   mid-stream surfaces as an error on the next pull instead of pinning
   the engine.
+* A plan-cached read derives nothing from its plan again, builds its
+  chunks on the calling thread when every window it reads is cached
+  (on the pool otherwise), and concurrent reads sharing one cached plan
+  give what a lone read gives.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.engine import VSSEngine
+from repro.core.reader import Reader
 from repro.core.specs import ReadSpec
 from repro.errors import ReadError, VSSError
 from repro.video.codec.container import encode_container
@@ -529,3 +536,183 @@ class TestReadOnlyAnswers:
         assert hashlib.sha256(
             b"".join(p.tobytes() for p in again)
         ).hexdigest() == digest.hexdigest()
+
+
+def _spy(monkeypatch, owner, name: str) -> list:
+    """Record every call of ``owner.name`` (its arguments), still
+    calling through."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+class TestWarmReadsDeriveOnce:
+    """What a read derives from its plan alone — the chunk schedule, its
+    identity chunks, the windows it reads, a direct serve's records — is
+    kept with the plan, so a plan-cached read derives none of it again;
+    and a read whose windows are all in the decode cache builds its
+    chunks on the calling thread, while one that decodes still hops
+    through the pool, one build per chunk, running ahead."""
+
+    SPECS = {
+        "raw_mid_gop": ReadSpec("traffic", 0.5, 2.5, codec="raw", cache=False),
+        "direct": ReadSpec("traffic", 0.0, 2.0, codec="h264", qp=10, cache=False),
+        "hevc": ReadSpec("traffic", 0.15, 2.85, codec="hevc", qp=14, cache=False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SPECS))
+    def test_plan_cached_reads_derive_nothing(self, loaded, monkeypatch, case):
+        schedules = _spy(monkeypatch, Reader, "_decode_schedule")
+        directs = _spy(monkeypatch, Reader, "_direct_serve_records")
+        session = loaded.session()
+        spec = self.SPECS[case]
+        first = session.read(spec)
+        derived = (len(schedules), len(directs))
+        assert derived == ((0, 1) if case == "direct" else (1, 1))
+        again = [
+            session.read(spec),
+            session.read_stream(spec).collect(),
+            *session.read_batch([spec, spec]),
+        ]
+        assert (len(schedules), len(directs)) == derived
+        for result in again:
+            assert result.stats.direct_serve == (case == "direct")
+            if result.gops is not None:
+                assert _gop_bytes(result.gops) == _gop_bytes(first.gops)
+            else:
+                assert np.array_equal(result.segment.pixels, first.segment.pixels)
+
+    def test_an_append_derives_afresh(self, serial_engine, three_second_clip,
+                                      monkeypatch):
+        schedules = _spy(monkeypatch, Reader, "_decode_schedule")
+        directs = _spy(monkeypatch, Reader, "_direct_serve_records")
+        clip = three_second_clip
+        stream = serial_engine.open_write_stream(
+            "cam", "h264", "rgb", clip.width, clip.height, 30, qp=10,
+            gop_size=30,
+        )
+        session = serial_engine.session()
+        spec = ReadSpec("cam", 0.0, 1.0, codec="raw", cache=False)
+        stream.append(clip.slice_frames(0, 30))
+        before = session.read(spec)
+        session.read(spec)
+        assert (len(schedules), len(directs)) == (1, 1)
+        stream.append(clip.slice_frames(30, 60))  # bumps the data version
+        after = session.read(spec)
+        assert not after.stats.plan_cached
+        assert (len(schedules), len(directs)) == (2, 2)
+        assert np.array_equal(after.segment.pixels, before.segment.pixels)
+        stream.close()
+
+    def test_only_reads_that_decode_hop_through_the_pool(
+        self, tmp_path, calibration, three_second_clip, monkeypatch
+    ):
+        engine = VSSEngine(
+            tmp_path / "p2", calibration=calibration, parallelism=2
+        )
+        try:
+            session = engine.session()
+            session.write(
+                "traffic", three_second_clip, codec="h264", qp=10, gop_size=30
+            )
+            engine.drain_admissions()
+            submits = _spy(monkeypatch, engine.executor, "submit")
+            one_gop = ReadSpec("traffic", 1.0, 2.0, codec="raw", cache=False)
+            cold = session.read(one_gop)
+            assert cold.stats.decode_cache_misses == 1
+            assert len(submits) == 1  # a decode: its build went to the pool
+            submits.clear()
+            warm = session.read(one_gop)
+            assert warm.stats.decode_cache_hits == 1
+            assert submits == []  # all hits: built on the caller
+            # Three chunks (half of GOP 0, GOP 1, half of GOP 2), two of
+            # them decoding: one build each on the pool, running ahead.
+            mid_gop = ReadSpec("traffic", 0.5, 2.5, codec="raw", cache=False)
+            stream = session.read_stream(mid_gop)
+            assert len(list(stream)) == 3
+            assert stream.stats.decode_cache_misses == 2
+            assert len(submits) == 3
+            submits.clear()
+            assert session.read(mid_gop).stats.decode_cache_hits == 3
+            assert submits == []
+        finally:
+            engine.close()
+
+    def test_shared_plans_under_threads(self, tmp_path, calibration,
+                                        three_second_clip, monkeypatch):
+        """Four threads reading three plan-cached specs at once share
+        each plan's schedule; every read gives the bytes and stats a
+        single thread's read of its spec gives.  Periodic maintenance
+        (compaction, the re-tile ROI reads ask for, refinement) would
+        rewrite pages mid-run, and so the plans: it is off here."""
+        monkeypatch.setattr(
+            VSSEngine, "_schedule_maintenance", lambda self, logical: None
+        )
+
+        specs = [
+            ReadSpec("v", 0.5, 2.5, codec="raw", cache=False),
+            ReadSpec("v", 1.0, 2.0, codec="raw", resolution=(32, 18), cache=False),
+            ReadSpec("v", 0.25, 1.75, codec="raw", roi=(8, 4, 56, 32), cache=False),
+        ]
+
+        def observed(result):
+            stats = result.stats
+            return (
+                hashlib.sha256(result.segment.pixels.tobytes()).hexdigest(),
+                stats.decode_cache_hits,
+                stats.decode_cache_misses,
+                list(stats.gop_ids_touched),
+            )
+
+        engine = VSSEngine(
+            tmp_path / "threads", calibration=calibration, parallelism=2
+        )
+        try:
+            session = engine.session()
+            # Five-frame GOPs: each read carries many windows.
+            session.write(
+                "v", three_second_clip, codec="h264", qp=10, gop_size=5
+            )
+            engine.drain_admissions()
+            for spec in specs:  # decode, plan, and keep the resized GOPs
+                for _ in range(2):
+                    session.read(spec)
+            expected = [observed(session.read(spec)) for spec in specs]
+            assert all(misses == 0 for _, _, misses, _ in expected)
+            failures: list = []
+            start = threading.Barrier(4)
+
+            def reader(offset: int) -> None:
+                own = engine.session()
+                start.wait()
+                try:
+                    for i in range(50):
+                        k = (offset + i) % len(specs)
+                        result = own.read(specs[k])
+                        assert result.stats.plan_cached
+                        if observed(result) != expected[k]:
+                            failures.append((k, observed(result)))
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    failures.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # interleave the threads densely
+            try:
+                threads = [
+                    threading.Thread(target=reader, args=(n,)) for n in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+            finally:
+                sys.setswitchinterval(interval)
+            assert failures == []
+        finally:
+            engine.close()

@@ -14,7 +14,11 @@ contracts under test:
 * equivalence: whatever the read (start, length, resolution, ROI, fps,
   stored codec, call), a warm engine with the decode cache gives the
   bytes an engine without one gives, and the bytes it gives with every
-  chunk pasted into a canvas; every answer is read-only;
+  chunk pasted into a canvas; so does a serial engine
+  (``parallelism=1``).  A warm read's windows are all cached, so it
+  builds its chunks on the calling thread, while the engine without a
+  cache builds every chunk on its pool: caller builds and pool builds
+  are compared bit for bit.  Every answer is read-only;
 * stats: a resized view reports what the pasted canvas reported (the
   resample error, decode-cache hits and misses, frames decoded), on
   ``read``, ``read_stream`` and ``read_batch``.
@@ -25,6 +29,7 @@ property at the deep profile's example count (``tests/conftest.py``).
 
 from __future__ import annotations
 
+import contextlib
 import tracemalloc
 from unittest import mock
 
@@ -36,6 +41,7 @@ from hypothesis import strategies as st
 from repro.core import reader
 from repro.core.decode_cache import DecodeCache
 from repro.core.engine import VSSEngine
+from repro.core.executor import Executor
 from repro.core.specs import ReadSpec
 
 FPS = 30
@@ -226,13 +232,18 @@ class TestResizedViewStats:
 
 @pytest.fixture(scope="module")
 def twins(tmp_path_factory, calibration, three_second_clip):
-    """Two engines holding the same videos (``h264`` and ``raw`` copies
-    of one 64x36 clip): the first keeps the default decode cache, the
-    second has none."""
+    """Three engines holding the same videos (``h264`` and ``raw``
+    copies of one 64x36 clip): the first keeps the default decode cache,
+    the second has none, and both have a two-worker pool; the third
+    keeps the cache and builds serially (``parallelism=1``)."""
     engines = []
-    for cache in ({}, {"decode_cache_bytes": 0}):
+    for options in (
+        {"parallelism": 2},
+        {"parallelism": 2, "decode_cache_bytes": 0},
+        {"parallelism": 1},
+    ):
         engine = VSSEngine(
-            tmp_path_factory.mktemp("twin"), calibration=calibration, **cache
+            tmp_path_factory.mktemp("twin"), calibration=calibration, **options
         )
         session = engine.session()
         for codec in ("h264", "raw"):
@@ -252,6 +263,12 @@ def _answer(engine, how: str, spec: ReadSpec):
         segment = session.read(spec).segment
     elif how == "stream":
         segment = session.read_stream(spec).collect().segment
+    elif how == "twice":
+        # The second read's plan, and with it its schedule, is cached
+        # (unless background maintenance rewrote a page in between).
+        first = session.read(spec).segment
+        segment = session.read(spec).segment
+        assert segment.pixels.tobytes() == first.pixels.tobytes()
     else:
         first, second = session.read_batch([spec, spec])
         assert second.segment.pixels.tobytes() == first.segment.pixels.tobytes()
@@ -270,7 +287,7 @@ def _reads(draw):
         first = draw(st.integers(0, total - 1))
     frames = draw(st.integers(1, total - first))
     scale = draw(st.sampled_from((1, 2, 4)))
-    return draw(st.sampled_from(("read", "stream", "batch"))), ReadSpec(
+    return draw(st.sampled_from(("read", "stream", "batch", "twice"))), ReadSpec(
         draw(st.sampled_from(("h264", "raw"))),
         first / FPS,
         (first + frames) / FPS,
@@ -282,26 +299,52 @@ def _reads(draw):
     )
 
 
+@contextlib.contextmanager
+def _canvas_only(engine):
+    """Every chunk ``engine`` reads meanwhile is pasted into a canvas: no
+    identity chunk.  A plan keeps its schedule, identity chunks
+    included, so the engine plans afresh on the way in and out."""
+    with mock.patch.object(reader, "_identity_run", lambda ops, frames: None):
+        engine._plan_cache.clear()
+        try:
+            yield
+        finally:
+            engine._plan_cache.clear()
+
+
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(read=_reads())
 def test_warm_views_equal_cache_off_answers(twins, read):
     how, spec = read
-    cached, uncached = twins
+    cached, uncached, serial = twins
     _answer(cached, how, spec)  # warm: the first engine's cache now holds it
     expected = _answer(uncached, how, spec)
     get_resized = DecodeCache.get_resized
-    served = []
+    submit = Executor.submit
+    served, submitted = [], []
 
     def spy(self, *args):
         hit = get_resized(self, *args)
         served.append(hit is not None)
         return hit
 
-    with mock.patch.object(DecodeCache, "get_resized", spy):
+    def submit_spy(self, *args):
+        submitted.append(args)
+        return submit(self, *args)
+
+    with mock.patch.object(DecodeCache, "get_resized", spy), mock.patch.object(
+        Executor, "submit", submit_spy
+    ):
         assert _answer(cached, how, spec) == expected
     if any(served):
         event("a resized whole-GOP entry served a view")
+    # A warm read finds every window cached and builds on the calling
+    # thread, unless background maintenance (a re-tile after ROI reads)
+    # changed the pages since the warm-up.
+    if not submitted:
+        event("the warm read built every chunk on the calling thread")
+    assert _answer(serial, how, spec) == expected
     # Both twins take the same views, so the oracle for the views
     # themselves is the canvas every chunk was pasted into before.
-    with mock.patch.object(reader, "_identity_run", lambda ops, frames: None):
+    with _canvas_only(cached):
         assert _answer(cached, how, spec) == expected
