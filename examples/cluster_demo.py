@@ -10,6 +10,9 @@ Demonstrates the cluster layer (see docs/api.md, "Cluster deployment"):
 * consistent-hash placement spreading videos across shards, with
   ``replication=2`` keeping every video on two of the three;
 * a scatter-gather ``read_batch`` merged back in request order;
+* routed streams: one closed after its first chunk, one drained with
+  ``collect()`` and held against the one-shot read, and every shard's
+  ``inflight`` gauge back at 0 afterwards;
 * a shard killed mid-demo: replicated reads fail over to the survivor
   while the router's ``/metrics`` reports the shard down.
 
@@ -19,6 +22,7 @@ Run:  python examples/cluster_demo.py
 from __future__ import annotations
 
 import tempfile
+import time
 
 import numpy as np
 
@@ -72,6 +76,25 @@ def main() -> None:
             direct.segment.pixels, via_http.segment.pixels
         ), "transports diverged"
         print("HTTP read through the router is bit-identical to binary")
+
+        # Streams through the router: one closed after its first chunk,
+        # one drained with collect(), which must equal the one-shot read.
+        whole = ReadSpec("cam1", 0.0, 3.0, codec="raw", cache=False)
+        with client.read_stream(whole) as stream:
+            first = next(stream)
+        streamed = client.read_stream(whole).collect()
+        assert first.segment.num_frames < 90 and np.array_equal(
+            streamed.segment.pixels, client.read(whole).segment.pixels
+        ), "routed stream diverged from the routed read"
+        # Every stream, closed or drained, gives its shard slot back.
+        deadline = time.monotonic() + 5.0
+        while any(
+            s["inflight"] for s in client.metrics()["engine"]["shards"].values()
+        ):
+            assert time.monotonic() < deadline, "a shard slot was not released"
+            time.sleep(0.05)
+        print("routed streams: closed after one chunk, drained == read; "
+              "every shard back at 0 inflight")
 
         # Kill a shard. Every video kept a second copy, so reads
         # fail over; /metrics shows the shard down.

@@ -6,7 +6,10 @@ Public entry points:
   :class:`repro.Session` objects via ``engine.session()`` and read/write
   with typed :class:`repro.ReadSpec` / :class:`repro.WriteSpec`.
   ``session.read_stream`` returns a :class:`repro.ReadStream` of
-  GOP-sized :class:`repro.ReadChunk` increments with bounded memory.
+  GOP-sized :class:`repro.ReadChunk` increments with bounded memory; a
+  client's :class:`repro.RemoteReadStream` and a router's stream have
+  the same lifecycle (:class:`repro.core.reader.ChunkStream`: the one
+  callback, ``exhausted``, ``collect``, ``close``).
   ``engine.create_view(name, ViewSpec(over=base, ...))`` registers a
   named *derived view* — a virtual video (window/crop/format defaults
   over a base) that resolves everywhere a video name is accepted.

@@ -22,6 +22,12 @@ accounting in ``tests/test_transports.py``).  Only ``metrics`` (and
     for chunk in client.read_stream("traffic", 0.0, 120.0, codec="raw"):
         consume(chunk.segment)        # O(GOP window) resident, both sides
 
+A streamed read is a :class:`RemoteReadStream`, whose lifecycle (the
+one callback, ``exhausted``, ``collect``, ``close``) is the in-process
+stream's (:class:`repro.core.reader.ChunkStream`): each chunk is one
+frame of the reply, finishing returns the server's final stats, and
+abandoning drops the connection.
+
 The data plane is the same on both transports: ``read``, ``read_batch``
 and ``write`` send one ``REQUEST`` frame and parse the frames that
 answer it (:mod:`repro.core.wire`; pixel payloads are ``np.frombuffer``
@@ -61,10 +67,10 @@ from http.client import HTTPConnection, HTTPResponse
 from repro.core.ops import OPS, physical_from_dict
 from repro.core.reader import (
     BatchStats,
+    ChunkStream,
     ReadChunk,
     ReadResult,
     ReadStats,
-    collect_chunks,
 )
 from repro.core.records import PhysicalVideo
 from repro.core.specs import ReadSpec, SessionSurface, WriteSpec
@@ -145,71 +151,37 @@ class _FrameReply:
         self.close()
 
 
-class RemoteReadStream:
+class RemoteReadStream(ChunkStream):
     """Client half of a streamed read, on either transport.
 
     Iterating yields :class:`repro.core.reader.ReadChunk` objects (the
-    same type the in-process stream yields); ``stats`` holds the
-    server's final :class:`ReadStats` once the stream is exhausted.
-    Like the in-process stream, exactly one callback fires per stream
-    that is not closed early: ``on_complete(stats, wall_seconds)`` (the
-    caller's pull time) once drained, ``on_failure()`` when a pull
-    raises.  Closing early drops the connection (unread frames are in
-    flight); the server abandons its side on the broken pipe.
+    same type the in-process stream yields), each decoded from one frame
+    of the reply; ``stats`` holds the server's final :class:`ReadStats`
+    once the stream is exhausted.  The lifecycle (callbacks,
+    ``exhausted``, ``collect``, ``close``) is :class:`ChunkStream`'s.
+    Abandoning drops the connection (unread frames are in flight); the
+    server abandons its side on the broken pipe.
     """
 
     def __init__(self, reply: _FrameReply, on_complete=None, on_failure=None):
+        super().__init__(on_complete, on_failure)
         self._reply = reply
-        self._on_complete = on_complete
-        self._on_failure = on_failure
-        self._wall = 0.0
-        self.stats: ReadStats | None = None
-        self.chunks_pulled = 0
 
-    def __iter__(self) -> "RemoteReadStream":
-        return self
+    def _pull(self) -> ReadChunk | None:
+        frame = next(self._reply, None)
+        if frame is None:
+            return None
+        frame_type, header, payload = frame
+        return ReadChunk(
+            header["index"], header["start_time"], header["end_time"],
+            *decode_content(frame_type, header, payload),
+        )
 
-    def __next__(self) -> ReadChunk:
-        begin = time.perf_counter()
-        try:
-            frame_type, header, payload = next(self._reply)
-            segment, gops = decode_content(frame_type, header, payload)
-            chunk = ReadChunk(
-                header["index"], header["start_time"], header["end_time"],
-                segment, gops,
-            )
-        except StopIteration:
-            if self.stats is None and self._reply.end is not None:
-                self.stats = read_stats_from_dict(self._reply.end["stats"])
-                self._wall += time.perf_counter() - begin
-                if self._on_complete is not None:
-                    self._on_complete(self.stats, self._wall)
-            raise
-        except Exception:
-            self.close()
-            if self._on_failure is not None:
-                self._on_failure()
-            raise
-        self._wall += time.perf_counter() - begin
-        self.chunks_pulled += 1
-        return chunk
+    def _finish(self) -> ReadStats:
+        return read_stats_from_dict(self._reply.end["stats"])
 
-    def collect(self) -> ReadResult:
-        """Drain the remaining chunks into one :class:`ReadResult`
-        (``plan`` is None: the plan stayed on the server)."""
-        segment, gops = collect_chunks(self)
-        stats = self.stats if self.stats is not None else ReadStats()
-        return ReadResult(None, segment, gops, stats)
-
-    def close(self) -> None:
-        """Abandon the stream early (drops the connection)."""
+    def _abandon(self) -> None:
         self._reply.close()
-
-    def __enter__(self) -> "RemoteReadStream":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 class VSSClient(SessionSurface):

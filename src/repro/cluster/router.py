@@ -31,7 +31,10 @@ go to the least-loaded live replica, failing over to the next replica
 when a shard dies **before any chunk was delivered**; once bytes have
 flowed, a mid-stream death surfaces as a typed
 :class:`~repro.errors.ShardUnavailableError` rather than a silent
-restart (the chunks already delivered cannot be unsent).
+restart (the chunks already delivered cannot be unsent).  A routed
+stream has the lifecycle of every other stream
+(:class:`repro.core.reader.ChunkStream`); it holds its replica's
+``inflight`` slot from open until it is drained, fails or is closed.
 
 Failure handling: a connection failure on the request path marks the
 shard down immediately; the background
@@ -54,7 +57,7 @@ from repro.client import VSSBinaryClient
 from repro.cluster.health import HealthChecker
 from repro.cluster.ring import ShardRing
 from repro.core.ops import OPS
-from repro.core.reader import BatchStats, decode_mb_per_s
+from repro.core.reader import BatchStats, ChunkStream, decode_mb_per_s
 from repro.core.records import PhysicalVideo
 from repro.errors import (
     ServerBusyError,
@@ -146,13 +149,16 @@ class _Shard:
         self.client.close()
 
 
-class _RoutedStream:
+class _RoutedStream(ChunkStream):
     """A streamed read proxied through the router, with replica failover.
 
     Chunks flow through one shard-side :class:`RemoteReadStream` at a
     time — the router never buffers more than the frontend server's own
     bounded pull batch, so a long read stays O(GOP window) resident in
-    the router exactly as it does in a shard.
+    the router exactly as it does in a shard.  The stream opens at once
+    (an all-replicas-down read fails typed and immediately) and holds
+    its replica's :meth:`_Shard.enter` slot until it finishes or is
+    abandoned; the lifecycle is :class:`ChunkStream`'s.
 
     Failover contract: while **zero** chunks have been delivered, a
     connection failure (or busy rejection, when another replica exists)
@@ -164,26 +170,17 @@ class _RoutedStream:
     """
 
     def __init__(self, engine: "ClusterEngine", spec, shards: list[_Shard]):
+        super().__init__()
         self._engine = engine
         self._spec = spec
         self._pending = list(shards)
         self._tried: list[str] = []
         self._stream = None
         self._shard: _Shard | None = None
-        self._holding = False
         self._delivered = 0
-        self._closed = False
+        self._open()
 
-    @property
-    def stats(self):
-        return self._stream.stats if self._stream is not None else None
-
-    def __iter__(self) -> "_RoutedStream":
-        return self
-
-    def _ensure_open(self) -> None:
-        if self._stream is not None:
-            return
+    def _open(self) -> None:
         while self._pending:
             shard = self._pending.pop(0)
             if not shard.up:
@@ -200,7 +197,6 @@ class _RoutedStream:
             if self._tried:
                 self._engine.counters.add(failovers=1)
             shard.enter()
-            self._holding = True
             self._shard = shard
             self._stream = stream
             return
@@ -210,29 +206,29 @@ class _RoutedStream:
             shard=self._tried[-1] if self._tried else None,
         )
 
-    def _drop(self) -> None:
+    def _abandon(self) -> None:
+        """Close the replica's stream and give back its slot."""
         stream, self._stream = self._stream, None
         if stream is not None:
             stream.close()
-        if self._holding:
-            self._holding = False
             self._shard.leave()
 
-    def __next__(self):
+    def _finish(self):
+        stats = self._stream.stats
+        self._abandon()
+        return stats
+
+    def _pull(self):
         while True:
-            self._ensure_open()
+            if self._stream is None:
+                self._open()
             try:
-                chunk = next(self._stream)
-            except StopIteration:
-                if self._holding:
-                    self._holding = False
-                    self._shard.leave()
-                raise
+                chunk = next(self._stream, None)
             except ServerBusyError:
                 # The shard is alive but full.  With no chunk delivered
                 # and another replica available, try that one; otherwise
                 # forward the rejection (Retry-After hint intact).
-                self._drop()
+                self._abandon()
                 if self._delivered == 0 and any(
                     s.up for s in self._pending
                 ):
@@ -244,7 +240,7 @@ class _RoutedStream:
                 shard = self._shard
                 self._engine._shard_failed(shard, exc)
                 self._tried.append(shard.name)
-                self._drop()
+                self._abandon()
                 if self._delivered == 0:
                     continue
                 raise ShardUnavailableError(
@@ -252,19 +248,9 @@ class _RoutedStream:
                     f"{self._spec.name!r} after {self._delivered} chunk(s)",
                     shard=shard.name,
                 ) from exc
-            self._delivered += 1
+            if chunk is not None:
+                self._delivered += 1
             return chunk
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._drop()
-
-    def __enter__(self) -> "_RoutedStream":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 class ClusterEngine:
@@ -612,11 +598,7 @@ class ClusterEngine:
         candidates = self._read_candidates(spec.name)
         if not candidates:
             raise self._no_replica(spec.name)
-        stream = _RoutedStream(self, spec, candidates)
-        # Open eagerly: an all-replicas-down read fails here, typed and
-        # immediately, instead of surviving until the first pull.
-        stream._ensure_open()
-        return stream
+        return _RoutedStream(self, spec, candidates)
 
     def read_batch(self, specs: list) -> tuple[list, BatchStats]:
         self.counters.add(batches_routed=1)

@@ -945,17 +945,6 @@ class Catalog:
             conn.execute("DELETE FROM tile_groups WHERE id = ?", (group_id,))
         return paths
 
-    def tile_members(self, group_id: int) -> list[PhysicalVideo]:
-        """The group's per-tile physicals, in ``tile_index`` order."""
-        return [
-            _physical(r)
-            for r in self._rows(
-                "SELECT * FROM physical_videos WHERE tile_group_id = ?"
-                " ORDER BY tile_index",
-                (group_id,),
-            )
-        ]
-
     @staticmethod
     def _tile_group_from_row(row: sqlite3.Row) -> TileGroupRecord:
         from repro.tiles.grid import TileGrid  # no import cycle: grid is leaf

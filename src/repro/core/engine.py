@@ -81,17 +81,18 @@ from repro.core.ops import OPS
 from repro.core.quality import QualityModel
 from repro.core.read_planner import (
     MAX_VIEW_DEPTH,
+    ReadPlan,
     fold_view,
     merge_views,
     plan_read,
 )
 from repro.core.reader import (
     BatchStats,
+    ChunkStream,
     ReadChunk,
     Reader,
     ReadResult,
     ReadStats,
-    collect_chunks,
     decode_mb_per_s,
 )
 from repro.core.records import LogicalVideo, PhysicalVideo, ViewRecord
@@ -843,8 +844,11 @@ class VSSEngine:
         child's explicit pins always beat an ancestor's), then the
         request folds once over the merged view.  Returns the folded
         spec plus the chain of view names traversed (outermost first;
-        empty for a direct read).
+        empty for a direct read).  Every read, batch member and stream
+        starts here, so each rejects a request that is not a spec alike.
         """
+        if not isinstance(spec, ReadSpec):
+            raise TypeError(f"reads take a ReadSpec, got {type(spec).__name__}")
         chain = self._view_chain(spec.name)
         if not chain:
             return spec, []
@@ -978,41 +982,57 @@ class VSSEngine:
         """Answer ``specs`` — all effective reads of logical ``name`` —
         under one hold of its shared lock.
 
-        Plans against one catalog snapshot (one fragment query serves
-        every plan-cache miss, and none runs when all specs hit),
-        executes, and stamps the touched GOPs' LRU entries once.  With
-        ``batch`` (a ``read_batch`` group) the plans run through
-        :meth:`Reader.execute_batch`, which decodes each shared GOP
-        window once and folds its sharing counters into ``batch``; a
-        lone ``read`` keeps :meth:`Reader.execute`, so its
-        :class:`ReadStats` attribute every decode to the read itself.
+        Plans (:meth:`_plan_group`), executes, and stamps the touched
+        GOPs' LRU entries once.  With ``batch`` (a ``read_batch`` group)
+        the plans run through :meth:`Reader.execute_batch`, which
+        decodes each shared GOP window once and folds its sharing
+        counters into ``batch``; a lone ``read`` keeps
+        :meth:`Reader.execute`, so its :class:`ReadStats` attribute
+        every decode to the read itself.
         """
         with self._locked(name, shared=True):
-            logical, original = self._read_preamble(
-                name, any_raw=any(spec.codec == "raw" for spec in specs)
-            )
-            group_fragments = functools.cache(
-                lambda: self.catalog.fragments_of_logical(logical.id)
-            )
-            planned = [
-                self._plan_for(logical, original, spec, group_fragments)
-                for spec in specs
-            ]
+            logical, planned = self._plan_group(name, specs, chains)
             if batch is None:
-                results = [self.reader.execute(planned[0][0])]
+                ((plan, stats),) = planned
+                results = [self.reader.execute(plan, stats=stats)]
             else:
-                results, group_batch = self.reader.execute_batch(
-                    [plan for plan, _ in planned]
-                )
+                results, group_batch = self.reader.execute_batch(planned)
                 batch.merge(group_batch)
             self.catalog.touch_gops(
                 [gid for r in results for gid in r.stats.gop_ids_touched],
                 self.clock.tick(),
             )
-            for result, (_, cached), chain in zip(results, planned, chains):
-                result.stats.plan_cached = cached
-                result.stats.view_chain = list(chain)
         return logical, results
+
+    def _plan_group(
+        self, name: str, specs: list[ReadSpec], chains: list[list[str]]
+    ) -> tuple[LogicalVideo, list[tuple[ReadPlan, ReadStats]]]:
+        """Plan ``specs`` — all effective reads of logical ``name``, with
+        the view chains they resolved through — against one catalog
+        snapshot: the planning step of every read, batch group and
+        stream.
+
+        Runs under the caller's hold of ``name``'s shared lock.  One
+        fragment query serves every plan-cache miss, and none runs when
+        all specs hit.  Each plan comes with the :class:`ReadStats` its
+        execution fills, stamped with ``plan_cached`` and the chain.
+        """
+        logical, original = self._read_preamble(
+            name, any_raw=any(spec.codec == "raw" for spec in specs)
+        )
+        group_fragments = functools.cache(
+            lambda: self.catalog.fragments_of_logical(logical.id)
+        )
+        planned = []
+        for spec, chain in zip(specs, chains):
+            plan, cached = self._plan_for(
+                logical, original, spec, group_fragments
+            )
+            stats = ReadStats.for_plan(plan)
+            stats.plan_cached = cached
+            stats.view_chain = list(chain)
+            planned.append((plan, stats))
+        return logical, planned
 
     def _plan_for(
         self, logical: LogicalVideo, original: PhysicalVideo, spec: ReadSpec,
@@ -1201,22 +1221,14 @@ class VSSEngine:
         is exhausted, ``on_failure`` (no arguments) runs when a chunk
         pull raises.
         """
-        if not isinstance(spec, ReadSpec):
-            raise TypeError(
-                f"read_stream takes a ReadSpec, got {type(spec).__name__}"
-            )
         spec, view_chain = self._resolve_read_spec(spec)
         with self._locked(spec.name, shared=True):
-            logical, original = self._read_preamble(
-                spec.name, any_raw=spec.codec == "raw"
+            logical, [(plan, stats)] = self._plan_group(
+                spec.name, [spec], [view_chain]
             )
-            plan, plan_cached = self._plan_for(logical, original, spec)
-            stats = ReadStats.for_plan(plan)
-            stats.plan_cached = plan_cached
-            stats.view_chain = list(view_chain)
-            chunks = self.reader.iter_output(plan, stats=stats)
         return ReadStream(
-            self, logical, plan, stats, chunks, on_complete, on_failure
+            self, logical, plan, stats,
+            self.reader.iter_output(plan, stats), on_complete, on_failure,
         )
 
     def read_batch(self, specs: list[ReadSpec]) -> tuple[list[ReadResult], BatchStats]:
@@ -1229,11 +1241,6 @@ class VSSEngine:
         coalescing with duplicates on the queue.  Results come back in
         spec order.
         """
-        for spec in specs:
-            if not isinstance(spec, ReadSpec):
-                raise TypeError(
-                    f"read_batch takes ReadSpec objects, got {type(spec).__name__}"
-                )
         # Resolve views first: specs addressing different views over one
         # base fold into the same logical video, so they join one group
         # and share its planning snapshot and decode windows.
@@ -1775,8 +1782,8 @@ class VSSEngine:
         return hits
 
 
-class ReadStream:
-    """A pull-based handle over one streamed read.
+class ReadStream(ChunkStream):
+    """The in-process stream: a pull-based handle over one streamed read.
 
     Iterating yields :class:`repro.core.reader.ReadChunk` increments —
     decoded segments for raw requests, encoded GOP runs for compressed
@@ -1787,10 +1794,14 @@ class ReadStream:
 
     ``stats`` accumulates as chunks are pulled and is final once the
     stream is exhausted, at which point the engine's read counters and
-    periodic maintenance run exactly as for a one-shot ``read()``.
-    A pull that raises kills the stream and reports one failure instead;
-    closing early abandons the remainder and counts as neither.
+    periodic maintenance run exactly as for a one-shot ``read()``.  The
+    lifecycle (callbacks, ``exhausted``, ``collect``, ``close``) is
+    :class:`ChunkStream`'s; abandoning closes the reader's generator.
     """
+
+    # Its own entry in the class, so a tracer can wrap the in-process
+    # pull without wrapping the remote and routed streams'.
+    __next__ = ChunkStream.__next__
 
     def __init__(
         self,
@@ -1802,85 +1813,40 @@ class ReadStream:
         on_complete=None,
         on_failure=None,
     ):
+        self.stats = stats  # first: the base's init zeroes _wall into it
+        super().__init__(on_complete, on_failure)
         self._engine = engine
         self._logical = logical
         self.spec = plan.request
         self.plan = plan
-        self.stats = stats
         self._chunks = chunks
-        self._on_complete = on_complete
-        self._on_failure = on_failure
-        self._done = False
-        self._wall = 0.0
-        self.chunks_pulled = 0
 
-    def __iter__(self) -> "ReadStream":
-        return self
+    # The caller's pull time is this stream's own ReadStats.wall_seconds.
+    @property
+    def _wall(self) -> float:
+        return self.stats.wall_seconds
 
-    def __next__(self) -> ReadChunk:
-        if self._done:
-            raise StopIteration
-        begin = time.perf_counter()
+    @_wall.setter
+    def _wall(self, seconds: float) -> None:
+        self.stats.wall_seconds = seconds
+
+    def _pull(self) -> ReadChunk | None:
         engine = self._engine
-        try:
-            with engine._locked(self.spec.name, shared=True):
-                chunk = next(self._chunks, None)
-                if chunk is not None:
-                    engine.catalog.touch_gops(
-                        chunk.gop_ids, engine.clock.tick()
-                    )
-        except BaseException:
-            # A failed stream is dead, not drained: mark it done so a
-            # later pull/collect cannot complete it as a successful read.
-            self._done = True
-            self._chunks.close()
-            if self._on_failure is not None:
-                self._on_failure()
-            raise
-        if chunk is not None:
-            self._note_wall(begin)
-            self.chunks_pulled += 1
-            return chunk
+        with engine._locked(self.spec.name, shared=True):
+            chunk = next(self._chunks, None)
+            if chunk is not None:
+                engine.catalog.touch_gops(chunk.gop_ids, engine.clock.tick())
+        return chunk
+
+    def _finish(self) -> ReadStats:
         # Complete outside the shared lock: maintenance needs the
         # exclusive side, and an in-place upgrade would deadlock.
-        self._done = True
-        engine._complete_read(self._logical, self.plan, self.stats)
-        engine._schedule_maintenance(self._logical)
-        self._note_wall(begin)
-        if self._on_complete is not None:
-            self._on_complete(self.stats, self._wall)
-        raise StopIteration
+        self._engine._complete_read(self._logical, self.plan, self.stats)
+        self._engine._schedule_maintenance(self._logical)
+        return self.stats
 
-    def _note_wall(self, begin: float) -> None:
-        self._wall += time.perf_counter() - begin
-        self.stats.wall_seconds = self._wall
-
-    @property
-    def exhausted(self) -> bool:
-        return self._done
-
-    def collect(self) -> ReadResult:
-        """Drain the remaining chunks into one :class:`ReadResult`.
-
-        A convenience for callers that opened a stream but want the
-        materialized answer after all — segments are concatenated (GOP
-        runs are flattened), giving the same pixels/bytes a plain
-        ``read()`` with this spec would return (minus cache admission).
-        """
-        segment, gops = collect_chunks(self)
-        return ReadResult(self.plan, segment, gops, self.stats)
-
-    def close(self) -> None:
-        """Abandon the stream early (no read is counted)."""
-        if not self._done:
-            self._done = True
-            self._chunks.close()
-
-    def __enter__(self) -> "ReadStream":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+    def _abandon(self) -> None:
+        self._chunks.close()
 
 
 class Session(SessionSurface):

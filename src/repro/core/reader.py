@@ -58,6 +58,12 @@ resolution allocates and copies no pixels.  Hence the read contract:
 every decoded chunk, and every answer collected from them, is read-only
 (the decode cache freezes what it stores, and
 :meth:`Reader.iter_output` freezes each chunk it hands out).
+
+A stream of chunks has one lifecycle on every handle,
+:class:`ChunkStream`: pull timing, the one callback of a stream that is
+not closed early, ``exhausted``, ``collect`` and ``close``.  The
+in-process, remote and routed streams supply only where the next chunk
+comes from, what finishing returns and what abandoning releases.
 """
 
 from __future__ import annotations
@@ -307,6 +313,90 @@ def collect_chunks(
     return joined, None
 
 
+class ChunkStream:
+    """The lifecycle of a streamed read, written once for every handle.
+
+    The in-process stream (:class:`repro.core.engine.ReadStream`), the
+    remote one (:class:`repro.client.RemoteReadStream`) and the router's
+    replica-failover stream are subclasses that supply three hooks:
+
+    * ``_pull()`` — the next :class:`ReadChunk`, or None once drained;
+    * ``_finish()`` — the final :class:`ReadStats`, after the last pull;
+    * ``_abandon()`` — release what the stream holds, on ``close()``
+      before the end or when a pull raises.
+
+    Iterating pulls chunks and times each pull on the caller's side.
+    Exactly one callback fires per stream that is not closed early:
+    ``on_complete(stats, wall_seconds)`` (the summed pull time) once
+    drained, or ``on_failure()`` when a pull (or finishing) raises; the
+    stream is then dead.  ``exhausted`` is True after every ending —
+    drained, failed or closed — and a later pull stops at once.
+    ``stats`` is the final :class:`ReadStats` once drained (None before,
+    except in process, where it fills as chunks are pulled); ``plan`` is
+    None unless the plan is in this process.
+    """
+
+    stats: ReadStats | None = None
+    plan: ReadPlan | None = None
+
+    def __init__(self, on_complete=None, on_failure=None):
+        self._on_complete = on_complete
+        self._on_failure = on_failure
+        self._done = False
+        self._wall = 0.0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> ReadChunk:
+        if self._done:
+            raise StopIteration
+        begin = time.perf_counter()
+        try:
+            chunk = self._pull()
+            if chunk is None:
+                self._done = True
+                self.stats = self._finish()
+        except BaseException:
+            # A failed stream is dead, not drained: a later pull or
+            # collect() must not complete it as a successful read.
+            self._done = True
+            self._abandon()
+            if self._on_failure is not None:
+                self._on_failure()
+            raise
+        self._wall += time.perf_counter() - begin
+        if chunk is not None:
+            return chunk
+        if self._on_complete is not None:
+            self._on_complete(self.stats, self._wall)
+        raise StopIteration
+
+    @property
+    def exhausted(self) -> bool:
+        return self._done
+
+    def collect(self) -> ReadResult:
+        """Drain the remaining chunks into one :class:`ReadResult`: the
+        pixels or bytes a one-shot ``read()`` of the spec returns (minus
+        cache admission), with the stream's final stats."""
+        segment, gops = collect_chunks(self)
+        stats = self.stats if self.stats is not None else ReadStats()
+        return ReadResult(self.plan, segment, gops, stats)
+
+    def close(self) -> None:
+        """Abandon the stream early: no read and no failure is counted."""
+        if not self._done:
+            self._done = True
+            self._abandon()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
 @dataclass
 class _GopWindow:
     """One worker's output: a decoded GOP window plus its stat deltas.
@@ -405,14 +495,16 @@ class _Derived:
 
     ``direct`` is the plan's :meth:`Reader._direct_serve_records`.  When
     that is None, ``chunks`` is its decode schedule
-    (:meth:`Reader._decode_schedule`) and ``windows`` the ``(GOP id,
-    stop frame)`` of every window the schedule reads, or None when one
-    is a joint GOP's, which the decode cache never holds.
+    (:meth:`Reader._decode_schedule`), ``windows`` the ``(GOP record,
+    stop frame)`` of every window the schedule reads but a joint GOP's
+    (rebuilt from its pair's pieces, which the decode cache never
+    holds), and ``joint`` says whether it reads one of those too.
     """
 
     direct: list[GopRecord] | None
     chunks: list[_Chunk] = field(default_factory=list)
-    windows: tuple[tuple[int, int], ...] | None = None
+    windows: tuple[tuple[GopRecord, int], ...] = ()
+    joint: bool = False
 
 
 #: Sentinel marking iterator exhaustion inside the prefetch pipeline.
@@ -440,16 +532,20 @@ class Reader:
 
     # ------------------------------------------------------------------
     def execute(
-        self, plan: ReadPlan, decode_cache=_DEFAULT_CACHE
+        self,
+        plan: ReadPlan,
+        stats: ReadStats | None = None,
+        decode_cache=_DEFAULT_CACHE,
     ) -> ReadResult:
         """Execute one plan: :meth:`iter_output` drained into one result.
 
-        ``decode_cache`` overrides the reader's store-wide cache for this
-        call (``Reader.execute_batch`` passes a batch-local overlay);
-        leave it unset to use the store cache.
+        ``stats`` and ``decode_cache`` are :meth:`iter_output`'s
+        (``Reader.execute_batch`` passes a batch-local overlay as the
+        cache); leave them unset for fresh stats and the store cache.
         """
         start_wall = time.perf_counter()
-        stats = ReadStats.for_plan(plan)
+        if stats is None:
+            stats = ReadStats.for_plan(plan)
         segment, gops = collect_chunks(
             self.iter_output(plan, stats, decode_cache)
         )
@@ -503,39 +599,31 @@ class Reader:
     # batched execution (shared decode work)
     # ------------------------------------------------------------------
     def execute_batch(
-        self, plans: list[ReadPlan]
+        self, planned: list[tuple[ReadPlan, ReadStats]]
     ) -> tuple[list[ReadResult], BatchStats]:
-        """Execute several plans, decoding each shared GOP window once.
+        """Execute several plans, each with the stats it fills, decoding
+        each shared GOP window once.
 
-        The union of GOP decode windows over all plans is computed first
-        (per GOP: the deepest stop frame any plan needs), each window is
-        decoded once — fanned across the executor — into a
-        :class:`BatchDecodeCache` overlay, and the plans then execute
-        against the overlay, so N overlapping reads pay for one decode of
-        each shared GOP instead of N.  The first read of such a GOP
-        reports that decode as its own miss; the others, hits.
+        The union of GOP decode windows over all plans' schedules
+        (:class:`_Derived`) is taken first (per GOP: the deepest stop
+        frame any plan needs), each window is decoded once — fanned
+        across the executor — into a :class:`BatchDecodeCache` overlay,
+        and the plans then execute against the overlay, so N overlapping
+        reads pay for one decode of each shared GOP instead of N.  The
+        first read of such a GOP reports that decode as its own miss;
+        the others, hits.
         """
-        batch = BatchStats(num_reads=len(plans))
+        batch = BatchStats(num_reads=len(planned))
         overlay = BatchDecodeCache(self.decode_cache)
         # gop_id -> (record, deepest stop frame needed)
         needed: dict[int, tuple[GopRecord, int]] = {}
-        for plan in plans:
-            if self._derive(plan).direct is not None:
-                continue  # byte-served: no decode work to share
-            for choice in plan.choices:
-                fps = choice.fragment.physical.fps
-                for record in choice.fragment.gops_overlapping(
-                    choice.start, choice.end
-                ):
-                    if record.joint_pair_id is not None:
-                        continue  # rebuilt from pair pieces; never cached
-                    _, stop = self._window_bounds(
-                        record, fps, choice.start, choice.end
-                    )
-                    batch.window_requests += 1
-                    current = needed.get(record.id)
-                    if current is None or stop > current[1]:
-                        needed[record.id] = (record, stop)
+        for plan, _ in planned:
+            # A direct serve's schedule reads no window: nothing to share.
+            for record, stop in self._derive(plan).windows:
+                batch.window_requests += 1
+                current = needed.get(record.id)
+                if current is None or stop > current[1]:
+                    needed[record.id] = (record, stop)
         batch.unique_gops = len(needed)
 
         def warm(entry: tuple[GopRecord, int]) -> int:
@@ -552,7 +640,10 @@ class Reader:
         batch.gops_decoded = sum(
             map_parallel(self.executor, warm, list(needed.values()))
         )
-        results = [self.execute(plan, decode_cache=overlay) for plan in plans]
+        results = [
+            self.execute(plan, stats, decode_cache=overlay)
+            for plan, stats in planned
+        ]
         return results, batch
 
     # ------------------------------------------------------------------
@@ -568,10 +659,10 @@ class Reader:
 
     def _decode_schedule(
         self, plan: ReadPlan
-    ) -> tuple[list[_Chunk], tuple[tuple[int, int], ...] | None]:
-        """Statically partition a plan into chunks of output frames, and
-        list the ``(GOP id, stop frame)`` windows they read (None when a
-        joint GOP is among them).
+    ) -> tuple[list[_Chunk], tuple[tuple[GopRecord, int], ...], bool]:
+        """Statically partition a plan into chunks of output frames, list
+        the ``(GOP record, stop frame)`` windows they read but joint
+        GOPs', and say whether they read a joint GOP's.
 
         Chunk boundaries fall wherever some choice activates a new source
         GOP window, so handling one chunk decodes at most a handful of
@@ -583,7 +674,7 @@ class Reader:
         """
         total, frame_times = self._grid(plan)
         ctxs: list[_ChoiceSchedule] = []
-        windows: list[tuple[int, int]] = []
+        windows: list[tuple[GopRecord, int]] = []
         joint = False
         cuts = {0, total}
         for choice in plan.choices:
@@ -605,8 +696,11 @@ class Reader:
                 self._window_bounds(r, fps_src, choice.start, choice.end)
                 for r in records
             ]
-            windows.extend((r.id, stop) for r, (_, stop) in zip(records, bounds))
-            joint = joint or any(r.joint_pair_id is not None for r in records)
+            for record, (_, stop) in zip(records, bounds):
+                if record.joint_pair_id is None:
+                    windows.append((record, stop))
+                else:
+                    joint = True
             offsets = np.concatenate(
                 [[0], np.cumsum([stop - first for first, stop in bounds])]
             ).astype(np.int64)
@@ -669,7 +763,7 @@ class Reader:
                 )
             run = _identity_run(ops, hi - lo)
             chunks.append(_Chunk(lo, hi, ops, run, _resized_identity(ops, run)))
-        return chunks, None if joint else tuple(windows)
+        return chunks, tuple(windows), joint
 
     def _build_windows(self, chunk: _Chunk, decode_cache) -> list[list]:
         """Decode (and RGB-convert) the windows one chunk's ops call for.
@@ -754,14 +848,16 @@ class Reader:
         worker busy while holding only O(parallelism) decoded windows in
         memory.
         """
-        windows = derived.windows
         if (
             self.executor is None
             or self.executor.parallelism == 1
             or (
-                windows is not None
+                not derived.joint
                 and decode_cache is not None
-                and all(decode_cache.peek(*w) is not None for w in windows)
+                and all(
+                    decode_cache.peek(record.id, stop) is not None
+                    for record, stop in derived.windows
+                )
             )
         ):
             for chunk in derived.chunks:

@@ -32,6 +32,7 @@ from repro.cluster.router import _Shard
 from repro.core.engine import VSSEngine
 from repro.core.specs import ReadSpec, ViewSpec
 from repro.errors import (
+    ReadError,
     ServerBusyError,
     ShardUnavailableError,
     VideoNotFoundError,
@@ -306,6 +307,56 @@ class TestRouting:
         finally:
             router.close()
             fleet.close()
+
+    def test_every_stream_ending_gives_back_its_shard_slot(
+        self, tmp_path, calibration, tiny_clip
+    ):
+        """A routed stream holds its replica's inflight slot from open to
+        its end: closed before its first pull, closed mid-way, drained or
+        failed, the shard's gauge is back where it started.  The store
+        keeps no decoded GOPs, so a page removed under it fails a pull
+        whatever ran before."""
+        store = VSSEngine(
+            tmp_path / "shard", calibration=calibration, decode_cache_bytes=0
+        )
+        server = VSSBinaryServer(engine=store).start()
+        router = VSSRouter(
+            [f"{server.address[0]}:{server.address[1]}"], probe_interval=30.0
+        ).start()
+        try:
+            with VSSBinaryClient(*router.address) as client:
+                client.write("hot", tiny_clip, codec="h264", qp=10, gop_size=6)
+            engine = router.engine
+            (shard,) = engine.shards
+            spec = ReadSpec("hot", 0.0, 0.75, codec="raw", cache=False)
+
+            def fail(stream) -> None:
+                records = store.catalog.gops_of_logical(
+                    store.catalog.get_logical("hot").id
+                )
+                (store.layout.root / records[-1].path).unlink()
+                with pytest.raises(ReadError):
+                    list(stream)
+
+            endings = {
+                "closed unpulled": lambda stream: stream.close(),
+                "closed mid-way": lambda stream: (next(stream), stream.close()),
+                "drained": lambda stream: stream.collect(),
+                "failed": fail,
+            }
+            left = {}
+            for name, ending in endings.items():
+                before = shard.inflight
+                stream = engine.read_stream(spec)
+                assert shard.inflight == before + 1, name
+                ending(stream)
+                assert stream.exhausted, name
+                left[name] = shard.inflight - before
+            assert left == dict.fromkeys(endings, 0)
+        finally:
+            router.close()
+            server.close()
+            store.close()
 
     def test_views_route_to_their_base_shard(self, router, fleet, tiny_clip):
         with VSSBinaryClient(*router.address) as client:

@@ -314,8 +314,14 @@ class TestLifecycle:
         assert loaded.stats().failures == before.failures + 1
 
     def test_spec_required(self, loaded):
-        with pytest.raises(TypeError):
-            loaded.read_stream("traffic")
+        """Every engine read entry rejects a bare name alike."""
+        for call in (
+            lambda: loaded.read_stream("traffic"),
+            lambda: loaded.read("traffic"),
+            lambda: loaded.read_batch(["traffic"]),
+        ):
+            with pytest.raises(TypeError, match="take a ReadSpec, got str"):
+                call()
 
     def test_missing_video_fails_at_open(self, serial_engine):
         session = serial_engine.session()

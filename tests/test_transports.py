@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
 
 from repro.client import VSSBinaryClient, VSSClient
+from repro.cluster import VSSRouter
 from repro.core.engine import VSSEngine
 from repro.core.specs import ReadSpec
 from repro.core.wire import FRAME_END, FRAME_SEGMENT, read_spec_to_dict
@@ -464,3 +466,144 @@ class TestSurfaceParity:
         assert counts["http"] == counts["session"], counts
         assert counts["binary"] == counts["session"], counts
         assert counts["session"][:4] == (4, 1, 1, 1)
+
+
+def _drop_page(engine: VSSEngine, name: str, index: int) -> None:
+    """Remove the file of ``name``'s ``index``-th GOP behind the catalog's
+    back, so the pull that reads it raises ``ReadError``."""
+    records = engine.catalog.gops_of_logical(
+        engine.catalog.get_logical(name).id
+    )
+    (engine.layout.root / records[index].path).unlink()
+
+
+class TestStreamLifecycle:
+    """One stream lifecycle on every handle: a ``Session``, a
+    ``VSSClient``, a ``VSSBinaryClient`` and a ``VSSBinaryClient`` on a
+    ``VSSRouter`` run the same stream endings and agree, ending by
+    ending, on ``(reads, failures, callbacks fired)`` and on
+    ``exhausted``.
+
+    Each store is serial and keeps no decoded GOPs, so a page removed
+    under it fails the pull that reads it and no chunk is built ahead in
+    process.  A server may still pull a batch ahead of its client, so a
+    remote stream may raise on an earlier pull than the local one: the
+    failure and its one callback are what must agree.
+    """
+
+    SPEC = ReadSpec("traffic", 0.0, 3.0, codec="raw", cache=False)
+
+    def _script(self, handle, engine, clip) -> list:
+        handle.write("traffic", clip, codec="h264", qp=10, gop_size=30)
+        whole = handle.read(self.SPEC).segment.pixels
+        # From here on only read_stream opens streams: count the
+        # callbacks each stream fires.
+        fired: list[str] = []
+        open_stream = handle._open_stream
+
+        def counted(spec, on_complete, on_failure):
+            def complete(stats, wall):
+                fired.append("complete")
+                on_complete(stats, wall)
+
+            def failure():
+                fired.append("failure")
+                on_failure()
+
+            return open_stream(spec, complete, failure)
+
+        handle._open_stream = counted
+        outcomes = []
+
+        def step(ending) -> None:
+            def counts():
+                s = handle.stats
+                return s.reads, s.failures, len(fired)
+
+            before = counts()
+            stream = handle.read_stream(self.SPEC)
+            ending(stream)
+            with pytest.raises(StopIteration):
+                next(stream)  # every ending is final
+            outcomes.append((
+                tuple(a - b for a, b in zip(counts(), before)),
+                stream.exhausted,
+            ))
+
+        def closed_after_one(stream):
+            assert next(stream).num_frames == 30
+            stream.close()
+
+        def next_then_collect(stream):
+            first = next(stream)
+            rest = stream.collect()
+            assert rest.segment.num_frames == 60
+            joined = np.concatenate([first.segment.pixels, rest.segment.pixels])
+            assert np.array_equal(joined, whole)
+            assert rest.stats.plan_cached is True
+
+        def failing_pull(stream):
+            with pytest.raises(ReadError):
+                for _ in stream:
+                    pass
+
+        def with_block(stream):
+            with stream:
+                pass
+
+        step(with_block)  # closed before its first pull
+        step(closed_after_one)
+        step(next_then_collect)
+        _drop_page(engine, "traffic", 1)
+        step(failing_pull)
+        return outcomes
+
+    def test_every_handle_ends_a_stream_alike(
+        self, tmp_path, calibration, three_second_clip
+    ):
+        def serial_engine(name: str) -> VSSEngine:
+            return stack.enter_context(VSSEngine(
+                tmp_path / name, calibration=calibration, parallelism=1,
+                decode_cache_bytes=0,
+            ))
+
+        outcomes = {}
+        with ExitStack() as stack:
+            engine = serial_engine("local")
+            session = stack.enter_context(engine.session())
+            outcomes["session"] = self._script(
+                session, engine, three_second_clip
+            )
+            for transport, (server_cls, client_cls) in sorted(
+                TRANSPORTS.items()
+            ):
+                engine = serial_engine(transport)
+                server = stack.enter_context(server_cls(engine=engine))
+                client = stack.enter_context(
+                    client_cls(*server.address, timeout=30.0)
+                )
+                outcomes[transport] = self._script(
+                    client, engine, three_second_clip
+                )
+            engine = serial_engine("shard")
+            shard = stack.enter_context(VSSBinaryServer(engine=engine))
+            router = stack.enter_context(VSSRouter(
+                [f"{shard.address[0]}:{shard.address[1]}"],
+                probe_interval=30.0,
+            ))
+            client = stack.enter_context(
+                VSSBinaryClient(*router.address, timeout=30.0)
+            )
+            outcomes["routed"] = self._script(
+                client, engine, three_second_clip
+            )
+        # ((reads, failures, callbacks fired), exhausted) per ending:
+        # closed unpulled, closed after one chunk, next() + collect(),
+        # a pull that raised.
+        expected = [
+            ((0, 0, 0), True),
+            ((0, 0, 0), True),
+            ((1, 0, 1), True),
+            ((0, 1, 1), True),
+        ]
+        assert outcomes == dict.fromkeys(outcomes, expected), outcomes
