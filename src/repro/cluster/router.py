@@ -578,6 +578,7 @@ class ClusterEngine:
         # From the summed totals, not a mean of per-shard rates: shards
         # with no decode traffic would drag a mean to zero.
         codec["codec_decode_mb_per_s"] = decode_mb_per_s(codec)
+        maintenance = summed(int, "admissions_enqueued", "maintenance_skipped")
         return {
             "cluster": True,
             "shards": per_shard,
@@ -588,6 +589,7 @@ class ClusterEngine:
             "tiles": tiles,
             "decode_cache": decode_cache,
             "codec": codec,
+            "maintenance": maintenance,
         }
 
     # ------------------------------------------------------------------

@@ -31,6 +31,14 @@ passes the ids of every GOP row it deletes, moves or rewrites to one
 listener, which the engine sets to :meth:`DecodeCache.invalidate_many`;
 it drops every entry of each GOP, at every size.
 
+A read that holds its video's shared lock while it decodes cannot see
+an invalidation of its own GOPs; a read stream, which pulls without it,
+can.  So a stream reads the cache through a :class:`Snapshot` taken
+when it planned: every invalidation starts a new epoch, and while a
+snapshot is open each invalidated GOP remembers its epoch, so the
+snapshot neither takes an entry of a GOP invalidated after it (a new
+decode of a rewritten page) nor puts one (its old decode) under it.
+
 The cache is bounded by the bytes of all its entries, native and
 resized; all operations are thread-safe (reader worker threads populate
 it concurrently).
@@ -107,6 +115,12 @@ class DecodeCache:
         self._bytes = 0
         self._resized_bytes = 0
         self.stats = DecodeCacheStats()
+        # Snapshots: one epoch per invalidate_many; open snapshots per
+        # epoch; and, while any is open, each GOP invalidated since the
+        # oldest of them -> the epoch of its last invalidation.
+        self._epoch = 0
+        self._snapshots: dict[int, int] = {}
+        self._dropped: dict[int, int] = {}
 
     @property
     def enabled(self) -> bool:
@@ -133,17 +147,21 @@ class DecodeCache:
             )
 
     # ------------------------------------------------------------------
-    def get(self, gop_id: int, stop: int) -> VideoSegment | None:
+    def get(
+        self, gop_id: int, stop: int, since: int | None = None
+    ) -> VideoSegment | None:
         """The decoded prefix ``[0, stop)`` of a GOP, or None on miss.
 
         A cached decode to frame ``k`` serves any request with
-        ``stop <= k`` (a read-only view: :meth:`put` froze it).
+        ``stop <= k`` (a read-only view: :meth:`put` froze it).  Every
+        method taking ``since`` treats a GOP invalidated after that
+        snapshot epoch (:meth:`snapshot`) as absent.
         """
         if not self.enabled:
             return None
         with self._lock:
             entry = self._native.get(gop_id)
-            if entry is None or entry.stop < stop:
+            if entry is None or entry.stop < stop or self._stale(gop_id, since):
                 self.stats.misses += 1
                 return None
             self._native.move_to_end(gop_id)
@@ -151,7 +169,11 @@ class DecodeCache:
         return _prefix(entry, stop)
 
     def get_resized(
-        self, gop_id: int, stop: int, size: tuple[int, int]
+        self,
+        gop_id: int,
+        stop: int,
+        size: tuple[int, int],
+        since: int | None = None,
     ) -> tuple[VideoSegment, float] | None:
         """Frames ``[0, stop)`` of the GOP resized to ``size`` and their
         first frame's resample error, or None.
@@ -165,7 +187,7 @@ class DecodeCache:
         key = (gop_id, size)
         with self._lock:
             entry = self._resized.get(key)
-            if entry is None or entry.stop < stop:
+            if entry is None or entry.stop < stop or self._stale(gop_id, since):
                 return None
             self._resized.move_to_end(key)
             if gop_id in self._native:
@@ -173,7 +195,9 @@ class DecodeCache:
             self.stats.hits += 1
         return _prefix(entry, stop), entry.resample_mse
 
-    def peek(self, gop_id: int, stop: int) -> VideoSegment | None:
+    def peek(
+        self, gop_id: int, stop: int, since: int | None = None
+    ) -> VideoSegment | None:
         """The cached native prefix ``[0, stop)`` of a GOP, or None.
 
         Unlike :meth:`get` this neither counts a hit/miss nor refreshes
@@ -187,6 +211,8 @@ class DecodeCache:
         if not self.enabled:
             return None
         with self._lock:
+            if self._stale(gop_id, since):
+                return None
             entry = self._native.get(gop_id)
         return _prefix(entry, stop)
 
@@ -195,14 +221,23 @@ class DecodeCache:
         (:meth:`BatchDecodeCache.take`)."""
         return None
 
-    def put(self, gop_id: int, stop: int, segment: VideoSegment) -> None:
+    def put(
+        self,
+        gop_id: int,
+        stop: int,
+        segment: VideoSegment,
+        since: int | None = None,
+    ) -> None:
         """Remember ``segment`` as the native decoded prefix ``[0, stop)``.
 
         A shorter prefix never replaces a longer one; oversized segments
         are ignored rather than flushing the whole cache.  What is stored
-        is frozen (its pixels made read-only) first.
+        is frozen (its pixels made read-only) first.  A decode made under
+        snapshot epoch ``since`` is not stored once its GOP was
+        invalidated after it, nor once no snapshot of that epoch is open
+        (the record of what was invalidated since is gone).
         """
-        self._store(self._native, gop_id, Entry(stop, segment))
+        self._store(self._native, gop_id, Entry(stop, segment), since)
 
     def put_resized(
         self,
@@ -210,22 +245,32 @@ class DecodeCache:
         stop: int,
         segment: VideoSegment,
         resample_mse: float,
+        since: int | None = None,
     ) -> None:
         """Remember ``segment`` — the GOP's frames ``[0, stop)`` resized
         to its own size — with its first frame's resample error, under
         the rules of :meth:`put`, and only in room the budget has free:
         it evicts nothing."""
         key = (gop_id, (segment.width, segment.height))
-        self._store(self._resized, key, Entry(stop, segment, resample_mse))
+        self._store(
+            self._resized, key, Entry(stop, segment, resample_mse), since
+        )
 
-    def _store(self, entries: OrderedDict, key, entry: Entry) -> None:
+    def _store(
+        self, entries: OrderedDict, key, entry: Entry, since: int | None
+    ) -> None:
         if not self.enabled:
             return
         nbytes = entry.segment.nbytes
         if nbytes > self.capacity_bytes:
             return
         resized = entries is self._resized
+        gop_id = key[0] if resized else key
         with self._lock:
+            if since is not None and (
+                since not in self._snapshots or self._stale(gop_id, since)
+            ):
+                return
             existing = entries.get(key)
             if existing is not None and existing.stop >= entry.stop:
                 entries.move_to_end(key)
@@ -259,9 +304,13 @@ class DecodeCache:
 
     def invalidate_many(self, gop_ids) -> None:
         """Atomically drop every entry of a batch of GOPs (one lock
-        acquisition); each GOP that had any counts one invalidation."""
+        acquisition); each GOP that had any counts one invalidation.
+        Starts a new snapshot epoch."""
         doomed = set(gop_ids)
         with self._lock:
+            self._epoch += 1
+            if self._snapshots:
+                self._dropped.update(dict.fromkeys(doomed, self._epoch))
             dropped = set()
             for key in [k for k in self._resized if k[0] in doomed]:
                 self._drop(self._resized, key)
@@ -271,12 +320,97 @@ class DecodeCache:
                 dropped.add(gop_id)
             self.stats.invalidations += len(dropped)
 
+    # ------------------------------------------------------------------
+    def snapshot(self) -> "Snapshot":
+        """The cache as it is now, for a read that decodes without its
+        video's lock; :meth:`Snapshot.release` it when the read ends."""
+        with self._lock:
+            epoch = self._epoch
+            self._snapshots[epoch] = self._snapshots.get(epoch, 0) + 1
+        return Snapshot(self, epoch)
+
+    def _release(self, epoch: int) -> None:
+        with self._lock:
+            left = self._snapshots.pop(epoch) - 1
+            if left:
+                self._snapshots[epoch] = left
+            elif not self._snapshots:
+                self._dropped.clear()
+            elif epoch < (oldest := min(self._snapshots)):
+                self._dropped = {
+                    gop_id: dropped
+                    for gop_id, dropped in self._dropped.items()
+                    if dropped > oldest
+                }
+
+    def _stale(self, gop_id: int, since: int | None) -> bool:
+        """Whether ``gop_id`` was invalidated after epoch ``since`` (the
+        lock is held)."""
+        return since is not None and self._dropped.get(gop_id, -1) > since
+
     def clear(self) -> None:
         with self._lock:
             self._native.clear()
             self._resized.clear()
             self._bytes = 0
             self._resized_bytes = 0
+
+
+class Snapshot:
+    """A :class:`DecodeCache` as a read planned at one epoch sees it.
+
+    It answers the cache's read-path calls, passing its epoch: a GOP
+    invalidated since is a miss and takes no put.  A read stream decodes
+    through one from its plan to its end (``repro.core.engine``).
+    """
+
+    counted = True
+
+    def __init__(self, cache: DecodeCache, epoch: int):
+        self._cache = cache
+        self.epoch = epoch
+        self._released = False
+
+    @property
+    def enabled(self) -> bool:
+        return self._cache.enabled
+
+    def get(self, gop_id: int, stop: int) -> VideoSegment | None:
+        return self._cache.get(gop_id, stop, self.epoch)
+
+    def get_resized(
+        self, gop_id: int, stop: int, size: tuple[int, int]
+    ) -> tuple[VideoSegment, float] | None:
+        return self._cache.get_resized(gop_id, stop, size, self.epoch)
+
+    def peek(self, gop_id: int, stop: int) -> VideoSegment | None:
+        return self._cache.peek(gop_id, stop, self.epoch)
+
+    def take(self, gop_id: int) -> None:
+        return None
+
+    def put(self, gop_id: int, stop: int, segment: VideoSegment) -> None:
+        if not self._released:
+            self._cache.put(gop_id, stop, segment, self.epoch)
+
+    def put_resized(
+        self,
+        gop_id: int,
+        stop: int,
+        segment: VideoSegment,
+        resample_mse: float,
+    ) -> None:
+        if not self._released:
+            self._cache.put_resized(
+                gop_id, stop, segment, resample_mse, self.epoch
+            )
+
+    def release(self) -> None:
+        """End the snapshot (a second release does nothing): later puts
+        through it store nothing."""
+        if not self._released:
+            self._released = True
+            self._cache._release(self.epoch)
 
 
 class BatchDecodeCache:

@@ -62,6 +62,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -73,7 +74,11 @@ from repro.core.cache import CacheManager, EvictionReport
 from repro.core.catalog import Catalog
 from repro.core.compaction import Compactor
 from repro.core.cost import Calibration, CostModel
-from repro.core.decode_cache import DEFAULT_DECODE_CACHE_BYTES, DecodeCache
+from repro.core.decode_cache import (
+    DEFAULT_DECODE_CACHE_BYTES,
+    DecodeCache,
+    Snapshot,
+)
 from repro.core.deferred import DeferredCompressionManager
 from repro.core.executor import Executor
 from repro.core.layout import Layout
@@ -166,7 +171,9 @@ def diff_store(
     ``hold(video)`` is held while one video is diffed (the engine passes
     its shared lock).  Nothing is removed, so ``python -m repro.server
     <root> --check`` runs this without an engine, whose open would first
-    sweep the very orphans the report lists.
+    sweep the very orphans the report lists.  A file no row names that a
+    read stream's lease keeps (``layout.pending``) is reported under
+    ``pending``, not ``orphans``.
     """
     whole = names is None
     if whole:
@@ -185,7 +192,7 @@ def diff_store(
         ) == (physical.codec, gop.num_frames, physical.width, physical.height)
 
     report: dict[str, list[str]] = {
-        "orphans": [], "dangling": [], "mismatched": []
+        "orphans": [], "dangling": [], "mismatched": [], "pending": []
     }
     for video in names:
         base = f"videos/{video}"
@@ -223,6 +230,10 @@ def diff_store(
             for path in layout.stored_files() - catalog.live_paths()
             if path.rsplit("/", 2)[0] not in bases
         ]
+    pending = layout.pending
+    orphans = report["orphans"]
+    report["orphans"] = [path for path in orphans if path not in pending]
+    report["pending"] = [path for path in orphans if path in pending]
     return {key: sorted(paths) for key, paths in report.items()}
 
 
@@ -306,6 +317,10 @@ class EngineStats:
     their outcomes; ``searches_served`` and ``search_seconds``
     accumulate query traffic and latency.
 
+    ``maintenance_skipped`` counts due compaction/refinement ticks that
+    queued nothing because the video was idle: unchanged since a pass
+    that found nothing to do (``VSSEngine._schedule_maintenance``).
+
     The tile counters describe tiled layouts (``repro.tiles``):
     ``tiles_total``/``tiles_decoded`` accumulate per-read tile
     selectivity, ``tile_bytes_skipped`` the stored bytes ROI reads did
@@ -359,6 +374,7 @@ class EngineStats:
     admissions_completed: int
     admissions_coalesced: int
     admissions_dropped: int
+    maintenance_skipped: int = 0
     search_index_rows: int
     extraction_pending: int = 0
     extraction_completed: int = 0
@@ -511,6 +527,10 @@ class VSSEngine:
         # LogicalVideo], merged across reads so coalesced (or
         # shed-and-retried) maintenance submissions never drop a due flag.
         self._pending_maintenance: dict[int, list] = {}
+        # logical id -> (data version, retile policy) at which a
+        # maintenance pass found nothing to do; due ticks skip the video
+        # while both still hold and no ROI access is pending.
+        self._idle: dict[int, tuple[int, RetilePolicy]] = {}
         self._reads_since_refine = 0
         self._reads_since_compact = 0
         self._refine_cursor: dict[int, int] = {}
@@ -545,6 +565,8 @@ class VSSEngine:
         self.drain_admissions()
         self.executor.shutdown()
         self.decode_cache.clear()
+        # Open read streams end with the engine: their pages go now.
+        self.layout.release_all()
         self.catalog.close()
         self._store_lock.close()
 
@@ -695,6 +717,7 @@ class VSSEngine:
                 self._logical_locks.pop(name, None)
                 self._refine_cursor.pop(logical.id, None)
                 self._pending_maintenance.pop(logical.id, None)
+                self._idle.pop(logical.id, None)
                 self._roi_accesses.pop(logical.id, None)
 
     def delete_view(self, name: str, force: bool = False) -> None:
@@ -1208,27 +1231,31 @@ class VSSEngine:
         """Open a pull-based streaming read with bounded memory.
 
         Planning happens now, against one catalog snapshot, under the
-        per-logical *shared* lock (memoized like :meth:`read`); each
-        subsequent chunk pull reacquires the shared lock only while that
-        chunk is produced, so long streams interleave freely with each
-        other and never starve concurrent operations on their video.
-        Streamed reads stamp GOP LRU entries and populate the decode
-        cache *per chunk*, but do not admit their result as a new cached
-        physical video — that would require materializing the whole
-        answer the stream exists to avoid.  Exactly one callback fires
-        per stream that is not closed early: ``on_complete`` receives
-        the final :class:`ReadStats` and the stream's pull time when it
-        is exhausted, ``on_failure`` (no arguments) runs when a chunk
-        pull raises.
+        per-logical *shared* lock (memoized like :meth:`read`), the one
+        lock hold of the stream.  Under that hold the stream leases
+        every file its plan reads (:meth:`Layout.lease`) and takes a
+        decode-cache snapshot (:meth:`DecodeCache.snapshot`); its pulls
+        then take no lock, so long streams never starve concurrent
+        operations on their video, and none of those operations changes
+        what the stream returns.  Streamed reads stamp GOP LRU entries
+        and populate the decode cache as each chunk is pulled, but do
+        not admit their result as a new cached physical video — that
+        would require materializing the whole answer the stream exists
+        to avoid.  Exactly one callback fires per stream that is not
+        closed early: ``on_complete`` receives the final
+        :class:`ReadStats` and the stream's pull time when it is
+        exhausted, ``on_failure`` (no arguments) runs when a chunk pull
+        raises.
         """
         spec, view_chain = self._resolve_read_spec(spec)
         with self._locked(spec.name, shared=True):
             logical, [(plan, stats)] = self._plan_group(
                 spec.name, [spec], [view_chain]
             )
+            lease = self.layout.lease(self.reader.pages(plan))
+            snapshot = self.decode_cache.snapshot()
         return ReadStream(
-            self, logical, plan, stats,
-            self.reader.iter_output(plan, stats), on_complete, on_failure,
+            self, logical, plan, stats, lease, snapshot, on_complete, on_failure
         )
 
     def read_batch(self, specs: list[ReadSpec]) -> tuple[list[ReadResult], BatchStats]:
@@ -1393,8 +1420,29 @@ class VSSEngine:
         ``_pending_maintenance`` rather than in the queued closure, so a
         submission coalesced away can never lose a freshly-due task: the
         queued task reads the merged flags when it runs.
+
+        An idle video's due tick queues nothing (``maintenance_skipped``
+        counts it): one whose data version, ``retile_policy`` object and
+        empty ROI access log are those of a pass that found nothing to
+        do (:meth:`_maintenance_task`).  Compaction, re-tiling and
+        refinement depend on nothing else, so that pass would find
+        nothing again; any page change, admission or append bumps the
+        version, and an ROI read or a new policy re-arms it too.
         """
         compact_due, refine_due = self._maintenance_flags()
+        if compact_due or refine_due:
+            version = self.catalog.data_version(logical.id)
+            with self._state_lock:
+                idle = self._idle.get(logical.id)
+                skip = (
+                    idle is not None
+                    and idle[0] == version
+                    and idle[1] is self.retile_policy
+                    and logical.id not in self._roi_accesses
+                )
+            if skip:
+                compact_due = refine_due = False
+                self._counters.add(maintenance_skipped=1)
         with self._state_lock:
             pending = self._pending_maintenance.get(logical.id)
             if compact_due or refine_due:
@@ -1427,11 +1475,24 @@ class VSSEngine:
         def maintain(live: LogicalVideo) -> None:
             if compress_due:
                 self.deferred.compress_one(live)
-            if compact_due:
-                self.compactor.compact(live)
-                self._maybe_retile(live)
-            if refine_due:
-                self._refine_one(live)
+            if not (compact_due or refine_due):
+                return
+            # Refinement's interval is a multiple of compaction's, so a
+            # refinement tick is a compaction tick too: each pass learns
+            # whether the video is idle (nothing merged, no grid
+            # proposed, nothing to refine).
+            policy = self.retile_policy
+            version = self.catalog.data_version(live.id)
+            busy = self.compactor.compact(live) > 0
+            busy |= self._maybe_retile(live)
+            candidates = self._refine_candidates(live)
+            if refine_due and candidates:
+                self._refine_one(live, candidates)
+            if not (busy or candidates) and (
+                version == self.catalog.data_version(live.id)
+            ):
+                with self._state_lock:
+                    self._idle[live.id] = (version, policy)
 
         self._run_if_current(logical, maintain)
 
@@ -1475,12 +1536,13 @@ class VSSEngine:
             self._counters.add(retiles=1)
         return group
 
-    def _maybe_retile(self, logical: LogicalVideo) -> None:
+    def _maybe_retile(self, logical: LogicalVideo) -> bool:
         """Access-driven re-tiling (runs under the exclusive lock during
         maintenance): flush the in-memory ROI access log to the catalog,
         then ask the policy whether the accumulated evidence justifies a
         new grid.  A successful retile consumes the log, so the next
-        proposal needs fresh evidence."""
+        proposal needs fresh evidence.  Returns whether the policy
+        proposed a grid."""
         with self._state_lock:
             accesses = self._roi_accesses.pop(logical.id, None)
         if accesses:
@@ -1489,38 +1551,50 @@ class VSSEngine:
             )
         original = self.catalog.original_physical(logical.id)
         if original is None:
-            return
+            return False
         stored = self.catalog.roi_accesses(logical.id)
         if not stored:
-            return
+            return False
         groups = self.catalog.tile_groups_of_logical(logical.id)
         current = groups[0].grid if groups else None
         grid = self.retile_policy.propose(
             original.width, original.height, stored, current
         )
         if grid is None:
-            return
+            return False
         try:
             self.tiler.retile(logical, original, grid)
         except WriteError:
-            return  # source not tileable (evicted pages / joint pairs)
+            return True  # source not tileable (evicted pages / joint pairs)
         self.catalog.clear_roi_accesses(logical.id)
         self._counters.add(retiles=1)
+        return True
 
-    def _refine_one(self, logical: LogicalVideo) -> None:
-        """Periodic exact-quality sampling (section 3.2): decode a sample
-        of one cached physical video, compare against the original, and
-        replace the estimated MSE with the measurement.  A per-logical
-        cursor rotates through the candidates, so refinement eventually
-        covers every cached physical instead of resampling the first."""
-        original = self.catalog.original_physical(logical.id)
-        if original is None:
-            return
-        candidates = [
+    def _refine_candidates(self, logical: LogicalVideo) -> list[PhysicalVideo]:
+        """The cached physicals refinement samples: sealed, not the
+        original, with an estimate to replace."""
+        return [
             p
             for p in self.catalog.list_physicals(logical.id)
             if not p.is_original and p.sealed and p.mse_estimate > 0.0
         ]
+
+    def _refine_one(
+        self,
+        logical: LogicalVideo,
+        candidates: list[PhysicalVideo] | None = None,
+    ) -> None:
+        """Periodic exact-quality sampling (section 3.2): decode a sample
+        of one of ``candidates`` (default: :meth:`_refine_candidates`),
+        compare against the original, and replace the estimated MSE with
+        the measurement.  A per-logical cursor rotates through the
+        candidates, so refinement eventually covers every cached
+        physical instead of resampling the first."""
+        original = self.catalog.original_physical(logical.id)
+        if original is None:
+            return
+        if candidates is None:
+            candidates = self._refine_candidates(logical)
         if not candidates:
             return
         with self._state_lock:
@@ -1543,7 +1617,11 @@ class VSSEngine:
             cached = self.reader.load_stored(sample)
             pieces = [self.reader.load_stored(gop) for gop in window]
         except ReadError:
-            return  # sampling is best-effort
+            # Still reachable with leases: this runs under the video's
+            # exclusive lock, but joint compression takes no video lock
+            # (ROADMAP item 6) and may pair an original GOP of the
+            # window, sweeping its page, after the query above.
+            return
         reference = pieces[0].concatenate(pieces).slice_time(
             sample.start_time, sample.end_time
         )
@@ -1590,11 +1668,13 @@ class VSSEngine:
     def check(self, name: str | None = None) -> dict[str, list[str]]:
         """Diff the catalog against the files, for one video or the store.
 
-        Returns relative paths under three keys: ``orphans`` (files no
-        row names), ``dangling`` (files a row names that are missing) and
+        Returns relative paths under four keys: ``orphans`` (files no
+        row names), ``dangling`` (files a row names that are missing),
         ``mismatched`` (GOP files whose header codec, frame count or
-        geometry disagrees with the catalog).  Each video is diffed under
-        its shared lock (:func:`diff_store`).  Nothing is repaired.
+        geometry disagrees with the catalog) and ``pending`` (files no
+        row names that an open read stream still leases; they go when
+        its lease does).  Each video is diffed under its shared lock
+        (:func:`diff_store`).  Nothing is repaired.
         """
         if name is not None:
             self._require_storage(name, "check")
@@ -1782,21 +1862,35 @@ class VSSEngine:
         return hits
 
 
+def _end_stream(layout: Layout, lease: int, snapshot: Snapshot) -> None:
+    """Release what a :class:`ReadStream` holds: its page lease (a page
+    swept meanwhile goes now) and its decode-cache snapshot."""
+    snapshot.release()
+    layout.release(lease)
+
+
 class ReadStream(ChunkStream):
     """The in-process stream: a pull-based handle over one streamed read.
 
     Iterating yields :class:`repro.core.reader.ReadChunk` increments —
     decoded segments for raw requests, encoded GOP runs for compressed
     ones — holding only O(GOP window) frames resident at a time.  The
-    per-logical *shared* lock is taken per *chunk*, so streams and
-    one-shot reads over one video genuinely overlap, and a delete can
-    land mid-stream (the next pull then raises the read/catalog error).
+    video's *shared* lock was held once, to plan
+    (:meth:`VSSEngine.read_stream`); the stream holds a lease on every
+    file its plan reads and a decode-cache snapshot of that moment
+    instead, so a pull takes no lock and the stream finishes the
+    snapshot it planned, whatever eviction, compaction, deferred
+    compression, a re-tile, joint compression or a delete of its video
+    do meanwhile.
 
     ``stats`` accumulates as chunks are pulled and is final once the
     stream is exhausted, at which point the engine's read counters and
     periodic maintenance run exactly as for a one-shot ``read()``.  The
     lifecycle (callbacks, ``exhausted``, ``collect``, ``close``) is
-    :class:`ChunkStream`'s; abandoning closes the reader's generator.
+    :class:`ChunkStream`'s; finishing or abandoning releases the lease
+    and the snapshot (as do the engine's ``close()`` for the lease and
+    the stream's garbage collection for both), and abandoning also
+    closes the reader's generator.
     """
 
     # Its own entry in the class, so a tracer can wrap the in-process
@@ -1809,7 +1903,8 @@ class ReadStream(ChunkStream):
         logical: LogicalVideo,
         plan,
         stats: ReadStats,
-        chunks,
+        lease: int,
+        snapshot: Snapshot,
         on_complete=None,
         on_failure=None,
     ):
@@ -1819,7 +1914,11 @@ class ReadStream(ChunkStream):
         self._logical = logical
         self.spec = plan.request
         self.plan = plan
-        self._chunks = chunks
+        self._chunks = engine.reader.iter_output(plan, stats, snapshot)
+        # Runs once: at the stream's end, or when it is collected.
+        self._release = weakref.finalize(
+            self, _end_stream, engine.layout, lease, snapshot
+        )
 
     # The caller's pull time is this stream's own ReadStats.wall_seconds.
     @property
@@ -1832,21 +1931,20 @@ class ReadStream(ChunkStream):
 
     def _pull(self) -> ReadChunk | None:
         engine = self._engine
-        with engine._locked(self.spec.name, shared=True):
-            chunk = next(self._chunks, None)
-            if chunk is not None:
-                engine.catalog.touch_gops(chunk.gop_ids, engine.clock.tick())
+        chunk = next(self._chunks, None)
+        if chunk is not None:
+            engine.catalog.touch_gops(chunk.gop_ids, engine.clock.tick())
         return chunk
 
     def _finish(self) -> ReadStats:
-        # Complete outside the shared lock: maintenance needs the
-        # exclusive side, and an in-place upgrade would deadlock.
+        self._release()
         self._engine._complete_read(self._logical, self.plan, self.stats)
         self._engine._schedule_maintenance(self._logical)
         return self.stats
 
     def _abandon(self) -> None:
         self._chunks.close()
+        self._release()
 
 
 class Session(SessionSurface):

@@ -34,6 +34,12 @@ When the engine opens an existing catalog it sweeps every file under
 included), so a crash at any point leaves at worst an orphan until the
 next open; the open that creates the catalog sweeps nothing.
 
+A read stream keeps the pages it planned (:meth:`Layout.lease`): a
+sweep defers each leased path and unlinks it when its last lease is
+released, so eviction, re-tiling, joint compression or a delete never
+pull a page out from under an open stream.  Leases live in memory only;
+a crash drops them, and the next open's sweep removes what they held.
+
 That open-time sweep is safe only while no other engine writes the
 store: a file another engine has just written, whose row has not
 committed yet, would look like an orphan.  So an engine holds
@@ -48,7 +54,9 @@ lock.
 from __future__ import annotations
 
 import fcntl
+import itertools
 import os
+import threading
 from pathlib import Path
 
 from repro.errors import ContainerError, StoreLockedError
@@ -65,6 +73,13 @@ class Layout:
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / "videos").mkdir(exist_ok=True)
         (self.root / "joint").mkdir(exist_ok=True)
+        # Leases (lease / release / sweep): token -> its paths, the open
+        # leases per path, and the swept paths waiting for their last.
+        self._lease_lock = threading.Lock()
+        self._lease_ids = itertools.count()
+        self._leases: dict[int, tuple[str, ...]] = {}
+        self._leased: dict[str, int] = {}
+        self._deferred: set[str] = set()
 
     @property
     def catalog_path(self) -> Path:
@@ -150,8 +165,62 @@ class Layout:
 
         The one place the store deletes files: callers pass what a
         committed catalog transaction returned, or the diff of
-        :meth:`stored_files` against the catalog's live paths.
+        :meth:`stored_files` against the catalog's live paths.  A leased
+        path is deferred instead (:attr:`pending`) and goes when its
+        last lease is released.
         """
+        with self._lease_lock:
+            now = []
+            for relpath in relpaths:
+                if relpath in self._leased:
+                    self._deferred.add(relpath)
+                else:
+                    now.append(relpath)
+        self._remove(now)
+
+    def lease(self, relpaths) -> int:
+        """Keep ``relpaths`` on disk until :meth:`release` of the returned
+        token: a sweep meanwhile defers them.  The caller takes the lease
+        while no sweep of those paths can run (a read stream: under its
+        video's shared lock, right after planning)."""
+        paths = tuple(relpaths)
+        with self._lease_lock:
+            token = next(self._lease_ids)
+            self._leases[token] = paths
+            for path in paths:
+                self._leased[path] = self._leased.get(path, 0) + 1
+        return token
+
+    def release(self, token: int) -> None:
+        """Drop one lease (a second release of it does nothing),
+        unlinking each deferred path it was the last to hold."""
+        with self._lease_lock:
+            free = []
+            for path in self._leases.pop(token, ()):
+                left = self._leased[path] - 1
+                if left:
+                    self._leased[path] = left
+                    continue
+                del self._leased[path]
+                if path in self._deferred:
+                    self._deferred.discard(path)
+                    free.append(path)
+        self._remove(free)
+
+    def release_all(self) -> None:
+        """Drop every lease, as the engine does when it closes."""
+        with self._lease_lock:
+            tokens = list(self._leases)
+        for token in tokens:
+            self.release(token)
+
+    @property
+    def pending(self) -> frozenset[str]:
+        """Swept paths a lease still keeps on disk."""
+        with self._lease_lock:
+            return frozenset(self._deferred)
+
+    def _remove(self, relpaths) -> None:
         for relpath in relpaths:
             path = self.root / relpath
             path.unlink(missing_ok=True)

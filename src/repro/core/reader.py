@@ -78,7 +78,7 @@ import numpy as np
 from repro.core.decode_cache import BatchDecodeCache
 from repro.core.layout import Layout
 from repro.core.read_planner import IntervalChoice, ReadPlan
-from repro.core.records import ROI, GopRecord
+from repro.core.records import ROI, GopRecord, JointPairRecord
 from repro.errors import ReadError
 from repro.util import map_parallel
 from repro.video.codec.blockcodec import LOCKSTEP_GOPS, CodecTimings
@@ -440,7 +440,9 @@ class _ChoiceSchedule:
     ``size`` is the canvas's ``(width, height)``, which differs from the
     fragment's when the choice resizes.  The decoded windows a read
     still needs for its later chunks are that read's own
-    (:meth:`Reader._iter_decoded`), never kept here.
+    (:meth:`Reader._iter_decoded`), never kept here.  ``pairs`` holds
+    each joint record's pair row as the plan's catalog snapshot named it
+    (None for the others), so a stream rebuilds the pair it planned.
     """
 
     choice: IntervalChoice
@@ -454,6 +456,7 @@ class _ChoiceSchedule:
     src_full: np.ndarray
     whole_frame: bool
     size: tuple[int, int]
+    pairs: tuple[JointPairRecord | None, ...]
 
 
 @dataclass(frozen=True)
@@ -499,12 +502,15 @@ class _Derived:
     stop frame)`` of every window the schedule reads but a joint GOP's
     (rebuilt from its pair's pieces, which the decode cache never
     holds), and ``joint`` says whether it reads one of those too.
+    ``pages`` names every file the plan reads: the pages a read stream
+    leases.
     """
 
     direct: list[GopRecord] | None
     chunks: list[_Chunk] = field(default_factory=list)
     windows: tuple[tuple[GopRecord, int], ...] = ()
     joint: bool = False
+    pages: frozenset[str] = frozenset()
 
 
 #: Sentinel marking iterator exhaustion inside the prefetch pipeline.
@@ -563,12 +569,18 @@ class Reader:
         if derived is None:
             direct = self._direct_serve_records(plan)
             derived = (
-                _Derived(direct)
+                _Derived(direct, pages=frozenset(r.path for r in direct))
                 if direct is not None
                 else _Derived(None, *self._decode_schedule(plan))
             )
             plan.derived = derived
         return derived
+
+    def pages(self, plan: ReadPlan) -> frozenset[str]:
+        """Every file ``plan`` reads: its GOPs' pages and, for a joint
+        GOP, its pair's pieces.  Runs under the video's lock, like any
+        first read of a plan (it reads joint pair rows)."""
+        return self._derive(plan).pages
 
     # ------------------------------------------------------------------
     # direct byte serving (no transcode)
@@ -657,12 +669,13 @@ class Reader:
         total = max(1, int(round((request.end - request.start) * fps)))
         return total, request.start + (np.arange(total) + 0.5) / fps
 
-    def _decode_schedule(
-        self, plan: ReadPlan
-    ) -> tuple[list[_Chunk], tuple[tuple[GopRecord, int], ...], bool]:
+    def _decode_schedule(self, plan: ReadPlan) -> tuple[
+        list[_Chunk], tuple[tuple[GopRecord, int], ...], bool, frozenset[str]
+    ]:
         """Statically partition a plan into chunks of output frames, list
         the ``(GOP record, stop frame)`` windows they read but joint
-        GOPs', and say whether they read a joint GOP's.
+        GOPs', say whether they read a joint GOP's, and name the files
+        they read.
 
         Chunk boundaries fall wherever some choice activates a new source
         GOP window, so handling one chunk decodes at most a handful of
@@ -676,6 +689,7 @@ class Reader:
         ctxs: list[_ChoiceSchedule] = []
         windows: list[tuple[GopRecord, int]] = []
         joint = False
+        pages: set[str] = set()
         cuts = {0, total}
         for choice in plan.choices:
             mask = (frame_times >= choice.start - _EPS) & (
@@ -696,11 +710,25 @@ class Reader:
                 self._window_bounds(r, fps_src, choice.start, choice.end)
                 for r in records
             ]
-            for record, (_, stop) in zip(records, bounds):
-                if record.joint_pair_id is None:
+            pairs = tuple(
+                None
+                if record.joint_pair_id is None
+                else self.catalog.get_joint_pair(record.joint_pair_id)
+                for record in records
+            )
+            for record, pair, (_, stop) in zip(records, pairs, bounds):
+                if pair is None:
                     windows.append((record, stop))
+                    pages.add(record.path)
                 else:
                     joint = True
+                    pages.update(
+                        path
+                        for path in (
+                            pair.left_path, pair.overlap_path, pair.right_path
+                        )
+                        if path is not None
+                    )
             offsets = np.concatenate(
                 [[0], np.cumsum([stop - first for first, stop in bounds])]
             ).astype(np.int64)
@@ -725,7 +753,7 @@ class Reader:
             ctxs.append(
                 _ChoiceSchedule(
                     choice, records, bounds, offsets, n_frames, t0, fps_src,
-                    out_idx, src_full, whole_frame, size,
+                    out_idx, src_full, whole_frame, size, pairs,
                 )
             )
         boundaries = sorted(cuts)
@@ -763,7 +791,7 @@ class Reader:
                 )
             run = _identity_run(ops, hi - lo)
             chunks.append(_Chunk(lo, hi, ops, run, _resized_identity(ops, run)))
-        return chunks, tuple(windows), joint
+        return chunks, tuple(windows), joint, frozenset(pages)
 
     def _build_windows(self, chunk: _Chunk, decode_cache) -> list[list]:
         """Decode (and RGB-convert) the windows one chunk's ops call for.
@@ -789,7 +817,7 @@ class Reader:
                     decoded.append((j, record.id, window.segment, window))
                     continue
                 window = self._decode_gop_window(
-                    record, first_needed, stop, decode_cache
+                    record, first_needed, stop, decode_cache, ctx.pairs[j]
                 )
                 rgb = convert_segment(window.segment, "rgb")
                 decoded.append((j, record.id, rgb, window))
@@ -1126,9 +1154,15 @@ class Reader:
         return first_needed, stop
 
     def _decode_gop_window(
-        self, record: GopRecord, first_needed: int, stop: int, decode_cache
+        self,
+        record: GopRecord,
+        first_needed: int,
+        stop: int,
+        decode_cache,
+        pair: JointPairRecord | None = None,
     ) -> _GopWindow:
-        """Decode frames ``[first_needed, stop)`` of one GOP.
+        """Decode frames ``[first_needed, stop)`` of one GOP (a joint one
+        from ``pair``, the pair row its plan named).
 
         Frames before the window inside the GOP are decoded anyway (the
         look-back dependency chain) and then dropped — unless the decode
@@ -1153,7 +1187,8 @@ class Reader:
         # this read's decode.
         ahead = decode_cache.take(record.id) if cacheable else None
         decoded, timings = ahead or self._decode_into(
-            decode_cache if cacheable else None, record, stop, CodecTimings()
+            decode_cache if cacheable else None, record, stop, CodecTimings(),
+            pair,
         )
         if timings is not None:
             frames_decoded, lookback = decoded.num_frames, first_needed
@@ -1175,12 +1210,13 @@ class Reader:
         record: GopRecord,
         stop: int,
         timings: CodecTimings,
+        pair: JointPairRecord | None = None,
     ) -> tuple[VideoSegment, CodecTimings | None]:
         """Decode a GOP's frames ``[0, stop)`` — all of a raw GOP, whose
         frames need no look-back — on the executor and put them in
         ``cache`` (None: nowhere).  Returns them and ``timings``, which
         the decode filled in (None for a raw GOP)."""
-        encoded = self._load_gop(record)
+        encoded = self._load_gop(record, pair)
         codec = codec_for(encoded.codec)
         if codec.is_compressed:
             decoded = codec.decode_gop_frames(
@@ -1215,26 +1251,37 @@ class Reader:
         encoded = self._load_gop(record)
         return codec_for(encoded.codec).decode_gop_frames(encoded, stop)
 
-    def _load_gop(self, record: GopRecord) -> EncodedGOP:
+    def _load_gop(
+        self, record: GopRecord, pair: JointPairRecord | None = None
+    ) -> EncodedGOP:
         if record.joint_pair_id is not None:
-            # Joint GOPs are reconstructed from their shared pair pieces.
+            # Joint GOPs are reconstructed from their shared pair pieces:
+            # a read's from the pair row its plan named, background
+            # work's from the catalog's current one.
             from repro.jointcomp.recovery import recover_gop
 
-            pair = self.catalog.get_joint_pair(record.joint_pair_id)
-            return recover_gop(self.layout, pair, record)
+            if pair is None:
+                pair = self.catalog.get_joint_pair(record.joint_pair_id)
+            try:
+                return recover_gop(self.layout, pair, record)
+            except FileNotFoundError:
+                raise self._missing(record) from None
         return self._read_gop_file(record).with_start_time(record.start_time)
 
     def _read_gop_file(self, record: GopRecord) -> EncodedGOP:
         try:
             return self.layout.read_gop(record.path)
         except FileNotFoundError:
-            # A page's path never changes, so a missing file means the page
-            # was evicted or deleted after this read was planned (a stream
-            # pulls its chunks across separate lock holds).
-            raise ReadError(
-                f"GOP {record.id} ({record.path}) was evicted or deleted"
-                " after the read was planned"
-            ) from None
+            raise self._missing(record) from None
+
+    @staticmethod
+    def _missing(record: GopRecord) -> ReadError:
+        """The error of a GOP whose file is gone.  A page's path never
+        changes and a read stream leases what it planned, so the file
+        went after the caller's catalog snapshot, to a sweep the caller
+        holds no lock against (joint compression takes none), or behind
+        the store's back."""
+        return ReadError(f"GOP {record.id} ({record.path}) is gone from the store")
 
     # ------------------------------------------------------------------
     @staticmethod

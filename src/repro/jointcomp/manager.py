@@ -133,8 +133,11 @@ class JointCompressionManager:
             seg_a = self._decode_rgb(gop_a)
             seg_b = self._decode_rgb(gop_b)
         except ReadError:
-            # A page swept since the scan (its video was deleted): the
-            # pair is gone, as on a CatalogError in _persist_pair.
+            # A page swept since the scan (its video was deleted, or the
+            # GOP paired): the pair is gone, as on a CatalogError in
+            # _persist_pair.  Leases do not cover this: optimize holds
+            # no video lock between its scan and this decode, so nothing
+            # can lease the page before a sweep (ROADMAP item 6).
             return False
         frames = min(seg_a.num_frames, seg_b.num_frames)
         if frames < 1:

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import VSSError
 from repro.search.index import EMBEDDING_DIM, SearchIndex
 from repro.video.frame import VideoSegment
 from repro.vision import (
@@ -120,9 +121,9 @@ def extract_physical(
 
     Returns the number of rows written.  ``load(record)`` decodes a GOP
     (module docstring).  Joint-stored GOPs (their bytes live in a shared
-    pair file) and GOPs that fail to load or decode are skipped rather
-    than failing the pass — extraction is opportunistic, exactly like
-    cache admission.
+    pair file) and GOPs that fail to load or decode with a typed error
+    are skipped rather than failing the pass — extraction is
+    opportunistic, exactly like cache admission.
     """
     indexed = 0
     for record in gop_records:
@@ -130,7 +131,13 @@ def extract_physical(
             continue
         try:
             features = extract_gop(load(record))
-        except Exception:  # noqa: BLE001 - opportunistic, like admission
+        except VSSError:
+            # Opportunistic, like admission.  Extraction holds the
+            # video's shared lock, so no eviction, re-tile or delete
+            # sweeps an original page under it; joint compression takes
+            # no video lock (ROADMAP item 6) and may pair the GOP and
+            # sweep its page (a ReadError), and a corrupt page fails to
+            # decode (a ContainerError).
             continue
         index.upsert(
             logical_id,

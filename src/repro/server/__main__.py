@@ -46,6 +46,7 @@ def check_offline(root: str | Path) -> dict[str, list[str]]:
             "orphans": sorted(layout.stored_files()),
             "dangling": [],
             "mismatched": [],
+            "pending": [],
         }
     catalog = Catalog(layout.catalog_path)
     try:

@@ -163,16 +163,22 @@ def _entry(name) -> tuple:
 def _pull(frames) -> tuple[list, bool]:
     """Up to one bounded batch of frames, pulled on a bridge thread.
 
-    Returns ``(batch, exhausted)``.
+    Returns ``(batch, exhausted)``.  A pull that raises ends the batch
+    and the answer with an ``ERROR`` frame after the frames pulled
+    before it, as the HTTP server sends them.
     """
     batch: list = []
     nbytes = 0
-    while len(batch) < _PULL_MAX_FRAMES and nbytes < _PULL_MAX_BYTES:
-        frame = next(frames, None)
-        if frame is None:
-            return batch, True
-        batch.append(frame)
-        nbytes += sum(memoryview(buffer).nbytes for buffer in frame)
+    try:
+        while len(batch) < _PULL_MAX_FRAMES and nbytes < _PULL_MAX_BYTES:
+            frame = next(frames, None)
+            if frame is None:
+                return batch, True
+            batch.append(frame)
+            nbytes += sum(memoryview(buffer).nbytes for buffer in frame)
+    except Exception as exc:  # noqa: BLE001 - in-band error frame
+        batch.append(error_frame(exc))
+        return batch, True
     return batch, False
 
 

@@ -29,7 +29,7 @@ from repro.cluster import (
     parse_shard,
 )
 from repro.cluster.router import _Shard
-from repro.core.engine import VSSEngine
+from repro.core.engine import COMPACT_INTERVAL, VSSEngine
 from repro.core.specs import ReadSpec, ViewSpec
 from repro.errors import (
     ReadError,
@@ -233,7 +233,7 @@ class TestRouting:
         with VSSBinaryClient(*router.address) as client:
             _load(client, "cam", tiny_clip)
             assert client.check() == {
-                "orphans": [], "dangling": [], "mismatched": []
+                "orphans": [], "dangling": [], "mismatched": [], "pending": []
             }
             fleet.kill(victim)
             with pytest.raises(ShardUnavailableError, match="died") as info:
@@ -431,6 +431,23 @@ class TestRouting:
         assert (rolled["decode_cache_hits"], rolled["decode_cache_misses"]) == (
             1, 1,
         )
+
+    def test_metrics_sum_skipped_maintenance_across_shards(
+        self, router, fleet, tiny_clip
+    ):
+        # Warm reads of an unchanged video: after the first maintenance
+        # pass finds nothing, its shard's later due ticks queue nothing.
+        with VSSBinaryClient(*router.address) as client:
+            _load(client, "cam", tiny_clip)
+            for _ in range(5 * COMPACT_INTERVAL):
+                client.read("cam", 0.0, 0.8, codec="raw", cache=False)
+            for engine in fleet.engines:
+                engine.drain_admissions()
+            rolled = client.metrics()["engine"]["maintenance"]
+        engines = [engine.stats() for engine in fleet.engines]
+        for key in ("admissions_enqueued", "maintenance_skipped"):
+            assert rolled[key] == sum(getattr(s, key) for s in engines), key
+        assert rolled["maintenance_skipped"] >= 1
 
 
 class TestLiveness:

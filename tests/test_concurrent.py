@@ -24,10 +24,11 @@ import pytest
 from repro.client import VSSClient
 from repro.core.admission import AdmissionWorker
 from repro.core.cost import CostModel
-from repro.core.engine import EngineStats, Session, VSSEngine
+from repro.core.engine import COMPACT_INTERVAL, EngineStats, Session, VSSEngine
 from repro.core.read_planner import plan_read
 from repro.core.rwlock import RWLock, RWLockStats
 from repro.core.specs import ReadSpec, ViewSpec, WriteSpec
+from repro.tiles import RetilePolicy
 from repro.util import Counters, LogicalClock
 from repro.errors import (
     FormatError,
@@ -177,6 +178,7 @@ class TestEngineSessions:
         "lock_shared_acquisitions", "lock_exclusive_acquisitions",
         "admission_queue_depth", "admissions_enqueued",
         "admissions_completed", "admissions_coalesced", "admissions_dropped",
+        "maintenance_skipped",
         "search_index_rows", "extraction_pending", "extraction_completed",
         "extraction_dropped", "searches_served", "search_seconds",
         "tiles_total", "tiles_decoded", "tile_bytes_skipped", "retiles",
@@ -1242,6 +1244,89 @@ class TestRefineRotation:
         finally:
             loaded_engine.catalog.update_mse_estimate = original_update
         assert len(set(refined)) >= 2  # rotation covered multiple physicals
+
+
+class TestIdleMaintenance:
+    """A due compaction/refinement tick of a video unchanged since a
+    maintenance pass that found nothing to do queues nothing, and any
+    change that could give that pass work re-arms the next one."""
+
+    SPEC = ReadSpec("cam", 0.0, 1.0, codec="raw", cache=False)
+
+    def _streams(self, engine: VSSEngine, count: int) -> None:
+        session = engine.session()
+        for _ in range(count):
+            assert list(session.read_stream(self.SPEC))
+        engine.drain_admissions()
+
+    def _to_next_tick(self, engine: VSSEngine) -> None:
+        """Stream until the next compaction tick is due, then drain."""
+        self._streams(engine, COMPACT_INTERVAL - engine._reads_since_compact)
+
+    def test_warm_streams_of_an_unchanged_video_enqueue_nothing(
+        self, loaded_engine
+    ):
+        spec = ReadSpec("traffic", 0.0, 1.0, codec="raw", cache=False)
+        session = loaded_engine.session()
+        for _ in range(COMPACT_INTERVAL):  # one pass, which finds nothing
+            list(session.read_stream(spec))
+        loaded_engine.drain_admissions()
+        before = loaded_engine.stats()
+        for _ in range(64):
+            list(session.read_stream(spec))
+        loaded_engine.drain_admissions()
+        after = loaded_engine.stats()
+        assert after.admissions_enqueued == before.admissions_enqueued
+        assert after.lock_exclusive_acquisitions == (
+            before.lock_exclusive_acquisitions
+        )
+        assert after.maintenance_skipped == (
+            before.maintenance_skipped + 64 // COMPACT_INTERVAL
+        )
+
+    @pytest.mark.parametrize(
+        "change", ["write", "append", "admission", "roi_read", "policy"]
+    )
+    def test_a_change_rearms_the_next_tick(
+        self, engine, three_second_clip, monkeypatch, change
+    ):
+        clip = three_second_clip
+        stream = engine.open_write_stream(
+            "cam", "h264", "rgb", clip.width, clip.height, clip.fps,
+            qp=10, gop_size=30,
+        )
+        stream.append(clip.slice_frames(0, 30))
+        stream.append(clip.slice_frames(30, 60))
+        self._to_next_tick(engine)  # a pass that finds nothing
+        passes: list[str] = []
+        compact, retile = engine.compactor.compact, engine._maybe_retile
+        monkeypatch.setattr(
+            engine.compactor, "compact",
+            lambda live: passes.append("compact") or compact(live),
+        )
+        monkeypatch.setattr(
+            engine, "_maybe_retile",
+            lambda live: passes.append("retile") or retile(live),
+        )
+        self._to_next_tick(engine)
+        assert passes == []
+        session = engine.session()
+        if change == "write":
+            session.write(
+                "cam", clip.slice_frames(0, 30), codec="hevc", gop_size=30
+            )
+        elif change == "append":
+            stream.append(clip.slice_frames(60, 90))
+        elif change == "admission":
+            session.read("cam", 0.0, 1.0, codec="hevc")
+        elif change == "roi_read":
+            session.read("cam", 0.0, 1.0, roi=(0, 0, 32, 18), cache=False)
+        else:
+            engine.retile_policy = RetilePolicy()
+        engine.drain_admissions()
+        self._to_next_tick(engine)
+        assert passes == ["compact", "retile"]
+        stream.close()
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from repro.server.__main__ import check_offline
 from repro.synthetic import visualroad
 from repro.video.metrics import segment_psnr
 
-CLEAN = {"orphans": [], "dangling": [], "mismatched": []}
+CLEAN = {"orphans": [], "dangling": [], "mismatched": [], "pending": []}
 
 
 class Crash(Exception):
@@ -367,6 +367,7 @@ def test_check_reports_without_repairing(tmp_path, calibration, tiny_clip):
             "orphans": ["videos/a/77/0.gop"],
             "dangling": [first],
             "mismatched": [second],
+            "pending": [],
         }
         assert engine.check() == expected
         assert engine.check("a") == expected

@@ -349,6 +349,65 @@ class TestDecodeCache:
 # ----------------------------------------------------------------------
 # decode cache through the store
 # ----------------------------------------------------------------------
+class TestDecodeCacheSnapshot:
+    """A read stream decodes through a snapshot taken with its plan: a
+    GOP invalidated after it is a miss there and takes none of its puts,
+    while reads under the lock (no snapshot) see the cache as usual."""
+
+    def _segment(self, fill: int) -> object:
+        return blank_segment(4, 4, 4, fps=30.0, fill=fill)
+
+    def test_a_gop_invalidated_after_the_snapshot_is_neither_read_nor_put(self):
+        cache = DecodeCache(capacity_bytes=1 << 20)
+        cache.put(1, 4, self._segment(1))
+        cache.put(2, 4, self._segment(2))
+        snapshot = cache.snapshot()
+        cache.invalidate(1)  # GOP 1's page rewritten after the plan
+        cache.put(1, 4, self._segment(9))  # a locked read's new decode
+        misses = cache.stats.misses
+        assert snapshot.get(1, 4) is None
+        assert snapshot.peek(1, 4) is None
+        assert cache.stats.misses == misses + 1
+        snapshot.put(1, 4, self._segment(1))  # the stream's old decode
+        assert int(cache.peek(1, 4).pixels[0, 0, 0, 0]) == 9
+        # An untouched GOP reads and fills as usual.
+        assert int(snapshot.get(2, 4).pixels[0, 0, 0, 0]) == 2
+        snapshot.put(3, 4, self._segment(3))
+        assert 3 in cache
+        # A snapshot taken after the rewrite sees the new decode.
+        later = cache.snapshot()
+        assert int(later.get(1, 4).pixels[0, 0, 0, 0]) == 9
+        later.release()
+        snapshot.release()
+
+    def test_an_old_decode_never_lands_after_its_invalidation(self):
+        cache = DecodeCache(capacity_bytes=1 << 20)
+        snapshot = cache.snapshot()
+        cache.invalidate(1)  # the cache held nothing of GOP 1 yet
+        snapshot.put(1, 4, self._segment(1))
+        snapshot.put_resized(1, 4, self._segment(1), 0.5)
+        assert 1 not in cache
+
+    def test_a_released_snapshot_puts_nothing_and_leaves_no_bookkeeping(self):
+        cache = DecodeCache(capacity_bytes=1 << 20)
+        first, second = cache.snapshot(), cache.snapshot()
+        cache.invalidate_many([1, 2])
+        third = cache.snapshot()
+        cache.invalidate(3)
+        first.release()
+        first.release()  # a second release does nothing
+        first.put(4, 4, self._segment(4))
+        assert 4 not in cache
+        # GOPs 1 and 2 stay stale for the snapshot still older than them.
+        cache.put(1, 4, self._segment(1))
+        assert second.get(1, 4) is None
+        second.release()
+        assert cache._dropped == {3: cache._epoch}
+        assert third.get(1, 4) is not None and third.get(3, 4) is None
+        third.release()
+        assert cache._dropped == {} and cache._snapshots == {}
+
+
 class TestDecodeCacheIntegration:
     def test_repeated_read_hits(self, loaded_store):
         first = loaded_store.read("traffic", 0.4, 1.6, cache=False)

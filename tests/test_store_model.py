@@ -2,11 +2,12 @@
 
 Two engines on two roots run the same hypothesis-drawn history of stream
 appends, stream closes, whole writes, raw reads at full and half
-resolution, hevc reads, streamed reads (drained at once), joint
-compression, delete + re-create, engine close + reopen, and the page
-rewrites: budget enforcement under a small budget, compaction, deferred
-compression (raw reads above its threshold, then a drain) and a re-tile
-followed by an ROI read.  One keeps the default decode cache; its twin
+resolution, hevc reads, streamed reads (drained at once), a streamed
+read held open across the steps that follow, joint compression, delete
++ re-create, engine close + reopen, and the page rewrites: budget
+enforcement under a small budget, compaction, deferred compression (raw
+reads above its threshold, then a drain) and a re-tile followed by an
+ROI read.  One keeps the default decode cache; its twin
 has none (``decode_cache_bytes=0``).  The decode cache changes who
 decodes a GOP (a read, search extraction, joint compression, tiling and
 refinement take frames from it), and the catalog drops a rewritten
@@ -19,7 +20,9 @@ else: after every step both engines have given the same bytes or raised
 the same :class:`~repro.errors.VSSError` class, report the same storage
 per video, hold byte-equal joint pieces under the same names, rank a
 search alike (extraction indexed the same features), and report a clean
-``engine.check()``; every answer either gave is read-only; and each
+``engine.check()`` (a held stream's leased files aside, which both
+list as ``pending``); a held stream drains to what an unraced read of
+its spec gave when it opened; every answer either gave is read-only; and each
 engine's catalog, whose row lookups are memoized and whose LRU stamps
 wait in memory, answers as a fresh catalog on the same database does.
 
@@ -48,6 +51,8 @@ from hypothesis.stateful import (
 from repro.core.catalog import Catalog
 from repro.core.engine import VSSEngine
 from repro.core.layout import Layout
+from repro.core.reader import ReadResult
+from repro.core.specs import ReadSpec
 from repro.errors import VSSError, WriteError
 from repro.jointcomp import JointCompressionManager
 from repro.synthetic import visualroad
@@ -72,6 +77,17 @@ def sources():
     return visualroad("1K", overlap=0.5, num_frames=SECONDS * FPS).videos(
         0, SECONDS * FPS
     )
+
+
+def joined(first, rest):
+    """A stream's first chunk and the result collecting the rest gave,
+    as one result shaped like a read's."""
+    if first.gops is not None:
+        return ReadResult(rest.plan, None, first.gops + rest.gops, rest.stats)
+    segment = first.segment
+    if rest.segment is not None:
+        segment = segment.concatenate([segment, rest.segment])
+    return ReadResult(rest.plan, segment, None, rest.stats)
 
 
 def outcome(call):
@@ -102,6 +118,9 @@ class TwinStores(RuleBasedStateMachine):
         self.seconds = dict.fromkeys(CAMERAS, 0)
         #: The read results of the current step, on both twins.
         self.answers: list = []
+        #: A read stream held open on both twins: (streams, their first
+        #: chunks, the answer an unraced read gave when they opened).
+        self.held: tuple[list, list, object] | None = None
 
     def open(self, twin: int) -> VSSEngine:
         cache_bytes = {} if twin == 0 else {"decode_cache_bytes": 0}
@@ -272,6 +291,32 @@ class TwinStores(RuleBasedStateMachine):
             resolution=HALF if raw and half else None,
         )
 
+    @precondition(lambda self: self.held is None)
+    @rule(data=st.data(), codec=st.sampled_from(("raw", "hevc")))
+    def open_held_stream(self, data, codec):
+        """Read a window, then open a stream of the same spec on both
+        twins and pull it once; it stays open across the steps that
+        follow, until :meth:`drain_held_stream` (none when the read
+        fails)."""
+        raw = codec == "raw"
+        camera, start, end = self.window(data, 0.5 if raw else 1.0)
+        spec = ReadSpec(camera, start, end, codec=codec, cache=False)
+        expected = self.both(lambda twin: self.engines[twin].session().read(spec))
+        if isinstance(expected, type):
+            return
+        streams = [engine.session().read_stream(spec) for engine in self.engines]
+        self.held = (streams, [next(stream) for stream in streams], expected)
+
+    @precondition(lambda self: self.held is not None)
+    @rule()
+    def drain_held_stream(self):
+        """Whatever ran since it opened, the held stream drains to the
+        unraced answer on both twins, and its leases end with it."""
+        streams, firsts, expected = self.held
+        self.held = None
+        for stream, first in zip(streams, firsts):
+            assert outcome(lambda: joined(first, stream.collect())) == expected
+
     @precondition(lambda self: not self.empty())
     @rule()
     def jointly_compress(self):
@@ -345,16 +390,26 @@ class TwinStores(RuleBasedStateMachine):
             engine.close()
         self.engines = [self.open(i) for i in (0, 1)]
         # Open streams die with their engine; their videos keep what was
-        # appended and take no more.
+        # appended and take no more, and a held read stream's leases end
+        # (the invariant finds its files gone).
         self.streams = dict.fromkeys(CAMERAS)
+        self.close_held()
+
+    def close_held(self) -> None:
+        if self.held is not None:
+            for stream in self.held[0]:
+                stream.close()
+            self.held = None
 
     # ------------------------------------------------------------------
     @invariant()
     def twins_agree_and_check_clean(self):
         self.drain()
-        assert [engine.check() for engine in self.engines] == [
-            {"orphans": [], "dangling": [], "mismatched": []}
-        ] * 2
+        reports = [engine.check() for engine in self.engines]
+        assert reports[0] == reports[1]
+        pending = reports[0].pop("pending")
+        assert reports[0] == {"orphans": [], "dangling": [], "mismatched": []}
+        assert self.held is not None or pending == []
         pieces = [
             {p.name: p.read_bytes() for p in (root / "joint").iterdir()}
             for root in self.roots
@@ -415,6 +470,7 @@ class TwinStores(RuleBasedStateMachine):
         return memoized, [catalog.gops_of_logical(v.id) for v in logicals]
 
     def teardown(self):
+        self.close_held()
         for engine in self.engines:
             engine.close()
         shutil.rmtree(self.dir, ignore_errors=True)
@@ -463,5 +519,45 @@ def test_twins_agree_on_an_ingest_follow_epoch(monkeypatch):
             machine.read(camera, 0.0, float(SECONDS), codec="raw")
             machine.read(camera, 0.0, 2.0, codec="hevc")
         machine.answers_are_read_only()
+    finally:
+        machine.teardown()
+
+
+class _Draws:
+    """Stands in for ``st.data()``: hands out fixed draws in order."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy):
+        return self.values.pop(0)
+
+
+def test_a_held_stream_outlives_the_eviction_of_its_pages():
+    """The history the held-stream rule first found, replayed: a raw
+    read admits a cached raw copy of the first second, a stream of that
+    second planned from it is held open while a budget of 1 evicts the
+    copy, and the stream still drains to the unraced answer on both
+    twins (it raised ``ReadError`` before streams leased their pages)."""
+    machine = TwinStores()
+    steps = [
+        ("session_write", dict(data=_Draws("left"), seconds=1)),
+        (
+            "read_raw",
+            dict(data=_Draws("left", True, 0, 1), half=False, cache=True),
+        ),
+        ("open_held_stream", dict(data=_Draws("left", True, 0, 1), codec="raw")),
+        ("evict_to_budget", dict(data=_Draws("left"), budget=1)),
+        ("drain_held_stream", {}),
+    ]
+    try:
+        for name, arguments in steps:
+            getattr(machine, name)(**arguments)
+            machine.answers_are_read_only()
+            machine.catalog_answers_as_a_fresh_one()
+            machine.twins_agree_and_check_clean()
+            if name == "evict_to_budget":
+                pending = machine.engines[0].check()["pending"]
+                assert pending == machine.engines[1].check()["pending"] != []
     finally:
         machine.teardown()

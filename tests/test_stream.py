@@ -14,9 +14,13 @@ The contracts under test:
   decodes ahead of the pull, and no chunk ever approaches the full
   read's size.
 * Stream completion updates engine/session counters exactly like a
-  one-shot read; early close counts nothing; a delete landing
-  mid-stream surfaces as an error on the next pull instead of pinning
-  the engine.
+  one-shot read; early close counts nothing.
+* A stream keeps the snapshot it planned: it takes its video's lock
+  once, to plan, then leases every file the plan reads, so an
+  eviction, compaction, deferred compression, re-tile, joint pairing or
+  delete landing mid-stream changes nothing it returns; ``check()``
+  lists the files it keeps under ``pending`` until it ends (or the
+  engine closes), and then they are gone.
 * A plan-cached read derives nothing from its plan again, builds its
   chunks on the calling thread when every window it reads is cached
   (on the pool otherwise), and concurrent reads sharing one cached plan
@@ -37,6 +41,8 @@ from repro.core.engine import VSSEngine
 from repro.core.reader import Reader
 from repro.core.specs import ReadSpec
 from repro.errors import ReadError, VSSError
+from repro.jointcomp import JointCompressionManager
+from repro.synthetic import visualroad
 from repro.video.codec.container import encode_container
 from repro.video.frame import VideoSegment
 
@@ -62,6 +68,10 @@ def loaded(serial_engine, three_second_clip) -> VSSEngine:
 
 def _gop_bytes(gops) -> bytes:
     return b"".join(encode_container(g) for g in gops)
+
+
+#: What ``engine.check()`` reports on a clean store.
+CLEAN = {"orphans": [], "dangling": [], "mismatched": [], "pending": []}
 
 
 class TestBitIdentity:
@@ -218,7 +228,7 @@ class TestLifecycle:
             next(stream)
 
     def test_streams_interleave_on_one_video(self, loaded):
-        """Per-chunk locking: two streams over one video make progress
+        """Lock-free pulls: two streams over one video make progress
         alternately instead of serializing end-to-end."""
         session = loaded.session()
         spec = ReadSpec("traffic", 0.0, 3.0, codec="raw", cache=False)
@@ -232,38 +242,55 @@ class TestLifecycle:
             np.concatenate(pixels_a), np.concatenate(pixels_b)
         )
 
-    def test_delete_mid_stream_raises(self, loaded):
+    def test_delete_mid_stream_finishes_the_snapshot(self, loaded):
+        """A stream whose video is deleted after its first pull returns
+        the rest of what it planned and counts one read; the video's
+        files go when it ends."""
         session = loaded.session()
         spec = ReadSpec("traffic", 0.0, 3.0, codec="raw", cache=False)
+        expected = session.read(spec).segment.pixels
         loaded.decode_cache.clear()
+        reads = loaded.stats().reads
         stream = session.read_stream(spec)
-        next(stream)
+        first = next(stream)
         loaded.delete("traffic")
-        with pytest.raises(VSSError):
-            for _ in stream:
-                pass
+        assert loaded.check()["pending"]
+        rest = stream.collect()
+        assert np.array_equal(
+            np.concatenate([first.segment.pixels, rest.segment.pixels]),
+            expected,
+        )
+        assert loaded.stats().reads == reads + 1
+        assert loaded.check() == CLEAN
+        assert not (loaded.layout.root / "videos" / "traffic").exists()
 
-    def test_eviction_between_pulls_raises_read_error(self, loaded):
-        """A page evicted between two pulls is a typed error naming the
-        GOP, not a bare missing file."""
+    def test_eviction_between_pulls_reads_the_planned_pages(self, loaded):
+        """Pages evicted between two pulls stay until the stream ends:
+        it reads what it planned, then they are swept."""
         session = loaded.session()
         session.read("traffic", 0.0, 3.0, codec="raw")  # admits raw pages
         loaded.drain_admissions()
         spec = ReadSpec("traffic", 0.0, 3.0, codec="raw", cache=False)
+        expected = session.read(spec).segment.pixels
+        loaded.decode_cache.clear()
         stream = session.read_stream(spec)
-        raw_ids = {
-            g.id
+        raw = [
+            g
             for c in stream.plan.choices
             if c.fragment.physical.codec == "raw"
             for g in c.fragment.gops
-        }
-        assert raw_ids  # planned from the cached raw fragment
-        next(stream)
+        ]
+        assert raw  # planned from the cached raw fragment
+        pixels = [next(stream).segment.pixels]
         loaded.set_budget("traffic", 1)
-        loaded.enforce_budget("traffic")  # evicts every unprotected page
-        with pytest.raises(ReadError, match=r"GOP \d+ \(videos/"):
-            for _ in stream:
-                pass
+        evicted = loaded.enforce_budget("traffic").evicted_gop_ids
+        assert {g.id for g in raw} <= set(evicted)
+        assert loaded.check()["pending"] == sorted(g.path for g in raw)
+        pixels += [chunk.segment.pixels for chunk in stream]
+        assert np.array_equal(np.concatenate(pixels), expected)
+        assert loaded.check() == CLEAN
+        root = loaded.layout.root
+        assert not any((root / g.path).exists() for g in raw)
 
     def test_pages_compressed_between_pulls_read_the_same(
         self, serial_engine, three_second_clip
@@ -299,8 +326,9 @@ class TestLifecycle:
         before = loaded.stats()
         stream = session.read_stream(spec)
         next(stream)
-        loaded.delete("traffic")
-        with pytest.raises(VSSError):
+        # A page removed behind the store's back: no lease keeps it.
+        (loaded.layout.root / stream.plan.choices[0].fragment.gops[1].path).unlink()
+        with pytest.raises(ReadError, match=r"GOP \d+ \(videos/"):
             for _ in stream:
                 pass
         # retrying the dead stream raises StopIteration, not success
@@ -720,5 +748,216 @@ class TestWarmReadsDeriveOnce:
             finally:
                 sys.setswitchinterval(interval)
             assert failures == []
+        finally:
+            engine.close()
+
+
+def _answer(chunks) -> bytes:
+    """A streamed or read answer as bytes: its pixels or its GOPs."""
+    gops = [gop for chunk in chunks if chunk.gops for gop in chunk.gops]
+    if gops:
+        return _gop_bytes(gops)
+    return b"".join(chunk.segment.pixels.tobytes() for chunk in chunks)
+
+
+class TestLeases:
+    """A stream keeps the pages it planned, and pulls without a lock."""
+
+    def test_eviction_under_an_open_stream(
+        self, tmp_path, calibration, benchmark_size_clip
+    ):
+        """The probe: an hevc copy of a 3-s 192x108 clip, a cache=False
+        hevc stream over it pulled once, then the copy evicted."""
+        engine = VSSEngine(tmp_path / "store", calibration=calibration)
+        try:
+            session = engine.session()
+            session.write("v", benchmark_size_clip, codec="h264", gop_size=30)
+            session.read("v", 0.0, 3.0, codec="hevc")
+            engine.drain_admissions()
+            spec = ReadSpec("v", 0.0, 3.0, codec="hevc", cache=False)
+            expected = _gop_bytes(session.read(spec).gops)
+            stream = session.read_stream(spec)
+            first = next(stream)
+            engine.set_budget("v", 1)
+            assert engine.enforce_budget("v").evicted_gop_ids
+            report = engine.check()
+            pending = report.pop("pending")
+            assert pending and not any(report.values())
+            assert _answer([first, stream.collect()]) == expected
+            assert engine.check() == CLEAN
+            root = engine.layout.root
+            assert not any((root / path).exists() for path in pending)
+        finally:
+            engine.close()
+
+    def test_held_streams_outlive_every_page_rewrite(
+        self, tmp_path, calibration
+    ):
+        """Streams held open, one chunk pulled, across compaction,
+        deferred compression, a re-tile, joint compression and budget
+        eviction of the pages they planned: each finishes with its
+        unraced answer, no decode of a rewritten GOP goes back into the
+        decode cache, and the store is clean after the last ends."""
+        left, right = visualroad("1K", overlap=0.5, num_frames=90).videos(0, 90)
+        engine = VSSEngine(
+            tmp_path / "store", calibration=calibration, parallelism=1
+        )
+        try:
+            session = engine.session()
+            for name, clip in (("left", left), ("right", right)):
+                session.write(name, clip, codec="h264", qp=10, gop_size=30)
+            for start in (0.0, 1.0):  # two contiguous hevc copies
+                session.read("left", start, start + 1.0, codec="hevc")
+                engine.drain_admissions()
+            session.read("right", 0.0, 3.0, codec="raw")  # raw pages
+            engine.drain_admissions()
+            specs = [
+                ReadSpec("left", 0.0, 2.0, codec="hevc", cache=False),
+                ReadSpec("left", 0.0, 3.0, codec="raw", cache=False),
+                ReadSpec("right", 0.0, 3.0, codec="raw", cache=False),
+                ReadSpec(
+                    "right", 0.5, 2.5, codec="raw", resolution=(96, 54),
+                    cache=False,
+                ),
+            ]
+            expected = [_answer([session.read(spec)]) for spec in specs]
+            engine.decode_cache.clear()  # the streams decode after each step
+            streams = [session.read_stream(spec) for spec in specs]
+            firsts = [next(stream) for stream in streams]
+            planned = {
+                gop.path
+                for stream in streams
+                for choice in stream.plan.choices
+                for gop in choice.fragment.gops
+            }
+
+            assert engine.compact("left") >= 1
+            right_video = engine.catalog.get_logical("right")
+            with engine._locked("right"):
+                assert engine.deferred.compress_one(right_video) is not None
+            assert engine.retile("left", rows=2, cols=2) is not None
+            report = JointCompressionManager(engine, merge="mean").optimize()
+            assert report.pairs_compressed >= 1
+            for name in ("left", "right"):
+                engine.set_budget(name, 1)
+                engine.enforce_budget(name)
+            pending = set(engine.check()["pending"])
+            assert pending and pending <= planned
+            paired = [
+                gop.id
+                for name in ("left", "right")
+                for gop in engine.catalog.gops_of_logical(
+                    engine.catalog.get_logical(name).id
+                )
+                if gop.joint_pair_id is not None
+            ]
+            assert paired
+
+            for stream, first, want in zip(streams, firsts, expected):
+                assert _answer([first, stream.collect()]) == want
+            assert not any(gop_id in engine.decode_cache for gop_id in paired)
+            engine.drain_admissions()
+            assert engine.check() == CLEAN
+            root = engine.layout.root
+            assert not any((root / path).exists() for path in pending)
+        finally:
+            engine.close()
+
+    def test_a_drained_one_chunk_stream_takes_one_lock_hold(self, loaded):
+        spec = ReadSpec("traffic", 0.0, 1.0, codec="raw", cache=False)
+        session = loaded.session()
+        session.read(spec)
+        before = loaded.stats()
+        assert len(list(session.read_stream(spec))) == 1
+        after = loaded.stats()
+        assert after.lock_shared_acquisitions == (
+            before.lock_shared_acquisitions + 1
+        )
+        assert after.lock_exclusive_acquisitions == (
+            before.lock_exclusive_acquisitions
+        )
+
+    def test_engine_close_ends_the_leases(self, tmp_path, calibration,
+                                          three_second_clip):
+        root = tmp_path / "store"
+        engine = VSSEngine(root, calibration=calibration, parallelism=1)
+        session = engine.session()
+        session.write("traffic", three_second_clip, codec="h264", gop_size=30)
+        session.read("traffic", 0.0, 3.0, codec="raw")
+        engine.drain_admissions()
+        stream = session.read_stream(
+            ReadSpec("traffic", 0.0, 3.0, codec="raw", cache=False)
+        )
+        next(stream)
+        engine.set_budget("traffic", 1)
+        engine.enforce_budget("traffic")
+        pending = engine.check()["pending"]
+        assert pending
+        engine.close()
+        assert not any((root / path).exists() for path in pending)
+        stream.close()
+        with VSSEngine(root, calibration=calibration) as reopened:
+            assert reopened.check() == CLEAN
+
+    def test_streams_racing_eviction_and_readmission(
+        self, tmp_path, calibration, three_second_clip
+    ):
+        """Four threads stream one video while a fifth evicts its cached
+        copy and admits it again, for about a second with a short switch
+        interval: every stream gives the unraced answer, and once all
+        have ended nothing is pending and no file is left over."""
+        engine = VSSEngine(tmp_path / "store", calibration=calibration)
+        try:
+            session = engine.session()
+            session.write(
+                "traffic", three_second_clip, codec="h264", qp=10, gop_size=30
+            )
+            cached = ReadSpec("traffic", 0.0, 3.0, codec="raw")
+            spec = ReadSpec("traffic", 0.0, 3.0, codec="raw", cache=False)
+            expected = session.read(spec).segment.pixels.tobytes()
+            budget = engine.catalog.get_logical("traffic").budget_bytes
+            stop = threading.Event()
+            failures: list = []
+
+            def stream_loop() -> None:
+                own = engine.session()
+                try:
+                    while not stop.is_set():
+                        chunks = list(own.read_stream(spec))
+                        if _answer(chunks) != expected:
+                            failures.append("answer differs")
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    failures.append(exc)
+
+            def churn() -> None:
+                own = engine.session()
+                try:
+                    while not stop.is_set():
+                        own.read(cached)
+                        engine.drain_admissions()
+                        engine.set_budget("traffic", 1)
+                        engine.enforce_budget("traffic")
+                        engine.set_budget("traffic", budget)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    failures.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [
+                    threading.Thread(target=stream_loop) for _ in range(4)
+                ] + [threading.Thread(target=churn)]
+                for thread in threads:
+                    thread.start()
+                stop.wait(1.0)
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+            finally:
+                sys.setswitchinterval(interval)
+            assert failures == []
+            engine.drain_admissions()
+            assert engine.check() == CLEAN
         finally:
             engine.close()

@@ -482,13 +482,14 @@ class TestStreamLifecycle:
     ``VSSClient``, a ``VSSBinaryClient`` and a ``VSSBinaryClient`` on a
     ``VSSRouter`` run the same stream endings and agree, ending by
     ending, on ``(reads, failures, callbacks fired)`` and on
-    ``exhausted``.
+    ``exhausted``, and a failing stream on the chunks it delivered
+    before its failure.
 
     Each store is serial and keeps no decoded GOPs, so a page removed
     under it fails the pull that reads it and no chunk is built ahead in
-    process.  A server may still pull a batch ahead of its client, so a
-    remote stream may raise on an earlier pull than the local one: the
-    failure and its one callback are what must agree.
+    process.  A server may pull a batch ahead of its client, but it
+    sends the chunks it pulled before the failure, then the error: every
+    handle delivers the same chunks, then raises.
     """
 
     SPEC = ReadSpec("traffic", 0.0, 3.0, codec="raw", cache=False)
@@ -543,9 +544,17 @@ class TestStreamLifecycle:
             assert rest.stats.plan_cached is True
 
         def failing_pull(stream):
+            received = []
             with pytest.raises(ReadError):
-                for _ in stream:
-                    pass
+                for chunk in stream:
+                    received.append(chunk.segment.pixels)
+            frames = sum(len(pixels) for pixels in received)
+            outcomes.append((
+                len(received),
+                frames,
+                bool(received)
+                and np.array_equal(np.concatenate(received), whole[:frames]),
+            ))
 
         def with_block(stream):
             with stream:
@@ -599,11 +608,14 @@ class TestStreamLifecycle:
             )
         # ((reads, failures, callbacks fired), exhausted) per ending:
         # closed unpulled, closed after one chunk, next() + collect(),
-        # a pull that raised.
+        # a pull that raised, which first delivered (chunks, frames,
+        # equal to the answer's first frames) of the pages before the
+        # missing one.
         expected = [
             ((0, 0, 0), True),
             ((0, 0, 0), True),
             ((1, 0, 1), True),
+            (1, 30, True),
             ((0, 1, 1), True),
         ]
         assert outcomes == dict.fromkeys(outcomes, expected), outcomes
